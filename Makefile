@@ -7,7 +7,7 @@ BENCHTIME ?= 200ms
 # CI artifact so the trajectory accumulates across commits).
 BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: build test race bench bench-ci fmt vet lint vuln race-nightly ci api-smoke repl-smoke failover-smoke quorum-smoke shard-smoke metrics-smoke
+.PHONY: build test race bench bench-ci fmt vet lint vuln race-nightly ci api-smoke repl-smoke failover-smoke quorum-smoke shard-smoke metrics-smoke hiveload-smoke
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,15 @@ vuln:
 # Nightly-strength race pass: the delta interleaving property tests, the
 # leader/follower convergence test, the election failover/fencing tests,
 # and the fault-injected quorum no-lost-writes test at a higher -count,
-# catching rare schedules the per-PR run might miss.
+# catching rare schedules the per-PR run might miss; then ten seconds of
+# fuzzing the kv WAL/snapshot record decoder (the per-PR run only
+# replays its seed corpus).
 race-nightly:
 	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestSegmentedParity' -count=5 ./internal/core/ ./internal/textindex/
 	$(GO) test -race -run 'TestLeaderFollowerConvergence' -count=5 ./internal/server/
 	$(GO) test -race -run 'TestClusterFailoverConvergence|TestDeposedLeaderFencing' -count=2 ./internal/server/
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/
+	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/kvstore/
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -115,5 +118,15 @@ metrics-smoke:
 	$(GO) build -o bin/hived ./cmd/hived
 	$(GO) run ./cmd/apismoke -hived bin/hived -metrics
 
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md) as a smoke
+# test: its unit tests — a module of its own, so `go test ./...` does not
+# reach them — then every workload for a few seconds against a real
+# hived with all output checks on. Proves the benchmark still builds and
+# passes against this checkout; the numbers of a --quick run are not
+# comparable with anything.
+hiveload-smoke:
+	cd benchmark && $(GO) test .
+	bash benchmark/run.sh --workload all --quick
+
 # lint subsumes vet (hivelint runs `go vet` over the same patterns).
-ci: build lint fmt race
+ci: build lint fmt race hiveload-smoke

@@ -1,0 +1,457 @@
+package kvstore
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// checkIndex verifies the structural invariants of the tree — every key
+// inside its separators, all leaves at one depth, node sizes in bound,
+// the leaf chain linked both ways in tree order — and returns the keys
+// in chain order.
+func checkIndex(t *testing.T, ix *keyIndex) []string {
+	t.Helper()
+	var leaves []*node
+	leafDepth := -1
+	var walk func(n *node, lo, hi string, hasLo, hasHi bool, depth int)
+	walk = func(n *node, lo, hi string, hasLo, hasHi bool, depth int) {
+		if !slices.IsSorted(n.keys) {
+			t.Fatalf("node keys out of order: %q", n.keys)
+		}
+		for _, k := range n.keys {
+			if (hasLo && k < lo) || (hasHi && k >= hi) {
+				t.Fatalf("key %q outside its separators [%q, %q)", k, lo, hi)
+			}
+		}
+		if n.size() > maxNode {
+			t.Fatalf("node holds %d entries, max %d", n.size(), maxNode)
+		}
+		if n.kids == nil {
+			if leafDepth == -1 {
+				leafDepth = depth
+			}
+			if depth != leafDepth {
+				t.Fatalf("leaf at depth %d, others at %d", depth, leafDepth)
+			}
+			leaves = append(leaves, n)
+			return
+		}
+		if len(n.keys) != len(n.kids)-1 {
+			t.Fatalf("inner node: %d separators for %d children", len(n.keys), len(n.kids))
+		}
+		for i, kid := range n.kids {
+			klo, khi, kHasLo, kHasHi := lo, hi, hasLo, hasHi
+			if i > 0 {
+				klo, kHasLo = n.keys[i-1], true
+			}
+			if i < len(n.keys) {
+				khi, kHasHi = n.keys[i], true
+			}
+			walk(kid, klo, khi, kHasLo, kHasHi, depth+1)
+		}
+	}
+	walk(ix.root, "", "", false, false, 0)
+	var keys []string
+	for i, leaf := range leaves {
+		var prev, next *node
+		if i > 0 {
+			prev = leaves[i-1]
+		}
+		if i < len(leaves)-1 {
+			next = leaves[i+1]
+		}
+		if leaf.prev != prev || leaf.next != next {
+			t.Fatalf("leaf %d of %d: chain does not follow tree order", i, len(leaves))
+		}
+		keys = append(keys, leaf.keys...)
+	}
+	return keys
+}
+
+// The index against a sorted-set oracle through growth to several
+// levels, shrinkage back to almost nothing and regrowth, so that leaf
+// and inner splits, merges and root collapse all happen.
+func TestIndexModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ix := buildIndex(nil)
+		model := map[string]bool{}
+		key := func() string { return fmt.Sprintf("k%05d", rng.Intn(12000)) }
+		verify := func(when string) {
+			got := checkIndex(t, &ix)
+			want := make([]string, 0, len(model))
+			for k := range model {
+				want = append(want, k)
+			}
+			sort.Strings(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d %s: index holds %d keys, model %d", seed, when, len(got), len(want))
+			}
+		}
+		// pInsert is the share of inserts in each phase.
+		for phase, pInsert := range []float64{0.9, 0.08, 0.7, 0.0} {
+			for step := 0; step < 20000; step++ {
+				k := key()
+				if rng.Float64() < pInsert {
+					ix.insert(k)
+					model[k] = true
+				} else {
+					ix.delete(k)
+					delete(model, k)
+				}
+				if step%2500 == 0 {
+					verify(fmt.Sprintf("phase %d step %d", phase, step))
+				}
+			}
+			verify(fmt.Sprintf("after phase %d", phase))
+		}
+		// Bulk load must produce the same shape guarantees.
+		keys := make([]string, 0, 9000)
+		for i := 0; i < 9000; i++ {
+			keys = append(keys, fmt.Sprintf("k%05d", i))
+		}
+		ix = buildIndex(keys)
+		if got := checkIndex(t, &ix); !slices.Equal(got, keys) {
+			t.Fatalf("bulk load holds %d keys, want %d", len(got), len(keys))
+		}
+	}
+}
+
+// modelKey draws keys that share prefixes, nest, and include the empty
+// key and 0xff bytes (the case prefixEnd has to carry over).
+func modelKey(rng *rand.Rand) string {
+	heads := []string{"", "a/", "a/b/", "ab", "b/", "user/", "\xff", "\xff\xff"}
+	const tail = "ab/\x00\xff"
+	k := heads[rng.Intn(len(heads))]
+	for n := rng.Intn(4); n > 0; n-- {
+		k += string(tail[rng.Intn(len(tail))])
+	}
+	return k
+}
+
+// oracle answers every range read by filter-and-sort over a plain map.
+type oracle map[string]string
+
+func (m oracle) ascending(prefix, from string) []string {
+	var keys []string
+	for k := range m {
+		if strings.HasPrefix(k, prefix) && k >= from {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func (m oracle) descending(prefix, before string, limit int) []string {
+	var keys []string
+	for k := range m {
+		if strings.HasPrefix(k, prefix) && (before == "" || k < before) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+	if limit > 0 && len(keys) > limit {
+		keys = keys[:limit]
+	}
+	return keys
+}
+
+// assertReads compares every range read of s under prefix with the
+// oracle, full and stopped early.
+func assertReads(t *testing.T, rng *rand.Rand, s *Store, m oracle, prefix string) {
+	t.Helper()
+	want := m.ascending(prefix, "")
+	stop := 0 // deliveries after which the callback stops; 0 = never
+	if len(want) > 0 && rng.Intn(2) == 0 {
+		stop = 1 + rng.Intn(len(want))
+	}
+	expect := func(keys []string) []string {
+		if stop > 0 && len(keys) > stop {
+			return keys[:stop]
+		}
+		return keys
+	}
+
+	var got []string
+	s.Scan(prefix, func(k string, v []byte) bool {
+		if string(v) != m[k] {
+			t.Fatalf("Scan(%q): %q = %q, want %q", prefix, k, v, m[k])
+		}
+		got = append(got, k)
+		return len(got) != stop
+	})
+	if !slices.Equal(got, expect(want)) {
+		t.Fatalf("Scan(%q) stop=%d = %q, want %q", prefix, stop, got, expect(want))
+	}
+	if got := s.Keys(prefix); !slices.Equal(got, want) {
+		t.Fatalf("Keys(%q) = %q, want %q", prefix, got, want)
+	}
+
+	from := ""
+	if rng.Intn(3) > 0 {
+		from = modelKey(rng)
+	}
+	want = m.ascending(prefix, from)
+	got = nil
+	s.AscendKeys(prefix, from, func(k string) bool {
+		got = append(got, k)
+		return len(got) != stop
+	})
+	if !slices.Equal(got, expect(want)) {
+		t.Fatalf("AscendKeys(%q, %q) stop=%d = %q, want %q", prefix, from, stop, got, expect(want))
+	}
+
+	limit := rng.Intn(6)
+	if got, want := s.DescendKeys(prefix, from, limit), m.descending(prefix, from, limit); !slices.Equal(got, want) {
+		t.Fatalf("DescendKeys(%q, %q, %d) = %q, want %q", prefix, from, limit, got, want)
+	}
+}
+
+// Model-based property test: seeded random writes of every kind, a
+// snapshot import, compaction and close-and-reopen against a map oracle;
+// after every step every range read must equal filter-and-sort over the
+// oracle. Readers run beside the writer so that -race sees the lock
+// discipline of the chunked scan.
+func TestStoreModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { s.Close() }()
+			m := oracle{}
+
+			var cur atomic.Pointer[Store]
+			cur.Store(s)
+			stop := make(chan struct{})
+			var readers sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				readers.Add(1)
+				go func(rng *rand.Rand) {
+					defer readers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						concurrentRead(t, rng, cur.Load())
+					}
+				}(rand.New(rand.NewSource(seed*100 + int64(r))))
+			}
+			defer readers.Wait()
+			defer close(stop)
+
+			val := func() string { return fmt.Sprintf("v%d", rng.Intn(1000)) }
+			batch := func() *Batch {
+				b := NewBatch()
+				for n := 1 + rng.Intn(5); n > 0; n-- {
+					if k := modelKey(rng); rng.Intn(3) == 0 {
+						b.Delete(k)
+					} else {
+						b.Put(k, []byte(val()))
+					}
+				}
+				for k, v := range b.puts {
+					m[k] = string(v)
+				}
+				for k := range b.deletes {
+					delete(m, k)
+				}
+				return b
+			}
+			for step := 0; step < 300; step++ {
+				var err error
+				switch op := rng.Intn(100); {
+				case op < 45:
+					k, v := modelKey(rng), val()
+					err = s.Put(k, []byte(v))
+					m[k] = v
+				case op < 65:
+					k := modelKey(rng)
+					err = s.Delete(k)
+					delete(m, k)
+				case op < 80:
+					err = s.Apply(batch())
+				case op < 88:
+					err = s.ApplyQuiet(batch())
+				case op < 92:
+					// A fresh image, large enough for inner nodes
+					// (TestIndexModel grows the deeper trees).
+					img := map[string][]byte{}
+					clear(m)
+					for n := rng.Intn(800); n > 0; n-- {
+						k, v := modelKey(rng)+fmt.Sprint(rng.Intn(500)), val()
+						img[k], m[k] = []byte(v), v
+					}
+					err = s.ImportSnapshot(img)
+				case op < 96:
+					err = s.Compact()
+				default:
+					if err = s.Close(); err == nil {
+						s, err = Open(dir)
+						cur.Store(s)
+					}
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if s.Len() != len(m) {
+					t.Fatalf("step %d: Len = %d, model %d", step, s.Len(), len(m))
+				}
+				assertReads(t, rng, s, m, "")
+				assertReads(t, rng, s, m, "\xff\xff\xff\xff") // past the last key
+				for n := 0; n < 3; n++ {
+					assertReads(t, rng, s, m, modelKey(rng))
+				}
+			}
+			if got := checkIndex(t, &s.idx); !slices.Equal(got, m.ascending("", "")) {
+				t.Fatalf("index and model disagree at the end")
+			}
+		})
+	}
+}
+
+// concurrentRead checks what a range read promises while writes go on
+// beside it: keys under the prefix, inside the bounds, strictly ordered.
+func concurrentRead(t *testing.T, rng *rand.Rand, s *Store) {
+	prefix, bound := modelKey(rng), modelKey(rng)
+	last, first := "", true
+	ordered := func(k string, ascending bool) {
+		if !strings.HasPrefix(k, prefix) {
+			t.Errorf("read under %q delivered %q", prefix, k)
+		}
+		if !first && ((ascending && k <= last) || (!ascending && k >= last)) {
+			t.Errorf("read under %q: %q after %q", prefix, k, last)
+		}
+		last, first = k, false
+	}
+	switch rng.Intn(3) {
+	case 0:
+		s.Scan(prefix, func(k string, _ []byte) bool { ordered(k, true); return true })
+	case 1:
+		s.AscendKeys(prefix, bound, func(k string) bool {
+			if k < bound {
+				t.Errorf("AscendKeys from %q delivered %q", bound, k)
+			}
+			ordered(k, true)
+			return rng.Intn(40) > 0
+		})
+	default:
+		for _, k := range s.DescendKeys(prefix, bound, rng.Intn(8)) {
+			if bound != "" && k >= bound {
+				t.Errorf("DescendKeys before %q delivered %q", bound, k)
+			}
+			ordered(k, false)
+		}
+	}
+}
+
+// A range read may examine the keys it delivers and the one that ends
+// it, nothing else: this is what fails if a walk over the whole store
+// ever comes back.
+func TestRangeReadsStayInRange(t *testing.T) {
+	s := openTemp(t)
+	img := map[string][]byte{}
+	for i := 0; i < 5000; i++ {
+		img[fmt.Sprintf("a/%04d", i)] = []byte("x")
+		img[fmt.Sprintf("z/%04d", i)] = []byte("x")
+	}
+	for i := 0; i < 10; i++ {
+		img[fmt.Sprintf("m/%d", i)] = []byte("x")
+	}
+	if err := s.ImportSnapshot(img); err != nil {
+		t.Fatal(err)
+	}
+	examined := func(read func()) int64 {
+		before := s.examined.Load()
+		read()
+		return s.examined.Load() - before
+	}
+	all := func(string, []byte) bool { return true }
+	for _, tc := range []struct {
+		name string
+		max  int64
+		read func()
+	}{
+		{"Scan of a 10-key prefix", 11, func() { s.Scan("m/", all) }},
+		{"Keys of a 10-key prefix", 11, func() { s.Keys("m/") }},
+		{"AscendKeys from a bound", 4, func() { s.AscendKeys("m/", "m/7", func(string) bool { return true }) }},
+		{"DescendKeys", 11, func() { s.DescendKeys("m/", "", 0) }},
+		{"DescendKeys with a limit", 3, func() { s.DescendKeys("m/", "", 3) }},
+		{"DescendKeys before a bound", 4, func() { s.DescendKeys("m/", "m/3", 0) }},
+		{"Scan of an absent prefix", 1, func() { s.Scan("n/", all) }},
+		{"Scan past the last key", 0, func() { s.Scan("zz", all) }},
+		{"Scan of 5000 keys stopped after 2", scanChunkMin, func() {
+			n := 0
+			s.Scan("a/", func(string, []byte) bool { n++; return n < 2 })
+		}},
+	} {
+		if got := examined(tc.read); got > tc.max {
+			t.Errorf("%s examined %d keys, want at most %d", tc.name, got, tc.max)
+		}
+	}
+}
+
+// The callback runs outside the store lock: it may read and write the
+// store it is scanning.
+func TestScanCallbackMayUseStore(t *testing.T) {
+	s := openTemp(t)
+	for i := 0; i < 3*scanChunkMin; i++ {
+		_ = s.Put(fmt.Sprintf("k/%03d", i), []byte("v"))
+	}
+	n := 0
+	s.Scan("k/", func(k string, _ []byte) bool {
+		if _, err := s.Get(k); err != nil {
+			t.Fatalf("Get(%q) inside Scan: %v", k, err)
+		}
+		if err := s.Put("seen/"+k, nil); err != nil {
+			t.Fatal(err)
+		}
+		n++
+		return true
+	})
+	if n != 3*scanChunkMin || len(s.Keys("seen/")) != n {
+		t.Fatalf("scan delivered %d keys, %d marked", n, len(s.Keys("seen/")))
+	}
+}
+
+var scanSink int
+
+// BenchmarkScanPrefix reads a 10-key prefix out of stores of growing
+// size: with an ordered index the cost does not depend on the size.
+func BenchmarkScanPrefix(b *testing.B) {
+	for _, n := range []int{1e3, 1e4, 1e5} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			s, err := Open("")
+			if err != nil {
+				b.Fatal(err)
+			}
+			img := map[string][]byte{}
+			for i := 0; i < n; i++ {
+				img[fmt.Sprintf("paper/%07d", i)] = []byte(`{"id":"p","title":"t"}`)
+			}
+			for i := 0; i < 10; i++ {
+				img[fmt.Sprintf("follow/u1/u%d", i)] = nil
+			}
+			if err := s.ImportSnapshot(img); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Scan("follow/u1/", func(string, []byte) bool { scanSink++; return true })
+			}
+		})
+	}
+}

@@ -5,6 +5,19 @@
 // over an append-only write-ahead log with CRC-framed records, plus
 // point-in-time snapshots and log compaction.
 //
+// In memory the store is two structures kept in step under one lock: a
+// hash map from key to value, which serves Get and Has in O(1), and an
+// ordered index of the keys alone (a B+tree with chained leaves, see
+// keyIndex), which stands in for the ordered secondary indexes of the
+// paper's SQL store. With n live keys, writing a new key or deleting one
+// costs O(log n) in the index and overwriting a key does not touch it;
+// Scan, Keys, AscendKeys and DescendKeys seek to their bound in
+// O(log n) and then examine only the keys they deliver, so a prefix or
+// range read costs O(log n + matches) however large the rest of the
+// store is. The index is never persisted: Open builds it once from the
+// replayed snapshot and WAL, ImportSnapshot once from the imported
+// image, and the snapshot file is written by walking it.
+//
 // Durability model: every Put/Delete is appended to the WAL before the
 // in-memory index is updated. On open, the snapshot (if any) is loaded and
 // the WAL tail is replayed; torn tail records are detected via CRC and
@@ -17,8 +30,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNotFound is returned by Get when the key is absent.
@@ -29,11 +44,19 @@ var ErrClosed = errors.New("kvstore: store closed")
 
 // Store is a durable key-value store. It is safe for concurrent use.
 type Store struct {
-	mu     sync.RWMutex
-	dir    string
-	mem    map[string][]byte
+	mu  sync.RWMutex
+	dir string
+	// mem holds the live values. A stored slice is never written again
+	// (every write installs a fresh copy), so a reader may keep one it
+	// fetched under the lock and copy it after unlocking.
+	mem map[string][]byte
+	// idx orders exactly the keys of mem.
+	idx    keyIndex
 	wal    *walWriter
 	closed bool
+	// examined counts the keys the range reads looked at, matched or
+	// not; tests use it to prove a read stays inside its range.
+	examined atomic.Int64
 	// walRecords counts records appended since the last compaction; used
 	// by MaybeCompact.
 	walRecords int
@@ -58,7 +81,7 @@ func (s *Store) SetWriteHook(fn func(key string, val []byte, del bool)) {
 // Open opens (creating if necessary) a store rooted at dir. If dir is
 // empty the store is purely in-memory and non-durable.
 func Open(dir string) (*Store, error) {
-	s := &Store{dir: dir, mem: make(map[string][]byte)}
+	s := &Store{dir: dir, mem: make(map[string][]byte), idx: buildIndex(nil)}
 	if dir == "" {
 		return s, nil
 	}
@@ -80,6 +103,7 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	s.walRecords = n
+	s.reindexLocked()
 	w, err := openWALWriter(s.walPath())
 	if err != nil {
 		return nil, err
@@ -104,11 +128,35 @@ func (s *Store) Put(key string, val []byte) error {
 		}
 		s.walRecords++
 	}
-	s.mem[key] = append([]byte(nil), val...)
+	s.putLocked(key, val)
 	if s.writeHook != nil {
 		s.writeHook(key, val, false)
 	}
 	return nil
+}
+
+// putLocked installs a copy of val under key, indexing the key when it
+// is new.
+func (s *Store) putLocked(key string, val []byte) {
+	if _, ok := s.mem[key]; !ok {
+		s.idx.insert(key)
+	}
+	s.mem[key] = append([]byte(nil), val...)
+}
+
+func (s *Store) deleteLocked(key string) {
+	delete(s.mem, key)
+	s.idx.delete(key)
+}
+
+// reindexLocked rebuilds the key index from mem.
+func (s *Store) reindexLocked() {
+	keys := make([]string, 0, len(s.mem))
+	for k := range s.mem {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	s.idx = buildIndex(keys)
 }
 
 // Get returns the value stored under key.
@@ -149,7 +197,7 @@ func (s *Store) Delete(key string) error {
 		}
 		s.walRecords++
 	}
-	delete(s.mem, key)
+	s.deleteLocked(key)
 	if s.writeHook != nil {
 		s.writeHook(key, nil, true)
 	}
@@ -163,37 +211,117 @@ func (s *Store) Len() int {
 	return len(s.mem)
 }
 
+// Range reads collect under the read lock in chunks and deliver between
+// chunks: the first chunk is small so that a caller who stops early has
+// paid for little, and chunks grow so that a full scan takes the lock a
+// few times per thousand keys.
+const (
+	scanChunkMin = 16
+	scanChunkMax = 1024
+)
+
+type scanItem struct {
+	key string
+	val []byte
+}
+
 // Scan calls fn for every key with the given prefix, in ascending key
 // order, until fn returns false. Values passed to fn are copies.
+//
+// fn runs outside the store lock, so it may call back into the store
+// (holding the read lock across fn would deadlock a callback that reads
+// behind a waiting writer). The price is that a scan longer than one
+// chunk is not a point-in-time view: each chunk sees the store as it is
+// when the chunk is collected, and a key written behind the scan's
+// position is not revisited. Keys still arrive in strictly ascending
+// order, each at most once. Iteration stops where fn stops: keys and
+// values past the chunk in hand are never looked at.
 func (s *Store) Scan(prefix string, fn func(key string, val []byte) bool) {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			keys = append(keys, k)
+	s.ascend(prefix, prefix, true, fn)
+}
+
+// AscendKeys calls fn for every key with the given prefix that is >=
+// from, in ascending order, until fn returns false; from == "" starts at
+// the first key of the prefix. It reads no values. Locking and
+// consistency are as for Scan.
+func (s *Store) AscendKeys(prefix, from string, fn func(key string) bool) {
+	s.ascend(prefix, from, false, func(k string, _ []byte) bool { return fn(k) })
+}
+
+func (s *Store) ascend(prefix, from string, vals bool, fn func(key string, val []byte) bool) {
+	from = max(from, prefix)
+	buf := make([]scanItem, 0, scanChunkMin)
+	for chunk := scanChunkMin; ; chunk = min(chunk*4, scanChunkMax) {
+		buf = buf[:0]
+		examined := 0
+		s.mu.RLock()
+		s.idx.ascend(from, func(k string) bool {
+			examined++
+			if !strings.HasPrefix(k, prefix) {
+				return false
+			}
+			it := scanItem{key: k}
+			if vals {
+				it.val = s.mem[k]
+			}
+			buf = append(buf, it)
+			return len(buf) < chunk
+		})
+		s.mu.RUnlock()
+		s.examined.Add(int64(examined))
+		for _, it := range buf {
+			if !fn(it.key, append([]byte(nil), it.val...)) {
+				return
+			}
 		}
-	}
-	sort.Strings(keys)
-	type kv struct {
-		k string
-		v []byte
-	}
-	items := make([]kv, len(keys))
-	for i, k := range keys {
-		items[i] = kv{k, append([]byte(nil), s.mem[k]...)}
-	}
-	s.mu.RUnlock()
-	for _, it := range items {
-		if !fn(it.k, it.v) {
+		if len(buf) < chunk {
 			return
 		}
+		from = buf[len(buf)-1].key + "\x00" // the smallest key after the last one delivered
 	}
+}
+
+// DescendKeys returns up to limit keys with the given prefix that are <
+// before, in descending order; before == "" starts at the last key of
+// the prefix and limit <= 0 means no limit. It reads no values and takes
+// the read lock once, so the result is a point-in-time view.
+func (s *Store) DescendKeys(prefix, before string, limit int) []string {
+	end, bounded := prefixEnd(prefix)
+	if before != "" && (!bounded || before < end) {
+		end, bounded = before, true
+	}
+	var keys []string
+	examined := 0
+	s.mu.RLock()
+	s.idx.descend(end, !bounded, func(k string) bool {
+		examined++
+		if !strings.HasPrefix(k, prefix) {
+			return false
+		}
+		keys = append(keys, k)
+		return limit <= 0 || len(keys) < limit
+	})
+	s.mu.RUnlock()
+	s.examined.Add(int64(examined))
+	return keys
+}
+
+// prefixEnd returns the smallest string greater than every string that
+// starts with prefix; ok is false when there is none (the prefix is
+// empty or all 0xff bytes).
+func prefixEnd(prefix string) (end string, ok bool) {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		if prefix[i] != 0xff {
+			return prefix[:i] + string([]byte{prefix[i] + 1}), true
+		}
+	}
+	return "", false
 }
 
 // Keys returns all keys with the given prefix in ascending order.
 func (s *Store) Keys(prefix string) []string {
 	var keys []string
-	s.Scan(prefix, func(k string, _ []byte) bool {
+	s.AscendKeys(prefix, "", func(k string) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -261,13 +389,13 @@ func (s *Store) apply(b *Batch, hook bool) error {
 		}
 	}
 	for k, v := range b.puts {
-		s.mem[k] = append([]byte(nil), v...)
+		s.putLocked(k, v)
 		if hook && s.writeHook != nil {
 			s.writeHook(k, v, false)
 		}
 	}
 	for k := range b.deletes {
-		delete(s.mem, k)
+		s.deleteLocked(k)
 		if hook && s.writeHook != nil {
 			s.writeHook(k, nil, true)
 		}
@@ -300,6 +428,7 @@ func (s *Store) ImportSnapshot(entries map[string][]byte) error {
 		mem[k] = append([]byte(nil), v...)
 	}
 	s.mem = mem
+	s.reindexLocked()
 	if s.dir == "" {
 		return nil
 	}
@@ -396,14 +525,10 @@ func (s *Store) writeSnapshotLocked() error {
 func (s *Store) stageSnapshotLocked() (string, error) {
 	tmp := s.snapshotPath() + ".tmp"
 	var buf bytes.Buffer
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	s.idx.ascend("", func(k string) bool {
 		writeRecord(&buf, opPut, []byte(k), s.mem[k])
-	}
+		return true
+	})
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
 		return "", fmt.Errorf("kvstore: write snapshot: %w", err)
 	}

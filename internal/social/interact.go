@@ -2,7 +2,8 @@ package social
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"hive/internal/kvstore"
@@ -463,15 +464,15 @@ func (s *Store) LastEventSeq() uint64 {
 }
 
 // EventsSince returns events with Seq > after, oldest first, up to limit
-// (0 = no limit).
+// (0 = no limit). It seeks to after+1 in the event log, so the cost is
+// that of the events returned, not of the log.
 func (s *Store) EventsSince(after uint64, limit int) []Event {
+	if after == math.MaxUint64 {
+		return nil
+	}
 	var evs []Event
-	s.kv.Scan(pEvent, func(k string, raw []byte) bool {
-		var ev Event
-		if err := unmarshalEvent(raw, &ev); err != nil {
-			return true
-		}
-		if ev.Seq > after {
+	s.kv.AscendKeys(pEvent, pEvent+seqKey(after+1), func(k string) bool {
+		if ev, ok := s.eventAt(k[len(pEvent):]); ok {
 			evs = append(evs, ev)
 		}
 		return limit <= 0 || len(evs) < limit
@@ -492,29 +493,27 @@ func (s *Store) EventsByTag(tag string) []Event {
 
 // Feed returns the real-time update feed for a user: events by users they
 // follow, oldest first ("provide real-time updates regarding these during
-// the conference", §1.1).
+// the conference", §1.1). A positive limit keeps the newest limit events
+// and costs limit index keys per followee plus limit decodes, whatever
+// the length of the followees' histories.
 func (s *Store) Feed(userID string, limit int) []Event {
-	var evs []Event
-	for _, followee := range s.Following(userID) {
-		evs = append(evs, s.EventsByActor(followee)...)
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
-	if limit > 0 && len(evs) > limit {
-		evs = evs[len(evs)-limit:]
-	}
+	evs := s.EventsByActorsBefore(s.Following(userID), 0, limit)
+	slices.Reverse(evs)
 	return evs
 }
 
+// eventAt fetches and decodes the event stored under a sequence key; ok
+// is false when it is missing or does not decode.
+func (s *Store) eventAt(seqStr string) (ev Event, ok bool) {
+	return ev, s.getJSON(pEvent+seqStr, &ev) == nil
+}
+
+// eventsFromIndex decodes the events a secondary index (keys ending in
+// the sequence key, empty values) lists under prefix, oldest first.
 func (s *Store) eventsFromIndex(prefix string) []Event {
 	var evs []Event
-	s.kv.Scan(prefix, func(k string, _ []byte) bool {
-		seqStr := k[len(prefix):]
-		raw, err := s.kv.Get(pEvent + seqStr)
-		if err != nil {
-			return true
-		}
-		var ev Event
-		if unmarshalEvent(raw, &ev) == nil {
+	s.kv.AscendKeys(prefix, "", func(k string) bool {
+		if ev, ok := s.eventAt(k[len(prefix):]); ok {
 			evs = append(evs, ev)
 		}
 		return true

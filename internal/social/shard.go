@@ -2,7 +2,8 @@ package social
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"hive/internal/kvstore"
 )
@@ -66,18 +67,31 @@ func (s *Store) HasCollection(id string) bool { return s.kv.Has(pCollection + id
 // scatter-gather feed: each shard serves its own slice of the follow
 // set's activity, and the coordinator k-way merges the newest-first
 // streams, paginating on a per-shard sequence bound.
+//
+// The fixed-width sequence key ends every evactor/<actor>/ index key, so
+// the newest limit keys of each actor are read off the index in
+// descending order, the newest limit of those are chosen by key, and
+// only the chosen events are fetched and decoded.
 func (s *Store) EventsByActorsBefore(actors []string, before uint64, limit int) []Event {
-	var evs []Event
+	var seqs []string
 	for _, a := range actors {
-		for _, ev := range s.EventsByActor(a) {
-			if before == 0 || ev.Seq < before {
-				evs = append(evs, ev)
-			}
+		prefix, bound := pEvActor+a+"/", ""
+		if before != 0 {
+			bound = prefix + seqKey(before)
+		}
+		for _, k := range s.kv.DescendKeys(prefix, bound, limit) {
+			seqs = append(seqs, k[len(prefix):])
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq > evs[j].Seq })
-	if limit > 0 && len(evs) > limit {
-		evs = evs[:limit]
+	slices.SortFunc(seqs, func(a, b string) int { return strings.Compare(b, a) })
+	var evs []Event
+	for _, seq := range seqs {
+		if limit > 0 && len(evs) == limit {
+			break
+		}
+		if ev, ok := s.eventAt(seq); ok {
+			evs = append(evs, ev)
+		}
 	}
 	return evs
 }

@@ -566,18 +566,17 @@ func (s *Store) PresentationsOfUser(userID string) []string {
 	return s.stripPrefix(pPresOwner + userID + "/")
 }
 
-func unmarshalEvent(raw []byte, ev *Event) error { return json.Unmarshal(raw, ev) }
-
 // stripPrefix lists keys under prefix with the prefix removed.
 func (s *Store) stripPrefix(prefix string) []string {
 	return s.stripPrefixN(prefix, 0)
 }
 
 // stripPrefixN lists up to n keys under prefix with the prefix removed
-// (n <= 0 means all), ending the scan once n is reached.
+// (n <= 0 means all), ending the scan once n is reached. It reads keys
+// only: index entries carry no value and entity bodies are not wanted.
 func (s *Store) stripPrefixN(prefix string, n int) []string {
 	var ids []string
-	s.kv.Scan(prefix, func(k string, _ []byte) bool {
+	s.kv.AscendKeys(prefix, "", func(k string) bool {
 		ids = append(ids, k[len(prefix):])
 		return n <= 0 || len(ids) < n
 	})
