@@ -2,12 +2,8 @@
 # targets, so a green `make ci` locally means a green pipeline.
 
 GO      ?= go
-BENCHTIME ?= 200ms
-# Benchmark JSON stream for the current PR's perf record (uploaded as a
-# CI artifact so the trajectory accumulates across commits).
-BENCH_OUT ?= BENCH_pr10.json
 
-.PHONY: build test race bench bench-ci fmt vet lint vuln race-nightly ci api-smoke repl-smoke failover-smoke quorum-smoke shard-smoke metrics-smoke hiveload-smoke
+.PHONY: build test race bench fmt vet lint vuln race-nightly ci api-smoke repl-smoke failover-smoke quorum-smoke shard-smoke metrics-smoke hiveload-smoke
 
 build:
 	$(GO) build ./...
@@ -18,19 +14,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Micro-benchmarks for measuring while you work. The repo's perf record
+# is hiveload (BENCHMARK.json, benchmark/README.md), not this.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
-
-# Short benchmark pass for CI: one data point per benchmark, JSON
-# stream captured as $(BENCH_OUT) so the perf trajectory accumulates.
-# Includes the frozen-vs-live micro-benchmarks (SearchVector,
-# TFIDFVector, RecommendPeers, RecommendResources), the PR-4
-# delta-vs-rebuild pair, the PR-5 journal append/replay micro-benches,
-# the PR-8 quorum-write benchmark, the PR-9 sharded write /
-# scatter-gather pair, and the PR-10 instrumented-search overhead
-# guard (BenchmarkInstrumentedSearch) — see EXPERIMENTS.md.
-bench-ci:
-	$(GO) test -json -bench=. -benchtime=$(BENCHTIME) -run='^$$' . ./internal/journal | tee $(BENCH_OUT)
 
 # Static analysis beyond vet: CI installs govulncheck on the runner;
 # locally this degrades to a warning when the tool is absent.

@@ -208,8 +208,8 @@ type Health struct {
 	Delta            DeltaHealth       `json:"delta"`
 	Replication      ReplicationHealth `json:"replication"`
 	LastRefreshError string            `json:"last_refresh_error,omitempty"`
-	// ShardCount/Shards mirror ClusterStatus on a sharded node: the
-	// top-level fields above describe shard 0, Shards the whole map.
+	// ShardCount/Shards mirror ClusterStatus: the top-level fields
+	// above describe shard 0, Shards the whole map.
 	ShardCount int           `json:"shard_count,omitempty"`
 	Shards     []ShardStatus `json:"shards,omitempty"`
 }
@@ -278,10 +278,10 @@ type ClusterStatus struct {
 
 	// ShardCount is the deployment's shard map size: owners hash to
 	// shard ShardOf(owner, ShardCount). 1 (or 0 on pre-shard servers)
-	// means unsharded. Fixed for the life of a data dir.
+	// means everything lives on one shard. Fixed for the life of a data
+	// dir.
 	ShardCount int `json:"shard_count,omitempty"`
-	// Shards reports one entry per shard on a sharded node; empty when
-	// unsharded.
+	// Shards reports one entry per shard (absent on pre-shard servers).
 	Shards []ShardStatus `json:"shards,omitempty"`
 }
 

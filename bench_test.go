@@ -82,7 +82,7 @@ func BenchmarkE1_PlatformAPI(b *testing.B) {
 	ts := httptest.NewServer(server.New(p))
 	defer ts.Close()
 	uid := p.Users()[0]
-	url := ts.URL + "/api/search?q=graph+partitioning&k=10&user=" + uid
+	url := ts.URL + "/api/v1/search?q=graph+partitioning&limit=10&user=" + uid
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, err := http.Get(url)

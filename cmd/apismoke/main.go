@@ -2,8 +2,8 @@
 // `make api-smoke`: it starts a real hived process, then drives the
 // entire /api/v1 surface through the client SDK — typed mutations,
 // batch ingest, every knowledge read, cursor pagination, conditional
-// GET revalidation, typed errors and the legacy-alias deprecation
-// headers — and exits non-zero on the first contract violation.
+// GET revalidation, typed errors and the absence of any unversioned
+// route — and exits non-zero on the first contract violation.
 //
 // With -repl (the `make repl-smoke` mode) it instead boots a two-node
 // elected cluster (-cluster, shared file lease; the leader node starts
@@ -155,7 +155,7 @@ func run(hived, addr string, seed int) error {
 		{"cursor pagination", stepPagination},
 		{"conditional GETs (ETag/304)", stepConditional},
 		{"typed errors", stepErrors},
-		{"legacy alias deprecation", stepLegacy},
+		{"one route family", stepUnversionedGone},
 	}
 	for _, s := range steps {
 		if err := s.fn(ctx, c, base); err != nil {
@@ -1135,7 +1135,9 @@ func waitClusterLeader(ctx context.Context, cs []*client.Client, urls []string, 
 	return 0, 0, fmt.Errorf("no leader elected within %v (urls %v)", timeout, urls)
 }
 
-func stepLegacy(ctx context.Context, _ *client.Client, base string) error {
+// stepUnversionedGone: /api/v1 is the only route family; the
+// unversioned aliases it replaced answer 404.
+func stepUnversionedGone(ctx context.Context, _ *client.Client, base string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/healthz", nil)
 	if err != nil {
 		return err
@@ -1145,11 +1147,8 @@ func stepLegacy(ctx context.Context, _ *client.Client, base string) error {
 		return err
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("legacy healthz = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		return fmt.Errorf("legacy route missing Deprecation header")
+	if resp.StatusCode != http.StatusNotFound {
+		return fmt.Errorf("unversioned /api/healthz = %d, want 404", resp.StatusCode)
 	}
 	return nil
 }

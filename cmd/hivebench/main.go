@@ -253,13 +253,14 @@ func e13(users int) {
 // e14: write visibility — the time from a mutation returning until the
 // written entity is observable through the knowledge services. The
 // delta arm (the default pipeline) folds the mutation's change events
-// into the serving snapshot synchronously; the baseline arm disables
-// deltas, so visibility costs a full rebuild. Feed visibility is also
-// measured: feeds read the store directly and were always immediate.
+// into the serving snapshot synchronously; the baseline arm adds an
+// explicit Refresh() after the write — the full rebuild that visibility
+// cost before deltas. Feed visibility is also measured: feeds read the
+// store directly and were always immediate.
 func e14(users int) {
 	const trials = 20
-	measure := func(name string, disable bool) {
-		p, err := hive.Open(hive.Options{DisableDeltas: disable})
+	measure := func(name string, rebuild bool) {
+		p, err := hive.Open(hive.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -290,8 +291,12 @@ func e14(users int) {
 			}); err != nil {
 				log.Fatal(err)
 			}
-			// Poll through the serving path until the write is searchable;
-			// the baseline arm needs the full rebuild an Engine() repair runs.
+			if rebuild {
+				if err := p.Refresh(); err != nil {
+					log.Fatal(err)
+				}
+			}
+			// Poll through the serving path until the write is searchable.
 			for {
 				res, err := p.Search(token, 1)
 				if err != nil {

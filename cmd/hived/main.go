@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hived [-addr :8080] [-data DIR] [-seed users] [-compact-interval 30s]
-//	      [-shards N] [-no-deltas] [-workers N] [-timeout 30s]
+//	      [-shards N] [-workers N] [-timeout 30s]
 //	      [-max-inflight N] [-qps N] [-quiet] [-access-log] [-metrics]
 //	      [-pprof ADDR]
 //	      [-cluster "self=URL,peers=URL;URL,lease=DIR[,ttl=2s]"]
@@ -12,8 +12,7 @@
 //
 // The API is served under /api/v1 (typed DTOs, cursor pagination,
 // structured errors, conditional knowledge GETs, POST /api/v1/batch
-// bulk ingest — see API.md); the unversioned /api/* routes remain as
-// deprecated aliases for one release.
+// bulk ingest — see API.md).
 //
 // With -seed N, a synthetic conference workload of N users is generated
 // and loaded at startup so the API has data to serve. Writes become
@@ -72,17 +71,18 @@
 // shards (own store, journal, change stream and delta pipeline), routes
 // every write to the shard owning the responsible user (FNV-1a of the
 // owner ID), and answers reads by scatter-gather with exact k-way
-// merging — search results are bit-identical to an unsharded node over
-// the same data. The shard count is fixed for the life of a data dir
-// (recorded in DIR/shards.json; reopening with a different -shards
+// merging — search results are bit-identical to a one-shard node over
+// the same data. The default, one shard, is the same backend with
+// nothing to route or merge; its store sits directly under -data. The
+// shard count is fixed for the life of a data dir (more than one is
+// recorded in DIR/shards.json; reopening with a different -shards
 // fails). GET /api/v1/cluster and /api/v1/healthz report the shard map.
-// -shards and -cluster are mutually exclusive for now: per-shard
-// replication is a follow-up.
+// More than one shard excludes -cluster for now: per-shard replication
+// is a follow-up.
 //
-// -no-deltas restores the pre-delta behavior (writes mark the snapshot
-// stale; only full rebuilds repair it). -timeout, -max-inflight and
-// -qps wire the middleware stack's operational limits (0 disables
-// each); -quiet (or -access-log=false) drops the access log.
+// -timeout, -max-inflight and -qps wire the middleware stack's
+// operational limits (0 disables each); -quiet (or -access-log=false)
+// drops the access log.
 //
 // Observability: GET /metrics serves the process-wide registry in
 // Prometheus text exposition — request counts and latency histograms
@@ -173,7 +173,7 @@ func main() {
 	compactInterval := flag.Duration("compact-interval", 30*time.Second,
 		"background compaction (full rebuild) interval, run while due (0 = disabled)")
 	shards := flag.Int("shards", 1,
-		"partition the write path across this many in-process shards (1 = unsharded; incompatible with -cluster)")
+		"partition the write path across this many in-process shards (more than 1 excludes -cluster)")
 	cluster := flag.String("cluster", "",
 		"join an elected replica set: self=URL,peers=URL;URL,lease=DIR[,ttl=2s] (requires -data)")
 	quorum := flag.Int("quorum", 0,
@@ -182,8 +182,6 @@ func main() {
 		"bounded wait for quorum write acks before a 503 quorum_unavailable (0 = 5s default)")
 	journalRetention := flag.Int("journal-retention", 0,
 		"closed change-journal segments to retain (0 = default 8)")
-	noDeltas := flag.Bool("no-deltas", false,
-		"disable incremental snapshot maintenance (writes wait for the next full rebuild)")
 	workers := flag.Int("workers", 0, "engine rebuild parallelism (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request time budget (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent requests (0 = uncapped)")
@@ -214,7 +212,6 @@ func main() {
 	opts := hive.Options{
 		Dir:           *data,
 		Workers:       *workers,
-		DisableDeltas: *noDeltas,
 		JournalRetain: *journalRetention,
 	}
 	var leaseDir string
@@ -246,57 +243,44 @@ func main() {
 		log.Fatalf("-quorum requires -cluster: only a leader with followers can collect acks")
 	}
 
-	if *shards > 1 {
-		if *cluster != "" {
-			log.Fatalf("-shards and -cluster are mutually exclusive: per-shard replication is a follow-up")
-		}
-		runSharded(*shards, opts, *seed, *compactInterval, *addr, server.Config{
-			Timeout:        *timeout,
-			MaxInFlight:    *maxInflight,
-			QPS:            *qps,
-			DisableMetrics: !*metricsOn,
-		}, *quiet || !*accessLog)
-		return
-	}
-
-	p, err := hive.Open(opts)
+	sh, err := hive.OpenSharded(*shards, opts)
 	if err != nil {
 		log.Fatalf("open platform: %v", err)
 	}
-	defer p.Close()
+	defer sh.Close()
 
-	switch {
-	case *cluster != "":
+	if *cluster != "" {
 		// Role and state are election-driven: the node joined fenced, the
 		// lease decides whether it leads or tails a peer. No local seeding
 		// or eager build — a follower's state comes from the leader, and a
 		// promotion folds the journal tail in before opening writes.
+		p := sh.Shard(0)
 		log.Printf("cluster member %s (peers %v, lease %s, role %s, epoch %d)",
 			opts.Cluster.SelfURL, opts.Cluster.Peers, leaseDir, p.Role(), p.Epoch())
 		if *seed > 0 {
 			log.Printf("warning: -seed ignored in cluster mode (state replicates from the elected leader)")
 		}
-	case *seed > 0:
-		ds := workload.Generate(workload.Config{Seed: 42, Users: *seed})
-		// Seeding runs in-process before serving: one batched store pass,
-		// one snapshot invalidation.
-		if err := p.Store().Batched(func() error { return ds.Load(p.Store()) }); err != nil {
-			log.Fatalf("load workload: %v", err)
+	} else {
+		if *seed > 0 {
+			ds := workload.Generate(workload.Config{Seed: 42, Users: *seed})
+			// Seeding runs in-process before serving, through the routed
+			// write path so every entity lands on its owning shard. One
+			// batch per shard: Batched nests the per-shard store batches,
+			// so the whole load is a single snapshot invalidation on each.
+			if err := sh.Batched(func() error { return ds.LoadRouted(sh) }); err != nil {
+				log.Fatalf("load workload: %v", err)
+			}
+			log.Printf("seeded %d users, %d papers, %d sessions across %d shard(s)",
+				len(ds.Users), len(ds.Papers), len(ds.Sessions), *shards)
 		}
-		log.Printf("seeded %d users, %d papers, %d sessions",
-			len(ds.Users), len(ds.Papers), len(ds.Sessions))
-	}
-	if *cluster == "" {
-		if err := p.Refresh(); err != nil {
+		if err := sh.Refresh(); err != nil {
 			log.Fatalf("build knowledge engine: %v", err)
 		}
-	}
-	if eng := p.Snapshot(); eng != nil {
-		log.Printf("knowledge engine ready in %v (generation %d)", eng.BuildDuration(), p.Generation())
+		log.Printf("knowledge engine ready on %d shard(s) (generation %d)", *shards, sh.Generation())
 	}
 	if *compactInterval > 0 {
-		p.AutoRefresh(*compactInterval)
-		log.Printf("compaction loop every %v (runs while due)", *compactInterval)
+		sh.AutoRefresh(*compactInterval)
+		log.Printf("compaction loop every %v on each shard (runs while due)", *compactInterval)
 	}
 
 	cfg := server.Config{
@@ -308,51 +292,8 @@ func main() {
 	if !*quiet && *accessLog {
 		cfg.AccessLog = log.Default()
 	}
-	log.Printf("hived listening on %s (API v1 at /api/v1, legacy /api/* deprecated)", *addr)
-	if err := http.ListenAndServe(*addr, server.NewWith(p, cfg)); err != nil {
+	log.Printf("hived listening on %s (%d shard(s), API v1 at /api/v1)", *addr, *shards)
+	if err := http.ListenAndServe(*addr, server.NewSharded(sh, cfg)); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
-}
-
-// runSharded boots a sharded platform and serves it: N independent
-// shards behind one routing server.
-func runSharded(shards int, opts hive.Options, seed int, compactInterval time.Duration, addr string, cfg server.Config, quiet bool) {
-	sh, err := hive.OpenSharded(shards, opts)
-	if err != nil {
-		log.Fatalf("open sharded platform: %v", err)
-	}
-	defer sh.Close()
-
-	if seed > 0 {
-		ds := workload.Generate(workload.Config{Seed: 42, Users: seed})
-		if err := loadSharded(sh, ds); err != nil {
-			log.Fatalf("load workload: %v", err)
-		}
-		log.Printf("seeded %d users, %d papers, %d sessions across %d shards",
-			len(ds.Users), len(ds.Papers), len(ds.Sessions), shards)
-	}
-	if err := sh.Refresh(); err != nil {
-		log.Fatalf("build knowledge engines: %v", err)
-	}
-	log.Printf("knowledge engines ready on %d shards (generation %d)", shards, sh.Generation())
-	if compactInterval > 0 {
-		sh.AutoRefresh(compactInterval)
-		log.Printf("compaction loop every %v on each shard (runs while due)", compactInterval)
-	}
-
-	if !quiet {
-		cfg.AccessLog = log.Default()
-	}
-	log.Printf("hived listening on %s (%d shards, API v1 at /api/v1)", addr, shards)
-	if err := http.ListenAndServe(addr, server.NewSharded(sh, cfg)); err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-}
-
-// loadSharded applies a synthetic dataset through the sharded write
-// path so every entity lands on its owning shard. One batch per shard:
-// Batched nests the per-shard store batches, so the whole load is a
-// single snapshot invalidation on each.
-func loadSharded(sh *hive.Sharded, ds *workload.Dataset) error {
-	return sh.Batched(func() error { return ds.LoadRouted(sh) })
 }

@@ -161,10 +161,6 @@ type Options struct {
 	// Workers bounds the parallelism of engine rebuilds (the number of
 	// derivation stages built concurrently). Zero means GOMAXPROCS.
 	Workers int
-	// DisableDeltas turns off incremental snapshot maintenance: writes
-	// only mark the snapshot stale and every repair is a full rebuild
-	// (the pre-delta behavior; useful for baselines and tests).
-	DisableDeltas bool
 	// Compaction tunes when the delta pipeline schedules a full build.
 	Compaction CompactionPolicy
 
@@ -205,8 +201,7 @@ type Platform struct {
 	// apart.
 	shardID int
 
-	deltasOff bool
-	policy    CompactionPolicy
+	policy CompactionPolicy
 
 	current atomic.Pointer[core.Engine] // serving snapshot (nil until first build)
 	gen     atomic.Uint64               // snapshot generation, bumped on every swap
@@ -293,15 +288,14 @@ func Open(opts Options) (*Platform, error) {
 		return nil, err
 	}
 	p := &Platform{
-		store:     st,
-		workers:   opts.Workers,
-		deltasOff: opts.DisableDeltas,
-		policy:    opts.Compaction.withDefaults(),
+		store:   st,
+		workers: opts.Workers,
+		policy:  opts.Compaction.withDefaults(),
 	}
 	// Every store write feeds the change log — including writes that
 	// bypass the Platform wrappers and hit Store() directly. The
-	// subscription queues the events and (unless deltas are disabled)
-	// folds them into the serving snapshot before the write returns.
+	// subscription queues the events and folds them into the serving
+	// snapshot before the write returns.
 	// On a follower the same path fires when replicated batches are
 	// folded in, so deltas flow identically on both roles.
 	st.OnChange(p.onChange)
@@ -376,7 +370,7 @@ func (p *Platform) onChange(evs []social.ChangeEvent) {
 	p.pendingCount.Store(int64(len(p.pending)))
 	p.pendMu.Unlock()
 
-	if p.deltasOff || p.current.Load() == nil || p.overflowed() {
+	if p.current.Load() == nil || p.overflowed() {
 		return
 	}
 	// Synchronous single-flight delta apply; if another maintenance run
@@ -445,9 +439,9 @@ func (p *Platform) RefreshAsync() {
 
 // ApplyDeltas synchronously drains the queued change events into the
 // serving snapshot through the delta path (falling back to a full
-// rebuild when there is no snapshot yet, the queue overflowed, or
-// deltas are disabled). It returns once every event queued before the
-// call is reflected in the snapshot.
+// rebuild when there is no snapshot yet or the queue overflowed). It
+// returns once every event queued before the call is reflected in the
+// snapshot.
 func (p *Platform) ApplyDeltas() error {
 	for {
 		if p.current.Load() != nil && !p.overflowed() && p.pendingCount.Load() == 0 {
@@ -498,7 +492,7 @@ func (p *Platform) runFlight(f *refreshFlight) error {
 	p.flight = nil
 	p.flightMu.Unlock()
 	close(f.done)
-	if f.err == nil && !p.deltasOff && p.pendingCount.Load() > 0 && p.current.Load() != nil {
+	if f.err == nil && p.pendingCount.Load() > 0 && p.current.Load() != nil {
 		if nf, started, err := p.beginFlight(false); err == nil && started {
 			go func() { _ = p.runFlight(nf) }()
 		}
@@ -553,12 +547,12 @@ func (p *Platform) compact() error {
 
 // drainDeltas folds the queued events into the serving snapshot in
 // bounded batches, one atomic swap per batch. Unavailable delta paths
-// (no snapshot, overflow, deltas disabled) compact instead. A failing
+// (no snapshot, overflow) compact instead. A failing
 // delta apply abandons the queue to the next compaction — the events'
 // effects are persisted in the store, so the full rebuild recovers them.
 func (p *Platform) drainDeltas() error {
 	cur := p.current.Load()
-	if cur == nil || p.deltasOff || p.overflowed() {
+	if cur == nil || p.overflowed() {
 		return p.compact()
 	}
 	b := &core.Builder{Store: p.store, Workers: p.workers}

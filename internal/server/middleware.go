@@ -358,27 +358,3 @@ func acceptsGzip(header string) bool {
 	}
 	return false
 }
-
-// successorOverrides maps legacy paths whose v1 twin is not the plain
-// /api -> /api/v1 rewrite.
-var successorOverrides = map[string]string{
-	"/api/refresh": "/api/v1/admin/refresh",
-}
-
-// Deprecated marks legacy unversioned routes: responses carry a
-// Deprecation header and a successor-version link to the /api/v1 twin.
-func Deprecated(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		successor := successorOverrides[r.URL.Path]
-		if successor == "" {
-			if rest, ok := strings.CutPrefix(r.URL.Path, "/api/"); ok {
-				successor = "/api/v1/" + rest
-			}
-		}
-		if successor != "" {
-			w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		}
-		next.ServeHTTP(w, r)
-	})
-}

@@ -46,11 +46,11 @@ func TestRefreshUnderLoad(t *testing.T) {
 	uid := p.Users()[0]
 
 	paths := []string{
-		"/api/search?q=graph&k=3&user=" + uid,
-		"/api/users/" + uid + "/recommendations/peers?k=3",
-		"/api/relationship?a=" + p.Users()[0] + "&b=" + p.Users()[1],
-		"/api/communities",
-		"/api/healthz",
+		"/api/v1/search?q=graph&limit=3&user=" + uid,
+		"/api/v1/users/" + uid + "/recommendations/peers?limit=3",
+		"/api/v1/relationship?a=" + p.Users()[0] + "&b=" + p.Users()[1],
+		"/api/v1/communities",
+		"/api/v1/healthz",
 	}
 
 	stop := make(chan struct{})
@@ -112,7 +112,7 @@ func TestAdminRefreshEndpoint(t *testing.T) {
 	if err := p.RegisterUser(hive.User{ID: "async", Name: "A"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/api/admin/refresh", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/api/v1/admin/refresh", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestAdminRefreshEndpoint(t *testing.T) {
 	}
 
 	// The synchronous form blocks until the swap is live.
-	resp, err = http.Post(ts.URL+"/api/admin/refresh?wait=true", "application/json", nil)
+	resp, err = http.Post(ts.URL+"/api/v1/admin/refresh?wait=true", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

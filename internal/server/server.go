@@ -11,8 +11,7 @@
 // errors use the structured envelope with stable codes, and knowledge
 // GETs support conditional requests (ETag keyed on the snapshot
 // generation, so an unchanged snapshot revalidates with a 304 instead
-// of a recompute+encode). Legacy unversioned /api/* routes remain as
-// thin deprecated aliases onto the same handlers for one release.
+// of a recompute+encode). Only /metrics sits outside /api/v1.
 package server
 
 import (
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,14 +49,6 @@ const (
 	maxBudget = 100
 )
 
-// mSearchSeconds is the same instrument hive.Platform registers for
-// its library-level search calls (registration is idempotent): the
-// unsharded HTTP handler reads the engine directly, so it observes
-// here to keep the series moving over the wire path too. The sharded
-// fan-out reports through hive_scatter_fanout_seconds instead.
-var mSearchSeconds = metrics.Default.Histogram(metrics.SearchSeconds,
-	"Latency of one platform-level search over the frozen read path.", nil)
-
 // Config tunes the middleware stack. The zero value disables the
 // operational limits (no timeout, no in-flight cap, no rate limit, no
 // access log) and keeps gzip on — the right default for tests and
@@ -84,12 +74,12 @@ type Config struct {
 	DisableMetrics bool
 }
 
-// Server routes HTTP requests to a Platform, or — when built with
-// NewSharded — to a set of shard-leader Platforms behind the owner-hash
-// router (writes route to the owning shard, reads scatter-gather).
+// Server routes HTTP requests to the one serving backend: a Sharded of
+// n >= 1 shard-leader Platforms behind the owner-hash router (writes
+// route to the owning shard, reads scatter-gather; with one shard both
+// are the identity).
 type Server struct {
-	p   *hive.Platform
-	sh  *hive.Sharded // nil on unsharded servers
+	sh  *hive.Sharded
 	mux *http.ServeMux
 	h   http.Handler // mux wrapped in the middleware chain
 
@@ -100,24 +90,20 @@ type Server struct {
 	lastReval atomic.Int64 // unix nanos of the last read-triggered refresh kick
 }
 
-// New builds a server around a platform with default Config.
+// New builds a server around a standalone platform with default Config.
 func New(p *hive.Platform) *Server { return NewWith(p, Config{}) }
 
-// NewWith builds a server with an explicit middleware configuration.
-func NewWith(p *hive.Platform, cfg Config) *Server {
-	return newServer(p, nil, cfg)
-}
+// NewWith builds a server around a standalone platform, served as a
+// one-shard Sharded.
+func NewWith(p *hive.Platform, cfg Config) *Server { return newServer(hive.OneShard(p), cfg) }
 
 // NewSharded builds a server fronting a sharded platform: every
 // mutation routes to the owning user's shard leader, reads fan out
 // across the shard engines, and healthz/cluster expose the shard map.
-// Replication endpoints and shard-agnostic reads answer from shard 0.
-func NewSharded(sh *hive.Sharded, cfg Config) *Server {
-	return newServer(sh.Shard(0), sh, cfg)
-}
+func NewSharded(sh *hive.Sharded, cfg Config) *Server { return newServer(sh, cfg) }
 
-func newServer(p *hive.Platform, sh *hive.Sharded, cfg Config) *Server {
-	s := &Server{p: p, sh: sh, mux: http.NewServeMux()}
+func newServer(sh *hive.Sharded, cfg Config) *Server {
+	s := &Server{sh: sh, mux: http.NewServeMux()}
 	if !cfg.DisableMetrics {
 		s.traces = metrics.NewRecorder(metrics.DefaultTraceCapacity)
 	}
@@ -188,7 +174,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHT
 // server-side anyway.
 func timeoutExempt(path string) bool {
 	switch path {
-	case "/api/v1/batch", "/api/v1/admin/refresh", "/api/admin/refresh", "/api/refresh":
+	case "/api/v1/batch", "/api/v1/admin/refresh":
 		return true
 	}
 	// The replication feed long-polls by design (a caught-up follower
@@ -198,7 +184,7 @@ func timeoutExempt(path string) bool {
 }
 
 // replicationPath marks the replication endpoints, which are exempt
-// from the per-request operational limits (see NewWith).
+// from the per-request operational limits (see newServer).
 func replicationPath(path string) bool {
 	switch path {
 	case "/api/v1/replication/events", "/api/v1/replication/snapshot":
@@ -229,46 +215,11 @@ func exceptPaths(mw Middleware, exempt func(string) bool) Middleware {
 	}
 }
 
-// engine resolves the serving snapshot without ever blocking reads on a
-// rebuild: the current snapshot is served as-is, and when it is stale a
-// background refresh is kicked so a later request observes fresh data
-// (stale-while-revalidate). Only the very first request — before any
-// snapshot exists — builds synchronously.
-func (s *Server) engine() (*core.Engine, error) {
-	if eng := s.p.Snapshot(); eng != nil {
-		if s.stale() {
-			s.maybeRevalidate()
-		}
-		return eng, nil
-	}
-	return s.p.Engine()
-}
-
-// stale/generation/refreshAsync abstract snapshot freshness over the
-// one-platform and sharded layouts: sharded, "stale" means any shard
-// has unapplied events and the generation is the sum of the shard
-// generations (any shard swap changes cross-shard results).
-func (s *Server) stale() bool {
-	if s.sh != nil {
-		return s.sh.Stale()
-	}
-	return s.p.Stale()
-}
-
-func (s *Server) generation() uint64 {
-	if s.sh != nil {
-		return s.sh.Generation()
-	}
-	return s.p.Generation()
-}
-
-func (s *Server) refreshAsync() {
-	if s.sh != nil {
-		s.sh.RefreshAsync()
-		return
-	}
-	s.p.RefreshAsync()
-}
+// node is the platform behind the endpoints that describe or feed one
+// replica — replication, cluster status, the delta and snapshot blocks
+// of healthz — and the reads of broadcast data every shard holds.
+// Shard 0 answers them; with one shard that is the whole node.
+func (s *Server) node() *hive.Platform { return s.sh.Shard(0) }
 
 // maybeRevalidate kicks a background refresh at most once per
 // minRevalidateInterval (the CAS makes one winner per window).
@@ -279,46 +230,33 @@ func (s *Server) maybeRevalidate() {
 		return
 	}
 	if s.lastReval.CompareAndSwap(last, now) {
-		s.refreshAsync()
+		s.sh.RefreshAsync()
 	}
 }
 
-// routes registers the v1 surface and the legacy unversioned aliases.
+// routes registers the v1 surface.
 func (s *Server) routes() {
 	m := s.mux
+	sh := s.sh
 
-	// One handler per mutation, bound once: the v1 route, the legacy
-	// alias and the batch dispatch (applyEntity) all share the applier,
-	// so semantics cannot drift between the three.
+	// --- /api/v1: mutations ------------------------------------------------
+	// The typed route and the batch dispatch (applyEntity) call the same
+	// router method, so semantics cannot drift between the two.
 	// Owner-hashed kinds verify a declared X-Hive-Shard header; kinds
 	// whose placement the client cannot compute (broadcast reference
 	// entities, probe-routed children) use the plain adapter.
-	postUser := create(s.applyUser)
-	postConference := create(s.applyConference)
-	postSession := create(s.applySession)
-	postPaper := createOwned(s, api.PaperOwner, s.applyPaper)
-	postPresentation := create(s.applyPresentation)
-	postConnection := createOwned(s, func(r api.ConnectRequest) string { return r.A }, s.applyConnect)
-	postCheckin := createOwned(s, func(r api.CheckinRequest) string { return r.UserID }, s.applyCheckin)
-	postQuestion := create(s.applyQuestion)
-	postAnswer := create(s.applyAnswer)
-	postComment := create(s.applyComment)
-	postWorkpad := createOwned(s, func(wp api.Workpad) string { return wp.Owner }, s.applyWorkpad)
-	postFollow := createOwned(s, func(r api.FollowRequest) string { return r.Follower }, s.applyFollow)
-
-	// --- /api/v1: mutations ------------------------------------------------
-	m.HandleFunc("POST /api/v1/users", postUser)
-	m.HandleFunc("POST /api/v1/conferences", postConference)
-	m.HandleFunc("POST /api/v1/sessions", postSession)
-	m.HandleFunc("POST /api/v1/papers", postPaper)
-	m.HandleFunc("POST /api/v1/presentations", postPresentation)
-	m.HandleFunc("POST /api/v1/connections", postConnection)
-	m.HandleFunc("POST /api/v1/follows", postFollow)
-	m.HandleFunc("POST /api/v1/checkins", postCheckin)
-	m.HandleFunc("POST /api/v1/questions", postQuestion)
-	m.HandleFunc("POST /api/v1/answers", postAnswer)
-	m.HandleFunc("POST /api/v1/comments", postComment)
-	m.HandleFunc("POST /api/v1/workpads", postWorkpad)
+	m.HandleFunc("POST /api/v1/users", create(sh.RegisterUser))
+	m.HandleFunc("POST /api/v1/conferences", create(sh.CreateConference))
+	m.HandleFunc("POST /api/v1/sessions", create(sh.CreateSession))
+	m.HandleFunc("POST /api/v1/papers", createOwned(s, api.PaperOwner, sh.PublishPaper))
+	m.HandleFunc("POST /api/v1/presentations", create(sh.UploadPresentation))
+	m.HandleFunc("POST /api/v1/connections", createOwned(s, func(r api.ConnectRequest) string { return r.A }, s.applyConnect))
+	m.HandleFunc("POST /api/v1/follows", createOwned(s, func(r api.FollowRequest) string { return r.Follower }, s.applyFollow))
+	m.HandleFunc("POST /api/v1/checkins", createOwned(s, func(r api.CheckinRequest) string { return r.UserID }, s.applyCheckin))
+	m.HandleFunc("POST /api/v1/questions", create(sh.Ask))
+	m.HandleFunc("POST /api/v1/answers", create(sh.AnswerQuestion))
+	m.HandleFunc("POST /api/v1/comments", create(sh.PostComment))
+	m.HandleFunc("POST /api/v1/workpads", createOwned(s, func(wp api.Workpad) string { return wp.Owner }, sh.CreateWorkpad))
 	m.HandleFunc("POST /api/v1/workpads/{id}/items", s.postWorkpadItem)
 	m.HandleFunc("POST /api/v1/workpads/{id}/activate", s.postWorkpadActivate)
 	m.HandleFunc("POST /api/v1/batch", s.postBatch)
@@ -351,13 +289,9 @@ func (s *Server) routes() {
 	m.HandleFunc("GET /api/v1/users", page(s.fetchUsers))
 	m.HandleFunc("GET /api/v1/sessions/{id}/attendees", page(s.fetchAttendees))
 	m.HandleFunc("GET /api/v1/users/{id}/workpad", s.getActiveWorkpad)
-	feedV1 := page(s.fetchFeed)
-	if s.sh != nil {
-		// Sharded feeds page with a per-shard sequence-vector cursor
-		// (api.EncodeShardCursor), not the offset cursor page() mints.
-		feedV1 = s.getShardedFeed
-	}
-	m.HandleFunc("GET /api/v1/users/{id}/feed", feedV1)
+	// Feeds page with a per-shard sequence-vector cursor
+	// (api.EncodeShardCursor), not the offset cursor page() mints.
+	m.HandleFunc("GET /api/v1/users/{id}/feed", s.getFeed)
 	m.HandleFunc("GET /api/v1/tags/{tag}/events", page(s.fetchTagEvents))
 
 	// Knowledge services: engine-backed, so their responses are a pure
@@ -374,51 +308,6 @@ func (s *Server) routes() {
 	m.HandleFunc("GET /api/v1/users/{id}/history", s.etag(page(s.fetchHistory)))
 	m.HandleFunc("GET /api/v1/users/{id}/resource-relationship", s.etag(s.getResourceRelationship))
 	m.HandleFunc("GET /api/v1/knowledge/paths", s.etag(s.getKnowledgePaths))
-
-	// --- Legacy unversioned aliases (deprecated, one release) --------------
-	// Same handlers; list endpoints keep their historical bare-array
-	// shape but are now capped at the v1 page-size ceiling, and error
-	// responses use the v1 structured envelope (documented in API.md).
-	alias := func(pattern string, h http.HandlerFunc) {
-		m.Handle(pattern, Deprecated(h))
-	}
-	alias("GET /api/healthz", s.getHealthz)
-	alias("POST /api/users", postUser)
-	alias("GET /api/users/{id}", s.getUser)
-	alias("GET /api/users", legacyList(s.fetchUsers, "limit", api.DefaultPageSize))
-	alias("POST /api/conferences", postConference)
-	alias("POST /api/sessions", postSession)
-	alias("POST /api/papers", postPaper)
-	alias("POST /api/presentations", postPresentation)
-	alias("POST /api/connections", postConnection)
-	// The legacy follow body was {"a": follower, "b": followee}.
-	alias("POST /api/follows", create(func(r api.ConnectRequest) error {
-		return s.applyFollow(api.FollowRequest{Follower: r.A, Followee: r.B})
-	}))
-	alias("POST /api/checkins", postCheckin)
-	alias("GET /api/sessions/{id}/attendees", legacyList(s.fetchAttendees, "limit", api.MaxPageSize))
-	alias("POST /api/questions", postQuestion)
-	alias("POST /api/answers", postAnswer)
-	alias("POST /api/comments", postComment)
-	alias("POST /api/workpads", postWorkpad)
-	alias("POST /api/workpads/{id}/items", s.postWorkpadItem)
-	alias("POST /api/workpads/{id}/activate", s.postWorkpadActivate)
-	alias("GET /api/users/{id}/workpad", s.getActiveWorkpad)
-	alias("GET /api/users/{id}/feed", s.legacyFeed)
-	alias("GET /api/tags/{tag}/events", legacyList(s.fetchTagEvents, "limit", api.MaxPageSize))
-	alias("GET /api/relationship", s.getRelationship)
-	alias("GET /api/users/{id}/recommendations/peers", legacyList(s.fetchPeerRecs, "k", 5))
-	alias("GET /api/users/{id}/recommendations/resources", legacyList(s.fetchResourceRecs, "k", 5))
-	alias("GET /api/users/{id}/sessions/suggest", legacyList(s.fetchSessionSuggestions, "k", 5))
-	alias("GET /api/search", legacyList(s.fetchSearch, "k", 10))
-	alias("GET /api/preview", s.getPreview)
-	alias("GET /api/users/{id}/digest", s.getDigest)
-	alias("GET /api/communities", legacyList(s.fetchCommunities, "limit", api.MaxPageSize))
-	alias("GET /api/users/{id}/history", legacyList(s.fetchHistory, "limit", 50))
-	alias("GET /api/users/{id}/resource-relationship", s.getResourceRelationship)
-	alias("GET /api/knowledge/paths", s.getKnowledgePaths)
-	alias("POST /api/refresh", s.postRefreshSync)
-	alias("POST /api/admin/refresh", s.postAdminRefresh)
 }
 
 // --- Generic handler adapters ------------------------------------------------
@@ -492,7 +381,7 @@ func createOwned[T any](s *Server, ownerOf func(T) string, fn func(T) error) htt
 // with the correct placement so the client can refresh its map and
 // retry.
 func (s *Server) checkShard(r *http.Request, owner string) error {
-	if s.sh == nil || owner == "" {
+	if owner == "" {
 		return nil
 	}
 	want := s.sh.ShardOf(owner)
@@ -549,21 +438,6 @@ func page[T any](fetch fetcher[T]) http.HandlerFunc {
 	}
 }
 
-// legacyList adapts a fetcher into the historical bare-array shape,
-// bounded by the endpoint's legacy size parameter (clamped — the
-// unversioned surface no longer returns unbounded lists).
-func legacyList[T any](fetch fetcher[T], param string, def int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		n := intParam(r, param, def, 1, api.MaxPageSize)
-		items, err := fetch(r, n)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, api.Paginate(items, 0, n).Items)
-	}
-}
-
 // etag adds conditional-GET support keyed on the snapshot generation.
 // Knowledge responses are a pure function of (snapshot, URL), so a
 // matching If-None-Match for the still-serving generation is answered
@@ -573,15 +447,15 @@ func legacyList[T any](fetch fetcher[T], param string, def int) http.HandlerFunc
 // once more — never the reverse (a 304 for content it doesn't hold).
 func (s *Server) etag(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// The 304 fast path must not starve freshness: a revalidating
-		// client would otherwise never reach the handler's engine
-		// resolution, so a stale snapshot (same generation, new data)
-		// would pin it to 304s forever. Kick the background refresh
-		// here too.
-		if s.stale() {
+		// Stale-while-revalidate: reads answer from the published
+		// snapshot without waiting on maintenance, so a stale one gets
+		// its background refresh kicked here — ahead of the 304 fast
+		// path, or a revalidating client would be pinned to a stale
+		// snapshot (same generation, new data) forever.
+		if s.sh.Stale() {
 			s.maybeRevalidate()
 		}
-		tag := fmt.Sprintf(`"hive-g%d"`, s.generation())
+		tag := fmt.Sprintf(`"hive-g%d"`, s.sh.Generation())
 		if match := r.Header.Get("If-None-Match"); match != "" && etagMatch(match, tag) {
 			w.Header().Set("ETag", tag)
 			w.WriteHeader(http.StatusNotModified)
@@ -667,7 +541,8 @@ func (s *Server) getReplicationEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, api.CodeInvalidArgument, "bad epoch: "+err.Error())
 		return
 	}
-	if cur := s.p.Epoch(); reqEpoch > cur {
+	p := s.node()
+	if cur := p.Epoch(); reqEpoch > cur {
 		writeErr(w, r, &hive.StaleEpochError{Requested: reqEpoch, Current: cur})
 		return
 	}
@@ -691,11 +566,11 @@ func (s *Server) getReplicationEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		pollerCommit = commit
-		s.p.RecordFollowerAck(self, applied, reqEpoch)
+		p.RecordFollowerAck(self, applied, reqEpoch)
 	}
 	max := intParam(r, "max", defaultReplMax, 1, maxReplBatchReq)
 	waitMS := intParam(r, "wait_ms", 0, 0, int(maxReplWait.Milliseconds()))
-	batches, tail, err := s.p.ReplicationFeed(r.Context(), from, max, time.Duration(waitMS)*time.Millisecond, pollerCommit)
+	batches, tail, err := p.ReplicationFeed(r.Context(), from, max, time.Duration(waitMS)*time.Millisecond, pollerCommit)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -703,8 +578,8 @@ func (s *Server) getReplicationEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.ReplicationEvents{
 		Batches: batches,
 		Tail:    tail,
-		Epoch:   s.p.Epoch(),
-		Commit:  s.p.CommitIndex(),
+		Epoch:   p.Epoch(),
+		Commit:  p.CommitIndex(),
 	})
 }
 
@@ -712,12 +587,13 @@ func (s *Server) getReplicationEvents(w http.ResponseWriter, r *http.Request) {
 // watermark is captured before the state scan, so a follower tailing
 // from it can only re-apply batches, never miss one.
 func (s *Server) getReplicationSnapshot(w http.ResponseWriter, r *http.Request) {
-	seq, entries, err := s.p.ReplicationSnapshot()
+	p := s.node()
+	seq, entries, err := p.ReplicationSnapshot()
 	if err != nil {
 		writeErr(w, r, err)
 		return
 	}
-	out := api.ReplicationSnapshot{Seq: seq, Epoch: s.p.Epoch(), Entries: make([]api.KVEntry, 0, len(entries))}
+	out := api.ReplicationSnapshot{Seq: seq, Epoch: p.Epoch(), Entries: make([]api.KVEntry, 0, len(entries))}
 	for k, v := range entries {
 		out.Entries = append(out.Entries, api.KVEntry{Key: k, Value: v})
 	}
@@ -749,22 +625,21 @@ var peerProbeClient = &http.Client{
 // configured peer. Followers answer too — during failover this is the
 // endpoint a client that lost the leader asks for a new one.
 func (s *Server) getCluster(w http.ResponseWriter, r *http.Request) {
+	p := s.node()
 	cs := api.ClusterStatus{
-		Self:         s.p.ClusterSelf(),
-		Role:         s.p.Role(),
-		Epoch:        s.p.Epoch(),
-		LeaderURL:    s.p.LeaderURL(),
-		CommitIndex:  s.p.CommitIndex(),
-		QuorumWrites: s.p.QuorumWrites(),
+		Self:         p.ClusterSelf(),
+		Role:         p.Role(),
+		Epoch:        p.Epoch(),
+		LeaderURL:    p.LeaderURL(),
+		CommitIndex:  p.CommitIndex(),
+		QuorumWrites: p.QuorumWrites(),
 		Peers:        []api.PeerStatus{},
-	}
-	if s.sh != nil {
 		// The shard map: clients derive routing (api.ShardOf over
 		// ShardCount) from this response.
-		cs.ShardCount = s.sh.ShardCount()
-		cs.Shards = s.shardStatuses()
+		ShardCount: s.sh.ShardCount(),
+		Shards:     s.shardStatuses(),
 	}
-	peers := s.p.ClusterPeers()
+	peers := p.ClusterPeers()
 	if len(peers) > 0 {
 		ctx, cancel := context.WithTimeout(r.Context(), peerProbeTimeout)
 		defer cancel()
@@ -839,11 +714,7 @@ func (s *Server) collectStateGauges() {
 	commit := reg.GaugeVec(metrics.CommitIndex, "Quorum-durable commit watermark.", "shard")
 	lag := reg.Gauge(metrics.ReplicationLagEvents, "Journal events this node trails its leader by (0 on leaders).")
 
-	shards := []*hive.Platform{s.p}
-	if s.sh != nil {
-		shards = s.sh.Shards()
-	}
-	for _, p := range shards {
+	for _, p := range s.sh.Shards() {
 		id := strconv.Itoa(p.ShardID())
 		pending.With(id).Set(float64(p.PendingEvents()))
 		commit.With(id).Set(float64(p.CommitIndex()))
@@ -857,7 +728,7 @@ func (s *Server) collectStateGauges() {
 		overlay.With(id).Set(float64(overlayDocs))
 		corpus.With(id).Set(float64(corpusDocs))
 	}
-	lag.Set(float64(s.p.ReplicationLag()))
+	lag.Set(float64(s.node().ReplicationLag()))
 }
 
 // getTraces serves the slowest recent request traces (?n=, default 20)
@@ -898,15 +769,16 @@ func uintParam(r *http.Request, name string) (uint64, error) {
 
 // replicationHealth assembles the role/lag report for healthz.
 func (s *Server) replicationHealth() api.ReplicationHealth {
-	rh := api.ReplicationHealth{Role: api.RoleLeader, Epoch: s.p.Epoch()}
-	st := s.p.Store()
+	p := s.node()
+	rh := api.ReplicationHealth{Role: api.RoleLeader, Epoch: p.Epoch()}
+	st := p.Store()
 	rh.JournalOldest, rh.JournalTail, rh.JournalSegments = st.JournalStats()
 	if err := st.JournalError(); err != nil {
 		rh.JournalError = err.Error()
 	}
-	rh.CommitIndex = s.p.CommitIndex()
-	rh.QuorumWrites = s.p.QuorumWrites()
-	if acks := s.p.FollowerAcks(); len(acks) > 0 {
+	rh.CommitIndex = p.CommitIndex()
+	rh.QuorumWrites = p.QuorumWrites()
+	if acks := p.FollowerAcks(); len(acks) > 0 {
 		rh.FollowerAcks = make([]api.FollowerAckStatus, len(acks))
 		for i, a := range acks {
 			rh.FollowerAcks[i] = api.FollowerAckStatus{
@@ -917,13 +789,13 @@ func (s *Server) replicationHealth() api.ReplicationHealth {
 			}
 		}
 	}
-	if s.p.IsFollower() {
+	if p.IsFollower() {
 		rh.Role = api.RoleFollower
-		rh.LeaderURL = s.p.LeaderURL()
-		rh.AppliedSeq = s.p.ReplicationApplied()
-		rh.LeaderTail = s.p.ReplicationLeaderTail()
-		rh.LagEvents = s.p.ReplicationLag()
-		if err := s.p.LastReplicationError(); err != nil {
+		rh.LeaderURL = p.LeaderURL()
+		rh.AppliedSeq = p.ReplicationApplied()
+		rh.LeaderTail = p.ReplicationLeaderTail()
+		rh.LagEvents = p.ReplicationLag()
+		if err := p.LastReplicationError(); err != nil {
 			rh.LastReplicationError = err.Error()
 		}
 	}
@@ -935,14 +807,15 @@ func (s *Server) replicationHealth() api.ReplicationHealth {
 // deltaHealth assembles the incremental-maintenance report shared by
 // healthz and the admin refresh responses.
 func (s *Server) deltaHealth() api.DeltaHealth {
+	p := s.node()
 	dh := api.DeltaHealth{
-		PendingEvents: s.p.PendingEvents(),
-		DeltasApplied: s.p.DeltasApplied(),
-		Compactions:   s.p.Compactions(),
-		LastDeltaUS:   s.p.LastDeltaDuration().Microseconds(),
-		CompactionDue: s.p.CompactionDue(),
+		PendingEvents: p.PendingEvents(),
+		DeltasApplied: p.DeltasApplied(),
+		Compactions:   p.Compactions(),
+		LastDeltaUS:   p.LastDeltaDuration().Microseconds(),
+		CompactionDue: p.CompactionDue(),
 	}
-	if eng := s.p.Snapshot(); eng != nil {
+	if eng := p.Snapshot(); eng != nil {
 		ds := eng.DeltaStats()
 		dh.OverlayDocs = ds.OverlayDocs
 		dh.Tombstones = ds.Tombstones
@@ -951,14 +824,6 @@ func (s *Server) deltaHealth() api.DeltaHealth {
 	return dh
 }
 
-// getHealthz reports liveness plus snapshot freshness: the snapshot
-// generation, when its base was built, how long the build took, its
-// age, whether unapplied change events exist (stale), and the delta
-// pipeline's state (overlay size, pending events, delta latency,
-// compaction counters). Reads are served from the swapped snapshot, so
-// "stale: true" means maintenance is due, not an outage; "built_at"
-// and "age_ms" describe the *base* segment — a snapshot with an applied
-// overlay is current regardless of base age.
 // shardStatuses assembles the per-shard role/epoch/progress rows for
 // healthz and the cluster endpoint.
 func (s *Server) shardStatuses() []api.ShardStatus {
@@ -979,21 +844,28 @@ func (s *Server) shardStatuses() []api.ShardStatus {
 	return out
 }
 
+// getHealthz reports liveness plus snapshot freshness: the snapshot
+// generation, when its base was built, how long the build took, its
+// age, whether unapplied change events exist (stale), and the delta
+// pipeline's state (overlay size, pending events, delta latency,
+// compaction counters). Reads are served from the swapped snapshot, so
+// "stale: true" means maintenance is due, not an outage; "built_at"
+// and "age_ms" describe the *base* segment — a snapshot with an applied
+// overlay is current regardless of base age. Generation and stale cover
+// every shard; the snapshot, delta and replication blocks describe
+// shard 0, and Shards the whole map.
 func (s *Server) getHealthz(w http.ResponseWriter, r *http.Request) {
+	p := s.node()
 	out := api.Health{
 		Status:      "ok",
-		Generation:  s.p.Generation(),
-		Stale:       s.p.Stale(),
+		Generation:  s.sh.Generation(),
+		Stale:       s.sh.Stale(),
 		Delta:       s.deltaHealth(),
 		Replication: s.replicationHealth(),
+		ShardCount:  s.sh.ShardCount(),
+		Shards:      s.shardStatuses(),
 	}
-	if s.sh != nil {
-		out.Generation = s.sh.Generation()
-		out.Stale = s.sh.Stale()
-		out.ShardCount = s.sh.ShardCount()
-		out.Shards = s.shardStatuses()
-	}
-	if eng := s.p.Snapshot(); eng != nil {
+	if eng := p.Snapshot(); eng != nil {
 		out.Snapshot = true
 		out.BuiltAt = eng.BuiltAt().UTC().Format(time.RFC3339Nano)
 		out.BuildMS = eng.BuildDuration().Milliseconds()
@@ -1002,42 +874,31 @@ func (s *Server) getHealthz(w http.ResponseWriter, r *http.Request) {
 			out.FrozenDocs = f.Len()
 		}
 	}
-	if err := s.p.LastRefreshError(); err != nil {
+	if err := p.LastRefreshError(); err != nil {
 		out.LastRefreshError = err.Error()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// postRefreshSync compacts in the request goroutine and returns when
-// the new snapshot is live.
-func (s *Server) postRefreshSync(w http.ResponseWriter, r *http.Request) {
-	var err error
-	if s.sh != nil {
-		err = s.sh.Refresh() // all shards compact in parallel
-	} else {
-		err = s.p.Refresh()
-	}
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	dh := s.deltaHealth()
-	writeJSON(w, http.StatusOK, api.RefreshResponse{Status: "refreshed", Delta: &dh})
-}
-
 // postAdminRefresh triggers a background compaction and returns 202
-// immediately; with ?wait=true it blocks until the swap. Reads keep
-// being served from the old snapshot either way. The response carries
-// the delta pipeline's state so operators see what the compaction is
-// (or was) reclaiming.
+// immediately; with ?wait=true it compacts every shard (in parallel) in
+// the request goroutine and returns 200 once the new snapshots are
+// live. Reads keep being served from the old snapshot either way. The
+// response carries the delta pipeline's state so operators see what the
+// compaction is (or was) reclaiming.
 func (s *Server) postAdminRefresh(w http.ResponseWriter, r *http.Request) {
+	status, code := "refresh scheduled", http.StatusAccepted
 	if r.URL.Query().Get("wait") == "true" {
-		s.postRefreshSync(w, r)
-		return
+		if err := s.sh.Refresh(); err != nil {
+			writeErr(w, r, err)
+			return
+		}
+		status, code = "refreshed", http.StatusOK
+	} else {
+		s.sh.RefreshAsync()
 	}
-	s.refreshAsync()
 	dh := s.deltaHealth()
-	writeJSON(w, http.StatusAccepted, api.RefreshResponse{Status: "refresh scheduled", Delta: &dh})
+	writeJSON(w, code, api.RefreshResponse{Status: status, Delta: &dh})
 }
 
 // --- Batch ingest -------------------------------------------------------------
@@ -1051,8 +912,8 @@ func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
 	// The batch applier drives the store directly, bypassing the
 	// platform's follower guard — reject here so a follower never forks
 	// from its leader.
-	if s.p.IsFollower() {
-		writeErr(w, r, &hive.NotLeaderError{Leader: s.p.LeaderURL(), Epoch: s.p.Epoch()})
+	if p := s.node(); p.IsFollower() {
+		writeErr(w, r, &hive.NotLeaderError{Leader: p.LeaderURL(), Epoch: p.Epoch()})
 		return
 	}
 	var req api.BatchRequest
@@ -1073,106 +934,23 @@ func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
-	if s.sh != nil {
-		// One coalesced change batch per shard: the shard Batched scopes
-		// nest, so each routed element folds into its shard's batch.
-		_ = s.sh.Batched(apply)
-	} else {
-		_ = s.p.Store().Batched(apply)
-	}
+	// One coalesced change batch per shard: the shard Batched scopes
+	// nest, so each routed element folds into its shard's batch.
+	_ = s.sh.Batched(apply)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// Mutation appliers: the single definition of each entity mutation,
-// shared by the typed routes (via create), the legacy aliases and the
-// batch dispatch.
+// The request DTOs whose fields the router takes apart; every other
+// kind's DTO is the router method's own argument.
 
-// On a sharded server each applier routes through the owner-hash
-// router (broadcast for reference entities, probe-routed for children);
-// unsharded it drives the platform directly.
-
-func (s *Server) applyUser(u api.User) error {
-	if s.sh != nil {
-		return s.sh.RegisterUser(u)
-	}
-	return s.p.RegisterUser(u)
-}
-
-func (s *Server) applyConference(c api.Conference) error {
-	if s.sh != nil {
-		return s.sh.CreateConference(c)
-	}
-	return s.p.CreateConference(c)
-}
-
-func (s *Server) applySession(ss api.Session) error {
-	if s.sh != nil {
-		return s.sh.CreateSession(ss)
-	}
-	return s.p.CreateSession(ss)
-}
-
-func (s *Server) applyPaper(pa api.Paper) error {
-	if s.sh != nil {
-		return s.sh.PublishPaper(pa)
-	}
-	return s.p.PublishPaper(pa)
-}
-
-func (s *Server) applyPresentation(pr api.Presentation) error {
-	if s.sh != nil {
-		return s.sh.UploadPresentation(pr)
-	}
-	return s.p.UploadPresentation(pr)
-}
-
-func (s *Server) applyConnect(r api.ConnectRequest) error {
-	if s.sh != nil {
-		return s.sh.Connect(r.A, r.B)
-	}
-	return s.p.Connect(r.A, r.B)
-}
+func (s *Server) applyConnect(r api.ConnectRequest) error { return s.sh.Connect(r.A, r.B) }
 
 func (s *Server) applyFollow(r api.FollowRequest) error {
-	if s.sh != nil {
-		return s.sh.Follow(r.Follower, r.Followee)
-	}
-	return s.p.Follow(r.Follower, r.Followee)
+	return s.sh.Follow(r.Follower, r.Followee)
 }
 
 func (s *Server) applyCheckin(r api.CheckinRequest) error {
-	if s.sh != nil {
-		return s.sh.CheckIn(r.SessionID, r.UserID)
-	}
-	return s.p.CheckIn(r.SessionID, r.UserID)
-}
-
-func (s *Server) applyQuestion(q api.Question) error {
-	if s.sh != nil {
-		return s.sh.Ask(q)
-	}
-	return s.p.Ask(q)
-}
-
-func (s *Server) applyAnswer(a api.Answer) error {
-	if s.sh != nil {
-		return s.sh.AnswerQuestion(a)
-	}
-	return s.p.AnswerQuestion(a)
-}
-
-func (s *Server) applyComment(c api.Comment) error {
-	if s.sh != nil {
-		return s.sh.PostComment(c)
-	}
-	return s.p.PostComment(c)
-}
-
-func (s *Server) applyWorkpad(wp api.Workpad) error {
-	if s.sh != nil {
-		return s.sh.CreateWorkpad(wp)
-	}
-	return s.p.CreateWorkpad(wp)
+	return s.sh.CheckIn(r.SessionID, r.UserID)
 }
 
 // applyBatchItem decodes one batch element's data and runs the applier.
@@ -1184,19 +962,20 @@ func applyBatchItem[T any](ent api.BatchEntity, fn func(T) error) error {
 	return fn(v)
 }
 
-// applyEntity dispatches one batch element to the matching applier.
+// applyEntity dispatches one batch element to the router method its
+// typed route calls.
 func (s *Server) applyEntity(ent api.BatchEntity) error {
 	switch ent.Kind {
 	case api.KindUser:
-		return applyBatchItem(ent, s.applyUser)
+		return applyBatchItem(ent, s.sh.RegisterUser)
 	case api.KindConference:
-		return applyBatchItem(ent, s.applyConference)
+		return applyBatchItem(ent, s.sh.CreateConference)
 	case api.KindSession:
-		return applyBatchItem(ent, s.applySession)
+		return applyBatchItem(ent, s.sh.CreateSession)
 	case api.KindPaper:
-		return applyBatchItem(ent, s.applyPaper)
+		return applyBatchItem(ent, s.sh.PublishPaper)
 	case api.KindPresentation:
-		return applyBatchItem(ent, s.applyPresentation)
+		return applyBatchItem(ent, s.sh.UploadPresentation)
 	case api.KindConnection:
 		return applyBatchItem(ent, s.applyConnect)
 	case api.KindFollow:
@@ -1204,13 +983,13 @@ func (s *Server) applyEntity(ent api.BatchEntity) error {
 	case api.KindCheckin:
 		return applyBatchItem(ent, s.applyCheckin)
 	case api.KindQuestion:
-		return applyBatchItem(ent, s.applyQuestion)
+		return applyBatchItem(ent, s.sh.Ask)
 	case api.KindAnswer:
-		return applyBatchItem(ent, s.applyAnswer)
+		return applyBatchItem(ent, s.sh.AnswerQuestion)
 	case api.KindComment:
-		return applyBatchItem(ent, s.applyComment)
+		return applyBatchItem(ent, s.sh.PostComment)
 	case api.KindWorkpad:
-		return applyBatchItem(ent, s.applyWorkpad)
+		return applyBatchItem(ent, s.sh.CreateWorkpad)
 	default:
 		return fmt.Errorf("%w: unknown batch kind %q", social.ErrInvalid, ent.Kind)
 	}
@@ -1219,7 +998,7 @@ func (s *Server) applyEntity(ent api.BatchEntity) error {
 // --- Entity reads & workpad mutations -----------------------------------------
 
 func (s *Server) getUser(w http.ResponseWriter, r *http.Request) {
-	u, err := s.p.GetUser(r.PathValue("id"))
+	u, err := s.sh.GetUser(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -1232,39 +1011,24 @@ func (s *Server) postWorkpadItem(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &item, maxEntityBody) {
 		return
 	}
-	var err error
-	if s.sh != nil {
-		err = s.sh.AddToWorkpad(r.PathValue("id"), item)
-	} else {
-		err = s.p.AddToWorkpad(r.PathValue("id"), item)
-	}
-	if err != nil {
+	if err := s.sh.AddToWorkpad(r.PathValue("id"), item); err != nil {
 		writeErr(w, r, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, api.CreatedResponse{Status: "added"})
 }
 
-// postWorkpadActivate accepts the owner in the v1 JSON body, falling
-// back to the legacy ?owner= query parameter.
+// postWorkpadActivate takes the owner in the JSON body.
 func (s *Server) postWorkpadActivate(w http.ResponseWriter, r *http.Request) {
-	req := api.ActivateWorkpadRequest{Owner: r.URL.Query().Get("owner")}
-	if r.Body != nil && r.ContentLength != 0 {
-		if !decodeBody(w, r, &req, maxEntityBody) {
-			return
-		}
+	var req api.ActivateWorkpadRequest
+	if !decodeBody(w, r, &req, maxEntityBody) {
+		return
 	}
 	if err := s.checkShard(r, req.Owner); err != nil {
 		writeErr(w, r, err)
 		return
 	}
-	var err error
-	if s.sh != nil {
-		err = s.sh.ActivateWorkpad(req.Owner, r.PathValue("id"))
-	} else {
-		err = s.p.ActivateWorkpad(req.Owner, r.PathValue("id"))
-	}
-	if err != nil {
+	if err := s.sh.ActivateWorkpad(req.Owner, r.PathValue("id")); err != nil {
 		writeErr(w, r, err)
 		return
 	}
@@ -1272,13 +1036,7 @@ func (s *Server) postWorkpadActivate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) getActiveWorkpad(w http.ResponseWriter, r *http.Request) {
-	var wp api.Workpad
-	var err error
-	if s.sh != nil {
-		wp, err = s.sh.ActiveWorkpad(r.PathValue("id"))
-	} else {
-		wp, err = s.p.ActiveWorkpad(r.PathValue("id"))
-	}
+	wp, err := s.sh.ActiveWorkpad(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -1289,20 +1047,18 @@ func (s *Server) getActiveWorkpad(w http.ResponseWriter, r *http.Request) {
 // --- List fetchers ------------------------------------------------------------
 
 func (s *Server) fetchUsers(_ *http.Request, n int) ([]string, error) {
-	return s.p.Store().UsersN(n), nil
+	return s.node().Store().UsersN(n), nil
 }
 
 func (s *Server) fetchAttendees(r *http.Request, _ int) ([]string, error) {
-	if s.sh != nil {
-		return s.sh.Attendees(r.PathValue("id")), nil
-	}
-	return s.p.Attendees(r.PathValue("id")), nil
+	return s.sh.Attendees(r.PathValue("id")), nil
 }
 
-// getShardedFeed serves the v1 feed page from the cross-shard merge.
-// The envelope matches page()'s, but NextCursor is the opaque per-shard
-// sequence-bound vector — stable while other shards keep writing.
-func (s *Server) getShardedFeed(w http.ResponseWriter, r *http.Request) {
+// getFeed serves the v1 feed page, newest first, from the cross-shard
+// merge. The envelope matches page()'s, but NextCursor is the opaque
+// per-shard sequence-bound vector — stable while any shard keeps
+// writing.
+func (s *Server) getFeed(w http.ResponseWriter, r *http.Request) {
 	limit := intParam(r, "limit", api.DefaultPageSize, 1, api.MaxPageSize)
 	metrics.TraceFrom(r.Context()).SetShard(s.sh.ShardOf(r.PathValue("id")))
 	items, next, err := s.sh.FeedPage(r.Context(), r.PathValue("id"), r.URL.Query().Get("cursor"), limit)
@@ -1310,41 +1066,11 @@ func (s *Server) getShardedFeed(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	if items == nil {
-		items = []api.Event{}
-	}
 	writeJSON(w, http.StatusOK, api.Page[api.Event]{Items: items, Limit: limit, NextCursor: next})
 }
 
-func (s *Server) fetchFeed(r *http.Request, n int) ([]api.Event, error) {
-	// v1 feeds page newest-first. Store.Feed's limit keeps the
-	// most-recent suffix in ascending order, so the newest n events
-	// reversed are exactly the first n items of the newest-first
-	// sequence — the bounded fetch page() expects (passing n straight
-	// through without reversing would re-slice a shifted window per
-	// cursor: duplicated pages, most of the feed unreachable).
-	evs := s.p.Feed(r.PathValue("id"), n)
-	slices.Reverse(evs)
-	return evs, nil
-}
-
-// legacyFeed preserves the historical shape exactly: the most-recent
-// window in ascending order, bare array.
-func (s *Server) legacyFeed(w http.ResponseWriter, r *http.Request) {
-	limit := intParam(r, "limit", 50, 1, api.MaxPageSize)
-	if s.sh != nil {
-		writeJSON(w, http.StatusOK, s.sh.Feed(r.PathValue("id"), limit))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.p.Feed(r.PathValue("id"), limit))
-}
-
 func (s *Server) fetchTagEvents(r *http.Request, _ int) ([]api.Event, error) {
-	tag := normalizeTag(r.PathValue("tag"))
-	if s.sh != nil {
-		return s.sh.EventsByTag(tag), nil
-	}
-	return s.p.EventsByTag(tag), nil
+	return s.sh.EventsByTag(normalizeTag(r.PathValue("tag"))), nil
 }
 
 // normalizeTag canonicalizes a path tag to exactly one leading '#':
@@ -1356,210 +1082,83 @@ func normalizeTag(tag string) string {
 }
 
 // The user-scoped knowledge fetchers answer from the user's home shard
-// on a sharded server (its engine holds their partition's evidence);
-// search scatter-gathers across every shard engine.
+// (its engine holds their partition's evidence); search scatter-gathers
+// across every shard engine.
 
 func (s *Server) fetchPeerRecs(r *http.Request, n int) ([]api.PeerRecommendation, error) {
-	if s.sh != nil {
-		return s.sh.RecommendPeers(r.PathValue("id"), n)
-	}
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.RecommendPeers(r.PathValue("id"), n)
+	return s.sh.RecommendPeers(r.PathValue("id"), n)
 }
 
 func (s *Server) fetchResourceRecs(r *http.Request, n int) ([]api.ResourceRecommendation, error) {
-	useCtx := r.URL.Query().Get("context") != "false"
-	if s.sh != nil {
-		return s.sh.RecommendResources(r.PathValue("id"), n, useCtx)
-	}
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.RecommendResources(r.PathValue("id"), n, useCtx)
+	return s.sh.RecommendResources(r.PathValue("id"), n, r.URL.Query().Get("context") != "false")
 }
 
 func (s *Server) fetchSessionSuggestions(r *http.Request, n int) ([]api.SessionSuggestion, error) {
-	if s.sh != nil {
-		return s.sh.SuggestSessions(r.PathValue("id"), r.URL.Query().Get("conf"), n)
-	}
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.SuggestSessions(r.PathValue("id"), r.URL.Query().Get("conf"), n)
+	return s.sh.SuggestSessions(r.PathValue("id"), r.URL.Query().Get("conf"), n)
 }
 
 func (s *Server) fetchSearch(r *http.Request, n int) ([]api.SearchResult, error) {
 	q := r.URL.Query().Get("q")
-	user := r.URL.Query().Get("user")
-	if s.sh != nil {
-		if user != "" {
-			return s.sh.SearchWithContext(r.Context(), user, q, n)
-		}
-		return s.sh.Search(r.Context(), q, n)
+	if user := r.URL.Query().Get("user"); user != "" {
+		return s.sh.SearchWithContext(r.Context(), user, q, n)
 	}
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	defer mSearchSeconds.ObserveSince(time.Now())
-	if user != "" {
-		return eng.SearchWithContext(user, q, n), nil
-	}
-	return eng.Search(q, n), nil
+	return s.sh.Search(r.Context(), q, n)
 }
 
 func (s *Server) fetchCommunities(_ *http.Request, _ int) ([][]string, error) {
-	if s.sh != nil {
-		return s.sh.Communities()
-	}
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.Communities(), nil
+	return s.sh.Communities()
 }
 
 func (s *Server) fetchHistory(r *http.Request, n int) ([]api.HistoryEntry, error) {
 	q := r.URL.Query().Get("q")
-	useCtx := r.URL.Query().Get("context") == "true"
-	if s.sh != nil {
-		return s.sh.SearchHistory(r.PathValue("id"), q, useCtx, n)
-	}
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.SearchHistory(r.PathValue("id"), q, useCtx, n)
+	return s.sh.SearchHistory(r.PathValue("id"), q, r.URL.Query().Get("context") == "true", n)
 }
 
 // --- Scalar knowledge endpoints -----------------------------------------------
 
+// answer writes a scalar knowledge result, or its error envelope.
+func answer(w http.ResponseWriter, r *http.Request, v any, err error) {
+	if err != nil {
+		writeErr(w, r, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
 func (s *Server) getRelationship(w http.ResponseWriter, r *http.Request) {
-	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-	if s.sh != nil {
-		ex, err := s.sh.Explain(a, b)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, ex)
-		return
-	}
-	eng, err := s.engine()
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	ex, err := eng.Explain(a, b)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ex)
+	ex, err := s.sh.Explain(r.URL.Query().Get("a"), r.URL.Query().Get("b"))
+	answer(w, r, ex, err)
 }
 
 func (s *Server) getPreview(w http.ResponseWriter, r *http.Request) {
-	user := r.URL.Query().Get("user")
-	doc := r.URL.Query().Get("doc")
-	k := intParam(r, "k", 3, 1, maxK)
-	var snips []textindex.Snippet
-	var err error
-	if s.sh != nil {
-		snips, err = s.sh.Preview(user, doc, k)
-	} else {
-		var eng *core.Engine
-		if eng, err = s.engine(); err == nil {
-			snips, err = eng.Preview(user, doc, k)
-		}
-	}
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snips)
+	q := r.URL.Query()
+	snips, err := s.sh.Preview(q.Get("user"), q.Get("doc"), intParam(r, "k", 3, 1, maxK))
+	answer(w, r, snips, err)
 }
 
 func (s *Server) getDigest(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	budget := intParam(r, "budget", 5, 1, maxBudget)
-	if s.sh != nil {
-		sum, err := s.sh.UpdateDigest(id, budget)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, sum)
-		return
-	}
-	eng, err := s.engine()
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	sum, err := eng.UpdateDigest(id, budget)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sum)
+	sum, err := s.sh.UpdateDigest(r.PathValue("id"), intParam(r, "budget", 5, 1, maxBudget))
+	answer(w, r, sum, err)
 }
 
 func (s *Server) getResourceRelationship(w http.ResponseWriter, r *http.Request) {
-	id, entity := r.PathValue("id"), r.URL.Query().Get("entity")
-	if s.sh != nil {
-		evs, err := s.sh.ExplainResource(id, entity)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, evs)
-		return
-	}
-	eng, err := s.engine()
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	evs, err := eng.ExplainResource(id, entity)
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, evs)
+	evs, err := s.sh.ExplainResource(r.PathValue("id"), r.URL.Query().Get("entity"))
+	answer(w, r, evs, err)
 }
 
 func (s *Server) getKnowledgePaths(w http.ResponseWriter, r *http.Request) {
-	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-	k := intParam(r, "k", 3, 1, maxK)
-	if s.sh != nil {
-		paths, err := s.sh.KnowledgePaths(a, b, k)
-		if err != nil {
-			writeErr(w, r, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, paths)
-		return
-	}
-	eng, err := s.engine()
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, eng.KnowledgePaths(a, b, k))
+	q := r.URL.Query()
+	paths, err := s.sh.KnowledgePaths(q.Get("a"), q.Get("b"), intParam(r, "k", 3, 1, maxK))
+	answer(w, r, paths, err)
 }
 
 // --- Plumbing -----------------------------------------------------------------
 
 // intParam parses an integer query parameter. Missing, unparsable or
-// below-minimum values (legacy callers used limit=0 for "unbounded" —
-// clamping that to 1 would silently return a single item) take the
-// default; values above max are clamped. Engine calls therefore never
-// see negative or absurd sizes. def must lie within [min, max].
+// below-minimum values take the default (clamping limit=0 to 1 would
+// silently return a single item); values above max are clamped. Engine
+// calls therefore never see negative or absurd sizes. def must lie
+// within [min, max].
 func intParam(r *http.Request, name string, def, min, max int) int {
 	n := def
 	if v := r.URL.Query().Get(name); v != "" {

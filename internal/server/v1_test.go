@@ -271,94 +271,49 @@ func TestPaginationBoundedFetchers(t *testing.T) {
 	}
 }
 
-// TestFeedPaginationWalksWholeFeed: the v1 feed pages newest-first
-// through the entire feed with no duplicated or unreachable events
-// (Store.Feed's suffix-keeping limit must not leak into cursor math).
-func TestFeedPaginationWalksWholeFeed(t *testing.T) {
-	ts, p := newTestServer(t)
-	seedViaAPI(t, ts)
-	// zach emits 11 more events that aaron (his follower) sees.
-	for i := 0; i < 11; i++ {
-		if err := p.LogBrowse("zach", fmt.Sprintf("obj%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var seqs []uint64
-	cursor := ""
-	for pages := 0; ; pages++ {
-		if pages > 20 {
-			t.Fatal("cursor loop did not terminate")
-		}
-		url := "/api/v1/users/aaron/feed?limit=3"
-		if cursor != "" {
-			url += "&cursor=" + cursor
-		}
-		var pg api.Page[hive.Event]
-		if code := get(t, ts, url, &pg); code != 200 {
-			t.Fatalf("code = %d", code)
-		}
-		for _, ev := range pg.Items {
-			seqs = append(seqs, ev.Seq)
-		}
-		if pg.NextCursor == "" {
-			break
-		}
-		cursor = pg.NextCursor
-	}
-	if len(seqs) < 13 { // 11 browses + checkin + question
-		t.Fatalf("walked %d events, want the whole feed (>= 13)", len(seqs))
-	}
-	seen := map[uint64]bool{}
-	for i, s := range seqs {
-		if seen[s] {
-			t.Fatalf("duplicate event seq %d across pages (seqs %v)", s, seqs)
-		}
-		seen[s] = true
-		if i > 0 && seqs[i-1] < s {
-			t.Fatalf("feed not newest-first: %v", seqs)
-		}
-	}
-}
-
-// TestLegacyFeedLimitZeroKeepsWindow: legacy limit=0 (historically
-// "unbounded") falls back to the default window, not to a single item.
-func TestLegacyFeedLimitZeroKeepsWindow(t *testing.T) {
+// TestFeedLimitZeroKeepsWindow: limit=0 (historically "unbounded")
+// falls back to the default window, not to a single item.
+func TestFeedLimitZeroKeepsWindow(t *testing.T) {
 	ts, _ := newTestServer(t)
 	seedViaAPI(t, ts)
-	var feed []hive.Event
-	if code := get(t, ts, "/api/users/aaron/feed?limit=0", &feed); code != 200 {
+	var feed api.Page[hive.Event]
+	if code := get(t, ts, "/api/v1/users/aaron/feed?limit=0", &feed); code != 200 {
 		t.Fatalf("code = %d", code)
 	}
-	if len(feed) < 2 {
-		t.Fatalf("legacy limit=0 returned %d events, want the default window", len(feed))
+	if feed.Limit != api.DefaultPageSize || len(feed.Items) < 2 {
+		t.Fatalf("limit=0 returned %d events at limit %d, want the default window", len(feed.Items), feed.Limit)
 	}
 }
 
 // TestConditional304StillRevalidates: answering 304 from the etag fast
 // path must still kick the stale-while-revalidate refresh, or a
-// revalidating client would be pinned to a stale snapshot forever.
-// Deltas are disabled so a write actually leaves the snapshot stale —
-// with them on, the write itself would swap a fresh generation in.
+// revalidating client would be pinned to a stale snapshot forever. The
+// stale snapshot comes from a batch that overflows the pending-event
+// queue (4096) — an ordinary write would fold its own delta and swap a
+// fresh generation in.
 func TestConditional304StillRevalidates(t *testing.T) {
-	p, err := hive.Open(hive.Options{DisableDeltas: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(p))
-	t.Cleanup(func() {
-		ts.Close()
-		p.Close()
-	})
+	ts, p := newTestServer(t)
 	seedViaAPI(t, ts)
 	if err := p.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	gen := p.Generation()
 
-	// Write without refreshing: same generation, stale snapshot.
-	if err := p.RegisterUser(hive.User{ID: "late", Name: "Late"}); err != nil {
+	// Same generation, stale snapshot.
+	st := p.Store()
+	err := st.Batched(func() error {
+		for i := 0; i < 4200; i++ {
+			if err := st.PutUser(hive.User{ID: "late", Name: "Late"}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !p.Stale() || p.Generation() != gen {
+		t.Fatalf("overflow left stale=%v generation %d, want stale at generation %d", p.Stale(), p.Generation(), gen)
 	}
 	req, _ := http.NewRequest("GET", ts.URL+"/api/v1/search?q=graphs&limit=2", nil)
 	req.Header.Set("If-None-Match", fmt.Sprintf(`"hive-g%d"`, gen))
@@ -377,20 +332,6 @@ func TestConditional304StillRevalidates(t *testing.T) {
 			t.Fatal("304 fast path never triggered revalidation")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestLegacyRefreshSuccessorLink: /api/refresh's v1 twin moved to
-// /api/v1/admin/refresh; the advertised successor must not 404.
-func TestLegacyRefreshSuccessorLink(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/api/refresh", "application/json", bytes.NewBufferString("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if link := resp.Header.Get("Link"); link != `</api/v1/admin/refresh>; rel="successor-version"` {
-		t.Fatalf("Link = %q", link)
 	}
 }
 
@@ -468,7 +409,7 @@ func TestBatchIngestSingleInvalidation(t *testing.T) {
 }
 
 // TestTagNormalization: hashed and bare path tags resolve the same
-// fan-out (the legacy handler used to produce "##tag" for hashed input).
+// fan-out (hashed input used to become "##tag" and match nothing).
 func TestTagNormalization(t *testing.T) {
 	ts, _ := newTestServer(t)
 	seedViaAPI(t, ts) // zach checked into s1 whose hashtag is #s1
@@ -485,44 +426,33 @@ func TestTagNormalization(t *testing.T) {
 			t.Fatalf("%s returned no events", path)
 		}
 	}
-	// Legacy alias, bare shape, same normalization.
-	var evs []hive.Event
-	if code := get(t, ts, "/api/tags/%23s1/events", &evs); code != 200 || len(evs) == 0 {
-		t.Fatalf("legacy hashed tag = %d %v", code, evs)
-	}
 }
 
-// TestLegacyUsersCapped: the unversioned /api/users alias no longer
-// returns the entire user table — it is capped at the default page size.
-func TestLegacyUsersCapped(t *testing.T) {
+// TestUsersPageCapped: the user listing never returns the entire table
+// in one response — the default page, then a ceiling on explicit limits,
+// with the rest behind cursors.
+func TestUsersPageCapped(t *testing.T) {
 	ts, p := newTestServer(t)
-	total := api.DefaultPageSize + 13
+	total := api.MaxPageSize + 13
 	for i := 0; i < total; i++ {
 		if err := p.RegisterUser(hive.User{ID: fmt.Sprintf("u%03d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var ids []string
-	if code := get(t, ts, "/api/users", &ids); code != 200 {
+	var pg api.Page[string]
+	if code := get(t, ts, "/api/v1/users", &pg); code != 200 {
 		t.Fatalf("code = %d", code)
 	}
-	if len(ids) != api.DefaultPageSize {
-		t.Fatalf("legacy /api/users returned %d ids, want cap %d", len(ids), api.DefaultPageSize)
+	if len(pg.Items) != api.DefaultPageSize || pg.NextCursor == "" {
+		t.Fatalf("default page: %d ids next=%q, want %d and a cursor", len(pg.Items), pg.NextCursor, api.DefaultPageSize)
 	}
 	// Absurd explicit limits clamp to the ceiling rather than flowing through.
-	if code := get(t, ts, "/api/users?limit=999999", &ids); code != 200 {
+	pg = api.Page[string]{}
+	if code := get(t, ts, "/api/v1/users?limit=999999", &pg); code != 200 {
 		t.Fatalf("code = %d", code)
 	}
-	if len(ids) > api.MaxPageSize {
-		t.Fatalf("legacy limit clamp failed: %d ids", len(ids))
-	}
-	// v1 exposes the rest through cursors.
-	var pg api.Page[string]
-	if code := get(t, ts, fmt.Sprintf("/api/v1/users?limit=%d", api.MaxPageSize), &pg); code != 200 {
-		t.Fatalf("code = %d", code)
-	}
-	if len(pg.Items) != total || pg.NextCursor != "" {
-		t.Fatalf("v1 users page: %d items next=%q", len(pg.Items), pg.NextCursor)
+	if len(pg.Items) != api.MaxPageSize || pg.NextCursor == "" {
+		t.Fatalf("clamped page: %d ids next=%q, want %d and a cursor", len(pg.Items), pg.NextCursor, api.MaxPageSize)
 	}
 }
 
@@ -536,9 +466,8 @@ func TestIntParamClamped(t *testing.T) {
 		"/api/v1/users/zach/recommendations/peers?limit=100000000",
 		"/api/v1/users/zach/digest?budget=-1",
 		"/api/v1/users/zach/digest?budget=99999999",
-		"/api/users/zach/recommendations/peers?k=-3", // legacy alias too
-		"/api/search?q=graphs&k=2000000000",
-		"/api/users/zach/feed?limit=-9",
+		"/api/v1/users/zach/feed?limit=-9",
+		"/api/v1/preview?user=zach&doc=pres/pr1&k=2000000000",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -587,7 +516,7 @@ func TestTimeoutExemptsLongRoutes(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("non-exempt route = %d, want 503 under 1ns budget", resp.StatusCode)
 	}
-	for _, path := range []string{"/api/v1/batch", "/api/v1/admin/refresh?wait=true", "/api/refresh"} {
+	for _, path := range []string{"/api/v1/batch", "/api/v1/admin/refresh?wait=true"} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewBufferString(`{"entities":[]}`))
 		if err != nil {
 			t.Fatal(err)
@@ -599,36 +528,59 @@ func TestTimeoutExemptsLongRoutes(t *testing.T) {
 	}
 }
 
-// TestLegacyDeprecationHeaders: unversioned aliases advertise their v1
-// successor.
-func TestLegacyDeprecationHeaders(t *testing.T) {
+// TestOneRouteFamily: /api/v1 is the only route family — the
+// unversioned aliases it replaced are gone, reads and writes alike.
+func TestOneRouteFamily(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/api/healthz")
-	if err != nil {
-		t.Fatal(err)
+	if code := get(t, ts, "/api/healthz", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /api/healthz = %d, want 404", code)
 	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link != `</api/v1/healthz>; rel="successor-version"` {
-		t.Fatalf("Link = %q", link)
-	}
-	// v1 routes carry neither.
-	resp, err = http.Get(ts.URL + "/api/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("v1 route wrongly marked deprecated")
+	expectStatus(t, post(t, ts, "/api/users", api.User{ID: "u1", Name: "One"}), http.StatusNotFound)
+	if code := get(t, ts, "/api/v1/healthz", nil); code != http.StatusOK {
+		t.Fatalf("GET /api/v1/healthz = %d", code)
 	}
 }
 
-// TestV1FullScenario drives the Zach scenario end-to-end on the v1
-// surface with typed DTOs and paginated envelopes.
-func TestV1FullScenario(t *testing.T) {
-	ts, _ := newTestServer(t)
+// newShardedServer serves a fresh in-memory backend of n shards.
+func newShardedServer(t *testing.T, n int) (*httptest.Server, *hive.Sharded) {
+	t.Helper()
+	sh, err := hive.OpenSharded(n, hive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewSharded(sh, Config{}))
+	t.Cleanup(func() {
+		ts.Close()
+		sh.Close()
+	})
+	return ts, sh
+}
+
+// TestV1ContractOverShardCounts runs the v1 contract against the one
+// serving backend at one shard and at four: the same requests, the same
+// answers, whatever the shard count.
+func TestV1ContractOverShardCounts(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			t.Run("full scenario", func(t *testing.T) {
+				ts, _ := newShardedServer(t, n)
+				v1FullScenario(t, ts, n)
+			})
+			t.Run("feed cursor walk", func(t *testing.T) {
+				ts, sh := newShardedServer(t, n)
+				feedWalksWholeFeed(t, ts, sh)
+			})
+			t.Run("wrong_shard envelope", func(t *testing.T) {
+				ts, _ := newShardedServer(t, n)
+				wrongShardEnvelope(t, ts, n)
+			})
+		})
+	}
+}
+
+// v1FullScenario drives the Zach scenario end-to-end on the v1 surface
+// with typed DTOs and paginated envelopes.
+func v1FullScenario(t *testing.T, ts *httptest.Server, shards int) {
 	for _, u := range []api.User{
 		{ID: "zach", Name: "Zach", Interests: []string{"graphs"}},
 		{ID: "ann", Name: "Ann", Interests: []string{"graphs"}},
@@ -678,6 +630,10 @@ func TestV1FullScenario(t *testing.T) {
 	if code := get(t, ts, "/api/v1/users/zach/history?q=checkin", &hits); code != 200 || len(hits.Items) == 0 {
 		t.Fatalf("history = %d %+v", code, hits)
 	}
+	var res api.Page[api.SearchResult]
+	if code := get(t, ts, "/api/v1/search?q=graph+partitioning&limit=5&user=zach", &res); code != 200 || len(res.Items) == 0 {
+		t.Fatalf("context search = %d %+v", code, res)
+	}
 	if code := get(t, ts, "/api/v1/preview?user=zach&doc=pres/none", nil); code != 404 {
 		t.Fatalf("preview missing doc = %d", code)
 	}
@@ -693,8 +649,105 @@ func TestV1FullScenario(t *testing.T) {
 	if code := get(t, ts, "/api/v1/healthz", &health); code != 200 || health.Status != "ok" {
 		t.Fatalf("healthz = %d %+v", code, health)
 	}
+	if health.ShardCount != shards || len(health.Shards) != shards {
+		t.Fatalf("healthz shard map = count %d, %d rows, want %d", health.ShardCount, len(health.Shards), shards)
+	}
+	var cs api.ClusterStatus
+	if code := get(t, ts, "/api/v1/cluster", &cs); code != 200 || cs.ShardCount != shards || len(cs.Shards) != shards {
+		t.Fatalf("cluster = %d count %d, %d rows, want %d", code, cs.ShardCount, len(cs.Shards), shards)
+	}
 	resp := post(t, ts, "/api/v1/admin/refresh?wait=true", struct{}{})
 	expectStatus(t, resp, http.StatusOK)
+}
+
+// feedWalksWholeFeed: the v1 feed pages newest-first through the entire
+// feed with no duplicated or unreachable events, over the vector cursor
+// every shard count mints.
+func feedWalksWholeFeed(t *testing.T, ts *httptest.Server, sh *hive.Sharded) {
+	seedViaAPI(t, ts)
+	// zach emits 11 more events that aaron (his follower) sees.
+	for i := 0; i < 11; i++ {
+		if err := sh.LogBrowse("zach", fmt.Sprintf("obj%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var walked []api.Event
+	cursor := ""
+	for pages := 0; ; pages++ {
+		if pages > 20 {
+			t.Fatal("cursor loop did not terminate")
+		}
+		url := "/api/v1/users/aaron/feed?limit=3"
+		if cursor != "" {
+			if _, err := api.DecodeShardCursor(cursor, sh.ShardCount()); err != nil {
+				t.Fatalf("next_cursor %q is not a %d-shard vector cursor: %v", cursor, sh.ShardCount(), err)
+			}
+			url += "&cursor=" + cursor
+		}
+		var pg api.Page[api.Event]
+		if code := get(t, ts, url, &pg); code != 200 {
+			t.Fatalf("code = %d", code)
+		}
+		walked = append(walked, pg.Items...)
+		if pg.NextCursor == "" {
+			break
+		}
+		cursor = pg.NextCursor
+	}
+	if len(walked) < 13 { // 11 browses + checkin + question
+		t.Fatalf("walked %d events, want the whole feed (>= 13)", len(walked))
+	}
+	seen := map[string]bool{}
+	for i, ev := range walked {
+		// Sequences are per shard; verb and object name an event of this
+		// feed whatever the shard count.
+		id := ev.Verb + " " + ev.Object
+		if seen[id] {
+			t.Fatalf("duplicate event %q across pages (%+v)", id, walked)
+		}
+		seen[id] = true
+		if i > 0 && walked[i-1].At < ev.At {
+			t.Fatalf("feed not newest-first: %+v", walked)
+		}
+	}
+}
+
+// wrongShardEnvelope: a declared X-Hive-Shard is verified against the
+// shard map — at one shard too — and an absent one never rejects.
+func wrongShardEnvelope(t *testing.T, ts *httptest.Server, shards int) {
+	expectStatus(t, post(t, ts, "/api/v1/users", api.User{ID: "ann", Name: "Ann"}), http.StatusCreated)
+	publish := func(id, shardHeader string) *http.Response {
+		raw, err := json.Marshal(api.Paper{ID: id, Title: "Routed " + id, Authors: []string{"ann"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest("POST", ts.URL+"/api/v1/papers", bytes.NewReader(raw))
+		req.Header.Set("Content-Type", "application/json")
+		if shardHeader != "" {
+			req.Header.Set(api.ShardHeader, shardHeader)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	want := api.ShardOf("ann", shards)
+
+	status, e := decodeEnvelope(t, publish("p-wrong", "99"))
+	if status != http.StatusConflict || e.Code != api.CodeWrongShard {
+		t.Fatalf("mis-declared shard = (%d, %q), want (409, %q)", status, e.Code, api.CodeWrongShard)
+	}
+	if e.Details["expected_shard"] != float64(want) || e.Details["shard_count"] != float64(shards) || e.Details["owner"] != "ann" {
+		t.Fatalf("wrong_shard details = %v, want shard %d of %d for ann", e.Details, want, shards)
+	}
+	status, e = decodeEnvelope(t, publish("p-bad", "zero"))
+	if status != http.StatusBadRequest || e.Code != api.CodeInvalidArgument {
+		t.Fatalf("unparsable shard header = (%d, %q), want (400, %q)", status, e.Code, api.CodeInvalidArgument)
+	}
+	expectStatus(t, publish("p-right", fmt.Sprint(want)), http.StatusCreated)
+	expectStatus(t, publish("p-routed", ""), http.StatusCreated)
 }
 
 // TestV1RequestIDPropagation: the middleware echoes a provided ID and

@@ -9,13 +9,9 @@ import (
 	"hive/internal/workload"
 )
 
-func refreshPlatform(t *testing.T, users int, opts ...func(*hive.Options)) *hive.Platform {
+func refreshPlatform(t *testing.T, users int) *hive.Platform {
 	t.Helper()
-	o := hive.Options{}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	p, err := hive.Open(o)
+	p, err := hive.Open(hive.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +23,29 @@ func refreshPlatform(t *testing.T, users int, opts ...func(*hive.Options)) *hive
 	return p
 }
 
-func noDeltas(o *hive.Options) { o.DisableDeltas = true }
+// overflowQueue leaves the serving snapshot stale at its current
+// generation — the one way a write does not fold its own delta: a
+// single batch larger than the pending-event queue (4096) makes the
+// platform abandon the queue in favour of the next compaction. It
+// rewrites one user, so the corpus the compaction builds stays small.
+func overflowQueue(t *testing.T, p *hive.Platform) {
+	t.Helper()
+	st := p.Store()
+	err := st.Batched(func() error {
+		for i := 0; i < 4200; i++ {
+			if err := st.PutUser(hive.User{ID: "newbie", Name: "New"}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Stale() {
+		t.Fatal("an overflowed event queue did not mark the snapshot stale")
+	}
+}
 
 // TestSnapshotLifecycle covers the delta-world snapshot lifecycle: a
 // write through the raw store is folded into the serving snapshot
@@ -105,21 +123,16 @@ func TestSnapshotLifecycle(t *testing.T) {
 	}
 }
 
-// TestSnapshotLifecycleNoDeltas pins the pre-delta behavior behind
-// Options.DisableDeltas: writes only mark the snapshot stale and
-// Engine() repairs with a full rebuild.
-func TestSnapshotLifecycleNoDeltas(t *testing.T) {
-	p := refreshPlatform(t, 12, noDeltas)
+// TestSnapshotLifecycleOverflow pins the fallback behind the delta
+// path: a batch that overflows the event queue only marks the snapshot
+// stale, and Engine() repairs with a full rebuild.
+func TestSnapshotLifecycleOverflow(t *testing.T) {
+	p := refreshPlatform(t, 12)
 	if err := p.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	first := p.Snapshot()
-	if err := p.Store().PutUser(hive.User{ID: "newbie", Name: "New"}); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Stale() {
-		t.Fatal("store write did not mark snapshot stale")
-	}
+	overflowQueue(t, p)
 	if p.Snapshot() != first {
 		t.Fatal("snapshot changed without a refresh")
 	}
@@ -228,9 +241,7 @@ func TestReadsServeOldSnapshotDuringRebuild(t *testing.T) {
 }
 
 func TestAutoRefresh(t *testing.T) {
-	// Deltas off: staleness persists until the auto loop compacts, which
-	// is exactly what this test observes.
-	p := refreshPlatform(t, 8, noDeltas)
+	p := refreshPlatform(t, 8)
 	if err := p.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +255,9 @@ func TestAutoRefresh(t *testing.T) {
 		t.Fatalf("auto-refresh rebuilt a clean snapshot: gen %d -> %d", gen, g)
 	}
 
-	if err := p.RegisterUser(hive.User{ID: "late", Name: "Late"}); err != nil {
-		t.Fatal(err)
-	}
+	// An overflowed queue stays stale until the auto loop compacts,
+	// which is exactly what this test observes.
+	overflowQueue(t, p)
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Generation() == gen {
 		if time.Now().After(deadline) {

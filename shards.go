@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,31 +51,39 @@ import (
 	"hive/internal/topk"
 )
 
-// Sharded is a shard-partitioned platform: N shard-leader Platforms in
-// one process behind an owner-hash router. Its mutation and read
-// surface mirrors Platform's, so servers and tests can drive either.
+// Sharded is the serving backend: N >= 1 shard-leader Platforms in one
+// process behind an owner-hash router. It is the one shape the server
+// and hived hold — a standalone Platform is served as a Sharded of one
+// shard (OneShard), where routing always picks shard 0 and reads run
+// inline with no fan-out.
 type Sharded struct {
 	shards []*Platform
 }
+
+// OneShard serves a standalone Platform as a one-shard Sharded. The
+// caller keeps ownership of p: closing either closes the platform.
+func OneShard(p *Platform) *Sharded { return &Sharded{shards: []*Platform{p}} }
 
 // shardManifest pins a data dir's shard count across reopens.
 type shardManifest struct {
 	Shards int `json:"shards"`
 }
 
-// OpenSharded opens an N-shard platform. With a durable Dir each shard
-// lives under Dir/shard-<i> with its own journal, and Dir/shards.json
-// records N: reopening with a different count fails (the shard count is
-// fixed for the life of a data dir). opts applies to every shard; the
-// Clock is shared so the shards consume one time source in arrival
-// order. Cluster mode composes per shard across processes, not inside
-// one — opts.Cluster must be nil.
+// OpenSharded opens an N-shard platform. One shard is the unsharded
+// layout: the store lives directly under Dir and no manifest is
+// written. With more, each shard lives under Dir/shard-<i> with its own
+// journal and Dir/shards.json records N. Reopening a data dir with a
+// different count — either way round — fails: the shard count is fixed
+// for the life of a data dir. opts applies to every shard; the Clock is
+// shared so the shards consume one time source in arrival order.
+// Cluster mode composes per shard across processes, not inside one —
+// opts.Cluster needs shards == 1.
 func OpenSharded(shards int, opts Options) (*Sharded, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("hive: shard count %d < 1", shards)
 	}
-	if opts.Cluster != nil {
-		return nil, errors.New("hive: per-shard cluster replication runs one process per shard leader; Cluster must be nil under OpenSharded")
+	if shards > 1 && opts.Cluster != nil {
+		return nil, errors.New("hive: more than one shard excludes Cluster: per-shard cluster replication runs one process per shard leader")
 	}
 	if opts.Dir != "" {
 		if err := checkShardManifest(opts.Dir, shards); err != nil {
@@ -84,7 +93,7 @@ func OpenSharded(shards int, opts Options) (*Sharded, error) {
 	sh := &Sharded{shards: make([]*Platform, 0, shards)}
 	for i := 0; i < shards; i++ {
 		po := opts
-		if opts.Dir != "" {
+		if opts.Dir != "" && shards > 1 {
 			po.Dir = filepath.Join(opts.Dir, fmt.Sprintf("shard-%d", i))
 		}
 		p, err := Open(po)
@@ -98,27 +107,51 @@ func OpenSharded(shards int, opts Options) (*Sharded, error) {
 	return sh, nil
 }
 
-// checkShardManifest records (or verifies) the data dir's shard count.
+// dirShardCount reports the shard count a data dir was created with:
+// what its manifest records, 1 for a dir holding an unsharded store
+// (one shard never writes a manifest), 0 for a dir not used yet.
+func dirShardCount(dir string) (int, error) {
+	path := filepath.Join(dir, "shards.json")
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		var m shardManifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			return 0, fmt.Errorf("hive: corrupt shard manifest %s: %w", path, err)
+		}
+		return m.Shards, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
+	}
+	for _, name := range []string{"wal.log", "snapshot.db", "journal"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return 1, nil
+		}
+	}
+	return 0, nil
+}
+
+// checkShardManifest verifies the data dir's shard count, recording it
+// on first use when there is more than one shard.
 func checkShardManifest(dir string, shards int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, "shards.json")
-	if raw, err := os.ReadFile(path); err == nil {
-		var m shardManifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return fmt.Errorf("hive: corrupt shard manifest %s: %w", path, err)
-		}
-		if m.Shards != shards {
-			return fmt.Errorf("hive: data dir %s was created with %d shards, asked to open with %d: the shard count is fixed for the life of a data dir", dir, m.Shards, shards)
-		}
+	have, err := dirShardCount(dir)
+	if err != nil {
+		return err
+	}
+	if have != 0 && have != shards {
+		return fmt.Errorf("hive: data dir %s was created with %d shards, asked to open with %d: the shard count is fixed for the life of a data dir", dir, have, shards)
+	}
+	if have != 0 || shards == 1 {
 		return nil
 	}
 	raw, err := json.Marshal(shardManifest{Shards: shards})
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, raw, 0o644)
+	return os.WriteFile(filepath.Join(dir, "shards.json"), raw, 0o644)
 }
 
 // ShardID reports this platform's position in a sharded deployment's
@@ -249,8 +282,13 @@ func (sh *Sharded) broadcast(fn func(p *Platform) error) error {
 }
 
 // shardWhere returns the first shard whose store satisfies the probe,
-// or -1. Entities that hang off another entity route with it.
+// or -1. Entities that hang off another entity route with it. One shard
+// is the answer without asking: the store's own validation reports a
+// missing parent.
 func (sh *Sharded) shardWhere(probe func(st *social.Store) bool) int {
+	if len(sh.shards) == 1 {
+		return 0
+	}
 	for i, p := range sh.shards {
 		if probe(p.store) {
 			return i
@@ -278,11 +316,7 @@ func (sh *Sharded) CreateSession(s Session) error {
 
 // PublishPaper routes the paper to its first author's shard.
 func (sh *Sharded) PublishPaper(pa Paper) error {
-	owner := pa.ID
-	if len(pa.Authors) > 0 {
-		owner = pa.Authors[0]
-	}
-	return sh.home(owner).PublishPaper(pa)
+	return sh.home(api.PaperOwner(pa)).PublishPaper(pa)
 }
 
 // UploadPresentation routes the presentation to its paper's shard (the
@@ -481,15 +515,17 @@ func dedupSorted(xs []string) []string {
 
 // --- Feeds (scatter-gather with sequence-vector cursors) ----------------------
 
-// feedBetter orders the newest-first cross-shard merge: later events
-// first; MergeTopK breaks timestamp ties toward the lower shard index,
-// and each shard's own stream stays in its sequence order.
-func feedBetter(a, b shardEvent) bool { return a.ev.At > b.ev.At }
-
+// shardEvent is a feed event with the shard it was read from: the
+// cursor advances per shard.
 type shardEvent struct {
 	ev    Event
 	shard int
 }
+
+// feedBetter orders the newest-first cross-shard merge: later events
+// first; MergeTopK breaks timestamp ties toward the lower shard index,
+// and each shard's own stream stays in its sequence order.
+func feedBetter(a, b shardEvent) bool { return a.ev.At > b.ev.At }
 
 // Feed returns the user's update feed — events by their followees,
 // oldest first, the most recent limit of them — gathered across every
@@ -498,10 +534,10 @@ type shardEvent struct {
 // whenever event timestamps are distinct.
 func (sh *Sharded) Feed(userID string, limit int) []Event {
 	page, _ := sh.feedScatter(context.Background(), userID, make([]uint64, len(sh.shards)), limit)
-	evs := eventsOf(page)
+	evs := make([]Event, len(page))
 	// The merged page is newest-first; the Platform surface is oldest-first.
-	for i, j := 0, len(evs)-1; i < j; i, j = i+1, j-1 {
-		evs[i], evs[j] = evs[j], evs[i]
+	for i, se := range page {
+		evs[len(page)-1-i] = se.ev
 	}
 	return evs
 }
@@ -522,37 +558,25 @@ func (sh *Sharded) FeedPage(ctx context.Context, userID, cursor string, limit in
 		limit = 20
 	}
 	page, hasMore := sh.feedScatter(ctx, userID, bounds, limit)
-	// Advance each consumed shard's bound to its lowest consumed
-	// sequence; untouched shards keep their previous bound.
-	for _, se := range page {
-		bounds[se2shard(se)] = se2seq(se)
+	evs := make([]Event, len(page))
+	for i, se := range page {
+		evs[i] = se.ev
+		// Advance each consumed shard's bound to its lowest consumed
+		// sequence; untouched shards keep their previous bound.
+		bounds[se.shard] = se.ev.Seq
 	}
 	next := ""
 	if hasMore {
 		next = api.EncodeShardCursor(bounds)
 	}
-	return eventsOf(page), next, nil
+	return evs, next, nil
 }
 
-// The page carries shard provenance via parallel bookkeeping: Feed and
-// FeedPage both consume feedScatter's merged shardEvent page, so the
-// helpers below unwrap it.
-func se2shard(se shardEvent) int  { return se.shard }
-func se2seq(se shardEvent) uint64 { return se.ev.Seq }
-func eventsOf(ses []shardEvent) []Event {
-	evs := make([]Event, len(ses))
-	for i, se := range ses {
-		evs[i] = se.ev
-	}
-	return evs
-}
-
-// feedScatter fans the followee set out across every shard and merges
-// the newest-first streams. limit <= 0 means everything. hasMore
-// reports whether unconsumed events remained past the page.
+// feedScatter reads the followee set's events below each shard's bound
+// and merges the newest-first streams. limit <= 0 means everything.
+// hasMore reports whether unconsumed events remained past the page. One
+// shard is read inline; more fan out, one goroutine per shard.
 func (sh *Sharded) feedScatter(ctx context.Context, userID string, bounds []uint64, limit int) (page []shardEvent, hasMore bool) {
-	defer mScatterFeedSeconds.ObserveSince(time.Now())
-	tr := metrics.TraceFrom(ctx)
 	followees := sh.home(userID).store.Following(userID)
 	if len(followees) == 0 {
 		return nil, false
@@ -562,21 +586,30 @@ func (sh *Sharded) feedScatter(ctx context.Context, userID string, bounds []uint
 		fetch = limit + 1 // one extra detects leftovers precisely
 	}
 	lists := make([][]shardEvent, len(sh.shards))
-	var wg sync.WaitGroup
-	for i, p := range sh.shards {
-		wg.Add(1)
-		go func(i int, st *social.Store) {
-			defer wg.Done()
-			defer tr.StartStage(fmt.Sprintf("feed_shard%d", i))()
-			evs := st.EventsByActorsBefore(followees, bounds[i], fetch)
-			ses := make([]shardEvent, len(evs))
-			for j, ev := range evs {
-				ses[j] = shardEvent{ev: ev, shard: i}
-			}
-			lists[i] = ses
-		}(i, p.store)
+	gather := func(i int) {
+		evs := sh.shards[i].store.EventsByActorsBefore(followees, bounds[i], fetch)
+		ses := make([]shardEvent, len(evs))
+		for j, ev := range evs {
+			ses[j] = shardEvent{ev: ev, shard: i}
+		}
+		lists[i] = ses
 	}
-	wg.Wait()
+	if len(sh.shards) == 1 {
+		gather(0)
+	} else {
+		defer mScatterFeedSeconds.ObserveSince(time.Now())
+		tr := metrics.TraceFrom(ctx)
+		var wg sync.WaitGroup
+		for i := range sh.shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer tr.StartStage(fmt.Sprintf("feed_shard%d", i))()
+				gather(i)
+			}()
+		}
+		wg.Wait()
+	}
 	total := 0
 	for _, l := range lists {
 		total += len(l)
@@ -597,12 +630,25 @@ func (sh *Sharded) EventsByTag(tag string) []Event {
 
 // --- Knowledge services (scatter-gather / owner-shard routed) -----------------
 
-// engines resolves every shard's current engine snapshot once, so a
-// multi-phase read works against one consistent set of snapshots.
+// serving resolves the engine a read answers from: the published
+// snapshot, never waiting on maintenance in flight. A stale snapshot is
+// served as it is — writes fold their own deltas, the server kicks a
+// background refresh and AutoRefresh compacts — and only a shard with
+// no snapshot yet builds one. Every Sharded read resolves its engines
+// this way.
+func (p *Platform) serving() (*core.Engine, error) {
+	if eng := p.current.Load(); eng != nil {
+		return eng, nil
+	}
+	return p.Engine()
+}
+
+// engines resolves every shard's serving engine once, so a multi-phase
+// read works against one consistent set of snapshots.
 func (sh *Sharded) engines() ([]*core.Engine, error) {
 	engs := make([]*core.Engine, len(sh.shards))
 	for i, p := range sh.shards {
-		eng, err := p.Engine()
+		eng, err := p.serving()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -614,7 +660,7 @@ func (sh *Sharded) engines() ([]*core.Engine, error) {
 // EngineFor returns the owner's shard engine (the one holding their
 // partition's evidence).
 func (sh *Sharded) EngineFor(owner string) (*core.Engine, error) {
-	return sh.home(owner).Engine()
+	return sh.home(owner).serving()
 }
 
 var searchBetter = func(a, b textindex.Result) bool {
@@ -630,8 +676,17 @@ var searchBetter = func(a, b textindex.Result) bool {
 // own postings under the merged global statistics, and the per-shard
 // top-k lists k-way merge under the same score/doc-ID order the
 // unsharded path uses. Results are bit-identical to one unsharded
-// index of the union corpus, tie-breaks included.
+// index of the union corpus, tie-breaks included. One shard is that
+// index: its engine answers inline.
 func (sh *Sharded) Search(ctx context.Context, query string, k int) ([]SearchResult, error) {
+	if len(sh.shards) == 1 {
+		eng, err := sh.shards[0].serving()
+		if err != nil {
+			return nil, err
+		}
+		defer mSearchSeconds.ObserveSince(time.Now())
+		return eng.Search(query, k), nil
+	}
 	merged, _, err := sh.scatterSearch(ctx, query, k)
 	if err != nil {
 		return nil, err
@@ -696,11 +751,16 @@ func toResults(rs []textindex.Result) []SearchResult {
 // re-ranks by similarity to the user's context vector (from their home
 // shard, which holds their workpad). Document vectors come from the
 // owning shard's statistics — a shard-local approximation, unlike the
-// exact base ranking.
+// exact base ranking. One shard has nothing to approximate: its engine
+// answers inline.
 func (sh *Sharded) SearchWithContext(ctx context.Context, userID, query string, k int) ([]SearchResult, error) {
 	home, err := sh.EngineFor(userID)
 	if err != nil {
 		return nil, err
+	}
+	if len(sh.shards) == 1 {
+		defer mSearchSeconds.ObserveSince(time.Now())
+		return home.SearchWithContext(userID, query, k), nil
 	}
 	cvec := home.ContextVector(userID)
 	base, owner, err := sh.scatterSearch(ctx, query, 4*k)
@@ -901,7 +961,7 @@ func (sh *Sharded) ExplainResource(userID, entity string) ([]ResourceEvidence, e
 // prefixed, not owner-addressed; cross-shard path stitching is future
 // work).
 func (sh *Sharded) KnowledgePaths(a, b string, k int) ([]KnowledgePath, error) {
-	eng, err := sh.shards[0].Engine()
+	eng, err := sh.shards[0].serving()
 	if err != nil {
 		return nil, err
 	}
@@ -910,7 +970,7 @@ func (sh *Sharded) KnowledgePaths(a, b string, k int) ([]KnowledgePath, error) {
 
 // MonitorActivity runs change detection over shard 0's activity stream.
 func (sh *Sharded) MonitorActivity(epochEvents int) ([]ChangeResult, error) {
-	eng, err := sh.shards[0].Engine()
+	eng, err := sh.shards[0].serving()
 	if err != nil {
 		return nil, err
 	}

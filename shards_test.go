@@ -3,8 +3,12 @@ package hive
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -190,7 +194,9 @@ func zeroSeqs(evs []Event) []Event {
 // leaders must yield bit-identical search results (scores, order and
 // tie-breaks included), identical feeds (modulo per-shard sequence
 // numbers) and identical set reads — the scatter-gather read path may
-// not be observably different from one big index.
+// not be observably different from one big index. At one shard — the
+// shape a standalone Platform is served in — the parity covers every
+// knowledge service the server exposes (serviceParity).
 func TestShardedParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -292,14 +298,118 @@ func TestShardedParity(t *testing.T) {
 						}
 					}
 				}
+				if shards == 1 {
+					serviceParity(t, ref, seed)
+				}
 			})
 		}
 	}
 }
 
+// sameUpToFloatNoise is reflect.DeepEqual over exported result types,
+// with float64s equal when they agree to a part in 1e9: evidence
+// strengths and rank scores are float sums in map order, so one
+// snapshot asked twice differs in the last bits.
+func sameUpToFloatNoise(a, b reflect.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Float64:
+		x, y := a.Float(), b.Float()
+		return math.Abs(x-y) <= 1e-9*math.Max(math.Abs(x), math.Abs(y))
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameUpToFloatNoise(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameUpToFloatNoise(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return reflect.DeepEqual(a.Interface(), b.Interface())
+	}
+}
+
+// serviceParity: served as one shard — the old hive.Open call shape —
+// a Platform answers every knowledge service the server exposes as its
+// own methods do. Both sides read the same snapshot: two builds of one
+// dataset disagree by up to a part in a thousand wherever a context
+// vector is involved (hiveload finding 3), which would hide a wrong
+// answer behind the tolerance it takes. The evidence services are
+// owner-shard approximations at more shards, so this half of the parity
+// is a one-shard property.
+func serviceParity(t *testing.T, ref *Platform, seed int64) {
+	t.Helper()
+	sh := OneShard(ref)
+	same := func(what string, want, got any, wantErr, gotErr error) {
+		t.Helper()
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("%s: Platform error %v, one-shard error %v", what, wantErr, gotErr)
+		}
+		if !sameUpToFloatNoise(reflect.ValueOf(want), reflect.ValueOf(got)) {
+			t.Fatalf("%s diverged:\nPlatform  %+v\none shard %+v", what, want, got)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed * 131))
+	for i := 0; i < 12; i++ {
+		u, v := fmt.Sprintf("u%d", i), fmt.Sprintf("u%d", (i+5)%12)
+		doc := fmt.Sprintf("%sp%d", DocPaper, rng.Intn(14))
+		paper := fmt.Sprintf("p%d", rng.Intn(14))
+		q := phrase(rng, 2)
+
+		wantPeers, err1 := ref.RecommendPeers(u, 5)
+		gotPeers, err2 := sh.RecommendPeers(u, 5)
+		same("RecommendPeers("+u+")", wantPeers, gotPeers, err1, err2)
+		for _, useCtx := range []bool{false, true} {
+			wantRes, err1 := ref.RecommendResources(u, 5, useCtx)
+			gotRes, err2 := sh.RecommendResources(u, 5, useCtx)
+			same(fmt.Sprintf("RecommendResources(%s,%v)", u, useCtx), wantRes, gotRes, err1, err2)
+			wantHist, err1 := ref.SearchHistory(u, q, useCtx, 10)
+			gotHist, err2 := sh.SearchHistory(u, q, useCtx, 10)
+			same(fmt.Sprintf("SearchHistory(%s,%q,%v)", u, q, useCtx), wantHist, gotHist, err1, err2)
+		}
+		wantSess, err1 := ref.SuggestSessions(u, "edbt", 3)
+		gotSess, err2 := sh.SuggestSessions(u, "edbt", 3)
+		same("SuggestSessions("+u+")", wantSess, gotSess, err1, err2)
+		wantEx, err1 := ref.Explain(u, v)
+		gotEx, err2 := sh.Explain(u, v)
+		same("Explain("+u+","+v+")", wantEx, gotEx, err1, err2)
+		wantPrev, err1 := ref.Preview(u, doc, 3)
+		gotPrev, err2 := sh.Preview(u, doc, 3)
+		same("Preview("+u+","+doc+")", wantPrev, gotPrev, err1, err2)
+		wantRel, err1 := ref.ExplainResource(u, paper)
+		gotRel, err2 := sh.ExplainResource(u, paper)
+		same("ExplainResource("+u+","+paper+")", wantRel, gotRel, err1, err2)
+		wantPaths, err1 := ref.KnowledgePaths("user:"+u, "session:s"+fmt.Sprint(i%4), 3)
+		gotPaths, err2 := sh.KnowledgePaths("user:"+u, "session:s"+fmt.Sprint(i%4), 3)
+		same("KnowledgePaths("+u+")", wantPaths, gotPaths, err1, err2)
+		// Context search, compared as hiveload compares it: rank by rank,
+		// score by score.
+		wantCtx, err1 := ref.SearchWithContext(u, q, 10)
+		gotCtx, err2 := sh.SearchWithContext(context.Background(), u, q, 10)
+		same(fmt.Sprintf("SearchWithContext(%s,%q)", u, q), wantCtx, gotCtx, err1, err2)
+	}
+	wantComms, err1 := ref.Communities()
+	gotComms, err2 := sh.Communities()
+	same("Communities", wantComms, gotComms, err1, err2)
+}
+
 // TestShardManifestPinsCount: the shard count is fixed for the life of
 // a data dir — reopening with a different count must fail, reopening
-// with the same count must find the routed data.
+// with the same count must find the routed data. A dir written
+// unsharded is a one-shard dir, and the check holds in both directions:
+// neither shape may be opened as the other, which would serve an empty
+// store beside the old data without a word.
 func TestShardManifestPinsCount(t *testing.T) {
 	dir := t.TempDir()
 	sh, err := OpenSharded(2, Options{Dir: dir, Clock: testClock()})
@@ -334,6 +444,38 @@ func TestShardManifestPinsCount(t *testing.T) {
 	}
 	if len(rs) == 0 || rs[0].DocID != DocPaper+"p" {
 		t.Fatalf("paper not found after sharded reopen: %+v", rs)
+	}
+	if _, err := OpenSharded(1, Options{Dir: dir, Clock: testClock()}); err == nil || !strings.Contains(err.Error(), "shard count is fixed") {
+		t.Fatalf("opening a 2-shard dir with one shard: err = %v, want the fixed-count refusal", err)
+	}
+
+	// A dir written by a standalone Platform: no manifest, no shard-0/.
+	flat := t.TempDir()
+	p, err := Open(Options{Dir: flat, Clock: testClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RegisterUser(User{ID: "u", Name: "U"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSharded(4, Options{Dir: flat, Clock: testClock()}); err == nil || !strings.Contains(err.Error(), "shard count is fixed") {
+		t.Fatalf("opening an unsharded dir with 4 shards: err = %v, want the fixed-count refusal", err)
+	}
+	one, err := OpenSharded(1, Options{Dir: flat, Clock: testClock()})
+	if err != nil {
+		t.Fatalf("opening an unsharded dir with one shard: %v", err)
+	}
+	defer one.Close()
+	if _, err := one.GetUser("u"); err != nil {
+		t.Fatalf("user lost opening the unsharded dir as one shard: %v", err)
+	}
+	for _, name := range []string{"shards.json", "shard-0"} {
+		if _, err := os.Stat(filepath.Join(flat, name)); err == nil {
+			t.Fatalf("one shard wrote %s into the unsharded layout", name)
+		}
 	}
 }
 
