@@ -3,7 +3,7 @@
 
 GO      ?= go
 
-.PHONY: build test race bench fmt vet lint vuln race-nightly ci api-smoke repl-smoke failover-smoke quorum-smoke shard-smoke metrics-smoke hiveload-smoke
+.PHONY: build test race bench bench-smoke fmt vet lint vuln race-nightly ci api-smoke repl-smoke failover-smoke quorum-smoke shard-smoke metrics-smoke hiveload-smoke
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,12 @@ race:
 # is hiveload (BENCHMARK.json, benchmark/README.md), not this.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
+
+# Every Go benchmark for one iteration: the BenchmarkE* functions are
+# the only timed copy of experiments E1-E12 (EXPERIMENTS.md), so they
+# must keep compiling and running. The numbers of a 1x run mean nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Static analysis beyond vet: CI installs govulncheck on the runner;
 # locally this degrades to a warning when the tool is absent.
@@ -116,4 +122,4 @@ hiveload-smoke:
 	bash benchmark/run.sh --workload all --quick
 
 # lint subsumes vet (hivelint runs `go vet` over the same patterns).
-ci: build lint fmt race hiveload-smoke
+ci: build lint fmt race bench-smoke hiveload-smoke

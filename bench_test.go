@@ -1,5 +1,6 @@
-// Benchmarks: one per experiment of EXPERIMENTS.md (E1-E12), matching the
-// rows printed by cmd/hivebench. Run with:
+// Benchmarks: one per experiment E1-E12 of EXPERIMENTS.md — the only
+// timed copy of each; the tests named there assert its shape — plus the
+// refresh, read-path, delta and quorum benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 package hive_test
@@ -26,6 +27,7 @@ import (
 	"hive/internal/social"
 	"hive/internal/summarize"
 	"hive/internal/tensor"
+	"hive/internal/textindex"
 	"hive/internal/workload"
 )
 
@@ -73,6 +75,24 @@ func benchPlatform(b *testing.B) (*hive.Platform, *core.Engine) {
 		b.Fatal(fixtureErr)
 	}
 	return fixture, fixtureEng
+}
+
+// benchLiveIndex rebuilds the live (locked, map-based) text index over
+// the fixture snapshot's documents: the reference arm of the
+// frozen-vs-live benchmarks (the engine itself keeps only the frozen
+// read view).
+func benchLiveIndex(b *testing.B, eng *core.Engine) *textindex.Index {
+	b.Helper()
+	seg := eng.Segment()
+	ix := textindex.NewIndex()
+	for _, id := range seg.DocIDs() {
+		text, err := seg.Text(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix.Add(id, text)
+	}
+	return ix
 }
 
 // BenchmarkE1_PlatformAPI measures end-to-end REST latency of the
@@ -433,7 +453,7 @@ func BenchmarkRebuildUnderLoad(b *testing.B) {
 // must be no slower ("no regression on Search").
 func BenchmarkSearch(b *testing.B) {
 	_, eng := benchPlatform(b)
-	live, frozen := eng.Index(), eng.Frozen()
+	live, frozen := benchLiveIndex(b, eng), eng.Frozen()
 	b.Run("live", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			live.Search("graph partitioning streams", 10)
@@ -453,7 +473,7 @@ func BenchmarkSearch(b *testing.B) {
 func BenchmarkSearchVector(b *testing.B) {
 	p, eng := benchPlatform(b)
 	ctx := eng.ContextVector(p.Users()[0])
-	live, frozen := eng.Index(), eng.Frozen()
+	live, frozen := benchLiveIndex(b, eng), eng.Frozen()
 	b.Run("live", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			live.SearchVector(ctx, 10)
@@ -510,7 +530,7 @@ func BenchmarkInstrumentedSearch(b *testing.B) {
 func BenchmarkTFIDFVector(b *testing.B) {
 	p, eng := benchPlatform(b)
 	papers := p.Store().Papers()
-	live, frozen := eng.Index(), eng.Frozen()
+	live, frozen := benchLiveIndex(b, eng), eng.Frozen()
 	b.Run("live", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := live.TFIDFVector(core.DocPaper + papers[i%len(papers)]); err != nil {
@@ -672,8 +692,8 @@ func BenchmarkSegmentedSearch(b *testing.B) {
 // goroutines acking every sequence the moment it appears, so the
 // measured cost is the quorum machinery itself (ack bookkeeping,
 // commit-index persistence, the waitQuorum wakeup) with no network in
-// the loop. E17 in cmd/hivebench measures the same path over real HTTP
-// followers.
+// the loop (E17; `make quorum-smoke` drives the same path over real HTTP
+// followers).
 func BenchmarkQuorumWrite(b *testing.B) {
 	for _, k := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

@@ -228,7 +228,6 @@ func (p *Platform) demoteTo(epoch uint64, leaderURL string) {
 	wasLeader := p.role.Load() == roleLeader
 	p.role.Store(roleFollower)
 	if wasLeader {
-		p.demotions.Add(1)
 		mDemotions.Inc()
 		// Quorum waiters parked on our deposed term must not hang until
 		// their deadline on a channel no ack will ever close again.
@@ -302,19 +301,6 @@ func (p *Platform) ClusterPeers() []string { return append([]string(nil), p.peer
 
 // Promotions counts follower→leader transitions since Open.
 func (p *Platform) Promotions() uint64 { return p.promotions.Load() }
-
-// Demotions counts leader→follower transitions since Open.
-func (p *Platform) Demotions() uint64 { return p.demotions.Load() }
-
-// ElectionState returns the elector's latest outcome (zero outside
-// cluster mode). The platform's Role may briefly trail it while a
-// transition is applied.
-func (p *Platform) ElectionState() election.State {
-	if p.elector == nil {
-		return election.State{}
-	}
-	return p.elector.State()
-}
 
 // StaleEpochError rejects a replication request asserting a newer term
 // than this node has adopted: the requester is fenced off from a stale

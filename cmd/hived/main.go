@@ -5,7 +5,7 @@
 //
 //	hived [-addr :8080] [-data DIR] [-seed users] [-compact-interval 30s]
 //	      [-shards N] [-workers N] [-timeout 30s]
-//	      [-max-inflight N] [-qps N] [-quiet] [-access-log] [-metrics]
+//	      [-max-inflight N] [-qps N] [-quiet] [-metrics]
 //	      [-pprof ADDR]
 //	      [-cluster "self=URL,peers=URL;URL,lease=DIR[,ttl=2s]"]
 //	      [-quorum K] [-ack-timeout 5s] [-journal-retention N]
@@ -81,8 +81,8 @@
 // is a follow-up.
 //
 // -timeout, -max-inflight and -qps wire the middleware stack's
-// operational limits (0 disables each); -quiet (or -access-log=false)
-// drops the access log.
+// operational limits (0 disables each); -quiet drops the per-request
+// access log (trace ID, resolved shard and status on each line).
 //
 // Observability: GET /metrics serves the process-wide registry in
 // Prometheus text exposition — request counts and latency histograms
@@ -187,8 +187,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent requests (0 = uncapped)")
 	qps := flag.Float64("qps", 0, "global request rate limit (0 = unlimited)")
 	quiet := flag.Bool("quiet", false, "disable the per-request access log")
-	accessLog := flag.Bool("access-log", true,
-		"per-request access log with trace ID, resolved shard and status (false = same effect as -quiet)")
 	metricsOn := flag.Bool("metrics", true,
 		"serve Prometheus text metrics at GET /metrics and traces at GET /api/v1/debug/traces (false = disable both)")
 	pprofAddr := flag.String("pprof", "", "expose net/http/pprof on this separate address (e.g. localhost:6060; empty = disabled)")
@@ -289,7 +287,7 @@ func main() {
 		QPS:            *qps,
 		DisableMetrics: !*metricsOn,
 	}
-	if !*quiet && *accessLog {
+	if !*quiet {
 		cfg.AccessLog = log.Default()
 	}
 	log.Printf("hived listening on %s (%d shard(s), API v1 at /api/v1)", *addr, *shards)

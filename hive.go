@@ -109,25 +109,18 @@ const (
 	DocQuestion     = core.DocQuestion
 )
 
-// CompactionPolicy bounds how far the serving snapshot may drift from
-// its last full build before a compaction is due. Zero values take the
-// defaults.
-type CompactionPolicy struct {
-	// OverlayDocs is the maximum overlay-segment size.
-	OverlayDocs int
-	// TombstoneRatio is the maximum dead fraction of the base segment.
-	TombstoneRatio float64
-	// GraphPending is the maximum number of applied events whose
-	// evidence-graph effects (connections, co-attendance, Q&A edges,
-	// coauthorship) await the next full build.
-	GraphPending int
-}
-
-// Default compaction policy and delta-pipeline bounds.
+// Compaction policy and delta-pipeline bounds. A compaction is due once
+// the serving snapshot has drifted past any of the first three from its
+// last full build.
 const (
-	defaultOverlayDocs    = 256
-	defaultTombstoneRatio = 0.2
-	defaultGraphPending   = 512
+	// maxOverlayDocs bounds the overlay-segment size.
+	maxOverlayDocs = 256
+	// maxTombstoneRatio bounds the dead fraction of the base segment.
+	maxTombstoneRatio = 0.2
+	// maxGraphPending bounds the applied events whose evidence-graph
+	// effects (connections, co-attendance, Q&A edges, coauthorship)
+	// await the next full build.
+	maxGraphPending = 512
 	// maxPendingEvents bounds the unapplied-event queue; past it the
 	// platform stops queueing and falls back to one full rebuild (the
 	// bulk-load path, where a compaction beats thousands of deltas).
@@ -135,19 +128,6 @@ const (
 	// maxDeltaBatch bounds how many events one ApplyDelta call folds in.
 	maxDeltaBatch = 512
 )
-
-func (cp CompactionPolicy) withDefaults() CompactionPolicy {
-	if cp.OverlayDocs <= 0 {
-		cp.OverlayDocs = defaultOverlayDocs
-	}
-	if cp.TombstoneRatio <= 0 {
-		cp.TombstoneRatio = defaultTombstoneRatio
-	}
-	if cp.GraphPending <= 0 {
-		cp.GraphPending = defaultGraphPending
-	}
-	return cp
-}
 
 // Options configures Open.
 type Options struct {
@@ -161,8 +141,6 @@ type Options struct {
 	// Workers bounds the parallelism of engine rebuilds (the number of
 	// derivation stages built concurrently). Zero means GOMAXPROCS.
 	Workers int
-	// Compaction tunes when the delta pipeline schedules a full build.
-	Compaction CompactionPolicy
 
 	// Cluster puts the platform in elected-cluster mode: the node's
 	// role (leader or follower) is decided by Cluster.Election and
@@ -170,12 +148,9 @@ type Options struct {
 	// (Dir). For simple two-node read scaling, run a two-member set —
 	// a manual elector pins the roles when a live election is overkill.
 	Cluster *ClusterConfig
-	// JournalSegmentBytes rotates journal segments past this size
-	// (0 = default 4MiB).
-	JournalSegmentBytes int64
 	// JournalRetain bounds how many closed journal segments are kept
-	// (0 = default 8). Together with JournalSegmentBytes it fixes how
-	// far a disconnected follower may fall behind before it must
+	// (0 = default 8). Together with the journal's segment size it fixes
+	// how far a disconnected follower may fall behind before it must
 	// re-bootstrap from a snapshot.
 	JournalRetain int
 }
@@ -200,8 +175,6 @@ type Platform struct {
 	// per-shard health so clients and operators can tell shard leaders
 	// apart.
 	shardID int
-
-	policy CompactionPolicy
 
 	current atomic.Pointer[core.Engine] // serving snapshot (nil until first build)
 	gen     atomic.Uint64               // snapshot generation, bumped on every swap
@@ -245,7 +218,6 @@ type Platform struct {
 	transStop  chan struct{}
 	transDone  chan struct{}
 	promotions atomic.Uint64 // follower → leader transitions since Open
-	demotions  atomic.Uint64 // leader → follower transitions since Open
 
 	// Quorum-write state (quorum.go). quorumK and ackTimeout are fixed
 	// at Open; the ack map tracks, per follower URL, the highest change
@@ -280,18 +252,11 @@ type refreshErr struct{ err error }
 // and assumes whichever role the election assigns, transitioning live
 // afterwards. Without it the platform is a standalone leader.
 func Open(opts Options) (*Platform, error) {
-	st, err := social.OpenJournaled(opts.Dir, social.Clock(opts.Clock), journal.Options{
-		SegmentBytes: opts.JournalSegmentBytes,
-		Retain:       opts.JournalRetain,
-	})
+	st, err := social.OpenJournaled(opts.Dir, social.Clock(opts.Clock), journal.Options{Retain: opts.JournalRetain})
 	if err != nil {
 		return nil, err
 	}
-	p := &Platform{
-		store:   st,
-		workers: opts.Workers,
-		policy:  opts.Compaction.withDefaults(),
-	}
+	p := &Platform{store: st, workers: opts.Workers}
 	// Every store write feeds the change log — including writes that
 	// bypass the Platform wrappers and hit Store() directly. The
 	// subscription queues the events and folds them into the serving
@@ -644,9 +609,9 @@ func (p *Platform) CompactionDue() bool {
 		return false // nothing to compact; Stale covers the first build
 	}
 	ds := eng.DeltaStats()
-	return ds.OverlayDocs > p.policy.OverlayDocs ||
-		ds.TombstoneRatio > p.policy.TombstoneRatio ||
-		ds.GraphPending > p.policy.GraphPending
+	return ds.OverlayDocs > maxOverlayDocs ||
+		ds.TombstoneRatio > maxTombstoneRatio ||
+		ds.GraphPending > maxGraphPending
 }
 
 // Generation returns the number of snapshot swaps so far (deltas and
@@ -669,7 +634,7 @@ func (p *Platform) LastDeltaDuration() time.Duration {
 }
 
 // AutoRefresh starts a background loop that runs a compaction every
-// interval while one is due (per CompactionPolicy) or the snapshot is
+// interval while one is due (CompactionDue) or the snapshot is
 // stale, keeping overlay size and evidence-graph drift bounded without
 // any rebuild cost on the read or write paths. It replaces a previously
 // started loop; a non-positive interval just stops the current loop

@@ -13,7 +13,6 @@ import (
 	"hive/internal/graph"
 	"hive/internal/rdf"
 	"hive/internal/social"
-	"hive/internal/textindex"
 )
 
 // Builder assembles an immutable Engine snapshot from a social store,
@@ -90,7 +89,7 @@ var tableTasks = []buildTask{
 func (b *Builder) Build() (*Engine, error) {
 	start := time.Now()
 	st := b.Store
-	e := &Engine{store: st, index: textindex.NewIndex(), kb: rdf.NewStore(), buildWorkers: b.workers()}
+	e := &Engine{store: st, kb: rdf.NewStore(), buildWorkers: b.workers()}
 
 	// Shared inputs, gathered once up front: several stages iterate the
 	// paper corpus and the user set.
@@ -106,15 +105,6 @@ func (b *Builder) Build() (*Engine, error) {
 	if err := runLimited(buildTasks, e, b.workers()); err != nil {
 		return nil, err
 	}
-
-	// Freeze the text index into its lock-free dense read representation
-	// and wrap it in an empty segmented view; the phase-2 tables and all
-	// serving queries read through the view, which delegates straight to
-	// the frozen fast paths until a delta adds overlay documents. A full
-	// Build is therefore also the *compaction* of the delta pipeline: it
-	// folds every overlay into a fresh base segment.
-	e.frozen = e.index.Freeze()
-	e.seg = textindex.NewSegmented(e.frozen)
 
 	if err := runLimited(finishTasks, e, b.workers()); err != nil {
 		return nil, err

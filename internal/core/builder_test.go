@@ -148,7 +148,7 @@ func TestBuildWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if eng.peerGraph == nil || eng.index == nil || eng.kb == nil || eng.concepts == nil {
+		if eng.peerGraph == nil || eng.seg == nil || eng.kb == nil || eng.concepts == nil {
 			t.Fatalf("workers=%d: incomplete engine", w)
 		}
 	}

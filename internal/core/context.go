@@ -45,8 +45,8 @@ func (e *Engine) buildContextVectors() {
 	e.forUsersParallel(func(i int, u string) {
 		v := e.computeContextVector(u)
 		vecs[i] = v
-		if e.frozen != nil && len(v) > 0 {
-			cqs[i] = e.frozen.Compile(v)
+		if len(v) > 0 {
+			cqs[i] = e.seg.Base().Compile(v)
 		}
 		// Snapshot the users pinned on the active workpad: the peer-
 		// recommendation restart bias must come from snapshot state, so
@@ -144,10 +144,7 @@ type SearchResult struct {
 // Search runs plain BM25 keyword search over all indexed content,
 // served from the segmented read view (base + delta overlay).
 func (e *Engine) Search(query string, k int) []SearchResult {
-	if r := e.reader(); r != nil {
-		return toSearchResults(r.Search(query, k))
-	}
-	return toSearchResults(e.index.Search(query, k))
+	return toSearchResults(e.seg.Search(query, k))
 }
 
 // SearchWithContext blends BM25 relevance with similarity to the user's
@@ -156,12 +153,7 @@ func (e *Engine) Search(query string, k int) []SearchResult {
 // according to their relevance" service.
 func (e *Engine) SearchWithContext(userID, query string, k int) []SearchResult {
 	ctx := e.ContextVector(userID)
-	var base []textindex.Result
-	if r := e.reader(); r != nil {
-		base = r.Search(query, 4*k)
-	} else {
-		base = e.index.Search(query, 4*k)
-	}
+	base := e.seg.Search(query, 4*k)
 	if len(ctx) == 0 {
 		return toSearchResults(clip(base, k))
 	}
@@ -174,7 +166,7 @@ func (e *Engine) SearchWithContext(userID, query string, k int) []SearchResult {
 	})
 	for _, r := range base {
 		sim := 0.0
-		if dv, err := e.docVector(r.DocID); err == nil {
+		if dv, err := e.seg.TFIDFVector(r.DocID); err == nil {
 			sim = dv.Cosine(ctx)
 		}
 		h.Push(textindex.Result{DocID: r.DocID, Score: r.Score * (1 + ctxWeight*sim)})
@@ -186,7 +178,7 @@ func (e *Engine) SearchWithContext(userID, query string, k int) []SearchResult {
 // (paper §2.3(a): "relevant snippet extraction from documents"). The
 // docID uses the index namespace (e.g. "pres/<id>", "paper/<id>").
 func (e *Engine) Preview(userID, docID string, k int) ([]textindex.Snippet, error) {
-	text, err := e.docText(docID)
+	text, err := e.seg.Text(docID)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +189,7 @@ func (e *Engine) Preview(userID, docID string, k int) ([]textindex.Snippet, erro
 // Annotate extracts the top-k key concepts of a document for automated
 // annotation (§2.3(b)).
 func (e *Engine) Annotate(docID string, k int) ([]textindex.Keyphrase, error) {
-	text, err := e.docText(docID)
+	text, err := e.seg.Text(docID)
 	if err != nil {
 		return nil, err
 	}
@@ -287,11 +279,11 @@ func clip(rs []textindex.Result, k int) []textindex.Result {
 // DetectOverlap reports content-reuse between two indexed documents via
 // shingle resemblance and containment ([9]).
 func (e *Engine) DetectOverlap(docA, docB string) (resemblance, containAinB float64, err error) {
-	ta, err := e.docText(docA)
+	ta, err := e.seg.Text(docA)
 	if err != nil {
 		return 0, 0, err
 	}
-	tb, err := e.docText(docB)
+	tb, err := e.seg.Text(docB)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -95,7 +95,7 @@ func zachWorld(t *testing.T) (*social.Store, *Engine) {
 
 func TestBuildAssemblesAllLayers(t *testing.T) {
 	_, eng := zachWorld(t)
-	if eng.Index().Len() == 0 {
+	if eng.Segment().Len() == 0 {
 		t.Fatal("text index empty")
 	}
 	if eng.ConceptMap().Len() == 0 {

@@ -114,10 +114,8 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 	}
 
 	ne := &Engine{
-		store:  st,
-		index:  prev.index,
-		frozen: prev.frozen,
-		seg:    prev.seg,
+		store: st,
+		seg:   prev.seg,
 		// Shared derived structures — repaired only by compaction.
 		concepts:    prev.concepts,
 		papers:      prev.papers,
@@ -176,7 +174,7 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		v := ne.computeContextVector(u)
 		ne.ctxOver[u] = v
 		if len(v) > 0 {
-			ne.ctxQOver[u] = ne.frozen.Compile(v)
+			ne.ctxQOver[u] = ne.seg.Base().Compile(v)
 		} else {
 			ne.ctxQOver[u] = nil // mask any base entry
 		}

@@ -53,15 +53,15 @@ func assertSearchParity(t *testing.T, label string, delta, fresh *Engine) {
 		}
 	}
 	for _, id := range fresh.seg.DocIDs() {
-		fv, ferr := fresh.docVector(id)
-		dv, derr := delta.docVector(id)
+		fv, ferr := fresh.DocTFIDF(id)
+		dv, derr := delta.DocTFIDF(id)
 		if (ferr == nil) != (derr == nil) || len(fv) != len(dv) {
-			t.Fatalf("%s: docVector(%s): delta %d terms (err %v), fresh %d (err %v)",
+			t.Fatalf("%s: DocTFIDF(%s): delta %d terms (err %v), fresh %d (err %v)",
 				label, id, len(dv), derr, len(fv), ferr)
 		}
 		for term, w := range fv {
 			if dv[term] != w {
-				t.Fatalf("%s: docVector(%s) term %q: delta %v, fresh %v", label, id, term, dv[term], w)
+				t.Fatalf("%s: DocTFIDF(%s) term %q: delta %v, fresh %v", label, id, term, dv[term], w)
 			}
 		}
 	}
@@ -127,7 +127,7 @@ func TestApplyDeltaSingleMutation(t *testing.T) {
 	}
 	// Structural sharing of the untouched heavy structures.
 	if delta.peerGraph != eng.peerGraph || delta.kb != eng.kb || delta.concepts != eng.concepts ||
-		delta.frozen != eng.frozen {
+		delta.Frozen() != eng.Frozen() {
 		t.Fatal("delta snapshot rebuilt structures the events did not touch")
 	}
 	if delta.DeltaStats().Deltas != 1 || delta.DeltaStats().OverlayDocs != 1 {
@@ -149,6 +149,64 @@ func TestApplyDeltaSingleMutation(t *testing.T) {
 	}
 	assertSearchParity(t, "replayed batch", again, fresh)
 	assertInteractionParity(t, "replayed batch", again, fresh)
+}
+
+// TestOverlayOnlyDocumentReads checks the document reads that take a
+// doc ID — previews, annotation, overlap detection, the context re-rank
+// — for a document published after the last build, which therefore
+// exists in the overlay alone: the delta snapshot serves every one of
+// them, the snapshot it derived from none.
+func TestOverlayOnlyDocumentReads(t *testing.T) {
+	st, eng := zachWorld(t)
+	drain := collectEvents(st)
+	drain()
+
+	const doc = DocPresentation + "pres-late"
+	if err := st.PutPresentation(social.Presentation{ID: "pres-late", PaperID: "p-ann10", Owner: "ann", Title: "Late breaking slides",
+		Text: "Influence diffusion in social media graphs. Community structure matters. Zeppelin moorings anchor the overlay."}); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := (&Builder{Store: st}).ApplyDelta(eng, drain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.DeltaStats().OverlayDocs != 1 || delta.Frozen() != eng.Frozen() {
+		t.Fatalf("want one overlay doc over the shared base, got %+v", delta.DeltaStats())
+	}
+
+	// Each read reports whether it served the document.
+	reads := []struct {
+		name string
+		read func(e *Engine) (bool, error)
+	}{
+		{"Preview", func(e *Engine) (bool, error) {
+			sn, err := e.Preview("zach", doc, 2)
+			return len(sn) > 0, err
+		}},
+		{"Annotate", func(e *Engine) (bool, error) {
+			kp, err := e.Annotate(doc, 3)
+			return len(kp) > 0, err
+		}},
+		{"DetectOverlap", func(e *Engine) (bool, error) {
+			// The late slides reuse two sentences of pres-zach.
+			res, contain, err := e.DetectOverlap(doc, DocPresentation+"pres-zach")
+			return res > 0 && contain > 0, err
+		}},
+		{"SearchWithContext", func(e *Engine) (bool, error) {
+			hits := e.SearchWithContext("zach", "zeppelin moorings", 5)
+			return len(hits) == 1 && hits[0].DocID == doc && hits[0].Score > 0, nil
+		}},
+	}
+	for _, r := range reads {
+		t.Run(r.name, func(t *testing.T) {
+			if ok, err := r.read(delta); err != nil || !ok {
+				t.Fatalf("delta snapshot did not serve the overlay document (served=%v, err=%v)", ok, err)
+			}
+			if ok, _ := r.read(eng); ok {
+				t.Fatal("the base snapshot serves a document published after it was built")
+			}
+		})
+	}
 }
 
 // TestApplyDeltaContextAndMemo checks that workpad events repair the

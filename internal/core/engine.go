@@ -54,9 +54,10 @@ const (
 type Engine struct {
 	store *social.Store
 
-	index    *textindex.Index
-	frozen   *textindex.Frozen    // base segment from the last full build
-	seg      *textindex.Segmented // serving read view: base + delta overlay
+	// seg is the one text read path: the frozen base segment of the last
+	// full build plus the delta overlay. Every engine Build or ApplyDelta
+	// returns has it set.
+	seg      *textindex.Segmented
 	concepts *conceptmap.Map
 
 	papers []social.Paper
@@ -87,7 +88,7 @@ type Engine struct {
 	// from the activity stream. All are frozen at build time; the values
 	// are shared and must be treated as read-only by callers.
 	ctxVecs     map[string]textindex.Vector
-	ctxQueries  map[string]*textindex.CompiledVector // ctxVecs pre-resolved against frozen
+	ctxQueries  map[string]*textindex.CompiledVector // ctxVecs pre-resolved against seg's base
 	wpPeerRefs  map[string][]string                  // users pinned on each user's active workpad
 	userContent map[string]textindex.Vector
 	interVecs   map[string]textindex.Vector
@@ -168,18 +169,15 @@ type DeltaStats struct {
 
 // DeltaStats reports the snapshot's incremental-maintenance state.
 func (e *Engine) DeltaStats() DeltaStats {
-	ds := DeltaStats{
-		Deltas:       e.deltaCount,
-		GraphPending: e.graphPending,
-		LastDeltaDur: e.lastDeltaDur,
-		AppliedAt:    e.appliedAt,
+	return DeltaStats{
+		Deltas:         e.deltaCount,
+		GraphPending:   e.graphPending,
+		OverlayDocs:    e.seg.OverlayDocs(),
+		Tombstones:     e.seg.Tombstones(),
+		TombstoneRatio: e.seg.TombstoneRatio(),
+		LastDeltaDur:   e.lastDeltaDur,
+		AppliedAt:      e.appliedAt,
 	}
-	if e.seg != nil {
-		ds.OverlayDocs = e.seg.OverlayDocs()
-		ds.Tombstones = e.seg.Tombstones()
-		ds.TombstoneRatio = e.seg.TombstoneRatio()
-	}
-	return ds
 }
 
 // BuiltAt reports when this snapshot finished building.
@@ -191,58 +189,17 @@ func (e *Engine) BuildDuration() time.Duration { return e.buildDur }
 // Store exposes the underlying social store.
 func (e *Engine) Store() *social.Store { return e.store }
 
-// Index exposes the live text index (the build-time representation).
-func (e *Engine) Index() *textindex.Index { return e.index }
-
 // Frozen exposes the frozen base segment of the last full build.
-func (e *Engine) Frozen() *textindex.Frozen { return e.frozen }
+func (e *Engine) Frozen() *textindex.Frozen { return e.seg.Base() }
 
-// Segment exposes the serving base+overlay read view (nil only on
-// engines predating the first Build).
+// Segment exposes the serving base+overlay read view.
 func (e *Engine) Segment() *textindex.Segmented { return e.seg }
 
-// reader resolves the text read path: the segmented base+overlay view
-// when present (every built snapshot), falling back to the frozen base
-// and finally the live index.
-func (e *Engine) reader() textindex.Searcher {
-	if e.seg != nil {
-		return e.seg
-	}
-	if e.frozen != nil {
-		return e.frozen
-	}
-	return nil
-}
-
 // DocTFIDF returns a document's TF-IDF vector through the serving read
-// view, under this snapshot's (shard-local) corpus statistics. The
-// sharded context re-rank uses it on the shard that owns the document.
-func (e *Engine) DocTFIDF(docID string) (textindex.Vector, error) { return e.docVector(docID) }
-
-// docVector returns a document's TF-IDF vector through the serving read
-// view (O(terms-in-doc)), falling back to the live index.
-func (e *Engine) docVector(docID string) (textindex.Vector, error) {
-	if r := e.reader(); r != nil {
-		return r.TFIDFVector(docID)
-	}
-	return e.index.TFIDFVector(docID)
-}
-
-// docText reads a document's raw text through the serving read view.
-func (e *Engine) docText(docID string) (string, error) {
-	if r := e.reader(); r != nil {
-		return r.Text(docID)
-	}
-	return e.index.Text(docID)
-}
-
-// searchVector runs a context-vector query through the read view.
-func (e *Engine) searchVector(query textindex.Vector, k int) []textindex.Result {
-	if r := e.reader(); r != nil {
-		return r.SearchVector(query, k)
-	}
-	return e.index.SearchVector(query, k)
-}
+// view (O(terms-in-doc)), under this snapshot's (shard-local) corpus
+// statistics. The sharded context re-rank uses it on the shard that
+// owns the document.
+func (e *Engine) DocTFIDF(docID string) (textindex.Vector, error) { return e.seg.TFIDFVector(docID) }
 
 // ctxQueryOf resolves the user's compiled context query, overlay first.
 func (e *Engine) ctxQueryOf(userID string) (*textindex.CompiledVector, bool) {
@@ -258,10 +215,10 @@ func (e *Engine) ctxQueryOf(userID string) (*textindex.CompiledVector, bool) {
 // extraction or sorting on the serving path; on a pristine snapshot the
 // base segment additionally skips all per-term hash lookups.
 func (e *Engine) searchUserContext(userID string, k int) []textindex.Result {
-	if cq, ok := e.ctxQueryOf(userID); ok && e.seg != nil {
+	if cq, ok := e.ctxQueryOf(userID); ok {
 		return e.seg.SearchCompiled(cq, k)
 	}
-	return e.searchVector(e.ContextVector(userID), k)
+	return e.seg.SearchVector(e.ContextVector(userID), k)
 }
 
 // ConceptMap exposes the bootstrapped concept map.
@@ -273,9 +230,17 @@ func (e *Engine) KnowledgeBase() *rdf.Store { return e.kb }
 // PeerGraph exposes the integrated peer network.
 func (e *Engine) PeerGraph() *graph.Graph { return e.peerGraph }
 
+// buildTextIndex indexes every paper, presentation and question into a
+// build-local live index, freezes it into the lock-free dense read
+// representation and wraps that in an empty segmented view; the
+// phase-2 tables and all serving queries read through the view, which
+// delegates straight to the frozen fast paths until a delta adds
+// overlay documents. A full Build is therefore also the *compaction* of
+// the delta pipeline: it folds every overlay into a fresh base segment.
 func (e *Engine) buildTextIndex() error {
+	ix := textindex.NewIndex()
 	for _, p := range e.papers {
-		e.index.Add(DocPaper+p.ID, p.Title+". "+p.Abstract)
+		ix.Add(DocPaper+p.ID, p.Title+". "+p.Abstract)
 	}
 	for _, u := range e.users {
 		for _, prID := range e.store.PresentationsOfUser(u) {
@@ -283,16 +248,17 @@ func (e *Engine) buildTextIndex() error {
 			if err != nil {
 				return err
 			}
-			e.index.Add(DocPresentation+pr.ID, pr.Title+". "+pr.Text)
+			ix.Add(DocPresentation+pr.ID, pr.Title+". "+pr.Text)
 		}
 		for _, qID := range e.store.QuestionsBy(u) {
 			q, err := e.store.Question(qID)
 			if err != nil {
 				return err
 			}
-			e.index.Add(DocQuestion+q.ID, q.Text)
+			ix.Add(DocQuestion+q.ID, q.Text)
 		}
 	}
+	e.seg = textindex.NewSegmented(ix.Freeze())
 	return nil
 }
 

@@ -332,12 +332,12 @@ func (e *Engine) buildUserContentVectors() {
 func (e *Engine) computeUserContentVector(u string) textindex.Vector {
 	v := make(textindex.Vector)
 	for _, prID := range e.store.PresentationsOfUser(u) {
-		if dv, err := e.docVector(DocPresentation + prID); err == nil {
+		if dv, err := e.seg.TFIDFVector(DocPresentation + prID); err == nil {
 			v.Add(dv, 1)
 		}
 	}
 	for _, pid := range e.store.PapersOfAuthor(u) {
-		if dv, err := e.docVector(DocPaper + pid); err == nil {
+		if dv, err := e.seg.TFIDFVector(DocPaper + pid); err == nil {
 			v.Add(dv, 1)
 		}
 	}

@@ -11,12 +11,13 @@ import (
 // TestSnapshotTablesPopulated checks that Build precomputes the frozen
 // searcher and every read-path table.
 func TestSnapshotTablesPopulated(t *testing.T) {
-	_, eng := zachWorld(t)
-	if eng.Frozen() == nil {
-		t.Fatal("no frozen index on the snapshot")
+	st, eng := zachWorld(t)
+	docs := len(st.Papers())
+	for _, u := range st.Users() {
+		docs += len(st.PresentationsOfUser(u)) + len(st.QuestionsBy(u))
 	}
-	if eng.Frozen().Len() != eng.Index().Len() {
-		t.Fatalf("frozen %d docs, live %d", eng.Frozen().Len(), eng.Index().Len())
+	if got := eng.Frozen().Len(); got != docs || docs == 0 {
+		t.Fatalf("frozen base holds %d docs, the store %d", got, docs)
 	}
 	for _, u := range eng.users {
 		if _, ok := eng.ctxVecs[u]; !ok {
@@ -55,7 +56,12 @@ func TestPrecomputedTablesMatchRecomputation(t *testing.T) {
 			t.Fatalf("content vector for %s: %d vs %d terms", u, len(gotC), len(wantC))
 		}
 	}
-	wantPop := eng.computeObjectPopularity()
+	wantPop := map[string]int{}
+	for _, ev := range eng.store.EventsSince(0, 0) {
+		if doc := eng.docIDForObject(ev.Object); doc != "" {
+			wantPop[doc]++
+		}
+	}
 	for doc, n := range wantPop {
 		if eng.popularityOf(doc) != n {
 			t.Fatalf("popularity[%s] = %d, want %d", doc, eng.popularityOf(doc), n)
@@ -63,13 +69,30 @@ func TestPrecomputedTablesMatchRecomputation(t *testing.T) {
 	}
 }
 
+// liveIndexOf rebuilds the live (locked, map-based) index — the parity
+// oracle — over the documents a snapshot serves. The engine keeps no
+// live index of its own.
+func liveIndexOf(t *testing.T, e *Engine) *textindex.Index {
+	t.Helper()
+	ix := textindex.NewIndex()
+	for _, id := range e.seg.DocIDs() {
+		text, err := e.seg.Text(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Add(id, text)
+	}
+	return ix
+}
+
 // TestEngineSearchMatchesLiveIndex checks the engine's frozen-backed
 // search equals the live index path end to end.
 func TestEngineSearchMatchesLiveIndex(t *testing.T) {
 	_, eng := zachWorld(t)
+	ix := liveIndexOf(t, eng)
 	for _, q := range []string{"graph partitioning", "diffusion kernel", "community", "nothing matches this"} {
 		frozen := eng.Search(q, 10)
-		live := eng.index.Search(q, 10)
+		live := ix.Search(q, 10)
 		if len(frozen) != len(live) {
 			t.Fatalf("Search(%q): frozen %d results, live %d", q, len(frozen), len(live))
 		}
@@ -80,14 +103,14 @@ func TestEngineSearchMatchesLiveIndex(t *testing.T) {
 		}
 	}
 	ctx := eng.ContextVector("zach")
-	frozen := eng.searchVector(ctx, 10)
-	live := eng.index.SearchVector(ctx, 10)
+	frozen := eng.seg.SearchVector(ctx, 10)
+	live := ix.SearchVector(ctx, 10)
 	if len(frozen) != len(live) {
-		t.Fatalf("searchVector: frozen %d, live %d", len(frozen), len(live))
+		t.Fatalf("SearchVector: frozen %d, live %d", len(frozen), len(live))
 	}
 	for i := range live {
 		if frozen[i] != live[i] {
-			t.Fatalf("searchVector rank %d: frozen %+v, live %+v", i, frozen[i], live[i])
+			t.Fatalf("SearchVector rank %d: frozen %+v, live %+v", i, frozen[i], live[i])
 		}
 	}
 }

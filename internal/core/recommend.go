@@ -111,22 +111,12 @@ func (e *Engine) personalizedRankFor(userID string, me graph.NodeID) []float64 {
 }
 
 // workpadPeerRefs returns the users pinned on the user's active workpad
-// from the snapshot table, overlay first (falling back to a live read
-// only on engines built without phase-2 tables).
+// from the snapshot table, overlay first.
 func (e *Engine) workpadPeerRefs(userID string) []string {
 	if refs, ok := e.wpRefsOver[userID]; ok {
 		return refs
 	}
-	if e.wpPeerRefs != nil {
-		return e.wpPeerRefs[userID]
-	}
-	var refs []string
-	for _, item := range e.WorkpadOf(userID) {
-		if item.Kind == "user" {
-			refs = append(refs, item.Ref)
-		}
-	}
-	return refs
+	return e.wpPeerRefs[userID]
 }
 
 // likelySessions predicts the sessions a user will attend: sessions
@@ -341,19 +331,12 @@ func applyActivity(vecs map[string]textindex.Vector, pop map[string]int, e *Engi
 }
 
 // interactionVectorOf returns one user's interaction vector, overlay
-// first (computed live only on engines without phase-2 tables).
+// first.
 func (e *Engine) interactionVectorOf(u string) textindex.Vector {
 	if v, ok := e.interOver[u]; ok {
 		return v
 	}
-	if e.interVecs != nil {
-		return e.interVecs[u]
-	}
-	vecs := map[string]textindex.Vector{}
-	for _, ev := range e.store.EventsByActor(u) {
-		applyActivity(vecs, map[string]int{}, e, ev)
-	}
-	return vecs[u]
+	return e.interVecs[u]
 }
 
 // eachInteractionVector visits every user's interaction vector with the
@@ -454,14 +437,10 @@ func (e *Engine) RecommendByPopularity(userID string, k int) []CFRecommendation 
 // eachPopularity visits every object's interaction count with the delta
 // overlay merged in (overlay entries carry absolute counts and win).
 func (e *Engine) eachPopularity(fn func(doc string, n int)) {
-	pop := e.popularity
-	if pop == nil {
-		pop = e.computeObjectPopularity()
-	}
 	for doc, n := range e.popOver {
 		fn(doc, n)
 	}
-	for doc, n := range pop {
+	for doc, n := range e.popularity {
 		if _, shadowed := e.popOver[doc]; !shadowed {
 			fn(doc, n)
 		}
@@ -474,16 +453,6 @@ func (e *Engine) popularityOf(doc string) int {
 		return n
 	}
 	return e.popularity[doc]
-}
-
-func (e *Engine) computeObjectPopularity() map[string]int {
-	pop := map[string]int{}
-	for _, ev := range e.store.EventsSince(0, 0) {
-		if doc := e.docIDForObject(ev.Object); doc != "" {
-			pop[doc]++
-		}
-	}
-	return pop
 }
 
 // --- Activity change monitoring (SCENT over the platform) ----------------------

@@ -51,23 +51,18 @@ const (
 
 // Config tunes the middleware stack. The zero value disables the
 // operational limits (no timeout, no in-flight cap, no rate limit, no
-// access log) and keeps gzip on — the right default for tests and
-// embedded use; cmd/hived wires real limits from flags.
+// access log) — the right default for tests and embedded use;
+// cmd/hived wires real limits from flags.
 type Config struct {
 	// Timeout bounds per-request handling time (0 = unbounded).
 	Timeout time.Duration
 	// MaxInFlight caps concurrent requests (0 = uncapped); excess gets 503.
 	MaxInFlight int
 	// QPS rate-limits requests globally (0 = unlimited); excess gets 429.
+	// The bucket holds one second's worth: max(1, QPS) requests.
 	QPS float64
-	// Burst is the rate limiter's bucket size (defaults to max(1, QPS)).
-	Burst int
 	// AccessLog, when set, receives one line per request.
 	AccessLog *log.Logger
-	// ErrorLog receives panic reports (defaults to log.Default()).
-	ErrorLog *log.Logger
-	// DisableGzip turns off response compression.
-	DisableGzip bool
 	// DisableMetrics turns off the instrumentation layer: no /metrics
 	// exposition, no per-route counters/histograms, no trace recording
 	// (inbound X-Hive-Trace-Id headers pass through unused).
@@ -109,10 +104,6 @@ func newServer(sh *hive.Sharded, cfg Config) *Server {
 	}
 	s.routes()
 
-	errLog := cfg.ErrorLog
-	if errLog == nil {
-		errLog = log.Default()
-	}
 	// Outermost first: tag, observe, log, catch panics, then enforce
 	// budget and load limits, compressing innermost so limit rejections
 	// stay cheap. Observe sits outside the access log so the log line
@@ -124,7 +115,7 @@ func newServer(sh *hive.Sharded, cfg Config) *Server {
 	if cfg.AccessLog != nil {
 		mws = append(mws, AccessLog(cfg.AccessLog))
 	}
-	mws = append(mws, Recover(errLog))
+	mws = append(mws, Recover(log.Default()))
 	if cfg.Timeout > 0 {
 		mws = append(mws, exceptPaths(Timeout(cfg.Timeout), timeoutExempt))
 	}
@@ -138,15 +129,9 @@ func newServer(sh *hive.Sharded, cfg Config) *Server {
 		mws = append(mws, exceptPaths(MaxInFlight(cfg.MaxInFlight), capExempt))
 	}
 	if cfg.QPS > 0 {
-		burst := cfg.Burst
-		if burst <= 0 {
-			burst = int(cfg.QPS)
-		}
-		mws = append(mws, exceptPaths(RateLimit(cfg.QPS, burst), capExempt))
+		mws = append(mws, exceptPaths(RateLimit(cfg.QPS, int(cfg.QPS)), capExempt))
 	}
-	if !cfg.DisableGzip {
-		mws = append(mws, Gzip)
-	}
+	mws = append(mws, Gzip)
 	s.h = Chain(s.mux, mws...)
 	return s
 }
@@ -222,7 +207,9 @@ func exceptPaths(mw Middleware, exempt func(string) bool) Middleware {
 func (s *Server) node() *hive.Platform { return s.sh.Shard(0) }
 
 // maybeRevalidate kicks a background refresh at most once per
-// minRevalidateInterval (the CAS makes one winner per window).
+// minRevalidateInterval (the CAS makes one winner per window), and only
+// on the shards that are themselves stale: a full build on a current
+// shard buys nothing and stalls it for the length of the build.
 func (s *Server) maybeRevalidate() {
 	now := time.Now().UnixNano()
 	last := s.lastReval.Load()
@@ -230,7 +217,11 @@ func (s *Server) maybeRevalidate() {
 		return
 	}
 	if s.lastReval.CompareAndSwap(last, now) {
-		s.sh.RefreshAsync()
+		for _, p := range s.sh.Shards() {
+			if p.Stale() {
+				p.RefreshAsync()
+			}
+		}
 	}
 }
 
@@ -721,9 +712,7 @@ func (s *Server) collectStateGauges() {
 		var overlayDocs, corpusDocs int
 		if eng := p.Snapshot(); eng != nil {
 			overlayDocs = eng.DeltaStats().OverlayDocs
-			if f := eng.Frozen(); f != nil {
-				corpusDocs = f.Len()
-			}
+			corpusDocs = eng.Frozen().Len()
 		}
 		overlay.With(id).Set(float64(overlayDocs))
 		corpus.With(id).Set(float64(corpusDocs))
@@ -870,9 +859,7 @@ func (s *Server) getHealthz(w http.ResponseWriter, r *http.Request) {
 		out.BuiltAt = eng.BuiltAt().UTC().Format(time.RFC3339Nano)
 		out.BuildMS = eng.BuildDuration().Milliseconds()
 		out.AgeMS = time.Since(eng.BuiltAt()).Milliseconds()
-		if f := eng.Frozen(); f != nil {
-			out.FrozenDocs = f.Len()
-		}
+		out.FrozenDocs = eng.Frozen().Len()
 	}
 	if err := p.LastRefreshError(); err != nil {
 		out.LastRefreshError = err.Error()

@@ -335,6 +335,59 @@ func TestConditional304StillRevalidates(t *testing.T) {
 	}
 }
 
+// TestRevalidationKicksOnlyStaleShards: a read that finds one shard
+// stale starts a background build on that shard alone — the current
+// shards keep their snapshots and are not stalled by builds that would
+// change nothing.
+func TestRevalidationKicksOnlyStaleShards(t *testing.T) {
+	ts, sh := newShardedServer(t, 4)
+	expectStatus(t, post(t, ts, "/api/v1/users", api.User{ID: "ann", Name: "Ann"}), http.StatusCreated)
+	if err := sh.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]uint64, sh.ShardCount())
+	for i, p := range sh.Shards() {
+		before[i] = p.Compactions()
+	}
+
+	// One owner's batch overflows the pending-event queue (4096) of the
+	// owning shard only.
+	var batch api.BatchRequest
+	for i := 0; i < 4200; i++ {
+		ent, err := api.NewBatchEntity(api.KindPaper, api.Paper{
+			ID: fmt.Sprintf("p%d", i), Title: "Graph partitioning", Authors: []string{"ann"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch.Entities = append(batch.Entities, ent)
+	}
+	expectStatus(t, post(t, ts, "/api/v1/batch", batch), http.StatusOK)
+	owner := sh.ShardOf("ann")
+	for i, p := range sh.Shards() {
+		if p.Stale() != (i == owner) {
+			t.Fatalf("shard %d stale = %v, owner is shard %d", i, p.Stale(), owner)
+		}
+	}
+
+	if code := get(t, ts, "/api/v1/search?q=graph&limit=2", nil); code != http.StatusOK {
+		t.Fatalf("search = %d", code)
+	}
+	// The kick registered its flights before the read returned, and
+	// Close waits for every flight in progress.
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range sh.Shards() {
+		moved := p.Compactions() - before[i]
+		if i == owner && moved == 0 {
+			t.Fatalf("stale shard %d was not compacted", i)
+		}
+		if i != owner && moved != 0 {
+			t.Fatalf("current shard %d ran %d compaction(s) for shard %d's staleness", i, moved, owner)
+		}
+	}
+}
+
 // TestBatchIngestSingleInvalidation is the batch acceptance criterion:
 // N entities, one store pass, exactly one snapshot invalidation.
 func TestBatchIngestSingleInvalidation(t *testing.T) {

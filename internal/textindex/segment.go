@@ -6,25 +6,6 @@ import (
 	"sort"
 )
 
-// Searcher is the read-path contract shared by Frozen and Segmented:
-// everything the knowledge engine needs to serve search, vectors and
-// raw text from an immutable snapshot of the corpus.
-type Searcher interface {
-	Len() int
-	DocIDs() []string
-	Text(docID string) (string, error)
-	TFIDFVector(docID string) (Vector, error)
-	DocNorm(docID string) float64
-	Search(query string, k int) []Result
-	SearchVector(query Vector, k int) []Result
-	SearchCompiled(cq *CompiledVector, k int) []Result
-}
-
-var (
-	_ Searcher = (*Frozen)(nil)
-	_ Searcher = (*Segmented)(nil)
-)
-
 // Segmented is an immutable LSM-style read view over a text corpus: the
 // frozen base segment from the last full build plus a small overlay
 // segment of documents added or updated since, merged on read. Overlay

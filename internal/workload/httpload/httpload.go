@@ -4,10 +4,8 @@
 // stays dependency-free (core and platform tests import it), while the
 // loaders pull in the client and contract packages.
 //
-// Two paths exist on purpose: Batch is the production bulk-ingest path
-// (chunked POST /api/v1/batch, one round trip and one snapshot
-// invalidation per chunk); PerEntity is the typed one-request-per-entity
-// baseline it is benchmarked against (cmd/hivebench E13).
+// Batch is the production bulk-ingest path: chunked POST /api/v1/batch,
+// one round trip and one snapshot invalidation per chunk.
 package httpload
 
 import (
@@ -136,73 +134,6 @@ func Batch(ctx context.Context, c *client.Client, ds *workload.Dataset, chunk in
 		if br.Failed > 0 {
 			return fmt.Errorf("httpload: batch chunk [%d:%d]: %d failed, first: %v",
 				start, end, br.Failed, br.Errors[0].Error)
-		}
-	}
-	return activateWorkpads(ctx, c, ds)
-}
-
-// PerEntity applies the dataset one typed request per entity: N round
-// trips and N snapshot invalidations instead of N/chunk and one per
-// chunk.
-func PerEntity(ctx context.Context, c *client.Client, ds *workload.Dataset) error {
-	for _, u := range ds.Users {
-		if err := c.CreateUser(ctx, u); err != nil {
-			return err
-		}
-	}
-	for _, cf := range ds.Conferences {
-		if err := c.CreateConference(ctx, cf); err != nil {
-			return err
-		}
-	}
-	for _, s := range ds.Sessions {
-		if err := c.CreateSession(ctx, s); err != nil {
-			return err
-		}
-	}
-	for _, p := range ds.Papers {
-		if err := c.CreatePaper(ctx, p); err != nil {
-			return err
-		}
-	}
-	for _, pr := range ds.Presentations {
-		if err := c.CreatePresentation(ctx, pr); err != nil {
-			return err
-		}
-	}
-	for _, cn := range dedupPairs(ds.Connections, true) {
-		if err := c.Connect(ctx, cn[0], cn[1]); err != nil {
-			return err
-		}
-	}
-	for _, f := range dedupPairs(ds.Follows, false) {
-		if err := c.Follow(ctx, f[0], f[1]); err != nil {
-			return err
-		}
-	}
-	for _, ci := range ds.CheckIns {
-		if err := c.CheckIn(ctx, ci[0], ci[1]); err != nil {
-			return err
-		}
-	}
-	for _, q := range ds.Questions {
-		if err := c.Ask(ctx, q); err != nil {
-			return err
-		}
-	}
-	for _, a := range ds.Answers {
-		if err := c.Answer(ctx, a); err != nil {
-			return err
-		}
-	}
-	for _, cm := range ds.Comments {
-		if err := c.Comment(ctx, cm); err != nil {
-			return err
-		}
-	}
-	for _, w := range ds.Workpads {
-		if err := c.CreateWorkpad(ctx, w); err != nil {
-			return err
 		}
 	}
 	return activateWorkpads(ctx, c, ds)

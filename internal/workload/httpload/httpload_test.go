@@ -28,7 +28,7 @@ func newAPIClient(t *testing.T) (*client.Client, *hive.Platform) {
 }
 
 // loadDirect applies the same dataset via the in-process store loader,
-// as the ground truth both HTTP paths must match.
+// as the ground truth the HTTP path must match.
 func loadDirect(t *testing.T, cfg workload.Config) *hive.Platform {
 	t.Helper()
 	p, err := hive.Open(hive.Options{})
@@ -79,24 +79,5 @@ func TestBatchMatchesLoad(t *testing.T) {
 	if got := invalidations.Load(); got > budget {
 		t.Fatalf("Batch cost %d invalidations for %d entities (budget %d)",
 			got, len(ents), budget)
-	}
-}
-
-// TestPerEntityMatchesLoad: the typed-request baseline lands the same
-// world too.
-func TestPerEntityMatchesLoad(t *testing.T) {
-	cfg := workload.Config{Seed: 11, Users: 8}
-	ds := workload.Generate(cfg)
-	direct := loadDirect(t, cfg)
-
-	c, p := newAPIClient(t)
-	if err := PerEntity(context.Background(), c, ds); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := p.Users(), direct.Users(); len(got) != len(want) {
-		t.Fatalf("users: %d vs %d", len(got), len(want))
-	}
-	if got, want := p.Store().Papers(), direct.Store().Papers(); len(got) != len(want) {
-		t.Fatalf("papers: %d vs %d", len(got), len(want))
 	}
 }

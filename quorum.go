@@ -197,9 +197,6 @@ func (p *Platform) CommitIndex() uint64 { return p.store.CommitIndex() }
 // QuorumWrites returns the configured write quorum (0 = async).
 func (p *Platform) QuorumWrites() int { return p.quorumK }
 
-// AckTimeout returns the bounded wait applied to quorum writes.
-func (p *Platform) AckTimeout() time.Duration { return p.ackTimeout }
-
 // PromotionDeferrals counts elections this node won but yielded because
 // a reachable peer held more history.
 func (p *Platform) PromotionDeferrals() uint64 { return p.deferrals.Load() }

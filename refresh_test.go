@@ -1,6 +1,7 @@
 package hive_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +167,51 @@ func TestPendingOverflowFallsBackToCompaction(t *testing.T) {
 	eng := p.Snapshot()
 	if eng == nil || len(p.Users()) < 8 {
 		t.Fatalf("snapshot incomplete after overflow compaction")
+	}
+}
+
+// TestCompactionDueByPolicy drives CompactionDue through the overlay
+// threshold rather than through overflow: every write folds its own
+// delta, so the snapshot is never stale, and the 257th overlay document
+// is the first past the 256 the policy allows. The compaction folds the
+// overlay into a fresh base.
+func TestCompactionDueByPolicy(t *testing.T) {
+	p, err := hive.Open(hive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	if err := p.RegisterUser(hive.User{ID: "ann", Name: "Ann"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	publish := func(i int) {
+		t.Helper()
+		err := p.PublishPaper(hive.Paper{ID: fmt.Sprintf("p%d", i), Title: "Overlay growth", Authors: []string{"ann"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		publish(i)
+	}
+	if ds := p.Snapshot().DeltaStats(); p.CompactionDue() || ds.OverlayDocs != 256 {
+		t.Fatalf("at the threshold: due=%v, stats %+v", p.CompactionDue(), ds)
+	}
+	publish(256)
+	if !p.CompactionDue() || p.Stale() {
+		t.Fatalf("257 overlay docs: due=%v stale=%v, want due and current", p.CompactionDue(), p.Stale())
+	}
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if ds := p.Snapshot().DeltaStats(); p.CompactionDue() || ds.OverlayDocs != 0 {
+		t.Fatalf("after compaction: due=%v, stats %+v", p.CompactionDue(), ds)
+	}
+	if res, err := p.Search("overlay growth", 300); err != nil || len(res) != 257 {
+		t.Fatalf("compacted base serves %d of 257 papers (err %v)", len(res), err)
 	}
 }
 

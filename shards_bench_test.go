@@ -1,5 +1,5 @@
-// Sharded write-path and scatter-gather benchmarks (the PR-9 tentpole;
-// E18 in cmd/hivebench measures the same paths over real HTTP).
+// Sharded write-path and scatter-gather benchmarks (E18; hiveload's
+// sharded_mixed workload measures the same paths over real HTTP).
 //
 //	go test -bench='Sharded|ScatterGather' -benchmem
 package hive_test
