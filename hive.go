@@ -5,15 +5,22 @@
 // peer discovery and explanation, collaborative recommendation, community
 // discovery, and activity change monitoring.
 //
-// A Platform wraps the durable social store and the MiNC knowledge engine.
-// Mutations (users, papers, check-ins, questions, workpads, ...) apply
-// immediately and become visible to the knowledge services within the
-// same call: the store emits typed change events and the platform folds
-// them into the serving snapshot as an incremental delta (milliseconds,
-// proportional to the write — not the corpus). Full rebuilds are demoted
-// to *compaction*: they fold the accumulated overlay into a fresh base
+// A Platform is one shard: the durable social store, its change journal
+// and the MiNC knowledge engine kept current over it. Mutations (users,
+// papers, check-ins, questions, workpads, ...) apply immediately and
+// become visible to the knowledge services within the same call: the
+// store emits typed change events and the platform folds them into the
+// serving snapshot as an incremental delta (milliseconds, proportional
+// to the write — not the corpus). Full rebuilds are demoted to
+// *compaction*: they fold the accumulated overlay into a fresh base
 // snapshot and refresh the evidence graphs, on the AutoRefresh cadence
 // or an explicit Refresh.
+//
+// The services themselves — Table 1 of the paper — are declared once, on
+// Sharded: N >= 1 Platforms behind an owner-hash router (shards.go). A
+// Platform embeds the one-shard router of itself, so it has the same
+// method set, and Open and OpenSharded(1, ...) answer every call through
+// the same code.
 //
 //	p, _ := hive.Open(hive.Options{Dir: ""}) // in-memory
 //	defer p.Close()
@@ -155,7 +162,24 @@ type Options struct {
 	JournalRetain int
 }
 
-// Platform is the assembled Hive instance.
+// Platform is one shard of a Hive instance — a standalone instance is
+// the one-shard case — owning a store, its journal, the delta pipeline,
+// the serving snapshot and the replication role. Beyond the methods
+// declared on it, a *Platform has every method of *Sharded — the
+// mutations, entity reads and knowledge services — promoted from the
+// one-shard router it embeds (godoc lists them under Sharded). The
+// router's routing calls come along (ShardOf, ShardCount, Shards, Shard,
+// EngineFor, Batched, FeedPage) and describe that one-shard view — on a
+// shard of a larger deployment ShardCount is still 1 while ShardID is
+// the shard's real position; route through the deployment's Sharded.
+//
+// The promoted services answer from the published snapshot and never
+// wait on maintenance: a write folds its own delta before it returns,
+// but a write that found another fold in flight, or a batch that
+// overflowed the event queue (more than 4096 events), is served one
+// background run later — the read that finds the overflow kicks that
+// compaction. Call Engine (or Refresh) first when the next read must see
+// everything written so far.
 //
 // The knowledge engine is an immutable snapshot published through an
 // atomic pointer: readers load the current snapshot without locking.
@@ -167,6 +191,11 @@ type Options struct {
 // half-built engine, and reads keep being served from the old snapshot
 // for the entire rebuild.
 type Platform struct {
+	// The one-shard Sharded of this platform (set by Open, returned by
+	// OneShard). Its methods are the platform's service surface; the
+	// maintenance calls Platform declares itself shadow the router's.
+	*router
+
 	store   *social.Store
 	workers int
 	// shardID is this platform's position in a sharded deployment's
@@ -257,8 +286,9 @@ func Open(opts Options) (*Platform, error) {
 		return nil, err
 	}
 	p := &Platform{store: st, workers: opts.Workers}
+	p.router = &router{shards: []*Platform{p}}
 	// Every store write feeds the change log — including writes that
-	// bypass the Platform wrappers and hit Store() directly. The
+	// bypass the service methods and hit Store() directly. The
 	// subscription queues the events and folds them into the serving
 	// snapshot before the write returns.
 	// On a follower the same path fires when replicated batches are
@@ -562,10 +592,10 @@ func (p *Platform) LastRefreshError() error {
 }
 
 // Engine returns a fresh engine snapshot, draining pending change
-// events first if data changed since the last swap (read-your-writes
-// for library callers — normally a no-op, since writes apply their own
-// deltas synchronously). Serving paths that prefer availability over
-// freshness should use Snapshot instead.
+// events first if data changed since the last swap — the explicit
+// drain-then-read call; normally a no-op, since writes apply their own
+// deltas synchronously. The service methods do not drain: they answer
+// from the published snapshot (serving), as Snapshot does.
 func (p *Platform) Engine() (*core.Engine, error) {
 	if p.Stale() || p.current.Load() == nil {
 		if err := p.ApplyDeltas(); err != nil {
@@ -633,13 +663,13 @@ func (p *Platform) LastDeltaDuration() time.Duration {
 	return time.Duration(p.lastDeltaNs.Load())
 }
 
-// AutoRefresh starts a background loop that runs a compaction every
-// interval while one is due (CompactionDue) or the snapshot is
-// stale, keeping overlay size and evidence-graph drift bounded without
-// any rebuild cost on the read or write paths. It replaces a previously
-// started loop; a non-positive interval just stops the current loop
-// (auto-refresh disabled). Stop it with StopAutoRefresh (Close does
-// too).
+// AutoRefresh starts a background loop that every interval runs a
+// compaction if one is due (CompactionDue) and otherwise drains events
+// left unapplied (tick), keeping overlay size and evidence-graph drift
+// bounded without any rebuild cost on the read or write paths. It
+// replaces a previously started loop; a non-positive interval just
+// stops the current loop (auto-refresh disabled). Stop it with
+// StopAutoRefresh (Close does too).
 func (p *Platform) AutoRefresh(interval time.Duration) {
 	if interval <= 0 {
 		p.StopAutoRefresh()
@@ -675,12 +705,24 @@ func (p *Platform) AutoRefresh(interval time.Duration) {
 			case <-stop:
 				return
 			case <-t.C:
-				if p.CompactionDue() || p.Stale() {
-					_ = p.Refresh()
-				}
+				p.tick()
 			}
 		}
 	}()
+}
+
+// tick is one AutoRefresh beat. Only the compaction policy buys a full
+// build; plain staleness — a beat landing while a write's fold is in
+// flight — drains through the delta path, which itself falls back to a
+// build when there is no snapshot yet or the queue overflowed. Errors
+// are kept for LastRefreshError.
+func (p *Platform) tick() {
+	switch {
+	case p.CompactionDue():
+		_ = p.Refresh()
+	case p.Stale():
+		_ = p.ApplyDeltas()
+	}
 }
 
 // StopAutoRefresh stops the AutoRefresh loop, if running, and waits for

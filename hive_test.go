@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -272,8 +273,10 @@ func TestHashtagBroadcast(t *testing.T) {
 	}
 }
 
-// TestPlatformWrapperSurface exercises every knowledge-service wrapper
-// once against the scenario world, so API regressions surface here.
+// TestPlatformWrapperSurface exercises every service a Platform has by
+// promotion from its one-shard router once against the scenario world,
+// so API regressions surface here — and a Sharded method that calls the
+// same name on its shard (which is now itself) overflows the stack here.
 func TestPlatformWrapperSurface(t *testing.T) {
 	p := openTest(t)
 	must := func(err error) {
@@ -351,6 +354,54 @@ func TestPlatformWrapperSurface(t *testing.T) {
 	}
 	if evs := p.EventsByTag("#g"); len(evs) == 0 {
 		t.Fatal("EventsByTag empty")
+	}
+	if page, next, err := p.FeedPage(context.Background(), "zach", "", 1); err != nil || len(page) != 1 || next == "" {
+		t.Fatalf("FeedPage = %v, %q, %v", page, next, err)
+	}
+	if n := p.ShardCount(); n != 1 || OneShard(p).Shard(0) != p {
+		t.Fatalf("ShardCount = %d; want 1, with p itself as the one shard", n)
+	}
+}
+
+// TestAutoRefreshTickDrainsWithoutCompacting: a beat that finds events
+// pending with no compaction threshold crossed — it landed while a
+// write's fold was in flight — drains them through the delta path and
+// does not buy a full build.
+func TestAutoRefreshTickDrainsWithoutCompacting(t *testing.T) {
+	p := openTest(t)
+	if err := p.RegisterUser(User{ID: "u", Name: "U"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the maintenance flight so the write below queues its events
+	// instead of folding them, then let go without draining.
+	f, started, err := p.beginFlight(false)
+	if err != nil || !started {
+		t.Fatalf("beginFlight: started=%v err=%v", started, err)
+	}
+	if err := p.PublishPaper(Paper{ID: "p", Title: "Pending delta", Authors: []string{"u"}}); err != nil {
+		t.Fatal(err)
+	}
+	p.flightMu.Lock()
+	p.flight = nil
+	p.flightMu.Unlock()
+	close(f.done)
+	if !p.Stale() || p.CompactionDue() {
+		t.Fatalf("setup: Stale=%v CompactionDue=%v, want stale and no compaction due", p.Stale(), p.CompactionDue())
+	}
+
+	compactions := p.Compactions()
+	p.tick()
+	if p.Stale() {
+		t.Fatal("tick left the snapshot stale")
+	}
+	if got := p.Compactions(); got != compactions {
+		t.Fatalf("tick ran %d compaction(s) for plain staleness", got-compactions)
+	}
+	if rs, err := p.Search("pending delta", 1); err != nil || len(rs) != 1 {
+		t.Fatalf("drained write not searchable: %v, %v", rs, err)
 	}
 }
 

@@ -86,7 +86,7 @@ func zachWorld(t *testing.T) (*social.Store, *Engine) {
 	}})
 	_ = st.SetActiveWorkpad("zach", "w-zach")
 
-	eng, err := Build(st)
+	eng, err := (&Builder{Store: st}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func buildWorkloadEngine(t *testing.T, users int) *Engine {
 	if err := ds.Load(st); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Build(st)
+	eng, err := (&Builder{Store: st}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

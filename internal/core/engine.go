@@ -140,12 +140,6 @@ type Engine struct {
 // population, so simple wipe beats LRU bookkeeping here.
 const pprMemoMax = 4096
 
-// Build assembles an engine snapshot from a social store with default
-// parallelism. It is shorthand for (&Builder{Store: st}).Build().
-func Build(st *social.Store) (*Engine, error) {
-	return (&Builder{Store: st}).Build()
-}
-
 // DeltaStats summarizes a snapshot's incremental-maintenance state: how
 // far it has drifted from its last full build and how much merge-on-
 // read work the overlay carries. The platform's compaction policy and

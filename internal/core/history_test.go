@@ -159,7 +159,7 @@ func TestKnowledgePaths(t *testing.T) {
 func TestTrackCommunitiesStable(t *testing.T) {
 	// Two engines over the same store must track ~perfectly.
 	st, eng := zachWorld(t)
-	eng2, err := Build(st)
+	eng2, err := (&Builder{Store: st}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestTrackCommunitiesAcrossEditions(t *testing.T) {
 	if err := ds.Load(st); err != nil {
 		t.Fatal(err)
 	}
-	year1, err := Build(st)
+	year1, err := (&Builder{Store: st}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTrackCommunitiesAcrossEditions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	year2, err := Build(st)
+	year2, err := (&Builder{Store: st}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

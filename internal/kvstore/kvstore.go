@@ -22,6 +22,11 @@
 // in-memory index is updated. On open, the snapshot (if any) is loaded and
 // the WAL tail is replayed; torn tail records are detected via CRC and
 // truncated, mirroring standard database recovery.
+//
+// Compact writes a snapshot and truncates the WAL, but only when a
+// caller asks: nothing in hived does (ImportSnapshot, a follower's
+// bootstrap, is the one path that resets the log), so a node's wal.log
+// grows for the life of its data dir and Open replays all of it.
 package kvstore
 
 import (
@@ -57,9 +62,6 @@ type Store struct {
 	// examined counts the keys the range reads looked at, matched or
 	// not; tests use it to prove a read stays inside its range.
 	examined atomic.Int64
-	// walRecords counts records appended since the last compaction; used
-	// by MaybeCompact.
-	walRecords int
 	// writeHook, when set, observes every committed write (see
 	// SetWriteHook).
 	writeHook func(key string, val []byte, del bool)
@@ -91,7 +93,7 @@ func Open(dir string) (*Store, error) {
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	n, err := replayWAL(s.walPath(), func(op byte, key, val []byte) {
+	err := replayWAL(s.walPath(), func(op byte, key, val []byte) {
 		switch op {
 		case opPut:
 			s.mem[string(key)] = append([]byte(nil), val...)
@@ -102,7 +104,6 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.walRecords = n
 	s.reindexLocked()
 	w, err := openWALWriter(s.walPath())
 	if err != nil {
@@ -126,7 +127,6 @@ func (s *Store) Put(key string, val []byte) error {
 		if err := s.wal.append(opPut, []byte(key), val); err != nil {
 			return err
 		}
-		s.walRecords++
 	}
 	s.putLocked(key, val)
 	if s.writeHook != nil {
@@ -195,7 +195,6 @@ func (s *Store) Delete(key string) error {
 		if err := s.wal.append(opDelete, []byte(key), nil); err != nil {
 			return err
 		}
-		s.walRecords++
 	}
 	s.deleteLocked(key)
 	if s.writeHook != nil {
@@ -379,13 +378,11 @@ func (s *Store) apply(b *Batch, hook bool) error {
 			if err := s.wal.append(opPut, []byte(k), v); err != nil {
 				return err
 			}
-			s.walRecords++
 		}
 		for k := range b.deletes {
 			if err := s.wal.append(opDelete, []byte(k), nil); err != nil {
 				return err
 			}
-			s.walRecords++
 		}
 	}
 	for k, v := range b.puts {
@@ -475,20 +472,7 @@ func (s *Store) resetWALLocked() error {
 		return err
 	}
 	s.wal = w
-	s.walRecords = 0
 	return nil
-}
-
-// MaybeCompact compacts when more than threshold records have accumulated
-// in the WAL since the last compaction.
-func (s *Store) MaybeCompact(threshold int) error {
-	s.mu.RLock()
-	n := s.walRecords
-	s.mu.RUnlock()
-	if n <= threshold {
-		return nil
-	}
-	return s.Compact()
 }
 
 // Close flushes and closes the store. Further operations fail with

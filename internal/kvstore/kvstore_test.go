@@ -282,29 +282,6 @@ func TestWritesAfterCompactSurvive(t *testing.T) {
 	}
 }
 
-func TestMaybeCompact(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	defer s.Close()
-	for i := 0; i < 10; i++ {
-		_ = s.Put(fmt.Sprintf("k%d", i), nil)
-	}
-	if err := s.MaybeCompact(100); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := os.Stat(filepath.Join(dir, "wal.log"))
-	if st.Size() == 0 {
-		t.Fatal("compacted below threshold")
-	}
-	if err := s.MaybeCompact(5); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = os.Stat(filepath.Join(dir, "wal.log"))
-	if st.Size() != 0 {
-		t.Fatal("did not compact above threshold")
-	}
-}
-
 func TestBatchAtomicVisibility(t *testing.T) {
 	s := openTemp(t)
 	_ = s.Put("del", []byte("x"))

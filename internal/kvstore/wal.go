@@ -78,27 +78,26 @@ func writeRecord(buf *bytes.Buffer, op byte, key, val []byte) {
 	buf.Write(payload.Bytes())
 }
 
-// replayWAL replays the log at path, truncating any torn tail, and returns
-// the number of good records.
-func replayWAL(path string, apply func(op byte, key, val []byte)) (int, error) {
+// replayWAL replays the log at path, truncating any torn tail.
+func replayWAL(path string, apply func(op byte, key, val []byte)) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, nil
+			return nil
 		}
-		return 0, fmt.Errorf("kvstore: read wal: %w", err)
+		return fmt.Errorf("kvstore: read wal: %w", err)
 	}
 	goodLen, err := replayRecords(data, apply)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if goodLen.offset < len(data) {
 		// Torn tail: truncate so future appends start from a clean state.
 		if err := os.Truncate(path, int64(goodLen.offset)); err != nil {
-			return 0, fmt.Errorf("kvstore: truncate torn wal: %w", err)
+			return fmt.Errorf("kvstore: truncate torn wal: %w", err)
 		}
 	}
-	return goodLen.count, nil
+	return nil
 }
 
 type replayResult struct {

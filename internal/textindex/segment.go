@@ -314,46 +314,14 @@ func (s *Segmented) DocNorm(docID string) float64 {
 }
 
 // Search ranks live documents against the query with BM25, identically
-// to a full rebuild over the merged corpus.
+// to a full rebuild over the merged corpus: SearchStats under the view's
+// own statistics.
 func (s *Segmented) Search(query string, k int) []Result {
 	if s.pristine() {
 		return s.base.Search(query, k)
 	}
-	if s.nDocs == 0 {
-		return nil
-	}
-	avgLen := float64(s.totalLen) / float64(s.nDocs)
-	if avgLen == 0 {
-		avgLen = 1
-	}
-	scores := make(map[string]float64)
-	for _, term := range Terms(query) {
-		df := s.df(term)
-		if df == 0 {
-			continue
-		}
-		idf := idfFor(df, s.nDocs)
-		if ti, ok := s.base.terms[term]; ok {
-			for j := ti.off; j < ti.off+ti.n; j++ {
-				d := s.base.postDoc[j]
-				id := s.base.ids[d]
-				if _, gone := s.dead[id]; gone {
-					continue
-				}
-				tf := float64(s.base.postTF[j])
-				dl := float64(s.base.docLen[d])
-				scores[id] += idf * tf * (bm25K1 + 1) /
-					(tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
-			}
-		}
-		for _, p := range s.overPost[term] {
-			tf := float64(p.tf)
-			dl := float64(s.over[p.doc].length)
-			scores[p.doc] += idf * tf * (bm25K1 + 1) /
-				(tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
-		}
-	}
-	return topResults(scores, k)
+	terms := Terms(query)
+	return s.searchTerms(terms, k, s.Stats(terms))
 }
 
 // SearchVector ranks live documents by cosine similarity to the query

@@ -53,13 +53,20 @@ func MergeStats(parts []CorpusStats) CorpusStats {
 }
 
 // SearchStats ranks this view's documents against the query under the
-// supplied global statistics instead of the view's own. It mirrors
-// Search expression for expression — same IDF formula, same BM25
-// accumulation order over base postings then overlay postings — so a
-// document scores identically whether its shard or an unsharded build
-// ranks it. The pristine fast path is deliberately not taken: the
-// base's precomputed IDFs are local, not global.
+// supplied global statistics instead of the view's own. It is the one
+// BM25 loop over a view — Search is this under the view's own Stats —
+// with the live index's IDF formula and accumulation order (base
+// postings, then overlay postings), so a document scores identically
+// whether its shard or an unsharded build ranks it. The pristine fast
+// path is deliberately not taken: the base's precomputed IDFs are
+// local, not global.
 func (s *Segmented) SearchStats(query string, k int, g CorpusStats) []Result {
+	return s.searchTerms(Terms(query), k, g)
+}
+
+// searchTerms is SearchStats over an already tokenised query, so Search
+// tokenises once for both its statistics and its scoring.
+func (s *Segmented) searchTerms(terms []string, k int, g CorpusStats) []Result {
 	if g.Docs == 0 || s.nDocs == 0 {
 		return nil
 	}
@@ -68,7 +75,7 @@ func (s *Segmented) SearchStats(query string, k int, g CorpusStats) []Result {
 		avgLen = 1
 	}
 	scores := make(map[string]float64)
-	for _, term := range Terms(query) {
+	for _, term := range terms {
 		df := g.DF[term]
 		if df == 0 {
 			continue

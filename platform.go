@@ -1,334 +1,41 @@
 package hive
 
-import "time"
+import (
+	"context"
 
-// Mutation API: thin wrappers over the social store. Snapshot
-// maintenance is handled by the store's typed change log (subscribed in
-// Open): every write — through these wrappers or directly against
-// Store() — emits ChangeEvents that the platform folds into the serving
-// snapshot as an incremental delta before the write returns.
-//
-// On a replication follower every wrapper rejects with a NotLeaderError
-// naming the leader (replicated state arrives via the journal tail, not
-// these methods). Direct Store() writes bypass the guard — advanced
-// callers on a follower would fork it from the leader.
-//
-// With quorum writes enabled (ClusterConfig.QuorumWrites > 0) every
-// wrapper additionally holds its response until the write's change
-// sequence is acknowledged by a quorum of followers, bounded by the ack
-// timeout — see quorum.go.
+	"hive/internal/social"
+)
+
+// A Platform's service surface is its embedded one-shard router (see
+// Open): every mutation, entity read and knowledge service is declared
+// once, on *Sharded, and promoted. What this file keeps is the per-shard
+// write primitive those services run through and the two search calls
+// whose library signature has no context.
 
 // mutate runs one store mutation through the write fence and, when
 // quorum writes are enabled, holds the response until the write is
-// quorum-acknowledged. Every mutation wrapper funnels through it so the
-// durability mode is uniform across the write surface.
-func (p *Platform) mutate(fn func() error) error {
+// quorum-acknowledged. Every Sharded mutation funnels through it so the
+// durability mode is uniform across the write surface. Direct Store()
+// writes bypass the fence — on a follower they would fork it from the
+// leader.
+func (p *Platform) mutate(fn func(st *social.Store) error) error {
 	if err := p.writable(); err != nil {
 		return err
 	}
-	if err := fn(); err != nil {
+	if err := fn(p.store); err != nil {
 		return err
 	}
 	return p.waitQuorum()
 }
 
-// RegisterUser creates or updates a researcher profile.
-func (p *Platform) RegisterUser(u User) error {
-	return p.mutate(func() error { return p.store.PutUser(u) })
-}
-
-// GetUser fetches a user profile.
-func (p *Platform) GetUser(id string) (User, error) { return p.store.User(id) }
-
-// Users lists all user IDs.
-func (p *Platform) Users() []string { return p.store.Users() }
-
-// CreateConference registers a conference edition.
-func (p *Platform) CreateConference(c Conference) error {
-	return p.mutate(func() error { return p.store.PutConference(c) })
-}
-
-// CreateSession registers a session within a conference.
-func (p *Platform) CreateSession(s Session) error {
-	return p.mutate(func() error { return p.store.PutSession(s) })
-}
-
-// PublishPaper registers a paper with its authors and citations.
-func (p *Platform) PublishPaper(pa Paper) error {
-	return p.mutate(func() error { return p.store.PutPaper(pa) })
-}
-
-// UploadPresentation attaches slide content to a paper (the §1.1 "uploads
-// his presentation slides" step).
-func (p *Platform) UploadPresentation(pr Presentation) error {
-	return p.mutate(func() error {
-		if err := p.store.PutPresentation(pr); err != nil {
-			return err
-		}
-		_, err := p.store.LogEvent(pr.Owner, "upload", pr.ID, nil)
-		return err
-	})
-}
-
-// Connect establishes a mutual connection between two researchers.
-func (p *Platform) Connect(a, b string) error {
-	return p.mutate(func() error { return p.store.Connect(a, b) })
-}
-
-// Connected reports whether two users are connected.
-func (p *Platform) Connected(a, b string) bool { return p.store.Connected(a, b) }
-
-// Follow subscribes follower to followee's activity.
-func (p *Platform) Follow(follower, followee string) error {
-	return p.mutate(func() error { return p.store.Follow(follower, followee) })
-}
-
-// Unfollow removes a follow edge.
-func (p *Platform) Unfollow(follower, followee string) error {
-	return p.mutate(func() error { return p.store.Unfollow(follower, followee) })
-}
-
-// CheckIn records session attendance and broadcasts it (with the session
-// hashtag when present).
-func (p *Platform) CheckIn(sessionID, userID string) error {
-	return p.mutate(func() error { return p.store.CheckIn(sessionID, userID) })
-}
-
-// Attendees lists the users checked into a session.
-func (p *Platform) Attendees(sessionID string) []string { return p.store.Attendees(sessionID) }
-
-// Ask posts a question about a presentation, paper or session.
-func (p *Platform) Ask(q Question) error {
-	return p.mutate(func() error { return p.store.AskQuestion(q) })
-}
-
-// AnswerQuestion posts an answer.
-func (p *Platform) AnswerQuestion(a Answer) error {
-	return p.mutate(func() error { return p.store.PostAnswer(a) })
-}
-
-// PostComment attaches a comment to an entity.
-func (p *Platform) PostComment(c Comment) error {
-	return p.mutate(func() error { return p.store.PostComment(c) })
-}
-
-// QuestionsAbout lists question IDs targeting an entity.
-func (p *Platform) QuestionsAbout(target string) []string { return p.store.QuestionsAbout(target) }
-
-// AnswersTo lists answer IDs of a question.
-func (p *Platform) AnswersTo(questionID string) []string { return p.store.AnswersTo(questionID) }
-
-// CreateWorkpad creates or replaces a workpad.
-func (p *Platform) CreateWorkpad(w Workpad) error {
-	return p.mutate(func() error { return p.store.PutWorkpad(w) })
-}
-
-// AddToWorkpad drags a resource onto a workpad.
-func (p *Platform) AddToWorkpad(workpadID string, item WorkpadItem) error {
-	return p.mutate(func() error { return p.store.AddToWorkpad(workpadID, item) })
-}
-
-// ActivateWorkpad selects the user's active context.
-func (p *Platform) ActivateWorkpad(owner, workpadID string) error {
-	return p.mutate(func() error { return p.store.SetActiveWorkpad(owner, workpadID) })
-}
-
-// ActiveWorkpad returns the user's active workpad.
-func (p *Platform) ActiveWorkpad(owner string) (Workpad, error) {
-	return p.store.ActiveWorkpad(owner)
-}
-
-// ExportCollection publishes a workpad as a shareable collection.
-func (p *Platform) ExportCollection(workpadID, collectionID string) (Collection, error) {
-	var col Collection
-	err := p.mutate(func() error {
-		var err error
-		col, err = p.store.ExportCollection(workpadID, collectionID)
-		return err
-	})
-	return col, err
-}
-
-// ImportCollection copies a collection into a new active workpad.
-func (p *Platform) ImportCollection(collectionID, owner, workpadID string) (Workpad, error) {
-	var w Workpad
-	err := p.mutate(func() error {
-		var err error
-		w, err = p.store.ImportCollection(collectionID, owner, workpadID)
-		return err
-	})
-	return w, err
-}
-
-// Feed returns the user's real-time update feed (events by followees).
-func (p *Platform) Feed(userID string, limit int) []Event { return p.store.Feed(userID, limit) }
-
-// EventsByTag returns the hashtag fan-out for a tag.
-func (p *Platform) EventsByTag(tag string) []Event { return p.store.EventsByTag(tag) }
-
-// LogBrowse records a browsing event (used for activity similarity and
-// collaborative filtering).
-func (p *Platform) LogBrowse(userID, object string) error {
-	return p.mutate(func() error {
-		_, err := p.store.LogEvent(userID, "browse", object, nil)
-		return err
-	})
-}
-
-// --- Knowledge services (engine-backed) ---------------------------------------
-
-// Explain discovers and explains the relationship between two researchers
-// (Figure 2).
-func (p *Platform) Explain(a, b string) (Explanation, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return Explanation{}, err
-	}
-	return eng.Explain(a, b)
-}
-
-// RecommendPeers suggests up to k new peers with evidence and likely
-// sessions.
-func (p *Platform) RecommendPeers(userID string, k int) ([]PeerRecommendation, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.RecommendPeers(userID, k)
-}
-
-// SuggestSessions ranks a conference's sessions for the user.
-func (p *Platform) SuggestSessions(userID, confID string, k int) ([]SessionSuggestion, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.SuggestSessions(userID, confID, k)
-}
-
-// RecommendResources suggests documents, optionally conditioned on the
-// active workpad context.
-func (p *Platform) RecommendResources(userID string, k int, useContext bool) ([]ResourceRecommendation, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.RecommendResources(userID, k, useContext)
-}
-
-// Search runs keyword search over all content.
+// Search runs keyword search over all content (Sharded.Search without a
+// request trace).
 func (p *Platform) Search(query string, k int) ([]SearchResult, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	defer mSearchSeconds.ObserveSince(time.Now())
-	return eng.Search(query, k), nil
+	return p.router.Search(context.Background(), query, k)
 }
 
 // SearchWithContext runs context-aware search conditioned on the user's
-// active workpad.
+// active workpad (Sharded.SearchWithContext without a request trace).
 func (p *Platform) SearchWithContext(userID, query string, k int) ([]SearchResult, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	defer mSearchSeconds.ObserveSince(time.Now())
-	return eng.SearchWithContext(userID, query, k), nil
-}
-
-// Preview extracts the k most context-relevant snippets of a document.
-func (p *Platform) Preview(userID, docID string, k int) ([]Snippet, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.Preview(userID, docID, k)
-}
-
-// Annotate extracts key concepts of a document for automated annotation.
-func (p *Platform) Annotate(docID string, k int) ([]Keyphrase, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.Annotate(docID, k)
-}
-
-// UpdateDigest produces the size-constrained summary of the user's feed.
-func (p *Platform) UpdateDigest(userID string, budget int) (*Summary, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.UpdateDigest(userID, budget)
-}
-
-// Communities returns the discovered peer communities (user ID lists,
-// largest first).
-func (p *Platform) Communities() ([][]string, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.Communities(), nil
-}
-
-// CommunityOf returns the community containing the user.
-func (p *Platform) CommunityOf(userID string) ([]string, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.CommunityOf(userID), nil
-}
-
-// MonitorActivity runs SCENT change detection over the platform's
-// activity stream, one epoch per epochEvents events.
-func (p *Platform) MonitorActivity(epochEvents int) ([]ChangeResult, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.MonitorActivity(epochEvents)
-}
-
-// DetectOverlap reports content reuse between two indexed documents.
-func (p *Platform) DetectOverlap(docA, docB string) (resemblance, containment float64, err error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return 0, 0, err
-	}
-	return eng.DetectOverlap(docA, docB)
-}
-
-// SearchHistory searches the user's personal activity history, optionally
-// ranked by the active context (Table 1, "personal activity history
-// services").
-func (p *Platform) SearchHistory(userID, query string, useContext bool, limit int) ([]HistoryEntry, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.SearchHistory(userID, query, useContext, limit)
-}
-
-// ExplainResource explains the relationship between a user and a resource
-// (paper, presentation, session).
-func (p *Platform) ExplainResource(userID, entity string) ([]ResourceEvidence, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.ExplainResource(userID, entity)
-}
-
-// KnowledgePaths returns ranked weighted knowledge-base paths between two
-// entities (prefix IDs with "user:", "paper:" or "session:").
-func (p *Platform) KnowledgePaths(a, b string, k int) ([]KnowledgePath, error) {
-	eng, err := p.Engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.KnowledgePaths(a, b, k), nil
+	return p.router.SearchWithContext(context.Background(), userID, query, k)
 }

@@ -149,6 +149,53 @@ func TestSnapshotLifecycleOverflow(t *testing.T) {
 	}
 }
 
+// TestOverflowThenLibraryReadConverges: a standalone Platform — no
+// server to kick a refresh, no AutoRefresh loop — bulk-loads more
+// events than the queue holds and then only reads. The service methods
+// answer from the published snapshot, so the first read may predate the
+// load, but it must start the compaction that repairs the overflow:
+// the load becomes visible without any explicit maintenance call.
+func TestOverflowThenLibraryReadConverges(t *testing.T) {
+	p := refreshPlatform(t, 8)
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	author := p.Users()[0]
+	err := p.Batched(func() error {
+		for i := 0; i < 4200; i++ {
+			if err := p.PublishPaper(hive.Paper{
+				ID: fmt.Sprintf("bulk-%d", i), Title: "Zymurgy of overflowed queues", Authors: []string{author},
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Stale() || !p.CompactionDue() {
+		t.Fatalf("setup: Stale=%v CompactionDue=%v, want an overflowed queue", p.Stale(), p.CompactionDue())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		res, err := p.Search("zymurgy", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) == 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("library reads served the pre-load snapshot indefinitely (%d results, stale=%v)", len(res), p.Stale())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if p.Stale() {
+		t.Fatal("still stale after the read-kicked compaction served the load")
+	}
+}
+
 // TestPendingOverflowFallsBackToCompaction floods the event queue while
 // no snapshot exists: the queue overflows, staleness persists, and the
 // next refresh recovers everything with one full build.

@@ -373,8 +373,9 @@ func backoffDelay(failures int) time.Duration {
 	return d
 }
 
-// writable gates every mutation wrapper: followers reject writes with a
-// typed error naming the leader and term, so clients can redirect.
+// writable gates every mutation (Platform.mutate): followers reject
+// writes with a typed error naming the leader and term, so clients can
+// redirect.
 func (p *Platform) writable() error {
 	if p.role.Load() != roleLeader {
 		return &NotLeaderError{Leader: p.leaderHint(), Epoch: p.store.Epoch(), Shard: p.shardID}

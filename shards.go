@@ -51,18 +51,30 @@ import (
 	"hive/internal/topk"
 )
 
-// Sharded is the serving backend: N >= 1 shard-leader Platforms in one
-// process behind an owner-hash router. It is the one shape the server
-// and hived hold — a standalone Platform is served as a Sharded of one
-// shard (OneShard), where routing always picks shard 0 and reads run
-// inline with no fan-out.
+// Sharded is the serving backend and the one definition of every
+// service: N >= 1 shard-leader Platforms in one process behind an
+// owner-hash router. It is the one shape the server and hived hold — a
+// standalone Platform is a Sharded of one shard (OneShard), where
+// routing always picks shard 0 and reads run inline with no fan-out.
+//
+// On a replication follower every mutation rejects with a NotLeaderError
+// naming the leader (replicated state arrives via the journal tail, not
+// these methods); with quorum writes enabled every mutation holds its
+// response until a quorum of followers acknowledged it (Platform.mutate).
+// Reads answer from each shard's published snapshot and never wait on
+// maintenance in flight (Platform.serving).
 type Sharded struct {
 	shards []*Platform
 }
 
-// OneShard serves a standalone Platform as a one-shard Sharded. The
-// caller keeps ownership of p: closing either closes the platform.
-func OneShard(p *Platform) *Sharded { return &Sharded{shards: []*Platform{p}} }
+// router is the name a Platform embeds its one-shard Sharded under: the
+// field stays unexported while every Sharded method is promoted.
+type router = Sharded
+
+// OneShard returns the one-shard Sharded a standalone Platform embeds —
+// the same value its own service methods run through. The caller keeps
+// ownership of p: closing either closes the platform.
+func OneShard(p *Platform) *Sharded { return p.router }
 
 // shardManifest pins a data dir's shard count across reopens.
 type shardManifest struct {
@@ -270,11 +282,12 @@ func (sh *Sharded) Batched(fn func() error) error {
 }
 
 // broadcast applies a reference-entity write to every shard, in shard
-// order. The write must be deterministic and clock-free so replicas
-// stay identical; the store-level Put{User,Conference,Session} are.
-func (sh *Sharded) broadcast(fn func(p *Platform) error) error {
+// order, through each shard's write fence. The write must be
+// deterministic and clock-free so replicas stay identical; the
+// store-level Put{User,Conference,Session} are.
+func (sh *Sharded) broadcast(fn func(st *social.Store) error) error {
 	for _, p := range sh.shards {
-		if err := fn(p); err != nil {
+		if err := p.mutate(fn); err != nil {
 			return err
 		}
 	}
@@ -301,32 +314,39 @@ func (sh *Sharded) shardWhere(probe func(st *social.Store) bool) int {
 
 // RegisterUser broadcasts the profile to every shard (reference data).
 func (sh *Sharded) RegisterUser(u User) error {
-	return sh.broadcast(func(p *Platform) error { return p.RegisterUser(u) })
+	return sh.broadcast(func(st *social.Store) error { return st.PutUser(u) })
 }
 
 // CreateConference broadcasts the conference to every shard.
 func (sh *Sharded) CreateConference(c Conference) error {
-	return sh.broadcast(func(p *Platform) error { return p.CreateConference(c) })
+	return sh.broadcast(func(st *social.Store) error { return st.PutConference(c) })
 }
 
 // CreateSession broadcasts the session to every shard.
 func (sh *Sharded) CreateSession(s Session) error {
-	return sh.broadcast(func(p *Platform) error { return p.CreateSession(s) })
+	return sh.broadcast(func(st *social.Store) error { return st.PutSession(s) })
 }
 
 // PublishPaper routes the paper to its first author's shard.
 func (sh *Sharded) PublishPaper(pa Paper) error {
-	return sh.home(api.PaperOwner(pa)).PublishPaper(pa)
+	return sh.home(api.PaperOwner(pa)).mutate(func(st *social.Store) error { return st.PutPaper(pa) })
 }
 
-// UploadPresentation routes the presentation to its paper's shard (the
-// slide content joins the paper's partition and text index).
+// UploadPresentation attaches slide content to a paper (the §1.1
+// "uploads his presentation slides" step), routed to the paper's shard:
+// the slides join the paper's partition and text index.
 func (sh *Sharded) UploadPresentation(pr Presentation) error {
 	i := sh.shardWhere(func(st *social.Store) bool { return st.HasPaper(pr.PaperID) })
 	if i < 0 {
 		i = sh.ShardOf(pr.Owner) // surfaces the store's not-found error
 	}
-	return sh.shards[i].UploadPresentation(pr)
+	return sh.shards[i].mutate(func(st *social.Store) error {
+		if err := st.PutPresentation(pr); err != nil {
+			return err
+		}
+		_, err := st.LogEvent(pr.Owner, "upload", pr.ID, nil)
+		return err
+	})
 }
 
 // Connect routes the connection to a's shard and mirrors the edge onto
@@ -334,35 +354,35 @@ func (sh *Sharded) UploadPresentation(pr Presentation) error {
 // see it in their graph layers.
 func (sh *Sharded) Connect(a, b string) error {
 	ia, ib := sh.ShardOf(a), sh.ShardOf(b)
-	if err := sh.shards[ia].Connect(a, b); err != nil {
+	if err := sh.shards[ia].mutate(func(st *social.Store) error { return st.Connect(a, b) }); err != nil {
 		return err
 	}
 	if ib == ia {
 		return nil
 	}
-	p := sh.shards[ib]
-	return p.mutate(func() error { return p.store.MirrorConnection(a, b) })
+	return sh.shards[ib].mutate(func(st *social.Store) error { return st.MirrorConnection(a, b) })
 }
 
 // Connected reports whether two users are connected (either side's
 // shard holds the edge; a's is asked).
-func (sh *Sharded) Connected(a, b string) bool { return sh.home(a).Connected(a, b) }
+func (sh *Sharded) Connected(a, b string) bool { return sh.home(a).store.Connected(a, b) }
 
 // Follow routes the edge to the follower's shard — the shard that
 // serves the follower's feed.
 func (sh *Sharded) Follow(follower, followee string) error {
-	return sh.home(follower).Follow(follower, followee)
+	return sh.home(follower).mutate(func(st *social.Store) error { return st.Follow(follower, followee) })
 }
 
 // Unfollow removes the edge from the follower's shard.
 func (sh *Sharded) Unfollow(follower, followee string) error {
-	return sh.home(follower).Unfollow(follower, followee)
+	return sh.home(follower).mutate(func(st *social.Store) error { return st.Unfollow(follower, followee) })
 }
 
-// CheckIn routes attendance to the attendee's shard (sessions are
-// broadcast, so validation is local).
+// CheckIn records session attendance and broadcasts it (with the
+// session hashtag when present), routed to the attendee's shard
+// (sessions are broadcast, so validation is local).
 func (sh *Sharded) CheckIn(sessionID, userID string) error {
-	return sh.home(userID).CheckIn(sessionID, userID)
+	return sh.home(userID).mutate(func(st *social.Store) error { return st.CheckIn(sessionID, userID) })
 }
 
 // Ask routes the question to the shard holding its target paper (the
@@ -374,7 +394,7 @@ func (sh *Sharded) Ask(q Question) error {
 	if i < 0 {
 		i = sh.ShardOf(q.Author)
 	}
-	return sh.shards[i].Ask(q)
+	return sh.shards[i].mutate(func(st *social.Store) error { return st.AskQuestion(q) })
 }
 
 // AnswerQuestion routes the answer to its question's shard.
@@ -383,7 +403,7 @@ func (sh *Sharded) AnswerQuestion(a Answer) error {
 	if i < 0 {
 		i = sh.ShardOf(a.Author)
 	}
-	return sh.shards[i].AnswerQuestion(a)
+	return sh.shards[i].mutate(func(st *social.Store) error { return st.PostAnswer(a) })
 }
 
 // PostComment routes the comment to its target paper's shard (same
@@ -393,11 +413,13 @@ func (sh *Sharded) PostComment(c Comment) error {
 	if i < 0 {
 		i = sh.ShardOf(c.Author)
 	}
-	return sh.shards[i].PostComment(c)
+	return sh.shards[i].mutate(func(st *social.Store) error { return st.PostComment(c) })
 }
 
 // CreateWorkpad routes the workpad to its owner's shard.
-func (sh *Sharded) CreateWorkpad(w Workpad) error { return sh.home(w.Owner).CreateWorkpad(w) }
+func (sh *Sharded) CreateWorkpad(w Workpad) error {
+	return sh.home(w.Owner).mutate(func(st *social.Store) error { return st.PutWorkpad(w) })
+}
 
 // AddToWorkpad routes the item to its workpad's shard.
 func (sh *Sharded) AddToWorkpad(workpadID string, item WorkpadItem) error {
@@ -405,49 +427,58 @@ func (sh *Sharded) AddToWorkpad(workpadID string, item WorkpadItem) error {
 	if i < 0 {
 		i = 0
 	}
-	return sh.shards[i].AddToWorkpad(workpadID, item)
+	return sh.shards[i].mutate(func(st *social.Store) error { return st.AddToWorkpad(workpadID, item) })
 }
 
-// ActivateWorkpad routes to the owner's shard (workpads live there).
+// ActivateWorkpad selects the user's active context, on the owner's
+// shard (workpads live there).
 func (sh *Sharded) ActivateWorkpad(owner, workpadID string) error {
-	return sh.home(owner).ActivateWorkpad(owner, workpadID)
+	return sh.home(owner).mutate(func(st *social.Store) error { return st.SetActiveWorkpad(owner, workpadID) })
 }
 
-// ExportCollection routes to the workpad's shard; the collection
-// inherits the workpad owner's partition.
-func (sh *Sharded) ExportCollection(workpadID, collectionID string) (Collection, error) {
+// ExportCollection publishes a workpad as a shareable collection on the
+// workpad's shard; the collection inherits the workpad owner's
+// partition.
+func (sh *Sharded) ExportCollection(workpadID, collectionID string) (col Collection, err error) {
 	i := sh.shardWhere(func(st *social.Store) bool { return st.HasWorkpad(workpadID) })
 	if i < 0 {
 		i = 0
 	}
-	return sh.shards[i].ExportCollection(workpadID, collectionID)
+	err = sh.shards[i].mutate(func(st *social.Store) error {
+		col, err = st.ExportCollection(workpadID, collectionID)
+		return err
+	})
+	return col, err
 }
 
 // ImportCollection copies a collection (from whichever shard holds it)
 // into a new active workpad on the importing owner's shard.
-func (sh *Sharded) ImportCollection(collectionID, owner, workpadID string) (Workpad, error) {
+func (sh *Sharded) ImportCollection(collectionID, owner, workpadID string) (w Workpad, err error) {
 	src := sh.shardWhere(func(st *social.Store) bool { return st.HasCollection(collectionID) })
 	dst := sh.ShardOf(owner)
 	if src < 0 || src == dst {
-		return sh.shards[dst].ImportCollection(collectionID, owner, workpadID)
+		err = sh.shards[dst].mutate(func(st *social.Store) error {
+			w, err = st.ImportCollection(collectionID, owner, workpadID)
+			return err
+		})
+		return w, err
 	}
 	c, err := sh.shards[src].store.Collection(collectionID)
 	if err != nil {
 		return Workpad{}, err
 	}
-	w := Workpad{
+	w = Workpad{
 		ID:    workpadID,
 		Owner: owner,
 		Name:  c.Name,
 		Items: append([]WorkpadItem(nil), c.Items...),
 	}
-	p := sh.shards[dst]
-	err = p.mutate(func() error {
-		return p.store.Batched(func() error {
-			if err := p.store.PutWorkpad(w); err != nil {
+	err = sh.shards[dst].mutate(func(st *social.Store) error {
+		return st.Batched(func() error {
+			if err := st.PutWorkpad(w); err != nil {
 				return err
 			}
-			return p.store.SetActiveWorkpad(owner, workpadID)
+			return st.SetActiveWorkpad(owner, workpadID)
 		})
 	})
 	if err != nil {
@@ -456,18 +487,22 @@ func (sh *Sharded) ImportCollection(collectionID, owner, workpadID string) (Work
 	return w, nil
 }
 
-// LogBrowse routes the browse event to the user's shard.
+// LogBrowse records a browsing event (used for activity similarity and
+// collaborative filtering) on the user's shard.
 func (sh *Sharded) LogBrowse(userID, object string) error {
-	return sh.home(userID).LogBrowse(userID, object)
+	return sh.home(userID).mutate(func(st *social.Store) error {
+		_, err := st.LogEvent(userID, "browse", object, nil)
+		return err
+	})
 }
 
 // --- Entity reads -------------------------------------------------------------
 
 // GetUser reads the broadcast profile (any shard; 0 is asked).
-func (sh *Sharded) GetUser(id string) (User, error) { return sh.shards[0].GetUser(id) }
+func (sh *Sharded) GetUser(id string) (User, error) { return sh.shards[0].store.User(id) }
 
 // Users lists all user IDs (broadcast; shard 0 is asked).
-func (sh *Sharded) Users() []string { return sh.shards[0].Users() }
+func (sh *Sharded) Users() []string { return sh.shards[0].store.Users() }
 
 // Attendees unions the per-shard attendee sets (check-ins are routed by
 // attendee, so the slices are disjoint; the union is sorted like the
@@ -489,7 +524,7 @@ func (sh *Sharded) AnswersTo(questionID string) []string {
 
 // ActiveWorkpad reads the owner's shard.
 func (sh *Sharded) ActiveWorkpad(owner string) (Workpad, error) {
-	return sh.home(owner).ActiveWorkpad(owner)
+	return sh.home(owner).store.ActiveWorkpad(owner)
 }
 
 func (sh *Sharded) unionSorted(fetch func(st *social.Store) []string) []string {
@@ -530,12 +565,12 @@ func feedBetter(a, b shardEvent) bool { return a.ev.At > b.ev.At }
 // Feed returns the user's update feed — events by their followees,
 // oldest first, the most recent limit of them — gathered across every
 // shard (a followee's activity lives on *its* entity's shard, e.g. an
-// answer on the question's). Matches the unsharded Platform.Feed order
-// whenever event timestamps are distinct.
+// answer on the question's). Matches the one-shard order — the store's
+// own Feed — whenever event timestamps are distinct.
 func (sh *Sharded) Feed(userID string, limit int) []Event {
 	page, _ := sh.feedScatter(context.Background(), userID, make([]uint64, len(sh.shards)), limit)
 	evs := make([]Event, len(page))
-	// The merged page is newest-first; the Platform surface is oldest-first.
+	// The merged page is newest-first; Feed is oldest-first.
 	for i, se := range page {
 		evs[len(page)-1-i] = se.ev
 	}
@@ -634,13 +669,20 @@ func (sh *Sharded) EventsByTag(tag string) []Event {
 // snapshot, never waiting on maintenance in flight. A stale snapshot is
 // served as it is — writes fold their own deltas, the server kicks a
 // background refresh and AutoRefresh compacts — and only a shard with
-// no snapshot yet builds one. Every Sharded read resolves its engines
-// this way.
+// no snapshot yet builds one. The one state no later write repairs is
+// an overflowed queue (abandoned; only a compaction reads the store
+// again), so the read that finds it kicks that compaction itself: a
+// library Platform with no server and no AutoRefresh loop still
+// converges. Every Sharded read resolves its engines this way.
 func (p *Platform) serving() (*core.Engine, error) {
-	if eng := p.current.Load(); eng != nil {
-		return eng, nil
+	eng := p.current.Load()
+	if eng == nil {
+		return p.Engine()
 	}
-	return p.Engine()
+	if p.overflowed() {
+		p.RefreshAsync()
+	}
+	return eng, nil
 }
 
 // engines resolves every shard's serving engine once, so a multi-phase

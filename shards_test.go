@@ -10,10 +10,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hive/internal/core"
+	"hive/internal/social"
 )
 
-// mutation is the write surface shared by Platform and Sharded; the
-// parity test drives both through it with an identical script.
+// mutation is the write surface; the parity test drives a Sharded and
+// the direct reference through it with an identical script.
 type mutation interface {
 	RegisterUser(User) error
 	CreateConference(Conference) error
@@ -22,6 +25,7 @@ type mutation interface {
 	UploadPresentation(Presentation) error
 	Connect(a, b string) error
 	Follow(follower, followee string) error
+	Unfollow(follower, followee string) error
 	CheckIn(sessionID, userID string) error
 	Ask(Question) error
 	AnswerQuestion(Answer) error
@@ -30,6 +34,47 @@ type mutation interface {
 	AddToWorkpad(string, WorkpadItem) error
 	ActivateWorkpad(owner, workpadID string) error
 	LogBrowse(userID, object string) error
+	ExportCollection(workpadID, collectionID string) (Collection, error)
+	ImportCollection(collectionID, owner, workpadID string) (Workpad, error)
+}
+
+// direct is the parity reference: one social store written and read
+// directly, with no platform or router code in between — each service
+// as a single store call, the multi-step ones spelled out.
+type direct struct{ st *social.Store }
+
+func (d direct) RegisterUser(u User) error             { return d.st.PutUser(u) }
+func (d direct) CreateConference(c Conference) error   { return d.st.PutConference(c) }
+func (d direct) CreateSession(s Session) error         { return d.st.PutSession(s) }
+func (d direct) PublishPaper(pa Paper) error           { return d.st.PutPaper(pa) }
+func (d direct) Connect(a, b string) error             { return d.st.Connect(a, b) }
+func (d direct) Follow(a, b string) error              { return d.st.Follow(a, b) }
+func (d direct) Unfollow(a, b string) error            { return d.st.Unfollow(a, b) }
+func (d direct) CheckIn(sessionID, user string) error  { return d.st.CheckIn(sessionID, user) }
+func (d direct) Ask(q Question) error                  { return d.st.AskQuestion(q) }
+func (d direct) AnswerQuestion(a Answer) error         { return d.st.PostAnswer(a) }
+func (d direct) PostComment(c Comment) error           { return d.st.PostComment(c) }
+func (d direct) CreateWorkpad(w Workpad) error         { return d.st.PutWorkpad(w) }
+func (d direct) ActivateWorkpad(owner, w string) error { return d.st.SetActiveWorkpad(owner, w) }
+func (d direct) AddToWorkpad(w string, item WorkpadItem) error {
+	return d.st.AddToWorkpad(w, item)
+}
+func (d direct) UploadPresentation(pr Presentation) error {
+	if err := d.st.PutPresentation(pr); err != nil {
+		return err
+	}
+	_, err := d.st.LogEvent(pr.Owner, "upload", pr.ID, nil)
+	return err
+}
+func (d direct) LogBrowse(user, object string) error {
+	_, err := d.st.LogEvent(user, "browse", object, nil)
+	return err
+}
+func (d direct) ExportCollection(w, c string) (Collection, error) {
+	return d.st.ExportCollection(w, c)
+}
+func (d direct) ImportCollection(c, owner, w string) (Workpad, error) {
+	return d.st.ImportCollection(c, owner, w)
 }
 
 var parityVocab = []string{
@@ -178,6 +223,18 @@ func parityScript(seed int64) []func(m mutation) error {
 		u, o := pick(users), "paper/"+pick(papers)
 		add(func(m mutation) error { return m.LogBrowse(u, o) })
 	}
+	// Follow edges taken back (some never existed: the no-op must agree
+	// too), and workpads shared as collections — imported by whoever,
+	// so the importer's shard is usually not the collection's.
+	for i := 0; i < 6; i++ {
+		a, b := pick(users), pick(users)
+		add(func(m mutation) error { return m.Unfollow(a, b) })
+	}
+	for i := 0; i < 3; i++ {
+		w, c, owner := fmt.Sprintf("w%d", i), fmt.Sprintf("col%d", i), pick(users)
+		add(func(m mutation) error { _, err := m.ExportCollection(w, c); return err })
+		add(func(m mutation) error { _, err := m.ImportCollection(c, owner, "imp-"+c); return err })
+	}
 	return script
 }
 
@@ -190,18 +247,19 @@ func zeroSeqs(evs []Event) []Event {
 }
 
 // TestShardedParity is the sharding correctness property: the same
-// mutation script applied to an unsharded Platform and to N shard
-// leaders must yield bit-identical search results (scores, order and
-// tie-breaks included), identical feeds (modulo per-shard sequence
-// numbers) and identical set reads — the scatter-gather read path may
-// not be observably different from one big index. At one shard — the
-// shape a standalone Platform is served in — the parity covers every
-// knowledge service the server exposes (serviceParity).
+// mutation script applied to one store read directly (direct, and the
+// engine built over it) and to N shard leaders must yield bit-identical
+// search results (scores, order and tie-breaks included), identical
+// feeds (modulo per-shard sequence numbers) and identical set reads —
+// the scatter-gather read path may not be observably different from one
+// big index. A Platform is the one-shard router, so the reference is
+// the store and engine themselves, not a Platform. At one shard the
+// parity covers every knowledge service (serviceParity).
 func TestShardedParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4} {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				ref, err := Open(Options{Clock: testClock()})
+				ref, err := social.Open("", social.Clock(testClock()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,14 +272,15 @@ func TestShardedParity(t *testing.T) {
 
 				script := parityScript(seed)
 				for i, fn := range script {
-					if err := fn(ref); err != nil {
+					if err := fn(direct{ref}); err != nil {
 						t.Fatalf("unsharded step %d: %v", i, err)
 					}
 					if err := fn(sh); err != nil {
 						t.Fatalf("sharded step %d: %v", i, err)
 					}
 				}
-				if err := ref.Refresh(); err != nil {
+				refEng, err := (&core.Builder{Store: ref}).Build()
+				if err != nil {
 					t.Fatal(err)
 				}
 				if err := sh.Refresh(); err != nil {
@@ -231,10 +290,7 @@ func TestShardedParity(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed * 977))
 				for i := 0; i < 10; i++ {
 					q := phrase(rng, 1+rng.Intn(3))
-					want, err := ref.Search(q, 10)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := refEng.Search(q, 10)
 					got, err := sh.Search(context.Background(), q, 10)
 					if err != nil {
 						t.Fatal(err)
@@ -253,7 +309,7 @@ func TestShardedParity(t *testing.T) {
 							t.Fatalf("Feed(%s,%d) diverged:\nunsharded %+v\nsharded   %+v", u, limit, want, got)
 						}
 					}
-					wantDig, err := ref.UpdateDigest(u, 6)
+					wantDig, err := refEng.UpdateDigest(u, 6)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -298,8 +354,16 @@ func TestShardedParity(t *testing.T) {
 						}
 					}
 				}
+				for i := 0; i < 12; i++ {
+					u := fmt.Sprintf("u%d", i)
+					want, wantErr := ref.ActiveWorkpad(u)
+					got, gotErr := sh.ActiveWorkpad(u)
+					if !reflect.DeepEqual(want, got) || (wantErr == nil) != (gotErr == nil) {
+						t.Fatalf("ActiveWorkpad(%s): unsharded %+v, %v sharded %+v, %v", u, want, wantErr, got, gotErr)
+					}
+				}
 				if shards == 1 {
-					serviceParity(t, ref, seed)
+					serviceParity(t, sh.Shard(0), seed)
 				}
 			})
 		}
@@ -340,24 +404,24 @@ func sameUpToFloatNoise(a, b reflect.Value) bool {
 	}
 }
 
-// serviceParity: served as one shard — the old hive.Open call shape —
-// a Platform answers every knowledge service the server exposes as its
-// own methods do. Both sides read the same snapshot: two builds of one
-// dataset disagree by up to a part in a thousand wherever a context
-// vector is involved (hiveload finding 3), which would hide a wrong
-// answer behind the tolerance it takes. The evidence services are
-// owner-shard approximations at more shards, so this half of the parity
-// is a one-shard property.
-func serviceParity(t *testing.T, ref *Platform, seed int64) {
+// serviceParity: a Platform — the hive.Open call shape, its methods
+// promoted from the one-shard router — answers every knowledge service
+// as its engine asked directly does. Both sides read the same snapshot:
+// two builds of one dataset disagree by up to a part in a thousand
+// wherever a context vector is involved (hiveload finding 3), which
+// would hide a wrong answer behind the tolerance it takes. The evidence
+// services are owner-shard approximations at more shards, so this half
+// of the parity is a one-shard property.
+func serviceParity(t *testing.T, p *Platform, seed int64) {
 	t.Helper()
-	sh := OneShard(ref)
+	ref := p.Snapshot()
 	same := func(what string, want, got any, wantErr, gotErr error) {
 		t.Helper()
 		if wantErr != nil || gotErr != nil {
-			t.Fatalf("%s: Platform error %v, one-shard error %v", what, wantErr, gotErr)
+			t.Fatalf("%s: engine error %v, Platform error %v", what, wantErr, gotErr)
 		}
 		if !sameUpToFloatNoise(reflect.ValueOf(want), reflect.ValueOf(got)) {
-			t.Fatalf("%s diverged:\nPlatform  %+v\none shard %+v", what, want, got)
+			t.Fatalf("%s diverged:\nengine   %+v\nPlatform %+v", what, want, got)
 		}
 	}
 	rng := rand.New(rand.NewSource(seed * 131))
@@ -368,40 +432,51 @@ func serviceParity(t *testing.T, ref *Platform, seed int64) {
 		q := phrase(rng, 2)
 
 		wantPeers, err1 := ref.RecommendPeers(u, 5)
-		gotPeers, err2 := sh.RecommendPeers(u, 5)
+		gotPeers, err2 := p.RecommendPeers(u, 5)
 		same("RecommendPeers("+u+")", wantPeers, gotPeers, err1, err2)
 		for _, useCtx := range []bool{false, true} {
 			wantRes, err1 := ref.RecommendResources(u, 5, useCtx)
-			gotRes, err2 := sh.RecommendResources(u, 5, useCtx)
+			gotRes, err2 := p.RecommendResources(u, 5, useCtx)
 			same(fmt.Sprintf("RecommendResources(%s,%v)", u, useCtx), wantRes, gotRes, err1, err2)
 			wantHist, err1 := ref.SearchHistory(u, q, useCtx, 10)
-			gotHist, err2 := sh.SearchHistory(u, q, useCtx, 10)
+			gotHist, err2 := p.SearchHistory(u, q, useCtx, 10)
 			same(fmt.Sprintf("SearchHistory(%s,%q,%v)", u, q, useCtx), wantHist, gotHist, err1, err2)
 		}
 		wantSess, err1 := ref.SuggestSessions(u, "edbt", 3)
-		gotSess, err2 := sh.SuggestSessions(u, "edbt", 3)
+		gotSess, err2 := p.SuggestSessions(u, "edbt", 3)
 		same("SuggestSessions("+u+")", wantSess, gotSess, err1, err2)
 		wantEx, err1 := ref.Explain(u, v)
-		gotEx, err2 := sh.Explain(u, v)
+		gotEx, err2 := p.Explain(u, v)
 		same("Explain("+u+","+v+")", wantEx, gotEx, err1, err2)
 		wantPrev, err1 := ref.Preview(u, doc, 3)
-		gotPrev, err2 := sh.Preview(u, doc, 3)
+		gotPrev, err2 := p.Preview(u, doc, 3)
 		same("Preview("+u+","+doc+")", wantPrev, gotPrev, err1, err2)
 		wantRel, err1 := ref.ExplainResource(u, paper)
-		gotRel, err2 := sh.ExplainResource(u, paper)
+		gotRel, err2 := p.ExplainResource(u, paper)
 		same("ExplainResource("+u+","+paper+")", wantRel, gotRel, err1, err2)
-		wantPaths, err1 := ref.KnowledgePaths("user:"+u, "session:s"+fmt.Sprint(i%4), 3)
-		gotPaths, err2 := sh.KnowledgePaths("user:"+u, "session:s"+fmt.Sprint(i%4), 3)
-		same("KnowledgePaths("+u+")", wantPaths, gotPaths, err1, err2)
+		gotPaths, err2 := p.KnowledgePaths("user:"+u, "session:s"+fmt.Sprint(i%4), 3)
+		same("KnowledgePaths("+u+")", ref.KnowledgePaths("user:"+u, "session:s"+fmt.Sprint(i%4), 3), gotPaths, nil, err2)
 		// Context search, compared as hiveload compares it: rank by rank,
 		// score by score.
-		wantCtx, err1 := ref.SearchWithContext(u, q, 10)
-		gotCtx, err2 := sh.SearchWithContext(context.Background(), u, q, 10)
-		same(fmt.Sprintf("SearchWithContext(%s,%q)", u, q), wantCtx, gotCtx, err1, err2)
+		gotCtx, err2 := p.SearchWithContext(u, q, 10)
+		same(fmt.Sprintf("SearchWithContext(%s,%q)", u, q), ref.SearchWithContext(u, q, 10), gotCtx, nil, err2)
+
+		// The services the server does not route.
+		wantKeys, err1 := ref.Annotate(doc, 3)
+		gotKeys, err2 := p.Annotate(doc, 3)
+		same("Annotate("+doc+")", wantKeys, gotKeys, err1, err2)
+		gotComm, err2 := p.CommunityOf(u)
+		same("CommunityOf("+u+")", ref.CommunityOf(u), gotComm, nil, err2)
+		slides := fmt.Sprintf("%spr%d", DocPresentation, i%7)
+		wantRes, wantCont, err1 := ref.DetectOverlap(slides, doc)
+		gotRes, gotCont, err2 := p.DetectOverlap(slides, doc)
+		same("DetectOverlap("+slides+","+doc+")", [2]float64{wantRes, wantCont}, [2]float64{gotRes, gotCont}, err1, err2)
 	}
-	wantComms, err1 := ref.Communities()
-	gotComms, err2 := sh.Communities()
-	same("Communities", wantComms, gotComms, err1, err2)
+	gotComms, err2 := p.Communities()
+	same("Communities", ref.Communities(), gotComms, nil, err2)
+	wantChanges, err1 := ref.MonitorActivity(10)
+	gotChanges, err2 := p.MonitorActivity(10)
+	same("MonitorActivity", wantChanges, gotChanges, err1, err2)
 }
 
 // TestShardManifestPinsCount: the shard count is fixed for the life of
