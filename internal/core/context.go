@@ -150,11 +150,20 @@ func (e *Engine) Search(query string, k int) []SearchResult {
 // SearchWithContext blends BM25 relevance with similarity to the user's
 // current context: score = bm25 × (1 + ctxWeight × cosine(doc, context)).
 // This is the §2.3 "filter, summarize, and rank alternatives and adapt
-// according to their relevance" service.
+// according to their relevance" service. Every sum runs in a fixed
+// order, so one snapshot asked twice answers bit for bit the same.
 func (e *Engine) SearchWithContext(userID, query string, k int) []SearchResult {
-	ctx := e.ContextVector(userID)
-	base := e.seg.Search(query, 4*k)
-	if len(ctx) == 0 {
+	return RerankByContext(e.seg.Search(query, 4*k), e.ContextQuery(userID), k,
+		func(string) *textindex.Segmented { return e.seg })
+}
+
+// RerankByContext is SearchWithContext's re-rank over BM25 hits: each
+// hit's score is scaled by its cosine to the compiled context cq, scored
+// in the view segOf names for it (nil: similarity 0), and the top k
+// return, ties broken on DocID. A nil cq keeps the first k hits as they
+// are. The sharded coordinator calls it with the owning shard's view.
+func RerankByContext(base []textindex.Result, cq *textindex.CompiledVector, k int, segOf func(docID string) *textindex.Segmented) []SearchResult {
+	if cq == nil {
 		return toSearchResults(clip(base, k))
 	}
 	const ctxWeight = 1.0
@@ -166,8 +175,8 @@ func (e *Engine) SearchWithContext(userID, query string, k int) []SearchResult {
 	})
 	for _, r := range base {
 		sim := 0.0
-		if dv, err := e.seg.TFIDFVector(r.DocID); err == nil {
-			sim = dv.Cosine(ctx)
+		if seg := segOf(r.DocID); seg != nil {
+			sim = seg.DocCosine(r.DocID, cq)
 		}
 		h.Push(textindex.Result{DocID: r.DocID, Score: r.Score * (1 + ctxWeight*sim)})
 	}

@@ -53,15 +53,15 @@ func assertSearchParity(t *testing.T, label string, delta, fresh *Engine) {
 		}
 	}
 	for _, id := range fresh.seg.DocIDs() {
-		fv, ferr := fresh.DocTFIDF(id)
-		dv, derr := delta.DocTFIDF(id)
+		fv, ferr := fresh.seg.TFIDFVector(id)
+		dv, derr := delta.seg.TFIDFVector(id)
 		if (ferr == nil) != (derr == nil) || len(fv) != len(dv) {
-			t.Fatalf("%s: DocTFIDF(%s): delta %d terms (err %v), fresh %d (err %v)",
+			t.Fatalf("%s: TFIDFVector(%s): delta %d terms (err %v), fresh %d (err %v)",
 				label, id, len(dv), derr, len(fv), ferr)
 		}
 		for term, w := range fv {
 			if dv[term] != w {
-				t.Fatalf("%s: DocTFIDF(%s) term %q: delta %v, fresh %v", label, id, term, dv[term], w)
+				t.Fatalf("%s: TFIDFVector(%s) term %q: delta %v, fresh %v", label, id, term, dv[term], w)
 			}
 		}
 	}

@@ -189,30 +189,31 @@ func (e *Engine) Frozen() *textindex.Frozen { return e.seg.Base() }
 // Segment exposes the serving base+overlay read view.
 func (e *Engine) Segment() *textindex.Segmented { return e.seg }
 
-// DocTFIDF returns a document's TF-IDF vector through the serving read
-// view (O(terms-in-doc)), under this snapshot's (shard-local) corpus
-// statistics. The sharded context re-rank uses it on the shard that
-// owns the document.
-func (e *Engine) DocTFIDF(docID string) (textindex.Vector, error) { return e.seg.TFIDFVector(docID) }
-
-// ctxQueryOf resolves the user's compiled context query, overlay first.
-func (e *Engine) ctxQueryOf(userID string) (*textindex.CompiledVector, bool) {
+// ContextQuery returns the user's context vector in compiled form, nil
+// when the context is empty. Known users get the build-time compiled
+// query, overlay first, so the serving path extracts and sorts no terms;
+// users the snapshot does not know are compiled on the fly.
+func (e *Engine) ContextQuery(userID string) *textindex.CompiledVector {
 	if cq, ok := e.ctxQOver[userID]; ok {
-		return cq, cq != nil
+		return cq
 	}
-	cq, ok := e.ctxQueries[userID]
-	return cq, ok
+	if cq, ok := e.ctxQueries[userID]; ok {
+		return cq
+	}
+	if v := e.ContextVector(userID); len(v) > 0 {
+		return e.seg.Base().Compile(v)
+	}
+	return nil
 }
 
-// searchUserContext ranks documents against the user's context vector.
-// For known users this runs the build-time compiled query — no term
-// extraction or sorting on the serving path; on a pristine snapshot the
-// base segment additionally skips all per-term hash lookups.
+// searchUserContext ranks documents against the user's context vector;
+// on a pristine snapshot the base segment skips all per-term hash
+// lookups.
 func (e *Engine) searchUserContext(userID string, k int) []textindex.Result {
-	if cq, ok := e.ctxQueryOf(userID); ok {
+	if cq := e.ContextQuery(userID); cq != nil {
 		return e.seg.SearchCompiled(cq, k)
 	}
-	return e.seg.SearchVector(e.ContextVector(userID), k)
+	return nil
 }
 
 // ConceptMap exposes the bootstrapped concept map.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -207,6 +209,44 @@ func TestPPRWorkspaceReuseMatchesFreshRuns(t *testing.T) {
 	}
 	if sum != sum2 {
 		t.Fatal("rank slice was clobbered by workspace reuse")
+	}
+}
+
+// TestSearchWithContextExact: context search re-ranks on the compiled
+// context in a fixed order, so one snapshot asked twice answers bit for
+// bit the same (it used to sum over map order), and every score still
+// equals the map-vector oracle it replaced, bm25 × (1 + cosine(doc
+// vector, context vector)), to a part in 1e12.
+func TestSearchWithContextExact(t *testing.T) {
+	eng := buildWorkloadEngine(t, 24)
+	queries := []string{"graph partitioning", "social networks", "stream processing systems", "tensor"}
+	users := append(eng.Store().Users(), "ghost")
+	hits := 0
+	for _, u := range users {
+		ctx := eng.ContextVector(u)
+		for _, q := range queries {
+			first := eng.SearchWithContext(u, q, 5)
+			if again := eng.SearchWithContext(u, q, 5); !reflect.DeepEqual(first, again) {
+				t.Fatalf("SearchWithContext(%s, %q) not repeatable:\n%v\n%v", u, q, first, again)
+			}
+			bm25 := map[string]float64{}
+			for _, r := range eng.Search(q, 20) {
+				bm25[r.DocID] = r.Score
+			}
+			for _, r := range first {
+				want := bm25[r.DocID]
+				if dv, err := eng.Segment().TFIDFVector(r.DocID); err == nil {
+					want *= 1 + dv.Cosine(ctx)
+				}
+				if math.Abs(r.Score-want) > 1e-12*want {
+					t.Fatalf("SearchWithContext(%s, %q) %s = %v, oracle %v", u, q, r.DocID, r.Score, want)
+				}
+				hits++
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no context search hits to compare")
 	}
 }
 

@@ -33,6 +33,20 @@ type PeerRecommendation struct {
 // for the lifetime of the snapshot, so only a user's first request runs
 // the power iteration.
 func (e *Engine) RecommendPeers(userID string, k int) ([]PeerRecommendation, error) {
+	recs, err := e.RankPeers(userID, k)
+	if err != nil {
+		return nil, err
+	}
+	return recs, e.ExplainPeers(userID, recs)
+}
+
+// RankPeers is RecommendPeers without the explanations: the top k peers
+// with their scores, Evidences and LikelySessions left empty. Explaining
+// one peer costs more than ranking them all, so a pager ranks one past
+// its page to learn whether a next page exists and explains only the
+// peers it serves (ExplainPeers). Candidates Explain would refuse — a
+// user the store does not hold — are never ranked.
+func (e *Engine) RankPeers(userID string, k int) ([]PeerRecommendation, error) {
 	me := e.peerGraph.Lookup(userID)
 	if me == graph.Invalid {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
@@ -47,23 +61,31 @@ func (e *Engine) RecommendPeers(userID string, k int) ([]PeerRecommendation, err
 	}
 	top := graph.TopK(pr, k, skip)
 	recs := make([]PeerRecommendation, 0, len(top))
+	if !e.store.HasUser(userID) {
+		return recs, nil
+	}
 	for _, id := range top {
 		n, err := e.peerGraph.Node(id)
-		if err != nil || pr[id] == 0 {
+		if err != nil || pr[id] == 0 || !e.store.HasUser(n.Key) {
 			continue
 		}
-		ex, err := e.Explain(userID, n.Key)
-		if err != nil {
-			continue
-		}
-		recs = append(recs, PeerRecommendation{
-			UserID:         n.Key,
-			Score:          pr[id],
-			Evidences:      ex.Evidences,
-			LikelySessions: e.likelySessions(n.Key, 3),
-		})
+		recs = append(recs, PeerRecommendation{UserID: n.Key, Score: pr[id]})
 	}
 	return recs, nil
+}
+
+// ExplainPeers fills in the evidences and likely sessions of peers
+// ranked by RankPeers, in place.
+func (e *Engine) ExplainPeers(userID string, recs []PeerRecommendation) error {
+	for i := range recs {
+		ex, err := e.Explain(userID, recs[i].UserID)
+		if err != nil {
+			return err
+		}
+		recs[i].Evidences = ex.Evidences
+		recs[i].LikelySessions = e.likelySessions(recs[i].UserID, 3)
+	}
+	return nil
 }
 
 // personalizedRankFor returns the user's personalized PageRank over the

@@ -267,23 +267,31 @@ func (tb *tokenBucket) allow(now time.Time) bool {
 	return true
 }
 
-// Gzip compresses responses for clients that accept it. The
-// Content-Encoding header is committed lazily, on the response's own
-// WriteHeader/Write: setting it eagerly would poison the shared header
-// map for writers that bypass the gzip writer — an outer Recover
-// answering a panic with a plain 500 envelope would be advertised as
-// gzip and be unreadable. Bodyless statuses (204, 304) pass through
-// uncompressed so conditional GETs stay empty.
+// gzipMinBytes is the smallest body Gzip compresses. Below it the gzip
+// frame and the per-response deflate reset cost more than they save: a
+// search page is ≈ 650 B plain, and a profile grows from 89 B to 107 B
+// when gzip'd.
+const gzipMinBytes = 1024
+
+// Gzip compresses responses of at least gzipMinBytes for clients that
+// accept gzip; smaller bodies go out identity with a Content-Length.
+// The status and the first bytes are held back until the body reaches
+// the threshold (Content-Encoding: gzip is committed then) or the
+// handler returns (identity). Nothing is committed for a handler that
+// panics: an outer Recover still answers with a plain 500 envelope, not
+// a 200 with a truncated body. Bodyless statuses (1xx, 204, 304) pass
+// through untouched so conditional GETs stay empty. Every response
+// carries Vary: Accept-Encoding.
 func Gzip(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Add("Vary", "Accept-Encoding")
 		if !acceptsGzip(r.Header.Get("Accept-Encoding")) {
 			next.ServeHTTP(w, r)
 			return
 		}
 		gw := &gzipWriter{ResponseWriter: w}
-		gw.Header().Add("Vary", "Accept-Encoding")
-		defer gw.close()
 		next.ServeHTTP(gw, r)
+		gw.finish()
 	})
 }
 
@@ -296,45 +304,72 @@ var gzPool = sync.Pool{
 	New: func() any { return gzip.NewWriter(io.Discard) },
 }
 
+// gzipWriter defers the encoding decision until the body's size is
+// known to be at least gzipMinBytes or the handler is done.
 type gzipWriter struct {
 	http.ResponseWriter
-	gz          *gzip.Writer
-	passthrough bool
-	wroteHeader bool
+	status      int          // held-back status; 0 until WriteHeader or Write
+	buf         []byte       // held-back body, under gzipMinBytes
+	gz          *gzip.Writer // set once the response is committed to gzip
+	passthrough bool         // bodyless status: everything goes straight through
 }
 
 func (g *gzipWriter) WriteHeader(code int) {
-	if !g.wroteHeader {
-		g.wroteHeader = true
-		if code == http.StatusNoContent || code == http.StatusNotModified || code < http.StatusOK {
-			g.passthrough = true
-		} else {
-			g.Header().Del("Content-Length")
-			g.Header().Set("Content-Encoding", "gzip")
-		}
+	switch {
+	case g.passthrough:
+		g.ResponseWriter.WriteHeader(code)
+	case g.status != 0: // the first status wins, as on a plain ResponseWriter
+	case code == http.StatusNoContent || code == http.StatusNotModified || code < http.StatusOK:
+		g.passthrough = true
+		g.ResponseWriter.WriteHeader(code)
+	default:
+		g.status = code
 	}
-	g.ResponseWriter.WriteHeader(code)
 }
 
 func (g *gzipWriter) Write(b []byte) (int, error) {
-	if !g.wroteHeader {
-		g.WriteHeader(http.StatusOK)
-	}
-	if g.passthrough {
+	switch {
+	case g.passthrough:
 		return g.ResponseWriter.Write(b)
+	case g.gz != nil:
+		return g.gz.Write(b)
 	}
-	if g.gz == nil {
-		g.gz = gzPool.Get().(*gzip.Writer)
-		g.gz.Reset(g.ResponseWriter)
+	g.WriteHeader(http.StatusOK) // implicit, unless a status is held
+	if len(g.buf)+len(b) < gzipMinBytes {
+		g.buf = append(g.buf, b...)
+		return len(b), nil
+	}
+	h := g.Header()
+	h.Del("Content-Length")
+	h.Set("Content-Encoding", "gzip")
+	g.ResponseWriter.WriteHeader(g.status)
+	g.gz = gzPool.Get().(*gzip.Writer)
+	g.gz.Reset(g.ResponseWriter)
+	if len(g.buf) > 0 {
+		if _, err := g.gz.Write(g.buf); err != nil {
+			return 0, err
+		}
+		g.buf = nil
 	}
 	return g.gz.Write(b)
 }
 
-func (g *gzipWriter) close() {
-	if g.gz != nil {
+// finish completes a response whose handler returned normally: it closes
+// the gzip stream, or sends the held-back body identity.
+func (g *gzipWriter) finish() {
+	switch {
+	case g.gz != nil:
 		_ = g.gz.Close()
 		gzPool.Put(g.gz)
 		g.gz = nil
+	case g.passthrough:
+	default:
+		g.WriteHeader(http.StatusOK)
+		g.Header().Set("Content-Length", strconv.Itoa(len(g.buf)))
+		g.ResponseWriter.WriteHeader(g.status)
+		if len(g.buf) > 0 {
+			_, _ = g.ResponseWriter.Write(g.buf)
+		}
 	}
 }
 

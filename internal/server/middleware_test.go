@@ -157,6 +157,115 @@ func TestGzipMiddleware(t *testing.T) {
 	}
 }
 
+// TestGzipThreshold: a body of at least gzipMinBytes goes out gzip'd, a
+// smaller one identity with its Content-Length, however the handler
+// splits its writes; bodyless statuses pass through, a refusing client
+// gets identity at any size, and Timeout's buffering changes nothing.
+// Every response varies on Accept-Encoding and round-trips byte-exact.
+func TestGzipThreshold(t *testing.T) {
+	body := func(n int) string { return strings.Repeat("abcdefghijklmnopqrstuvwxyz0123456789\n", n/37+1)[:n] }
+	writes := func(status int, parts ...string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain")
+			if status != 0 {
+				w.WriteHeader(status)
+			}
+			for _, p := range parts {
+				_, _ = io.WriteString(w, p)
+			}
+		}
+	}
+	gz := func(status int, parts ...string) http.Handler { return Gzip(writes(status, parts...)) }
+	for _, tc := range []struct {
+		name     string
+		h        http.Handler
+		accept   string
+		status   int
+		want     string
+		wantGzip bool
+		cl       string // Content-Length of an identity response
+	}{
+		{"empty", gz(http.StatusCreated), "gzip", http.StatusCreated, "", false, "0"},
+		{"1023B", gz(0, body(1023)), "gzip", http.StatusOK, body(1023), false, "1023"},
+		{"1024B", gz(0, body(1024)), "gzip", http.StatusOK, body(1024), true, ""},
+		{"three writes cross together", gz(http.StatusAccepted, body(400), body(400), body(400)), "gzip", http.StatusAccepted, body(400) + body(400) + body(400), true, ""},
+		{"three writes stay under", gz(0, body(300), body(300), body(300)), "gzip", http.StatusOK, body(300) + body(300) + body(300), false, "900"},
+		{"one large write", gz(0, body(4000)), "gzip", http.StatusOK, body(4000), true, ""},
+		{"204", gz(http.StatusNoContent), "gzip", http.StatusNoContent, "", false, ""},
+		{"304", gz(http.StatusNotModified), "gzip", http.StatusNotModified, "", false, ""},
+		// A refusing client's response passes through untouched: the
+		// server, not Gzip, decides its framing.
+		{"refused q=0", gz(0, body(4000)), "gzip;q=0", http.StatusOK, body(4000), false, ""},
+		// The server's order: Timeout buffers outside Gzip.
+		{"under Timeout small", Chain(writes(0, body(100)), Timeout(time.Second), Gzip), "gzip", http.StatusOK, body(100), false, "100"},
+		{"under Timeout large", Chain(writes(0, body(1500), body(1500)), Timeout(time.Second), Gzip), "gzip", http.StatusOK, body(1500) + body(1500), true, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := httptest.NewRequest("GET", "/", nil)
+			req.Header.Set("Accept-Encoding", tc.accept)
+			rec := httptest.NewRecorder()
+			tc.h.ServeHTTP(rec, req)
+			res := rec.Result()
+			if res.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d", res.StatusCode, tc.status)
+			}
+			if v := res.Header.Values("Vary"); len(v) != 1 || v[0] != "Accept-Encoding" {
+				t.Fatalf("Vary = %q", v)
+			}
+			got := rec.Body.Bytes()
+			if enc := res.Header.Get("Content-Encoding"); tc.wantGzip {
+				if enc != "gzip" || res.Header.Get("Content-Length") != "" {
+					t.Fatalf("Content-Encoding = %q, Content-Length = %q; want gzip, none", enc, res.Header.Get("Content-Length"))
+				}
+				gr, err := gzip.NewReader(rec.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err = io.ReadAll(gr); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if enc != "" {
+					t.Fatalf("Content-Encoding = %q, want identity", enc)
+				}
+				if cl := res.Header.Get("Content-Length"); cl != tc.cl {
+					t.Fatalf("Content-Length = %q, want %q", cl, tc.cl)
+				}
+			}
+			if string(got) != tc.want {
+				t.Fatalf("round trip: got %d bytes, want %d", len(got), len(tc.want))
+			}
+		})
+	}
+}
+
+// TestRecoverAfterSmallWriteThroughGzip: a handler that commits a status
+// and a few bytes, then panics, must still get Recover's plain 500
+// envelope. Gzip holds small bodies back and sends them only on a normal
+// return, so nothing of the broken response reaches the client (it used
+// to close its stream in a defer: a 200 with a gzip'd truncated body).
+func TestRecoverAfterSmallWriteThroughGzip(t *testing.T) {
+	quiet := log.New(io.Discard, "", 0)
+	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		_, _ = io.WriteString(w, `{"items":[`)
+		panic("kaboom")
+	}), Recover(quiet), Gzip)
+	req := httptest.NewRequest("GET", "/x", nil)
+	req.Header.Set("Accept-Encoding", "gzip")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	if enc := rec.Header().Get("Content-Encoding"); enc != "" {
+		t.Fatalf("panic response claims Content-Encoding %q", enc)
+	}
+	if code := envelopeCode(t, rec.Body); code != api.CodeInternal {
+		t.Fatalf("code = %q", code)
+	}
+}
+
 func TestAcceptsGzip(t *testing.T) {
 	for _, tc := range []struct {
 		header string

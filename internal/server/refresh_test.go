@@ -16,23 +16,29 @@ import (
 
 func newLoadedServer(t *testing.T, users int) (*httptest.Server, *hive.Platform) {
 	t.Helper()
+	p := loadedPlatform(t, users)
+	ts := httptest.NewServer(New(p))
+	t.Cleanup(ts.Close)
+	return ts, p
+}
+
+// loadedPlatform is an in-memory platform seeded with the synthetic
+// conference workload and built, closed at cleanup.
+func loadedPlatform(tb testing.TB, users int) *hive.Platform {
+	tb.Helper()
 	p, err := hive.Open(hive.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { p.Close() })
 	ds := workload.Generate(workload.Config{Seed: 42, Users: users})
 	if err := ds.Load(p.Store()); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.Refresh(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	ts := httptest.NewServer(New(p))
-	t.Cleanup(func() {
-		ts.Close()
-		p.Close()
-	})
-	return ts, p
+	return p
 }
 
 // TestRefreshUnderLoad hammers read endpoints from many goroutines

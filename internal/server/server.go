@@ -289,7 +289,7 @@ func (s *Server) routes() {
 	// function of the snapshot — conditional GETs revalidate on the
 	// snapshot generation.
 	m.HandleFunc("GET /api/v1/relationship", s.etag(s.getRelationship))
-	m.HandleFunc("GET /api/v1/users/{id}/recommendations/peers", s.etag(page(s.fetchPeerRecs)))
+	m.HandleFunc("GET /api/v1/users/{id}/recommendations/peers", s.etag(pageThen(s.fetchPeerRecs, s.explainPeerRecs)))
 	m.HandleFunc("GET /api/v1/users/{id}/recommendations/resources", s.etag(page(s.fetchResourceRecs)))
 	m.HandleFunc("GET /api/v1/users/{id}/sessions/suggest", s.etag(page(s.fetchSessionSuggestions)))
 	m.HandleFunc("GET /api/v1/search", s.etag(page(s.fetchSearch)))
@@ -412,7 +412,13 @@ type fetcher[T any] func(r *http.Request, n int) ([]T, error)
 // page adapts a fetcher into the v1 cursor-paginated handler. It
 // fetches one element past the page end so NextCursor is only set when
 // a further page actually exists.
-func page[T any](fetch fetcher[T]) http.HandlerFunc {
+func page[T any](fetch fetcher[T]) http.HandlerFunc { return pageThen(fetch, nil) }
+
+// pageThen is page with a finishing step run on the served items only:
+// fetch may return items that are cheap to rank but incomplete, and
+// finish completes the ones the response carries, so neither the items
+// before the cursor nor the one-past-the-end probe pay for it.
+func pageThen[T any](fetch fetcher[T], finish func(r *http.Request, items []T) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		limit := intParam(r, "limit", api.DefaultPageSize, 1, api.MaxPageSize)
 		offset, err := api.DecodeCursor(r.URL.Query().Get("cursor"))
@@ -425,7 +431,14 @@ func page[T any](fetch fetcher[T]) http.HandlerFunc {
 			writeErr(w, r, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, api.Paginate(items, offset, limit))
+		pg := api.Paginate(items, offset, limit)
+		if finish != nil {
+			if err := finish(r, pg.Items); err != nil {
+				writeErr(w, r, err)
+				return
+			}
+		}
+		writeJSON(w, http.StatusOK, pg)
 	}
 }
 
@@ -1072,8 +1085,13 @@ func normalizeTag(tag string) string {
 // (its engine holds their partition's evidence); search scatter-gathers
 // across every shard engine.
 
+// Peer recommendations rank the whole prefix but explain only the page.
 func (s *Server) fetchPeerRecs(r *http.Request, n int) ([]api.PeerRecommendation, error) {
-	return s.sh.RecommendPeers(r.PathValue("id"), n)
+	return s.sh.RankPeers(r.PathValue("id"), n)
+}
+
+func (s *Server) explainPeerRecs(r *http.Request, recs []api.PeerRecommendation) error {
+	return s.sh.ExplainPeers(r.PathValue("id"), recs)
 }
 
 func (s *Server) fetchResourceRecs(r *http.Request, n int) ([]api.ResourceRecommendation, error) {

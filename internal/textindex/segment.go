@@ -313,6 +313,74 @@ func (s *Segmented) DocNorm(docID string) float64 {
 	return math.Sqrt(sum)
 }
 
+// DocCosine returns the cosine similarity between a live document's
+// TF-IDF vector and a compiled query: what TFIDFVector(docID).Cosine
+// computes against the query's vector, with no map built and no norm
+// recomputed. 0 for unknown or dead documents and for empty queries.
+//
+// The document's sorted forward entries are walked against the query's
+// sorted pairs, so every sum runs in term order and one view asked twice
+// answers bit for bit the same. Only the query's index-independent half
+// (pairs, norm) is read: a query compiled against any base, another
+// shard's included, scores here. On a pristine view the base's
+// precomputed weights and norm serve; otherwise weights are recomputed
+// under merged statistics, as TFIDFVector and DocNorm do.
+func (s *Segmented) DocCosine(docID string, cq *CompiledVector) float64 {
+	if cq.empty || cq.qn == 0 {
+		return 0
+	}
+	var dot, dn float64
+	if od, ok := s.over[docID]; ok {
+		var sq float64
+		q := cq.pairs
+		for _, dt := range od.terms {
+			w := float64(dt.tf) * s.idfOf(dt.term)
+			sq += w * w
+			if q = skipTo(q, dt.term); len(q) > 0 && q[0].t == dt.term {
+				dot += w * q[0].w
+			}
+		}
+		dn = math.Sqrt(sq)
+	} else {
+		if _, gone := s.dead[docID]; gone {
+			return 0
+		}
+		d, ok := s.base.idOf[docID]
+		if !ok {
+			return 0
+		}
+		pristine := s.pristine()
+		var sq float64
+		q := cq.pairs
+		for j := s.base.fwdOff[d]; j < s.base.fwdOff[d+1]; j++ {
+			t, w := s.base.fwdTerm[j], s.base.fwdW[j]
+			if !pristine {
+				w = float64(s.base.fwdTF[j]) * s.idfOf(t)
+				sq += w * w
+			}
+			if q = skipTo(q, t); len(q) > 0 && q[0].t == t {
+				dot += w * q[0].w
+			}
+		}
+		dn = s.base.docNorm[d]
+		if !pristine {
+			dn = math.Sqrt(sq)
+		}
+	}
+	if dn == 0 {
+		return 0
+	}
+	return dot / (dn * cq.qn)
+}
+
+// skipTo drops the leading query pairs whose term sorts before t.
+func skipTo(q []termWeight, t string) []termWeight {
+	for len(q) > 0 && q[0].t < t {
+		q = q[1:]
+	}
+	return q
+}
+
 // Search ranks live documents against the query with BM25, identically
 // to a full rebuild over the merged corpus: SearchStats under the view's
 // own statistics.

@@ -2,6 +2,7 @@ package textindex
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -129,6 +130,66 @@ func TestSegmentedParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDocCosineMatchesVectorCosine: DocCosine agrees with the map-vector
+// oracle it replaced, TFIDFVector(doc).Cosine(query), to a part in 1e12
+// on pristine, overlay-added and tombstoned views, scores 0 for unknown
+// and dead documents, reads nothing of the query but its index-
+// independent half (a query compiled against another corpus's base
+// scores identically), and is bit-for-bit repeatable.
+func TestDocCosineMatchesVectorCosine(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	other, _ := randomCorpus(rng, 9)
+	otherBase := other.Freeze()
+	check := func(label string, seg *Segmented, ids []string) {
+		t.Helper()
+		for qi := 0; qi < 6; qi++ {
+			qv := randomQueryVector(rng)
+			cq := seg.Base().Compile(qv)
+			foreign := otherBase.Compile(qv)
+			for _, id := range ids {
+				got := seg.DocCosine(id, cq)
+				want := 0.0
+				if dv, err := seg.TFIDFVector(id); err == nil {
+					want = dv.Cosine(qv)
+				}
+				if math.Abs(got-want) > 1e-12*math.Max(math.Abs(got), math.Abs(want)) {
+					t.Fatalf("%s: DocCosine(%s, #%d) = %v, oracle %v", label, id, qi, got, want)
+				}
+				if again, f := seg.DocCosine(id, cq), seg.DocCosine(id, foreign); again != got || f != got {
+					t.Fatalf("%s: DocCosine(%s, #%d) = %v, again %v, foreign-compiled %v", label, id, qi, got, again, f)
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		live, ids := randomCorpus(rng, 2+rng.Intn(20))
+		seg := NewSegmented(live.Freeze())
+		probe := append(ids, "missing")
+		check(fmt.Sprintf("trial %d pristine", trial), seg, probe)
+
+		added := make(map[string]string)
+		for i := 0; i < 1+rng.Intn(5); i++ {
+			id := fmt.Sprintf("new/%d", i)
+			added[id] = randomText(rng, 1+rng.Intn(20))
+			probe = append(probe, id)
+		}
+		added[ids[0]] = randomText(rng, 1+rng.Intn(20)) // shadows a base doc
+		seg = seg.WithDocs(added)
+		check(fmt.Sprintf("trial %d overlay", trial), seg, probe)
+
+		seg = seg.WithoutDocs([]string{ids[len(ids)-1], "new/0"})
+		check(fmt.Sprintf("trial %d tombstoned", trial), seg, probe)
+		for _, dead := range []string{ids[len(ids)-1], "new/0", "missing"} {
+			if got := seg.DocCosine(dead, seg.Base().Compile(Vector{"graph": 1})); got != 0 {
+				t.Fatalf("trial %d: dead or unknown %s scores %v", trial, dead, got)
+			}
+		}
+	}
+	if got := NewSegmented(NewIndex().Freeze()).DocCosine("x", (&Frozen{}).Compile(nil)); got != 0 {
+		t.Fatalf("empty query scores %v", got)
 	}
 }
 

@@ -737,11 +737,11 @@ func (sh *Sharded) Search(ctx context.Context, query string, k int) ([]SearchRes
 }
 
 // scatterSearch runs the two-phase fan-out and also reports which
-// shard engine owns each returned document (for re-ranking reads). ctx
-// carries the request trace (if any): each shard's scoring pass is
+// shard's read view owns each returned document (for re-ranking reads).
+// ctx carries the request trace (if any): each shard's scoring pass is
 // recorded as a stage, so debug/traces shows where a slow fan-out
 // spent its time.
-func (sh *Sharded) scatterSearch(ctx context.Context, query string, k int) ([]textindex.Result, map[string]*core.Engine, error) {
+func (sh *Sharded) scatterSearch(ctx context.Context, query string, k int) ([]textindex.Result, map[string]*textindex.Segmented, error) {
 	defer mScatterSearchSeconds.ObserveSince(time.Now())
 	tr := metrics.TraceFrom(ctx)
 	engs, err := sh.engines()
@@ -772,10 +772,10 @@ func (sh *Sharded) scatterSearch(ctx context.Context, query string, k int) ([]te
 		}(i, v)
 	}
 	wg.Wait()
-	owner := make(map[string]*core.Engine)
+	owner := make(map[string]*textindex.Segmented)
 	for i, rs := range lists {
 		for _, r := range rs {
-			owner[r.DocID] = engs[i]
+			owner[r.DocID] = views[i]
 		}
 	}
 	return topk.MergeTopK(lists, k, searchBetter), owner, nil
@@ -790,11 +790,11 @@ func toResults(rs []textindex.Result) []SearchResult {
 }
 
 // SearchWithContext scatter-gathers the BM25 base exactly, then
-// re-ranks by similarity to the user's context vector (from their home
-// shard, which holds their workpad). Document vectors come from the
-// owning shard's statistics — a shard-local approximation, unlike the
-// exact base ranking. One shard has nothing to approximate: its engine
-// answers inline.
+// re-ranks by similarity to the user's compiled context (from their home
+// shard, which holds their workpad) with the engine's own re-rank.
+// Document weights come from the owning shard's statistics — a
+// shard-local approximation, unlike the exact base ranking. One shard
+// has nothing to approximate: its engine answers inline.
 func (sh *Sharded) SearchWithContext(ctx context.Context, userID, query string, k int) ([]SearchResult, error) {
 	home, err := sh.EngineFor(userID)
 	if err != nil {
@@ -804,29 +804,12 @@ func (sh *Sharded) SearchWithContext(ctx context.Context, userID, query string, 
 		defer mSearchSeconds.ObserveSince(time.Now())
 		return home.SearchWithContext(userID, query, k), nil
 	}
-	cvec := home.ContextVector(userID)
 	base, owner, err := sh.scatterSearch(ctx, query, 4*k)
 	if err != nil {
 		return nil, err
 	}
-	if len(cvec) == 0 {
-		if k > 0 && len(base) > k {
-			base = base[:k]
-		}
-		return toResults(base), nil
-	}
-	const ctxWeight = 1.0
-	h := topk.New[textindex.Result](k, searchBetter)
-	for _, r := range base {
-		sim := 0.0
-		if eng := owner[r.DocID]; eng != nil {
-			if dv, err := eng.DocTFIDF(r.DocID); err == nil {
-				sim = dv.Cosine(cvec)
-			}
-		}
-		h.Push(textindex.Result{DocID: r.DocID, Score: r.Score * (1 + ctxWeight*sim)})
-	}
-	return toResults(h.Sorted()), nil
+	return core.RerankByContext(base, home.ContextQuery(userID), k,
+		func(docID string) *textindex.Segmented { return owner[docID] }), nil
 }
 
 // docShard locates the shard engine holding an indexed document.
@@ -960,6 +943,26 @@ func (sh *Sharded) RecommendPeers(userID string, k int) ([]PeerRecommendation, e
 		return nil, err
 	}
 	return eng.RecommendPeers(userID, k)
+}
+
+// RankPeers is RecommendPeers without the per-peer explanations, for a
+// pager that explains only the page it serves (ExplainPeers).
+func (sh *Sharded) RankPeers(userID string, k int) ([]PeerRecommendation, error) {
+	eng, err := sh.EngineFor(userID)
+	if err != nil {
+		return nil, err
+	}
+	return eng.RankPeers(userID, k)
+}
+
+// ExplainPeers fills in the evidences and likely sessions of ranked
+// peers, in place.
+func (sh *Sharded) ExplainPeers(userID string, recs []PeerRecommendation) error {
+	eng, err := sh.EngineFor(userID)
+	if err != nil {
+		return err
+	}
+	return eng.ExplainPeers(userID, recs)
 }
 
 // SuggestSessions ranks a conference's sessions for the user.

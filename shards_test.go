@@ -456,10 +456,13 @@ func serviceParity(t *testing.T, p *Platform, seed int64) {
 		same("ExplainResource("+u+","+paper+")", wantRel, gotRel, err1, err2)
 		gotPaths, err2 := p.KnowledgePaths("user:"+u, "session:s"+fmt.Sprint(i%4), 3)
 		same("KnowledgePaths("+u+")", ref.KnowledgePaths("user:"+u, "session:s"+fmt.Sprint(i%4), 3), gotPaths, nil, err2)
-		// Context search, compared as hiveload compares it: rank by rank,
-		// score by score.
+		// Context search re-ranks in a fixed order, so it compares
+		// exactly: rank by rank, score bit by score bit.
+		wantCtx := ref.SearchWithContext(u, q, 10)
 		gotCtx, err2 := p.SearchWithContext(u, q, 10)
-		same(fmt.Sprintf("SearchWithContext(%s,%q)", u, q), ref.SearchWithContext(u, q, 10), gotCtx, nil, err2)
+		if err2 != nil || !reflect.DeepEqual(wantCtx, gotCtx) {
+			t.Fatalf("SearchWithContext(%s,%q) diverged (err %v):\nengine   %+v\nPlatform %+v", u, q, err2, wantCtx, gotCtx)
+		}
 
 		// The services the server does not route.
 		wantKeys, err1 := ref.Annotate(doc, 3)
