@@ -23,14 +23,18 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 }
 
+// garbageCursors are tokens DecodeCursor must reject; they also seed
+// FuzzDecodeCursor.
+var garbageCursors = []string{
+	"not base64 !!",
+	"bm9wZQ", // "nope": no version prefix
+	EncodeCursor(5) + "x",
+	"djE6LTM",                         // "v1:-3": negative
+	EncodeCursor(MaxCursorOffset + 1), // overflow bait: offset+limit must never wrap
+}
+
 func TestCursorRejectsGarbage(t *testing.T) {
-	for _, c := range []string{
-		"not base64 !!",
-		"bm9wZQ", // "nope": no version prefix
-		EncodeCursor(5) + "x",
-		"djE6LTM",                         // "v1:-3": negative
-		EncodeCursor(MaxCursorOffset + 1), // overflow bait: offset+limit must never wrap
-	} {
+	for _, c := range garbageCursors {
 		if _, err := DecodeCursor(c); !errors.Is(err, ErrBadCursor) {
 			t.Fatalf("DecodeCursor(%q) err = %v, want ErrBadCursor", c, err)
 		}
@@ -38,6 +42,30 @@ func TestCursorRejectsGarbage(t *testing.T) {
 	if off, err := DecodeCursor(EncodeCursor(MaxCursorOffset)); err != nil || off != MaxCursorOffset {
 		t.Fatalf("max offset round-trip = (%d, %v)", off, err)
 	}
+}
+
+// FuzzDecodeCursor: cursors are client-supplied bytes. No token panics
+// the decoder, and an accepted one names an offset in
+// [0, MaxCursorOffset] that survives re-encoding.
+func FuzzDecodeCursor(f *testing.F) {
+	for _, c := range append([]string{"", EncodeCursor(0), EncodeCursor(49), EncodeCursor(MaxCursorOffset)}, garbageCursors...) {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		off, err := DecodeCursor(s)
+		if err != nil {
+			if !errors.Is(err, ErrBadCursor) {
+				t.Fatalf("DecodeCursor(%q) err = %v, want ErrBadCursor", s, err)
+			}
+			return
+		}
+		if off < 0 || off > MaxCursorOffset {
+			t.Fatalf("DecodeCursor(%q) = %d, outside [0, %d]", s, off, MaxCursorOffset)
+		}
+		if again, err := DecodeCursor(EncodeCursor(off)); err != nil || again != off {
+			t.Fatalf("DecodeCursor(%q) = %d, re-encoded decodes to (%d, %v)", s, off, again, err)
+		}
+	})
 }
 
 func TestPaginate(t *testing.T) {

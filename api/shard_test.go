@@ -63,14 +63,56 @@ func TestShardCursorRoundTrip(t *testing.T) {
 	}
 }
 
+// garbageShardCursors are tokens DecodeShardCursor must reject at any
+// shard count; they also seed FuzzDecodeShardCursor.
+var garbageShardCursors = []string{"not-base64!!", "djE6NTA", EncodeShardCursor(nil)[:4]}
+
 func TestShardCursorRejectsMismatchAndGarbage(t *testing.T) {
 	cur := EncodeShardCursor([]uint64{1, 2, 3})
 	if _, err := DecodeShardCursor(cur, 4); !errors.Is(err, ErrBadCursor) {
 		t.Errorf("wrong shard count: err = %v, want ErrBadCursor", err)
 	}
-	for _, bad := range []string{"not-base64!!", "djE6NTA", EncodeShardCursor(nil)[:4]} {
+	for _, bad := range garbageShardCursors {
 		if _, err := DecodeShardCursor(bad, 2); !errors.Is(err, ErrBadCursor) {
 			t.Errorf("garbage %q: err = %v, want ErrBadCursor", bad, err)
 		}
 	}
+}
+
+// FuzzDecodeShardCursor: the s1: vector cursor every feed page carries
+// (n = 1 included). No token panics the decoder; an accepted one holds
+// exactly one bound per shard, survives re-encoding, and decodes at no
+// other shard count.
+func FuzzDecodeShardCursor(f *testing.F) {
+	for _, c := range garbageShardCursors {
+		f.Add(c, uint8(2))
+	}
+	f.Add(EncodeShardCursor([]uint64{1, 2, 3}), uint8(3))
+	f.Add(EncodeShardCursor([]uint64{1, 2, 3}), uint8(4))
+	f.Add(EncodeShardCursor([]uint64{7}), uint8(1))
+	f.Add(EncodeShardCursor([]uint64{0, 17, 3, 900719925474099}), uint8(4))
+	f.Fuzz(func(t *testing.T, s string, count uint8) {
+		shards := int(count%64) + 1 // a deployment has 1..64 shards
+		bounds, err := DecodeShardCursor(s, shards)
+		if err != nil {
+			if !errors.Is(err, ErrBadCursor) {
+				t.Fatalf("DecodeShardCursor(%q, %d) err = %v, want ErrBadCursor", s, shards, err)
+			}
+			return
+		}
+		if len(bounds) != shards {
+			t.Fatalf("DecodeShardCursor(%q, %d) = %d bounds", s, shards, len(bounds))
+		}
+		if again, err := DecodeShardCursor(EncodeShardCursor(bounds), shards); err != nil || !reflect.DeepEqual(again, bounds) {
+			t.Fatalf("DecodeShardCursor(%q, %d) = %v, re-encoded decodes to (%v, %v)", s, shards, bounds, again, err)
+		}
+		if s == "" {
+			return // the empty cursor is the first page at every shard count
+		}
+		for other := 1; other <= 65; other++ {
+			if _, err := DecodeShardCursor(s, other); other != shards && err == nil {
+				t.Fatalf("%d-shard cursor %q also decodes at %d shards", shards, s, other)
+			}
+		}
+	})
 }

@@ -692,8 +692,8 @@ func BenchmarkSegmentedSearch(b *testing.B) {
 // goroutines acking every sequence the moment it appears, so the
 // measured cost is the quorum machinery itself (ack bookkeeping,
 // commit-index persistence, the waitQuorum wakeup) with no network in
-// the loop (E17; `make quorum-smoke` drives the same path over real HTTP
-// followers).
+// the loop (E17; cmd/hived's TestSmokeCluster drives the same path with
+// real follower processes).
 func BenchmarkQuorumWrite(b *testing.B) {
 	for _, k := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

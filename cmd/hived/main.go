@@ -98,15 +98,24 @@
 // are exposed on a separate listener under /debug/pprof/, kept off the
 // public API address so profiling never rides the serving middleware
 // (and can be bound to localhost while the API is public).
+//
+// SIGINT or SIGTERM stops the node cleanly: the listener closes,
+// in-flight requests get up to shutdownGrace to finish, then every
+// shard closes (compaction loop, replication, journal and WAL) and the
+// process exits 0.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"hive"
@@ -114,6 +123,11 @@ import (
 	"hive/internal/server"
 	"hive/internal/workload"
 )
+
+// shutdownGrace bounds how long a stop waits for in-flight requests. It
+// matches the default quorum ack timeout, so a held write still gets its
+// answer; a follower's parked replication long-poll is cut at the bound.
+const shutdownGrace = 5 * time.Second
 
 // clusterSpec is the parsed -cluster flag.
 type clusterSpec struct {
@@ -245,7 +259,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("open platform: %v", err)
 	}
-	defer sh.Close()
 
 	if *cluster != "" {
 		// Role and state are election-driven: the node joined fenced, the
@@ -290,8 +303,27 @@ func main() {
 	if !*quiet {
 		cfg.AccessLog = log.Default()
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	srv := &http.Server{Addr: *addr, Handler: server.NewSharded(sh, cfg)}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.ListenAndServe() }()
 	log.Printf("hived listening on %s (%d shard(s), API v1 at /api/v1)", *addr, *shards)
-	if err := http.ListenAndServe(*addr, server.NewSharded(sh, cfg)); err != nil {
+	select {
+	case err := <-serveErr:
+		sh.Close()
 		log.Fatalf("serve: %v", err)
+	case <-ctx.Done():
 	}
+	stop() // a second signal now takes the default action
+	log.Printf("shutting down (grace %v)", shutdownGrace)
+	graceCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(graceCtx); err != nil {
+		log.Printf("shutdown: %v", err)
+	}
+	if err := sh.Close(); err != nil {
+		log.Fatalf("close platform: %v", err)
+	}
+	log.Printf("stopped")
 }

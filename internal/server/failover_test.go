@@ -3,8 +3,9 @@ package server
 // Elected-cluster failover tests: leader-kill promotion convergence and
 // deposed-leader fencing. Both run in-process (httptest servers over
 // real platforms) so they are -race-clean and deterministic enough for
-// make race-nightly; the process-level equivalent lives in
-// cmd/apismoke -failover.
+// make race-nightly; what only separate processes can show (SIGKILL, a
+// dead leader's dir restarted standalone, per-process metrics) is
+// TestSmokeCluster in cmd/hived.
 
 import (
 	"context"
@@ -291,6 +292,19 @@ func TestDeposedLeaderFencing(t *testing.T) {
 	}
 	if a.p.Epoch() != 1 || a.p.Role() != "leader" {
 		t.Fatalf("test setup: A = role %s epoch %d, want leader at 1", a.p.Role(), a.p.Epoch())
+	}
+
+	// Over the wire, a poll asserting a term beyond the node's own is
+	// refused with stale_epoch: A's feed at the cluster's term 2, and the
+	// real leader B's at a term no one has reached.
+	for _, poll := range []struct {
+		url   string
+		epoch uint64
+	}{{urlA, 2}, {urlB, 3}} {
+		_, err := client.New(poll.url).ReplicationEvents(context.Background(), 0, 16, 0, poll.epoch, nil)
+		if !api.IsCode(err, api.CodeStaleEpoch) {
+			t.Fatalf("events poll of %s at epoch %d = %v, want %s", poll.url, poll.epoch, err, api.CodeStaleEpoch)
+		}
 	}
 
 	// Point F at the deposed leader. Everything A serves is behind F's

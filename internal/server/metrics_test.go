@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 
 	"hive"
 	"hive/api"
+	"hive/client"
 )
 
 // TestCapExemptPaths pins which paths bypass the in-flight and QPS
@@ -112,21 +115,24 @@ func TestMetricsExemptFromRateLimit(t *testing.T) {
 
 // TestMetricsEndpoint drives real requests through a full server and
 // asserts the exposition covers them: per-route counters and latency
-// histograms plus the scrape-time state gauges, in the Prometheus text
-// format. The registry is process-wide and other tests (and reruns
-// under -count) contribute to the same series, so the counter
-// assertions are deltas across a scrape pair, not absolute values.
+// histograms plus the scrape-time state gauges of every shard, in the
+// Prometheus text format, and a wrong_shard 409 that carries the trace
+// ID and counts as 4xx — at one shard and at four, where the
+// scatter-gather histogram and the trace's fan-out stages join in. The
+// registry is process-wide and other tests (and reruns under -count)
+// contribute to the same series, so the counter assertions are deltas
+// across a scrape pair, not absolute values.
 func TestMetricsEndpoint(t *testing.T) {
-	p, err := hive.Open(hive.Options{})
-	if err != nil {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { metricsEndpoint(t, n) })
+	}
+}
+
+func metricsEndpoint(t *testing.T, shards int) {
+	ts, sh := newShardedServer(t, shards)
+	if err := sh.RegisterUser(hive.User{ID: "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-	if err := p.RegisterUser(hive.User{ID: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewWith(p, Config{}))
-	defer ts.Close()
 
 	scrape := func() string {
 		t.Helper()
@@ -183,17 +189,83 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s advanced by %g, want %g", series, got, want)
 		}
 	}
-	for _, want := range []string{
-		"# TYPE hive_http_request_seconds histogram",
-		`hive_pending_events{shard="0"}`,
-		`hive_overlay_docs{shard="0"}`,
-		`hive_commit_index{shard="0"}`,
-		"hive_replication_lag_events",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q\n--- got ---\n%s", want, body)
+	want := []string{"# TYPE hive_http_request_seconds histogram", "hive_replication_lag_events"}
+	for s := 0; s < shards; s++ {
+		for _, g := range []string{"hive_shard_docs", "hive_pending_events", "hive_overlay_docs", "hive_commit_index"} {
+			want = append(want, fmt.Sprintf(`%s{shard="%d"} `, g, s))
 		}
 	}
+	for _, w := range want {
+		if !strings.Contains(body, w) {
+			t.Errorf("exposition missing %q\n--- got ---\n%s", w, body)
+		}
+	}
+
+	// A mis-declared shard: the 409 envelope echoes the caller's trace ID
+	// and counts into the route's 4xx class.
+	const tid, paper4xx = "feedfacecafebeef", `hive_http_requests_total{route="/api/v1/papers",method="POST",class="4xx"}`
+	req, _ := http.NewRequest("POST", ts.URL+"/api/v1/papers",
+		strings.NewReader(`{"id":"p-wrong","title":"Misrouted","authors":["alice"]}`))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(api.ShardHeader, "99")
+	req.Header.Set(api.TraceHeader, tid)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env api.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == nil ||
+		env.Error.Code != api.CodeWrongShard || env.TraceID != tid {
+		t.Fatalf("mis-declared shard: status %d, envelope %+v (%v), want wrong_shard carrying trace_id %s", resp.StatusCode, env, err, tid)
+	}
+	after := scrape()
+	if got := sample(after, paper4xx) - sample(body, paper4xx); got != 1 {
+		t.Errorf("%s advanced by %g over one wrong_shard, want 1", paper4xx, got)
+	}
+	if shards == 1 {
+		return
+	}
+
+	// A search through the SDK fans out: the scatter histogram advances
+	// and the trace the SDK minted carries the per-shard stages.
+	const fanout = `hive_scatter_fanout_seconds_count{op="search"}`
+	c := client.New(ts.URL)
+	if _, err := c.Search(context.Background(), "anything", "", "", 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := sample(scrape(), fanout) - sample(after, fanout); got < 1 {
+		t.Errorf("%s advanced by %g over a search, want >= 1", fanout, got)
+	}
+	tr := recordedTrace(t, ts.URL, c.LastTraceID())
+	fanned := false
+	for _, st := range tr.Stages {
+		fanned = fanned || strings.HasPrefix(st.Name, "search_shard")
+	}
+	if tr.Route != "/api/v1/search" || !fanned {
+		t.Errorf("search trace = route %q, stages %+v, want search_shard* fan-out stages", tr.Route, tr.Stages)
+	}
+}
+
+// recordedTrace returns the debug/traces entry for one trace ID.
+func recordedTrace(t *testing.T, base, tid string) api.TraceInfo {
+	t.Helper()
+	resp, err := http.Get(base + "/api/v1/debug/traces?n=256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var report api.TraceReport
+	if err := json.NewDecoder(resp.Body).Decode(&report); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range report.Traces {
+		if tr.TraceID == tid {
+			return tr
+		}
+	}
+	t.Fatalf("trace %q not in %s/api/v1/debug/traces (%d retained)", tid, base, len(report.Traces))
+	return api.TraceInfo{}
 }
 
 // TestTraceEndToEnd: an inbound X-Hive-Trace-Id is adopted, echoed on

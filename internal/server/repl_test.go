@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"hive"
 	"hive/api"
+	"hive/client"
 	"hive/internal/election"
 )
 
@@ -278,6 +280,21 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	status, ae = decodeEnvelope(t, resp)
 	if status != http.StatusConflict || ae.Code != api.CodeNotLeader {
 		t.Fatalf("follower batch = %d %q", status, ae.Code)
+	}
+
+	// A cluster-aware SDK aimed at the follower replays the rejected
+	// write at the hinted leader under the same trace ID, and each
+	// server's trace ring records it with its own status.
+	c := client.New(fts.URL, client.WithCluster(ts.URL))
+	if err := c.CreateUser(context.Background(), api.User{ID: "traced", Name: "T"}); err != nil || c.Redirects() < 1 {
+		t.Fatalf("redirected write = %v after %d redirects, want success via the hint", err, c.Redirects())
+	}
+	tid := c.LastTraceID()
+	if tr := recordedTrace(t, fts.URL, tid); tr.Status != http.StatusConflict {
+		t.Fatalf("follower recorded %s with status %d, want 409", tid, tr.Status)
+	}
+	if tr := recordedTrace(t, ts.URL, tid); tr.Status < 200 || tr.Status >= 300 {
+		t.Fatalf("leader recorded %s with status %d, want 2xx", tid, tr.Status)
 	}
 
 	// Reads keep working.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"hive"
 	"hive/api"
+	"hive/client"
 )
 
 // decodeEnvelope fetches path and returns (status, error envelope).
@@ -709,6 +711,11 @@ func v1FullScenario(t *testing.T, ts *httptest.Server, shards int) {
 	if code := get(t, ts, "/api/v1/cluster", &cs); code != 200 || cs.ShardCount != shards || len(cs.Shards) != shards {
 		t.Fatalf("cluster = %d count %d, %d rows, want %d", code, cs.ShardCount, len(cs.Shards), shards)
 	}
+	for i, s := range cs.Shards {
+		if s.ID != i || s.Role != api.RoleLeader {
+			t.Fatalf("cluster shard row %d = id %d role %q, want id %d leading", i, s.ID, s.Role, i)
+		}
+	}
 	resp := post(t, ts, "/api/v1/admin/refresh?wait=true", struct{}{})
 	expectStatus(t, resp, http.StatusOK)
 }
@@ -801,6 +808,17 @@ func wrongShardEnvelope(t *testing.T, ts *httptest.Server, shards int) {
 	}
 	expectStatus(t, publish("p-right", fmt.Sprint(want)), http.StatusCreated)
 	expectStatus(t, publish("p-routed", ""), http.StatusCreated)
+
+	// The SDK learns the shard map from the cluster endpoint and declares
+	// the owner's shard itself: its write lands first try.
+	ctx := context.Background()
+	c := client.New(ts.URL)
+	if _, err := c.ClusterStatus(ctx); err != nil || c.ShardCount() != shards {
+		t.Fatalf("SDK shard map = %d (err %v), want %d", c.ShardCount(), err, shards)
+	}
+	if err := c.CreatePaper(ctx, api.Paper{ID: "p-sdk", Title: "Routed", Authors: []string{"ann"}}); err != nil || c.Redirects() != 0 {
+		t.Fatalf("SDK routed write = %v after %d redirects, want first-try success", err, c.Redirects())
+	}
 }
 
 // TestV1RequestIDPropagation: the middleware echoes a provided ID and
