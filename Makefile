@@ -37,7 +37,8 @@ vuln:
 # smoke scenarios at a higher -count, catching rare schedules the per-PR
 # run might miss; then ten seconds of fuzzing each decoder of bytes from
 # disk or the wire — the kv WAL/snapshot records and the two cursor
-# forms (the per-PR run only replays their seed corpora; -fuzz takes one
+# forms — and of the memoised text analysis chain against the uncached
+# one (the per-PR run only replays their seed corpora; -fuzz takes one
 # target per invocation).
 race-nightly:
 	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestSegmentedParity' -count=5 ./internal/core/ ./internal/textindex/
@@ -46,6 +47,7 @@ race-nightly:
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/
 	$(GO) test -race -run Smoke -count=5 ./cmd/hived
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/kvstore/
+	$(GO) test -run '^$$' -fuzz 'FuzzTerms' -fuzztime 10s ./internal/textindex/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCursor' -fuzztime 10s ./api/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeShardCursor' -fuzztime 10s ./api/
 

@@ -393,6 +393,34 @@ func BenchmarkParallelRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildScaling measures one full snapshot build on one builder
+// worker as the user count doubles, over hiveload's dataset shape (E20):
+// the build is most of a node's start-up and all of every compaction, so
+// it must grow with the data, not with its square.
+func BenchmarkBuildScaling(b *testing.B) {
+	for _, users := range []int{64, 128, 256, 512} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			st, err := social.Open("", social.Clock(benchClock()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			ds := workload.Generate(workload.Config{Seed: 42, Users: users,
+				Series: 2, YearsPerSeries: 2, SessionsPerConf: 8, PapersPerSess: 4})
+			if err := ds.Load(st); err != nil {
+				b.Fatal(err)
+			}
+			builder := &core.Builder{Store: st, Workers: 1}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := builder.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRebuildUnderLoad measures read latency on the serving
 // snapshot while a background goroutine rebuilds and swaps snapshots
 // continuously — the zero-downtime refresh path. The read numbers show

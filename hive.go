@@ -526,6 +526,9 @@ func (p *Platform) compact() error {
 	p.compactions.Add(1)
 	mCompactions.Inc()
 	mCompactionSeconds.ObserveSince(compactStart)
+	for _, s := range eng.BuildStages() {
+		mBuildStageSeconds.With(s.Name).ObserveDuration(s.Dur)
+	}
 
 	p.pendMu.Lock()
 	kept := p.pending[:0]

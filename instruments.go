@@ -16,6 +16,8 @@ var (
 		"Latency of folding one drained delta batch into the serving snapshot.", nil)
 	mCompactionSeconds = metrics.Default.Histogram(metrics.CompactionSeconds,
 		"Latency of one full snapshot rebuild (compaction).", nil)
+	mBuildStageSeconds = metrics.Default.HistogramVec(metrics.BuildStageSeconds,
+		"Latency of each stage of a compaction's snapshot build.", nil, "stage")
 	mDeltasApplied = metrics.Default.Counter(metrics.DeltasAppliedTotal,
 		"Delta batches folded into serving snapshots since process start.")
 	mCompactions = metrics.Default.Counter(metrics.CompactionsTotal,

@@ -10,8 +10,10 @@
 package align
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,7 +49,9 @@ type Mapping struct {
 // Options tunes the aligner.
 type Options struct {
 	// MinLexical is the minimum lexical similarity for a candidate pair.
-	// Defaults to 0.5.
+	// Zero or negative means the default, 0.5. It is always positive, so
+	// a candidate shares a stemmed token or the exact key with its
+	// partner: Align scores only such pairs.
 	MinLexical float64
 	// LexicalWeight is the weight of lexical vs structural similarity in
 	// the final score. Defaults to 0.6.
@@ -58,7 +62,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MinLexical == 0 {
+	if o.MinLexical <= 0 {
 		o.MinLexical = 0.5
 	}
 	if o.LexicalWeight == 0 {
@@ -78,27 +82,35 @@ func LexicalSimilarity(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	ta := tokenSet(a)
-	tb := tokenSet(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
+	ta, tb := stems(a), stems(b)
 	inter := 0
-	for t := range ta {
-		if tb[t] {
+	for _, t := range ta {
+		if slices.Contains(tb, t) {
 			inter++
 		}
 	}
-	union := len(ta) + len(tb) - inter
-	return float64(inter) / float64(union)
+	return jaccard(inter, len(ta), len(tb))
 }
 
-func tokenSet(s string) map[string]bool {
-	set := map[string]bool{}
-	for _, t := range textindex.Tokenize(s) {
-		set[textindex.Stem(t)] = true
+// stems returns the distinct stemmed tokens of a node key.
+func stems(key string) []string {
+	toks := textindex.Tokenize(key)
+	out := toks[:0]
+	for _, t := range toks {
+		if st := textindex.Stem(t); !slices.Contains(out, st) {
+			out = append(out, st)
+		}
 	}
-	return set
+	return out
+}
+
+// jaccard is |A∩B| / |A∪B| from the intersection and the set sizes; 0
+// when either set is empty.
+func jaccard(inter, na, nb int) float64 {
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return float64(inter) / float64(na+nb-inter)
 }
 
 // Align computes scored mappings between two layers. Candidates pass a
@@ -107,6 +119,10 @@ func tokenSet(s string) map[string]bool {
 // neighborhoods (one round of structural refinement). Greedy one-to-one
 // matching keeps the best mapping per node. The result is imprecise by
 // design — scores, not booleans.
+//
+// Each key is tokenised once, and only pairs that share a stemmed token
+// or the exact key are scored, found through a stem → B-node postings
+// map: with MinLexical positive no other pair can pass the prefilter.
 func Align(a, b *Layer, opts Options) []Mapping {
 	opts = opts.withDefaults()
 	type cand struct {
@@ -116,21 +132,51 @@ func Align(a, b *Layer, opts Options) []Mapping {
 	var cands []cand
 	// Anchor set: exact-key matches, used for structural scoring.
 	anchors := map[string]string{}
+	// Nodes visits B in ID order, so every postings list ascends.
 	bKeys := make([]string, 0, b.G.NumNodes())
+	bStemCount := make([]int, 0, b.G.NumNodes())
+	postings := map[string][]graph.NodeID{}
 	b.G.Nodes(func(n graph.Node) bool {
+		st := stems(n.Key)
 		bKeys = append(bKeys, n.Key)
+		bStemCount = append(bStemCount, len(st))
+		for _, s := range st {
+			postings[s] = append(postings[s], n.ID)
+		}
 		return true
 	})
+	shared := make([]int32, len(bKeys)) // stems each B node shares with the A key at hand
+	var touched []graph.NodeID
 	a.G.Nodes(func(n graph.Node) bool {
-		for _, bk := range bKeys {
-			lex := LexicalSimilarity(n.Key, bk)
+		ta := stems(n.Key)
+		for _, s := range ta {
+			for _, j := range postings[s] {
+				if shared[j] == 0 {
+					touched = append(touched, j)
+				}
+				shared[j]++
+			}
+		}
+		if j := b.G.Lookup(n.Key); j != graph.Invalid && shared[j] == 0 {
+			touched = append(touched, j) // an exact key with no tokens
+		}
+		// Visit the candidates in B's node order, so the last exact
+		// anchor wins as in a scan of every pair.
+		slices.Sort(touched)
+		for _, j := range touched {
+			lex := 1.0
+			if bKeys[j] != n.Key {
+				lex = jaccard(int(shared[j]), len(ta), bStemCount[j])
+			}
+			shared[j] = 0
 			if lex >= opts.MinLexical {
-				cands = append(cands, cand{n.Key, bk, lex})
+				cands = append(cands, cand{n.Key, bKeys[j], lex})
 				if lex == 1 {
-					anchors[n.Key] = bk
+					anchors[n.Key] = bKeys[j]
 				}
 			}
 		}
+		touched = touched[:0]
 		return true
 	})
 
@@ -288,8 +334,20 @@ func Integrate(layers []*Layer, opts Options) (*Integrated, error) {
 			return true
 		})
 	}
-	for p, w := range combined {
-		_ = out.AddEdge(p.from, p.to, EdgeIntegrated, w)
+	// Insert in (from, to) order: out-edge lists, and every sum over them
+	// downstream, must not depend on map iteration order.
+	pairs := make([]pair, 0, len(combined))
+	for p := range combined {
+		pairs = append(pairs, p)
+	}
+	slices.SortFunc(pairs, func(x, y pair) int {
+		if c := cmp.Compare(x.from, y.from); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.to, y.to)
+	})
+	for _, p := range pairs {
+		_ = out.AddEdge(p.from, p.to, EdgeIntegrated, combined[p])
 	}
 	return &Integrated{G: out, Canonical: canonical}, nil
 }

@@ -2,6 +2,12 @@ package align
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"hive/internal/graph"
@@ -108,6 +114,184 @@ func TestAlignStructuralBoost(t *testing.T) {
 		}
 	}
 	t.Fatal("sigmod not aligned at all")
+}
+
+// alignAllPairs is the reference Align: it scores every pair of keys
+// with LexicalSimilarity, in A's then B's node order.
+func alignAllPairs(a, b *Layer, opts Options) []Mapping {
+	opts = opts.withDefaults()
+	type cand struct {
+		a, b string
+		lex  float64
+	}
+	var cands []cand
+	anchors := map[string]string{}
+	var bKeys []string
+	b.G.Nodes(func(n graph.Node) bool {
+		bKeys = append(bKeys, n.Key)
+		return true
+	})
+	a.G.Nodes(func(n graph.Node) bool {
+		for _, bk := range bKeys {
+			lex := LexicalSimilarity(n.Key, bk)
+			if lex >= opts.MinLexical {
+				cands = append(cands, cand{n.Key, bk, lex})
+				if lex == 1 {
+					anchors[n.Key] = bk
+				}
+			}
+		}
+		return true
+	})
+	neighborsOf := func(l *Layer, key string) map[string]bool {
+		out := map[string]bool{}
+		for _, nb := range l.G.Neighbors(l.G.Lookup(key)) {
+			if n, err := l.G.Node(nb); err == nil {
+				out[n.Key] = true
+			}
+		}
+		return out
+	}
+	var mappings []Mapping
+	for _, c := range cands {
+		na, nb := neighborsOf(a, c.a), neighborsOf(b, c.b)
+		inter, denom := 0, 0
+		for ak := range na {
+			if bk, ok := anchors[ak]; ok {
+				denom++
+				if nb[bk] {
+					inter++
+				}
+			}
+		}
+		structural := 0.0
+		if denom > 0 {
+			structural = float64(inter) / float64(denom)
+		}
+		if score := opts.LexicalWeight*c.lex + (1-opts.LexicalWeight)*structural; score >= opts.MinScore {
+			mappings = append(mappings, Mapping{A: c.a, B: c.b, Score: score})
+		}
+	}
+	sort.Slice(mappings, func(i, j int) bool {
+		if mappings[i].Score != mappings[j].Score {
+			return mappings[i].Score > mappings[j].Score
+		}
+		if mappings[i].A != mappings[j].A {
+			return mappings[i].A < mappings[j].A
+		}
+		return mappings[i].B < mappings[j].B
+	})
+	usedA, usedB := map[string]bool{}, map[string]bool{}
+	var out []Mapping
+	for _, m := range mappings {
+		if !usedA[m.A] && !usedB[m.B] {
+			usedA[m.A], usedB[m.B] = true, true
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// randomLayer builds a layer over a small inflected vocabulary, so keys
+// share stems, come in permuted orders and spellings with one token set,
+// and include user-like IDs and keys with no tokens at all.
+func randomLayer(rng *rand.Rand, name string, nodes, edges int) *Layer {
+	vocab := []string{"graph", "graphs", "processing", "process", "stream",
+		"streams", "tensor", "query", "queries", "social", "network", "index"}
+	seps := []string{" ", "-", ", ", " / "}
+	g := graph.New()
+	for _, k := range []string{"--", "..", "Graph Processing", "processing-graph"} {
+		g.EnsureNode(k, "concept")
+	}
+	for g.NumNodes() < nodes {
+		var key string
+		if rng.Intn(5) == 0 {
+			key = fmt.Sprintf("u%03d", rng.Intn(2*nodes))
+		} else {
+			words := make([]string, 1+rng.Intn(3))
+			for i := range words {
+				words[i] = vocab[rng.Intn(len(vocab))]
+				if rng.Intn(4) == 0 {
+					words[i] = strings.ToUpper(words[i])
+				}
+			}
+			key = strings.Join(words, seps[rng.Intn(len(seps))])
+		}
+		g.EnsureNode(key, "concept")
+	}
+	for i := 0; i < edges; i++ {
+		x, y := graph.NodeID(rng.Intn(nodes)), graph.NodeID(rng.Intn(nodes))
+		if x != y {
+			_ = g.AddUndirected(x, y, "related", 0.1+rng.Float64())
+		}
+	}
+	return &Layer{Name: name, G: g}
+}
+
+// TestAlignMatchesAllPairs requires the postings join to return exactly
+// what scoring every pair returns, over seeded random layers and
+// non-default options.
+func TestAlignMatchesAllPairs(t *testing.T) {
+	optSets := []Options{
+		{},
+		{MinLexical: -1},
+		{MinLexical: 0.3, MinScore: 0.25},
+		{MinLexical: 0.2, LexicalWeight: 0.3, MinScore: 0.1},
+		{MinLexical: 0.9, LexicalWeight: 0.9, MinScore: 0.6},
+	}
+	mapped := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := randomLayer(rng, "a", 60, 150)
+		b := randomLayer(rng, "b", 80, 200)
+		for _, opts := range optSets {
+			want := alignAllPairs(a, b, opts)
+			got := Align(a, b, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %+v:\n got %v\nwant %v", seed, opts, got, want)
+			}
+			mapped += len(got)
+		}
+	}
+	if mapped == 0 {
+		t.Fatal("no mappings at all: the layers exercise nothing")
+	}
+}
+
+// TestIntegrateDeterministic integrates the same layers twice and
+// requires every node's out-edges in the same order with bit-equal
+// weights: downstream PageRank and community detection sum over them.
+func TestIntegrateDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var layers []*Layer
+	for i, name := range []string{"connections", "coauthor", "attendance", "qa"} {
+		l := randomLayer(rng, name, 60, 200)
+		l.Trust = 1 - 0.1*float64(i)
+		layers = append(layers, l)
+	}
+	first, err := Integrate(layers, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 5; run++ {
+		again, err := Integrate(layers, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first.G.Nodes(func(n graph.Node) bool {
+			want, got := first.G.Out(n.ID), again.G.Out(n.ID)
+			if len(got) != len(want) {
+				t.Fatalf("node %q: %d out-edges, then %d", n.Key, len(want), len(got))
+			}
+			for i := range want {
+				if got[i].To != want[i].To || got[i].Label != want[i].Label ||
+					math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+					t.Fatalf("node %q edge %d: %+v, then %+v", n.Key, i, want[i], got[i])
+				}
+			}
+			return true
+		})
+	}
 }
 
 func TestIntegrateEmpty(t *testing.T) {

@@ -104,14 +104,16 @@ func Bootstrap(docs []string, opts BootstrapOptions) (*Map, error) {
 		stemToTerm[textindex.Stem(c.t)] = c.t
 	}
 	for _, d := range docs {
-		words := textindex.RawTerms(d)
-		for i := range words {
-			si := textindex.Stem(words[i])
+		stems := textindex.RawTerms(d)
+		for i, w := range stems {
+			stems[i] = textindex.Stem(w)
+		}
+		for i, si := range stems {
 			if !keep[si] {
 				continue
 			}
-			for j := i + 1; j < len(words) && j <= i+opts.Window; j++ {
-				sj := textindex.Stem(words[j])
+			for j := i + 1; j < len(stems) && j <= i+opts.Window; j++ {
+				sj := stems[j]
 				if !keep[sj] || si == sj {
 					continue
 				}

@@ -102,17 +102,21 @@ func (b *Builder) Build() (*Engine, error) {
 	}
 	e.users = st.Users()
 
-	if err := runLimited(buildTasks, e, b.workers()); err != nil {
-		return nil, err
-	}
-
-	if err := runLimited(finishTasks, e, b.workers()); err != nil {
-		return nil, err
-	}
-	for _, t := range tableTasks {
-		if err := runTask(t, e); err != nil {
+	for _, wave := range [][]buildTask{buildTasks, finishTasks} {
+		durs, err := runLimited(wave, e, b.workers())
+		if err != nil {
 			return nil, err
 		}
+		for i, t := range wave {
+			e.buildStages = append(e.buildStages, BuildStage{Name: t.name, Dur: durs[i]})
+		}
+	}
+	for _, t := range tableTasks {
+		d, err := runTask(t, e)
+		if err != nil {
+			return nil, err
+		}
+		e.buildStages = append(e.buildStages, BuildStage{Name: t.name, Dur: d})
 	}
 
 	// Lazily-filled per-snapshot PageRank memo (bounded; see RecommendPeers).
@@ -131,10 +135,11 @@ func (b *Builder) workers() int {
 }
 
 // runLimited runs the tasks across at most workers goroutines and
-// returns the first error (errgroup-style fan-out, stdlib only). A
-// panicking task is converted into an error so a background rebuild
-// can never take the serving process down.
-func runLimited(tasks []buildTask, e *Engine, workers int) error {
+// returns each task's duration, by position, and the first error
+// (errgroup-style fan-out, stdlib only). A panicking task is converted
+// into an error so a background rebuild can never take the serving
+// process down.
+func runLimited(tasks []buildTask, e *Engine, workers int) ([]time.Duration, error) {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -146,42 +151,51 @@ func runLimited(tasks []buildTask, e *Engine, workers int) error {
 		errOnce  sync.Once
 		firstErr error
 	)
-	ch := make(chan buildTask)
+	durs := make([]time.Duration, len(tasks))
+	ch := make(chan int)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range ch {
-				if err := runTask(t, e); err != nil {
+			for i := range ch {
+				d, err := runTask(tasks[i], e)
+				durs[i] = d
+				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 				}
 			}
 		}()
 	}
-	for _, t := range tasks {
-		ch <- t
+	for i := range tasks {
+		ch <- i
 	}
 	close(ch)
 	wg.Wait()
-	return firstErr
+	return durs, firstErr
 }
 
 // forUsersParallel runs fn(i, user) for every user across the builder's
+// worker count (see forEachParallel).
+func (e *Engine) forUsersParallel(fn func(i int, u string)) {
+	e.forEachParallel(len(e.users), func(i int) { fn(i, e.users[i]) })
+}
+
+// forEachParallel runs fn(i) for every i in [0, n) across the builder's
 // worker count. Indices are disjoint, so fn may write into index i of a
 // preallocated slice without locking. A panic in any worker is re-raised
 // on the calling goroutine, where runTask's recover converts it into a
 // build error (rebuilds must never take the serving process down).
-func (e *Engine) forUsersParallel(fn func(i int, u string)) {
+func (e *Engine) forEachParallel(n int, fn func(i int)) {
 	workers := e.buildWorkers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(e.users) {
-		workers = len(e.users)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for i, u := range e.users {
-			fn(i, u)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -202,10 +216,10 @@ func (e *Engine) forUsersParallel(fn func(i int, u string)) {
 			}()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(e.users) {
+				if i >= n {
 					return
 				}
-				fn(i, e.users[i])
+				fn(i)
 			}
 		}()
 	}
@@ -215,16 +229,19 @@ func (e *Engine) forUsersParallel(fn func(i int, u string)) {
 	}
 }
 
-func runTask(t buildTask, e *Engine) (err error) {
+// runTask runs one stage and reports how long it took.
+func runTask(t buildTask, e *Engine) (d time.Duration, err error) {
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: build stage %s panicked: %v", t.name, r)
 		}
+		d = time.Since(start)
 	}()
 	if err := t.run(e); err != nil {
-		return fmt.Errorf("core: build stage %s: %w", t.name, err)
+		return 0, fmt.Errorf("core: build stage %s: %w", t.name, err)
 	}
-	return nil
+	return 0, nil
 }
 
 // deriveConnectionsLayer builds the explicit-connection/follow layer.

@@ -128,12 +128,12 @@ func TestRunLimitedPropagatesErrorsAndPanics(t *testing.T) {
 		{"fail", func(*Engine) error { return boom }},
 		{"ok2", func(*Engine) error { return nil }},
 	}
-	if err := runLimited(tasks, &Engine{}, 2); !errors.Is(err, boom) {
+	if _, err := runLimited(tasks, &Engine{}, 2); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 
 	tasks = []buildTask{{"panic", func(*Engine) error { panic("kaboom") }}}
-	err := runLimited(tasks, &Engine{}, 4)
+	_, err := runLimited(tasks, &Engine{}, 4)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panic not converted: %v", err)
 	}

@@ -35,28 +35,66 @@ func (e *Engine) ContextVector(userID string) textindex.Vector {
 // buildContextVectors precomputes every user's context vector into the
 // snapshot and compiles it against the frozen index so context search
 // needs no per-request query preparation (Builder phase 2; needs the
-// concept map and the frozen index). The per-user derivations — each a
-// keyphrase extraction plus a concept-map activation — dominate this
-// stage, so the loop shards across the builder's workers.
+// concept map and the frozen index). Each distinct workpad item is
+// analysed once however many users pin it; then each user's vector is
+// assembled from those analyses plus a concept-map activation. Each
+// loop shards across the builder's workers.
 func (e *Engine) buildContextVectors() {
-	vecs := make([]textindex.Vector, len(e.users))
-	cqs := make([]*textindex.CompiledVector, len(e.users))
+	users := make([]*social.User, len(e.users))
+	pads := make([][]social.WorkpadItem, len(e.users))
 	wpRefs := make([][]string, len(e.users))
 	e.forUsersParallel(func(i int, u string) {
-		v := e.computeContextVector(u)
-		vecs[i] = v
-		if len(v) > 0 {
-			cqs[i] = e.seg.Base().Compile(v)
+		if usr, err := e.store.User(u); err == nil {
+			users[i] = &usr
+		}
+		if wp, err := e.store.ActiveWorkpad(u); err == nil {
+			pads[i] = wp.Items
 		}
 		// Snapshot the users pinned on the active workpad: the peer-
 		// recommendation restart bias must come from snapshot state, so
 		// the per-snapshot PageRank memo is a pure function of the user.
-		if wp, err := e.store.ActiveWorkpad(u); err == nil {
-			for _, item := range wp.Items {
-				if item.Kind == social.ItemUser {
-					wpRefs[i] = append(wpRefs[i], item.Ref)
-				}
+		for _, item := range pads[i] {
+			if item.Kind == social.ItemUser {
+				wpRefs[i] = append(wpRefs[i], item.Ref)
 			}
+		}
+	})
+
+	type itemKey struct {
+		kind social.ItemKind
+		ref  string
+	}
+	itemIdx := map[itemKey]int{}
+	var items []itemKey
+	padIdx := make([][]int, len(e.users))
+	for i, pad := range pads {
+		for _, it := range pad {
+			k := itemKey{it.Kind, it.Ref}
+			j, ok := itemIdx[k]
+			if !ok {
+				j = len(items)
+				itemIdx[k] = j
+				items = append(items, k)
+			}
+			padIdx[i] = append(padIdx[i], j)
+		}
+	}
+	analyses := make([]itemAnalysis, len(items))
+	e.forEachParallel(len(items), func(j int) {
+		analyses[j] = e.analyzeItem(items[j].kind, items[j].ref)
+	})
+
+	vecs := make([]textindex.Vector, len(e.users))
+	cqs := make([]*textindex.CompiledVector, len(e.users))
+	e.forUsersParallel(func(i int, _ string) {
+		pad := make([]itemAnalysis, len(padIdx[i]))
+		for k, j := range padIdx[i] {
+			pad[k] = analyses[j]
+		}
+		v := e.contextVector(users[i], pad)
+		vecs[i] = v
+		if len(v) > 0 {
+			cqs[i] = e.seg.Base().Compile(v)
 		}
 	})
 	e.ctxVecs = make(map[string]textindex.Vector, len(e.users))
@@ -73,31 +111,56 @@ func (e *Engine) buildContextVectors() {
 	}
 }
 
+// computeContextVector derives one user's context vector from the
+// store: the one-user path (unknown users, delta repairs).
 func (e *Engine) computeContextVector(userID string) textindex.Vector {
-	v := make(textindex.Vector)
 	u, err := e.store.User(userID)
 	if err != nil {
+		return textindex.Vector{}
+	}
+	var pad []itemAnalysis
+	if wp, err := e.store.ActiveWorkpad(userID); err == nil {
+		for _, item := range wp.Items {
+			pad = append(pad, e.analyzeItem(item.Kind, item.Ref))
+		}
+	}
+	return e.contextVector(&u, pad)
+}
+
+// itemAnalysis is what a context vector takes from one workpad item:
+// its term frequencies and its top keyphrases, the activation seeds.
+type itemAnalysis struct {
+	tf    textindex.Vector
+	seeds []string
+}
+
+func (e *Engine) analyzeItem(kind social.ItemKind, ref string) itemAnalysis {
+	text := e.entityText(kind, ref)
+	return itemAnalysis{tf: textindex.TermFrequency(text), seeds: topSurfaceTerms(text, 3)}
+}
+
+// contextVector assembles a user's context vector from their interests
+// and the analyses of their active workpad's items, in workpad order.
+// A nil user (not in the store) has the empty context.
+func (e *Engine) contextVector(u *social.User, pad []itemAnalysis) textindex.Vector {
+	v := make(textindex.Vector)
+	if u == nil {
 		return v
 	}
 	for _, t := range textindex.Terms(joinStrings(u.Interests)) {
 		v[t] += 1
 	}
-	wp, err := e.store.ActiveWorkpad(userID)
-	if err == nil {
-		var seeds []string
-		for _, item := range wp.Items {
-			text := e.entityText(item.Kind, item.Ref)
-			tf := textindex.TermFrequency(text)
-			v.Add(tf, 2) // workpad items dominate the context
-			seeds = append(seeds, topSurfaceTerms(text, 3)...)
-		}
-		// Propagate through the concept map so related-but-unmentioned
-		// concepts enter the context (§2.3 adaptation strategies).
-		if e.concepts.Len() > 0 && len(seeds) > 0 {
-			act := e.concepts.Activate(seeds)
-			cv := conceptVector(act)
-			v.Add(cv, 0.5)
-		}
+	var seeds []string
+	for _, it := range pad {
+		v.Add(it.tf, 2) // workpad items dominate the context
+		seeds = append(seeds, it.seeds...)
+	}
+	// Propagate through the concept map so related-but-unmentioned
+	// concepts enter the context (§2.3 adaptation strategies).
+	if e.concepts.Len() > 0 && len(seeds) > 0 {
+		act := e.concepts.Activate(seeds)
+		cv := conceptVector(act)
+		v.Add(cv, 0.5)
 	}
 	return v
 }

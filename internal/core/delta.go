@@ -144,6 +144,7 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		buildWorkers: prev.buildWorkers,
 		builtAt:      prev.builtAt,
 		buildDur:     prev.buildDur,
+		buildStages:  prev.buildStages,
 		deltaCount:   prev.deltaCount + 1,
 	}
 

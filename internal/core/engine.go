@@ -131,8 +131,15 @@ type Engine struct {
 	// derivations can shard their per-user loops.
 	buildWorkers int
 
-	builtAt  time.Time
-	buildDur time.Duration
+	builtAt     time.Time
+	buildDur    time.Duration
+	buildStages []BuildStage
+}
+
+// BuildStage is how long one named stage of a full build took.
+type BuildStage struct {
+	Name string
+	Dur  time.Duration
 }
 
 // pprMemoMax bounds the per-snapshot PageRank memo. When full, the memo
@@ -179,6 +186,12 @@ func (e *Engine) BuiltAt() time.Time { return e.builtAt }
 
 // BuildDuration reports how long this snapshot took to build.
 func (e *Engine) BuildDuration() time.Duration { return e.buildDur }
+
+// BuildStages reports the duration of every stage of the full build
+// behind this snapshot, in run order; the slice is shared, read-only.
+// Stages of one wave run concurrently, so the durations can sum past
+// BuildDuration.
+func (e *Engine) BuildStages() []BuildStage { return e.buildStages }
 
 // Store exposes the underlying social store.
 func (e *Engine) Store() *social.Store { return e.store }

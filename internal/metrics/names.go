@@ -20,6 +20,9 @@ const (
 	DeltaApplySeconds = "hive_delta_apply_seconds"
 	// CompactionSeconds times one full snapshot rebuild (compaction).
 	CompactionSeconds = "hive_compaction_seconds"
+	// BuildStageSeconds times each stage of a compaction's snapshot
+	// build, labeled by stage (core.Engine.BuildStages).
+	BuildStageSeconds = "hive_build_stage_seconds"
 	// DeltasAppliedTotal counts delta batches folded since start.
 	DeltasAppliedTotal = "hive_deltas_applied_total"
 	// CompactionsTotal counts snapshot compactions since start.

@@ -1,6 +1,9 @@
 package textindex
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Keyphrase is a term with an extraction score.
 type Keyphrase struct {
@@ -16,50 +19,73 @@ type Keyphrase struct {
 //
 // The co-occurrence window is 4 content words; the graph is undirected and
 // weighted by co-occurrence counts; ranking runs a damped power iteration.
+// The graph is dense: stems get int32 IDs in first-occurrence order and
+// the counts sit in CSR rows, so every sum runs in a fixed order and one
+// text always ranks bit for bit the same.
 func ExtractKeyphrases(text string, k int) []Keyphrase {
 	words := RawTerms(text)
 	if len(words) == 0 {
 		return nil
 	}
 	const window = 4
-	// Build the co-occurrence graph over surface forms; group inflected
-	// variants by stem but display the most frequent surface form.
-	idx := make(map[string]int)
-	var vocab []string
-	counts := make(map[string]map[string]int)
-	surface := make(map[string]map[string]int) // stem -> surface form counts
-	stems := make([]string, len(words))
-	for i, w := range words {
-		st := Stem(w)
-		stems[i] = st
-		if _, ok := idx[st]; !ok {
-			idx[st] = len(vocab)
-			vocab = append(vocab, st)
-		}
-		if surface[st] == nil {
-			surface[st] = make(map[string]int)
-		}
-		surface[st][w]++
+	// Group inflected variants by stem, stemming each distinct surface
+	// form once; display the most frequent surface form of each stem.
+	type form struct {
+		word  string
+		stem  int32
+		count int
 	}
-	for i := range stems {
-		for j := i + 1; j < len(stems) && j <= i+window; j++ {
-			a, b := stems[i], stems[j]
-			if a == b {
-				continue
+	var forms []form
+	formOf := make(map[string]int32, len(words))
+	stemID := make(map[string]int32, len(words))
+	seq := make([]int32, len(words))
+	for i, w := range words {
+		f, ok := formOf[w]
+		if !ok {
+			st := Stem(w)
+			id, ok := stemID[st]
+			if !ok {
+				id = int32(len(stemID))
+				stemID[st] = id
 			}
-			if counts[a] == nil {
-				counts[a] = make(map[string]int)
-			}
-			if counts[b] == nil {
-				counts[b] = make(map[string]int)
-			}
-			counts[a][b]++
-			counts[b][a]++
+			f = int32(len(forms))
+			formOf[w] = f
+			forms = append(forms, form{word: w, stem: id})
 		}
+		forms[f].count++
+		seq[i] = forms[f].stem
+	}
+	n := len(stemID)
+
+	// Co-occurrence counts as CSR: both directions of every in-window
+	// pair, sorted by (from, to), then run-length encoded into rows.
+	var pairs []uint64
+	for i := range seq {
+		for j := i + 1; j < len(seq) && j <= i+window; j++ {
+			a, b := uint64(seq[i]), uint64(seq[j])
+			if a != b {
+				pairs = append(pairs, a<<32|b, b<<32|a)
+			}
+		}
+	}
+	slices.Sort(pairs)
+	offsets := make([]int32, n+1)
+	var nbr []int32
+	var weight []float64
+	for i, p := range pairs {
+		if i > 0 && p == pairs[i-1] {
+			weight[len(weight)-1]++
+			continue
+		}
+		offsets[p>>32+1]++
+		nbr = append(nbr, int32(uint32(p)))
+		weight = append(weight, 1)
+	}
+	for i := 0; i < n; i++ {
+		offsets[i+1] += offsets[i]
 	}
 
 	// Damped PageRank over the weighted co-occurrence graph.
-	n := len(vocab)
 	rank := make([]float64, n)
 	next := make([]float64, n)
 	for i := range rank {
@@ -67,31 +93,40 @@ func ExtractKeyphrases(text string, k int) []Keyphrase {
 	}
 	const damping = 0.85
 	outWeight := make([]float64, n)
-	for a, nbrs := range counts {
-		for _, c := range nbrs {
-			outWeight[idx[a]] += float64(c)
+	for a := 0; a < n; a++ {
+		for _, c := range weight[offsets[a]:offsets[a+1]] {
+			outWeight[a] += c
 		}
 	}
 	for iter := 0; iter < 30; iter++ {
 		for i := range next {
 			next[i] = (1 - damping) / float64(n)
 		}
-		for a, nbrs := range counts {
-			ia := idx[a]
-			if outWeight[ia] == 0 {
+		for a := 0; a < n; a++ {
+			if outWeight[a] == 0 {
 				continue
 			}
-			share := damping * rank[ia] / outWeight[ia]
-			for b, c := range nbrs {
-				next[idx[b]] += share * float64(c)
+			share := damping * rank[a] / outWeight[a]
+			for e := offsets[a]; e < offsets[a+1]; e++ {
+				next[nbr[e]] += share * weight[e]
 			}
 		}
 		rank, next = next, rank
 	}
 
-	phrases := make([]Keyphrase, 0, n)
-	for st, i := range idx {
-		phrases = append(phrases, Keyphrase{Term: bestSurface(surface[st]), Score: rank[i]})
+	best := make([]int32, n)
+	for i := range best {
+		best[i] = -1
+	}
+	for f, fm := range forms {
+		b := best[fm.stem]
+		if b < 0 || fm.count > forms[b].count || (fm.count == forms[b].count && fm.word < forms[b].word) {
+			best[fm.stem] = int32(f)
+		}
+	}
+	phrases := make([]Keyphrase, n)
+	for i := range phrases {
+		phrases[i] = Keyphrase{Term: forms[best[i]].word, Score: rank[i]}
 	}
 	sort.Slice(phrases, func(i, j int) bool {
 		if phrases[i].Score != phrases[j].Score {
@@ -103,14 +138,4 @@ func ExtractKeyphrases(text string, k int) []Keyphrase {
 		phrases = phrases[:k]
 	}
 	return phrases
-}
-
-func bestSurface(forms map[string]int) string {
-	best, bestN := "", -1
-	for f, n := range forms {
-		if n > bestN || (n == bestN && f < best) {
-			best, bestN = f, n
-		}
-	}
-	return best
 }

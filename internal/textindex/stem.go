@@ -1,11 +1,46 @@
 package textindex
 
-import "strings"
+import (
+	"strings"
+	"sync"
+	"sync/atomic"
+)
+
+// stemMemoCap bounds the process-wide stem memo. The vocabulary a
+// conference corpus stems is a few thousand words; past the cap Stem
+// computes without storing, so adversarial input cannot grow the memo.
+const stemMemoCap = 1 << 14
+
+var (
+	stemMemo    sync.Map // word -> stem
+	stemMemoLen atomic.Int64
+)
 
 // Stem applies the Porter stemming algorithm (Porter, 1980) to a
 // lowercase word. The implementation follows the original five-step
-// definition; it is dependency-free and allocation-light.
+// definition; it is dependency-free and allocation-light. Results are
+// memoised process-wide (up to stemMemoCap words): the same few
+// thousand words recur in every document, query and build.
 func Stem(word string) string {
+	if len(word) <= 2 {
+		return word
+	}
+	if s, ok := stemMemo.Load(word); ok {
+		return s.(string)
+	}
+	s := porterStem(word)
+	if stemMemoLen.Add(1) <= stemMemoCap {
+		// Clone the key: word may be a slice of a much larger text.
+		if _, loaded := stemMemo.LoadOrStore(strings.Clone(word), s); !loaded {
+			return s
+		}
+	}
+	stemMemoLen.Add(-1)
+	return s
+}
+
+// porterStem is the uncached Porter stemmer behind Stem.
+func porterStem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}

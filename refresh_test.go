@@ -2,11 +2,13 @@ package hive_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"hive"
+	"hive/internal/metrics"
 	"hive/internal/workload"
 )
 
@@ -45,6 +47,39 @@ func overflowQueue(t *testing.T, p *hive.Platform) {
 	}
 	if !p.Stale() {
 		t.Fatal("an overflowed event queue did not mark the snapshot stale")
+	}
+}
+
+// TestRefreshObservesBuildStages checks that one compaction reports
+// each of its build's stages, in run order, on the stage histogram.
+func TestRefreshObservesBuildStages(t *testing.T) {
+	stages := []string{"textindex", "conceptmap", "connections", "coauthor",
+		"attendance", "qa", "knowledgebase", "integrate", "interactions",
+		"contextvectors", "usercontent"}
+	hist := metrics.Default.HistogramVec(metrics.BuildStageSeconds, "", nil, "stage")
+	before := map[string]uint64{}
+	for _, s := range stages {
+		before[s] = hist.With(s).Count()
+	}
+	p := refreshPlatform(t, 12)
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := p.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range eng.BuildStages() {
+		got = append(got, s.Name)
+	}
+	if !reflect.DeepEqual(got, stages) {
+		t.Fatalf("build stages %v, want %v", got, stages)
+	}
+	for _, s := range stages {
+		if hist.With(s).Count() <= before[s] {
+			t.Errorf("stage %q: no observation after a compaction", s)
+		}
 	}
 }
 
