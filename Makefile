@@ -20,8 +20,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
 # Every Go benchmark for one iteration: the BenchmarkE* functions are
-# the only timed copy of experiments E1-E12 (EXPERIMENTS.md), so they
-# must keep compiling and running. The numbers of a 1x run mean nothing.
+# the only timed copy of experiments E1-E12 (EXPERIMENTS.md; E7 was
+# dropped), so they must keep compiling and running. The numbers of a 1x run mean nothing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -36,9 +36,9 @@ vuln:
 # the fault-injected quorum no-lost-writes test and the real-process
 # smoke scenarios at a higher -count, catching rare schedules the per-PR
 # run might miss; then ten seconds of fuzzing each decoder of bytes from
-# disk or the wire — the kv WAL/snapshot records and the two cursor
-# forms — and of the memoised text analysis chain against the uncached
-# one (the per-PR run only replays their seed corpora; -fuzz takes one
+# disk or the wire — the kv WAL/snapshot records, the journal's segment
+# recovery and the two cursor forms — and of the memoised text analysis
+# chain against the uncached one (the per-PR run only replays their seed corpora; -fuzz takes one
 # target per invocation).
 race-nightly:
 	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestSegmentedParity' -count=5 ./internal/core/ ./internal/textindex/
@@ -47,6 +47,7 @@ race-nightly:
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/
 	$(GO) test -race -run Smoke -count=5 ./cmd/hived
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/kvstore/
+	$(GO) test -run '^$$' -fuzz 'FuzzJournalRecover' -fuzztime 10s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz 'FuzzTerms' -fuzztime 10s ./internal/textindex/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCursor' -fuzztime 10s ./api/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeShardCursor' -fuzztime 10s ./api/

@@ -1,6 +1,7 @@
-// Benchmarks: one per experiment E1-E12 of EXPERIMENTS.md — the only
-// timed copy of each; the tests named there assert its shape — plus the
-// refresh, read-path, delta and quorum benchmarks. Run with:
+// Benchmarks: one per experiment E1-E12 of EXPERIMENTS.md (E7 was
+// dropped) — the only timed copy of each; the tests named there assert
+// its shape — plus the refresh, read-path, delta and quorum benchmarks.
+// Run with:
 //
 //	go test -bench=. -benchmem
 package hive_test
@@ -18,7 +19,6 @@ import (
 	"hive/internal/align"
 	"hive/internal/conceptmap"
 	"hive/internal/core"
-	"hive/internal/diffusion"
 	"hive/internal/election"
 	"hive/internal/graph"
 	"hive/internal/metrics"
@@ -226,39 +226,6 @@ func BenchmarkE6_SCENT(b *testing.B) {
 	b.Run("cp-als-recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := tensor.MonitorDecomposition(stream, 5, 10, &tensor.Detector{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE7_INI compares indexed vs online top-k impact queries.
-func BenchmarkE7_INI(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 500
-	g := graph.NewWithCapacity(n)
-	for i := 0; i < n; i++ {
-		g.EnsureNode(fmt.Sprintf("n%d", i), "user")
-	}
-	for i := 0; i < 6*n; i++ {
-		a := graph.NodeID(rng.Intn(n))
-		c := graph.NodeID(rng.Intn(n))
-		if a != c {
-			_ = g.AddEdge(a, c, "e", 0.2+0.7*rng.Float64())
-		}
-	}
-	idx, err := diffusion.BuildIndex(g, 0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.TopK(graph.NodeID(i%n), 10)
-		}
-	})
-	b.Run("online", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := diffusion.TopKOnline(g, graph.NodeID(i%n), 10, 0.05); err != nil {
 				b.Fatal(err)
 			}
 		}

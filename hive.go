@@ -177,8 +177,8 @@ type Options struct {
 // wait on maintenance: a write folds its own delta before it returns,
 // but a write that found another fold in flight, or a batch that
 // overflowed the event queue (more than 4096 events), is served one
-// background run later — the read that finds the overflow kicks that
-// compaction. Call Engine (or Refresh) first when the next read must see
+// background run later — the overflowing write starts that compaction
+// itself. Call Engine (or Refresh) first when the next read must see
 // everything written so far.
 //
 // The knowledge engine is an immutable snapshot published through an
@@ -211,10 +211,13 @@ type Platform struct {
 
 	// Unapplied change events. pendingCount mirrors len(pending) for
 	// lock-free staleness checks; overflow records that the queue was
-	// abandoned in favor of a full rebuild.
+	// abandoned in favor of a full rebuild, and repairing that the
+	// rebuild is running: the queue takes events again, but the
+	// snapshot stays stale until the rebuild swaps in.
 	pendMu       sync.Mutex
 	pending      []social.ChangeEvent
 	overflow     bool
+	repairing    bool
 	pendingCount atomic.Int64
 
 	deltasApplied atomic.Uint64 // delta swaps since Open
@@ -344,7 +347,8 @@ func (p *Platform) Store() *social.Store { return p.store }
 // fold it in synchronously so the write is visible to the knowledge
 // services when the mutation returns. If maintenance is already in
 // flight the events stay queued; the running flight drains them on its
-// way out.
+// way out. A batch that overflows the queue starts the compaction that
+// repairs it: no later write or read does.
 func (p *Platform) onChange(evs []social.ChangeEvent) {
 	if len(evs) == 0 {
 		return
@@ -359,6 +363,9 @@ func (p *Platform) onChange(evs []social.ChangeEvent) {
 		p.overflow = true
 		p.pendingCount.Store(0)
 		p.pendMu.Unlock()
+		if p.current.Load() != nil { // else the first read builds
+			p.RefreshAsync()
+		}
 		return
 	}
 	p.pending = append(p.pending, evs...)
@@ -391,10 +398,12 @@ func (p *Platform) takePending(n int) []social.ChangeEvent {
 	return batch
 }
 
+// overflowed reports whether the queue was abandoned and the
+// compaction that repairs it has not swapped in yet.
 func (p *Platform) overflowed() bool {
 	p.pendMu.Lock()
 	defer p.pendMu.Unlock()
-	return p.overflow
+	return p.overflow || p.repairing
 }
 
 // Refresh runs a full rebuild — a compaction — in the calling goroutine
@@ -475,8 +484,9 @@ func (p *Platform) beginFlight(full bool) (f *refreshFlight, started bool, err e
 }
 
 // runFlight executes the owned maintenance run and releases its
-// waiters. If events queued up while the run was finishing, a follow-up
-// delta flight is kicked in the background so nothing stays stranded.
+// waiters. If events queued up, or the queue overflowed, while the run
+// was finishing, a follow-up flight is kicked in the background so
+// nothing stays stranded.
 func (p *Platform) runFlight(f *refreshFlight) error {
 	if f.full {
 		f.err = p.compact()
@@ -487,7 +497,7 @@ func (p *Platform) runFlight(f *refreshFlight) error {
 	p.flight = nil
 	p.flightMu.Unlock()
 	close(f.done)
-	if f.err == nil && p.pendingCount.Load() > 0 && p.current.Load() != nil {
+	if f.err == nil && p.current.Load() != nil && (p.pendingCount.Load() > 0 || p.overflowed()) {
 		if nf, started, err := p.beginFlight(false); err == nil && started {
 			go func() { _ = p.runFlight(nf) }()
 		}
@@ -504,6 +514,7 @@ func (p *Platform) compact() error {
 	p.pendMu.Lock()
 	hadOverflow := p.overflow
 	p.overflow = false
+	p.repairing = hadOverflow
 	p.pendMu.Unlock()
 	watermark := p.store.ChangeSeq()
 
@@ -517,20 +528,14 @@ func (p *Platform) compact() error {
 		if hadOverflow {
 			p.pendMu.Lock()
 			p.overflow = true
+			p.repairing = false
 			p.pendMu.Unlock()
 		}
 		return err
 	}
 	p.current.Store(eng)
-	p.gen.Add(1)
-	p.compactions.Add(1)
-	mCompactions.Inc()
-	mCompactionSeconds.ObserveSince(compactStart)
-	for _, s := range eng.BuildStages() {
-		mBuildStageSeconds.With(s.Name).ObserveDuration(s.Dur)
-	}
-
 	p.pendMu.Lock()
+	p.repairing = false
 	kept := p.pending[:0]
 	for _, ev := range p.pending {
 		if ev.Seq > watermark {
@@ -540,13 +545,21 @@ func (p *Platform) compact() error {
 	p.pending = kept
 	p.pendingCount.Store(int64(len(p.pending)))
 	p.pendMu.Unlock()
+
+	p.gen.Add(1)
+	p.compactions.Add(1)
+	mCompactions.Inc()
+	mCompactionSeconds.ObserveSince(compactStart)
+	for _, s := range eng.BuildStages() {
+		mBuildStageSeconds.With(s.Name).ObserveDuration(s.Dur)
+	}
 	return nil
 }
 
 // drainDeltas folds the queued events into the serving snapshot in
 // bounded batches, one atomic swap per batch. Unavailable delta paths
-// (no snapshot, overflow) compact instead. A failing
-// delta apply abandons the queue to the next compaction — the events'
+// (no snapshot, overflow) compact instead. A failing delta apply
+// abandons the queue and compacts in the same flight — the events'
 // effects are persisted in the store, so the full rebuild recovers them.
 func (p *Platform) drainDeltas() error {
 	cur := p.current.Load()
@@ -567,8 +580,7 @@ func (p *Platform) drainDeltas() error {
 			p.overflow = true
 			p.pendingCount.Store(0)
 			p.pendMu.Unlock()
-			p.lastErr.Store(&refreshErr{err: err})
-			return err
+			return p.compact()
 		}
 		p.current.Store(eng)
 		p.gen.Add(1)
@@ -632,7 +644,8 @@ func (p *Platform) Stale() bool {
 // compaction policy: the overlay grew too large, too much of the base
 // is tombstoned, too many graph-affecting events await integration, or
 // the event queue overflowed. Serving continues either way; AutoRefresh
-// (or an admin refresh) runs the compaction.
+// (or an admin refresh) runs the compaction, except after an overflow,
+// whose write has already started it.
 func (p *Platform) CompactionDue() bool {
 	if p.overflowed() {
 		return true

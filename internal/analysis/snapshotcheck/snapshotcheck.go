@@ -109,42 +109,52 @@ func declName(decl ast.Decl) (string, ast.Node) {
 	return "", nil
 }
 
-// checkWrite reports lhs if it writes (directly, or through index
-// expressions over) a field of a protected type from outside the
-// construction whitelist.
+// checkWrite reports lhs if it writes (directly, or through index and
+// selector chains below) a field of a protected type from outside the
+// construction whitelist: ne.ctx.over[u] = v writes field ctx.
 func checkWrite(pass *analysis.Pass, reachable map[string]map[string]bool, enclosing string, lhs ast.Expr) {
-	// Unwrap index chains: ne.ctxOver[u] = v writes field ctxOver.
 	for {
-		if ix, ok := lhs.(*ast.IndexExpr); ok {
-			lhs = ix.X
-			continue
+		switch x := lhs.(type) {
+		case *ast.IndexExpr:
+			lhs = x.X
+		case *ast.ParenExpr:
+			lhs = x.X
+		case *ast.SelectorExpr:
+			if reportProtected(pass, reachable, enclosing, x) {
+				return
+			}
+			lhs = x.X
+		default:
+			return
 		}
-		break
 	}
-	sel, ok := lhs.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
+}
+
+// reportProtected reports sel if it selects a field of a protected type
+// outside the construction whitelist. It returns whether sel's operand
+// is of a protected type, reported or whitelisted.
+func reportProtected(pass *analysis.Pass, reachable map[string]map[string]bool, enclosing string, sel *ast.SelectorExpr) bool {
 	tv, ok := pass.TypesInfo.Types[sel.X]
 	if !ok {
-		return
+		return false
 	}
 	named := analysis.Deref(tv.Type)
 	if named == nil || named.Obj() == nil || named.Obj().Pkg() == nil {
-		return
+		return false
 	}
 	for _, ps := range protectedSets {
 		if !ps.types[named.Obj().Name()] || !analysis.PkgPathHasSuffix(named.Obj().Pkg(), ps.pkgSuffix) {
 			continue
 		}
 		if r, inDefiningPkg := reachable[ps.pkgSuffix]; inDefiningPkg && r[enclosing] {
-			return // construction path
+			return true // construction path
 		}
 		pass.Reportf(sel.Pos(),
 			"write to %s.%s.%s outside the construction whitelist: snapshots are immutable once published",
 			ps.pkgSuffix, named.Obj().Name(), sel.Sel.Name)
-		return
+		return true
 	}
+	return false
 }
 
 // reachableDecls computes the top-level declarations reachable from the

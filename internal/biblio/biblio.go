@@ -19,7 +19,6 @@ const (
 
 	EdgeCoauthor = "coauthor"
 	EdgeCites    = "cites"
-	EdgeAuthored = "authored"
 )
 
 // CoauthorNetwork builds the undirected co-authorship graph over users:
@@ -57,25 +56,6 @@ func CitationGraph(papers []social.Paper) *graph.Graph {
 		for _, cited := range p.Citations {
 			to := g.EnsureNode(cited, LabelPaper)
 			_ = g.AddEdge(from, to, EdgeCites, 1)
-		}
-	}
-	return g
-}
-
-// AuthorPaperGraph builds the bipartite authored/cites graph over both
-// authors and papers — the layer the MiNC engine walks when explaining
-// author-to-author relationships through the literature.
-func AuthorPaperGraph(papers []social.Paper) *graph.Graph {
-	g := graph.New()
-	for _, p := range papers {
-		pn := g.EnsureNode(p.ID, LabelPaper)
-		for _, a := range p.Authors {
-			an := g.EnsureNode(a, LabelAuthor)
-			_ = g.AddUndirected(an, pn, EdgeAuthored, 1)
-		}
-		for _, cited := range p.Citations {
-			cn := g.EnsureNode(cited, LabelPaper)
-			_ = g.AddEdge(pn, cn, EdgeCites, 1)
 		}
 	}
 	return g

@@ -135,27 +135,3 @@ func TestCoauthorDistance(t *testing.T) {
 		t.Fatalf("unknown author distance = %d", d)
 	}
 }
-
-func TestAuthorPaperGraph(t *testing.T) {
-	g := AuthorPaperGraph(samplePapers())
-	alice := g.Lookup("alice")
-	p1 := g.Lookup("p1")
-	if alice == graph.Invalid || p1 == graph.Invalid {
-		t.Fatal("nodes missing")
-	}
-	if _, ok := g.EdgeBetween(alice, p1, EdgeAuthored); !ok {
-		t.Fatal("authored edge missing")
-	}
-	if _, ok := g.EdgeBetween(p1, alice, EdgeAuthored); !ok {
-		t.Fatal("authored edge must be undirected")
-	}
-	p0 := g.Lookup("p0")
-	if _, ok := g.EdgeBetween(p1, p0, EdgeCites); !ok {
-		t.Fatal("cites edge missing")
-	}
-	// A path alice -> p1 -> p0 -> erin must exist (literature explanation).
-	erin := g.Lookup("erin")
-	if _, err := g.ShortestPath(alice, erin, graph.UnitCost); err != nil {
-		t.Fatalf("no literature path alice->erin: %v", err)
-	}
-}

@@ -41,10 +41,10 @@ var buildTasks = []buildTask{
 	{"conceptmap", func(e *Engine) error { e.buildConceptMap(); return nil }},
 	{LayerConnections, func(e *Engine) error { e.connLayer = e.deriveConnectionsLayer(); return nil }},
 	{LayerCoauthor, func(e *Engine) error {
-		// The coauthor user-layer projects the bibliographic network,
-		// so both derive inside one task.
-		e.buildBibliographicLayers()
+		// The citation graph has no stage of its own: the stage names
+		// are the label values of hive_build_stage_seconds.
 		e.coauthLayer = e.deriveCoauthorLayer()
+		e.citationNet = biblio.CitationGraph(e.papers)
 		return nil
 	}},
 	{LayerAttendance, func(e *Engine) error { e.attendLayer = e.deriveAttendanceLayer(); return nil }},
@@ -261,24 +261,26 @@ func (e *Engine) deriveConnectionsLayer() *graph.Graph {
 	return conn
 }
 
-// deriveCoauthorLayer projects the bibliographic coauthor network onto
-// the user layer. Requires e.coauthorNet (buildBibliographicLayers).
+// deriveCoauthorLayer builds the co-authorship layer: every user, then
+// any other author in paper order, and an undirected edge per pair of
+// co-authors of a paper whose weight counts their shared papers (so
+// frequent co-authors bind strongly — the §1.1 evidence).
 func (e *Engine) deriveCoauthorLayer() *graph.Graph {
 	coauth := graph.New()
 	for _, u := range e.users {
 		coauth.EnsureNode(u, "user")
 	}
-	e.coauthorNet.Nodes(func(n graph.Node) bool {
-		from := coauth.EnsureNode(n.Key, "user")
-		for _, ed := range e.coauthorNet.Out(n.ID) {
-			toNode, err := e.coauthorNet.Node(ed.To)
-			if err != nil {
-				continue
-			}
-			_ = coauth.AddEdge(from, coauth.EnsureNode(toNode.Key, "user"), biblio.EdgeCoauthor, ed.Weight)
+	for _, p := range e.papers {
+		ids := make([]graph.NodeID, len(p.Authors))
+		for i, a := range p.Authors {
+			ids[i] = coauth.EnsureNode(a, "user")
 		}
-		return true
-	})
+		for i := range ids {
+			for j := i + 1; j < len(ids); j++ {
+				_ = coauth.AddUndirected(ids[i], ids[j], biblio.EdgeCoauthor, 1)
+			}
+		}
+	}
 	return coauth
 }
 

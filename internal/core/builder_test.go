@@ -2,10 +2,14 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"hive/internal/biblio"
+	"hive/internal/graph"
 	"hive/internal/social"
+	"hive/internal/workload"
 )
 
 // builderStore assembles a small but fully populated store exercising
@@ -151,5 +155,75 @@ func TestBuildWorkerCounts(t *testing.T) {
 		if eng.peerGraph == nil || eng.seg == nil || eng.kb == nil || eng.concepts == nil {
 			t.Fatalf("workers=%d: incomplete engine", w)
 		}
+	}
+}
+
+// projectCoauthorNetwork is the oracle for the co-authorship layer: the
+// bibliographic co-author network, projected edge for edge onto a graph
+// that first holds a node for every user.
+func projectCoauthorNetwork(users []string, papers []social.Paper) *graph.Graph {
+	net := biblio.CoauthorNetwork(papers)
+	coauth := graph.New()
+	for _, u := range users {
+		coauth.EnsureNode(u, "user")
+	}
+	net.Nodes(func(n graph.Node) bool {
+		from := coauth.EnsureNode(n.Key, "user")
+		for _, ed := range net.Out(n.ID) {
+			to, err := net.Node(ed.To)
+			if err != nil {
+				continue
+			}
+			_ = coauth.AddEdge(from, coauth.EnsureNode(to.Key, "user"), biblio.EdgeCoauthor, ed.Weight)
+		}
+		return true
+	})
+	return coauth
+}
+
+// TestCoauthorLayerMatchesProjection: the layer the build derives
+// straight from the papers has the projection's node IDs, keys and
+// labels, and the same out-lists in the same order with bit-equal
+// weights.
+func TestCoauthorLayerMatchesProjection(t *testing.T) {
+	zach, _ := zachWorld(t)
+	conf, err := social.Open("", testClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conf.Close() })
+	if err := workload.Generate(workload.Config{Seed: 13, Users: 64}).Load(conf); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*social.Store{"builder": builderStore(t), "zach": zach, "conf64": conf} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := (&Builder{Store: st}).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := eng.coauthLayer, projectCoauthorNetwork(eng.users, eng.papers)
+			if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || want.NumEdges() == 0 {
+				t.Fatalf("layer has %d nodes and %d edges, projection %d and %d",
+					got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+			}
+			for id := graph.NodeID(0); int(id) < want.NumNodes(); id++ {
+				gn, _ := got.Node(id)
+				wn, _ := want.Node(id)
+				if gn != wn {
+					t.Fatalf("node %d: layer %+v, projection %+v", id, gn, wn)
+				}
+				gOut, wOut := got.Out(id), want.Out(id)
+				if len(gOut) != len(wOut) {
+					t.Fatalf("node %s: %d out-edges, projection %d", wn.Key, len(gOut), len(wOut))
+				}
+				for i, we := range wOut {
+					ge := gOut[i]
+					if ge.From != we.From || ge.To != we.To || ge.Label != we.Label ||
+						math.Float64bits(ge.Weight) != math.Float64bits(we.Weight) {
+						t.Fatalf("node %s out-edge %d: layer %+v, projection %+v", wn.Key, i, ge, we)
+					}
+				}
+			}
+		})
 	}
 }

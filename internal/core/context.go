@@ -23,11 +23,8 @@ import (
 // (the paper's offline refresh model) — workpad changes enter on the
 // next rebuild.
 func (e *Engine) ContextVector(userID string) textindex.Vector {
-	if v, ok := e.ctxOver[userID]; ok {
-		return v
-	}
-	if v, ok := e.ctxVecs[userID]; ok {
-		return v
+	if row, ok := e.ctx.get(userID); ok {
+		return row.vec
 	}
 	return e.computeContextVector(userID)
 }
@@ -42,21 +39,12 @@ func (e *Engine) ContextVector(userID string) textindex.Vector {
 func (e *Engine) buildContextVectors() {
 	users := make([]*social.User, len(e.users))
 	pads := make([][]social.WorkpadItem, len(e.users))
-	wpRefs := make([][]string, len(e.users))
 	e.forUsersParallel(func(i int, u string) {
 		if usr, err := e.store.User(u); err == nil {
 			users[i] = &usr
 		}
 		if wp, err := e.store.ActiveWorkpad(u); err == nil {
 			pads[i] = wp.Items
-		}
-		// Snapshot the users pinned on the active workpad: the peer-
-		// recommendation restart bias must come from snapshot state, so
-		// the per-snapshot PageRank memo is a pure function of the user.
-		for _, item := range pads[i] {
-			if item.Kind == social.ItemUser {
-				wpRefs[i] = append(wpRefs[i], item.Ref)
-			}
 		}
 	})
 
@@ -84,31 +72,37 @@ func (e *Engine) buildContextVectors() {
 		analyses[j] = e.analyzeItem(items[j].kind, items[j].ref)
 	})
 
-	vecs := make([]textindex.Vector, len(e.users))
-	cqs := make([]*textindex.CompiledVector, len(e.users))
+	rows := make([]userContext, len(e.users))
 	e.forUsersParallel(func(i int, _ string) {
 		pad := make([]itemAnalysis, len(padIdx[i]))
 		for k, j := range padIdx[i] {
 			pad[k] = analyses[j]
 		}
-		v := e.contextVector(users[i], pad)
-		vecs[i] = v
-		if len(v) > 0 {
-			cqs[i] = e.seg.Base().Compile(v)
-		}
+		rows[i] = e.newUserContext(e.contextVector(users[i], pad), pads[i])
 	})
-	e.ctxVecs = make(map[string]textindex.Vector, len(e.users))
-	e.ctxQueries = make(map[string]*textindex.CompiledVector, len(e.users))
-	e.wpPeerRefs = make(map[string][]string, len(e.users))
+	e.ctx.base = make(map[string]userContext, len(e.users))
 	for i, u := range e.users {
-		e.ctxVecs[u] = vecs[i]
-		if cqs[i] != nil {
-			e.ctxQueries[u] = cqs[i]
-		}
-		if len(wpRefs[i]) > 0 {
-			e.wpPeerRefs[u] = wpRefs[i]
+		e.ctx.base[u] = rows[i]
+	}
+}
+
+// newUserContext makes one user's context row from their context vector
+// and active workpad items. The vector is compiled against the base
+// segment (its term list serves the overlay view too). The users pinned
+// on the workpad are snapshotted because the peer-recommendation restart
+// bias must come from snapshot state: the per-snapshot PageRank memo is
+// then a pure function of the user.
+func (e *Engine) newUserContext(v textindex.Vector, pad []social.WorkpadItem) userContext {
+	row := userContext{vec: v}
+	if len(v) > 0 {
+		row.query = e.seg.Base().Compile(v)
+	}
+	for _, item := range pad {
+		if item.Kind == social.ItemUser {
+			row.pins = append(row.pins, item.Ref)
 		}
 	}
+	return row
 }
 
 // computeContextVector derives one user's context vector from the

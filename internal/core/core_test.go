@@ -221,14 +221,10 @@ func TestFusionRules(t *testing.T) {
 		{Kind: EvFollow, Strength: 0.6},
 	}
 	ws := FuseWeightedSum(evs)
-	mx := FuseMax(evs)
 	if ws <= 0 || ws > 1 {
 		t.Fatalf("weighted sum = %v", ws)
 	}
-	if mx != 0.8 { // coauthor weight 1.0 × 0.8
-		t.Fatalf("max fusion = %v", mx)
-	}
-	if FuseWeightedSum(nil) != 0 || FuseMax(nil) != 0 {
+	if FuseWeightedSum(nil) != 0 {
 		t.Fatal("empty fusion should be 0")
 	}
 	// More independent evidence must not lower the weighted score given

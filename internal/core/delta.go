@@ -20,7 +20,7 @@ import (
 //   - the text read view: new/updated papers, presentations and
 //     questions enter the overlay segment (shadowing their base
 //     versions), so Search/vectors serve them immediately;
-//   - context vectors (and compiled queries, workpad peer pins) of the
+//   - context rows (vector, compiled query, workpad peer pins) of the
 //     users whose profile or workpad the events touched;
 //   - uploaded-content vectors of authors/owners of touched documents;
 //   - interaction vectors and object popularity for appended activity
@@ -29,11 +29,11 @@ import (
 //     others carry over.
 //
 // What a delta deliberately does NOT repair: the evidence-layer graphs,
-// their integration, communities, the RDF knowledge base, the
-// bibliographic networks and the concept map. Events with such effects
-// bump the snapshot's graphPending counter instead; the platform's
-// compaction policy schedules a full Build (the compaction) when the
-// overlay, tombstone ratio or graphPending crosses its threshold. Until
+// their integration, communities, the RDF knowledge base, the citation
+// graph and the concept map. Events with such effects bump the
+// snapshot's graphPending counter instead; the platform's compaction
+// policy schedules a full Build (the compaction) when the overlay,
+// tombstone ratio or graphPending crosses its threshold. Until
 // then, content freshness is immediate and graph evidence ages at the
 // paper's original offline-refresh cadence.
 
@@ -120,9 +120,7 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		concepts:    prev.concepts,
 		papers:      prev.papers,
 		users:       prev.users,
-		coauthorNet: prev.coauthorNet,
 		citationNet: prev.citationNet,
-		litNet:      prev.litNet,
 		connLayer:   prev.connLayer,
 		coauthLayer: prev.coauthLayer,
 		attendLayer: prev.attendLayer,
@@ -132,13 +130,13 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		peerGraph:   prev.peerGraph,
 		kb:          prev.kb,
 		communities: prev.communities,
-		// Shared phase-2 base tables; the overlays below carry repairs.
-		ctxVecs:      prev.ctxVecs,
-		ctxQueries:   prev.ctxQueries,
-		wpPeerRefs:   prev.wpPeerRefs,
-		userContent:  prev.userContent,
-		interVecs:    prev.interVecs,
-		popularity:   prev.popularity,
+		// Phase-2 tables share their base; each overlay starts as a copy
+		// of the previous one (bounded by the compaction threshold, never
+		// by the corpus) and absorbs this batch's repairs below.
+		ctx:          prev.ctx.derive(len(ctxUsers)),
+		content:      prev.content.derive(len(contentUsers)),
+		inter:        prev.inter.derive(len(activity)),
+		pop:          prev.pop.derive(len(activity)),
 		evtSeq:       prev.evtSeq,
 		graphPending: prev.graphPending + graphPending,
 		buildWorkers: prev.buildWorkers,
@@ -157,48 +155,27 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		ne.seg = ne.seg.WithoutDocs(drops)
 	}
 
-	// Overlay tables start as copies of the previous overlay (bounded by
-	// the compaction threshold, never by the corpus) and absorb this
-	// batch's repairs.
-	ne.ctxOver = cloneMap(prev.ctxOver, len(ctxUsers))
-	ne.ctxQOver = cloneMap(prev.ctxQOver, len(ctxUsers))
-	ne.wpRefsOver = cloneMap(prev.wpRefsOver, len(ctxUsers))
-	ne.contentOver = cloneMap(prev.contentOver, len(contentUsers))
-	ne.interOver = cloneMap(prev.interOver, len(activity))
-	ne.popOver = cloneMap(prev.popOver, len(activity))
-
-	// Context repairs: recompute the affected users' vectors against the
-	// current store, compile against the shared base segment (the
-	// compiled form's term list serves the overlay view too), and
-	// re-snapshot their workpad peer pins.
+	// Context repairs: recompute the affected users' rows against the
+	// current store.
 	for u := range ctxUsers {
-		v := ne.computeContextVector(u)
-		ne.ctxOver[u] = v
-		if len(v) > 0 {
-			ne.ctxQOver[u] = ne.seg.Base().Compile(v)
-		} else {
-			ne.ctxQOver[u] = nil // mask any base entry
-		}
-		var refs []string
+		var pad []social.WorkpadItem
 		if wp, err := st.ActiveWorkpad(u); err == nil {
-			for _, item := range wp.Items {
-				if item.Kind == social.ItemUser {
-					refs = append(refs, item.Ref)
-				}
-			}
+			pad = wp.Items
 		}
-		ne.wpRefsOver[u] = refs
+		ne.ctx.over[u] = ne.newUserContext(ne.computeContextVector(u), pad)
 	}
 
 	// Content repairs: authors/owners of touched documents, computed
 	// through the new overlay view so the vectors carry merged-corpus
 	// statistics.
 	for u := range contentUsers {
-		ne.contentOver[u] = ne.computeUserContentVector(u)
+		ne.content.over[u] = ne.computeUserContentVector(u)
 	}
 
 	// Interaction repairs: fold appended activity events in exactly
-	// once, copying each touched row out of the base table first.
+	// once. A row is copied before this batch first writes it, whether
+	// it came from the base or from prev's overlay: both stay prev's.
+	copied := map[string]bool{}
 	for _, sev := range activity {
 		if sev.Seq > ne.evtSeq {
 			ne.evtSeq = sev.Seq
@@ -207,20 +184,19 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		if doc == "" {
 			continue
 		}
-		if _, ok := ne.popOver[doc]; !ok {
-			ne.popOver[doc] = prev.popularityOf(doc)
-		}
-		ne.popOver[doc]++
+		n, _ := ne.pop.get(doc)
+		ne.pop.over[doc] = n + 1
 		if w, ok := verbWeight[sev.Verb]; ok && sev.Object != "" {
-			v, ok := ne.interOver[sev.Actor]
-			if !ok {
-				v = make(textindex.Vector, len(prev.interactionVectorOf(sev.Actor))+1)
-				for d, x := range prev.interactionVectorOf(sev.Actor) {
+			if !copied[sev.Actor] {
+				old, _ := ne.inter.get(sev.Actor)
+				v := make(textindex.Vector, len(old)+1)
+				for d, x := range old {
 					v[d] = x
 				}
+				ne.inter.over[sev.Actor] = v
+				copied[sev.Actor] = true
 			}
-			v[doc] += w
-			ne.interOver[sev.Actor] = v
+			ne.inter.over[sev.Actor][doc] += w
 		}
 	}
 
@@ -238,14 +214,4 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 	ne.lastDeltaDur = time.Since(start)
 	ne.appliedAt = time.Now()
 	return ne, nil
-}
-
-// cloneMap copies a possibly-nil overlay map with headroom for extra
-// entries.
-func cloneMap[V any](m map[string]V, extra int) map[string]V {
-	out := make(map[string]V, len(m)+extra)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -72,8 +72,8 @@ func assertSearchParity(t *testing.T, label string, delta, fresh *Engine) {
 // the tables must equal a full rebuild's.
 func assertInteractionParity(t *testing.T, label string, delta, fresh *Engine) {
 	t.Helper()
-	for u, want := range fresh.interVecs {
-		got := delta.interactionVectorOf(u)
+	for u, want := range fresh.inter.base {
+		got, _ := delta.inter.get(u)
 		if len(got) != len(want) {
 			t.Fatalf("%s: interaction vector of %s: delta %d entries, fresh %d (%v vs %v)",
 				label, u, len(got), len(want), got, want)
@@ -84,9 +84,9 @@ func assertInteractionParity(t *testing.T, label string, delta, fresh *Engine) {
 			}
 		}
 	}
-	for doc, n := range fresh.popularity {
-		if delta.popularityOf(doc) != n {
-			t.Fatalf("%s: popularity[%s]: delta %d, fresh %d", label, doc, delta.popularityOf(doc), n)
+	for doc, n := range fresh.pop.base {
+		if got, _ := delta.pop.get(doc); got != n {
+			t.Fatalf("%s: popularity[%s]: delta %d, fresh %d", label, doc, got, n)
 		}
 	}
 }
@@ -243,13 +243,44 @@ func TestApplyDeltaContextAndMemo(t *testing.T) {
 	if _, ok := delta.pprMemo["ann"]; ok {
 		t.Fatal("affected user's memo entry survived a workpad change")
 	}
-	if refs := delta.workpadPeerRefs("ann"); len(refs) != 1 || refs[0] != "carl" {
-		t.Fatalf("workpad peer refs not repaired: %v", refs)
+	if row, _ := delta.ctx.get("ann"); len(row.pins) != 1 || row.pins[0] != "carl" {
+		t.Fatalf("workpad peer refs not repaired: %v", row.pins)
 	}
 	// The context vector now reflects the workpad (graph-heavy paper).
 	oldCtx, newCtx := eng.ContextVector("ann"), delta.ContextVector("ann")
 	if len(newCtx) <= len(oldCtx) {
 		t.Fatalf("context vector not enriched: %d -> %d terms", len(oldCtx), len(newCtx))
+	}
+}
+
+// TestApplyDeltaLeavesPrevRowsAlone: a delta that folds activity into an
+// interaction row an earlier delta already repaired writes a copy; the
+// earlier snapshot, still serving readers, keeps its row as it was.
+func TestApplyDeltaLeavesPrevRowsAlone(t *testing.T) {
+	st, eng := zachWorld(t)
+	drain := collectEvents(st)
+	drain()
+	b := &Builder{Store: st}
+	browse := func(prev *Engine) *Engine {
+		t.Helper()
+		if _, err := st.LogEvent("zach", "browse", "p-zach", nil); err != nil {
+			t.Fatal(err)
+		}
+		next, err := b.ApplyDelta(prev, drain())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	first := browse(eng)
+	row, _ := first.inter.get("zach")
+	before := row[DocPaper+"p-zach"]
+	second := browse(first)
+	if row, _ := first.inter.get("zach"); row[DocPaper+"p-zach"] != before {
+		t.Fatalf("a later delta rewrote the earlier snapshot's row: %v -> %v", before, row[DocPaper+"p-zach"])
+	}
+	if row, _ := second.inter.get("zach"); row[DocPaper+"p-zach"] != before+verbWeight["browse"] {
+		t.Fatalf("second delta row = %v, want %v", row[DocPaper+"p-zach"], before+verbWeight["browse"])
 	}
 }
 

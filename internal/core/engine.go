@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"hive/internal/align"
-	"hive/internal/biblio"
 	"hive/internal/community"
 	"hive/internal/conceptmap"
 	"hive/internal/graph"
@@ -63,9 +62,7 @@ type Engine struct {
 	papers []social.Paper
 	users  []string
 
-	coauthorNet *graph.Graph
-	citationNet *graph.Graph
-	litNet      *graph.Graph // bipartite author/paper graph
+	citationNet *graph.Graph // paper → cited paper
 
 	// Per-evidence user layers, derived concurrently then integrated.
 	connLayer   *graph.Graph
@@ -82,28 +79,15 @@ type Engine struct {
 	communities []community.Community
 
 	// Snapshot-resident read-path tables, precomputed by the Builder so
-	// serving never re-derives them (the paper's offline refresh): the
-	// per-user workpad context vectors, per-user uploaded-content TF-IDF
-	// vectors, per-user interaction vectors and object popularity counts
-	// from the activity stream. All are frozen at build time; the values
-	// are shared and must be treated as read-only by callers.
-	ctxVecs     map[string]textindex.Vector
-	ctxQueries  map[string]*textindex.CompiledVector // ctxVecs pre-resolved against seg's base
-	wpPeerRefs  map[string][]string                  // users pinned on each user's active workpad
-	userContent map[string]textindex.Vector
-	interVecs   map[string]textindex.Vector
-	popularity  map[string]int
-
-	// Delta overlays over the phase-2 tables. A snapshot produced by
-	// ApplyDelta shares the base maps above with its ancestor untouched
-	// and carries only the entries the applied events invalidated here;
-	// readers consult the overlay first. All nil on full builds.
-	ctxOver     map[string]textindex.Vector
-	ctxQOver    map[string]*textindex.CompiledVector
-	wpRefsOver  map[string][]string
-	contentOver map[string]textindex.Vector
-	interOver   map[string]textindex.Vector
-	popOver     map[string]int
+	// serving never re-derives them (the paper's offline refresh): each
+	// user's workpad context, each user's uploaded-content TF-IDF vector,
+	// each user's interaction vector and each object's popularity count
+	// from the activity stream. ApplyDelta repairs rows in the overlays.
+	// The values are shared and must be treated as read-only by callers.
+	ctx     table[userContext]
+	content table[textindex.Vector]
+	inter   table[textindex.Vector]
+	pop     table[int]
 
 	// evtSeq is the highest activity-stream sequence folded into the
 	// interaction tables — the exactly-once guard for delta repairs.
@@ -134,6 +118,52 @@ type Engine struct {
 	builtAt     time.Time
 	buildDur    time.Duration
 	buildStages []BuildStage
+}
+
+// table is one snapshot-resident table keyed by user or document: the
+// rows of the last full build (base) and the rows deltas repaired since
+// (over). A delta-derived snapshot shares base with its ancestor and
+// copies only over, which the compaction policy keeps small.
+type table[V any] struct {
+	base, over map[string]V
+}
+
+// get returns the key's row, overlay first.
+func (t table[V]) get(k string) (V, bool) {
+	if v, ok := t.over[k]; ok {
+		return v, true
+	}
+	v, ok := t.base[k]
+	return v, ok
+}
+
+// each visits every row once; overlay rows win.
+func (t table[V]) each(fn func(k string, v V)) {
+	for k, v := range t.over {
+		fn(k, v)
+	}
+	for k, v := range t.base {
+		if _, shadowed := t.over[k]; !shadowed {
+			fn(k, v)
+		}
+	}
+}
+
+// derive returns the table a delta starts from: the same base and a
+// copy of the overlay with room for extra repairs.
+func (t table[V]) derive(extra int) table[V] {
+	over := make(map[string]V, len(t.over)+extra)
+	for k, v := range t.over {
+		over[k] = v
+	}
+	return table[V]{base: t.base, over: over}
+}
+
+// userContext is one user's row of the context table.
+type userContext struct {
+	vec   textindex.Vector
+	query *textindex.CompiledVector // vec compiled against seg's base; nil when vec is empty
+	pins  []string                  // users pinned on the active workpad
 }
 
 // BuildStage is how long one named stage of a full build took.
@@ -204,16 +234,13 @@ func (e *Engine) Segment() *textindex.Segmented { return e.seg }
 
 // ContextQuery returns the user's context vector in compiled form, nil
 // when the context is empty. Known users get the build-time compiled
-// query, overlay first, so the serving path extracts and sorts no terms;
-// users the snapshot does not know are compiled on the fly.
+// query, so the serving path extracts and sorts no terms; users the
+// snapshot does not know are compiled on the fly.
 func (e *Engine) ContextQuery(userID string) *textindex.CompiledVector {
-	if cq, ok := e.ctxQOver[userID]; ok {
-		return cq
+	if row, ok := e.ctx.get(userID); ok {
+		return row.query
 	}
-	if cq, ok := e.ctxQueries[userID]; ok {
-		return cq
-	}
-	if v := e.ContextVector(userID); len(v) > 0 {
+	if v := e.computeContextVector(userID); len(v) > 0 {
 		return e.seg.Base().Compile(v)
 	}
 	return nil
@@ -280,12 +307,6 @@ func (e *Engine) buildConceptMap() {
 		m = conceptmap.New() // empty corpus -> empty map, services degrade gracefully
 	}
 	e.concepts = m
-}
-
-func (e *Engine) buildBibliographicLayers() {
-	e.coauthorNet = biblio.CoauthorNetwork(e.papers)
-	e.citationNet = biblio.CitationGraph(e.papers)
-	e.litNet = biblio.AuthorPaperGraph(e.papers)
 }
 
 // Layers exposes the evidence layers (for alignment experiments).

@@ -48,8 +48,7 @@ type Explanation struct {
 }
 
 // evidenceWeights is the fusion weight per evidence class. Direct
-// scholarly ties dominate; ambient similarities contribute less. The
-// ablation bench (E2) compares this weighted fusion against max-fusion.
+// scholarly ties dominate; ambient similarities contribute less.
 var evidenceWeights = map[EvidenceKind]float64{
 	EvCoauthor:    1.0,
 	EvCitation:    0.9,
@@ -99,9 +98,9 @@ func (e *Engine) Explain(a, b string) (Explanation, error) {
 		add(EvAffiliation, 0.5, fmt.Sprintf("shared groups: %v", g))
 	}
 	// Co-authorship (direct or short path).
-	if d := biblio.CoauthorDistance(e.coauthorNet, a, b, 3); d == 1 {
+	if d := biblio.CoauthorDistance(e.coauthLayer, a, b, 3); d == 1 {
 		w := 0.0
-		if ea, ok := e.coauthorNet.EdgeBetween(e.coauthorNet.Lookup(a), e.coauthorNet.Lookup(b), biblio.EdgeCoauthor); ok {
+		if ea, ok := e.coauthLayer.EdgeBetween(e.coauthLayer.Lookup(a), e.coauthLayer.Lookup(b), biblio.EdgeCoauthor); ok {
 			w = ea.Weight
 		}
 		add(EvCoauthor, 0.6+0.1*w, fmt.Sprintf("co-authored %.0f paper(s)", w))
@@ -215,18 +214,6 @@ func FuseWeightedSum(evs []Evidence) float64 {
 	return num / den * normalizeCount(len(evs))
 }
 
-// FuseMax combines evidence by the single strongest class — the ablation
-// alternative benchmarked in E2.
-func FuseMax(evs []Evidence) float64 {
-	var m float64
-	for _, ev := range evs {
-		if s := evidenceWeights[ev.Kind] * ev.Strength; s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // normalizeCount dampens single-evidence relationships: many independent
 // evidences make a relationship more credible.
 func normalizeCount(n int) float64 {
@@ -302,13 +289,9 @@ func (e *Engine) contentSimilarity(a, b string) float64 {
 }
 
 // userContentVector returns the snapshot's precomputed content vector
-// for a user, overlay first (computed on the spot only for users
-// outside the snapshot).
+// for a user (computed on the spot only for users outside the snapshot).
 func (e *Engine) userContentVector(u string) textindex.Vector {
-	if v, ok := e.contentOver[u]; ok {
-		return v
-	}
-	if v, ok := e.userContent[u]; ok {
+	if v, ok := e.content.get(u); ok {
 		return v
 	}
 	return e.computeUserContentVector(u)
@@ -323,9 +306,9 @@ func (e *Engine) buildUserContentVectors() {
 	e.forUsersParallel(func(i int, u string) {
 		vecs[i] = e.computeUserContentVector(u)
 	})
-	e.userContent = make(map[string]textindex.Vector, len(e.users))
+	e.content.base = make(map[string]textindex.Vector, len(e.users))
 	for i, u := range e.users {
-		e.userContent[u] = vecs[i]
+		e.content.base[u] = vecs[i]
 	}
 }
 

@@ -22,14 +22,14 @@ func TestSnapshotTablesPopulated(t *testing.T) {
 		t.Fatalf("frozen base holds %d docs, the store %d", got, docs)
 	}
 	for _, u := range eng.users {
-		if _, ok := eng.ctxVecs[u]; !ok {
+		if _, ok := eng.ctx.base[u]; !ok {
 			t.Fatalf("no precomputed context vector for %s", u)
 		}
-		if _, ok := eng.userContent[u]; !ok {
+		if _, ok := eng.content.base[u]; !ok {
 			t.Fatalf("no precomputed content vector for %s", u)
 		}
 	}
-	if eng.interVecs == nil || eng.popularity == nil {
+	if eng.inter.base == nil || eng.pop.base == nil {
 		t.Fatal("interaction tables not precomputed")
 	}
 }
@@ -65,8 +65,8 @@ func TestPrecomputedTablesMatchRecomputation(t *testing.T) {
 		}
 	}
 	for doc, n := range wantPop {
-		if eng.popularityOf(doc) != n {
-			t.Fatalf("popularity[%s] = %d, want %d", doc, eng.popularityOf(doc), n)
+		if got, _ := eng.pop.get(doc); got != n {
+			t.Fatalf("popularity[%s] = %d, want %d", doc, got, n)
 		}
 	}
 }

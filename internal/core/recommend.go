@@ -106,8 +106,9 @@ func (e *Engine) personalizedRankFor(userID string, me graph.NodeID) []float64 {
 
 	restart := map[graph.NodeID]float64{me: 1}
 	// Context bias: users pinned on the active workpad (as of the
-	// snapshot build) pull the walk toward their neighborhoods.
-	for _, ref := range e.workpadPeerRefs(userID) {
+	// snapshot) pull the walk toward their neighborhoods.
+	row, _ := e.ctx.get(userID)
+	for _, ref := range row.pins {
 		if id := e.peerGraph.Lookup(ref); id != graph.Invalid {
 			restart[id] = 0.5
 		}
@@ -130,15 +131,6 @@ func (e *Engine) personalizedRankFor(userID string, me graph.NodeID) []float64 {
 	}
 	e.pprMu.Unlock()
 	return pr
-}
-
-// workpadPeerRefs returns the users pinned on the user's active workpad
-// from the snapshot table, overlay first.
-func (e *Engine) workpadPeerRefs(userID string) []string {
-	if refs, ok := e.wpRefsOver[userID]; ok {
-		return refs
-	}
-	return e.wpPeerRefs[userID]
 }
 
 // likelySessions predicts the sessions a user will attend: sessions
@@ -255,7 +247,7 @@ func (e *Engine) RecommendResources(userID string, k int, useContext bool) ([]Re
 		}
 	} else {
 		// Popularity fallback keeps the no-context arm non-degenerate.
-		e.eachPopularity(func(doc string, n int) {
+		e.pop.each(func(doc string, n int) {
 			scores[doc] += 0.01 * float64(n)
 		})
 	}
@@ -326,8 +318,8 @@ func (e *Engine) buildInteractionTables() {
 		}
 		applyActivity(vecs, pop, e, ev)
 	}
-	e.interVecs = vecs
-	e.popularity = pop
+	e.inter.base = vecs
+	e.pop.base = pop
 	e.evtSeq = maxSeq
 }
 
@@ -352,28 +344,6 @@ func applyActivity(vecs map[string]textindex.Vector, pop map[string]int, e *Engi
 	v[doc] += w
 }
 
-// interactionVectorOf returns one user's interaction vector, overlay
-// first.
-func (e *Engine) interactionVectorOf(u string) textindex.Vector {
-	if v, ok := e.interOver[u]; ok {
-		return v
-	}
-	return e.interVecs[u]
-}
-
-// eachInteractionVector visits every user's interaction vector with the
-// delta overlay merged in (overlay entries win).
-func (e *Engine) eachInteractionVector(fn func(u string, v textindex.Vector)) {
-	for u, v := range e.interOver {
-		fn(u, v)
-	}
-	for u, v := range e.interVecs {
-		if _, shadowed := e.interOver[u]; !shadowed {
-			fn(u, v)
-		}
-	}
-}
-
 // docIDForObject maps an event object to an index doc ID when it is a
 // recommendable resource.
 func (e *Engine) docIDForObject(obj string) string {
@@ -396,7 +366,7 @@ func (e *Engine) docIDForObject(obj string) string {
 // networks "support each other ... indirectly through collaborative
 // filtering").
 func (e *Engine) RecommendByCF(userID string, k int) []CFRecommendation {
-	mine := e.interactionVectorOf(userID)
+	mine, _ := e.inter.get(userID)
 	if mine == nil {
 		return nil
 	}
@@ -411,7 +381,7 @@ func (e *Engine) RecommendByCF(userID string, k int) []CFRecommendation {
 		return a.user < b.user
 	}
 	neighbors := topk.New[sim](20, simBetter) // neighborhood size
-	e.eachInteractionVector(func(u string, v textindex.Vector) {
+	e.inter.each(func(u string, v textindex.Vector) {
 		if u == userID {
 			return
 		}
@@ -421,7 +391,8 @@ func (e *Engine) RecommendByCF(userID string, k int) []CFRecommendation {
 	})
 	scores := map[string]float64{}
 	for _, sm := range neighbors.Sorted() {
-		for doc, w := range e.interactionVectorOf(sm.user) {
+		theirs, _ := e.inter.get(sm.user)
+		for doc, w := range theirs {
 			if mine[doc] > 0 {
 				continue // already interacted
 			}
@@ -445,36 +416,15 @@ func cfBetter(a, b CFRecommendation) bool {
 // RecommendByPopularity is the non-personalized baseline for E10: objects
 // ranked by raw interaction count.
 func (e *Engine) RecommendByPopularity(userID string, k int) []CFRecommendation {
-	mine := e.interactionVectorOf(userID)
+	mine, _ := e.inter.get(userID)
 	h := topk.New[CFRecommendation](k, cfBetter)
-	e.eachPopularity(func(doc string, n int) {
+	e.pop.each(func(doc string, n int) {
 		if mine != nil && mine[doc] > 0 {
 			return
 		}
 		h.Push(CFRecommendation{DocID: doc, Score: float64(n)})
 	})
 	return h.Sorted()
-}
-
-// eachPopularity visits every object's interaction count with the delta
-// overlay merged in (overlay entries carry absolute counts and win).
-func (e *Engine) eachPopularity(fn func(doc string, n int)) {
-	for doc, n := range e.popOver {
-		fn(doc, n)
-	}
-	for doc, n := range e.popularity {
-		if _, shadowed := e.popOver[doc]; !shadowed {
-			fn(doc, n)
-		}
-	}
-}
-
-// popularityOf returns one object's interaction count, overlay first.
-func (e *Engine) popularityOf(doc string) int {
-	if n, ok := e.popOver[doc]; ok {
-		return n
-	}
-	return e.popularity[doc]
 }
 
 // --- Activity change monitoring (SCENT over the platform) ----------------------

@@ -67,17 +67,6 @@ func New() *Graph {
 	return &Graph{byKey: make(map[string]NodeID)}
 }
 
-// NewWithCapacity returns an empty graph with storage preallocated for n
-// nodes. Useful for workload generators that know the final size.
-func NewWithCapacity(n int) *Graph {
-	return &Graph{
-		nodes: make([]Node, 0, n),
-		out:   make([][]Edge, 0, n),
-		in:    make([][]Edge, 0, n),
-		byKey: make(map[string]NodeID, n),
-	}
-}
-
 // NumNodes reports the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 

@@ -310,7 +310,8 @@ func decodeRecord(data []byte, off int) (rec Record, next int, ok bool) {
 
 // scanSegment reads a whole segment, returning the byte length of its
 // valid prefix, the Last sequence of its final good record (0 if none)
-// and the decoded records.
+// and the decoded records. A record that does not extend the one before
+// it ends the valid prefix like a torn one: Append never wrote it there.
 func scanSegment(path string) (goodLen int64, last uint64, recs []Record, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -322,7 +323,7 @@ func scanSegment(path string) (goodLen int64, last uint64, recs []Record, err er
 	off := 0
 	for {
 		rec, next, ok := decodeRecord(data, off)
-		if !ok {
+		if !ok || rec.First <= last {
 			break
 		}
 		recs = append(recs, rec)

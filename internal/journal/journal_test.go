@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -474,4 +476,135 @@ func TestCommitIndexPersistsAcrossReopen(t *testing.T) {
 	if got := j3.CommitIndex(); got != 0 {
 		t.Fatalf("CommitIndex with corrupt sidecar = %d, want 0", got)
 	}
+}
+
+// FuzzJournalRecover opens a journal whose active segment holds
+// arbitrary bytes, beside an arbitrary commit.idx sidecar. The seeds are
+// the segment files the TestCrashRecovery cases leave behind: five
+// records, then intact, torn or bit-flipped. Recovery must never panic
+// and never accept a damaged record: ReadFrom(0) returns only records the
+// seed appended, in increasing order, with every record before the first
+// damaged byte among them. Appends continue at Tail()+1, and a second
+// Open reads the same records back. A whole record spliced out of place
+// is not damage — its CRC holds — so a splice may leave a gap in the
+// sequence, as a producer that skips sequences legitimately does.
+func FuzzJournalRecover(f *testing.F) {
+	seedDir := f.TempDir()
+	j, err := Open(seedDir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 5; seq++ {
+		if err := j.Append(Record{First: seq, Last: seq, Data: payloadFor(seq)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	j.Close()
+	clean, err := os.ReadFile(j.segPath(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var ends []int // byte offset past each of the five records
+	for off := 0; off < len(clean); {
+		_, next, ok := decodeRecord(clean, off)
+		if !ok {
+			f.Fatalf("clean segment undecodable at %d", off)
+		}
+		ends = append(ends, next)
+		off = next
+	}
+	flipped := func(at int) []byte {
+		b := append([]byte(nil), clean...)
+		b[at] ^= 0xff
+		return b
+	}
+	f.Add(clean, []byte("7\n"))
+	f.Add(clean[:len(clean)-12], []byte{})                                               // torn header
+	f.Add(clean[:len(clean)-1], []byte("3"))                                             // torn payload
+	f.Add(flipped(len(clean)-1), []byte("not a number"))                                 // corrupt final payload
+	f.Add(clean[:2], []byte("0\n"))                                                      // all records torn
+	f.Add(flipped(len(clean)/2), []byte("18446744073709551615"))                         // corrupt interior record
+	f.Add(append(append([]byte(nil), clean...), clean[ends[1]:ends[2]]...), []byte("5")) // a replayed record
+
+	f.Fuzz(func(t *testing.T, seg, commit []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, 1, segSuffix))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, commitFile), commit, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer j.Close()
+
+		recs, err := j.ReadFrom(0, 0)
+		if err != nil {
+			t.Fatalf("ReadFrom(0): %v", err)
+		}
+		var last uint64
+		for i, rec := range recs {
+			if rec.First != rec.Last || rec.First <= last || rec.First > 5 || !bytes.Equal(rec.Data, payloadFor(rec.First)) {
+				t.Fatalf("rec[%d] = {%d %d %q} after %d: not a record the seed appended, in order", i, rec.First, rec.Last, rec.Data, last)
+			}
+			last = rec.Last
+		}
+		intact := 0
+		for intact < len(ends) && len(seg) >= ends[intact] && bytes.Equal(seg[:ends[intact]], clean[:ends[intact]]) {
+			intact++
+		}
+		if len(recs) < intact {
+			t.Fatalf("recovered %d records, but the first %d are intact", len(recs), intact)
+		}
+		for i := 0; i < intact; i++ {
+			if recs[i].First != uint64(i+1) {
+				t.Fatalf("rec[%d] is sequence %d inside the intact prefix", i, recs[i].First)
+			}
+		}
+		if got := j.Tail(); got != last {
+			t.Fatalf("Tail = %d, last record read = %d", got, last)
+		}
+		want := uint64(0)
+		if n, err := strconv.ParseUint(strings.TrimSpace(string(commit)), 10, 64); err == nil {
+			want = n
+		}
+		if got := j.CommitIndex(); got != want {
+			t.Fatalf("CommitIndex = %d from sidecar %q, want %d", got, commit, want)
+		}
+
+		next := Record{First: last + 1, Last: last + 1, Data: payloadFor(last + 1)}
+		if err := j.Append(next); err != nil {
+			t.Fatalf("Append at Tail()+1: %v", err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer re.Close()
+		again, err := re.ReadFrom(0, 0)
+		if err != nil {
+			t.Fatalf("ReadFrom(0) after reopen: %v", err)
+		}
+		if want := append(recs, next); !equalRecords(again, want) {
+			t.Fatalf("reopen read %d records, want the %d read before plus the append", len(again), len(recs))
+		}
+	})
+}
+
+func equalRecords(a, b []Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].First != b[i].First || a[i].Last != b[i].Last || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
 }

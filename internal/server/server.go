@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hive"
@@ -35,12 +34,6 @@ import (
 	"hive/internal/social"
 	"hive/internal/textindex"
 )
-
-// minRevalidateInterval bounds how often stale reads may trigger a
-// background rebuild: under sustained write+read traffic, rebuilds
-// would otherwise run back-to-back and pin cores (each write re-dirties
-// the snapshot, each read would kick a new refresh).
-const minRevalidateInterval = time.Second
 
 // Clamp ceilings for non-pagination integer parameters: how many
 // results a single request may ask the engine to compute.
@@ -81,8 +74,6 @@ type Server struct {
 	// traces is the bounded ring behind GET /api/v1/debug/traces; nil
 	// when Config.DisableMetrics.
 	traces *metrics.Recorder
-
-	lastReval atomic.Int64 // unix nanos of the last read-triggered refresh kick
 }
 
 // New builds a server around a standalone platform with default Config.
@@ -205,25 +196,6 @@ func exceptPaths(mw Middleware, exempt func(string) bool) Middleware {
 // of healthz — and the reads of broadcast data every shard holds.
 // Shard 0 answers them; with one shard that is the whole node.
 func (s *Server) node() *hive.Platform { return s.sh.Shard(0) }
-
-// maybeRevalidate kicks a background refresh at most once per
-// minRevalidateInterval (the CAS makes one winner per window), and only
-// on the shards that are themselves stale: a full build on a current
-// shard buys nothing and stalls it for the length of the build.
-func (s *Server) maybeRevalidate() {
-	now := time.Now().UnixNano()
-	last := s.lastReval.Load()
-	if now-last < int64(minRevalidateInterval) {
-		return
-	}
-	if s.lastReval.CompareAndSwap(last, now) {
-		for _, p := range s.sh.Shards() {
-			if p.Stale() {
-				p.RefreshAsync()
-			}
-		}
-	}
-}
 
 // routes registers the v1 surface.
 func (s *Server) routes() {
@@ -451,14 +423,6 @@ func pageThen[T any](fetch fetcher[T], finish func(r *http.Request, items []T) e
 // once more — never the reverse (a 304 for content it doesn't hold).
 func (s *Server) etag(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		// Stale-while-revalidate: reads answer from the published
-		// snapshot without waiting on maintenance, so a stale one gets
-		// its background refresh kicked here — ahead of the 304 fast
-		// path, or a revalidating client would be pinned to a stale
-		// snapshot (same generation, new data) forever.
-		if s.sh.Stale() {
-			s.maybeRevalidate()
-		}
 		tag := fmt.Sprintf(`"hive-g%d"`, s.sh.Generation())
 		if match := r.Header.Get("If-None-Match"); match != "" && etagMatch(match, tag) {
 			w.Header().Set("ETag", tag)

@@ -29,8 +29,9 @@ func refreshPlatform(t *testing.T, users int) *hive.Platform {
 // overflowQueue leaves the serving snapshot stale at its current
 // generation — the one way a write does not fold its own delta: a
 // single batch larger than the pending-event queue (4096) makes the
-// platform abandon the queue in favour of the next compaction. It
-// rewrites one user, so the corpus the compaction builds stays small.
+// platform abandon the queue in favour of a compaction, which the batch
+// starts in the background. It rewrites one user, so the corpus the
+// compaction builds stays small.
 func overflowQueue(t *testing.T, p *hive.Platform) {
 	t.Helper()
 	st := p.Store()
@@ -160,27 +161,25 @@ func TestSnapshotLifecycle(t *testing.T) {
 }
 
 // TestSnapshotLifecycleOverflow pins the fallback behind the delta
-// path: a batch that overflows the event queue only marks the snapshot
-// stale, and Engine() repairs with a full rebuild.
+// path: a batch that overflows the event queue marks the snapshot stale
+// until a full rebuild swaps in, and Engine() waits for that rebuild.
 func TestSnapshotLifecycleOverflow(t *testing.T) {
 	p := refreshPlatform(t, 12)
 	if err := p.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	first := p.Snapshot()
+	compactions := p.Compactions()
 	overflowQueue(t, p)
-	if p.Snapshot() != first {
-		t.Fatal("snapshot changed without a refresh")
-	}
-	eng, err := p.Engine() // read-your-writes: rebuilds because stale
+	eng, err := p.Engine() // read-your-writes: waits for the rebuild
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng == first {
 		t.Fatal("Engine() returned the stale snapshot")
 	}
-	if p.Stale() {
-		t.Fatalf("still stale after Engine(): gen=%d", p.Generation())
+	if p.Stale() || p.Compactions() == compactions {
+		t.Fatalf("after Engine(): stale=%v gen=%d, %d compaction(s)", p.Stale(), p.Generation(), p.Compactions()-compactions)
 	}
 }
 

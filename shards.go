@@ -666,23 +666,16 @@ func (sh *Sharded) EventsByTag(tag string) []Event {
 // --- Knowledge services (scatter-gather / owner-shard routed) -----------------
 
 // serving resolves the engine a read answers from: the published
-// snapshot, never waiting on maintenance in flight. A stale snapshot is
-// served as it is — writes fold their own deltas, the server kicks a
-// background refresh and AutoRefresh compacts — and only a shard with
-// no snapshot yet builds one. The one state no later write repairs is
-// an overflowed queue (abandoned; only a compaction reads the store
-// again), so the read that finds it kicks that compaction itself: a
-// library Platform with no server and no AutoRefresh loop still
-// converges. Every Sharded read resolves its engines this way.
+// snapshot, never waiting on maintenance in flight and never starting
+// any. A stale snapshot is served as it is — writes fold their own
+// deltas, an overflowing write starts its own compaction and
+// AutoRefresh compacts by policy — and only a shard with no snapshot
+// yet builds one. Every Sharded read resolves its engines this way.
 func (p *Platform) serving() (*core.Engine, error) {
-	eng := p.current.Load()
-	if eng == nil {
-		return p.Engine()
+	if eng := p.current.Load(); eng != nil {
+		return eng, nil
 	}
-	if p.overflowed() {
-		p.RefreshAsync()
-	}
-	return eng, nil
+	return p.Engine()
 }
 
 // engines resolves every shard's serving engine once, so a multi-phase
