@@ -96,10 +96,10 @@ func (e *Error) Error() string {
 //	{"error": {"code": "not_found", "message": "..."}}
 type ErrorResponse struct {
 	Error *Error `json:"error"`
-	// TraceID is the request's X-Hive-Trace-Id, echoed in the envelope
-	// so a failed call is findable in the server's access log and
-	// debug/traces ring without header access (empty on responses
-	// written outside a traced request, e.g. the static timeout body).
+	// TraceID is the request's one ID, its X-Hive-Trace-Id, echoed in
+	// the envelope so a failed call is findable in the server's access
+	// log and debug/traces ring without header access. The server sets
+	// it on every envelope, the timeout's included.
 	TraceID string `json:"trace_id,omitempty"`
 }
 

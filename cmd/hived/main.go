@@ -5,7 +5,7 @@
 //
 //	hived [-addr :8080] [-data DIR] [-seed users] [-compact-interval 30s]
 //	      [-shards N] [-workers N] [-timeout 30s]
-//	      [-max-inflight N] [-qps N] [-quiet] [-metrics]
+//	      [-max-inflight N] [-qps N] [-quiet]
 //	      [-pprof ADDR]
 //	      [-cluster "self=URL,peers=URL;URL,lease=DIR[,ttl=2s]"]
 //	      [-quorum K] [-ack-timeout 5s] [-journal-retention N]
@@ -80,9 +80,9 @@
 // More than one shard excludes -cluster for now: per-shard replication
 // is a follow-up.
 //
-// -timeout, -max-inflight and -qps wire the middleware stack's
-// operational limits (0 disables each); -quiet drops the per-request
-// access log (trace ID, resolved shard and status on each line).
+// -timeout, -max-inflight and -qps wire the server's operational
+// limits (0 disables each); -quiet drops the per-request access log
+// (status, request ID and resolved shard on each line).
 //
 // Observability: GET /metrics serves the process-wide registry in
 // Prometheus text exposition — request counts and latency histograms
@@ -91,8 +91,7 @@
 // /api/v1/debug/traces serves the slowest recent requests with their
 // per-stage timings (see API.md, "Observability"). Both ride outside
 // the QPS and in-flight caps so a shedding server can still be
-// scraped; -metrics=false disables both endpoints and the per-request
-// trace recorder.
+// scraped. No flag turns them off.
 //
 // With -pprof ADDR (off by default), net/http/pprof profiling handlers
 // are exposed on a separate listener under /debug/pprof/, kept off the
@@ -201,8 +200,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent requests (0 = uncapped)")
 	qps := flag.Float64("qps", 0, "global request rate limit (0 = unlimited)")
 	quiet := flag.Bool("quiet", false, "disable the per-request access log")
-	metricsOn := flag.Bool("metrics", true,
-		"serve Prometheus text metrics at GET /metrics and traces at GET /api/v1/debug/traces (false = disable both)")
 	pprofAddr := flag.String("pprof", "", "expose net/http/pprof on this separate address (e.g. localhost:6060; empty = disabled)")
 	flag.Parse()
 
@@ -295,10 +292,9 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Timeout:        *timeout,
-		MaxInFlight:    *maxInflight,
-		QPS:            *qps,
-		DisableMetrics: !*metricsOn,
+		Timeout:     *timeout,
+		MaxInFlight: *maxInflight,
+		QPS:         *qps,
 	}
 	if !*quiet {
 		cfg.AccessLog = log.Default()

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// Request tracing: the HTTP middleware mints (or adopts) a trace ID
-// per request, carries a mutable *Trace through the request context,
-// and hands the finished trace to a bounded Recorder. Handlers and the
+// Request tracing: the server's request envelope mints (or adopts) a
+// trace ID per request, carries a mutable *Trace through the request
+// context, and hands the finished trace to a bounded Recorder. Handlers and the
 // scatter-gather read path add named stages; the access log and error
 // envelopes print the ID; GET /api/v1/debug/traces serves the slowest
 // recent traces with their per-stage timings.
@@ -171,7 +171,7 @@ func NewRecorder(capacity int) *Recorder {
 
 // Record stores one finished trace, evicting the oldest when full.
 func (r *Recorder) Record(v TraceView) {
-	if r == nil || v.ID == "" {
+	if v.ID == "" {
 		return
 	}
 	r.mu.Lock()
@@ -186,9 +186,6 @@ func (r *Recorder) Record(v TraceView) {
 // Slowest returns up to n recent traces, slowest first (n <= 0 means
 // all retained).
 func (r *Recorder) Slowest(n int) []TraceView {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	out := make([]TraceView, 0, r.n)
 	for i := 0; i < r.n; i++ {

@@ -342,26 +342,3 @@ func TestTraceMintedWhenAbsent(t *testing.T) {
 		t.Fatalf("minted trace ID = %q, want 16 hex chars", got)
 	}
 }
-
-// TestDisableMetrics: DisableMetrics removes the observability
-// endpoints entirely.
-func TestDisableMetrics(t *testing.T) {
-	p, err := hive.Open(hive.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	ts := httptest.NewServer(NewWith(p, Config{DisableMetrics: true}))
-	defer ts.Close()
-
-	for _, path := range []string{"/metrics", "/api/v1/debug/traces"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s with metrics disabled: status %d, want 404", path, resp.StatusCode)
-		}
-	}
-}

@@ -2,9 +2,6 @@ package server
 
 import (
 	"compress/gzip"
-	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"log"
@@ -19,9 +16,8 @@ import (
 	"hive/internal/metrics"
 )
 
-// Middleware wraps a handler. The server composes its stack with Chain;
-// individual middlewares are exported-in-spirit (package-local) building
-// blocks with no coupling to the Platform.
+// Middleware wraps a handler. The server composes its operational limits
+// with Chain, inside the request envelope.
 type Middleware func(http.Handler) http.Handler
 
 // Chain applies middlewares so the first argument is the outermost.
@@ -32,125 +28,125 @@ func Chain(h http.Handler, mws ...Middleware) http.Handler {
 	return h
 }
 
-// ctxKey namespaces context values.
-type ctxKey int
-
-const ctxRequestID ctxKey = iota
-
-// requestIDFrom returns the request ID assigned by the RequestID
-// middleware ("" outside it).
-func requestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxRequestID).(string)
-	return id
+// envelope is the one layer every request passes through, outermost.
+// It gives the request its one ID — the X-Hive-Trace-Id, adopted from
+// the caller when well-formed, minted otherwise — and echoes it; it
+// hands the handler the one responseWriter; it answers a handler panic
+// with a 500 envelope while nothing of the response has been sent; and
+// when the request ends it records the per-route request counter, the
+// latency histogram, the finished trace and, with access set, one
+// access-log line. None of this can be switched off: the access log is
+// the only optional part.
+type envelope struct {
+	next    http.Handler
+	routeOf func(*http.Request) string // bounded-cardinality route label
+	traces  *metrics.Recorder
+	access  *log.Logger // nil: no access log
+	errLog  *log.Logger // handler panics
+	reqs    *metrics.CounterVec
+	lat     *metrics.HistogramVec
 }
 
-// RequestID tags every request with an ID — propagated from the
-// client's X-Request-ID when present, generated otherwise — echoed on
-// the response and available to downstream handlers via the context.
-func RequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			var buf [8]byte
-			_, _ = rand.Read(buf[:])
-			id = hex.EncodeToString(buf[:])
+// newEnvelope wraps next. routeOf maps a request to its route label (the
+// mux pattern — never the raw URL, which would mint a label per user
+// ID); "" labels it "unmatched".
+func newEnvelope(next http.Handler, routeOf func(*http.Request) string, traces *metrics.Recorder, access *log.Logger) *envelope {
+	return &envelope{
+		next:    next,
+		routeOf: routeOf,
+		traces:  traces,
+		access:  access,
+		errLog:  log.Default(),
+		reqs: metrics.Default.CounterVec(metrics.HTTPRequestsTotal,
+			"HTTP requests by route pattern, method and status class.",
+			"route", "method", "class"),
+		lat: metrics.Default.HistogramVec(metrics.HTTPRequestSeconds,
+			"HTTP request latency in seconds by route pattern.",
+			nil, "route"),
+	}
+}
+
+func (e *envelope) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	id := r.Header.Get(api.TraceHeader)
+	if !validTraceID(id) {
+		id = metrics.NewTraceID()
+	}
+	h := w.Header()
+	h.Set(api.TraceHeader, id)
+	h.Add("Vary", "Accept-Encoding")
+	tr := metrics.NewTrace(id, r.Method)
+	r = r.WithContext(metrics.ContextWithTrace(r.Context(), tr))
+	rw := &responseWriter{ResponseWriter: w, gzipOK: acceptsGzip(r.Header.Get("Accept-Encoding"))}
+	defer e.done(rw, r, tr)
+	defer func() {
+		if v := recover(); v != nil {
+			e.recovered(rw, r, v)
 		}
-		w.Header().Set("X-Request-ID", id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxRequestID, id)))
-	})
+	}()
+	e.next.ServeHTTP(rw, r)
+	rw.finish()
 }
 
-// statusWriter records the response status and size for logging and
-// panic recovery.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
+// recovered answers a handler panic. While the response is still held
+// back, the client gets a plain 500 envelope in its place; once part of
+// it has been sent, the connection is aborted, so the client sees a
+// broken response and never a cleanly ended truncated one.
+func (e *envelope) recovered(rw *responseWriter, r *http.Request, v any) {
+	if v == http.ErrAbortHandler {
+		panic(v)
 	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
+	e.errLog.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+	if rw.sent {
+		panic(http.ErrAbortHandler)
 	}
-	n, err := sw.ResponseWriter.Write(b)
-	sw.bytes += n
-	return n, err
+	rw.status, rw.buf = 0, nil
+	writeError(rw, r, http.StatusInternalServerError, api.CodeInternal, "internal error")
+	rw.finish()
 }
 
-// AccessLog writes one line per request: method, path, status, bytes,
-// duration, request ID, end-to-end trace ID and the resolved shard
-// (-1 when no shard applies — unsharded deployments, scatter reads).
-func AccessLog(l *log.Logger) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			tr := metrics.TraceFrom(r.Context())
-			trace := tr.ID()
-			if trace == "" {
-				trace = "-"
-			}
-			l.Printf("%s %s %d %dB %v rid=%s trace=%s shard=%d",
-				r.Method, r.URL.RequestURI(), status, sw.bytes,
-				time.Since(start).Round(time.Microsecond), requestIDFrom(r.Context()),
-				trace, tr.Shard())
-		})
+// done records a finished request. The access-log line carries method,
+// URI, status, wire bytes, duration, the request's ID and the resolved
+// shard (-1 when no shard applies — unsharded writes, scatter reads).
+func (e *envelope) done(rw *responseWriter, r *http.Request, tr *metrics.Trace) {
+	status := rw.status
+	if status == 0 {
+		status = http.StatusOK
+	}
+	route := e.routeOf(r)
+	if route == "" {
+		route = "unmatched"
+	}
+	view := tr.Finish(route, status)
+	e.reqs.With(route, r.Method, statusClass(status)).Inc()
+	e.lat.With(route).Observe(view.DurationUS / 1e6)
+	e.traces.Record(view)
+	if e.access != nil {
+		e.access.Printf("%s %s %d %dB %v trace=%s shard=%d",
+			r.Method, r.URL.RequestURI(), status, rw.wire,
+			time.Duration(view.DurationUS*1e3).Round(time.Microsecond), view.ID, view.Shard)
 	}
 }
 
-// Observe is the instrumentation middleware: it adopts (or mints) the
-// request's X-Hive-Trace-Id, echoes it on the response, carries a
-// mutable trace through the context for handlers to annotate (resolved
-// shard, scatter stage timings), and on completion records the
-// per-route request counter, the status class, the latency histogram
-// and the finished trace. routeOf maps a request to its bounded-
-// cardinality route label (the mux pattern — never the raw URL, which
-// would mint a label per user ID).
-func Observe(reg *metrics.Registry, rec *metrics.Recorder, routeOf func(*http.Request) string) Middleware {
-	reqs := reg.CounterVec(metrics.HTTPRequestsTotal,
-		"HTTP requests by route pattern, method and status class.",
-		"route", "method", "class")
-	lat := reg.HistogramVec(metrics.HTTPRequestSeconds,
-		"HTTP request latency in seconds by route pattern.",
-		nil, "route")
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			id := r.Header.Get(api.TraceHeader)
-			if id == "" {
-				id = metrics.NewTraceID()
-			}
-			w.Header().Set(api.TraceHeader, id)
-			tr := metrics.NewTrace(id, r.Method)
-			r = r.WithContext(metrics.ContextWithTrace(r.Context(), tr))
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			dur := time.Since(start)
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
-			route := routeOf(r)
-			if route == "" {
-				route = "unmatched"
-			}
-			reqs.With(route, r.Method, statusClass(status)).Inc()
-			lat.With(route).ObserveDuration(dur)
-			rec.Record(tr.Finish(route, status))
-		})
+// maxTraceIDLen bounds an adopted trace ID. The ID is kept in every
+// retained trace and printed on every access-log line, so a caller must
+// not be able to grow either with a header of its choosing.
+const maxTraceIDLen = 64
+
+// validTraceID reports whether an inbound trace ID may be adopted: 1 to
+// maxTraceIDLen letters, digits, '-', '_' or '.'. The SDK's 16 hex
+// characters qualify; anything else is replaced by a minted ID.
+func validTraceID(id string) bool {
+	if id == "" || len(id) > maxTraceIDLen {
+		return false
 	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '-', c == '_', c == '.':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // statusClass buckets an HTTP status into its class label ("2xx"...).
@@ -169,42 +165,18 @@ func statusClass(status int) string {
 	}
 }
 
-// Recover converts handler panics into a 500 error envelope (when no
-// response has started) instead of tearing down the connection.
-func Recover(l *log.Logger) Middleware {
+// Timeout bounds a request's handling time; on expiry the client gets a
+// 503 timeout envelope carrying the request's ID, and the handler's late
+// writes are discarded (http.TimeoutHandler semantics).
+func Timeout(d time.Duration) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			defer func() {
-				v := recover()
-				if v == nil || v == http.ErrAbortHandler {
-					if v != nil {
-						panic(v)
-					}
-					return
-				}
-				if l != nil {
-					l.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-				}
-				if sw.status == 0 {
-					writeError(sw, r, http.StatusInternalServerError, api.CodeInternal, "internal error")
-				}
-			}()
-			next.ServeHTTP(sw, r)
+			body, _ := json.Marshal(api.ErrorResponse{
+				Error:   &api.Error{Code: api.CodeTimeout, Message: "request exceeded the server's time budget"},
+				TraceID: traceID(r),
+			})
+			http.TimeoutHandler(next, d, string(body)).ServeHTTP(w, r)
 		})
-	}
-}
-
-// Timeout bounds a request's handling time; on expiry the client gets a
-// 503 with a timeout-coded envelope and the handler's late writes are
-// discarded (http.TimeoutHandler semantics).
-func Timeout(d time.Duration) Middleware {
-	body, _ := json.Marshal(api.ErrorResponse{Error: &api.Error{
-		Code:    api.CodeTimeout,
-		Message: "request exceeded the server's time budget",
-	}})
-	return func(next http.Handler) http.Handler {
-		return http.TimeoutHandler(next, d, string(body))
 	}
 }
 
@@ -267,33 +239,11 @@ func (tb *tokenBucket) allow(now time.Time) bool {
 	return true
 }
 
-// gzipMinBytes is the smallest body Gzip compresses. Below it the gzip
-// frame and the per-response deflate reset cost more than they save: a
-// search page is ≈ 650 B plain, and a profile grows from 89 B to 107 B
-// when gzip'd.
+// gzipMinBytes is the smallest body sent gzip'd. Below it the gzip frame
+// and the per-response deflate reset cost more than they save: a search
+// page is ≈ 650 B plain, and a profile grows from 89 B to 107 B when
+// gzip'd.
 const gzipMinBytes = 1024
-
-// Gzip compresses responses of at least gzipMinBytes for clients that
-// accept gzip; smaller bodies go out identity with a Content-Length.
-// The status and the first bytes are held back until the body reaches
-// the threshold (Content-Encoding: gzip is committed then) or the
-// handler returns (identity). Nothing is committed for a handler that
-// panics: an outer Recover still answers with a plain 500 envelope, not
-// a 200 with a truncated body. Bodyless statuses (1xx, 204, 304) pass
-// through untouched so conditional GETs stay empty. Every response
-// carries Vary: Accept-Encoding.
-func Gzip(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Add("Vary", "Accept-Encoding")
-		if !acceptsGzip(r.Header.Get("Accept-Encoding")) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		gw := &gzipWriter{ResponseWriter: w}
-		next.ServeHTTP(gw, r)
-		gw.finish()
-	})
-}
 
 // gzPool recycles gzip writers across responses. A fresh gzip.Writer
 // allocates its whole deflate state (~hundreds of KB); paying that per
@@ -304,73 +254,100 @@ var gzPool = sync.Pool{
 	New: func() any { return gzip.NewWriter(io.Discard) },
 }
 
-// gzipWriter defers the encoding decision until the body's size is
-// known to be at least gzipMinBytes or the handler is done.
-type gzipWriter struct {
+// responseWriter is the one wrapper around a response. It holds back
+// the status and the first bytes until the body reaches gzipMinBytes or
+// the handler returns. A body that reaches the threshold goes out
+// gzip'd to a client that accepts gzip and identity to any other; a
+// smaller one goes out identity with a Content-Length. Bodyless
+// statuses (204, 304) are sent at once, so conditional GETs stay empty.
+// Until the response is sent, a handler panic can still be answered
+// with a clean 500 (envelope.recovered). It records the status and the
+// bytes that reached the wire.
+type responseWriter struct {
 	http.ResponseWriter
-	status      int          // held-back status; 0 until WriteHeader or Write
-	buf         []byte       // held-back body, under gzipMinBytes
-	gz          *gzip.Writer // set once the response is committed to gzip
-	passthrough bool         // bodyless status: everything goes straight through
+	gzipOK bool         // the client accepts gzip
+	status int          // the first status set; 0 until WriteHeader or Write
+	buf    []byte       // held-back body, under gzipMinBytes
+	sent   bool         // status and headers have gone to the client
+	gz     *gzip.Writer // the body's gzip stream, once committed to gzip
+	wire   int          // body bytes written to the connection
 }
 
-func (g *gzipWriter) WriteHeader(code int) {
-	switch {
-	case g.passthrough:
-		g.ResponseWriter.WriteHeader(code)
-	case g.status != 0: // the first status wins, as on a plain ResponseWriter
-	case code == http.StatusNoContent || code == http.StatusNotModified || code < http.StatusOK:
-		g.passthrough = true
-		g.ResponseWriter.WriteHeader(code)
-	default:
-		g.status = code
+func (rw *responseWriter) WriteHeader(code int) {
+	if rw.status != 0 { // the first status wins, as on a plain ResponseWriter
+		return
+	}
+	rw.status = code
+	if code == http.StatusNoContent || code == http.StatusNotModified {
+		rw.send()
 	}
 }
 
-func (g *gzipWriter) Write(b []byte) (int, error) {
-	switch {
-	case g.passthrough:
-		return g.ResponseWriter.Write(b)
-	case g.gz != nil:
-		return g.gz.Write(b)
-	}
-	g.WriteHeader(http.StatusOK) // implicit, unless a status is held
-	if len(g.buf)+len(b) < gzipMinBytes {
-		g.buf = append(g.buf, b...)
-		return len(b), nil
-	}
-	h := g.Header()
-	h.Del("Content-Length")
-	h.Set("Content-Encoding", "gzip")
-	g.ResponseWriter.WriteHeader(g.status)
-	g.gz = gzPool.Get().(*gzip.Writer)
-	g.gz.Reset(g.ResponseWriter)
-	if len(g.buf) > 0 {
-		if _, err := g.gz.Write(g.buf); err != nil {
-			return 0, err
+func (rw *responseWriter) Write(b []byte) (int, error) {
+	if !rw.sent {
+		rw.WriteHeader(http.StatusOK) // implicit, unless a status is held
+		if len(rw.buf)+len(b) < gzipMinBytes {
+			rw.buf = append(rw.buf, b...)
+			return len(b), nil
 		}
-		g.buf = nil
-	}
-	return g.gz.Write(b)
-}
-
-// finish completes a response whose handler returned normally: it closes
-// the gzip stream, or sends the held-back body identity.
-func (g *gzipWriter) finish() {
-	switch {
-	case g.gz != nil:
-		_ = g.gz.Close()
-		gzPool.Put(g.gz)
-		g.gz = nil
-	case g.passthrough:
-	default:
-		g.WriteHeader(http.StatusOK)
-		g.Header().Set("Content-Length", strconv.Itoa(len(g.buf)))
-		g.ResponseWriter.WriteHeader(g.status)
-		if len(g.buf) > 0 {
-			_, _ = g.ResponseWriter.Write(g.buf)
+		if rw.gzipOK {
+			h := rw.Header()
+			h.Del("Content-Length")
+			h.Set("Content-Encoding", "gzip")
+			rw.gz = gzPool.Get().(*gzip.Writer)
+			rw.gz.Reset(wireWriter{rw})
+		}
+		rw.send()
+		if held := rw.buf; len(held) > 0 {
+			rw.buf = nil
+			if _, err := rw.body(held); err != nil {
+				return 0, err
+			}
 		}
 	}
+	return rw.body(b)
+}
+
+// send commits the held status and the headers.
+func (rw *responseWriter) send() {
+	rw.sent = true
+	rw.ResponseWriter.WriteHeader(rw.status)
+}
+
+// body writes past the hold-back: into the gzip stream when there is
+// one, else straight to the wire.
+func (rw *responseWriter) body(b []byte) (int, error) {
+	if rw.gz != nil {
+		return rw.gz.Write(b)
+	}
+	return wireWriter{rw}.Write(b)
+}
+
+// finish completes a response whose handler returned: it closes the
+// gzip stream, or sends the held-back response identity.
+func (rw *responseWriter) finish() {
+	switch {
+	case rw.gz != nil:
+		_ = rw.gz.Close()
+		gzPool.Put(rw.gz)
+		rw.gz = nil
+	case !rw.sent:
+		rw.WriteHeader(http.StatusOK)
+		rw.Header().Set("Content-Length", strconv.Itoa(len(rw.buf)))
+		rw.send()
+		if len(rw.buf) > 0 {
+			_, _ = rw.body(rw.buf)
+		}
+	}
+}
+
+// wireWriter writes to the connection and counts what reached it.
+type wireWriter struct{ rw *responseWriter }
+
+func (w wireWriter) Write(b []byte) (int, error) {
+	n, err := w.rw.ResponseWriter.Write(b)
+	w.rw.wire += n
+	return n, err
 }
 
 // acceptsGzip parses Accept-Encoding far enough to honor an explicit

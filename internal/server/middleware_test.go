@@ -13,7 +13,16 @@ import (
 	"time"
 
 	"hive/api"
+	"hive/internal/metrics"
 )
+
+// wrap serves h inside the request envelope, with its panic log
+// silenced.
+func wrap(h http.Handler) http.Handler {
+	e := newEnvelope(h, func(*http.Request) string { return "" }, metrics.NewRecorder(1), nil)
+	e.errLog = log.New(io.Discard, "", 0)
+	return e
+}
 
 func envelopeCode(t *testing.T, body io.Reader) string {
 	t.Helper()
@@ -28,10 +37,9 @@ func envelopeCode(t *testing.T, body io.Reader) string {
 }
 
 func TestRecoverMiddleware(t *testing.T) {
-	quiet := log.New(io.Discard, "", 0)
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
-	}), Recover(quiet))
+	}))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
 	if rec.Code != http.StatusInternalServerError {
@@ -42,20 +50,26 @@ func TestRecoverMiddleware(t *testing.T) {
 	}
 }
 
+// TestTimeoutMiddleware: a request over its budget gets the 503 timeout
+// envelope, which carries the request's ID like every other envelope.
 func TestTimeoutMiddleware(t *testing.T) {
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := wrap(Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(5 * time.Second):
 		case <-r.Context().Done():
 		}
-	}), Timeout(20*time.Millisecond))
+	}), Timeout(20*time.Millisecond)))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/slow", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if code := envelopeCode(t, rec.Body); code != api.CodeTimeout {
-		t.Fatalf("code = %q", code)
+	var env api.ErrorResponse
+	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil || env.Error == nil || env.Error.Code != api.CodeTimeout {
+		t.Fatalf("envelope %+v (%v), want code %q", env, err, api.CodeTimeout)
+	}
+	if id := rec.Header().Get(api.TraceHeader); id == "" || env.TraceID != id {
+		t.Fatalf("timeout envelope trace_id %q, response ID %q", env.TraceID, id)
 	}
 }
 
@@ -115,10 +129,10 @@ func TestRateLimitMiddleware(t *testing.T) {
 
 func TestGzipMiddleware(t *testing.T) {
 	payload := strings.Repeat("compress me please ", 200)
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		_, _ = io.WriteString(w, payload)
-	}), Gzip)
+	}))
 
 	// Client accepts gzip: body arrives compressed.
 	req := httptest.NewRequest("GET", "/", nil)
@@ -175,7 +189,7 @@ func TestGzipThreshold(t *testing.T) {
 			}
 		}
 	}
-	gz := func(status int, parts ...string) http.Handler { return Gzip(writes(status, parts...)) }
+	gz := func(status int, parts ...string) http.Handler { return wrap(writes(status, parts...)) }
 	for _, tc := range []struct {
 		name     string
 		h        http.Handler
@@ -193,12 +207,11 @@ func TestGzipThreshold(t *testing.T) {
 		{"one large write", gz(0, body(4000)), "gzip", http.StatusOK, body(4000), true, ""},
 		{"204", gz(http.StatusNoContent), "gzip", http.StatusNoContent, "", false, ""},
 		{"304", gz(http.StatusNotModified), "gzip", http.StatusNotModified, "", false, ""},
-		// A refusing client's response passes through untouched: the
-		// server, not Gzip, decides its framing.
+		// A refusing client gets identity; past the threshold it streams.
 		{"refused q=0", gz(0, body(4000)), "gzip;q=0", http.StatusOK, body(4000), false, ""},
-		// The server's order: Timeout buffers outside Gzip.
-		{"under Timeout small", Chain(writes(0, body(100)), Timeout(time.Second), Gzip), "gzip", http.StatusOK, body(100), false, "100"},
-		{"under Timeout large", Chain(writes(0, body(1500), body(1500)), Timeout(time.Second), Gzip), "gzip", http.StatusOK, body(1500) + body(1500), true, ""},
+		// The server's order: Timeout buffers inside the envelope.
+		{"under Timeout small", wrap(Chain(writes(0, body(100)), Timeout(time.Second))), "gzip", http.StatusOK, body(100), false, "100"},
+		{"under Timeout large", wrap(Chain(writes(0, body(1500), body(1500)), Timeout(time.Second))), "gzip", http.StatusOK, body(1500) + body(1500), true, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := httptest.NewRequest("GET", "/", nil)
@@ -240,29 +253,56 @@ func TestGzipThreshold(t *testing.T) {
 }
 
 // TestRecoverAfterSmallWriteThroughGzip: a handler that commits a status
-// and a few bytes, then panics, must still get Recover's plain 500
-// envelope. Gzip holds small bodies back and sends them only on a normal
-// return, so nothing of the broken response reaches the client (it used
-// to close its stream in a defer: a 200 with a gzip'd truncated body).
+// and a few bytes, then panics, must still get a plain 500 envelope,
+// whether or not the client accepts gzip. The response writer holds
+// small bodies back for every client and sends them only on a normal
+// return, so nothing of the broken response reaches the client: no 200
+// carrying a truncated body, gzip'd or not.
 func TestRecoverAfterSmallWriteThroughGzip(t *testing.T) {
-	quiet := log.New(io.Discard, "", 0)
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = io.WriteString(w, `{"items":[`)
 		panic("kaboom")
-	}), Recover(quiet), Gzip)
-	req := httptest.NewRequest("GET", "/x", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", rec.Code)
+	}))
+	for _, accept := range []string{"gzip", ""} {
+		req := httptest.NewRequest("GET", "/x", nil)
+		req.Header.Set("Accept-Encoding", accept)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("Accept-Encoding %q: status = %d, want 500", accept, rec.Code)
+		}
+		if enc := rec.Header().Get("Content-Encoding"); enc != "" {
+			t.Fatalf("Accept-Encoding %q: panic response claims Content-Encoding %q", accept, enc)
+		}
+		if code := envelopeCode(t, rec.Body); code != api.CodeInternal {
+			t.Fatalf("Accept-Encoding %q: code = %q", accept, code)
+		}
 	}
-	if enc := rec.Header().Get("Content-Encoding"); enc != "" {
-		t.Fatalf("panic response claims Content-Encoding %q", enc)
-	}
-	if code := envelopeCode(t, rec.Body); code != api.CodeInternal {
-		t.Fatalf("code = %q", code)
+}
+
+// TestPanicAfterSendAbortsConnection: once a body has passed the
+// hold-back threshold part of it may be on the wire, and a panic can no
+// longer be answered with a 500. The connection is aborted instead, so
+// the client sees a failed request, gzip or not, never a complete-looking
+// response with a truncated body.
+func TestPanicAfterSendAbortsConnection(t *testing.T) {
+	ts := httptest.NewServer(wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, strings.Repeat("x", 2*gzipMinBytes))
+		panic("kaboom")
+	})))
+	defer ts.Close()
+	for _, compress := range []bool{true, false} {
+		c := &http.Client{Transport: &http.Transport{DisableCompression: !compress}}
+		resp, err := c.Get(ts.URL)
+		if err == nil {
+			_, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		if err == nil {
+			t.Errorf("gzip %v: a handler that panicked mid-body answered %d with a complete body", compress, resp.StatusCode)
+		}
+		c.CloseIdleConnections()
 	}
 }
 
@@ -289,9 +329,9 @@ func TestAcceptsGzip(t *testing.T) {
 // TestGzip304StaysEmpty: conditional responses must not grow a gzip
 // frame (a 304 with a body would be a protocol violation).
 func TestGzip304StaysEmpty(t *testing.T) {
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
-	}), Gzip)
+	}))
 	req := httptest.NewRequest("GET", "/", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
 	rec := httptest.NewRecorder()
@@ -309,13 +349,12 @@ func TestGzip304StaysEmpty(t *testing.T) {
 
 // TestRecoverThroughGzipStaysReadable: a panic before any write must
 // yield a plain-JSON 500 envelope with no stray Content-Encoding — the
-// gzip middleware may only commit the header for responses it actually
+// response writer may only commit the header for responses it actually
 // compresses.
 func TestRecoverThroughGzipStaysReadable(t *testing.T) {
-	quiet := log.New(io.Discard, "", 0)
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
-	}), Recover(quiet), Gzip)
+	}))
 	req := httptest.NewRequest("GET", "/x", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
 	rec := httptest.NewRecorder()

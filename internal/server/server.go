@@ -42,10 +42,12 @@ const (
 	maxBudget = 100
 )
 
-// Config tunes the middleware stack. The zero value disables the
-// operational limits (no timeout, no in-flight cap, no rate limit, no
-// access log) — the right default for tests and embedded use;
-// cmd/hived wires real limits from flags.
+// Config tunes the operational limits and the access log. The zero
+// value disables all four (no timeout, no in-flight cap, no rate limit,
+// no access log) — the right default for tests and embedded use;
+// cmd/hived wires real limits from flags. Instrumentation is not among
+// them: every server serves /metrics and debug/traces and records every
+// request.
 type Config struct {
 	// Timeout bounds per-request handling time (0 = unbounded).
 	Timeout time.Duration
@@ -56,10 +58,6 @@ type Config struct {
 	QPS float64
 	// AccessLog, when set, receives one line per request.
 	AccessLog *log.Logger
-	// DisableMetrics turns off the instrumentation layer: no /metrics
-	// exposition, no per-route counters/histograms, no trace recording
-	// (inbound X-Hive-Trace-Id headers pass through unused).
-	DisableMetrics bool
 }
 
 // Server routes HTTP requests to the one serving backend: a Sharded of
@@ -69,10 +67,9 @@ type Config struct {
 type Server struct {
 	sh  *hive.Sharded
 	mux *http.ServeMux
-	h   http.Handler // mux wrapped in the middleware chain
+	h   http.Handler // mux inside the limits, inside the request envelope
 
-	// traces is the bounded ring behind GET /api/v1/debug/traces; nil
-	// when Config.DisableMetrics.
+	// traces is the bounded ring behind GET /api/v1/debug/traces.
 	traces *metrics.Recorder
 }
 
@@ -89,48 +86,34 @@ func NewWith(p *hive.Platform, cfg Config) *Server { return newServer(hive.OneSh
 func NewSharded(sh *hive.Sharded, cfg Config) *Server { return newServer(sh, cfg) }
 
 func newServer(sh *hive.Sharded, cfg Config) *Server {
-	s := &Server{sh: sh, mux: http.NewServeMux()}
-	if !cfg.DisableMetrics {
-		s.traces = metrics.NewRecorder(metrics.DefaultTraceCapacity)
-	}
+	s := &Server{sh: sh, mux: http.NewServeMux(), traces: metrics.NewRecorder(metrics.DefaultTraceCapacity)}
 	s.routes()
 
-	// Outermost first: tag, observe, log, catch panics, then enforce
-	// budget and load limits, compressing innermost so limit rejections
-	// stay cheap. Observe sits outside the access log so the log line
-	// (and every error envelope below it) sees the request's trace.
-	mws := []Middleware{RequestID}
-	if !cfg.DisableMetrics {
-		mws = append(mws, Observe(metrics.Default, s.traces, s.routePattern))
-	}
-	if cfg.AccessLog != nil {
-		mws = append(mws, AccessLog(cfg.AccessLog))
-	}
-	mws = append(mws, Recover(log.Default()))
-	if cfg.Timeout > 0 {
-		mws = append(mws, exceptPaths(Timeout(cfg.Timeout), timeoutExempt))
-	}
+	// Inside the envelope, enforce the budget and then the load limits.
 	// Replication traffic is exempt from the load limits: the events
 	// feed parks by design (each connected follower would permanently
 	// burn one in-flight slot), and a rate-limited or shed poll
 	// inflates replication lag exactly when the leader is busiest. The
 	// metrics scrape is exempt for the same reason inverted: shedding
 	// the scrape blinds the operator exactly when the server is busiest.
+	var limits []Middleware
+	if cfg.Timeout > 0 {
+		limits = append(limits, exceptPaths(Timeout(cfg.Timeout), timeoutExempt))
+	}
 	if cfg.MaxInFlight > 0 {
-		mws = append(mws, exceptPaths(MaxInFlight(cfg.MaxInFlight), capExempt))
+		limits = append(limits, exceptPaths(MaxInFlight(cfg.MaxInFlight), capExempt))
 	}
 	if cfg.QPS > 0 {
-		mws = append(mws, exceptPaths(RateLimit(cfg.QPS, int(cfg.QPS)), capExempt))
+		limits = append(limits, exceptPaths(RateLimit(cfg.QPS, int(cfg.QPS)), capExempt))
 	}
-	mws = append(mws, Gzip)
-	s.h = Chain(s.mux, mws...)
+	s.h = newEnvelope(Chain(s.mux, limits...), s.routePattern, s.traces, cfg.AccessLog)
 	return s
 }
 
 // routePattern resolves a request's matched mux pattern for the route
-// metric label (a second mux lookup — the middleware runs outside the
+// metric label (a second mux lookup — the envelope runs outside the
 // mux, so the pattern the mux stamps on its own request copy is not
-// visible here). The method prefix is stripped: the method is its own
+// visible there). The method prefix is stripped: the method is its own
 // label.
 func (s *Server) routePattern(r *http.Request) string {
 	_, pattern := s.mux.Handler(r)
@@ -238,13 +221,11 @@ func (s *Server) routes() {
 	m.HandleFunc("GET /api/v1/cluster", s.getCluster)
 
 	// --- Observability -----------------------------------------------------
-	// Prometheus text exposition and the slow-trace ring. Absent (404)
-	// when Config.DisableMetrics; /metrics is exempt from the QPS and
-	// in-flight caps (capExempt) so shedding never blinds the operator.
-	if s.traces != nil {
-		m.HandleFunc("GET /metrics", s.getMetrics)
-		m.HandleFunc("GET /api/v1/debug/traces", s.getTraces)
-	}
+	// Prometheus text exposition and the slow-trace ring. /metrics is
+	// exempt from the QPS and in-flight caps (capExempt) so shedding never
+	// blinds the operator.
+	m.HandleFunc("GET /metrics", s.getMetrics)
+	m.HandleFunc("GET /api/v1/debug/traces", s.getTraces)
 
 	// --- /api/v1: reads ----------------------------------------------------
 	m.HandleFunc("GET /api/v1/healthz", s.getHealthz)
@@ -421,43 +402,17 @@ func pageThen[T any](fetch fetcher[T], finish func(r *http.Request, items []T) e
 // handler resolves the snapshot: if a swap races in between, the
 // response is tagged one generation old and a client merely revalidates
 // once more — never the reverse (a 304 for content it doesn't hold).
+// writeJSON drops the tag from an error response.
 func (s *Server) etag(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tag := fmt.Sprintf(`"hive-g%d"`, s.sh.Generation())
+		w.Header().Set("ETag", tag)
 		if match := r.Header.Get("If-None-Match"); match != "" && etagMatch(match, tag) {
-			w.Header().Set("ETag", tag)
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		// Stamp the tag only on success: a 404/500 envelope has no
-		// representation for the client to cache.
-		h(&etagOnSuccess{ResponseWriter: w, tag: tag}, r)
+		h(w, r)
 	}
-}
-
-// etagOnSuccess injects the ETag header just before a 2xx status is
-// committed, leaving error responses untagged.
-type etagOnSuccess struct {
-	http.ResponseWriter
-	tag         string
-	wroteHeader bool
-}
-
-func (e *etagOnSuccess) WriteHeader(code int) {
-	if !e.wroteHeader {
-		e.wroteHeader = true
-		if code >= 200 && code < 300 {
-			e.Header().Set("ETag", e.tag)
-		}
-	}
-	e.ResponseWriter.WriteHeader(code)
-}
-
-func (e *etagOnSuccess) Write(b []byte) (int, error) {
-	if !e.wroteHeader {
-		e.WriteHeader(http.StatusOK)
-	}
-	return e.ResponseWriter.Write(b)
 }
 
 // etagMatch reports whether the If-None-Match header value matches tag,
@@ -1144,8 +1099,15 @@ func intParam(r *http.Request, name string, def, min, max int) int {
 	return n
 }
 
+// writeJSON sends v with the given status. Only a success keeps the
+// ETag a conditional route set: an error envelope has no representation
+// for the client to cache.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if status >= http.StatusMultipleChoices {
+		h.Del("ETag")
+	}
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -1160,14 +1122,9 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg st
 	})
 }
 
-// traceID extracts the request's trace ID ("" outside a traced
-// request — metrics disabled, or a response written without one).
-func traceID(r *http.Request) string {
-	if r == nil {
-		return ""
-	}
-	return metrics.TraceFrom(r.Context()).ID()
-}
+// traceID returns the request's one ID, the trace ID the envelope
+// assigned ("" for a request served outside it).
+func traceID(r *http.Request) string { return metrics.TraceFrom(r.Context()).ID() }
 
 // apiError maps a domain error to its wire form.
 func apiError(err error) *api.Error {

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -801,26 +804,84 @@ func wrongShardEnvelope(t *testing.T, ts *httptest.Server, shards int) {
 	}
 }
 
-// TestV1RequestIDPropagation: the middleware echoes a provided ID and
-// assigns one otherwise.
+// TestV1RequestIDPropagation: a request has one ID, its X-Hive-Trace-Id.
+// A well-formed inbound ID is adopted and anything else — oversized, or
+// with characters that would break the access-log line — is replaced by
+// a minted one. The ID on the response header is the one in the error
+// envelope, on the access-log line and in the debug/traces ring, and no
+// second ID (the old X-Request-ID) is set.
 func TestV1RequestIDPropagation(t *testing.T) {
-	ts, _ := newTestServer(t)
-	req, _ := http.NewRequest("GET", ts.URL+"/api/v1/healthz", nil)
-	req.Header.Set("X-Request-ID", "trace-me-42")
-	resp, err := http.DefaultClient.Do(req)
+	p, err := hive.Open(hive.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-ID"); got != "trace-me-42" {
-		t.Fatalf("request id = %q", got)
+	var accessLog syncBuffer
+	ts := httptest.NewServer(NewWith(p, Config{AccessLog: log.New(&accessLog, "", 0)}))
+	t.Cleanup(func() {
+		ts.Close()
+		p.Close()
+	})
+	for _, tc := range []struct {
+		inbound string
+		adopt   bool
+	}{
+		{"cafef00ddeadbeef", true},
+		{"trace-me-42", true},
+		{strings.Repeat("a", maxTraceIDLen), true},
+		{"", false},
+		{strings.Repeat("a", maxTraceIDLen+1), false},
+		{"two words", false},
+		{"a=b", false},
+	} {
+		req, _ := http.NewRequest("GET", ts.URL+"/api/v1/users/ghost", nil)
+		if tc.inbound != "" {
+			req.Header.Set(api.TraceHeader, tc.inbound)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := resp.Header.Get(api.TraceHeader)
+		if tc.adopt && id != tc.inbound || !tc.adopt && len(id) != 16 {
+			t.Fatalf("inbound %q: response ID %q, want it adopted = %v", tc.inbound, id, tc.adopt)
+		}
+		if rid := resp.Header.Get("X-Request-ID"); rid != "" {
+			t.Fatalf("inbound %q: a second ID X-Request-ID %q", tc.inbound, rid)
+		}
+		if env.TraceID != id {
+			t.Fatalf("inbound %q: envelope trace_id %q, header %q", tc.inbound, env.TraceID, id)
+		}
+		if line := "GET /api/v1/users/ghost 404 "; !strings.Contains(accessLog.String(), " trace="+id+" shard=-1\n") ||
+			!strings.Contains(accessLog.String(), line) {
+			t.Fatalf("inbound %q: no access-log line %q... trace=%s\n--- log ---\n%s", tc.inbound, line, id, accessLog.String())
+		}
+		if tr := recordedTrace(t, ts.URL, id); tr.Route != "/api/v1/users/{id}" || tr.Status != http.StatusNotFound {
+			t.Fatalf("inbound %q: recorded trace %+v", tc.inbound, tr)
+		}
 	}
-	resp, err = http.Get(ts.URL + "/api/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("X-Request-ID") == "" {
-		t.Fatal("no generated request id")
-	}
+}
+
+// syncBuffer is a bytes.Buffer safe to write from the server's
+// goroutines while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
