@@ -76,13 +76,14 @@ smoke:
 	$(GO) test -run Smoke ./cmd/hived
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md) as a smoke
-# test: its unit tests — a module of its own, so `go test ./...` does not
-# reach them — then every workload for a few seconds against a real
-# hived with all output checks on. Proves the benchmark still builds and
-# passes against this checkout; the numbers of a --quick run are not
-# comparable with anything.
+# test: vet and unit tests of its module — a module of its own, so
+# `go vet ./...` and `go test ./...` do not reach it, yet it compiles
+# against this checkout's api and hive packages — then every workload
+# for a few seconds against a real hived with all output checks on.
+# Proves the benchmark still builds and passes against this checkout;
+# the numbers of a --quick run are not comparable with anything.
 hiveload-smoke:
-	cd benchmark && $(GO) test .
+	cd benchmark && $(GO) vet . && $(GO) test .
 	bash benchmark/run.sh --workload all --quick
 
 # lint subsumes vet (hivelint runs `go vet` over the same patterns).

@@ -39,7 +39,7 @@ const (
 	// error's details carry the leader's URL under "leader" and the
 	// node's leadership term under "epoch" (HTTP 409). Clients follow
 	// the hint; an empty leader means the election is unresolved —
-	// re-resolve via GET /cluster and retry.
+	// re-resolve via replication.leader_url in GET /healthz and retry.
 	CodeNotLeader = "not_leader"
 	// CodeCompacted: a replication read asked for journal sequences
 	// dropped by retention; the follower must re-bootstrap from the

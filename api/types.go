@@ -95,6 +95,32 @@ type CreatedResponse struct {
 	Status string `json:"status"`
 }
 
+// SnapshotHealth reports a shard's serving snapshot: how many swaps it
+// has seen, whether change events await it, and its frozen base segment
+// — when it was built, how long the build took, how old it is and how
+// many documents it holds. Reads are served from the swapped snapshot,
+// so "stale" means maintenance is due, not an outage; built_at and
+// age_ms describe the base segment, and a snapshot with an applied
+// overlay is current regardless of base age.
+type SnapshotHealth struct {
+	// Generation counts snapshot swaps (deltas and compactions).
+	Generation uint64 `json:"generation"`
+	// Stale reports unapplied change events (or no snapshot yet).
+	Stale    bool   `json:"stale"`
+	Snapshot bool   `json:"snapshot"`
+	BuiltAt  string `json:"built_at,omitempty"`
+	BuildMS  int64  `json:"build_ms"`
+	AgeMS    int64  `json:"age_ms"`
+	// FrozenDocs counts the documents in the snapshot's frozen base
+	// segment — the lock-free read representation queries serve from
+	// (0 when no snapshot is live). Overlay documents are counted by
+	// DeltaHealth.
+	FrozenDocs int `json:"frozen_docs"`
+	// LastRefreshError reports the most recent maintenance run's
+	// failure (delta apply or compaction); absent once one succeeds.
+	LastRefreshError string `json:"last_refresh_error,omitempty"`
+}
+
 // DeltaHealth reports the incremental-maintenance state of the serving
 // snapshot: how large the overlay segment has grown since the last full
 // build (the compaction), how many change events await application, and
@@ -142,6 +168,8 @@ const (
 // serving snapshot; it is computed from the tail observed on the most
 // recent poll, so it is an at-least bound while disconnected.
 type ReplicationHealth struct {
+	// Self is the node's advertised URL ("" outside cluster mode).
+	Self string `json:"self,omitempty"`
 	Role string `json:"role"`
 	// Epoch is the leadership term the node has adopted — the fencing
 	// token stamped into every batch it journals. 0 on unmanaged
@@ -165,14 +193,31 @@ type ReplicationHealth struct {
 	// QuorumWrites is the configured write quorum (0 = async durability).
 	QuorumWrites int `json:"quorum_writes,omitempty"`
 
-	// Follower-only fields.
-	LeaderURL  string `json:"leader_url,omitempty"`
+	// LeaderURL is the leader this node believes in: itself when an
+	// elected leader, the followed URL on a follower, "" on a standalone
+	// node or while an election is unresolved.
+	LeaderURL string `json:"leader_url,omitempty"`
+
+	// Follower-only fields: the tail loop's position against the leader
+	// it currently follows. Bootstraps counts the snapshot bootstraps of
+	// that tail loop (1 once booted; more after retention or feed holes
+	// forced re-syncs) and Fenced its stale-epoch rejections — batches,
+	// feeds or snapshots from a deposed leader it refused to apply. Both
+	// restart from 0 when the node starts following a new leader.
 	AppliedSeq uint64 `json:"applied_seq,omitempty"`
 	LeaderTail uint64 `json:"leader_tail,omitempty"`
 	LagEvents  uint64 `json:"lag_events,omitempty"`
+	Bootstraps uint64 `json:"bootstraps,omitempty"`
+	Fenced     uint64 `json:"fenced,omitempty"`
 	// LastReplicationError reports the tail loop's most recent failure
 	// (reconnecting with backoff when set).
 	LastReplicationError string `json:"last_replication_error,omitempty"`
+
+	// Promotions counts this node's follower → leader transitions and
+	// Deferrals the elections it won but yielded to a more caught-up
+	// peer, both since the process started (cluster mode only).
+	Promotions uint64 `json:"promotions,omitempty"`
+	Deferrals  uint64 `json:"deferrals,omitempty"`
 
 	// FollowerAcks reports, on a leader, each follower's most recent
 	// ack: the sequence it confirmed applied, the term it asserted, and
@@ -191,27 +236,41 @@ type FollowerAckStatus struct {
 	AgeMS int64 `json:"age_ms"`
 }
 
-// Health is the GET /healthz response: liveness plus snapshot freshness.
+// ShardStatus is one shard's full state, read at once: its serving
+// snapshot, its delta pipeline and its replication position. It is the
+// one per-shard record — a row of healthz and /cluster shards[], the
+// source of the /metrics state gauges, and what hive.Platform.State
+// returns.
+type ShardStatus struct {
+	ID int `json:"id"`
+	SnapshotHealth
+	DeltaHealth
+	ReplicationHealth
+}
+
+// Health is the GET /healthz response: liveness plus the state of every
+// shard. Generation sums and Stale ORs the shards' values (the read
+// path's cache key and "any shard behind"); the other snapshot fields
+// and the delta and replication blocks are copies of shard 0's row, kept
+// at the top level for clients that predate the shards[] rows.
 type Health struct {
-	Status     string `json:"status"`
-	Generation uint64 `json:"generation"`
-	Stale      bool   `json:"stale"`
-	Snapshot   bool   `json:"snapshot"`
-	BuiltAt    string `json:"built_at,omitempty"`
-	BuildMS    int64  `json:"build_ms"`
-	AgeMS      int64  `json:"age_ms"`
-	// FrozenDocs counts the documents in the snapshot's frozen base
-	// segment — the lock-free read representation queries serve from
-	// (0 when no snapshot is live). Overlay documents are counted
-	// separately in Delta.
-	FrozenDocs       int               `json:"frozen_docs"`
-	Delta            DeltaHealth       `json:"delta"`
-	Replication      ReplicationHealth `json:"replication"`
-	LastRefreshError string            `json:"last_refresh_error,omitempty"`
-	// ShardCount/Shards mirror ClusterStatus: the top-level fields
-	// above describe shard 0, Shards the whole map.
-	ShardCount int           `json:"shard_count,omitempty"`
-	Shards     []ShardStatus `json:"shards,omitempty"`
+	Status string `json:"status"`
+	SnapshotHealth
+	Delta       DeltaHealth       `json:"delta"`
+	Replication ReplicationHealth `json:"replication"`
+	ShardMap
+}
+
+// ShardMap is the deployment's shard map plus one full-state row per
+// shard, carried by healthz and the cluster endpoint alike.
+type ShardMap struct {
+	// ShardCount is the map's size: owners hash to shard
+	// ShardOf(owner, ShardCount). 1 (or 0 on pre-shard servers) means
+	// everything lives on one shard. Fixed for the life of a data dir.
+	ShardCount int `json:"shard_count,omitempty"`
+	// Shards holds one row per shard, in shard order (absent on
+	// pre-shard servers).
+	Shards []ShardStatus `json:"shards,omitempty"`
 }
 
 // ReplicationEvents is the GET /replication/events response: the
@@ -253,72 +312,31 @@ type KVEntry struct {
 }
 
 // ClusterStatus is the GET /cluster response: the responding node's
-// view of the replica set — its own role and term, the leader it
-// believes in, and a liveness/lag probe of each configured peer. Any
-// node answers (followers included), so a client that lost the leader
-// can ask whichever peer it reaches.
+// view of the replica set — its own replication block (its URL, role,
+// term, the leader it believes in, commit index, ack table), the shard
+// map, and a liveness/lag probe of each configured peer. Any node
+// answers (followers included), so an operator can ask whichever peer
+// they reach; the SDK re-resolves the leader from healthz instead,
+// which carries the same leader_url without the peer fan-out.
 type ClusterStatus struct {
-	// Self is the node's advertised URL ("" outside cluster mode).
-	Self  string `json:"self,omitempty"`
-	Role  string `json:"role"`
-	Epoch uint64 `json:"epoch"`
-	// LeaderURL is the leader this node believes in: itself when
-	// leading, the followed URL on a follower, "" while an election is
-	// unresolved (or on a standalone node).
-	LeaderURL string `json:"leader_url,omitempty"`
-	// CommitIndex is the cluster commit index this node has persisted
-	// (see ReplicationHealth.CommitIndex).
-	CommitIndex uint64 `json:"commit_index,omitempty"`
-	// QuorumWrites is the write quorum this node enforces when leading
-	// (0 = async).
-	QuorumWrites int `json:"quorum_writes,omitempty"`
+	ReplicationHealth
 	// Peers reports one probe per configured peer; empty outside
 	// cluster mode.
 	Peers []PeerStatus `json:"peers"`
-
-	// ShardCount is the deployment's shard map size: owners hash to
-	// shard ShardOf(owner, ShardCount). 1 (or 0 on pre-shard servers)
-	// means everything lives on one shard. Fixed for the life of a data
-	// dir.
-	ShardCount int `json:"shard_count,omitempty"`
-	// Shards reports one entry per shard (absent on pre-shard servers).
-	Shards []ShardStatus `json:"shards,omitempty"`
+	// The shard map: clients derive routing (ShardOf over ShardCount)
+	// from this response.
+	ShardMap
 }
 
-// ShardStatus is one shard's replication position in ClusterStatus and
-// healthz: the shard-local role/term/journal state of the shard leader
-// hosted by the responding process.
-type ShardStatus struct {
-	ID   int    `json:"id"`
-	Role string `json:"role"`
-	// Epoch is the shard leader's term (shard journals are fenced
-	// independently).
-	Epoch uint64 `json:"epoch"`
-	// JournalTail is the shard journal's highest change sequence;
-	// CommitIndex its quorum watermark (0 in async mode).
-	JournalTail uint64 `json:"journal_tail"`
-	CommitIndex uint64 `json:"commit_index,omitempty"`
-	// PendingEvents counts the shard's queued, not-yet-folded change
-	// events — per-shard delta-pipeline backpressure.
-	PendingEvents int `json:"pending_events"`
-	// Generation counts the shard engine's snapshot swaps.
-	Generation uint64 `json:"generation"`
-}
-
-// PeerStatus is one peer's liveness and replication position as probed
-// by the responding node at request time.
+// PeerStatus is one peer's liveness and replication block as probed by
+// the responding node at request time (the replication fields are zero
+// when the probe failed).
 type PeerStatus struct {
 	URL string `json:"url"`
 	// Alive reports whether the peer answered its healthz probe within
 	// the probe budget.
-	Alive bool   `json:"alive"`
-	Role  string `json:"role,omitempty"`
-	Epoch uint64 `json:"epoch,omitempty"`
-	// JournalTail/AppliedSeq/LagEvents mirror the peer's own
-	// ReplicationHealth (zero when not reported).
-	JournalTail uint64 `json:"journal_tail,omitempty"`
-	AppliedSeq  uint64 `json:"applied_seq,omitempty"`
-	LagEvents   uint64 `json:"lag_events,omitempty"`
+	Alive bool `json:"alive"`
+	ReplicationHealth
 	// ProbeMS is how long the healthz probe round trip took, in
 	// milliseconds (set for answered probes and for timed-out ones —
 	// a dead peer reports the full probe budget it burned).

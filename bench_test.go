@@ -706,7 +706,7 @@ func BenchmarkQuorumWrite(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer p.Close()
-			for p.Role() != "leader" {
+			for p.State().Role != "leader" {
 				time.Sleep(time.Millisecond)
 			}
 

@@ -13,7 +13,7 @@
 // Against an elected replica set, construct the client with WithCluster
 // and it survives failover without caller changes: a not_leader
 // rejection redirects it to the hinted leader, a dead or hint-less node
-// makes it re-resolve the leader via GET /cluster across the configured
+// makes it re-resolve the leader via GET /healthz across the configured
 // peers, and requests retry with capped backoff until the new leader
 // accepts them.
 package client
@@ -81,7 +81,7 @@ func WithETagCache() Option {
 
 // WithCluster makes the client cluster-aware: peers seed leader
 // re-resolution, and every request gains the failover retry loop
-// (follow not_leader hints, re-resolve via GET /cluster when the hint
+// (follow not_leader hints, re-resolve via GET /healthz when the hint
 // is stale or the target is unreachable, capped backoff between
 // attempts). The base URL passed to New may be any member — the client
 // finds the leader on first rejection.
@@ -110,7 +110,7 @@ func (c *Client) Stats() (requests, cacheHits int64) {
 }
 
 // Redirects counts leader changes the client followed — not_leader
-// hints adopted plus leaders re-resolved via the cluster endpoint.
+// hints adopted plus leaders re-resolved via healthz.
 func (c *Client) Redirects() int64 { return c.redirects.Load() }
 
 // LastTraceID returns the X-Hive-Trace-Id the client minted for its
@@ -310,10 +310,14 @@ func retriableRead(ae *api.Error) bool {
 		ae.HTTPStatus == http.StatusServiceUnavailable
 }
 
-// resolveLeader asks the replica set who leads: GET /cluster against
-// the current target first, then each configured peer. Adopts and
-// reports the first answer naming a leader. A node that is itself the
-// leader but hasn't published a URL (standalone) counts as the answer.
+// resolveLeader asks the replica set who leads: GET /healthz against
+// the current target first, then each configured peer, reading the
+// node's replication block (leader_url, role). Adopts and reports the
+// first answer naming a leader, and the shard count it carries. A node
+// that is itself the leader but hasn't published a URL (standalone)
+// counts as the answer. Healthz, not /cluster: the cluster endpoint
+// also probes every peer of the answering node, and one slow peer there
+// would cost each re-resolution its whole probe budget.
 func (c *Client) resolveLeader(ctx context.Context, current string) bool {
 	candidates := make([]string, 0, len(c.cluster)+1)
 	candidates = append(candidates, current)
@@ -323,12 +327,13 @@ func (c *Client) resolveLeader(ctx context.Context, current string) bool {
 		}
 	}
 	for _, u := range candidates {
-		var cs api.ClusterStatus
-		if err := c.doOnce(ctx, http.MethodGet, u, "/api/v1/cluster", nil, nil, nil, false, &cs, false); err != nil {
+		var h api.Health
+		if err := c.doOnce(ctx, http.MethodGet, u, "/api/v1/healthz", nil, nil, nil, false, &h, false); err != nil {
 			continue
 		}
-		leader := cs.LeaderURL
-		if leader == "" && cs.Role == api.RoleLeader {
+		c.adoptShardCount(h.ShardCount)
+		leader := h.Replication.LeaderURL
+		if leader == "" && h.Replication.Role == api.RoleLeader {
 			leader = u // a leader that doesn't advertise a URL: reach it where we did
 		}
 		if leader == "" {
@@ -809,8 +814,9 @@ func (c *Client) ReplicationSnapshot(ctx context.Context) (api.ReplicationSnapsh
 }
 
 // ClusterStatus reports the target node's view of the replica set: its
-// role and term, the leader it believes in, and a liveness/lag probe of
-// each configured peer.
+// replication block, its shard rows, and a liveness/lag probe of each
+// configured peer (up to 750 ms when a peer is slow or dead — resolve
+// the leader from Healthz instead).
 func (c *Client) ClusterStatus(ctx context.Context) (api.ClusterStatus, error) {
 	var out api.ClusterStatus
 	err := c.get(ctx, "/api/v1/cluster", nil, &out)

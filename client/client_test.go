@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"hive"
 	"hive/api"
 	"hive/client"
+	"hive/internal/election"
 	"hive/internal/server"
 )
 
@@ -263,5 +267,108 @@ func TestCollect(t *testing.T) {
 	})
 	if err != nil || len(all) != n {
 		t.Fatalf("Collect = %d items, %v", len(all), err)
+	}
+}
+
+// openMember opens an elected member whose Manual elector is pinned to
+// st, serves it, and closes both at cleanup.
+func openMember(t *testing.T, self string, peers []string, st election.State) (*httptest.Server, *hive.Platform) {
+	t.Helper()
+	el := election.NewManual()
+	el.Set(st)
+	p, err := hive.Open(hive.Options{Dir: t.TempDir(), Cluster: &hive.ClusterConfig{SelfURL: self, Peers: peers, Election: el}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(p))
+	t.Cleanup(func() {
+		ts.Close()
+		p.Close()
+	})
+	return ts, p
+}
+
+// TestSDKResolvesLeaderPastSilentPeer: a WithCluster client whose write
+// meets a hint-less not_leader re-resolves the leader and lands the
+// write well inside the 750 ms peer-probe budget, although the node it
+// resolves through has a peer that accepts connections and never
+// answers. Re-resolution reads healthz, which probes no peer; that
+// node's cluster endpoint still does, and reports the silent peer dead
+// after the budget.
+func TestSDKResolvesLeaderPastSilentPeer(t *testing.T) {
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			conn, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		silent.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range held {
+			conn.Close()
+		}
+	})
+	silentURL := "http://" + silent.Addr().String()
+
+	leader, err := hive.Open(hive.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lts := httptest.NewServer(server.New(leader))
+	t.Cleanup(func() {
+		lts.Close()
+		leader.Close()
+	})
+	// The member the client resolves through follows the leader and has
+	// the silent node among its peers.
+	fts, follower := openMember(t, "http://follower.test", []string{lts.URL, silentURL},
+		election.State{Role: election.Follower, Leader: lts.URL})
+	// The member the client starts at knows no leader: its not_leader
+	// carries no hint.
+	lostTS, _ := openMember(t, "http://lost.test", nil, election.State{Role: election.Follower})
+	deadline := time.Now().Add(10 * time.Second)
+	for st := follower.State(); !st.Snapshot || st.LeaderURL != lts.URL; st = follower.State() {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower did not bootstrap: %+v", st.ReplicationHealth)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	ctx := context.Background()
+	c := client.New(lostTS.URL, client.WithCluster(fts.URL))
+	start := time.Now()
+	if err := c.CreateUser(ctx, api.User{ID: "routed", Name: "R"}); err != nil {
+		t.Fatalf("write through re-resolution: %v", err)
+	}
+	if took := time.Since(start); took > 375*time.Millisecond {
+		t.Fatalf("re-resolving the leader took %v, want well under the 750 ms peer-probe budget", took)
+	}
+	if c.Base() != lts.URL || c.Redirects() == 0 {
+		t.Fatalf("client base %s after %d redirects, want the leader %s", c.Base(), c.Redirects(), lts.URL)
+	}
+	if _, err := leader.GetUser("routed"); err != nil {
+		t.Fatalf("write did not land on the leader: %v", err)
+	}
+
+	cs, err := client.New(fts.URL).ClusterStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.Peers) != 2 || !cs.Peers[0].Alive || cs.Peers[0].Role != api.RoleLeader ||
+		cs.Peers[1].Alive || cs.Peers[1].Error == "" || cs.Peers[1].ProbeMS < 500 {
+		t.Fatalf("cluster peers = %+v, want the leader alive and the silent peer dead after the probe budget", cs.Peers)
 	}
 }

@@ -196,7 +196,7 @@ func (p *Platform) promote(epoch uint64) {
 	// consecutive rounds (an unclaiming peer must not leave the cluster
 	// leaderless).
 	if p.deferStreak < maxPromotionDeferrals {
-		if _, _, found := p.moreCaughtUpPeer(); found {
+		if p.moreCaughtUpPeer() {
 			p.deferPromotion()
 			return
 		}
@@ -277,30 +277,9 @@ func (p *Platform) leaderHint() string {
 	return ""
 }
 
-// --- Cluster observability ------------------------------------------------------
-
-// Role reports the node's current replication role.
-func (p *Platform) Role() string {
-	if p.role.Load() == roleFollower {
-		return "follower"
-	}
-	return "leader"
-}
-
 // Epoch returns the leadership term the node has adopted (0 only on
 // unmanaged in-memory standalone platforms).
 func (p *Platform) Epoch() uint64 { return p.store.Epoch() }
-
-// ClusterSelf returns this node's advertised URL ("" outside cluster
-// mode).
-func (p *Platform) ClusterSelf() string { return p.selfURL }
-
-// ClusterPeers returns the configured peer URLs (nil outside cluster
-// mode).
-func (p *Platform) ClusterPeers() []string { return append([]string(nil), p.peers...) }
-
-// Promotions counts follower→leader transitions since Open.
-func (p *Platform) Promotions() uint64 { return p.promotions.Load() }
 
 // StaleEpochError rejects a replication request asserting a newer term
 // than this node has adopted: the requester is fenced off from a stale

@@ -262,9 +262,9 @@ func main() {
 		// lease decides whether it leads or tails a peer. No local seeding
 		// or eager build — a follower's state comes from the leader, and a
 		// promotion folds the journal tail in before opening writes.
-		p := sh.Shard(0)
+		st := sh.Shard(0).State()
 		log.Printf("cluster member %s (peers %v, lease %s, role %s, epoch %d)",
-			opts.Cluster.SelfURL, opts.Cluster.Peers, leaseDir, p.Role(), p.Epoch())
+			opts.Cluster.SelfURL, opts.Cluster.Peers, leaseDir, st.Role, st.Epoch)
 		if *seed > 0 {
 			log.Printf("warning: -seed ignored in cluster mode (state replicates from the elected leader)")
 		}

@@ -593,19 +593,6 @@ func (p *Platform) drainDeltas() error {
 	}
 }
 
-// LastRefreshError returns the error of the most recent maintenance run
-// (delta apply or compaction), or nil if it succeeded (or none ran
-// yet). Background runs have no caller to hand their error to; this —
-// surfaced in the server's healthz — makes persistently failing
-// maintenance observable instead of silently leaving the snapshot
-// stale.
-func (p *Platform) LastRefreshError() error {
-	if box := p.lastErr.Load(); box != nil {
-		return box.err
-	}
-	return nil
-}
-
 // Engine returns a fresh engine snapshot, draining pending change
 // events first if data changed since the last swap — the explicit
 // drain-then-read call; normally a no-op, since writes apply their own
@@ -650,11 +637,14 @@ func (p *Platform) CompactionDue() bool {
 	if p.overflowed() {
 		return true
 	}
+	// No snapshot: nothing to compact; Stale covers the first build.
 	eng := p.current.Load()
-	if eng == nil {
-		return false // nothing to compact; Stale covers the first build
-	}
-	ds := eng.DeltaStats()
+	return eng != nil && overPolicy(eng.DeltaStats())
+}
+
+// overPolicy reports whether a snapshot's overlay drifted past the
+// compaction policy.
+func overPolicy(ds core.DeltaStats) bool {
 	return ds.OverlayDocs > maxOverlayDocs ||
 		ds.TombstoneRatio > maxTombstoneRatio ||
 		ds.GraphPending > maxGraphPending
@@ -664,20 +654,8 @@ func (p *Platform) CompactionDue() bool {
 // compactions both count: any swap may change query results).
 func (p *Platform) Generation() uint64 { return p.gen.Load() }
 
-// PendingEvents returns the number of queued, unapplied change events.
-func (p *Platform) PendingEvents() int { return int(p.pendingCount.Load()) }
-
 // DeltasApplied returns the number of delta snapshot swaps since Open.
 func (p *Platform) DeltasApplied() uint64 { return p.deltasApplied.Load() }
-
-// Compactions returns the number of full-build swaps since Open.
-func (p *Platform) Compactions() uint64 { return p.compactions.Load() }
-
-// LastDeltaDuration returns the duration of the most recent delta
-// apply (0 if none ran yet).
-func (p *Platform) LastDeltaDuration() time.Duration {
-	return time.Duration(p.lastDeltaNs.Load())
-}
 
 // AutoRefresh starts a background loop that every interval runs a
 // compaction if one is due (CompactionDue) and otherwise drains events
@@ -731,7 +709,7 @@ func (p *Platform) AutoRefresh(interval time.Duration) {
 // build; plain staleness — a beat landing while a write's fold is in
 // flight — drains through the delta path, which itself falls back to a
 // build when there is no snapshot yet or the queue overflowed. Errors
-// are kept for LastRefreshError.
+// are kept for State (last_refresh_error).
 func (p *Platform) tick() {
 	switch {
 	case p.CompactionDue():

@@ -392,12 +392,12 @@ func TestAutoRefreshTickDrainsWithoutCompacting(t *testing.T) {
 		t.Fatalf("setup: Stale=%v CompactionDue=%v, want stale and no compaction due", p.Stale(), p.CompactionDue())
 	}
 
-	compactions := p.Compactions()
+	compactions := p.State().Compactions
 	p.tick()
 	if p.Stale() {
 		t.Fatal("tick left the snapshot stale")
 	}
-	if got := p.Compactions(); got != compactions {
+	if got := p.State().Compactions; got != compactions {
 		t.Fatalf("tick ran %d compaction(s) for plain staleness", got-compactions)
 	}
 	if rs, err := p.Search("pending delta", 1); err != nil || len(rs) != 1 {

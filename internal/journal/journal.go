@@ -408,6 +408,39 @@ func (j *Journal) rotateLocked(next uint64) error {
 	return nil
 }
 
+// Reset drops every record and restarts the journal empty with its tail
+// at after: the next Append must start past it, and reads from below it
+// report ErrCompacted. The one empty segment left behind is named for
+// after+1, so the position survives a restart (load derives the tail
+// from an empty active segment's name).
+func (j *Journal) Reset(after uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
+	}
+	if j.f != nil {
+		if err := j.f.Close(); err != nil {
+			return fmt.Errorf("journal: close segment: %w", err)
+		}
+		j.f, j.bw = nil, nil
+	}
+	for _, seg := range j.segs {
+		if err := os.Remove(seg.path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("journal: drop segment: %w", err)
+		}
+	}
+	j.segs = []segment{{path: j.segPath(after + 1), first: after + 1}}
+	if err := j.openActiveLocked(); err != nil {
+		return err
+	}
+	j.tail, j.oldest = after, after+1
+	j.cursor = readCursor{}
+	close(j.updated)
+	j.updated = make(chan struct{})
+	return nil
+}
+
 // Tail returns the highest sequence persisted so far (0 if empty).
 func (j *Journal) Tail() uint64 {
 	j.mu.Lock()

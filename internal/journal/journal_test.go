@@ -113,6 +113,45 @@ func TestAppendRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// Reset discards every record — behind the new position and past it —
+// and the journal resumes at exactly that position, across a reopen too.
+func TestResetRestartsAtPosition(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, dir, Options{SegmentBytes: 48})
+	appendN(t, j, 1, 24)
+	if err := j.Reset(12); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if oldest, tail, segs := j.Stats(); oldest != 13 || tail != 12 || segs != 1 {
+		t.Fatalf("Stats after Reset = (%d, %d, %d), want (13, 12, 1)", oldest, tail, segs)
+	}
+	if recs, err := j.ReadFrom(12, 0); err != nil || len(recs) != 0 {
+		t.Fatalf("ReadFrom(12) = %d recs, %v; want caught up", len(recs), err)
+	}
+	if _, err := j.ReadFrom(5, 0); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("ReadFrom(5) err = %v, want ErrCompacted", err)
+	}
+	// The records past the position are gone: sequence 13 is free again.
+	appendN(t, j, 13, 2)
+	recs, err := j.ReadFrom(12, 0)
+	if err != nil || len(recs) != 2 || recs[0].First != 13 || !bytes.Equal(recs[0].Data, payloadFor(13)) {
+		t.Fatalf("ReadFrom(12) after append = %+v, %v", recs, err)
+	}
+	j.Close()
+	re := openT(t, dir, Options{SegmentBytes: 48})
+	if oldest, tail, _ := re.Stats(); oldest != 13 || tail != 14 {
+		t.Fatalf("reopened Stats = (%d, %d), want (13, 14)", oldest, tail)
+	}
+	// An empty reset journal keeps its position across a reopen.
+	if err := re.Reset(40); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	re.Close()
+	if got := openT(t, dir, Options{SegmentBytes: 48}).Tail(); got != 40 {
+		t.Fatalf("reopened Tail after empty Reset = %d, want 40", got)
+	}
+}
+
 // TestCrashRecovery is the table test of torn-tail scenarios: each case
 // mangles the newest segment and expects recovery to truncate at the
 // last good record and keep appending cleanly.

@@ -82,12 +82,12 @@ func waitRole(t *testing.T, p *hive.Platform, role string, timeout time.Duration
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if p.Role() == role {
+		if p.State().Role == role {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("node did not become %s (role %s, epoch %d)", role, p.Role(), p.Epoch())
+	t.Fatalf("node did not become %s (role %s, epoch %d)", role, p.State().Role, p.Epoch())
 }
 
 // waitLeaderAmong blocks until exactly one live node leads and returns it.
@@ -97,7 +97,7 @@ func waitLeaderAmong(t *testing.T, nodes []*clusterNode, timeout time.Duration) 
 	for time.Now().Before(deadline) {
 		var leader *clusterNode
 		for _, n := range nodes {
-			if !n.killed && n.p.Role() == "leader" {
+			if !n.killed && n.p.State().Role == "leader" {
 				leader = n
 			}
 		}
@@ -142,6 +142,7 @@ func TestClusterFailoverConvergence(t *testing.T) {
 		}
 		nodes[i] = startClusterNode(t, ls[i], urls[i], peersOf(i), lease)
 	}
+	dumpStatesOnFailure(t, nodes)
 
 	leader1 := waitLeaderAmong(t, nodes, 10*time.Second)
 	epoch1 := leader1.p.Epoch()
@@ -218,7 +219,7 @@ func TestClusterFailoverConvergence(t *testing.T) {
 	if epoch2 := leader2.p.Epoch(); epoch2 <= epoch1 {
 		t.Fatalf("promotion did not advance the epoch: %d -> %d", epoch1, epoch2)
 	}
-	if leader2.p.Promotions() == 0 {
+	if leader2.p.State().Promotions == 0 {
 		t.Fatal("new leader reports zero promotions")
 	}
 
@@ -290,8 +291,8 @@ func TestDeposedLeaderFencing(t *testing.T) {
 			t.Fatalf("deposed leader write %d: %v (A must still think it leads)", i, err)
 		}
 	}
-	if a.p.Epoch() != 1 || a.p.Role() != "leader" {
-		t.Fatalf("test setup: A = role %s epoch %d, want leader at 1", a.p.Role(), a.p.Epoch())
+	if a.p.Epoch() != 1 || a.p.State().Role != "leader" {
+		t.Fatalf("test setup: A = role %s epoch %d, want leader at 1", a.p.State().Role, a.p.Epoch())
 	}
 
 	// Over the wire, a poll asserting a term beyond the node's own is
@@ -309,21 +310,21 @@ func TestDeposedLeaderFencing(t *testing.T) {
 
 	// Point F at the deposed leader. Everything A serves is behind F's
 	// adopted epoch: the bootstrap snapshot is refused, nothing applies,
-	// and F must NOT resync onto A's world. ReplicationApplied resets
+	// and F must NOT resync onto A's world. The applied sequence resets
 	// with the new follower handle, so the no-regression check is on the
 	// store's own sequence.
 	seqBefore := f.p.Store().ChangeSeq()
 	elF.Set(election.State{Role: election.Follower, Epoch: 2, Leader: urlA})
 
 	deadline := time.Now().Add(10 * time.Second)
-	for f.p.ReplicationFenced() == 0 {
+	for st := f.p.State(); st.Fenced == 0; st = f.p.State() {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never fenced the deposed leader: applied %d, lastErr %v",
-				f.p.ReplicationApplied(), f.p.LastReplicationError())
+			t.Fatalf("follower never fenced the deposed leader: applied %d, lastErr %q",
+				st.AppliedSeq, st.LastReplicationError)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := f.p.LastReplicationError(); err == nil {
+	if f.p.State().LastReplicationError == "" {
 		t.Fatal("fenced follower reports no replication error")
 	}
 	// Give the tail loop room to do damage if it were going to, then

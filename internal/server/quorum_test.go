@@ -244,9 +244,9 @@ func TestAsyncWritesCanBeLostOnFailover(t *testing.T) {
 // election while a reachable peer holds more history yields instead of
 // promoting — and after maxPromotionDeferrals consecutive yields leads
 // anyway, so an unclaiming peer cannot leave the cluster leaderless.
-// The gate reads the peer's healthz JSON, so this test also pins the
-// wire names (replication.epoch/journal_tail/applied_seq) the gate's
-// local decoder spells out.
+// The gate reads each peer's healthz replication block through the SDK
+// (Platform.ProbePeers, the probe the cluster endpoint uses too), so
+// this test also exercises that probe against live peers.
 func TestPromotionDefersToMoreCaughtUpPeer(t *testing.T) {
 	elA, elB, elC := election.NewManual(), election.NewManual(), election.NewManual()
 	lA, urlA := listenLocal(t)
@@ -265,8 +265,9 @@ func TestPromotionDefersToMoreCaughtUpPeer(t *testing.T) {
 	b := startQuorumNode(t, lB, urlB, []string{urlA, urlC}, elB, 0, 0, nil)
 	elC.Set(election.State{Role: election.Follower, Epoch: 1, Leader: urlA})
 	c := startQuorumNode(t, lC, urlC, []string{urlA, urlB}, elC, 0, 0, ft)
+	dumpStatesOnFailure(t, []*clusterNode{a, b, c})
 	waitConverged(t, a.p, b.p, 20*time.Second)
-	if got := c.p.ReplicationApplied(); got != 0 {
+	if got := c.p.State().AppliedSeq; got != 0 {
 		t.Fatalf("partitioned node applied %d events; fixture broken", got)
 	}
 
@@ -277,9 +278,9 @@ func TestPromotionDefersToMoreCaughtUpPeer(t *testing.T) {
 	waitDeferrals := func(want uint64) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for c.p.PromotionDeferrals() < want {
+		for c.p.State().Deferrals < want {
 			if time.Now().After(deadline) {
-				t.Fatalf("deferrals stuck at %d, want %d (role %s)", c.p.PromotionDeferrals(), want, c.p.Role())
+				t.Fatalf("deferrals stuck at %d, want %d (role %s)", c.p.State().Deferrals, want, c.p.State().Role)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -287,7 +288,7 @@ func TestPromotionDefersToMoreCaughtUpPeer(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		elC.Set(election.State{Role: election.Leader, Epoch: 1 + i, Leader: urlC})
 		waitDeferrals(i)
-		if c.p.Role() != "follower" {
+		if c.p.State().Role != "follower" {
 			t.Fatalf("node promoted on deferral round %d despite a more caught-up peer", i)
 		}
 	}
@@ -296,10 +297,9 @@ func TestPromotionDefersToMoreCaughtUpPeer(t *testing.T) {
 	// a peer that never claims cannot wedge the cluster leaderless.
 	elC.Set(election.State{Role: election.Leader, Epoch: 9, Leader: urlC})
 	waitRole(t, c.p, "leader", 10*time.Second)
-	if got := c.p.PromotionDeferrals(); got != 3 {
+	if got := c.p.State().Deferrals; got != 3 {
 		t.Fatalf("deferrals after capped promotion = %d, want exactly 3", got)
 	}
-	_ = b
 }
 
 // TestQuorumNoLostWrites is the headline robustness test, run under
@@ -347,6 +347,7 @@ func TestQuorumNoLostWrites(t *testing.T) {
 		})
 		nodes[i] = startQuorumNode(t, ls[i], urls[i], peersOf(i), lease, 1, 5*time.Second, ft)
 	}
+	dumpStatesOnFailure(t, nodes)
 
 	leader1 := waitLeaderAmong(t, nodes, 10*time.Second)
 

@@ -61,10 +61,10 @@ func newFollower(t *testing.T, leaderURL string) (*httptest.Server, *hive.Platfo
 		p.Close()
 	})
 	deadline := time.Now().Add(30 * time.Second)
-	for p.Snapshot() == nil || p.LeaderURL() != leaderURL {
+	for st := p.State(); !st.Snapshot || st.LeaderURL != leaderURL; st = p.State() {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower did not bootstrap from %s: leader hint %q, lastErr %v",
-				leaderURL, p.LeaderURL(), p.LastReplicationError())
+			t.Fatalf("follower did not bootstrap from %s: leader hint %q, lastErr %q",
+				leaderURL, st.LeaderURL, st.LastReplicationError)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -78,14 +78,14 @@ func waitConverged(t *testing.T, leader, follower *hive.Platform, timeout time.D
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		want := leader.Store().ChangeSeq()
-		if follower.ReplicationApplied() >= want && !follower.Stale() {
+		if st := follower.State(); st.AppliedSeq >= want && !st.Stale {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("follower did not converge: applied %d, leader seq %d, lag %d, lastErr %v",
-		follower.ReplicationApplied(), leader.Store().ChangeSeq(),
-		follower.ReplicationLag(), follower.LastReplicationError())
+	st := follower.State()
+	t.Fatalf("follower did not converge: applied %d, leader seq %d, lag %d, lastErr %q",
+		st.AppliedSeq, leader.Store().ChangeSeq(), st.LagEvents, st.LastReplicationError)
 }
 
 // seedLeader loads a small base corpus through the platform API.
@@ -122,8 +122,8 @@ func TestLeaderFollowerConvergence(t *testing.T) {
 	seedLeader(t, leader, 12)
 	_, follower := newFollower(t, ts.URL)
 
-	if !follower.IsFollower() || follower.LeaderURL() != ts.URL {
-		t.Fatalf("follower role = %v, leader %q", follower.IsFollower(), follower.LeaderURL())
+	if st := follower.State(); st.Role != api.RoleFollower || st.LeaderURL != ts.URL {
+		t.Fatalf("follower role = %s, leader %q", st.Role, st.LeaderURL)
 	}
 
 	// Randomized write interleaving: 4 writers, each with its own
@@ -271,15 +271,20 @@ func TestFollowerRejectsWrites(t *testing.T) {
 		t.Fatalf("details.leader = %v, want %q", got, ts.URL)
 	}
 
-	// The batch route drives the store directly and has its own guard.
+	// A batch meets the same write fence: the same envelope — code,
+	// message, leader, epoch and shard — as the single write, and nothing
+	// of it applies.
 	ent, err := api.NewBatchEntity(api.KindUser, api.User{ID: "y", Name: "Y"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp = post(t, fts, "/api/v1/batch", api.BatchRequest{Entities: []api.BatchEntity{ent}})
-	status, ae = decodeEnvelope(t, resp)
-	if status != http.StatusConflict || ae.Code != api.CodeNotLeader {
-		t.Fatalf("follower batch = %d %q", status, ae.Code)
+	bstatus, bae := decodeEnvelope(t, resp)
+	if bstatus != status || bae.Code != ae.Code || bae.Message != ae.Message || !reflect.DeepEqual(bae.Details, ae.Details) {
+		t.Fatalf("follower batch = %d %+v, want the single write's %d %+v", bstatus, bae, status, ae)
+	}
+	if _, err := follower.GetUser("y"); err == nil {
+		t.Fatal("a refused batch applied on the follower")
 	}
 
 	// A cluster-aware SDK aimed at the follower replays the rejected
@@ -398,7 +403,7 @@ func TestFollowerResyncsFromRegressedLeader(t *testing.T) {
 	seedLeader(t, leaderA, 8)
 	_, follower := newFollower(t, front.URL)
 	waitConverged(t, leaderA, follower, 10*time.Second)
-	if follower.ReplicationApplied() == 0 {
+	if follower.State().AppliedSeq == 0 {
 		t.Fatal("follower applied nothing from leader A")
 	}
 
@@ -425,14 +430,13 @@ func TestFollowerResyncsFromRegressedLeader(t *testing.T) {
 
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if follower.ReplicationBootstraps() >= 2 &&
-			follower.ReplicationApplied() == leaderB.Store().ChangeSeq() {
+		st := follower.State()
+		if st.Bootstraps >= 2 && st.AppliedSeq == leaderB.Store().ChangeSeq() {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower did not resync: bootstraps %d, applied %d (leader B seq %d), lastErr %v",
-				follower.ReplicationBootstraps(), follower.ReplicationApplied(),
-				leaderB.Store().ChangeSeq(), follower.LastReplicationError())
+			t.Fatalf("follower did not resync: bootstraps %d, applied %d (leader B seq %d), lastErr %q",
+				st.Bootstraps, st.AppliedSeq, leaderB.Store().ChangeSeq(), st.LastReplicationError)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -442,6 +446,94 @@ func TestFollowerResyncsFromRegressedLeader(t *testing.T) {
 	}
 	if _, err := follower.GetUser("u00"); err == nil {
 		t.Fatal("follower still serves leader A state after resync")
+	}
+}
+
+// TestFollowerResyncsPastOlderTermHistory drives a follower whose
+// leader, at the follower's own term, feeds it a batch journaled under
+// an older term: the leader's own history from before it was elected,
+// which the bootstrap snapshot predated. That batch is no deposed
+// leader's write to fence — fencing it would retry it forever — so the
+// follower re-syncs from the leader's snapshot and converges. The
+// stand-in leader serves a real epoch-1 platform's feed and snapshot at
+// epoch 3, its first snapshot taken before the platform's last write.
+func TestFollowerResyncsPastOlderTermHistory(t *testing.T) {
+	old, err := hive.Open(hive.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	old.Store().SetEpoch(1)
+	seedLeader(t, old, 4)
+	staleSeq, staleEntries, err := old.ReplicationSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.RegisterUser(hive.User{ID: "late", Name: "Late", Interests: []string{"resync"}}); err != nil {
+		t.Fatal(err)
+	}
+
+	const term = 3
+	var snapshots atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/replication/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		seq, entries := staleSeq, staleEntries
+		if snapshots.Add(1) > 1 {
+			var err error
+			if seq, entries, err = old.ReplicationSnapshot(); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+		}
+		out := api.ReplicationSnapshot{Seq: seq, Epoch: term}
+		for k, v := range entries {
+			out.Entries = append(out.Entries, api.KVEntry{Key: k, Value: v})
+		}
+		_ = json.NewEncoder(w).Encode(out)
+	})
+	mux.HandleFunc("GET /api/v1/replication/events", func(w http.ResponseWriter, r *http.Request) {
+		var from uint64
+		fmt.Sscan(r.URL.Query().Get("from"), &from)
+		batches, tail, err := old.ReplicationFeed(r.Context(), from, 256, 50*time.Millisecond, ^uint64(0))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(api.ReplicationEvents{Batches: batches, Tail: tail, Epoch: term})
+	})
+	standIn := httptest.NewServer(mux)
+	defer standIn.Close()
+
+	_, follower := newFollower(t, standIn.URL)
+	waitConverged(t, old, follower, 10*time.Second)
+	if _, err := follower.GetUser("late"); err != nil {
+		t.Fatalf("follower missing the older-term batch's write: %v", err)
+	}
+	if st := follower.State(); st.Fenced != 0 || st.Bootstraps < 2 || st.Epoch != term {
+		t.Fatalf("follower state: fenced %d, bootstraps %d, epoch %d; want 0, >= 2, %d", st.Fenced, st.Bootstraps, st.Epoch, term)
+	}
+}
+
+// TestOnlyTheLeaderServesSnapshots pins the bootstrap source: a node
+// that is not leading — a follower, or an election winner that deferred
+// to a more caught-up peer — answers the snapshot request with the
+// not_leader envelope, so no follower imports its possibly shorter
+// history over its own.
+func TestOnlyTheLeaderServesSnapshots(t *testing.T) {
+	ts, leader := newLeader(t)
+	seedLeader(t, leader, 2)
+	fts, _ := newFollower(t, ts.URL)
+
+	resp, err := http.Get(fts.URL + "/api/v1/replication/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, ae := decodeEnvelope(t, resp)
+	if status != http.StatusConflict || ae.Code != api.CodeNotLeader {
+		t.Fatalf("follower snapshot = %d %q, want 409 %q", status, ae.Code, api.CodeNotLeader)
+	}
+	if got := ae.Details["leader"]; got != ts.URL {
+		t.Fatalf("details.leader = %v, want %q", got, ts.URL)
 	}
 }
 

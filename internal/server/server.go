@@ -15,7 +15,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hive"
@@ -209,13 +207,13 @@ func (s *Server) routes() {
 	m.HandleFunc("POST /api/v1/admin/refresh", s.postAdminRefresh)
 
 	// --- /api/v1: replication ------------------------------------------------
-	// The journal feed and the bootstrap snapshot. Served by any
-	// journaled node (followers can chain); in-memory nodes answer with
-	// a typed error. Writes on a follower are rejected by the platform
-	// wrappers themselves (NotLeaderError -> not_leader envelope), so
-	// every mutation route above is follower-safe without per-route
-	// guards; postBatch checks explicitly because it drives the store
-	// directly.
+	// The journal feed and the bootstrap snapshot. The feed is served
+	// by any journaled node, the snapshot only by the leader (not_leader
+	// elsewhere); in-memory nodes answer with a typed error. Writes on a
+	// follower are rejected by the platform's write fence
+	// (NotLeaderError -> not_leader envelope), so every mutation route
+	// above, postBatch included, is follower-safe without per-route
+	// guards.
 	m.HandleFunc("GET /api/v1/replication/events", s.getReplicationEvents)
 	m.HandleFunc("GET /api/v1/replication/snapshot", s.getReplicationSnapshot)
 	m.HandleFunc("GET /api/v1/cluster", s.getCluster)
@@ -523,94 +521,17 @@ func (s *Server) getReplicationSnapshot(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, out)
 }
 
-// peerProbeTimeout bounds the whole-peers probe fan-out of the cluster
-// status endpoint: one slow peer must not stall the topology report
-// clients use to re-resolve the leader during failover.
-const peerProbeTimeout = 750 * time.Millisecond
-
-// peerProbeClient dials peers for cluster status: one shared client
-// over its own pooled transport, so repeated probes of the same peers
-// reuse kept-alive connections instead of paying a dial per probe, and
-// probe connection state never mingles with the server's other
-// outbound traffic (a bare &http.Client{} would silently share
-// http.DefaultTransport).
-var peerProbeClient = &http.Client{
-	Timeout: peerProbeTimeout,
-	Transport: &http.Transport{
-		MaxIdleConns:        16,
-		MaxIdleConnsPerHost: 4,
-		IdleConnTimeout:     90 * time.Second,
-	},
-}
-
-// getCluster serves the node's view of the replica set: its own role,
-// term and leader, plus a concurrent liveness/lag probe of every
-// configured peer. Followers answer too — during failover this is the
-// endpoint a client that lost the leader asks for a new one.
+// getCluster serves the node's view of the replica set: its own
+// replication block and shard rows, plus a concurrent liveness/lag probe
+// of every configured peer (Platform.ProbePeers, one 750 ms budget).
+// Followers answer too.
 func (s *Server) getCluster(w http.ResponseWriter, r *http.Request) {
-	p := s.node()
-	cs := api.ClusterStatus{
-		Self:         p.ClusterSelf(),
-		Role:         p.Role(),
-		Epoch:        p.Epoch(),
-		LeaderURL:    p.LeaderURL(),
-		CommitIndex:  p.CommitIndex(),
-		QuorumWrites: p.QuorumWrites(),
-		Peers:        []api.PeerStatus{},
-		// The shard map: clients derive routing (api.ShardOf over
-		// ShardCount) from this response.
-		ShardCount: s.sh.ShardCount(),
-		Shards:     s.shardStatuses(),
-	}
-	peers := p.ClusterPeers()
-	if len(peers) > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), peerProbeTimeout)
-		defer cancel()
-		cs.Peers = make([]api.PeerStatus, len(peers))
-		var wg sync.WaitGroup
-		for i, u := range peers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cs.Peers[i] = probePeer(ctx, u)
-			}()
-		}
-		wg.Wait()
-	}
-	writeJSON(w, http.StatusOK, cs)
-}
-
-// probePeer asks one peer for its healthz and condenses the answer into
-// a PeerStatus; a dead or unreachable peer reports Alive false with the
-// dial error. Every outcome carries the probe's round-trip latency —
-// for failures that is the budget burned discovering the peer is gone.
-func probePeer(ctx context.Context, url string) (ps api.PeerStatus) {
-	ps = api.PeerStatus{URL: url}
-	start := time.Now()
-	defer func() { ps.ProbeMS = float64(time.Since(start).Microseconds()) / 1e3 }()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/api/v1/healthz", nil)
-	if err != nil {
-		ps.Error = err.Error()
-		return ps
-	}
-	resp, err := peerProbeClient.Do(req)
-	if err != nil {
-		ps.Error = err.Error()
-		return ps
-	}
-	defer resp.Body.Close()
-	var h api.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		ps.Error = "bad healthz response: " + err.Error()
-		return ps
-	}
-	ps.Alive = true
-	ps.Role = h.Replication.Role
-	ps.Epoch = h.Replication.Epoch
-	ps.JournalTail = h.Replication.JournalTail
-	ps.AppliedSeq = h.Replication.AppliedSeq
-	ps.LagEvents = h.Replication.LagEvents
-	return ps
+	rows := s.states()
+	writeJSON(w, http.StatusOK, api.ClusterStatus{
+		ReplicationHealth: rows[0].ReplicationHealth,
+		Peers:             s.node().ProbePeers(r.Context()),
+		ShardMap:          api.ShardMap{ShardCount: len(rows), Shards: rows},
+	})
 }
 
 // --- Observability --------------------------------------------------------------
@@ -626,9 +547,9 @@ func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = metrics.Default.WriteText(w)
 }
 
-// collectStateGauges snapshots per-shard pipeline state into the
-// registry's gauges: pending events, overlay size, frozen corpus size,
-// commit index, and this node's replication lag.
+// collectStateGauges copies the shard states into the registry's
+// gauges: pending events, overlay size, frozen corpus size, commit
+// index, and this node's replication lag.
 func (s *Server) collectStateGauges() {
 	reg := metrics.Default
 	pending := reg.GaugeVec(metrics.PendingEvents, "Change events queued but not yet folded into the serving snapshot.", "shard")
@@ -637,19 +558,15 @@ func (s *Server) collectStateGauges() {
 	commit := reg.GaugeVec(metrics.CommitIndex, "Quorum-durable commit watermark.", "shard")
 	lag := reg.Gauge(metrics.ReplicationLagEvents, "Journal events this node trails its leader by (0 on leaders).")
 
-	for _, p := range s.sh.Shards() {
-		id := strconv.Itoa(p.ShardID())
-		pending.With(id).Set(float64(p.PendingEvents()))
-		commit.With(id).Set(float64(p.CommitIndex()))
-		var overlayDocs, corpusDocs int
-		if eng := p.Snapshot(); eng != nil {
-			overlayDocs = eng.DeltaStats().OverlayDocs
-			corpusDocs = eng.Frozen().Len()
-		}
-		overlay.With(id).Set(float64(overlayDocs))
-		corpus.With(id).Set(float64(corpusDocs))
+	rows := s.states()
+	for _, st := range rows {
+		id := strconv.Itoa(st.ID)
+		pending.With(id).Set(float64(st.PendingEvents))
+		commit.With(id).Set(float64(st.CommitIndex))
+		overlay.With(id).Set(float64(st.OverlayDocs))
+		corpus.With(id).Set(float64(st.FrozenDocs))
 	}
-	lag.Set(float64(s.node().ReplicationLag()))
+	lag.Set(float64(rows[0].LagEvents))
 }
 
 // getTraces serves the slowest recent request traces (?n=, default 20)
@@ -688,113 +605,35 @@ func uintParam(r *http.Request, name string) (uint64, error) {
 	return strconv.ParseUint(v, 10, 64)
 }
 
-// replicationHealth assembles the role/lag report for healthz.
-func (s *Server) replicationHealth() api.ReplicationHealth {
-	p := s.node()
-	rh := api.ReplicationHealth{Role: api.RoleLeader, Epoch: p.Epoch()}
-	st := p.Store()
-	rh.JournalOldest, rh.JournalTail, rh.JournalSegments = st.JournalStats()
-	if err := st.JournalError(); err != nil {
-		rh.JournalError = err.Error()
-	}
-	rh.CommitIndex = p.CommitIndex()
-	rh.QuorumWrites = p.QuorumWrites()
-	if acks := p.FollowerAcks(); len(acks) > 0 {
-		rh.FollowerAcks = make([]api.FollowerAckStatus, len(acks))
-		for i, a := range acks {
-			rh.FollowerAcks[i] = api.FollowerAckStatus{
-				URL:        a.URL,
-				AppliedSeq: a.Applied,
-				Epoch:      a.Epoch,
-				AgeMS:      a.Age.Milliseconds(),
-			}
-		}
-	}
-	if p.IsFollower() {
-		rh.Role = api.RoleFollower
-		rh.LeaderURL = p.LeaderURL()
-		rh.AppliedSeq = p.ReplicationApplied()
-		rh.LeaderTail = p.ReplicationLeaderTail()
-		rh.LagEvents = p.ReplicationLag()
-		if err := p.LastReplicationError(); err != nil {
-			rh.LastReplicationError = err.Error()
-		}
-	}
-	return rh
-}
-
 // --- Health & refresh ---------------------------------------------------------
 
-// deltaHealth assembles the incremental-maintenance report shared by
-// healthz and the admin refresh responses.
-func (s *Server) deltaHealth() api.DeltaHealth {
-	p := s.node()
-	dh := api.DeltaHealth{
-		PendingEvents: p.PendingEvents(),
-		DeltasApplied: p.DeltasApplied(),
-		Compactions:   p.Compactions(),
-		LastDeltaUS:   p.LastDeltaDuration().Microseconds(),
-		CompactionDue: p.CompactionDue(),
-	}
-	if eng := p.Snapshot(); eng != nil {
-		ds := eng.DeltaStats()
-		dh.OverlayDocs = ds.OverlayDocs
-		dh.Tombstones = ds.Tombstones
-		dh.GraphPending = ds.GraphPending
-	}
-	return dh
-}
-
-// shardStatuses assembles the per-shard role/epoch/progress rows for
-// healthz and the cluster endpoint.
-func (s *Server) shardStatuses() []api.ShardStatus {
+// states reads every shard's state, in shard order: the rows of healthz
+// and the cluster endpoint, and the source of the state gauges.
+func (s *Server) states() []api.ShardStatus {
 	shards := s.sh.Shards()
 	out := make([]api.ShardStatus, len(shards))
 	for i, p := range shards {
-		_, tail, _ := p.Store().JournalStats()
-		out[i] = api.ShardStatus{
-			ID:            p.ShardID(),
-			Role:          p.Role(),
-			Epoch:         p.Epoch(),
-			JournalTail:   tail,
-			CommitIndex:   p.CommitIndex(),
-			PendingEvents: p.PendingEvents(),
-			Generation:    p.Generation(),
-		}
+		out[i] = p.State()
 	}
 	return out
 }
 
-// getHealthz reports liveness plus snapshot freshness: the snapshot
-// generation, when its base was built, how long the build took, its
-// age, whether unapplied change events exist (stale), and the delta
-// pipeline's state (overlay size, pending events, delta latency,
-// compaction counters). Reads are served from the swapped snapshot, so
-// "stale: true" means maintenance is due, not an outage; "built_at"
-// and "age_ms" describe the *base* segment — a snapshot with an applied
-// overlay is current regardless of base age. Generation and stale cover
-// every shard; the snapshot, delta and replication blocks describe
-// shard 0, and Shards the whole map.
+// getHealthz reports liveness plus every shard's state (see
+// api.ShardStatus). Generation sums the shards' generations and stale
+// ORs theirs; the other top-level snapshot fields and the delta and
+// replication blocks are shard 0's row, and Shards the whole map.
 func (s *Server) getHealthz(w http.ResponseWriter, r *http.Request) {
-	p := s.node()
+	rows := s.states()
 	out := api.Health{
-		Status:      "ok",
-		Generation:  s.sh.Generation(),
-		Stale:       s.sh.Stale(),
-		Delta:       s.deltaHealth(),
-		Replication: s.replicationHealth(),
-		ShardCount:  s.sh.ShardCount(),
-		Shards:      s.shardStatuses(),
+		Status:         "ok",
+		SnapshotHealth: rows[0].SnapshotHealth,
+		Delta:          rows[0].DeltaHealth,
+		Replication:    rows[0].ReplicationHealth,
+		ShardMap:       api.ShardMap{ShardCount: len(rows), Shards: rows},
 	}
-	if eng := p.Snapshot(); eng != nil {
-		out.Snapshot = true
-		out.BuiltAt = eng.BuiltAt().UTC().Format(time.RFC3339Nano)
-		out.BuildMS = eng.BuildDuration().Milliseconds()
-		out.AgeMS = time.Since(eng.BuiltAt()).Milliseconds()
-		out.FrozenDocs = eng.Frozen().Len()
-	}
-	if err := p.LastRefreshError(); err != nil {
-		out.LastRefreshError = err.Error()
+	for _, st := range rows[1:] {
+		out.Generation += st.Generation
+		out.Stale = out.Stale || st.Stale
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -816,8 +655,8 @@ func (s *Server) postAdminRefresh(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.sh.RefreshAsync()
 	}
-	dh := s.deltaHealth()
-	writeJSON(w, code, api.RefreshResponse{Status: status, Delta: &dh})
+	st := s.node().State()
+	writeJSON(w, code, api.RefreshResponse{Status: status, Delta: &st.DeltaHealth})
 }
 
 // --- Batch ingest -------------------------------------------------------------
@@ -828,13 +667,6 @@ func (s *Server) postAdminRefresh(w http.ResponseWriter, r *http.Request) {
 // order (put dependencies first) and independently: a failed element is
 // reported in the response without aborting the rest.
 func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
-	// The batch applier drives the store directly, bypassing the
-	// platform's follower guard — reject here so a follower never forks
-	// from its leader.
-	if p := s.node(); p.IsFollower() {
-		writeErr(w, r, &hive.NotLeaderError{Leader: p.LeaderURL(), Epoch: p.Epoch()})
-		return
-	}
 	var req api.BatchRequest
 	if !decodeBody(w, r, &req, maxBatchBody) {
 		return
@@ -854,8 +686,13 @@ func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 	// One coalesced change batch per shard: the shard Batched scopes
-	// nest, so each routed element folds into its shard's batch.
-	_ = s.sh.Batched(apply)
+	// nest, so each routed element folds into its shard's batch. Every
+	// element goes through the write fence; a shard behind it refuses
+	// the batch up front with the not_leader a single write would get.
+	if err := s.sh.Batched(apply); err != nil {
+		writeErr(w, r, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

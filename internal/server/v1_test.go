@@ -295,9 +295,9 @@ func TestFeedLimitZeroKeepsWindow(t *testing.T) {
 func waitCompacted(t *testing.T, p *hive.Platform, before uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Compactions() == before || p.Stale() {
+	for p.State().Compactions == before || p.Stale() {
 		if time.Now().After(deadline) {
-			t.Fatalf("overflow never compacted: %d compaction(s) since setup, stale=%v", p.Compactions()-before, p.Stale())
+			t.Fatalf("overflow never compacted: %d compaction(s) since setup, stale=%v", p.State().Compactions-before, p.Stale())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -314,7 +314,7 @@ func TestOverflowCompactsWithoutReads(t *testing.T) {
 	if err := p.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	gen, compactions := p.Generation(), p.Compactions()
+	gen, compactions := p.Generation(), p.State().Compactions
 
 	st := p.Store()
 	err := st.Batched(func() error {
@@ -346,7 +346,7 @@ func TestOverflowCompactsOnlyOwnerShard(t *testing.T) {
 	}
 	before := make([]uint64, sh.ShardCount())
 	for i, p := range sh.Shards() {
-		before[i] = p.Compactions()
+		before[i] = p.State().Compactions
 	}
 
 	var batch api.BatchRequest
@@ -367,7 +367,7 @@ func TestOverflowCompactsOnlyOwnerShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range sh.Shards() {
-		if moved := p.Compactions() - before[i]; i != owner && moved != 0 {
+		if moved := p.State().Compactions - before[i]; i != owner && moved != 0 {
 			t.Fatalf("current shard %d ran %d compaction(s) for shard %d's overflow", i, moved, owner)
 		}
 	}

@@ -158,9 +158,11 @@ func (s *Store) SnapshotForReplication() (seq uint64, entries map[string][]byte)
 // leader snapshot and moves the change sequence to its watermark — in
 // either direction: an import replaces the world, so the watermark is
 // authoritative even when it is lower than the current sequence (the
-// re-sync-from-a-regressed-leader path). The local journal (if any) is
-// not rewritten; until the sequence passes its tail again, ApplyReplica
-// skips local re-journaling, which only degrades chaining.
+// re-sync-from-a-regressed-leader path). The local journal (if any)
+// restarts empty at the watermark: its records describe a history the
+// image replaced — past the watermark they may be writes the image
+// never held — so it must neither serve them nor report their tail as
+// this node's history, and the next replicated batch must journal.
 //
 //lint:allow hookcheck snapshot import replaces the whole image quietly; the follower rebuilds its engine from scratch afterwards
 func (s *Store) ImportReplicaSnapshot(seq uint64, entries map[string][]byte) error {
@@ -171,6 +173,13 @@ func (s *Store) ImportReplicaSnapshot(seq uint64, entries map[string][]byte) err
 	s.changeSeq = seq
 	// Any capture accumulated before the import is now meaningless.
 	s.capPuts, s.capDels = nil, nil
+	var jerr error
+	if s.jn != nil {
+		if err := s.jn.Reset(seq); err != nil {
+			jerr = fmt.Errorf("social: reset journal to snapshot watermark %d: %w", seq, err)
+		}
+		s.jnErr = jerr
+	}
 	s.evMu.Unlock()
 	// The imported counter key (meta/seq) was part of the image; adopt
 	// it (in either direction — the image is the world now) so activity
@@ -184,7 +193,7 @@ func (s *Store) ImportReplicaSnapshot(seq uint64, entries map[string][]byte) err
 		}
 	}
 	s.mu.Unlock()
-	return nil
+	return jerr
 }
 
 // ApplyReplica folds one replicated batch into the store: the kv image

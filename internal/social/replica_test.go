@@ -174,6 +174,57 @@ func TestSnapshotBootstrapThenTail(t *testing.T) {
 	}
 }
 
+// Importing a snapshot behind the local journal tail replaces the
+// journal's history too: a node that re-synced from a shorter image and
+// then leads must journal its next write (not fail it as out of order
+// behind records the image never held) and must never serve those
+// records to its own followers.
+func TestImportBehindJournalTailResetsJournal(t *testing.T) {
+	short := openDir(t, t.TempDir())
+	for i := 0; i < 2; i++ {
+		if err := short.PutUser(User{ID: fmt.Sprintf("s%d", i), Name: "S"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, entries := short.SnapshotForReplication()
+
+	dir := t.TempDir()
+	long := openDir(t, dir)
+	for i := 0; i < 5; i++ {
+		if err := long.PutUser(User{ID: fmt.Sprintf("l%d", i), Name: "L"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, tail, _ := long.JournalStats(); tail <= seq {
+		t.Fatalf("test setup: journal tail %d must be past the snapshot watermark %d", tail, seq)
+	}
+	if err := long.ImportReplicaSnapshot(seq, entries); err != nil {
+		t.Fatal(err)
+	}
+	if _, tail, _ := long.JournalStats(); tail != seq {
+		t.Fatalf("journal tail after import = %d, want the watermark %d", tail, seq)
+	}
+	if recs, err := long.ChangesSince(seq, 0); err != nil || len(recs) != 0 {
+		t.Fatalf("ChangesSince(watermark) = %d batches, %v; want none", len(recs), err)
+	}
+
+	if err := long.PutUser(User{ID: "next", Name: "N"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := long.JournalError(); err != nil {
+		t.Fatalf("write after import: journal error %v", err)
+	}
+	recs, err := long.ChangesSince(seq, 0)
+	if err != nil || len(recs) != 1 || recs[0].First != seq+1 || len(recs[0].Events) == 0 || recs[0].Events[0].ID != "next" {
+		t.Fatalf("ChangesSince(watermark) after a write = %+v, %v", recs, err)
+	}
+	want := long.ChangeSeq()
+	long.Close()
+	if got := openDir(t, dir).ChangeSeq(); got != want {
+		t.Fatalf("reopened change sequence = %d, want %d", got, want)
+	}
+}
+
 func TestChangesSinceCompactedSignalsBootstrap(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenJournaled(dir, nil, journal.Options{SegmentBytes: 256, Retain: 1})

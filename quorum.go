@@ -21,11 +21,9 @@ package hive
 // roll anything back.
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"hive/internal/election"
@@ -40,9 +38,6 @@ const (
 	// catches any advance that raced a waiter between its sequence load
 	// and its park — the leader-side retry loop of ack collection.
 	ackRecheck = 50 * time.Millisecond
-	// promoteProbeTimeout bounds each peer probe of the caught-up
-	// promotion gate; an unreachable peer cannot stall a promotion.
-	promoteProbeTimeout = 750 * time.Millisecond
 	// maxPromotionDeferrals bounds how many consecutive elections this
 	// node yields to a more caught-up peer that then fails to claim.
 	// Past it the node leads anyway: availability beats the optimization.
@@ -194,124 +189,27 @@ func (p *Platform) waitQuorum() error {
 // (notably: always zero in async mode on a fresh journal).
 func (p *Platform) CommitIndex() uint64 { return p.store.CommitIndex() }
 
-// QuorumWrites returns the configured write quorum (0 = async).
-func (p *Platform) QuorumWrites() int { return p.quorumK }
-
-// PromotionDeferrals counts elections this node won but yielded because
-// a reachable peer held more history.
-func (p *Platform) PromotionDeferrals() uint64 { return p.deferrals.Load() }
-
-// FollowerAckInfo is one follower's ack state as reported by healthz:
-// which sequence it last confirmed, at which term, and how stale the
-// report is — a silently-stalled follower shows up here (age growing,
-// applied frozen) before it blocks a quorum.
-type FollowerAckInfo struct {
-	URL     string
-	Applied uint64
-	Epoch   uint64
-	Age     time.Duration
-}
-
-// FollowerAcks returns the ack table, sorted by follower URL. Empty on
-// followers and outside cluster mode.
-func (p *Platform) FollowerAcks() []FollowerAckInfo {
-	p.ackMu.Lock()
-	out := make([]FollowerAckInfo, 0, len(p.acks))
-	for url, a := range p.acks {
-		out = append(out, FollowerAckInfo{URL: url, Applied: a.applied, Epoch: a.epoch, Age: time.Since(a.at)})
-	}
-	p.ackMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
-}
-
 // --- Caught-up promotion gate ---------------------------------------------------
 
-// promoteProbeClient keeps the gate's peer probes on short, pooled
-// connections, independent of any request context.
-var promoteProbeClient = &http.Client{
-	Timeout: promoteProbeTimeout,
-	Transport: &http.Transport{
-		MaxIdleConns:        16,
-		MaxIdleConnsPerHost: 4,
-		IdleConnTimeout:     90 * time.Second,
-	},
-}
-
-// peerProgress is the slice of a peer's healthz the gate reads. The
-// hive package cannot import api (api aliases hive's DTO types), so the
-// wire names are spelled here; TestPromotionProbeSchema pins them to
-// the api package's tags from the server side.
-type peerProgress struct {
-	Replication struct {
-		Epoch       uint64 `json:"epoch"`
-		JournalTail uint64 `json:"journal_tail"`
-		AppliedSeq  uint64 `json:"applied_seq"`
-	} `json:"replication"`
-}
-
-// moreCaughtUpPeer probes every peer's healthz in parallel and reports
-// the one holding the most history strictly beyond this node's, if any.
-// Only peers at or above this node's current term count: a resurrected
-// deposed leader may hold a longer journal whose surplus is fenced —
-// deferring to it would resurrect exactly the writes fencing dropped.
-// Unreachable peers are skipped; the gate is an optimization, never a
-// liveness dependency.
-func (p *Platform) moreCaughtUpPeer() (url string, seq uint64, found bool) {
-	if len(p.peers) == 0 {
-		return "", 0, false
-	}
+// moreCaughtUpPeer probes every peer (ProbePeers) and reports whether
+// one holds history strictly beyond this node's: a journal tail or
+// applied sequence past our own. Only peers at or above this node's
+// current term count: a resurrected deposed leader may hold a longer
+// journal whose surplus is fenced — deferring to it would resurrect
+// exactly the writes fencing dropped. Unreachable peers are skipped; the
+// gate is an optimization, never a liveness dependency.
+func (p *Platform) moreCaughtUpPeer() bool {
 	local := p.store.ChangeSeq()
 	if _, tail, _ := p.store.JournalStats(); tail > local {
 		local = tail
 	}
 	epoch := p.store.Epoch()
-
-	type probe struct {
-		url string
-		seq uint64
-		ok  bool
-	}
-	results := make(chan probe, len(p.peers))
-	var wg sync.WaitGroup
-	for _, peer := range p.peers {
-		wg.Add(1)
-		go func(peer string) {
-			defer wg.Done()
-			resp, err := promoteProbeClient.Get(peer + "/api/v1/healthz")
-			if err != nil {
-				results <- probe{url: peer}
-				return
-			}
-			defer resp.Body.Close()
-			var pp peerProgress
-			if err := json.NewDecoder(resp.Body).Decode(&pp); err != nil {
-				results <- probe{url: peer}
-				return
-			}
-			if pp.Replication.Epoch < epoch {
-				results <- probe{url: peer} // fenced history does not count
-				return
-			}
-			peerSeq := pp.Replication.JournalTail
-			if pp.Replication.AppliedSeq > peerSeq {
-				peerSeq = pp.Replication.AppliedSeq
-			}
-			results <- probe{url: peer, seq: peerSeq, ok: true}
-		}(peer)
-	}
-	wg.Wait()
-	close(results)
-	best := probe{}
-	for r := range results {
-		if r.ok && r.seq > best.seq {
-			best = r
+	for _, ps := range p.ProbePeers(context.Background()) {
+		if ps.Alive && ps.Epoch >= epoch && max(ps.JournalTail, ps.AppliedSeq) > local {
+			return true
 		}
 	}
-	if best.ok && best.seq > local {
-		return best.url, best.seq, true
-	}
-	return "", 0, false
+	return false
 }
 
 // deferPromotion steps aside from a won election in favor of a more

@@ -103,10 +103,10 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if first == nil || p.Stale() || p.Generation() != 1 {
 		t.Fatalf("post-build state: snap=%v stale=%v gen=%d", first, p.Stale(), p.Generation())
 	}
-	if err := p.LastRefreshError(); err != nil {
-		t.Fatalf("LastRefreshError after success = %v", err)
+	if err := p.State().LastRefreshError; err != "" {
+		t.Fatalf("last_refresh_error after success = %q", err)
 	}
-	if c := p.Compactions(); c != 1 {
+	if c := p.State().Compactions; c != 1 {
 		t.Fatalf("compactions = %d, want 1", c)
 	}
 
@@ -169,7 +169,7 @@ func TestSnapshotLifecycleOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := p.Snapshot()
-	compactions := p.Compactions()
+	compactions := p.State().Compactions
 	overflowQueue(t, p)
 	eng, err := p.Engine() // read-your-writes: waits for the rebuild
 	if err != nil {
@@ -178,8 +178,8 @@ func TestSnapshotLifecycleOverflow(t *testing.T) {
 	if eng == first {
 		t.Fatal("Engine() returned the stale snapshot")
 	}
-	if p.Stale() || p.Compactions() == compactions {
-		t.Fatalf("after Engine(): stale=%v gen=%d, %d compaction(s)", p.Stale(), p.Generation(), p.Compactions()-compactions)
+	if p.Stale() || p.State().Compactions == compactions {
+		t.Fatalf("after Engine(): stale=%v gen=%d, %d compaction(s)", p.Stale(), p.Generation(), p.State().Compactions-compactions)
 	}
 }
 

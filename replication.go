@@ -16,11 +16,16 @@ package hive
 //
 // Epoch fencing: every poll asserts the follower's adopted term, so a
 // deposed leader (stuck at an older term) answers stale_epoch instead
-// of feeding doomed batches — and if one slips through anyway the store
+// of feeding doomed batches — and if one slips through anyway (the
+// follower adopted a newer term while the poll was out) the store
 // fences it (social.ErrStaleEpoch). Fenced batches never trigger a
 // re-sync: bootstrapping from a deposed leader would silently regress
 // the follower, so the loop backs off and waits for the elector to
-// retarget it at the real leader.
+// retarget it at the real leader. An older-term batch in a feed at the
+// follower's own term is the current leader's history, not a deposed
+// leader's write: the follower re-syncs from that leader's snapshot.
+// Only a leader serves snapshots, so a bootstrap never imports a
+// shorter history from a node that is not (or not yet) leading.
 
 import (
 	"context"
@@ -41,7 +46,7 @@ import (
 // error details; cluster-aware clients follow the hint automatically.
 type NotLeaderError struct {
 	// Leader is the leader's base URL ("" while an election is
-	// unresolved — retry after re-resolving via the cluster endpoint).
+	// unresolved — retry after re-resolving via healthz).
 	Leader string
 	// Epoch is the term this node has adopted; a client seeing a hint
 	// at a lower term than one it already followed is looking at a
@@ -308,13 +313,16 @@ func (p *Platform) followLoop(f *follower) {
 			}
 			if aerr := p.store.ApplyReplica(rb); aerr != nil {
 				f.lastErr.Store(&replErr{fmt.Errorf("apply batch [%d,%d]: %w", rb.First, rb.Last, aerr)})
-				if errors.Is(aerr, social.ErrStaleEpoch) {
-					// Deposed-leader writes: drop them, and do NOT
+				if errors.Is(aerr, social.ErrStaleEpoch) && ev.Epoch < p.store.Epoch() {
+					// Deposed-leader writes (we adopted a newer term
+					// while the poll was out): drop them, and do NOT
 					// re-sync — this node's snapshot is just as stale.
 					f.fenced.Add(1)
 					fencedBatch = true
 					break
 				}
+				// An older-term batch in a feed at our own term is the
+				// current leader's history, which its snapshot carries.
 				hole = true // re-sync rather than skip acknowledged data
 				break
 			}
@@ -383,91 +391,6 @@ func (p *Platform) writable() error {
 	return nil
 }
 
-// --- Replication observability --------------------------------------------------
-
-// IsFollower reports whether the platform currently holds the follower
-// role (in cluster mode this can change live).
-func (p *Platform) IsFollower() bool { return p.role.Load() == roleFollower }
-
-// LeaderURL returns the current leader's base URL: the followed leader
-// on a follower, the node's own advertised URL on an elected leader,
-// "" on a standalone leader or while an election is unresolved.
-func (p *Platform) LeaderURL() string {
-	if p.role.Load() == roleLeader {
-		return p.leaderHint()
-	}
-	if f := p.followP.Load(); f != nil {
-		return f.url
-	}
-	return p.leaderHint()
-}
-
-// ReplicationApplied returns the last leader sequence folded into the
-// local store (0 on a leader).
-func (p *Platform) ReplicationApplied() uint64 {
-	if f := p.followP.Load(); f != nil {
-		return f.applied.Load()
-	}
-	return 0
-}
-
-// ReplicationLeaderTail returns the leader's journal tail observed at
-// the most recent poll (0 before the first successful poll).
-func (p *Platform) ReplicationLeaderTail() uint64 {
-	if f := p.followP.Load(); f != nil {
-		return f.leaderTail.Load()
-	}
-	return 0
-}
-
-// ReplicationLag returns how many journaled leader events this follower
-// has not yet applied, per the most recent poll — the "bounded,
-// observable lag" healthz reports. 0 on a leader and on a caught-up
-// follower; while disconnected it is a lower bound (the leader keeps
-// writing but the observed tail freezes).
-func (p *Platform) ReplicationLag() uint64 {
-	f := p.followP.Load()
-	if f == nil {
-		return 0
-	}
-	tail, applied := f.leaderTail.Load(), f.applied.Load()
-	if tail <= applied {
-		return 0
-	}
-	return tail - applied
-}
-
-// ReplicationBootstraps counts snapshot bootstraps since Open (1 for a
-// fresh follower; more after retention or feed holes forced re-syncs).
-func (p *Platform) ReplicationBootstraps() uint64 {
-	if f := p.followP.Load(); f != nil {
-		return f.bootstraps.Load()
-	}
-	return 0
-}
-
-// ReplicationFenced counts stale-epoch rejections — batches, feeds or
-// snapshots from a deposed leader this follower refused to apply.
-func (p *Platform) ReplicationFenced() uint64 {
-	if f := p.followP.Load(); f != nil {
-		return f.fenced.Load()
-	}
-	return 0
-}
-
-// LastReplicationError returns the tail loop's most recent failure, or
-// nil when the loop is healthy (or the platform is a leader).
-func (p *Platform) LastReplicationError() error {
-	f := p.followP.Load()
-	if f == nil {
-		return nil
-	}
-	if box := f.lastErr.Load(); box != nil {
-		return box.err
-	}
-	return nil
-}
-
 // --- Leader-side feed ------------------------------------------------------------
 
 // ErrNoJournal is returned by ReplicationFeed on in-memory platforms:
@@ -480,7 +403,7 @@ var ErrNoJournal = errors.New("hive: platform has no change journal (in-memory s
 // is caught up. It returns the batches plus the current journal tail.
 // journal.ErrCompacted (mapped to the compacted API code by the server)
 // means the range was dropped by retention. Served on any journaled
-// node, so followers can chain.
+// node; followers tail the leader.
 //
 // pollerCommit is the caller's persisted cluster commit index: a parked
 // long-poll is released early when this node's commit index advances
@@ -539,10 +462,18 @@ func (p *Platform) ReplicationFeed(ctx context.Context, from uint64, max int, wa
 }
 
 // ReplicationSnapshot captures the full bootstrap image: the store's
-// entire kv state and the change-sequence watermark it covers.
+// entire kv state and the change-sequence watermark it covers. Only a
+// leader serves one (a *NotLeaderError otherwise): a follower may hold
+// less than the leader it tails, and an election winner that deferred
+// holds less than the peer it yielded to, so a bootstrap from either
+// would replace a more caught-up node's state — acknowledged writes
+// included — with a shorter history.
 func (p *Platform) ReplicationSnapshot() (seq uint64, entries map[string][]byte, err error) {
 	if !p.store.Journaled() {
 		return 0, nil, ErrNoJournal
+	}
+	if err := p.writable(); err != nil {
+		return 0, nil, err
 	}
 	seq, entries = p.store.SnapshotForReplication()
 	return seq, entries, nil

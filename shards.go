@@ -269,8 +269,15 @@ func (sh *Sharded) Stale() bool {
 // Batched coalesces a multi-entity load into one change batch per
 // shard: the shards' Batched scopes nest, so every routed write inside
 // fn lands in its shard's single coalesced batch (one snapshot
-// invalidation per shard instead of one per entity).
+// invalidation per shard instead of one per entity). A shard behind its
+// write fence refuses the whole batch up front, with the NotLeaderError
+// a single write would get, so no element applies anywhere.
 func (sh *Sharded) Batched(fn func() error) error {
+	for _, p := range sh.shards {
+		if err := p.writable(); err != nil {
+			return err
+		}
+	}
 	var run func(i int) error
 	run = func(i int) error {
 		if i == len(sh.shards) {
