@@ -36,8 +36,9 @@ vuln:
 # the fault-injected quorum no-lost-writes test and the real-process
 # smoke scenarios at a higher -count, catching rare schedules the per-PR
 # run might miss; then ten seconds of fuzzing each decoder of bytes from
-# disk or the wire — the kv WAL/snapshot records, the journal's segment
-# recovery and the two cursor forms — and of the memoised text analysis
+# disk or the wire — the kv checkpoint records, the journal's segment
+# recovery, the journal payloads a store replays at open and the two
+# cursor forms — and of the memoised text analysis
 # chain against the uncached one (the per-PR run only replays their seed corpora; -fuzz takes one
 # target per invocation).
 race-nightly:
@@ -48,6 +49,7 @@ race-nightly:
 	$(GO) test -race -run Smoke -count=5 ./cmd/hived
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalRecover' -fuzztime 10s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz 'FuzzOpenJournalPayload' -fuzztime 10s ./internal/social/
 	$(GO) test -run '^$$' -fuzz 'FuzzTerms' -fuzztime 10s ./internal/textindex/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCursor' -fuzztime 10s ./api/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeShardCursor' -fuzztime 10s ./api/

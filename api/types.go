@@ -181,8 +181,9 @@ type ReplicationHealth struct {
 	JournalOldest   uint64 `json:"journal_oldest"`
 	JournalTail     uint64 `json:"journal_tail"`
 	JournalSegments int    `json:"journal_segments"`
-	// JournalError surfaces a failing journal append (stalls followers
-	// but does not fail writes).
+	// JournalError surfaces the journal append that failed and stopped
+	// the node's writes until it restarts (the journal is its only
+	// log), else the last failed checkpoint.
 	JournalError string `json:"journal_error,omitempty"`
 
 	// CommitIndex is the cluster commit index this node has persisted:

@@ -63,7 +63,8 @@
 // writes with the not_leader error envelope naming the leader.
 // -journal-retention bounds how many closed journal segments the node
 // keeps (default 8 × 4MiB): followers that fall further behind
-// re-bootstrap from the snapshot automatically. (The static -follow
+// re-bootstrap from the snapshot automatically, and a restart replays at
+// most that much journal past the store's checkpoint. (The static -follow
 // flag from the pre-election era was removed after its deprecation
 // release; a two-node -cluster replaces it.)
 //
@@ -100,7 +101,7 @@
 //
 // SIGINT or SIGTERM stops the node cleanly: the listener closes,
 // in-flight requests get up to shutdownGrace to finish, then every
-// shard closes (compaction loop, replication, journal and WAL) and the
+// shard closes (compaction loop, replication and journal) and the
 // process exits 0.
 package main
 
@@ -194,7 +195,7 @@ func main() {
 	ackTimeout := flag.Duration("ack-timeout", 0,
 		"bounded wait for quorum write acks before a 503 quorum_unavailable (0 = 5s default)")
 	journalRetention := flag.Int("journal-retention", 0,
-		"closed change-journal segments to retain (0 = default 8)")
+		"closed change-journal segments to retain; they also bound restart replay (0 = default 8)")
 	workers := flag.Int("workers", 0, "engine rebuild parallelism (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request time budget (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent requests (0 = uncapped)")

@@ -158,7 +158,8 @@ type Options struct {
 	// JournalRetain bounds how many closed journal segments are kept
 	// (0 = default 8). Together with the journal's segment size it fixes
 	// how far a disconnected follower may fall behind before it must
-	// re-bootstrap from a snapshot.
+	// re-bootstrap from a snapshot, and how much journal a restart
+	// replays past the store's checkpoint.
 	JournalRetain int
 }
 

@@ -202,8 +202,8 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 
 	// PageRank memo: carry over every entry except the users whose
 	// restart bias (workpad pins) may have changed.
-	ne.pprMemo = make(map[string][]float64, len(prev.pprMemo))
 	prev.pprMu.Lock()
+	ne.pprMemo = make(map[string][]float64, len(prev.pprMemo))
 	for u, pr := range prev.pprMemo {
 		if !ctxUsers[u] {
 			ne.pprMemo[u] = pr

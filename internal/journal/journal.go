@@ -7,13 +7,12 @@
 // and the first building block of Hive-as-a-distributed-system: every
 // future sharding or replication feature tails this journal.
 //
-// Durability model (mirroring internal/kvstore's WAL): every Append is
-// framed as crc32(payload) | payloadLen | payload and flushed to the OS
-// before returning. On open, the newest segment's tail is validated
-// record by record; a torn final record (partial write before crash)
-// fails the length or CRC check and the segment is truncated at the
-// last good record, so acknowledged appends survive and the journal
-// never serves garbage.
+// Durability model: every Append is framed as crc32(payload) |
+// payloadLen | payload and flushed to the OS before returning. On open,
+// the newest segment's tail is validated record by record; a torn final
+// record (partial write before crash) fails the length or CRC check and
+// the segment is truncated at the last good record, so acknowledged
+// appends survive and the journal never serves garbage.
 //
 // Addressing: records carry [First, Last] — the inclusive range of
 // change-event sequence numbers the record's batch covers. Sequences
@@ -28,7 +27,11 @@
 // Options.Retain closed segments are kept (the active segment always
 // survives). Reading past the retention horizon returns ErrCompacted —
 // the signal for a replication follower to re-bootstrap from a full
-// snapshot instead of tailing.
+// snapshot instead of tailing. When the journal is its owner's only log
+// (the social store's), the owner tells it with SetCovered how far a
+// checkpoint holds the records; retention then never drops a segment
+// holding a record past that position, and Overdue asks the owner for a
+// newer checkpoint once more than Retain closed segments are waiting.
 package journal
 
 import (
@@ -38,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -133,6 +137,10 @@ type Journal struct {
 	tail   uint64 // highest sequence persisted (0 = empty)
 	oldest uint64 // first sequence of the oldest retained segment (0 = empty)
 	closed bool
+	// covered is the highest sequence held outside the journal (see
+	// SetCovered); retention drops no segment holding a later record.
+	// Until SetCovered is called every sequence counts as covered.
+	covered uint64
 
 	// updated is closed and replaced on every successful Append so
 	// long-poll readers (WaitFrom) wake without polling the disk.
@@ -167,7 +175,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: create dir: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts.withDefaults(), updated: make(chan struct{})}
+	j := &Journal{dir: dir, opts: opts.withDefaults(), updated: make(chan struct{}), covered: math.MaxUint64}
 	if err := j.load(); err != nil {
 		return nil, err
 	}
@@ -368,9 +376,8 @@ func (j *Journal) Append(rec Record) error {
 	if _, err := j.bw.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	// Flush to the OS on every record, like the kvstore WAL: the
-	// durability story stays simple and a crashed process loses nothing
-	// it acknowledged.
+	// Flush to the OS on every record: the durability story stays
+	// simple and a crashed process loses nothing it acknowledged.
 	if err := j.bw.Flush(); err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
 	}
@@ -384,7 +391,7 @@ func (j *Journal) Append(rec Record) error {
 }
 
 // rotateLocked seals the active segment, starts a fresh one at next,
-// and deletes segments past the retention bound.
+// and deletes the covered segments past the retention bound.
 func (j *Journal) rotateLocked(next uint64) error {
 	if err := j.bw.Flush(); err != nil {
 		return fmt.Errorf("journal: flush on rotate: %w", err)
@@ -396,8 +403,15 @@ func (j *Journal) rotateLocked(next uint64) error {
 	if err := j.openActiveLocked(); err != nil {
 		return err
 	}
-	// Retention: keep the active segment plus at most Retain closed ones.
-	for len(j.segs)-1 > j.opts.Retain {
+	return j.dropLocked()
+}
+
+// dropLocked enforces retention: it keeps the active segment plus at
+// most Retain closed ones, dropping the oldest first, but never a
+// segment holding a record past the covered sequence (a segment's
+// records end where the next one's begin).
+func (j *Journal) dropLocked() error {
+	for len(j.segs)-1 > j.opts.Retain && j.segs[1].first-1 <= j.covered {
 		old := j.segs[0]
 		if err := os.Remove(old.path); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("journal: drop segment: %w", err)
@@ -406,6 +420,32 @@ func (j *Journal) rotateLocked(next uint64) error {
 	}
 	j.oldest = j.segs[0].first
 	return nil
+}
+
+// SetCovered records that every sequence up to seq is held outside the
+// journal — by its owner's checkpoint — and drops the segments retention
+// no longer needs to keep. From the first call on, retention drops only
+// segments whose records all lie at or below the covered sequence.
+func (j *Journal) SetCovered(seq uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
+	}
+	j.covered = seq
+	if len(j.segs) == 0 {
+		return nil
+	}
+	return j.dropLocked()
+}
+
+// Overdue reports that retention is keeping more than Retain closed
+// segments because their records are not covered yet: the owner should
+// checkpoint and move SetCovered past them.
+func (j *Journal) Overdue() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.segs)-1 > j.opts.Retain
 }
 
 // Reset drops every record and restarts the journal empty with its tail

@@ -252,8 +252,7 @@ func TestCrashRecovery(t *testing.T) {
 }
 
 // TestCorruptInteriorRecordUnreachable: a flipped bit mid-file makes
-// everything after it unreachable (truncate-on-recovery semantics),
-// matching the kvstore WAL's model.
+// everything after it unreachable (truncate-on-recovery semantics).
 func TestCorruptInteriorRecordUnreachable(t *testing.T) {
 	dir := t.TempDir()
 	j := openT(t, dir, Options{})

@@ -2,13 +2,15 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 )
 
-// walImage frames records the way the WAL and the snapshot file do.
+// walImage frames records the way a checkpoint's body and a pre-journal
+// wal.log do.
 func walImage(recs ...[3]string) []byte {
 	var buf bytes.Buffer
 	for _, r := range recs {
@@ -21,10 +23,22 @@ func walImage(recs ...[3]string) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReplay feeds arbitrary bytes to the record decoder behind both the
-// WAL and the snapshot file. The seeds are the images the crash-recovery
-// tests build by hand: a clean log, a torn tail, a flipped CRC byte, a
-// snapshot cut mid-record.
+// encodeImage frames the image of keys (in ascending order) as a
+// checkpoint at w.
+func encodeImage(keys []string, mem map[string][]byte, w uint64) []byte {
+	items := make([]scanItem, len(keys))
+	for i, k := range keys {
+		items[i] = scanItem{key: k, val: mem[k]}
+	}
+	var buf bytes.Buffer
+	writeImage(&buf, items, w)
+	return buf.Bytes()
+}
+
+// FuzzReplay feeds arbitrary bytes to the record decoder and, as a
+// checkpoint file, to Open. The seeds are the images the recovery tests
+// build by hand — a clean record stream, a torn tail, a flipped CRC
+// byte, a stream cut mid-record — plus whole checkpoints.
 func FuzzReplay(f *testing.F) {
 	clean := walImage([3]string{"put", "a", "1"}, [3]string{"put", "b", "2"}, [3]string{"del", "a", ""}, [3]string{"put", "", ""})
 	f.Add([]byte{})
@@ -35,6 +49,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add(clean[:len(clean)-2])
 	f.Add(walImage([3]string{"put", "k\x00\xff", "binary\x00value"}, [3]string{"del", "missing", ""}))
+	f.Add(encodeImage(nil, nil, 0))
+	f.Add(encodeImage([]string{"a", "b\x00"}, map[string][]byte{"a": []byte("1"), "b\x00": nil}, 42))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type rec struct {
@@ -42,20 +58,17 @@ func FuzzReplay(f *testing.F) {
 			key, val string
 		}
 		var recs []rec
-		res, err := replayRecords(data, func(op byte, key, val []byte) {
+		res := replayRecords(data, func(op byte, key, val []byte) {
 			recs = append(recs, rec{op, string(key), string(val)})
 		})
-		if err != nil || res.offset > len(data) || res.count != len(recs) {
-			t.Fatalf("replay of %d bytes: offset %d, count %d, %d records, err %v", len(data), res.offset, res.count, len(recs), err)
+		if res.offset > len(data) || res.count != len(recs) {
+			t.Fatalf("replay of %d bytes: offset %d, count %d, %d records", len(data), res.offset, res.count, len(recs))
 		}
-		count := func(b []byte) int {
-			r, _ := replayRecords(b, func(byte, []byte, []byte) {})
-			return r.count
-		}
+		count := func(b []byte) int { return replayRecords(b, func(byte, []byte, []byte) {}).count }
 		// What was accepted stands on its own, and its last record is
 		// accepted only whole and only with its checksum intact.
 		good := slices.Clone(data[:res.offset])
-		if r, _ := replayRecords(good, func(byte, []byte, []byte) {}); r != res {
+		if r := replayRecords(good, func(byte, []byte, []byte) {}); r != res {
 			t.Fatalf("accepted prefix replays to %+v, whole input to %+v", r, res)
 		}
 		if res.count > 0 {
@@ -68,54 +81,55 @@ func FuzzReplay(f *testing.F) {
 			}
 		}
 
-		// As a WAL: the store opens, holds what the accepted records say,
-		// lists it in order, and has cut the log back to the accepted
-		// prefix so that a second open sees the same.
-		model := map[string]string{}
-		for _, r := range recs {
-			switch r.op {
-			case opPut:
-				model[r.key] = r.val
-			case opDelete:
-				delete(model, r.key)
-			}
-		}
+		// As a checkpoint: Open accepts the file only whole — every byte
+		// a record, the last one a trailer counting the puts before it —
+		// and then holds exactly what the records say.
 		dir := t.TempDir()
-		wal := filepath.Join(dir, "wal.log")
-		if err := os.WriteFile(wal, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			s, err := Open(dir)
-			if err != nil {
-				t.Fatalf("open pass %d: %v", pass, err)
-			}
-			assertHolds(t, s, model)
-			if err := s.Close(); err != nil {
+		snap := filepath.Join(dir, "snapshot.db")
+		open := func(b []byte) (*Store, error) {
+			if err := os.WriteFile(snap, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if st, err := os.Stat(wal); err != nil || st.Size() != int64(res.offset) {
-				t.Fatalf("wal is %d bytes after recovery, accepted prefix is %d (%v)", st.Size(), res.offset, err)
-			}
+			return Open(dir)
 		}
-
-		// As a snapshot file: only puts count.
-		model = map[string]string{}
-		for _, r := range recs {
-			if r.op == opPut {
-				model[r.key] = r.val
-			}
+		s, err := open(data)
+		whole := res.offset == len(data) && len(recs) > 0 && recs[len(recs)-1].op == opTrailer
+		for _, r := range recs[:max(len(recs)-1, 0)] {
+			whole = whole && r.op == opPut
 		}
-		dir = t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "snapshot.db"), data, 0o644); err != nil {
-			t.Fatal(err)
+		if whole {
+			tr := []byte(recs[len(recs)-1].val)
+			whole = recs[len(recs)-1].key == "" && len(tr) == 16 && binary.LittleEndian.Uint64(tr) == uint64(len(recs)-1)
 		}
-		s, err := Open(dir)
+		if (err == nil) != whole {
+			t.Fatalf("Open of a %d-byte checkpoint: err %v, whole %v", len(data), err, whole)
+		}
 		if err != nil {
-			t.Fatalf("open snapshot: %v", err)
+			return
+		}
+		model := map[string]string{}
+		for _, r := range recs[:len(recs)-1] {
+			model[r.key] = r.val
 		}
 		assertHolds(t, s, model)
+		if w := binary.LittleEndian.Uint64([]byte(recs[len(recs)-1].val)[8:]); s.Watermark() != w {
+			t.Fatalf("Watermark = %d, trailer says %d", s.Watermark(), w)
+		}
 		s.Close()
+		// Torn anywhere, or with a bit flipped in the trailer, it is
+		// refused.
+		for _, cut := range []int{0, len(data) / 2, len(data) - 1} {
+			if s, err := open(data[:cut]); err == nil {
+				s.Close()
+				t.Fatalf("checkpoint torn at %d of %d bytes accepted", cut, len(data))
+			}
+		}
+		flip := slices.Clone(data)
+		flip[len(flip)-1] ^= 0x80
+		if s, err := open(flip); err == nil {
+			s.Close()
+			t.Fatal("checkpoint with a flipped bit accepted")
+		}
 	})
 }
 

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -229,7 +230,10 @@ func TestStoreModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer func() { s.Close() }()
-			m := oracle{}
+			// m is the image; disk holds the image at the last checkpoint
+			// (or import), which is what a reopen comes back to.
+			m, disk := oracle{}, oracle{}
+			var pos uint64
 
 			var cur atomic.Pointer[Store]
 			cur.Store(s)
@@ -294,13 +298,18 @@ func TestStoreModel(t *testing.T) {
 						k, v := modelKey(rng)+fmt.Sprint(rng.Intn(500)), val()
 						img[k], m[k] = []byte(v), v
 					}
-					err = s.ImportSnapshot(img)
+					pos++
+					err = s.ImportSnapshot(img, pos, nil)
+					disk = maps.Clone(m)
 				case op < 96:
-					err = s.Compact()
+					pos++
+					err = s.Checkpoint(func() (uint64, bool) { return pos, true })
+					disk = maps.Clone(m)
 				default:
 					if err = s.Close(); err == nil {
 						s, err = Open(dir)
 						cur.Store(s)
+						m = maps.Clone(disk)
 					}
 				}
 				if err != nil {
@@ -370,7 +379,7 @@ func TestRangeReadsStayInRange(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		img[fmt.Sprintf("m/%d", i)] = []byte("x")
 	}
-	if err := s.ImportSnapshot(img); err != nil {
+	if err := s.ImportSnapshot(img, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	examined := func(read func()) int64 {
@@ -444,7 +453,7 @@ func BenchmarkScanPrefix(b *testing.B) {
 			for i := 0; i < 10; i++ {
 				img[fmt.Sprintf("follow/u1/u%d", i)] = nil
 			}
-			if err := s.ImportSnapshot(img); err != nil {
+			if err := s.ImportSnapshot(img, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -2,8 +2,7 @@
 // that backs Hive's durable entities (users, papers, sessions, Q&A,
 // workpads). The paper's deployment stored these in MySQL under Joomla;
 // this engine is the stdlib-only substitute: an in-memory sorted index
-// over an append-only write-ahead log with CRC-framed records, plus
-// point-in-time snapshots and log compaction.
+// with CRC-framed checkpoints on disk.
 //
 // In memory the store is two structures kept in step under one lock: a
 // hash map from key to value, which serves Get and Has in O(1), and an
@@ -15,22 +14,23 @@
 // O(log n) and then examine only the keys they deliver, so a prefix or
 // range read costs O(log n + matches) however large the rest of the
 // store is. The index is never persisted: Open builds it once from the
-// replayed snapshot and WAL, ImportSnapshot once from the imported
-// image, and the snapshot file is written by walking it.
+// loaded checkpoint, ImportSnapshot once from the imported image, and
+// the checkpoint file is written by walking it.
 //
-// Durability model: every Put/Delete is appended to the WAL before the
-// in-memory index is updated. On open, the snapshot (if any) is loaded and
-// the WAL tail is replayed; torn tail records are detected via CRC and
-// truncated, mirroring standard database recovery.
-//
-// Compact writes a snapshot and truncates the WAL, but only when a
-// caller asks: nothing in hived does (ImportSnapshot, a follower's
-// bootstrap, is the one path that resets the log), so a node's wal.log
-// grows for the life of its data dir and Open replays all of it.
+// Durability model: the store is a memory image plus checkpoints, and it
+// keeps no log of its own. The log is its owner's — the social store's
+// change journal, which records every write batch before it is
+// acknowledged. Checkpoint writes the whole image to snapshot.db
+// (through a temp file and a rename) with a trailer naming the log
+// position W it covers; Open loads that checkpoint, whole or not at all,
+// and the owner replays its log past W. A checkpoint lets the owner drop
+// the log it covers, which bounds both the disk a node holds and the
+// replay a restart pays. Writes made since the last checkpoint live only
+// in memory here: a store nobody checkpoints is an in-memory one.
 package kvstore
 
 import (
-	"bytes"
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -47,7 +47,8 @@ var ErrNotFound = errors.New("kvstore: key not found")
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("kvstore: store closed")
 
-// Store is a durable key-value store. It is safe for concurrent use.
+// Store is a key-value memory image with checkpoints. It is safe for
+// concurrent use.
 type Store struct {
 	mu  sync.RWMutex
 	dir string
@@ -57,8 +58,13 @@ type Store struct {
 	mem map[string][]byte
 	// idx orders exactly the keys of mem.
 	idx    keyIndex
-	wal    *walWriter
 	closed bool
+	// ckMu serializes the writers of checkpoint files (Checkpoint and
+	// ImportSnapshot); it is taken before mu.
+	ckMu sync.Mutex
+	// w is the log position the image Open loaded covers, then that of
+	// each checkpoint written since.
+	w atomic.Uint64
 	// examined counts the keys the range reads looked at, matched or
 	// not; tests use it to prove a read stays inside its range.
 	examined atomic.Int64
@@ -68,21 +74,39 @@ type Store struct {
 }
 
 // SetWriteHook registers a single observer invoked once per committed
-// write — after the WAL append and memory update, under the store lock,
-// so the hook sees writes in commit order. The hook must be fast and
-// must not call back into the store. It exists so a higher layer (the
-// social store's replication journal) can capture the exact byte-level
-// image of each write batch; ApplyQuiet bypasses it for writes that are
-// themselves replicas.
+// write — after the memory update, under the store lock, so the hook
+// sees writes in commit order. The hook must be fast and must not call
+// back into the store. It exists so a higher layer (the social store's
+// change journal) can capture the exact byte-level image of each write
+// batch; ApplyQuiet bypasses it for writes that are themselves replicas.
 func (s *Store) SetWriteHook(fn func(key string, val []byte, del bool)) {
 	s.mu.Lock()
 	s.writeHook = fn
 	s.mu.Unlock()
 }
 
-// Open opens (creating if necessary) a store rooted at dir. If dir is
-// empty the store is purely in-memory and non-durable.
-func Open(dir string) (*Store, error) {
+// Log is the owner's log as a durable store sees it at open: the first
+// and the last position it holds, and the restart that completes an
+// import (see journal.Journal).
+type Log interface {
+	Oldest() uint64
+	Tail() uint64
+	Reset(after uint64) error
+}
+
+// Open opens a store whose owner keeps no log (see OpenLogged).
+func Open(dir string) (*Store, error) { return OpenLogged(dir, nil) }
+
+// OpenLogged opens (creating if necessary) a store rooted at dir and
+// loads its checkpoint. A checkpoint that is not whole fails Open,
+// naming the file: it is the only copy of everything at or below its
+// position. Open also settles, against the owner's log (nil if there is
+// none), what a crash or an older layout left in dir: a checkpoint that
+// crashed before its rename is discarded, an import that crashed after
+// its commit point is finished (see ImportSnapshot) and a torn one
+// discarded, and a pre-journal dir is migrated (see migrate). If dir is
+// empty the store is purely in-memory.
+func OpenLogged(dir string, log Log) (*Store, error) {
 	s := &Store{dir: dir, mem: make(map[string][]byte), idx: buildIndex(nil)}
 	if dir == "" {
 		return s, nil
@@ -90,31 +114,59 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("kvstore: create dir: %w", err)
 	}
-	if err := s.loadSnapshot(); err != nil {
-		return nil, err
+	if err := os.Remove(s.tempPath()); err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("kvstore: remove staged checkpoint: %w", err)
 	}
-	err := replayWAL(s.walPath(), func(op byte, key, val []byte) {
-		switch op {
-		case opPut:
-			s.mem[string(key)] = append([]byte(nil), val...)
-		case opDelete:
-			delete(s.mem, string(key))
+	if _, w, err := readImageFile(s.importPath(), false); err == nil {
+		if err := s.finishImport(w, log); err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
+	} else if err := os.Remove(s.importPath()); err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("kvstore: remove torn import: %w", err)
+	}
+	walLog, err := os.ReadFile(s.legacyLogPath())
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("kvstore: read %s: %w", s.legacyLogPath(), err)
+	}
+	legacy := err == nil
+	mem, w, err := readImageFile(s.snapshotPath(), legacy)
+	switch {
+	case err == nil:
+		s.mem = mem
+		s.w.Store(w)
+	case !os.IsNotExist(err):
+		return nil, fmt.Errorf("kvstore: checkpoint %s: %w", s.snapshotPath(), err)
+	}
+	if !legacy {
+		s.reindexLocked()
+	} else if err := s.migrate(walLog, log); err != nil {
 		return nil, err
 	}
-	s.reindexLocked()
-	w, err := openWALWriter(s.walPath())
-	if err != nil {
-		return nil, err
-	}
-	s.wal = w
 	return s, nil
 }
 
-func (s *Store) walPath() string      { return filepath.Join(s.dir, "wal.log") }
 func (s *Store) snapshotPath() string { return filepath.Join(s.dir, "snapshot.db") }
+func (s *Store) tempPath() string     { return s.snapshotPath() + ".tmp" }
+func (s *Store) importPath() string   { return filepath.Join(s.dir, "import.db") }
+
+// finishImport completes an import staged whole at position w: the log
+// restarts right after w, unless it already does, and the staged image
+// becomes the checkpoint.
+func (s *Store) finishImport(w uint64, log Log) error {
+	if log != nil && (log.Oldest() != w+1 || log.Tail() != w) {
+		if err := log.Reset(w); err != nil {
+			return fmt.Errorf("kvstore: finish import at %d: %w", w, err)
+		}
+	}
+	if err := os.Rename(s.importPath(), s.snapshotPath()); err != nil {
+		return fmt.Errorf("kvstore: install import: %w", err)
+	}
+	return nil
+}
+
+// Watermark returns the log position the image covers: that of the
+// checkpoint Open loaded, or of the last one written since (0 = none).
+func (s *Store) Watermark() uint64 { return s.w.Load() }
 
 // Put stores val under key, overwriting any previous value.
 func (s *Store) Put(key string, val []byte) error {
@@ -122,11 +174,6 @@ func (s *Store) Put(key string, val []byte) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
-	}
-	if s.wal != nil {
-		if err := s.wal.append(opPut, []byte(key), val); err != nil {
-			return err
-		}
 	}
 	s.putLocked(key, val)
 	if s.writeHook != nil {
@@ -190,11 +237,6 @@ func (s *Store) Delete(key string) error {
 	}
 	if _, ok := s.mem[key]; !ok {
 		return nil
-	}
-	if s.wal != nil {
-		if err := s.wal.append(opDelete, []byte(key), nil); err != nil {
-			return err
-		}
 	}
 	s.deleteLocked(key)
 	if s.writeHook != nil {
@@ -328,7 +370,7 @@ func (s *Store) Keys(prefix string) []string {
 }
 
 // Batch applies a set of writes atomically with respect to readers: either
-// all entries become visible or none (on WAL error, nothing is applied).
+// all entries become visible or none.
 type Batch struct {
 	puts    map[string][]byte
 	deletes map[string]bool
@@ -360,9 +402,9 @@ func (b *Batch) Len() int { return len(b.puts) + len(b.deletes) }
 func (s *Store) Apply(b *Batch) error { return s.apply(b, true) }
 
 // ApplyQuiet commits the batch without invoking the write hook. It is
-// the replica-apply path: a follower folding a leader's write batch in
-// must not re-capture it for its own outbound journal record (the
-// replicated record is appended verbatim instead).
+// the replica-apply path: a follower folding a leader's write batch in,
+// or a store replaying its own log at open, must not re-capture it (the
+// logged record already carries it).
 func (s *Store) ApplyQuiet(b *Batch) error { return s.apply(b, false) }
 
 func (s *Store) apply(b *Batch, hook bool) error {
@@ -370,20 +412,6 @@ func (s *Store) apply(b *Batch, hook bool) error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
-	}
-	if s.wal != nil {
-		// Append all records first; only mutate memory after every append
-		// succeeded so a mid-batch I/O error leaves memory untouched.
-		for k, v := range b.puts {
-			if err := s.wal.append(opPut, []byte(k), v); err != nil {
-				return err
-			}
-		}
-		for k := range b.deletes {
-			if err := s.wal.append(opDelete, []byte(k), nil); err != nil {
-				return err
-			}
-		}
 	}
 	for k, v := range b.puts {
 		s.putLocked(k, v)
@@ -400,140 +428,126 @@ func (s *Store) apply(b *Batch, hook bool) error {
 	return nil
 }
 
-// ImportSnapshot atomically replaces the store's entire contents with
-// entries — the replication-bootstrap path: a follower loads the
-// leader's full key-value image before tailing its journal. On durable
-// stores the new state is persisted as a snapshot file and the WAL is
-// reset, so a crashed follower reopens into the imported state. The
-// write hook is not invoked (imports are replicas by definition).
+// ImportSnapshot replaces the store's entire contents with entries, as
+// the checkpoint at log position w — the replication-bootstrap path: a
+// follower loads the leader's full key-value image before tailing its
+// journal. The write hook is not invoked (imports are replicas by
+// definition). reset, when not nil, runs under the store lock after the
+// image is staged and before it is installed: the owner restarts its log
+// right after w there.
 //
-// Crash ordering: the old WAL belongs to the *discarded* state, so it
-// must be gone before the new snapshot file is installed — otherwise a
-// crash in between would make reopen replay stale records on top of
-// the imported image (unlike Compact, where WAL contents are a subset
-// of the snapshot and replay is idempotent). The snapshot is staged to
-// a temp file first, so the sequence old-state → no-WAL-old-snapshot →
-// imported-state only ever passes through self-consistent states.
-func (s *Store) ImportSnapshot(entries map[string][]byte) error {
+// On a durable store the steps are ordered so that a crash at any one of
+// them reopens to the old state or to the imported one, never a mix: the
+// image is first staged to import.db, and the import is committed once
+// that file is whole; then reset runs; then the staged file is renamed
+// over the checkpoint. Open discards a torn staged import and finishes a
+// whole one, restarting the log itself if reset had not finished.
+func (s *Store) ImportSnapshot(entries map[string][]byte, w uint64, reset func() error) error {
+	s.ckMu.Lock()
+	defer s.ckMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
 	mem := make(map[string][]byte, len(entries))
+	items := make([]scanItem, 0, len(entries))
 	for k, v := range entries {
 		mem[k] = append([]byte(nil), v...)
+		items = append(items, scanItem{key: k, val: mem[k]})
+	}
+	slices.SortFunc(items, func(a, b scanItem) int { return strings.Compare(a.key, b.key) })
+	if s.dir != "" {
+		if err := writeImageFile(s.importPath(), items, w); err != nil {
+			return fmt.Errorf("kvstore: stage import: %w", err)
+		}
+	}
+	if reset != nil {
+		if err := reset(); err != nil {
+			return err
+		}
+	}
+	if s.dir != "" {
+		if err := os.Rename(s.importPath(), s.snapshotPath()); err != nil {
+			return fmt.Errorf("kvstore: install import: %w", err)
+		}
+	}
+	keys := make([]string, len(items))
+	for i, it := range items {
+		keys[i] = it.key
 	}
 	s.mem = mem
-	s.reindexLocked()
-	if s.dir == "" {
-		return nil
-	}
-	tmp, err := s.stageSnapshotLocked()
-	if err != nil {
-		return err
-	}
-	if err := s.resetWALLocked(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.snapshotPath()); err != nil {
-		return fmt.Errorf("kvstore: rename snapshot: %w", err)
-	}
+	s.idx = buildIndex(keys)
+	s.w.Store(w)
 	return nil
 }
 
-// Compact writes a snapshot of the live data and truncates the WAL. The
-// store stays usable throughout.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Checkpoint writes the image as the checkpoint at the log position at
+// returns. at runs under the store's read lock, so no write is in
+// progress and none starts until the image is captured; it reports ok
+// false when the image is not exactly the state at a log position, and
+// Checkpoint then writes nothing. Stored values are never written again,
+// so capturing the image takes references only and the file is written
+// after the lock is released, through a temp file and a rename;
+// Watermark moves only once it is in place. A no-op on an in-memory
+// store.
+func (s *Store) Checkpoint(at func() (w uint64, ok bool)) error {
+	if s.dir == "" {
+		return nil
+	}
+	s.ckMu.Lock()
+	defer s.ckMu.Unlock()
+	s.mu.RLock()
 	if s.closed {
+		s.mu.RUnlock()
 		return ErrClosed
 	}
-	if s.dir == "" {
+	w, ok := at()
+	if !ok {
+		s.mu.RUnlock()
 		return nil
 	}
-	if err := s.writeSnapshotLocked(); err != nil {
-		return err
-	}
-	return s.resetWALLocked()
-}
+	items := make([]scanItem, 0, len(s.mem))
+	s.idx.ascend("", func(k string) bool {
+		items = append(items, scanItem{key: k, val: s.mem[k]})
+		return true
+	})
+	s.mu.RUnlock()
 
-// resetWALLocked closes, deletes and re-creates the WAL.
-func (s *Store) resetWALLocked() error {
-	if err := s.wal.close(); err != nil {
-		return err
+	if err := writeImageFile(s.tempPath(), items, w); err != nil {
+		return fmt.Errorf("kvstore: write checkpoint: %w", err)
 	}
-	if err := os.Remove(s.walPath()); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("kvstore: remove wal: %w", err)
+	if err := os.Rename(s.tempPath(), s.snapshotPath()); err != nil {
+		return fmt.Errorf("kvstore: rename checkpoint: %w", err)
 	}
-	w, err := openWALWriter(s.walPath())
-	if err != nil {
-		return err
-	}
-	s.wal = w
+	s.w.Store(w)
 	return nil
 }
 
-// Close flushes and closes the store. Further operations fail with
-// ErrClosed.
+// writeImageFile writes items as a checkpoint at w to path, removing the
+// file again if the write fails.
+func writeImageFile(path string, items []scanItem, w uint64) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	writeImage(bw, items, w)
+	err = bw.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
+}
+
+// Close closes the store. Further operations fail with ErrClosed. It
+// writes nothing: what is not in a checkpoint is the owner's log's.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	if s.wal != nil {
-		return s.wal.close()
-	}
-	return nil
-}
-
-// writeSnapshotLocked persists the in-memory table atomically via a temp
-// file + rename.
-func (s *Store) writeSnapshotLocked() error {
-	tmp, err := s.stageSnapshotLocked()
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.snapshotPath()); err != nil {
-		return fmt.Errorf("kvstore: rename snapshot: %w", err)
-	}
-	return nil
-}
-
-// stageSnapshotLocked writes the in-memory table to the snapshot temp
-// file and returns its path; the caller renames it into place when its
-// crash-ordering constraints are satisfied.
-func (s *Store) stageSnapshotLocked() (string, error) {
-	tmp := s.snapshotPath() + ".tmp"
-	var buf bytes.Buffer
-	s.idx.ascend("", func(k string) bool {
-		writeRecord(&buf, opPut, []byte(k), s.mem[k])
-		return true
-	})
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("kvstore: write snapshot: %w", err)
-	}
-	return tmp, nil
-}
-
-func (s *Store) loadSnapshot() error {
-	data, err := os.ReadFile(s.snapshotPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("kvstore: read snapshot: %w", err)
-	}
-	_, err = replayRecords(data, func(op byte, key, val []byte) {
-		if op == opPut {
-			s.mem[string(key)] = append([]byte(nil), val...)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("kvstore: corrupt snapshot: %w", err)
-	}
 	return nil
 }

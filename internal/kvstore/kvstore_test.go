@@ -6,9 +6,32 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-	"testing/quick"
 )
+
+// at returns a Checkpoint position callback that always checkpoints at w.
+func at(w uint64) func() (uint64, bool) { return func() (uint64, bool) { return w, true } }
+
+// reopen checkpoints s at w, closes it and opens its dir again.
+func reopen(t *testing.T, s *Store, dir string, w uint64) *Store {
+	t.Helper()
+	if err := s.Checkpoint(at(w)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2.Close() })
+	if got := s2.Watermark(); got != w {
+		t.Fatalf("Watermark after reopen = %d, want %d", got, w)
+	}
+	return s2
+}
 
 func openTemp(t *testing.T) *Store {
 	t.Helper()
@@ -137,148 +160,143 @@ func TestKeys(t *testing.T) {
 	}
 }
 
+// A pre-journal data dir holds a wal.log beside its snapshot. Open folds
+// it over the snapshot, checkpoints the result at the owner's log tail
+// and removes the wal.log.
 func TestRecoveryFromWAL(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	legacySnap := walImage([3]string{"put", "a", "0"}, [3]string{"put", "s", "snap"})
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.db"), legacySnap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wal := walImage([3]string{"put", "a", "1"}, [3]string{"put", "b", "2"}, [3]string{"del", "a", ""})
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenLogged(dir, &fakeLog{oldest: 3, tail: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s.Put("a", []byte("1"))
-	_ = s.Put("b", []byte("2"))
-	_ = s.Delete("a")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	assertHolds(t, s, map[string]string{"b": "2", "s": "snap"})
+	if _, err := os.Stat(filepath.Join(dir, "wal.log")); !os.IsNotExist(err) || s.Watermark() != 7 {
+		t.Fatalf("after the migration: wal.log %v, checkpoint at %d; want it gone, at the log tail 7", err, s.Watermark())
 	}
-
+	s.Close()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Has("a") {
-		t.Fatal("deleted key resurrected")
-	}
-	v, err := s2.Get("b")
-	if err != nil || string(v) != "2" {
-		t.Fatalf("Get(b) = %q, %v", v, err)
-	}
+	assertHolds(t, s2, map[string]string{"b": "2", "s": "snap"})
 }
 
+// fakeLog stands in for the owner's log: its range, and the resets an
+// open makes to finish an import.
+type fakeLog struct {
+	oldest, tail uint64
+	resets       []uint64
+}
+
+func (l *fakeLog) Oldest() uint64 { return l.oldest }
+func (l *fakeLog) Tail() uint64   { return l.tail }
+func (l *fakeLog) Reset(after uint64) error {
+	l.oldest, l.tail = after+1, after
+	l.resets = append(l.resets, after)
+	return nil
+}
+
+// A pre-journal wal.log may end in a torn record; the fold keeps what
+// precedes it, as that store's own recovery did.
 func TestRecoveryTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
+	wal := append(walImage([3]string{"put", "good", "1"}), 0xde, 0xad, 0xbe)
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("fold of a torn wal.log: %v", err)
+	}
+	assertHolds(t, s, map[string]string{"good": "1"})
+	_ = s.Put("after", []byte("x"))
+	assertHolds(t, reopen(t, s, dir, 1), map[string]string{"good": "1", "after": "x"})
+}
+
+// A record of a pre-journal wal.log that fails its CRC ends the fold.
+func TestRecoveryCorruptCRC(t *testing.T) {
+	dir := t.TempDir()
+	wal := walImage([3]string{"put", "a", "1"}, [3]string{"put", "b", "2"})
+	wal[len(wal)-1] ^= 0xff
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s.Put("good", []byte("1"))
-	_ = s.Close()
-
-	// Simulate a crash mid-append: write garbage half-record at the tail.
-	walPath := filepath.Join(dir, "wal.log")
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
-	}
-	defer s2.Close()
-	if !s2.Has("good") {
-		t.Fatal("good record lost")
-	}
-	// And the store must accept new writes that survive another cycle.
-	_ = s2.Put("after", []byte("x"))
-	_ = s2.Close()
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if !s3.Has("after") || !s3.Has("good") {
-		t.Fatal("data lost after torn-tail recovery")
-	}
+	defer s.Close()
+	assertHolds(t, s, map[string]string{"a": "1"})
 }
 
-func TestRecoveryCorruptCRC(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	_ = s.Put("a", []byte("1"))
-	_ = s.Put("b", []byte("2"))
-	_ = s.Close()
-
-	// Flip a byte inside the second record's payload.
-	walPath := filepath.Join(dir, "wal.log")
-	data, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(walPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if !s2.Has("a") {
-		t.Fatal("first record should survive")
-	}
-	if s2.Has("b") {
-		t.Fatal("corrupt record should be dropped")
-	}
-}
-
-func TestCompactPreservesDataAndShrinksWAL(t *testing.T) {
+func TestCheckpointKeepsLatestVersion(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	for i := 0; i < 100; i++ {
 		_ = s.Put("k", []byte(fmt.Sprintf("v%d", i))) // 100 versions of one key
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != 0 {
-		t.Fatalf("wal size after compact = %d, want 0", st.Size())
-	}
-	_ = s.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
+	s2 := reopen(t, s, dir, 100)
 	v, err := s2.Get("k")
 	if err != nil || string(v) != "v99" {
-		t.Fatalf("Get after compact = %q, %v", v, err)
+		t.Fatalf("Get after checkpoint = %q, %v", v, err)
+	}
+	// One record for the key and the trailer: versions do not pile up.
+	data, err := os.ReadFile(filepath.Join(dir, "snapshot.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := replayRecords(data, func(byte, []byte, []byte) {}).count; n != 2 {
+		t.Fatalf("checkpoint holds %d records, want 2", n)
 	}
 }
 
+// Writes made after a checkpoint survive the next one; a write no
+// checkpoint holds lives only in memory (the owner's log carries it).
 func TestWritesAfterCompactSurvive(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	_ = s.Put("old", []byte("1"))
-	_ = s.Compact()
+	if err := s.Checkpoint(at(1)); err != nil {
+		t.Fatal(err)
+	}
 	_ = s.Put("new", []byte("2"))
+	if err := s.Checkpoint(at(2)); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Put("unlogged", []byte("3"))
 	_ = s.Close()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if !s2.Has("old") || !s2.Has("new") {
-		t.Fatal("data lost across compact+reopen")
+	if !s2.Has("old") || !s2.Has("new") || s2.Watermark() != 2 {
+		t.Fatalf("data lost across checkpoint+reopen (watermark %d)", s2.Watermark())
+	}
+	if s2.Has("unlogged") {
+		t.Fatal("a write after the last checkpoint reached disk")
+	}
+}
+
+// A checkpoint whose position callback declines writes nothing.
+func TestCheckpointDeclined(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	_ = s.Put("k", nil)
+	if err := s.Checkpoint(func() (uint64, bool) { return 9, false }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.db")); !os.IsNotExist(err) || s.Watermark() != 0 {
+		t.Fatalf("declined checkpoint: stat %v, watermark %d", err, s.Watermark())
 	}
 }
 
@@ -311,15 +329,9 @@ func TestBatchPutThenDeleteSameKey(t *testing.T) {
 func TestBatchDurable(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	_ = s.Apply(NewBatch().Put("a", []byte("1")))
-	_ = s.Close()
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if !s2.Has("a") {
-		t.Fatal("batch write lost")
+	_ = s.Apply(NewBatch().Put("a", []byte("1")).Put("b", nil))
+	if !reopen(t, s, dir, 1).Has("a") {
+		t.Fatal("batch write lost across a checkpoint")
 	}
 }
 
@@ -335,8 +347,8 @@ func TestClosedStoreErrors(t *testing.T) {
 	if err := s.Delete("k"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Delete err = %v", err)
 	}
-	if err := s.Compact(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Compact err = %v", err)
+	if err := s.Checkpoint(at(1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Checkpoint err = %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("double close err = %v", err)
@@ -353,8 +365,8 @@ func TestInMemoryMode(t *testing.T) {
 	if !s.Has("k") {
 		t.Fatal("in-memory put failed")
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatalf("in-memory compact should be a no-op: %v", err)
+	if err := s.Checkpoint(at(1)); err != nil || s.Watermark() != 0 {
+		t.Fatalf("in-memory checkpoint should be a no-op: %v", err)
 	}
 }
 
@@ -362,9 +374,7 @@ func TestEmptyValueRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	_ = s.Put("empty", nil)
-	_ = s.Close()
-	s2, _ := Open(dir)
-	defer s2.Close()
+	s2 := reopen(t, s, dir, 1)
 	v, err := s2.Get("empty")
 	if err != nil {
 		t.Fatal(err)
@@ -380,70 +390,10 @@ func TestBinaryKeysAndValues(t *testing.T) {
 	key := string([]byte{0, 1, 2, 255})
 	val := []byte{255, 0, 128, 7}
 	_ = s.Put(key, val)
-	_ = s.Close()
-	s2, _ := Open(dir)
-	defer s2.Close()
+	s2 := reopen(t, s, dir, 1)
 	v, err := s2.Get(key)
 	if err != nil || !bytes.Equal(v, val) {
 		t.Fatalf("binary round-trip failed: %v %v", v, err)
-	}
-}
-
-// Property: after an arbitrary sequence of puts and deletes followed by a
-// reopen, the store contents equal a plain map subjected to the same ops.
-func TestPropWALMatchesModel(t *testing.T) {
-	type op struct {
-		Del bool
-		Key uint8
-		Val uint16
-	}
-	f := func(ops []op) bool {
-		dir, err := os.MkdirTemp("", "kvprop")
-		if err != nil {
-			return false
-		}
-		defer os.RemoveAll(dir)
-		s, err := Open(dir)
-		if err != nil {
-			return false
-		}
-		model := map[string]string{}
-		for _, o := range ops {
-			k := fmt.Sprintf("k%d", o.Key%16)
-			if o.Del {
-				if s.Delete(k) != nil {
-					return false
-				}
-				delete(model, k)
-			} else {
-				v := fmt.Sprintf("v%d", o.Val)
-				if s.Put(k, []byte(v)) != nil {
-					return false
-				}
-				model[k] = v
-			}
-		}
-		if s.Close() != nil {
-			return false
-		}
-		s2, err := Open(dir)
-		if err != nil {
-			return false
-		}
-		defer s2.Close()
-		if s2.Len() != len(model) {
-			return false
-		}
-		for k, v := range model {
-			got, err := s2.Get(k)
-			if err != nil || string(got) != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -464,31 +414,38 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	<-done
 }
 
+// A checkpoint is the only copy of everything at or below its position:
+// Open accepts it whole or fails naming the file, never a valid prefix.
 func TestCorruptSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	_ = s.Put("k", []byte("v"))
-	_ = s.Compact()
+	_ = s.Put("l", []byte("w"))
+	_ = s.Checkpoint(at(3))
 	_ = s.Close()
 
-	// Truncate the snapshot mid-record; the loader tolerates a torn tail
-	// (treats it as the end), so the store must still open and keep the
-	// prefix that validated.
 	snap := filepath.Join(dir, "snapshot.db")
-	data, err := os.ReadFile(snap)
+	whole, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(snap, data[:len(data)-2], 0o644); err != nil {
-		t.Fatal(err)
+	trailerAt := len(whole) - (8 + 2 + 16) // header, op and key length, count and position
+	damaged := map[string][]byte{
+		"torn mid-record":    whole[:len(whole)-2],
+		"cut before trailer": whole[:trailerAt],
+		"bit flipped":        append(append([]byte(nil), whole[:5]...), append([]byte{whole[5] ^ 0x10}, whole[6:]...)...),
+		"trailing bytes":     append(append([]byte(nil), whole...), 0),
 	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open with torn snapshot: %v", err)
-	}
-	defer s2.Close()
-	if s2.Has("k") {
-		t.Fatal("torn record should have been dropped")
+	for name, data := range damaged {
+		if err := os.WriteFile(snap, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s2, err := Open(dir); err == nil {
+			s2.Close()
+			t.Fatalf("%s: Open accepted a damaged checkpoint", name)
+		} else if !strings.Contains(err.Error(), snap) {
+			t.Fatalf("%s: error %q does not name %s", name, err, snap)
+		}
 	}
 }
 
@@ -505,11 +462,84 @@ func TestScanEmptyPrefixListsAll(t *testing.T) {
 func TestCompactEmptyStore(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	defer s.Close()
-	if err := s.Compact(); err != nil {
+	if s2 := reopen(t, s, dir, 4); s2.Len() != 0 {
+		t.Fatalf("Len = %d", s2.Len())
+	}
+}
+
+// ImportSnapshot stages the image whole before reset runs: a crash
+// before the staged file is whole reopens the old image (the torn stage
+// is discarded), and a crash after it reopens the import, with the log
+// restarted after its watermark unless reset had already done it.
+func TestImportSnapshotCrashSteps(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	_ = s.Put("old", []byte("1"))
+	_ = s.Checkpoint(at(5))
+	before := copyDir(t, dir)
+	img := map[string][]byte{"new": []byte("2")}
+	var afterStage string
+	err := s.ImportSnapshot(img, 9, func() error {
+		afterStage = copyDir(t, dir)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d", s.Len())
+	assertHolds(t, s, map[string]string{"new": "2"})
+	if s.Watermark() != 9 {
+		t.Fatalf("Watermark after import = %d", s.Watermark())
 	}
+
+	for _, log := range []*fakeLog{{oldest: 2, tail: 12}, {oldest: 10, tail: 9}} {
+		work := copyDir(t, afterStage)
+		wantResets := log.oldest != 10
+		staged, err := OpenLogged(work, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if staged.Watermark() != 9 || (len(log.resets) > 0) != wantResets {
+			t.Fatalf("crash after staging: watermark %d, log resets %v", staged.Watermark(), log.resets)
+		}
+		assertHolds(t, staged, map[string]string{"new": "2"})
+		assertHolds(t, reopen(t, staged, work, 9), map[string]string{"new": "2"})
+	}
+
+	data := encodeImage([]string{"new"}, map[string][]byte{"new": []byte("2")}, 9)
+	if err := os.WriteFile(filepath.Join(before, "import.db"), data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log := &fakeLog{oldest: 2, tail: 5}
+	s3, err := OpenLogged(before, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Watermark() != 5 || len(log.resets) > 0 {
+		t.Fatalf("a torn staged import was loaded (watermark %d, log resets %v)", s3.Watermark(), log.resets)
+	}
+	assertHolds(t, s3, map[string]string{"old": "1"})
+	if _, err := os.Stat(filepath.Join(before, "import.db")); !os.IsNotExist(err) {
+		t.Fatalf("torn staged import left in place: %v", err)
+	}
+}
+
+// copyDir copies the flat directory dir to a new temp dir.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(out, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

@@ -8,7 +8,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +21,7 @@ import (
 	"hive/api"
 	"hive/client"
 	"hive/internal/election"
+	"hive/internal/social"
 )
 
 // newLeader opens a durable platform (replication needs a journal) and
@@ -637,5 +641,51 @@ func TestInMemoryNodeCannotLead(t *testing.T) {
 	status, ae := decodeEnvelope(t, resp)
 	if status != http.StatusBadRequest || ae.Code != api.CodeInvalidArgument {
 		t.Fatalf("in-memory replication read = %d %q", status, ae.Code)
+	}
+}
+
+// The journal is a durable node's only log: a write whose append fails
+// gets the error envelope, not a 201, and every later write gets the
+// same envelope until the node is reopened. Reads still answer, and
+// healthz names the failure.
+func TestJournalFailureRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	p, err := hive.Open(hive.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(p))
+	t.Cleanup(func() {
+		ts.Close()
+		p.Close()
+	})
+	ctx := context.Background()
+	c := client.New(ts.URL)
+	if err := c.CreateUser(ctx, api.User{ID: "a", Name: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the active segment past its rotation size, then put a
+	// directory where the next segment goes: the append that rotates
+	// into it fails.
+	if err := p.Store().PutUser(social.User{ID: "big", Name: strings.Repeat("x", 4<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(dir, "journal", fmt.Sprintf("journal-%016x.seg", p.Store().ChangeSeq()+1))
+	if err := os.Mkdir(next, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var first, second *api.Error
+	if err := c.CreateUser(ctx, api.User{ID: "b", Name: "B"}); !errors.As(err, &first) {
+		t.Fatalf("write with a failing journal: %v, want an error envelope", err)
+	}
+	if err := c.CreateUser(ctx, api.User{ID: "c", Name: "C"}); !errors.As(err, &second) || second.Message != first.Message {
+		t.Fatalf("next write: %v, want the same envelope as %v", err, first)
+	}
+	if _, err := c.GetUser(ctx, "a"); err != nil {
+		t.Fatalf("read after the journal failed: %v", err)
+	}
+	hz, err := c.Healthz(ctx)
+	if err != nil || hz.Replication.JournalError == "" {
+		t.Fatalf("healthz journal_error = %q (%v), want the failure", hz.Replication.JournalError, err)
 	}
 }

@@ -43,7 +43,7 @@ func (s *Store) Connect(a, b string) error {
 			return err
 		}
 		s.emit(ChangePut, EntityConnection, pairKey(a, b), a, b)
-		_, err := s.LogEvent(a, "connect", b, nil)
+		_, err := s.logEvent(a, "connect", b, nil)
 		return err
 	})
 }
@@ -78,7 +78,7 @@ func (s *Store) Follow(follower, followee string) error {
 			return err
 		}
 		s.emit(ChangePut, EntityFollow, follower+"/"+followee, follower, followee)
-		_, err := s.LogEvent(follower, "follow", followee, nil)
+		_, err := s.logEvent(follower, "follow", followee, nil)
 		return err
 	})
 }
@@ -88,8 +88,10 @@ func (s *Store) Unfollow(follower, followee string) error {
 	batch := kvstore.NewBatch().
 		Delete(pFollow + follower + "/" + followee).
 		Delete(pFollower + followee + "/" + follower)
-	defer s.emit(ChangeDelete, EntityFollow, follower+"/"+followee, follower, followee)
-	return s.kv.Apply(batch)
+	return s.scoped(func() error {
+		defer s.emit(ChangeDelete, EntityFollow, follower+"/"+followee, follower, followee)
+		return s.kv.Apply(batch)
+	})
 }
 
 // FollowsUser reports whether follower follows followee.
@@ -133,7 +135,7 @@ func (s *Store) CheckIn(sessionID, userID string) error {
 		if sess.Hashtag != "" {
 			tags = []string{sess.Hashtag}
 		}
-		_, err := s.LogEvent(userID, "checkin", sessionID, tags)
+		_, err := s.logEvent(userID, "checkin", sessionID, tags)
 		return err
 	})
 }
@@ -172,7 +174,7 @@ func (s *Store) AskQuestion(q Question) error {
 		if err := s.kv.Apply(b); err != nil {
 			return err
 		}
-		_, err := s.LogEvent(q.Author, "question", q.Target, s.tagsForTarget(q.Target))
+		_, err := s.logEvent(q.Author, "question", q.Target, s.tagsForTarget(q.Target))
 		return err
 	})
 }
@@ -216,7 +218,7 @@ func (s *Store) PostAnswer(a Answer) error {
 		if err := s.kv.Put(pAQuestion+a.QuestionID+"/"+a.ID, nil); err != nil {
 			return err
 		}
-		_, err := s.LogEvent(a.Author, "answer", a.QuestionID, nil)
+		_, err := s.logEvent(a.Author, "answer", a.QuestionID, nil)
 		return err
 	})
 }
@@ -252,7 +254,7 @@ func (s *Store) PostComment(c Comment) error {
 		if err := s.kv.Put(pCTarget+c.Target+"/"+c.ID, nil); err != nil {
 			return err
 		}
-		_, err := s.LogEvent(c.Author, "comment", c.Target, s.tagsForTarget(c.Target))
+		_, err := s.logEvent(c.Author, "comment", c.Target, s.tagsForTarget(c.Target))
 		return err
 	})
 }
@@ -287,6 +289,10 @@ func (s *Store) tagsForTarget(target string) []string {
 
 // PutWorkpad creates or updates a workpad.
 func (s *Store) PutWorkpad(w Workpad) error {
+	return s.scoped(func() error { return s.putWorkpad(w) })
+}
+
+func (s *Store) putWorkpad(w Workpad) error {
 	if w.ID == "" || w.Owner == "" {
 		return fmt.Errorf("%w: workpad needs id and owner", ErrInvalid)
 	}
@@ -324,8 +330,10 @@ func (s *Store) AddToWorkpad(workpadID string, item WorkpadItem) error {
 		}
 	}
 	w.Items = append(w.Items, item)
-	defer s.emit(ChangePut, EntityWorkpad, w.ID, w.Owner)
-	return s.putJSON(pWorkpad+w.ID, w)
+	return s.scoped(func() error {
+		defer s.emit(ChangePut, EntityWorkpad, w.ID, w.Owner)
+		return s.putJSON(pWorkpad+w.ID, w)
+	})
 }
 
 // RemoveFromWorkpad removes an item from a workpad.
@@ -337,8 +345,10 @@ func (s *Store) RemoveFromWorkpad(workpadID string, item WorkpadItem) error {
 	for i, it := range w.Items {
 		if it == item {
 			w.Items = append(w.Items[:i], w.Items[i+1:]...)
-			defer s.emit(ChangePut, EntityWorkpad, w.ID, w.Owner)
-			return s.putJSON(pWorkpad+w.ID, w)
+			return s.scoped(func() error {
+				defer s.emit(ChangePut, EntityWorkpad, w.ID, w.Owner)
+				return s.putJSON(pWorkpad+w.ID, w)
+			})
 		}
 	}
 	return nil
@@ -347,6 +357,10 @@ func (s *Store) RemoveFromWorkpad(workpadID string, item WorkpadItem) error {
 // SetActiveWorkpad selects the workpad that defines the user's current
 // context. The workpad must belong to the user.
 func (s *Store) SetActiveWorkpad(owner, workpadID string) error {
+	return s.scoped(func() error { return s.setActiveWorkpad(owner, workpadID) })
+}
+
+func (s *Store) setActiveWorkpad(owner, workpadID string) error {
 	w, err := s.Workpad(workpadID)
 	if err != nil {
 		return err
@@ -380,8 +394,11 @@ func (s *Store) ExportCollection(workpadID, collectionID string) (Collection, er
 		Name:  w.Name,
 		Items: append([]WorkpadItem(nil), w.Items...),
 	}
-	defer s.emit(ChangePut, EntityCollection, c.ID, c.Owner)
-	if err := s.putJSON(pCollection+c.ID, c); err != nil {
+	err = s.scoped(func() error {
+		defer s.emit(ChangePut, EntityCollection, c.ID, c.Owner)
+		return s.putJSON(pCollection+c.ID, c)
+	})
+	if err != nil {
 		return Collection{}, err
 	}
 	return c, nil
@@ -411,10 +428,10 @@ func (s *Store) ImportCollection(collectionID, owner, workpadID string) (Workpad
 	// wrapper subscribers would see the imported workpad exist before
 	// it becomes active, and pay two incremental engine repairs.
 	if err := s.scoped(func() error {
-		if err := s.PutWorkpad(w); err != nil {
+		if err := s.putWorkpad(w); err != nil {
 			return err
 		}
-		return s.SetActiveWorkpad(owner, workpadID)
+		return s.setActiveWorkpad(owner, workpadID)
 	}); err != nil {
 		return Workpad{}, err
 	}
@@ -428,7 +445,15 @@ func (s *Store) ImportCollection(collectionID, owner, workpadID string) (Workpad
 // records it as an EntityActivity event whose ID is the activity
 // sequence key, so incremental consumers can refetch the Event via
 // EventBySeq and fold it into interaction tables exactly once.
-func (s *Store) LogEvent(actor, verb, object string, tags []string) (uint64, error) {
+func (s *Store) LogEvent(actor, verb, object string, tags []string) (seq uint64, err error) {
+	err = s.scoped(func() error {
+		seq, err = s.logEvent(actor, verb, object, tags)
+		return err
+	})
+	return seq, err
+}
+
+func (s *Store) logEvent(actor, verb, object string, tags []string) (uint64, error) {
 	seq, err := s.nextSeq()
 	if err != nil {
 		return 0, err

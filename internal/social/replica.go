@@ -62,14 +62,19 @@ type ReplicationBatch struct {
 // (false for in-memory stores, which cannot lead a replica set).
 func (s *Store) Journaled() bool { return s.jn != nil }
 
-// JournalError returns the most recent journal-append failure, nil when
-// the journal is healthy or absent. A failing journal does not fail
-// writes (the kv WAL owns data durability) but it does stall followers,
-// so the server surfaces this in healthz.
+// JournalError returns the journal failure that stopped the store's
+// writes, else the last failed checkpoint; nil when the journal is
+// healthy or absent. The journal is the store's only log, so a failed
+// append fails its mutation, and every later write is refused with the
+// same error until the store is reopened; reads still answer. The server
+// surfaces it in healthz.
 func (s *Store) JournalError() error {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
-	return s.jnErr
+	if s.jnErr != nil {
+		return s.jnErr
+	}
+	return s.ckErr
 }
 
 // JournalStats reports the journal's addressable range — oldest
@@ -119,9 +124,9 @@ func (s *Store) ChangesSince(after uint64, max int) ([]ReplicationBatch, error) 
 	}
 	out := make([]ReplicationBatch, 0, len(recs))
 	for _, rec := range recs {
-		var rb ReplicationBatch
-		if err := json.Unmarshal(rec.Data, &rb); err != nil {
-			return nil, fmt.Errorf("social: decode journal batch [%d,%d]: %w", rec.First, rec.Last, err)
+		rb, err := decodeBatch(rec)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, rb)
 	}
@@ -158,29 +163,55 @@ func (s *Store) SnapshotForReplication() (seq uint64, entries map[string][]byte)
 // leader snapshot and moves the change sequence to its watermark — in
 // either direction: an import replaces the world, so the watermark is
 // authoritative even when it is lower than the current sequence (the
-// re-sync-from-a-regressed-leader path). The local journal (if any)
-// restarts empty at the watermark: its records describe a history the
-// image replaced — past the watermark they may be writes the image
-// never held — so it must neither serve them nor report their tail as
-// this node's history, and the next replicated batch must journal.
+// re-sync-from-a-regressed-leader path). On a durable store the image
+// becomes the checkpoint at the watermark and the journal restarts empty
+// there: its records describe a history the image replaced — past the
+// watermark they may be writes the image never held — so it must neither
+// serve them nor replay them, and the next replicated batch must
+// journal. The kv store orders the steps so that a crash at any one of
+// them reopens to the old state or the imported one (see
+// kvstore.ImportSnapshot).
 //
 //lint:allow hookcheck snapshot import replaces the whole image quietly; the follower rebuilds its engine from scratch afterwards
 func (s *Store) ImportReplicaSnapshot(seq uint64, entries map[string][]byte) error {
-	if err := s.kv.ImportSnapshot(entries); err != nil {
+	if err := s.writable(); err != nil {
 		return err
 	}
-	s.evMu.Lock()
-	s.changeSeq = seq
-	// Any capture accumulated before the import is now meaningless.
-	s.capPuts, s.capDels = nil, nil
-	var jerr error
-	if s.jn != nil {
-		if err := s.jn.Reset(seq); err != nil {
-			jerr = fmt.Errorf("social: reset journal to snapshot watermark %d: %w", seq, err)
+	reset := false
+	err := s.kv.ImportSnapshot(entries, seq, func() error {
+		s.evMu.Lock()
+		defer s.evMu.Unlock()
+		reset = true
+		s.changeSeq = seq
+		// Anything in flight before the import is now meaningless.
+		s.capPuts, s.capDels, s.evBuf = nil, nil, nil
+		if s.jn == nil {
+			return nil
 		}
-		s.jnErr = jerr
+		s.step("import.staged")
+		if err := s.jn.Reset(seq); err != nil {
+			return fmt.Errorf("social: reset journal to snapshot watermark %d: %w", seq, err)
+		}
+		s.step("import.reset")
+		return nil
+	})
+	if err != nil {
+		if reset {
+			// The journal may already restart at the watermark while
+			// memory still holds the old image: stop here, and let a
+			// reopen finish the import.
+			s.evMu.Lock()
+			s.jnErr = err
+			s.evMu.Unlock()
+		}
+		return err
 	}
-	s.evMu.Unlock()
+	if s.jn != nil {
+		s.step("import.installed")
+		if err := s.jn.SetCovered(seq); err != nil {
+			return err
+		}
+	}
 	// The imported counter key (meta/seq) was part of the image; adopt
 	// it (in either direction — the image is the world now) so activity
 	// sequences continue from it.
@@ -193,17 +224,21 @@ func (s *Store) ImportReplicaSnapshot(seq uint64, entries map[string][]byte) err
 		}
 	}
 	s.mu.Unlock()
-	return jerr
+	return nil
 }
 
-// ApplyReplica folds one replicated batch into the store: the kv image
-// applies verbatim (quietly — a replica must not re-capture the writes
-// for its own outbound record, the original record is appended
-// instead), the change sequence fast-forwards to the batch's Last, the
-// batch lands in the local journal (chaining and restart-resume), and
-// the events are delivered to subscribers so the platform folds them
-// into its serving snapshot via the ordinary delta path. Batches at or
-// below the current sequence are skipped (reconnect replays).
+// ApplyReplica folds one replicated batch into the store. The batch is
+// journaled first — the record is the write's only durable copy, so it
+// must be on disk before the write is in memory — then its kv image
+// applies verbatim (quietly: a replica must not re-capture the writes
+// for an outbound record of its own), the change sequence fast-forwards
+// to the batch's Last, and the events are delivered to subscribers so
+// the platform folds them into its serving snapshot via the ordinary
+// delta path. Batches at or below the current sequence are skipped
+// (reconnect replays); a batch that spans it — one that straddles a
+// bootstrap's watermark — is journaled and applied from the sequence
+// after it, with its whole kv image (re-applying an image is
+// idempotent).
 //
 // Epoch fencing happens first: a batch carrying an epoch behind the
 // store's fails with ErrStaleEpoch (deposed-leader writes are dropped,
@@ -215,6 +250,10 @@ func (s *Store) ApplyReplica(rb ReplicationBatch) error {
 		return fmt.Errorf("social: invalid replica batch range [%d,%d]", rb.First, rb.Last)
 	}
 	s.evMu.Lock()
+	if s.jnErr != nil {
+		defer s.evMu.Unlock()
+		return s.jnErr
+	}
 	if rb.Epoch != 0 && s.epoch != 0 && rb.Epoch != s.epoch {
 		cur := s.epoch
 		s.evMu.Unlock()
@@ -227,19 +266,33 @@ func (s *Store) ApplyReplica(rb ReplicationBatch) error {
 		s.evMu.Unlock()
 		return nil // already applied
 	}
+	if rb.First <= s.changeSeq {
+		// Only the events past the current sequence are new; the kv
+		// image stays whole.
+		evs := rb.Events[:0:0]
+		for _, ev := range rb.Events {
+			if ev.Seq > s.changeSeq {
+				evs = append(evs, ev)
+			}
+		}
+		rb.First, rb.Events = s.changeSeq+1, evs
+	}
+	if s.jn != nil {
+		data, err := json.Marshal(rb)
+		if err == nil {
+			//lint:allow hookcheck appending under evMu keeps journal order identical to change-sequence order
+			err = s.jn.Append(journal.Record{First: rb.First, Last: rb.Last, Data: data})
+		}
+		if err != nil {
+			s.jnErr = fmt.Errorf("social: journal replica batch: %w", err)
+			s.evMu.Unlock()
+			return s.jnErr
+		}
+	}
 	s.evMu.Unlock()
 
-	b := kvstore.NewBatch()
-	for k, v := range rb.Puts {
-		b.Put(k, v)
-	}
-	for _, k := range rb.Dels {
-		b.Delete(k)
-	}
-	if b.Len() > 0 {
-		if err := s.kv.ApplyQuiet(b); err != nil {
-			return err
-		}
+	if err := s.kv.ApplyQuiet(rb.kvBatch()); err != nil {
+		return err
 	}
 	// The imported image may carry a newer activity counter.
 	s.mu.Lock()
@@ -257,20 +310,38 @@ func (s *Store) ApplyReplica(rb ReplicationBatch) error {
 		// An unmanaged store adopts the leader's epoch from its feed.
 		s.epoch = rb.Epoch
 	}
-	if s.jn != nil && s.jn.Tail() < rb.First {
-		data, err := json.Marshal(rb)
-		if err == nil {
-			//lint:allow hookcheck appending under evMu keeps journal order identical to change-sequence order
-			err = s.jn.Append(journal.Record{First: rb.First, Last: rb.Last, Data: data})
-		}
-		if err != nil {
-			s.jnErr = fmt.Errorf("social: journal replica batch: %w", err)
-		} else {
-			s.jnErr = nil
-		}
-	}
 	s.evMu.Unlock()
 
 	s.deliver(rb.Events)
+	s.scope.RLock() // as every caller of checkpointIfDue
+	s.checkpointIfDue()
+	s.scope.RUnlock()
 	return nil
+}
+
+// kvBatch returns the batch's kv write image as a kvstore batch.
+func (rb ReplicationBatch) kvBatch() *kvstore.Batch {
+	b := kvstore.NewBatch()
+	//lint:allow epochcheck callers fence first: ApplyReplica compares the epoch, and Open replays the store's own journal
+	for k, v := range rb.Puts {
+		b.Put(k, v)
+	}
+	for _, k := range rb.Dels {
+		b.Delete(k)
+	}
+	return b
+}
+
+// decodeBatch decodes a journal record's payload. A payload that is not
+// a batch over the record's own range is an error, never skipped: the
+// record may be the only copy of its writes.
+func decodeBatch(rec journal.Record) (ReplicationBatch, error) {
+	var rb ReplicationBatch
+	if err := json.Unmarshal(rec.Data, &rb); err != nil {
+		return rb, fmt.Errorf("social: decode journal batch [%d,%d]: %w", rec.First, rec.Last, err)
+	}
+	if rb.First != rec.First || rb.Last != rec.Last {
+		return rb, fmt.Errorf("social: journal record [%d,%d] carries batch [%d,%d]", rec.First, rec.Last, rb.First, rb.Last)
+	}
+	return rb, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,7 +76,7 @@ type Store struct {
 	// evMu guards the change-event sequence counter, the per-batch
 	// event buffer, the kv write-capture buffers and journal appends
 	// (appending under evMu keeps journal order identical to sequence
-	// order).
+	// order). It is taken after the kv store's lock, never before.
 	evMu      sync.Mutex
 	changeSeq uint64
 	evBuf     []ChangeEvent
@@ -86,19 +87,41 @@ type Store struct {
 	// is off, which is exactly the pre-election behavior.
 	epoch uint64
 
-	// jn, when non-nil, durably journals every delivered change batch
-	// together with the raw kv writes that produced it — the
+	// jn, when non-nil, is the durable store's only log: every change
+	// batch is journaled together with the raw kv writes that produced
+	// it before the mutation returns, and the kv store holds the rest as
+	// a memory image plus a checkpoint. The same records are the
 	// replication feed. capPuts/capDels accumulate the kv image of the
 	// in-flight batch (filled by the kvstore write hook).
 	jn      *journal.Journal
 	capPuts map[string][]byte
 	capDels map[string]bool
-	jnErr   error // last journal-append failure (nil when healthy)
+	// jnErr is the journal failure that stopped the store: memory then
+	// holds a write the log does not, so every later write is refused
+	// with it until the store is reopened.
+	jnErr error
+	// ckErr is the last failed checkpoint (nil once one succeeds). It
+	// stops nothing — the journal keeps the segments it would have
+	// covered — and is surfaced with JournalError.
+	ckErr error
 
-	// batching defers event delivery inside Batched (and inside each
-	// multi-step mutator): the coalesced batch is delivered once when
-	// the outermost scope finishes.
-	batching atomic.Int32
+	// onStep, when a crash test sets it, runs at each step (see step).
+	onStep func(step string)
+
+	// scope orders mutations against Batched scopes. A mutation holds
+	// it shared until its record is journaled; a Batched scope holds it
+	// exclusively for its whole run, so a write on another goroutine
+	// waits for the scope's record instead of folding into it. owner is
+	// the thread of the goroutine running the open scope, which is
+	// locked to it meanwhile (see threadID); that goroutine's writes nest
+	// in the scope without the lock.
+	scope sync.RWMutex
+	owner atomic.Int64
+
+	// ckBusy is set while a background checkpoint runs; ckWG lets Close
+	// wait for it.
+	ckBusy atomic.Bool
+	ckWG   sync.WaitGroup
 }
 
 // OnChange subscribes to the store's typed change log. After every
@@ -145,54 +168,42 @@ func (s *Store) SetEpoch(e uint64) {
 	s.evMu.Unlock()
 }
 
-// emit appends typed change events to the log. Inside a batch (or a
-// multi-step mutator scope) delivery is deferred and coalesced;
-// otherwise subscribers receive the events immediately as one batch.
+// emit appends a typed change event to the in-flight batch, which the
+// mutation's scope (or the open Batched scope) journals and delivers.
 // Events are emitted even when a later step of the mutator failed:
-// earlier writes may have persisted, and a spurious event only costs a
-// small redundant delta repair, whereas a missed one hides persisted
-// data from the knowledge services until the next compaction.
+// earlier writes may have landed in memory, and a spurious event only
+// costs a small redundant delta repair, whereas a missed one would leave
+// those writes out of the journal.
 func (s *Store) emit(kind ChangeKind, entity EntityType, id string, refs ...string) {
 	s.evMu.Lock()
 	s.changeSeq++
-	ev := ChangeEvent{Seq: s.changeSeq, Kind: kind, EntityType: entity, ID: id, Refs: refs}
-	if s.batching.Load() > 0 {
-		s.evBuf = append(s.evBuf, ev)
-		s.evMu.Unlock()
-		return
-	}
-	evs := []ChangeEvent{ev}
-	s.journalLocked(evs)
+	s.evBuf = append(s.evBuf, ChangeEvent{Seq: s.changeSeq, Kind: kind, EntityType: entity, ID: id, Refs: refs})
 	s.evMu.Unlock()
-	s.deliver(evs)
 }
 
-// flushEvents delivers the buffered batch, if any.
-func (s *Store) flushEvents() {
+// flushEvents journals the buffered batch, if any, and returns its
+// events for delivery, or the journal failure that stops the store.
+func (s *Store) flushEvents() ([]ChangeEvent, error) {
 	s.evMu.Lock()
+	defer s.evMu.Unlock()
 	buf := s.evBuf
 	s.evBuf = nil
-	s.journalLocked(buf)
-	s.evMu.Unlock()
-	if len(buf) > 0 {
-		s.deliver(buf)
-	}
+	return buf, s.journalLocked(buf)
 }
 
 // journalLocked durably appends the batch about to be delivered — its
 // typed events plus the captured kv write image — to the change
 // journal. Called under evMu so journal records are strictly ordered by
-// sequence. A journal failure must not fail the write (the data itself
-// is already committed to the kv WAL): it is recorded for healthz and
-// the journal resumes at the next batch.
-func (s *Store) journalLocked(evs []ChangeEvent) {
-	if s.jn == nil {
-		return
+// sequence. A failed append stops the store (see jnErr): the batch's
+// writes are in memory but not in the log.
+func (s *Store) journalLocked(evs []ChangeEvent) error {
+	if s.jnErr != nil {
+		return s.jnErr
 	}
-	if len(evs) == 0 {
+	if s.jn == nil || len(evs) == 0 {
 		// kv writes without change events (counter bumps riding a later
 		// batch) stay buffered until an event batch carries them.
-		return
+		return nil
 	}
 	puts, dels := s.capPuts, s.capDels
 	s.capPuts, s.capDels = nil, nil
@@ -208,18 +219,72 @@ func (s *Store) journalLocked(evs []ChangeEvent) {
 	}
 	sort.Strings(rb.Dels)
 	data, err := json.Marshal(rb)
+	if err == nil {
+		err = s.jn.Append(journal.Record{First: rb.First, Last: rb.Last, Data: data})
+	}
 	if err != nil {
-		s.jnErr = fmt.Errorf("social: encode journal batch: %w", err)
-		return
-	}
-	if err := s.jn.Append(journal.Record{First: rb.First, Last: rb.Last, Data: data}); err != nil {
 		s.jnErr = fmt.Errorf("social: journal append: %w", err)
+	}
+	return s.jnErr
+}
+
+// checkpointIfDue starts a checkpoint in the background when retention
+// is holding segments for want of one and none is running, so the write
+// that finds it due does not wait for the image to be written. Callers
+// hold the scope lock (shared or not), which Close takes exclusively
+// before it waits for the checkpoint.
+func (s *Store) checkpointIfDue() {
+	if s.jn == nil || !s.jn.Overdue() || !s.ckBusy.CompareAndSwap(false, true) {
 		return
 	}
-	s.jnErr = nil
+	s.ckWG.Add(1)
+	go func() {
+		defer s.ckWG.Done()
+		defer s.ckBusy.Store(false)
+		s.checkpoint()
+	}()
+}
+
+// checkpoint writes the kv image as the checkpoint at the journal tail,
+// then lets retention drop what it covers. The image must be exactly the
+// journaled state, so the checkpoint is declined while a batch is in
+// flight — kv writes captured or events buffered but not journaled, or a
+// replica batch journaled but not applied — and the next append retries.
+func (s *Store) checkpoint() {
+	s.step("checkpoint.staging")
+	idle := false
+	err := s.kv.Checkpoint(func() (uint64, bool) {
+		s.evMu.Lock()
+		defer s.evMu.Unlock()
+		tail := s.jn.Tail()
+		idle = s.jnErr == nil && len(s.evBuf) == 0 && len(s.capPuts) == 0 &&
+			len(s.capDels) == 0 && s.changeSeq == tail
+		return tail, idle
+	})
+	if err == nil && idle {
+		s.step("checkpoint.renamed")
+		err = s.jn.SetCovered(s.kv.Watermark())
+	}
+	if err != nil || idle {
+		// A declined attempt says nothing about an earlier failure.
+		s.evMu.Lock()
+		s.ckErr = err
+		s.evMu.Unlock()
+	}
+}
+
+// step marks a step of a checkpoint or an import after which a crash
+// leaves a distinct state on disk; see onStep.
+func (s *Store) step(name string) {
+	if s.onStep != nil {
+		s.onStep(name)
+	}
 }
 
 func (s *Store) deliver(evs []ChangeEvent) {
+	if len(evs) == 0 {
+		return
+	}
 	s.hookMu.RLock()
 	subs := s.subs
 	s.hookMu.RUnlock()
@@ -228,37 +293,90 @@ func (s *Store) deliver(evs []ChangeEvent) {
 	}
 }
 
-// scoped runs fn with event delivery deferred and delivers the
-// coalesced batch once when the outermost scope finishes. Every
-// multi-step mutator wraps itself in a scope so it emits exactly one
-// batch; Batched exposes the same mechanism publicly.
+// writable returns the journal failure that stopped the store, if any.
+func (s *Store) writable() error {
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	return s.jnErr
+}
+
+// scoped runs one mutation. Its events and kv writes are journaled as
+// one record and delivered as one batch when fn returns, and only then
+// does the mutation return — unless it runs inside the caller's own
+// Batched scope, whose record carries them instead. A mutation from
+// another goroutine waits for an open scope to finish first. Every
+// exported mutator is one scope; mutators never call each other's
+// scopes, so a mutation is one batch. It returns the journal's failure
+// when there is one, else fn's error.
 func (s *Store) scoped(fn func() error) error {
-	s.batching.Add(1)
-	defer func() {
-		if s.batching.Add(-1) == 0 {
-			s.flushEvents()
-		}
-	}()
-	return fn()
+	if s.nested() {
+		return fn()
+	}
+	evs, err := s.journaled(false, fn)
+	s.deliver(evs)
+	return err
 }
 
-// Batched runs fn with change-event delivery deferred and delivers one
-// coalesced batch when fn returns — the bulk-ingest path: loading N
-// entities costs a single event delivery (one incremental engine
-// repair) instead of N. The batch is delivered even when fn errors:
-// earlier writes in the batch may have persisted. Nested Batched calls
-// coalesce into the outermost one. Concurrent non-batched writers may
-// also have their events folded into the batch's final delivery, which
-// is harmless: events describe persisted state and consumers refetch
-// it. Subscribers never observe a partial batch — delivery happens only
-// after the outermost fn returned, so all of the batch's writes are
-// visible in the store by then.
+// journaled runs fn on a writable store under the scope lock — shared
+// for one mutation, exclusive for a Batched scope — and journals what it
+// wrote before the lock is released. It returns the journaled events for
+// delivery, which happens after the lock is released.
+func (s *Store) journaled(exclusive bool, fn func() error) ([]ChangeEvent, error) {
+	if exclusive {
+		s.scope.Lock()
+		defer s.scope.Unlock()
+	} else {
+		s.scope.RLock()
+		defer s.scope.RUnlock()
+	}
+	defer s.checkpointIfDue()
+	if err := s.writable(); err != nil {
+		return nil, err
+	}
+	err := fn()
+	evs, ferr := s.flushEvents()
+	if ferr != nil {
+		return nil, ferr
+	}
+	return evs, err
+}
+
+// nested reports whether the caller runs inside the open Batched scope.
+func (s *Store) nested() bool {
+	o := s.owner.Load()
+	return o != 0 && o == threadID()
+}
+
+// Batched runs fn with the journal append and change-event delivery
+// deferred, and journals and delivers one coalesced batch when fn
+// returns — the bulk-ingest path: loading N entities costs one journal
+// record and a single event delivery (one incremental engine repair)
+// instead of N, and a crash inside fn leaves none of its writes on disk.
+// The batch is journaled and delivered even when fn errors: earlier
+// writes in the batch are in memory. Nested Batched calls coalesce into
+// the outermost one. fn must make its writes on the calling goroutine:
+// writes from other goroutines wait until the scope has journaled its
+// batch, and then each is journaled on its own. Subscribers never
+// observe a partial batch — delivery happens only after fn returned, so
+// all of the batch's writes are visible in the store by then.
 func (s *Store) Batched(fn func() error) error {
-	return s.scoped(fn)
+	if s.nested() {
+		return fn()
+	}
+	evs, err := s.journaled(true, func() error {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		s.owner.Store(threadID())
+		defer s.owner.Store(0)
+		return fn()
+	})
+	s.deliver(evs)
+	return err
 }
 
-// NewStore wraps a kvstore. A nil clock uses the system clock.
-func NewStore(kv *kvstore.Store, clock Clock) *Store {
+// wrapKV wraps a kv store whose image is complete — in memory, or
+// recovered to its journal's tail. A nil clock uses the system clock.
+func wrapKV(kv *kvstore.Store, clock Clock) *Store {
 	if clock == nil {
 		clock = SystemClock
 	}
@@ -280,26 +398,37 @@ func Open(dir string, clock Clock) (*Store, error) {
 }
 
 // OpenJournaled opens a social store at dir with explicit journal
-// retention options. On durable stores every delivered change batch is
-// appended — events plus the raw kv writes that produced them — to the
-// journal at dir/journal, the change-event sequence resumes from the
-// journal tail (so delta watermarks and journal offsets agree across
-// restarts), and the journal is the feed replication followers tail.
-// In-memory stores (dir == "") have no journal.
+// retention options. A durable store keeps two things on disk: the
+// change journal at dir/journal, its only log, and the kv store's
+// checkpoint, which covers the journal up to a position W. Open loads
+// the checkpoint and replays the journal records past W, so a restart
+// costs at most the retained journal. The change-event sequence resumes
+// from the journal tail (so delta watermarks and journal offsets agree
+// across restarts), and the journal is the feed replication followers
+// tail. In-memory stores (dir == "") have no journal.
 func OpenJournaled(dir string, clock Clock, jopts journal.Options) (*Store, error) {
-	kv, err := kvstore.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	s := NewStore(kv, clock)
 	if dir == "" {
-		return s, nil
+		kv, err := kvstore.Open("")
+		if err != nil {
+			return nil, err
+		}
+		return wrapKV(kv, clock), nil
 	}
 	jn, err := journal.Open(filepath.Join(dir, "journal"), jopts)
 	if err != nil {
-		kv.Close()
 		return nil, err
 	}
+	kv, err := kvstore.OpenLogged(dir, jn)
+	if err != nil {
+		jn.Close()
+		return nil, err
+	}
+	if err := recoverImage(kv, jn); err != nil {
+		kv.Close()
+		jn.Close()
+		return nil, err
+	}
+	s := wrapKV(kv, clock)
 	s.jn = jn
 	// Resume the change sequence where the journal left off: events
 	// emitted after a restart must not collide with persisted offsets
@@ -320,7 +449,7 @@ func OpenJournaled(dir string, clock Clock, jopts journal.Options) (*Store, erro
 		}
 	}
 	// Capture every committed kv write into the in-flight batch buffer;
-	// journalLocked drains it when the batch's events are delivered.
+	// journalLocked drains it when the batch's events are journaled.
 	kv.SetWriteHook(func(key string, val []byte, del bool) {
 		s.evMu.Lock()
 		if del {
@@ -341,8 +470,41 @@ func OpenJournaled(dir string, clock Clock, jopts journal.Options) (*Store, erro
 	return s, nil
 }
 
-// Close releases the underlying storage and the change journal.
+// recoverImage brings the kv image Open loaded to the journal tail: it
+// replays every journal record past the checkpoint through the quiet
+// apply path. A journal that does not continue the checkpoint, or a
+// record that does not decode, fails: either would lose writes.
+func recoverImage(kv *kvstore.Store, jn *journal.Journal) error {
+	w := kv.Watermark()
+	oldest, tail, _ := jn.Stats()
+	if tail < w {
+		return fmt.Errorf("social: checkpoint covers the journal to %d, but the journal ends at %d", w, tail)
+	}
+	recs, err := jn.ReadFrom(w, 0)
+	if errors.Is(err, journal.ErrCompacted) {
+		return fmt.Errorf("social: checkpoint covers the journal to %d, but it starts at %d: records %d..%d are missing", w, oldest, w+1, oldest-1)
+	}
+	if err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		rb, err := decodeBatch(rec)
+		if err != nil {
+			return err
+		}
+		if err := kv.ApplyQuiet(rb.kvBatch()); err != nil {
+			return err
+		}
+	}
+	return jn.SetCovered(w)
+}
+
+// Close waits for a running checkpoint, then releases the underlying
+// storage and the change journal.
 func (s *Store) Close() error {
+	s.scope.Lock() // no mutation is left to start a checkpoint
+	s.ckWG.Wait()
+	s.scope.Unlock()
 	err := s.kv.Close()
 	if s.jn != nil {
 		if jerr := s.jn.Close(); err == nil {
@@ -397,8 +559,10 @@ func (s *Store) PutUser(u User) error {
 	if u.ID == "" {
 		return fmt.Errorf("%w: user ID empty", ErrInvalid)
 	}
-	defer s.emit(ChangePut, EntityUser, u.ID)
-	return s.putJSON(pUser+u.ID, u)
+	return s.scoped(func() error {
+		defer s.emit(ChangePut, EntityUser, u.ID)
+		return s.putJSON(pUser+u.ID, u)
+	})
 }
 
 // User fetches a user by ID.
@@ -426,8 +590,10 @@ func (s *Store) PutConference(c Conference) error {
 	if c.ID == "" {
 		return fmt.Errorf("%w: conference ID empty", ErrInvalid)
 	}
-	defer s.emit(ChangePut, EntityConference, c.ID)
-	return s.putJSON(pConf+c.ID, c)
+	return s.scoped(func() error {
+		defer s.emit(ChangePut, EntityConference, c.ID)
+		return s.putJSON(pConf+c.ID, c)
+	})
 }
 
 // Conference fetches a conference by ID.
@@ -448,11 +614,13 @@ func (s *Store) PutSession(sess Session) error {
 	if !s.kv.Has(pConf + sess.ConferenceID) {
 		return fmt.Errorf("%w: conference %q", ErrNotFound, sess.ConferenceID)
 	}
-	defer s.emit(ChangePut, EntitySession, sess.ID, sess.ConferenceID)
-	if err := s.putJSON(pSession+sess.ID, sess); err != nil {
-		return err
-	}
-	return s.kv.Put(pSessConf+sess.ConferenceID+"/"+sess.ID, nil)
+	return s.scoped(func() error {
+		defer s.emit(ChangePut, EntitySession, sess.ID, sess.ConferenceID)
+		if err := s.putJSON(pSession+sess.ID, sess); err != nil {
+			return err
+		}
+		return s.kv.Put(pSessConf+sess.ConferenceID+"/"+sess.ID, nil)
+	})
 }
 
 // Session fetches a session by ID.
@@ -482,21 +650,23 @@ func (s *Store) PutPaper(p Paper) error {
 			return fmt.Errorf("%w: author %q", ErrNotFound, a)
 		}
 	}
-	defer s.emit(ChangePut, EntityPaper, p.ID, p.Authors...)
-	if err := s.putJSON(pPaper+p.ID, p); err != nil {
-		return err
-	}
-	b := kvstore.NewBatch()
-	if p.ConferenceID != "" {
-		b.Put(pPaperConf+p.ConferenceID+"/"+p.ID, nil)
-	}
-	if p.SessionID != "" {
-		b.Put(pPaperSess+p.SessionID+"/"+p.ID, nil)
-	}
-	for _, a := range p.Authors {
-		b.Put(pPaperAuth+a+"/"+p.ID, nil)
-	}
-	return s.kv.Apply(b)
+	return s.scoped(func() error {
+		defer s.emit(ChangePut, EntityPaper, p.ID, p.Authors...)
+		if err := s.putJSON(pPaper+p.ID, p); err != nil {
+			return err
+		}
+		b := kvstore.NewBatch()
+		if p.ConferenceID != "" {
+			b.Put(pPaperConf+p.ConferenceID+"/"+p.ID, nil)
+		}
+		if p.SessionID != "" {
+			b.Put(pPaperSess+p.SessionID+"/"+p.ID, nil)
+		}
+		for _, a := range p.Authors {
+			b.Put(pPaperAuth+a+"/"+p.ID, nil)
+		}
+		return s.kv.Apply(b)
+	})
 }
 
 // Paper fetches a paper by ID.
@@ -539,14 +709,16 @@ func (s *Store) PutPresentation(pr Presentation) error {
 	if pr.Updated == 0 {
 		pr.Updated = s.now().Unix()
 	}
-	defer s.emit(ChangePut, EntityPresentation, pr.ID, pr.Owner, pr.PaperID)
-	if err := s.putJSON(pPres+pr.ID, pr); err != nil {
-		return err
-	}
-	b := kvstore.NewBatch().
-		Put(pPresPaper+pr.PaperID+"/"+pr.ID, nil).
-		Put(pPresOwner+pr.Owner+"/"+pr.ID, nil)
-	return s.kv.Apply(b)
+	return s.scoped(func() error {
+		defer s.emit(ChangePut, EntityPresentation, pr.ID, pr.Owner, pr.PaperID)
+		if err := s.putJSON(pPres+pr.ID, pr); err != nil {
+			return err
+		}
+		b := kvstore.NewBatch().
+			Put(pPresPaper+pr.PaperID+"/"+pr.ID, nil).
+			Put(pPresOwner+pr.Owner+"/"+pr.ID, nil)
+		return s.kv.Apply(b)
+	})
 }
 
 // Presentation fetches presentation content by ID.
