@@ -345,12 +345,13 @@ func applyActivity(vecs map[string]textindex.Vector, pop map[string]int, e *Engi
 }
 
 // docIDForObject maps an event object to an index doc ID when it is a
-// recommendable resource.
+// recommendable resource. Papers and presentations are tested for
+// existence without decoding; a question is decoded for its target.
 func (e *Engine) docIDForObject(obj string) string {
-	if _, err := e.store.Paper(obj); err == nil {
+	if e.store.HasPaper(obj) {
 		return DocPaper + obj
 	}
-	if _, err := e.store.Presentation(obj); err == nil {
+	if e.store.HasPresentation(obj) {
 		return DocPresentation + obj
 	}
 	if q, err := e.store.Question(obj); err == nil {

@@ -249,9 +249,15 @@ const gzipMinBytes = 1024
 // allocates its whole deflate state (~hundreds of KB); paying that per
 // response made the allocator, not the handler, the throughput ceiling
 // under concurrent writes — pooling keeps compression off the write
-// path's critical section.
+// path's critical section. The writers run at BestSpeed: at the default
+// level every Reset clears the deflate hash tables, which cost more CPU
+// per response than the few bytes the higher level saves on a feed page
+// (EXPERIMENTS.md E19).
 var gzPool = sync.Pool{
-	New: func() any { return gzip.NewWriter(io.Discard) },
+	New: func() any {
+		gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // a valid level never errs
+		return gz
+	},
 }
 
 // responseWriter is the one wrapper around a response. It holds back

@@ -497,7 +497,7 @@ func (s *Store) EventsSince(after uint64, limit int) []Event {
 	}
 	var evs []Event
 	s.kv.AscendKeys(pEvent, pEvent+seqKey(after+1), func(k string) bool {
-		if ev, ok := s.eventAt(k[len(pEvent):]); ok {
+		if ev, ok := s.EventAt(k[len(pEvent):]); ok {
 			evs = append(evs, ev)
 		}
 		return limit <= 0 || len(evs) < limit
@@ -527,9 +527,10 @@ func (s *Store) Feed(userID string, limit int) []Event {
 	return evs
 }
 
-// eventAt fetches and decodes the event stored under a sequence key; ok
-// is false when it is missing or does not decode.
-func (s *Store) eventAt(seqStr string) (ev Event, ok bool) {
+// EventAt fetches and decodes the event stored under a sequence key (as
+// EventKeysBefore lists them); ok is false when it is missing or does
+// not decode.
+func (s *Store) EventAt(seqStr string) (ev Event, ok bool) {
 	return ev, s.getJSON(pEvent+seqStr, &ev) == nil
 }
 
@@ -538,7 +539,7 @@ func (s *Store) eventAt(seqStr string) (ev Event, ok bool) {
 func (s *Store) eventsFromIndex(prefix string) []Event {
 	var evs []Event
 	s.kv.AscendKeys(prefix, "", func(k string) bool {
-		if ev, ok := s.eventAt(k[len(prefix):]); ok {
+		if ev, ok := s.EventAt(k[len(prefix):]); ok {
 			evs = append(evs, ev)
 		}
 		return true

@@ -52,6 +52,9 @@ func (s *Store) MirrorConnection(a, b string) error {
 // HasPaper reports whether a paper exists.
 func (s *Store) HasPaper(id string) bool { return s.kv.Has(pPaper + id) }
 
+// HasPresentation reports whether a presentation exists.
+func (s *Store) HasPresentation(id string) bool { return s.kv.Has(pPres + id) }
+
 // HasQuestion reports whether a question exists.
 func (s *Store) HasQuestion(id string) bool { return s.kv.Has(pQuestion + id) }
 
@@ -63,16 +66,34 @@ func (s *Store) HasCollection(id string) bool { return s.kv.Has(pCollection + id
 
 // EventsByActorsBefore returns up to limit events authored by the given
 // actors with Seq < before, newest first. before == 0 means unbounded
-// (start from the newest event). It is the per-shard leg of the
-// scatter-gather feed: each shard serves its own slice of the follow
-// set's activity, and the coordinator k-way merges the newest-first
-// streams, paginating on a per-shard sequence bound.
+// (start from the newest event). It decodes the keys EventKeysBefore
+// lists, in order, until it holds limit events.
+func (s *Store) EventsByActorsBefore(actors []string, before uint64, limit int) []Event {
+	var evs []Event
+	for _, seq := range s.EventKeysBefore(actors, before, limit) {
+		if limit > 0 && len(evs) == limit {
+			break
+		}
+		if ev, ok := s.EventAt(seq); ok {
+			evs = append(evs, ev)
+		}
+	}
+	return evs
+}
+
+// EventKeysBefore lists the sequence keys of events authored by the
+// given actors with Seq < before, newest first, decoding nothing. It is
+// the per-shard leg of the scatter-gather feed: each shard lists its own
+// slice of the follow set's activity, and the coordinator merges the
+// newest-first streams, decoding each event (EventAt) only when the
+// merge reaches it and paginating on a per-shard sequence bound.
 //
 // The fixed-width sequence key ends every evactor/<actor>/ index key, so
-// the newest limit keys of each actor are read off the index in
-// descending order, the newest limit of those are chosen by key, and
-// only the chosen events are fetched and decoded.
-func (s *Store) EventsByActorsBefore(actors []string, before uint64, limit int) []Event {
+// each actor's newest limit keys (all of them when limit <= 0) are read
+// off the index in descending order and merged by key. The list can
+// hold more than limit keys, so a caller that skips a key whose event
+// is gone still finds limit events.
+func (s *Store) EventKeysBefore(actors []string, before uint64, limit int) []string {
 	var seqs []string
 	for _, a := range actors {
 		prefix, bound := pEvActor+a+"/", ""
@@ -84,14 +105,5 @@ func (s *Store) EventsByActorsBefore(actors []string, before uint64, limit int) 
 		}
 	}
 	slices.SortFunc(seqs, func(a, b string) int { return strings.Compare(b, a) })
-	var evs []Event
-	for _, seq := range seqs {
-		if limit > 0 && len(evs) == limit {
-			break
-		}
-		if ev, ok := s.eventAt(seq); ok {
-			evs = append(evs, ev)
-		}
-	}
-	return evs
+	return seqs
 }

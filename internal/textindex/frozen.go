@@ -65,14 +65,28 @@ type frozenScratch struct {
 	touched []int32
 }
 
-func (f *Frozen) getScratch() *frozenScratch {
-	if s, ok := f.scratch.Get().(*frozenScratch); ok {
-		return s
+// getScratch takes a pooled accumulator with at least n slots. Segmented
+// views over this base score their overlay documents in slots past the
+// base's dense IDs, so a pooled scratch grows to the longest view asking.
+func (f *Frozen) getScratch(n int) *frozenScratch {
+	s, ok := f.scratch.Get().(*frozenScratch)
+	if !ok {
+		s = &frozenScratch{}
 	}
-	return &frozenScratch{
-		scores: make([]float64, len(f.ids)),
-		seen:   make([]bool, len(f.ids)),
+	if grow := n - len(s.scores); grow > 0 {
+		s.scores = append(s.scores, make([]float64, grow)...)
+		s.seen = append(s.seen, make([]bool, grow)...)
 	}
+	return s
+}
+
+// add accumulates v into slot d, recording d the first time it is hit.
+func (s *frozenScratch) add(d int32, v float64) {
+	if !s.seen[d] {
+		s.seen[d] = true
+		s.touched = append(s.touched, d)
+	}
+	s.scores[d] += v
 }
 
 func (f *Frozen) putScratch(s *frozenScratch) {
@@ -229,7 +243,7 @@ func (f *Frozen) Search(query string, k int) []Result {
 	if n == 0 {
 		return nil
 	}
-	sc := f.getScratch()
+	sc := f.getScratch(len(f.ids))
 	defer f.putScratch(sc)
 	scores := sc.scores
 	for _, term := range Terms(query) {
@@ -329,7 +343,7 @@ func (f *Frozen) searchCompiled(cq *CompiledVector, k int) []Result {
 	if cq.empty || cq.qn == 0 || len(f.ids) == 0 {
 		return nil
 	}
-	sc := f.getScratch()
+	sc := f.getScratch(len(f.ids))
 	defer f.putScratch(sc)
 	dots, seen := sc.scores, sc.seen
 	for _, qt := range cq.terms {

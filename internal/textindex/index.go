@@ -270,13 +270,17 @@ func (ix *Index) docNormLocked(docID string) float64 {
 	return math.Sqrt(s)
 }
 
+// resultBetter is the ranking order of every read representation:
+// higher score first, ties toward the lower document ID.
+func resultBetter(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.DocID < b.DocID
+}
+
 func topResults(scores map[string]float64, k int) []Result {
-	h := topk.New[Result](k, func(a, b Result) bool {
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		return a.DocID < b.DocID
-	})
+	h := topk.New[Result](k, resultBetter)
 	for d, s := range scores {
 		h.Push(Result{DocID: d, Score: s})
 	}

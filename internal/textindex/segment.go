@@ -3,7 +3,10 @@ package textindex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+
+	"hive/internal/topk"
 )
 
 // Segmented is an immutable LSM-style read view over a text corpus: the
@@ -21,6 +24,12 @@ import (
 // overlay is empty the view delegates to the base's precomputed fast
 // paths, so a freshly compacted snapshot costs nothing extra.
 //
+// Scoring is dense, the way Frozen scores: base documents accumulate in
+// the pooled frozenScratch under their int32 dense IDs, and each overlay
+// document under an ordinal assigned when WithDocs inserts it, past the
+// base's IDs. Overlay postings carry that ordinal and the document
+// length, so no query-time loop hashes a document ID.
+//
 // A Segmented is immutable; WithDocs/WithoutDocs return a new view
 // sharing the base (and all untouched overlay state) structurally. The
 // per-apply cost is proportional to the overlay size, which compaction
@@ -28,9 +37,10 @@ import (
 type Segmented struct {
 	base *Frozen
 
-	over     map[string]*overlayDoc      // overlay docs by ID
+	over     map[string]int32            // overlay doc ID -> ordinal
+	overDoc  []*overlayDoc               // ordinal -> overlay doc (nil once dropped)
 	overPost map[string][]overlayPosting // term -> overlay postings
-	dead     map[string]struct{}         // base doc IDs shadowed or deleted
+	dead     map[int32]struct{}          // dense base IDs shadowed or deleted
 	deadDF   map[string]int              // per-term base postings lost to dead docs
 
 	nDocs    int // live documents across base and overlay
@@ -39,15 +49,18 @@ type Segmented struct {
 
 // overlayDoc is one overlay document in forward form.
 type overlayDoc struct {
+	id     string
 	terms  []docTerm // sorted by term, like the live index's forward entry
 	length int
 	text   string
 }
 
-// overlayPosting is one overlay document's occurrence of a term.
+// overlayPosting is one overlay document's occurrence of a term, with
+// what BM25 reads of the document: its ordinal and its length.
 type overlayPosting struct {
-	doc string
-	tf  int32
+	ord    int32
+	length int32
+	tf     int32
 }
 
 // NewSegmented wraps a frozen base segment in an empty overlay view.
@@ -87,21 +100,22 @@ func (s *Segmented) TombstoneRatio() float64 {
 func (s *Segmented) clone() *Segmented {
 	n := &Segmented{
 		base:     s.base,
-		over:     make(map[string]*overlayDoc, len(s.over)+1),
+		over:     make(map[string]int32, len(s.over)+1),
+		overDoc:  slices.Clone(s.overDoc),
 		overPost: make(map[string][]overlayPosting, len(s.overPost)),
-		dead:     make(map[string]struct{}, len(s.dead)+1),
+		dead:     make(map[int32]struct{}, len(s.dead)+1),
 		deadDF:   make(map[string]int, len(s.deadDF)),
 		nDocs:    s.nDocs,
 		totalLen: s.totalLen,
 	}
-	for id, od := range s.over {
-		n.over[id] = od
+	for id, ord := range s.over {
+		n.over[id] = ord
 	}
 	for t, ps := range s.overPost {
 		n.overPost[t] = ps // copied on write by addPosting/dropPosting
 	}
-	for id := range s.dead {
-		n.dead[id] = struct{}{}
+	for d := range s.dead {
+		n.dead[d] = struct{}{}
 	}
 	for t, c := range s.deadDF {
 		n.deadDF[t] = c
@@ -112,7 +126,9 @@ func (s *Segmented) clone() *Segmented {
 // WithDocs returns a new view with the given documents added (or
 // updated: an existing overlay version is replaced, an existing base
 // version is tombstoned and shadowed). Documents apply in sorted-ID
-// order for reproducibility; the result set is order-insensitive.
+// order for reproducibility; the result set is order-insensitive. A
+// replaced overlay document keeps its ordinal, so rewriting one
+// document does not grow the accumulators.
 func (s *Segmented) WithDocs(docs map[string]string) *Segmented {
 	if len(docs) == 0 {
 		return s
@@ -124,7 +140,12 @@ func (s *Segmented) WithDocs(docs map[string]string) *Segmented {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
+		ord, had := n.over[id]
 		n.removeLive(id)
+		if !had {
+			ord = int32(len(n.overDoc))
+			n.overDoc = append(n.overDoc, nil)
+		}
 		text := docs[id]
 		terms := Terms(text)
 		counts := make(map[string]int)
@@ -136,9 +157,10 @@ func (s *Segmented) WithDocs(docs map[string]string) *Segmented {
 			dts = append(dts, docTerm{term: t, tf: c})
 		}
 		sort.Slice(dts, func(i, j int) bool { return dts[i].term < dts[j].term })
-		n.over[id] = &overlayDoc{terms: dts, length: len(terms), text: text}
+		n.over[id] = ord
+		n.overDoc[ord] = &overlayDoc{id: id, terms: dts, length: len(terms), text: text}
 		for _, dt := range dts {
-			n.addPosting(dt.term, overlayPosting{doc: id, tf: int32(dt.tf)})
+			n.addPosting(dt.term, overlayPosting{ord: ord, length: int32(len(terms)), tf: int32(dt.tf)})
 		}
 		n.nDocs++
 		n.totalLen += len(terms)
@@ -162,10 +184,12 @@ func (s *Segmented) WithoutDocs(ids []string) *Segmented {
 
 // removeLive drops the live version of a document, wherever it resides.
 func (s *Segmented) removeLive(id string) {
-	if od, ok := s.over[id]; ok {
+	if ord, ok := s.over[id]; ok {
+		od := s.overDoc[ord]
 		delete(s.over, id)
+		s.overDoc[ord] = nil
 		for _, dt := range od.terms {
-			s.dropPosting(dt.term, id)
+			s.dropPosting(dt.term, ord)
 		}
 		s.nDocs--
 		s.totalLen -= od.length
@@ -175,10 +199,10 @@ func (s *Segmented) removeLive(id string) {
 	if !inBase {
 		return
 	}
-	if _, gone := s.dead[id]; gone {
+	if _, gone := s.dead[d]; gone {
 		return
 	}
-	s.dead[id] = struct{}{}
+	s.dead[d] = struct{}{}
 	for j := s.base.fwdOff[d]; j < s.base.fwdOff[d+1]; j++ {
 		s.deadDF[s.base.fwdTerm[j]]++
 	}
@@ -196,11 +220,11 @@ func (s *Segmented) addPosting(term string, p overlayPosting) {
 }
 
 // dropPosting removes a document's overlay posting for a term.
-func (s *Segmented) dropPosting(term, doc string) {
+func (s *Segmented) dropPosting(term string, ord int32) {
 	old := s.overPost[term]
 	nl := make([]overlayPosting, 0, len(old))
 	for _, p := range old {
-		if p.doc != doc {
+		if p.ord != ord {
 			nl = append(nl, p)
 		}
 	}
@@ -226,14 +250,34 @@ func (s *Segmented) idfOf(term string) float64 { return idfFor(s.df(term), s.nDo
 // Len reports the number of live documents.
 func (s *Segmented) Len() int { return s.nDocs }
 
+// overlay returns a document's overlay version, nil if it has none.
+func (s *Segmented) overlay(docID string) *overlayDoc {
+	if ord, ok := s.over[docID]; ok {
+		return s.overDoc[ord]
+	}
+	return nil
+}
+
+// baseDoc returns the dense base ID of a document whose live version is
+// the base's: ok is false for documents the base lacks or the view has
+// tombstoned.
+func (s *Segmented) baseDoc(docID string) (d int32, ok bool) {
+	d, ok = s.base.idOf[docID]
+	if !ok {
+		return 0, false
+	}
+	_, gone := s.dead[d]
+	return d, !gone
+}
+
 // DocIDs returns all live document IDs in sorted order.
 func (s *Segmented) DocIDs() []string {
 	if s.pristine() {
 		return s.base.DocIDs()
 	}
 	ids := make([]string, 0, s.nDocs)
-	for _, id := range s.base.ids {
-		if _, gone := s.dead[id]; !gone {
+	for d, id := range s.base.ids {
+		if _, gone := s.dead[int32(d)]; !gone {
 			ids = append(ids, id)
 		}
 	}
@@ -246,13 +290,14 @@ func (s *Segmented) DocIDs() []string {
 
 // Text returns the stored raw text of a live document.
 func (s *Segmented) Text(docID string) (string, error) {
-	if od, ok := s.over[docID]; ok {
+	if od := s.overlay(docID); od != nil {
 		return od.text, nil
 	}
-	if _, gone := s.dead[docID]; gone {
+	d, ok := s.baseDoc(docID)
+	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrDocNotFound, docID)
 	}
-	return s.base.Text(docID)
+	return s.base.text[d], nil
 }
 
 // TFIDFVector returns the document's TF-IDF vector under merged corpus
@@ -261,17 +306,14 @@ func (s *Segmented) TFIDFVector(docID string) (Vector, error) {
 	if s.pristine() {
 		return s.base.TFIDFVector(docID)
 	}
-	if od, ok := s.over[docID]; ok {
+	if od := s.overlay(docID); od != nil {
 		v := make(Vector, len(od.terms))
 		for _, dt := range od.terms {
 			v[dt.term] = float64(dt.tf) * s.idfOf(dt.term)
 		}
 		return v, nil
 	}
-	if _, gone := s.dead[docID]; gone {
-		return nil, fmt.Errorf("%w: %q", ErrDocNotFound, docID)
-	}
-	d, ok := s.base.idOf[docID]
+	d, ok := s.baseDoc(docID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrDocNotFound, docID)
 	}
@@ -290,21 +332,28 @@ func (s *Segmented) DocNorm(docID string) float64 {
 	if s.pristine() {
 		return s.base.DocNorm(docID)
 	}
-	if od, ok := s.over[docID]; ok {
-		var sum float64
-		for _, dt := range od.terms {
-			w := float64(dt.tf) * s.idfOf(dt.term)
-			sum += w * w
-		}
-		return math.Sqrt(sum)
+	if od := s.overlay(docID); od != nil {
+		return s.overNorm(od)
 	}
-	if _, gone := s.dead[docID]; gone {
-		return 0
-	}
-	d, ok := s.base.idOf[docID]
+	d, ok := s.baseDoc(docID)
 	if !ok {
 		return 0
 	}
+	return s.baseNorm(d)
+}
+
+// overNorm is DocNorm of an overlay document.
+func (s *Segmented) overNorm(od *overlayDoc) float64 {
+	var sum float64
+	for _, dt := range od.terms {
+		w := float64(dt.tf) * s.idfOf(dt.term)
+		sum += w * w
+	}
+	return math.Sqrt(sum)
+}
+
+// baseNorm is DocNorm of a live base document under merged statistics.
+func (s *Segmented) baseNorm(d int32) float64 {
 	var sum float64
 	for j := s.base.fwdOff[d]; j < s.base.fwdOff[d+1]; j++ {
 		w := float64(s.base.fwdTF[j]) * s.idfOf(s.base.fwdTerm[j])
@@ -330,7 +379,7 @@ func (s *Segmented) DocCosine(docID string, cq *CompiledVector) float64 {
 		return 0
 	}
 	var dot, dn float64
-	if od, ok := s.over[docID]; ok {
+	if od := s.overlay(docID); od != nil {
 		var sq float64
 		q := cq.pairs
 		for _, dt := range od.terms {
@@ -342,10 +391,7 @@ func (s *Segmented) DocCosine(docID string, cq *CompiledVector) float64 {
 		}
 		dn = math.Sqrt(sq)
 	} else {
-		if _, gone := s.dead[docID]; gone {
-			return 0
-		}
-		d, ok := s.base.idOf[docID]
+		d, ok := s.baseDoc(docID)
 		if !ok {
 			return 0
 		}
@@ -382,14 +428,14 @@ func skipTo(q []termWeight, t string) []termWeight {
 }
 
 // Search ranks live documents against the query with BM25, identically
-// to a full rebuild over the merged corpus: SearchStats under the view's
+// to a full rebuild over the merged corpus: SearchTerms under the view's
 // own statistics.
 func (s *Segmented) Search(query string, k int) []Result {
 	if s.pristine() {
 		return s.base.Search(query, k)
 	}
 	terms := Terms(query)
-	return s.searchTerms(terms, k, s.Stats(terms))
+	return s.SearchTerms(terms, k, s.Stats(terms))
 }
 
 // SearchVector ranks live documents by cosine similarity to the query
@@ -429,7 +475,8 @@ func (s *Segmented) SearchCompiled(cq *CompiledVector, k int) []Result {
 // query-norm and dot products in sorted term order, per-posting weights
 // grouped as qw × (tf × idf).
 func (s *Segmented) searchPairs(pairs []termWeight, k int) []Result {
-	dots := make(map[string]float64)
+	sc := s.getScratch()
+	defer s.base.putScratch(sc)
 	var qnSq float64
 	for _, p := range pairs {
 		qnSq += p.w * p.w
@@ -437,31 +484,94 @@ func (s *Segmented) searchPairs(pairs []termWeight, k int) []Result {
 		if df == 0 {
 			continue
 		}
-		idf := idfFor(df, s.nDocs)
-		if ti, ok := s.base.terms[p.t]; ok {
-			for j := ti.off; j < ti.off+ti.n; j++ {
-				id := s.base.ids[s.base.postDoc[j]]
-				if _, gone := s.dead[id]; gone {
-					continue
-				}
-				dots[id] += p.w * (float64(s.base.postTF[j]) * idf)
-			}
-		}
-		for _, op := range s.overPost[p.t] {
-			dots[op.doc] += p.w * (float64(op.tf) * idf)
-		}
+		s.accumulate(sc, p.t, termScorer{idf: idfFor(df, s.nDocs), qw: p.w, cosine: true})
 	}
 	if qnSq == 0 {
 		return nil
 	}
 	qn := math.Sqrt(qnSq)
-	scores := make(map[string]float64, len(dots))
-	for doc, dot := range dots {
-		dn := s.DocNorm(doc)
-		if dn == 0 {
-			continue
+	nb := int32(len(s.base.ids))
+	return s.top(sc, k, func(d int32, dot float64) (float64, bool) {
+		var dn float64
+		if d < nb {
+			dn = s.baseNorm(d)
+		} else {
+			dn = s.overNorm(s.overDoc[d-nb])
 		}
-		scores[doc] = dot / (qn * dn)
+		return dot / (qn * dn), dn != 0
+	})
+}
+
+// getScratch takes a pooled accumulator from the base, long enough for
+// the base's dense IDs and every overlay ordinal after them.
+func (s *Segmented) getScratch() *frozenScratch {
+	return s.base.getScratch(len(s.base.ids) + len(s.overDoc))
+}
+
+// termScorer is one query term's per-posting contribution: BM25 under
+// the term's IDF and the corpus's average length, or, for cosine, the
+// query weight times the posting's tf × idf. Each expression is the one
+// the live index evaluates, so the sums stay bit-identical.
+type termScorer struct {
+	idf    float64
+	avgLen float64 // BM25
+	qw     float64 // cosine
+	cosine bool
+}
+
+func (c termScorer) score(tf float64, docLen int32) float64 {
+	if c.cosine {
+		return c.qw * (tf * c.idf)
 	}
-	return topResults(scores, k)
+	return c.idf * tf * (bm25K1 + 1) /
+		(tf + bm25K1*(1-bm25B+bm25B*float64(docLen)/c.avgLen))
+}
+
+// accumulate adds one query term's contributions to the dense
+// accumulators: base postings, then overlay postings, the order the
+// live index sums in. A document's sum runs in query-term order, as the
+// map it replaces did. Dead base documents accumulate too; top drops
+// them, which costs one lookup per matched document instead of one per
+// posting.
+func (s *Segmented) accumulate(sc *frozenScratch, term string, c termScorer) {
+	b := s.base
+	if ti, ok := b.terms[term]; ok {
+		for j := ti.off; j < ti.off+ti.n; j++ {
+			d := b.postDoc[j]
+			sc.add(d, c.score(float64(b.postTF[j]), b.docLen[d]))
+		}
+	}
+	nb := int32(len(b.ids))
+	for _, p := range s.overPost[term] {
+		sc.add(nb+p.ord, c.score(float64(p.tf), p.length))
+	}
+}
+
+// top selects the k best accumulated live documents, ties broken by
+// document ID as every representation breaks them. final, when set,
+// turns an accumulator into its score, or reports false to drop the
+// document.
+func (s *Segmented) top(sc *frozenScratch, k int, final func(d int32, acc float64) (float64, bool)) []Result {
+	h := topk.New[Result](k, resultBetter)
+	nb := int32(len(s.base.ids))
+	for _, d := range sc.touched {
+		var id string
+		if d < nb {
+			if _, gone := s.dead[d]; gone {
+				continue
+			}
+			id = s.base.ids[d]
+		} else {
+			id = s.overDoc[d-nb].id
+		}
+		score := sc.scores[d]
+		if final != nil {
+			var ok bool
+			if score, ok = final(d, score); !ok {
+				continue
+			}
+		}
+		h.Push(Result{DocID: id, Score: score})
+	}
+	return h.Sorted()
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -253,5 +255,183 @@ func TestSegmentedImmutable(t *testing.T) {
 	}
 	if got := len(v2.Search("graph", 10)); got != 3 {
 		t.Fatalf("v2 sees %d docs, want 3", got)
+	}
+}
+
+// mapSearchTerms is the map-accumulator BM25 loop SearchTerms replaced,
+// kept as its oracle: one string-keyed sum per document, dead base
+// documents skipped per posting, overlay lengths read through s.over.
+func mapSearchTerms(s *Segmented, terms []string, k int, g CorpusStats) []Result {
+	if g.Docs == 0 || s.nDocs == 0 {
+		return nil
+	}
+	avgLen := float64(g.TotalLen) / float64(g.Docs)
+	if avgLen == 0 {
+		avgLen = 1
+	}
+	scores := make(map[string]float64)
+	for _, term := range terms {
+		df := g.DF[term]
+		if df == 0 {
+			continue
+		}
+		idf := idfFor(df, g.Docs)
+		if ti, ok := s.base.terms[term]; ok {
+			for j := ti.off; j < ti.off+ti.n; j++ {
+				d := s.base.postDoc[j]
+				if _, gone := s.dead[d]; gone {
+					continue
+				}
+				tf := float64(s.base.postTF[j])
+				dl := float64(s.base.docLen[d])
+				scores[s.base.ids[d]] += idf * tf * (bm25K1 + 1) /
+					(tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
+			}
+		}
+		for _, p := range s.overPost[term] {
+			od := s.overDoc[p.ord]
+			tf := float64(p.tf)
+			dl := float64(od.length)
+			scores[od.id] += idf * tf * (bm25K1 + 1) /
+				(tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
+		}
+	}
+	return topResults(scores, k)
+}
+
+// mapSearchPairs is the map-accumulator cosine loop searchPairs
+// replaced, kept as its oracle.
+func mapSearchPairs(s *Segmented, pairs []termWeight, k int) []Result {
+	dots := make(map[string]float64)
+	var qnSq float64
+	for _, p := range pairs {
+		qnSq += p.w * p.w
+		df := s.df(p.t)
+		if df == 0 {
+			continue
+		}
+		idf := idfFor(df, s.nDocs)
+		if ti, ok := s.base.terms[p.t]; ok {
+			for j := ti.off; j < ti.off+ti.n; j++ {
+				d := s.base.postDoc[j]
+				if _, gone := s.dead[d]; gone {
+					continue
+				}
+				dots[s.base.ids[d]] += p.w * (float64(s.base.postTF[j]) * idf)
+			}
+		}
+		for _, op := range s.overPost[p.t] {
+			dots[s.overDoc[op.ord].id] += p.w * (float64(op.tf) * idf)
+		}
+	}
+	if qnSq == 0 {
+		return nil
+	}
+	qn := math.Sqrt(qnSq)
+	scores := make(map[string]float64, len(dots))
+	for doc, dot := range dots {
+		dn := s.DocNorm(doc)
+		if dn == 0 {
+			continue
+		}
+		scores[doc] = dot / (qn * dn)
+	}
+	return topResults(scores, k)
+}
+
+// TestSegmentedDenseMatchesMapOracle: the dense accumulators (base dense
+// IDs, then overlay ordinals) rank exactly as the string-keyed maps they
+// replaced — same documents, bit-identical scores, same tie-breaks —
+// across a seeded churn of adds, replacements (which reuse ordinals),
+// deletes (which leave ordinal holes) and queries with repeated terms,
+// under the view's own statistics and under foreign merged ones.
+func TestSegmentedDenseMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	queries := []string{
+		"graph partition", "stream stream tensor graph stream", "overlay segment snapshot",
+		"latency", "unknown words only", "", "graph graph graph", "peer context sketch index",
+	}
+	foreign, _ := randomCorpus(rng, 12)
+	foreignView := NewSegmented(foreign.Freeze()).WithDocs(map[string]string{"f/1": "graph stream overlay"})
+	for trial := 0; trial < 20; trial++ {
+		live, _ := randomCorpus(rng, rng.Intn(25))
+		seg := NewSegmented(live.Freeze())
+		views := []*Segmented{seg}
+		for round := 0; round < 6; round++ {
+			chunk := make(map[string]string)
+			for i := 0; i < rng.Intn(7); i++ {
+				var id string
+				switch rng.Intn(3) {
+				case 0:
+					id = fmt.Sprintf("doc/%02d", rng.Intn(30)) // maybe a base doc
+				case 1:
+					id = fmt.Sprintf("new/%d", rng.Intn(8)) // maybe an overlay doc
+				default:
+					id = fmt.Sprintf("new/%d-%d", round, i)
+				}
+				chunk[id] = randomText(rng, 1+rng.Intn(20))
+			}
+			seg = seg.WithDocs(chunk)
+			if ids := seg.DocIDs(); len(ids) > 1 && rng.Intn(2) == 0 {
+				seg = seg.WithoutDocs([]string{ids[rng.Intn(len(ids))], "missing"})
+			}
+			views = append(views, seg)
+
+			label := fmt.Sprintf("trial %d round %d", trial, round)
+			for _, q := range queries {
+				terms := Terms(q)
+				own := seg.Stats(terms)
+				merged := MergeStats([]CorpusStats{own, foreignView.Stats(terms)})
+				for _, k := range []int{1, 3, 10, 0} {
+					check := func(what string, got, want []Result) {
+						t.Helper()
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: %s(%q, %d)\ndense: %v\nmap:   %v", label, what, q, k, got, want)
+						}
+					}
+					if !seg.pristine() {
+						check("Search", seg.Search(q, k), mapSearchTerms(seg, terms, k, own))
+					}
+					check("SearchStats", seg.SearchStats(q, k, merged), mapSearchTerms(seg, terms, k, merged))
+				}
+			}
+			if seg.pristine() {
+				continue
+			}
+			for qi := 0; qi < 4; qi++ {
+				qv := randomQueryVector(rng)
+				cq := seg.Base().Compile(qv)
+				for _, k := range []int{1, 5, 0} {
+					want := mapSearchPairs(seg, cq.pairs, k)
+					if got := seg.SearchVector(qv, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: SearchVector(#%d, %d)\ndense: %v\nmap:   %v", label, qi, k, got, want)
+					}
+					if got := seg.SearchCompiled(cq, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: SearchCompiled(#%d, %d)\ndense: %v\nmap:   %v", label, qi, k, got, want)
+					}
+				}
+			}
+		}
+
+		// Every view of the trial shares the base's scratch pool, each
+		// asking for a different length: query them all at once.
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 3*len(views); i++ {
+					v := views[(i+w)%len(views)]
+					q := queries[(i*7+w)%len(queries)]
+					terms := Terms(q)
+					g := v.Stats(terms)
+					if got, want := v.SearchStats(q, 5, g), mapSearchTerms(v, terms, 5, g); !reflect.DeepEqual(got, want) {
+						t.Errorf("trial %d concurrent SearchStats(%q): dense %v, map %v", trial, q, got, want)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }

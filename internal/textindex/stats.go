@@ -7,7 +7,7 @@ package textindex
 // shards. The protocol is two-phase: the coordinator gathers each
 // shard's CorpusStats for the query's terms, sums them with MergeStats,
 // then has every shard score its local postings under the merged global
-// statistics via SearchStats. A document's BM25 score is a pure function
+// statistics via SearchTerms. A document's BM25 score is a pure function
 // of its own postings plus those global statistics, and the shards
 // partition the corpus, so the fan-out reproduces an unsharded build's
 // scores bit for bit — the same parity discipline Segmented itself keeps
@@ -53,20 +53,22 @@ func MergeStats(parts []CorpusStats) CorpusStats {
 }
 
 // SearchStats ranks this view's documents against the query under the
-// supplied global statistics instead of the view's own. It is the one
-// BM25 loop over a view — Search is this under the view's own Stats —
-// with the live index's IDF formula and accumulation order (base
-// postings, then overlay postings), so a document scores identically
-// whether its shard or an unsharded build ranks it. The pristine fast
-// path is deliberately not taken: the base's precomputed IDFs are
-// local, not global.
+// supplied global statistics instead of the view's own: SearchTerms over
+// the query's Terms.
 func (s *Segmented) SearchStats(query string, k int, g CorpusStats) []Result {
-	return s.searchTerms(Terms(query), k, g)
+	return s.SearchTerms(Terms(query), k, g)
 }
 
-// searchTerms is SearchStats over an already tokenised query, so Search
-// tokenises once for both its statistics and its scoring.
-func (s *Segmented) searchTerms(terms []string, k int, g CorpusStats) []Result {
+// SearchTerms is the one BM25 loop over a view — Search is this under the
+// view's own Stats — for a query already tokenised with Terms, so a
+// coordinator tokenises once for its statistics and every shard's
+// scoring. It uses the live index's IDF formula and accumulation order
+// (base postings, then overlay postings), so a document scores
+// identically whether its shard or an unsharded build ranks it. The
+// pristine fast path is deliberately not taken: the base's precomputed
+// IDFs are local, not global. The dense accumulators are the ones the
+// pristine path uses.
+func (s *Segmented) SearchTerms(terms []string, k int, g CorpusStats) []Result {
 	if g.Docs == 0 || s.nDocs == 0 {
 		return nil
 	}
@@ -74,32 +76,14 @@ func (s *Segmented) searchTerms(terms []string, k int, g CorpusStats) []Result {
 	if avgLen == 0 {
 		avgLen = 1
 	}
-	scores := make(map[string]float64)
+	sc := s.getScratch()
+	defer s.base.putScratch(sc)
 	for _, term := range terms {
 		df := g.DF[term]
 		if df == 0 {
 			continue
 		}
-		idf := idfFor(df, g.Docs)
-		if ti, ok := s.base.terms[term]; ok {
-			for j := ti.off; j < ti.off+ti.n; j++ {
-				d := s.base.postDoc[j]
-				id := s.base.ids[d]
-				if _, gone := s.dead[id]; gone {
-					continue
-				}
-				tf := float64(s.base.postTF[j])
-				dl := float64(s.base.docLen[d])
-				scores[id] += idf * tf * (bm25K1 + 1) /
-					(tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
-			}
-		}
-		for _, p := range s.overPost[term] {
-			tf := float64(p.tf)
-			dl := float64(s.over[p.doc].length)
-			scores[p.doc] += idf * tf * (bm25K1 + 1) /
-				(tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
-		}
+		s.accumulate(sc, term, termScorer{idf: idfFor(df, g.Docs), avgLen: avgLen})
 	}
-	return topResults(scores, k)
+	return s.top(sc, k, nil)
 }

@@ -5,7 +5,7 @@
 // and allocates only the k-element buffer.
 package topk
 
-import "sort"
+import "slices"
 
 // Heap selects the k best items under a strict total order. The zero
 // value is not usable; construct with New.
@@ -53,7 +53,15 @@ func (h *Heap[T]) Len() int { return len(h.items) }
 // Sorted drains the selector and returns the kept items best-first.
 // The Heap must not be used after Sorted.
 func (h *Heap[T]) Sorted() []T {
-	sort.Slice(h.items, func(i, j int) bool { return h.better(h.items[i], h.items[j]) })
+	slices.SortFunc(h.items, func(a, b T) int {
+		switch {
+		case h.better(a, b):
+			return -1
+		case h.better(b, a):
+			return 1
+		}
+		return 0
+	})
 	return h.items
 }
 

@@ -39,6 +39,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -65,6 +66,10 @@ import (
 // maintenance in flight (Platform.serving).
 type Sharded struct {
 	shards []*Platform
+	// Per-shard trace stage names of the fan-out reads, built once by
+	// OpenSharded so a request formats none. The router a Platform
+	// embeds has none: one shard's reads run inline and record no stage.
+	searchStage, feedStage []string
 }
 
 // router is the name a Platform embeds its one-shard Sharded under: the
@@ -115,6 +120,8 @@ func OpenSharded(shards int, opts Options) (*Sharded, error) {
 		}
 		p.shardID = i
 		sh.shards = append(sh.shards, p)
+		sh.searchStage = append(sh.searchStage, fmt.Sprintf("search_shard%d", i))
+		sh.feedStage = append(sh.feedStage, fmt.Sprintf("feed_shard%d", i))
 	}
 	return sh, nil
 }
@@ -564,10 +571,32 @@ type shardEvent struct {
 	shard int
 }
 
-// feedBetter orders the newest-first cross-shard merge: later events
-// first; MergeTopK breaks timestamp ties toward the lower shard index,
-// and each shard's own stream stays in its sequence order.
-func feedBetter(a, b shardEvent) bool { return a.ev.At > b.ev.At }
+// decodeFeedEvent decodes one event of a shard's feed stream. It is a
+// variable only so tests can count decodes and lose a record.
+var decodeFeedEvent = (*social.Store).EventAt
+
+// feedStream is one shard's newest-first stream in the feed merge: the
+// sequence keys not yet decoded and the decoded head.
+type feedStream struct {
+	shard int
+	st    *social.Store
+	keys  []string
+	head  Event
+}
+
+// advance decodes the stream's next event into head, skipping keys
+// whose event is gone. It reports false once the keys run out.
+func (f *feedStream) advance() bool {
+	for len(f.keys) > 0 {
+		ev, ok := decodeFeedEvent(f.st, f.keys[0])
+		f.keys = f.keys[1:]
+		if ok {
+			f.head = ev
+			return true
+		}
+	}
+	return false
+}
 
 // Feed returns the user's update feed — events by their followees,
 // oldest first, the most recent limit of them — gathered across every
@@ -614,10 +643,14 @@ func (sh *Sharded) FeedPage(ctx context.Context, userID, cursor string, limit in
 	return evs, next, nil
 }
 
-// feedScatter reads the followee set's events below each shard's bound
-// and merges the newest-first streams. limit <= 0 means everything.
-// hasMore reports whether unconsumed events remained past the page. One
-// shard is read inline; more fan out, one goroutine per shard.
+// feedScatter merges the followee set's newest-first event streams
+// below each shard's bound. limit <= 0 means everything. Each shard
+// lists only its sequence keys, inline; the merge decodes one head per
+// shard, then one more event from a shard each time it emits that
+// shard's head, so a page decodes at most limit + shards events. Later
+// events come first, timestamp ties go to the lower shard index, and
+// each shard's stream keeps its sequence order. hasMore reports whether
+// a shard's remaining keys still held an event past the page.
 func (sh *Sharded) feedScatter(ctx context.Context, userID string, bounds []uint64, limit int) (page []shardEvent, hasMore bool) {
 	followees := sh.home(userID).store.Following(userID)
 	if len(followees) == 0 {
@@ -627,37 +660,37 @@ func (sh *Sharded) feedScatter(ctx context.Context, userID string, bounds []uint
 	if limit > 0 {
 		fetch = limit + 1 // one extra detects leftovers precisely
 	}
-	lists := make([][]shardEvent, len(sh.shards))
-	gather := func(i int) {
-		evs := sh.shards[i].store.EventsByActorsBefore(followees, bounds[i], fetch)
-		ses := make([]shardEvent, len(evs))
-		for j, ev := range evs {
-			ses[j] = shardEvent{ev: ev, shard: i}
-		}
-		lists[i] = ses
-	}
-	if len(sh.shards) == 1 {
-		gather(0)
-	} else {
+	fanOut := len(sh.shards) > 1
+	if fanOut {
 		defer mScatterFeedSeconds.ObserveSince(time.Now())
-		tr := metrics.TraceFrom(ctx)
-		var wg sync.WaitGroup
-		for i := range sh.shards {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer tr.StartStage(fmt.Sprintf("feed_shard%d", i))()
-				gather(i)
-			}()
+	}
+	tr := metrics.TraceFrom(ctx)
+	streams := make([]feedStream, 0, len(sh.shards))
+	for i, p := range sh.shards {
+		end := func() {}
+		if fanOut {
+			end = tr.StartStage(sh.feedStage[i])
 		}
-		wg.Wait()
+		f := feedStream{shard: i, st: p.store, keys: p.store.EventKeysBefore(followees, bounds[i], fetch)}
+		end()
+		if f.advance() {
+			streams = append(streams, f)
+		}
 	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
+	for len(streams) > 0 && (limit <= 0 || len(page) < limit) {
+		b := 0
+		for j := 1; j < len(streams); j++ {
+			if streams[j].head.At > streams[b].head.At {
+				b = j
+			}
+		}
+		f := &streams[b]
+		page = append(page, shardEvent{ev: f.head, shard: f.shard})
+		if !f.advance() {
+			streams = slices.Delete(streams, b, b+1)
+		}
 	}
-	page = topk.MergeTopK(lists, limit, feedBetter)
-	return page, total > len(page)
+	return page, len(streams) > 0
 }
 
 // EventsByTag merges the hashtag fan-out across shards, oldest first
@@ -749,7 +782,7 @@ func (sh *Sharded) scatterSearch(ctx context.Context, query string, k int) ([]te
 		return nil, nil, err
 	}
 	views := make([]*textindex.Segmented, len(engs))
-	terms := textindex.Terms(query)
+	terms := textindex.Terms(query) // once for every shard's statistics and scoring
 	parts := make([]textindex.CorpusStats, 0, len(engs))
 	for i, eng := range engs {
 		if seg := eng.Segment(); seg != nil {
@@ -767,8 +800,8 @@ func (sh *Sharded) scatterSearch(ctx context.Context, query string, k int) ([]te
 		wg.Add(1)
 		go func(i int, v *textindex.Segmented) {
 			defer wg.Done()
-			defer tr.StartStage(fmt.Sprintf("search_shard%d", i))()
-			lists[i] = v.SearchStats(query, k, g)
+			defer tr.StartStage(sh.searchStage[i])()
+			lists[i] = v.SearchTerms(terms, k, g)
 		}(i, v)
 	}
 	wg.Wait()

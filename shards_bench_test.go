@@ -1,7 +1,7 @@
 // Sharded write-path and scatter-gather benchmarks (E18; hiveload's
 // sharded_mixed workload measures the same paths over real HTTP).
 //
-//	go test -bench='Sharded|ScatterGather' -benchmem
+//	go test -bench='Sharded|ScatterGather|ScatterFeed' -benchmem
 package hive_test
 
 import (
@@ -93,9 +93,48 @@ func BenchmarkScatterGatherSearch(b *testing.B) {
 			if err := sh.Refresh(); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sh.Search(context.Background(), "graph partitioning streams", 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScatterFeed measures the cross-shard feed: every shard lists
+// its newest-first sequence keys for the reader's followees and the
+// k-way merge decodes only the events the 20-event first page returns
+// (TestShardedFeedLazyMatchesEager pins page, order, cursor and the
+// decode bound; this prices it). Readers rotate over every user that
+// follows someone.
+func BenchmarkScatterFeed(b *testing.B) {
+	ds := workload.Generate(workload.Config{Seed: 42, Users: 64})
+	for _, n := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			sh, err := hive.OpenSharded(n, hive.Options{Clock: benchClockSafe()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sh.Close()
+			if err := sh.Batched(func() error { return ds.LoadRouted(sh) }); err != nil {
+				b.Fatal(err)
+			}
+			var readers []string
+			for _, u := range sh.Users() {
+				if page, _, err := sh.FeedPage(context.Background(), u, "", 20); err == nil && len(page) > 0 {
+					readers = append(readers, u)
+				}
+			}
+			if len(readers) == 0 {
+				b.Fatal("no user has a feed")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sh.FeedPage(context.Background(), readers[i%len(readers)], "", 20); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,11 +8,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"hive/api"
 	"hive/internal/core"
 	"hive/internal/social"
+	"hive/internal/topk"
 )
 
 // mutation is the write surface; the parity test drives a Sharded and
@@ -648,4 +653,158 @@ func TestShardedFeedCursorStability(t *testing.T) {
 func mustFeed(t *testing.T, sh *Sharded, user string) []Event {
 	t.Helper()
 	return sh.Feed(user, 0)
+}
+
+// eagerFeedPage is the feed merge the lazy one replaced, kept as its
+// oracle: every shard decodes up to limit+1 events below its bound, the
+// newest-first lists k-way merge, and leftovers past the page mean
+// another page. It decodes through decodeFeedEvent, as the lazy merge
+// does, so both see the same lost records.
+func eagerFeedPage(sh *Sharded, userID, cursor string, limit int) ([]Event, string) {
+	bounds, err := api.DecodeShardCursor(cursor, len(sh.shards))
+	if err != nil {
+		panic(err)
+	}
+	followees := sh.home(userID).store.Following(userID)
+	lists := make([][]shardEvent, len(sh.shards))
+	total := 0
+	for i, p := range sh.shards {
+		for _, seq := range p.store.EventKeysBefore(followees, bounds[i], limit+1) {
+			if len(lists[i]) == limit+1 {
+				break
+			}
+			if ev, ok := decodeFeedEvent(p.store, seq); ok {
+				lists[i] = append(lists[i], shardEvent{ev: ev, shard: i})
+			}
+		}
+		total += len(lists[i])
+	}
+	page := topk.MergeTopK(lists, limit, func(a, b shardEvent) bool { return a.ev.At > b.ev.At })
+	evs := make([]Event, len(page))
+	for i, se := range page {
+		evs[i] = se.ev
+		bounds[se.shard] = se.ev.Seq
+	}
+	if total > len(page) {
+		return evs, api.EncodeShardCursor(bounds)
+	}
+	return evs, ""
+}
+
+// TestShardedFeedLazyMatchesEager: the lazy feed merge returns the page,
+// the order and the next cursor the eager merge returns, on 1, 2 and 4
+// shards, limits 1–25, every page of a walked cursor, timestamps tied
+// across shards and index keys whose event records are gone; and a page
+// decodes at most limit + shards events.
+func TestShardedFeedLazyMatchesEager(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			// The clock ticks once every three reads, so events on
+			// different shards share timestamps.
+			base, reads := time.Unix(1363000000, 0), 0
+			var mu sync.Mutex
+			clock := func() time.Time {
+				mu.Lock()
+				defer mu.Unlock()
+				reads++
+				return base.Add(time.Duration(reads/3) * time.Second)
+			}
+			sh, err := OpenSharded(n, Options{Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sh.Close()
+			actors := make([]string, 8)
+			for i := range actors {
+				actors[i] = fmt.Sprintf("actor%d", i)
+				if err := sh.RegisterUser(User{ID: actors[i], Name: actors[i]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sh.RegisterUser(User{ID: "reader", Name: "Reader"}); err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range actors {
+				if err := sh.Follow("reader", a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The oldest event is the last shard's, so a walk's last page
+			// can end with only its lost record left behind.
+			first := slices.IndexFunc(actors, func(a string) bool { return sh.ShardOf(a) == n-1 })
+			if err := sh.LogBrowse(actors[first], "obj-first"); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			for i := 0; i < 70; i++ {
+				if err := sh.LogBrowse(actors[rng.Intn(len(actors))], fmt.Sprintf("obj-%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Lose the records of the last shard's fifth-newest event and
+			// of its oldest, keeping their index keys.
+			lost := sh.shards[n-1].store
+			keys := lost.EventKeysBefore(actors, 0, 0)
+			if len(keys) < 6 {
+				t.Fatalf("last shard holds %d events, want at least 6", len(keys))
+			}
+			lostKeys := []string{keys[4], keys[len(keys)-1]}
+			decodes, counting := 0, false
+			defer func(orig func(*social.Store, string) (Event, bool)) { decodeFeedEvent = orig }(decodeFeedEvent)
+			decodeFeedEvent = func(st *social.Store, seq string) (Event, bool) {
+				if st == lost && slices.Contains(lostKeys, seq) {
+					return Event{}, false
+				}
+				ev, ok := st.EventAt(seq)
+				if ok && counting {
+					decodes++
+				}
+				return ev, ok
+			}
+
+			ties := false
+			for limit := 1; limit <= 25; limit++ {
+				cursor := ""
+				for pages := 0; ; pages++ {
+					want, wantNext := eagerFeedPage(sh, "reader", cursor, limit)
+					decodes, counting = 0, true
+					got, next, err := sh.FeedPage(context.Background(), "reader", cursor, limit)
+					counting = false
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("limit %d page %d", limit, pages)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: lazy page\n%+v\neager page\n%+v", label, got, want)
+					}
+					if next != wantNext {
+						t.Fatalf("%s: next cursor %q, eager %q", label, next, wantNext)
+					}
+					if decodes > limit+n {
+						t.Fatalf("%s: decoded %d events, bound limit + shards = %d", label, decodes, limit+n)
+					}
+					for i := 1; i < len(got); i++ {
+						ties = ties || got[i].At == got[i-1].At
+					}
+					if next == "" {
+						break
+					}
+					if pages > 80 {
+						t.Fatalf("%s: pagination did not terminate", label)
+					}
+					cursor = next
+				}
+				// Feed is the first page, oldest first.
+				first, _ := eagerFeedPage(sh, "reader", "", limit)
+				slices.Reverse(first)
+				if got := sh.Feed("reader", limit); !reflect.DeepEqual(got, first) {
+					t.Fatalf("Feed(reader, %d) = %+v, want %+v", limit, got, first)
+				}
+			}
+			if !ties {
+				t.Fatal("no page held two events with one timestamp")
+			}
+		})
+	}
 }
