@@ -33,7 +33,8 @@ vuln:
 
 # Nightly-strength race pass: the delta interleaving property tests, the
 # leader/follower convergence test, the election failover/fencing tests,
-# the fault-injected quorum no-lost-writes test and the real-process
+# the fault-injected quorum no-lost-writes test, the replication
+# snapshot taken under concurrent writers and the real-process
 # smoke scenarios at a higher -count, catching rare schedules the per-PR
 # run might miss; then ten seconds of fuzzing each decoder of bytes from
 # disk or the wire — the kv checkpoint records, the journal's segment
@@ -46,6 +47,7 @@ race-nightly:
 	$(GO) test -race -run 'TestLeaderFollowerConvergence' -count=5 ./internal/server/
 	$(GO) test -race -run 'TestClusterFailoverConvergence|TestDeposedLeaderFencing' -count=2 ./internal/server/
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/
+	$(GO) test -race -run 'TestReplicationSnapshotIsAtItsWatermark' -count=5 ./internal/social/
 	$(GO) test -race -run Smoke -count=5 ./cmd/hived
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalRecover' -fuzztime 10s ./internal/journal/

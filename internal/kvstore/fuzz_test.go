@@ -26,9 +26,9 @@ func walImage(recs ...[3]string) []byte {
 // encodeImage frames the image of keys (in ascending order) as a
 // checkpoint at w.
 func encodeImage(keys []string, mem map[string][]byte, w uint64) []byte {
-	items := make([]scanItem, len(keys))
+	items := make([]Entry, len(keys))
 	for i, k := range keys {
-		items[i] = scanItem{key: k, val: mem[k]}
+		items[i] = Entry{Key: k, Val: mem[k]}
 	}
 	var buf bytes.Buffer
 	writeImage(&buf, items, w)
@@ -38,7 +38,8 @@ func encodeImage(keys []string, mem map[string][]byte, w uint64) []byte {
 // FuzzReplay feeds arbitrary bytes to the record decoder and, as a
 // checkpoint file, to Open. The seeds are the images the recovery tests
 // build by hand — a clean record stream, a torn tail, a flipped CRC
-// byte, a stream cut mid-record — plus whole checkpoints.
+// byte, a stream cut mid-record — plus whole checkpoints, two of them
+// with keys out of order or repeated.
 func FuzzReplay(f *testing.F) {
 	clean := walImage([3]string{"put", "a", "1"}, [3]string{"put", "b", "2"}, [3]string{"del", "a", ""}, [3]string{"put", "", ""})
 	f.Add([]byte{})
@@ -51,6 +52,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add(walImage([3]string{"put", "k\x00\xff", "binary\x00value"}, [3]string{"del", "missing", ""}))
 	f.Add(encodeImage(nil, nil, 0))
 	f.Add(encodeImage([]string{"a", "b\x00"}, map[string][]byte{"a": []byte("1"), "b\x00": nil}, 42))
+	f.Add(encodeImage([]string{"b", "a"}, map[string][]byte{"a": []byte("1"), "b": []byte("2")}, 7))
+	f.Add(encodeImage([]string{"a", "a"}, map[string][]byte{"a": []byte("1")}, 7))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type rec struct {
@@ -82,8 +85,9 @@ func FuzzReplay(f *testing.F) {
 		}
 
 		// As a checkpoint: Open accepts the file only whole — every byte
-		// a record, the last one a trailer counting the puts before it —
-		// and then holds exactly what the records say.
+		// a record, the puts in strictly ascending key order, the last
+		// record a trailer counting them — and then holds exactly what
+		// the records say.
 		dir := t.TempDir()
 		snap := filepath.Join(dir, "snapshot.db")
 		open := func(b []byte) (*Store, error) {
@@ -94,8 +98,8 @@ func FuzzReplay(f *testing.F) {
 		}
 		s, err := open(data)
 		whole := res.offset == len(data) && len(recs) > 0 && recs[len(recs)-1].op == opTrailer
-		for _, r := range recs[:max(len(recs)-1, 0)] {
-			whole = whole && r.op == opPut
+		for i, r := range recs[:max(len(recs)-1, 0)] {
+			whole = whole && r.op == opPut && (i == 0 || r.key > recs[i-1].key)
 		}
 		if whole {
 			tr := []byte(recs[len(recs)-1].val)

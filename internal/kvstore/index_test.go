@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -14,8 +15,8 @@ import (
 
 // checkIndex verifies the structural invariants of the tree — every key
 // inside its separators, all leaves at one depth, node sizes in bound,
-// the leaf chain linked both ways in tree order — and returns the keys
-// in chain order.
+// a value beside every leaf key, the leaf chain linked both ways in tree
+// order, the count of live keys — and returns the keys in chain order.
 func checkIndex(t *testing.T, ix *keyIndex) []string {
 	t.Helper()
 	var leaves []*node
@@ -34,6 +35,9 @@ func checkIndex(t *testing.T, ix *keyIndex) []string {
 			t.Fatalf("node holds %d entries, max %d", n.size(), maxNode)
 		}
 		if n.kids == nil {
+			if len(n.vals) != len(n.keys) {
+				t.Fatalf("leaf holds %d keys and %d values", len(n.keys), len(n.vals))
+			}
 			if leafDepth == -1 {
 				leafDepth = depth
 			}
@@ -72,36 +76,42 @@ func checkIndex(t *testing.T, ix *keyIndex) []string {
 		}
 		keys = append(keys, leaf.keys...)
 	}
+	if len(keys) != ix.len {
+		t.Fatalf("index counts %d keys, holds %d", ix.len, len(keys))
+	}
 	return keys
 }
 
-// The index against a sorted-set oracle through growth to several
+// The index against a sorted-map oracle through growth to several
 // levels, shrinkage back to almost nothing and regrowth, so that leaf
 // and inner splits, merges and root collapse all happen.
 func TestIndexModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ix := buildIndex(nil)
-		model := map[string]bool{}
+		model := map[string]string{}
 		key := func() string { return fmt.Sprintf("k%05d", rng.Intn(12000)) }
 		verify := func(when string) {
 			got := checkIndex(t, &ix)
-			want := make([]string, 0, len(model))
-			for k := range model {
-				want = append(want, k)
-			}
-			sort.Strings(want)
+			want := slices.Sorted(maps.Keys(model))
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d %s: index holds %d keys, model %d", seed, when, len(got), len(want))
 			}
+			ix.ascend("", func(k string, v []byte) bool {
+				if string(v) != model[k] {
+					t.Fatalf("seed %d %s: %q holds %q, model %q", seed, when, k, v, model[k])
+				}
+				return true
+			})
 		}
 		// pInsert is the share of inserts in each phase.
 		for phase, pInsert := range []float64{0.9, 0.08, 0.7, 0.0} {
 			for step := 0; step < 20000; step++ {
 				k := key()
 				if rng.Float64() < pInsert {
-					ix.insert(k)
-					model[k] = true
+					v := fmt.Sprint(step)
+					ix.put(k, []byte(v))
+					model[k] = v
 				} else {
 					ix.delete(k)
 					delete(model, k)
@@ -113,13 +123,20 @@ func TestIndexModel(t *testing.T) {
 			verify(fmt.Sprintf("after phase %d", phase))
 		}
 		// Bulk load must produce the same shape guarantees.
+		items := make([]Entry, 0, 9000)
 		keys := make([]string, 0, 9000)
 		for i := 0; i < 9000; i++ {
-			keys = append(keys, fmt.Sprintf("k%05d", i))
+			items = append(items, Entry{Key: fmt.Sprintf("k%05d", i), Val: []byte{byte(i)}})
+			keys = append(keys, items[i].Key)
 		}
-		ix = buildIndex(keys)
+		ix = buildIndex(items)
 		if got := checkIndex(t, &ix); !slices.Equal(got, keys) {
 			t.Fatalf("bulk load holds %d keys, want %d", len(got), len(keys))
+		}
+		for _, it := range items {
+			if v, ok := ix.get(it.Key); !ok || !bytes.Equal(v, it.Val) {
+				t.Fatalf("bulk load: %q holds %v, want %v", it.Key, v, it.Val)
+			}
 		}
 	}
 }
@@ -460,6 +477,61 @@ func BenchmarkScanPrefix(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Scan("follow/u1/", func(string, []byte) bool { scanSink++; return true })
+			}
+		})
+	}
+}
+
+// benchImage returns an in-memory store holding n keys of the shape the
+// social store writes, and the keys in random order.
+func benchImage(b *testing.B, n int) (*Store, []string) {
+	s, err := Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := make(map[string][]byte, n)
+	keys := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("comment/c%07d", i)
+		img[k] = []byte(`{"id":"c","author":"u001","target":"p001","text":"a comment body"}`)
+		keys = append(keys, k)
+	}
+	if err := s.ImportSnapshot(img, 0, nil); err != nil {
+		b.Fatal(err)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return s, keys
+}
+
+// BenchmarkGet reads present keys in random order: a seek down the tree
+// whose leaves hold the values.
+func BenchmarkGet(b *testing.B) {
+	for _, n := range []int{30_000, 300_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			s, keys := benchImage(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Get(keys[i%len(keys)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpointCapture times what a checkpoint holds the read lock
+// for, and so what writers wait on: collecting the whole image.
+func BenchmarkCheckpointCapture(b *testing.B) {
+	for _, n := range []int{250_000, 470_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			s, _ := benchImage(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				items, _, ok, err := s.Image(func() (uint64, bool) { return 1, true })
+				if err != nil || !ok || len(items) != n {
+					b.Fatalf("captured %d items, ok %v, err %v", len(items), ok, err)
+				}
 			}
 		})
 	}

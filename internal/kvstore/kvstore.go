@@ -4,18 +4,18 @@
 // this engine is the stdlib-only substitute: an in-memory sorted index
 // with CRC-framed checkpoints on disk.
 //
-// In memory the store is two structures kept in step under one lock: a
-// hash map from key to value, which serves Get and Has in O(1), and an
-// ordered index of the keys alone (a B+tree with chained leaves, see
-// keyIndex), which stands in for the ordered secondary indexes of the
-// paper's SQL store. With n live keys, writing a new key or deleting one
-// costs O(log n) in the index and overwriting a key does not touch it;
-// Scan, Keys, AscendKeys and DescendKeys seek to their bound in
-// O(log n) and then examine only the keys they deliver, so a prefix or
-// range read costs O(log n + matches) however large the rest of the
-// store is. The index is never persisted: Open builds it once from the
-// loaded checkpoint, ImportSnapshot once from the imported image, and
-// the checkpoint file is written by walking it.
+// In memory the store is one structure under one lock: a B+tree with
+// chained leaves that hold every live key with its value, in key order
+// (see keyIndex). It stands in for the paper's SQL table and for the
+// ordered secondary indexes on it. With n live keys, Get, Has, Put and
+// Delete cost O(log n); Scan, Keys, AscendKeys and DescendKeys seek to
+// their bound in O(log n) and then examine only the keys they deliver,
+// so a prefix or range read costs O(log n + matches) however large the
+// rest of the store is. Open bulk-loads the tree from the checkpoint,
+// whose records are in key order, ImportSnapshot from the imported
+// image once sorted, and a checkpoint captures the image by walking the
+// leaves: a stored value is never written again, so the capture copies
+// references and holds the read lock for milliseconds.
 //
 // Durability model: the store is a memory image plus checkpoints, and it
 // keeps no log of its own. The log is its owner's — the social store's
@@ -52,11 +52,9 @@ var ErrClosed = errors.New("kvstore: store closed")
 type Store struct {
 	mu  sync.RWMutex
 	dir string
-	// mem holds the live values. A stored slice is never written again
-	// (every write installs a fresh copy), so a reader may keep one it
-	// fetched under the lock and copy it after unlocking.
-	mem map[string][]byte
-	// idx orders exactly the keys of mem.
+	// idx is the image. A stored value is never written again (every
+	// write installs a fresh copy), so a reader may keep one it fetched
+	// under the lock and copy it after unlocking.
 	idx    keyIndex
 	closed bool
 	// ckMu serializes the writers of checkpoint files (Checkpoint and
@@ -98,16 +96,16 @@ type Log interface {
 func Open(dir string) (*Store, error) { return OpenLogged(dir, nil) }
 
 // OpenLogged opens (creating if necessary) a store rooted at dir and
-// loads its checkpoint. A checkpoint that is not whole fails Open,
-// naming the file: it is the only copy of everything at or below its
-// position. Open also settles, against the owner's log (nil if there is
+// loads its checkpoint. A checkpoint that is not whole, or whose keys
+// are not strictly ascending, fails Open, naming the file: it is the
+// only copy of everything at or below its position. Open also settles, against the owner's log (nil if there is
 // none), what a crash or an older layout left in dir: a checkpoint that
 // crashed before its rename is discarded, an import that crashed after
 // its commit point is finished (see ImportSnapshot) and a torn one
 // discarded, and a pre-journal dir is migrated (see migrate). If dir is
 // empty the store is purely in-memory.
 func OpenLogged(dir string, log Log) (*Store, error) {
-	s := &Store{dir: dir, mem: make(map[string][]byte), idx: buildIndex(nil)}
+	s := &Store{dir: dir, idx: buildIndex(nil)}
 	if dir == "" {
 		return s, nil
 	}
@@ -129,18 +127,18 @@ func OpenLogged(dir string, log Log) (*Store, error) {
 		return nil, fmt.Errorf("kvstore: read %s: %w", s.legacyLogPath(), err)
 	}
 	legacy := err == nil
-	mem, w, err := readImageFile(s.snapshotPath(), legacy)
+	items, w, err := readImageFile(s.snapshotPath(), legacy)
 	switch {
 	case err == nil:
-		s.mem = mem
+		s.idx = buildIndex(items)
 		s.w.Store(w)
 	case !os.IsNotExist(err):
 		return nil, fmt.Errorf("kvstore: checkpoint %s: %w", s.snapshotPath(), err)
 	}
-	if !legacy {
-		s.reindexLocked()
-	} else if err := s.migrate(walLog, log); err != nil {
-		return nil, err
+	if legacy {
+		if err := s.migrate(walLog, log); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -175,35 +173,11 @@ func (s *Store) Put(key string, val []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.putLocked(key, val)
+	s.idx.put(key, append([]byte(nil), val...))
 	if s.writeHook != nil {
 		s.writeHook(key, val, false)
 	}
 	return nil
-}
-
-// putLocked installs a copy of val under key, indexing the key when it
-// is new.
-func (s *Store) putLocked(key string, val []byte) {
-	if _, ok := s.mem[key]; !ok {
-		s.idx.insert(key)
-	}
-	s.mem[key] = append([]byte(nil), val...)
-}
-
-func (s *Store) deleteLocked(key string) {
-	delete(s.mem, key)
-	s.idx.delete(key)
-}
-
-// reindexLocked rebuilds the key index from mem.
-func (s *Store) reindexLocked() {
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	s.idx = buildIndex(keys)
 }
 
 // Get returns the value stored under key.
@@ -213,7 +187,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	v, ok := s.mem[key]
+	v, ok := s.idx.get(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
@@ -224,7 +198,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 func (s *Store) Has(key string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.mem[key]
+	_, ok := s.idx.get(key)
 	return ok
 }
 
@@ -235,10 +209,9 @@ func (s *Store) Delete(key string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.mem[key]; !ok {
+	if !s.idx.delete(key) {
 		return nil
 	}
-	s.deleteLocked(key)
 	if s.writeHook != nil {
 		s.writeHook(key, nil, true)
 	}
@@ -249,7 +222,7 @@ func (s *Store) Delete(key string) error {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.mem)
+	return s.idx.len
 }
 
 // Range reads collect under the read lock in chunks and deliver between
@@ -261,9 +234,10 @@ const (
 	scanChunkMax = 1024
 )
 
-type scanItem struct {
-	key string
-	val []byte
+// Entry is a key with its value.
+type Entry struct {
+	Key string
+	Val []byte
 }
 
 // Scan calls fn for every key with the given prefix, in ascending key
@@ -291,19 +265,19 @@ func (s *Store) AscendKeys(prefix, from string, fn func(key string) bool) {
 
 func (s *Store) ascend(prefix, from string, vals bool, fn func(key string, val []byte) bool) {
 	from = max(from, prefix)
-	buf := make([]scanItem, 0, scanChunkMin)
+	buf := make([]Entry, 0, scanChunkMin)
 	for chunk := scanChunkMin; ; chunk = min(chunk*4, scanChunkMax) {
 		buf = buf[:0]
 		examined := 0
 		s.mu.RLock()
-		s.idx.ascend(from, func(k string) bool {
+		s.idx.ascend(from, func(k string, v []byte) bool {
 			examined++
 			if !strings.HasPrefix(k, prefix) {
 				return false
 			}
-			it := scanItem{key: k}
+			it := Entry{Key: k}
 			if vals {
-				it.val = s.mem[k]
+				it.Val = v
 			}
 			buf = append(buf, it)
 			return len(buf) < chunk
@@ -311,14 +285,14 @@ func (s *Store) ascend(prefix, from string, vals bool, fn func(key string, val [
 		s.mu.RUnlock()
 		s.examined.Add(int64(examined))
 		for _, it := range buf {
-			if !fn(it.key, append([]byte(nil), it.val...)) {
+			if !fn(it.Key, append([]byte(nil), it.Val...)) {
 				return
 			}
 		}
 		if len(buf) < chunk {
 			return
 		}
-		from = buf[len(buf)-1].key + "\x00" // the smallest key after the last one delivered
+		from = buf[len(buf)-1].Key + "\x00" // the smallest key after the last one delivered
 	}
 }
 
@@ -414,13 +388,13 @@ func (s *Store) apply(b *Batch, hook bool) error {
 		return ErrClosed
 	}
 	for k, v := range b.puts {
-		s.putLocked(k, v)
+		s.idx.put(k, append([]byte(nil), v...))
 		if hook && s.writeHook != nil {
 			s.writeHook(k, v, false)
 		}
 	}
 	for k := range b.deletes {
-		s.deleteLocked(k)
+		s.idx.delete(k)
 		if hook && s.writeHook != nil {
 			s.writeHook(k, nil, true)
 		}
@@ -450,13 +424,11 @@ func (s *Store) ImportSnapshot(entries map[string][]byte, w uint64, reset func()
 	if s.closed {
 		return ErrClosed
 	}
-	mem := make(map[string][]byte, len(entries))
-	items := make([]scanItem, 0, len(entries))
+	items := make([]Entry, 0, len(entries))
 	for k, v := range entries {
-		mem[k] = append([]byte(nil), v...)
-		items = append(items, scanItem{key: k, val: mem[k]})
+		items = append(items, Entry{Key: k, Val: append([]byte(nil), v...)})
 	}
-	slices.SortFunc(items, func(a, b scanItem) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(items, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
 	if s.dir != "" {
 		if err := writeImageFile(s.importPath(), items, w); err != nil {
 			return fmt.Errorf("kvstore: stage import: %w", err)
@@ -472,48 +444,50 @@ func (s *Store) ImportSnapshot(entries map[string][]byte, w uint64, reset func()
 			return fmt.Errorf("kvstore: install import: %w", err)
 		}
 	}
-	keys := make([]string, len(items))
-	for i, it := range items {
-		keys[i] = it.key
-	}
-	s.mem = mem
-	s.idx = buildIndex(keys)
+	s.idx = buildIndex(items)
 	s.w.Store(w)
 	return nil
 }
 
-// Checkpoint writes the image as the checkpoint at the log position at
-// returns. at runs under the store's read lock, so no write is in
+// Image returns the whole image, in key order, with the log position at
+// returns for it. at runs under the store's read lock, so no write is in
 // progress and none starts until the image is captured; it reports ok
 // false when the image is not exactly the state at a log position, and
-// Checkpoint then writes nothing. Stored values are never written again,
-// so capturing the image takes references only and the file is written
-// after the lock is released, through a temp file and a rename;
-// Watermark moves only once it is in place. A no-op on an in-memory
-// store.
+// Image then takes nothing. Stored values are never written again, so
+// the capture is a walk of the leaves that copies references only: the
+// caller must not modify the values it returns.
+func (s *Store) Image(at func() (w uint64, ok bool)) (items []Entry, w uint64, ok bool, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return nil, 0, false, ErrClosed
+	}
+	if w, ok = at(); !ok {
+		return nil, 0, false, nil
+	}
+	items = make([]Entry, 0, s.idx.len)
+	s.idx.ascend("", func(k string, v []byte) bool {
+		items = append(items, Entry{Key: k, Val: v})
+		return true
+	})
+	return items, w, true, nil
+}
+
+// Checkpoint writes the image as the checkpoint at the log position at
+// returns; at runs as for Image, and when it declines Checkpoint
+// writes nothing. The file is written after the lock is released,
+// through a temp file and a rename; Watermark moves only once it is in
+// place. A no-op on an in-memory store.
 func (s *Store) Checkpoint(at func() (w uint64, ok bool)) error {
 	if s.dir == "" {
 		return nil
 	}
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
+	items, w, ok, err := s.Image(at)
+	if err != nil || !ok {
+		return err
 	}
-	w, ok := at()
-	if !ok {
-		s.mu.RUnlock()
-		return nil
-	}
-	items := make([]scanItem, 0, len(s.mem))
-	s.idx.ascend("", func(k string) bool {
-		items = append(items, scanItem{key: k, val: s.mem[k]})
-		return true
-	})
-	s.mu.RUnlock()
-
 	if err := writeImageFile(s.tempPath(), items, w); err != nil {
 		return fmt.Errorf("kvstore: write checkpoint: %w", err)
 	}
@@ -526,7 +500,7 @@ func (s *Store) Checkpoint(at func() (w uint64, ok bool)) error {
 
 // writeImageFile writes items as a checkpoint at w to path, removing the
 // file again if the write fails.
-func writeImageFile(path string, items []scanItem, w uint64) error {
+func writeImageFile(path string, items []Entry, w uint64) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -449,6 +449,29 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	}
 }
 
+// A checkpoint's keys are strictly ascending, and Open bulk-loads them
+// in file order: a file with a key out of order or repeated is refused,
+// naming it, as a torn one is.
+func TestUnorderedSnapshotRejected(t *testing.T) {
+	vals := map[string][]byte{"a": []byte("1"), "b": []byte("2")}
+	for name, keys := range map[string][]string{
+		"out of order": {"b", "a"},
+		"repeated":     {"a", "a", "b"},
+	} {
+		dir := t.TempDir()
+		snap := filepath.Join(dir, "snapshot.db")
+		if err := os.WriteFile(snap, encodeImage(keys, vals, 3), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir); err == nil {
+			s.Close()
+			t.Fatalf("%s: Open accepted the checkpoint", name)
+		} else if !strings.Contains(err.Error(), snap) {
+			t.Fatalf("%s: error %q does not name %s", name, err, snap)
+		}
+	}
+}
+
 func TestScanEmptyPrefixListsAll(t *testing.T) {
 	s := openTemp(t)
 	for _, k := range []string{"a", "b", "c"} {

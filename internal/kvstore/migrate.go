@@ -21,12 +21,11 @@ func (s *Store) migrate(data []byte, log Log) error {
 	replayRecords(data, func(op byte, key, val []byte) {
 		switch op {
 		case opPut:
-			s.mem[string(key)] = append([]byte(nil), val...)
+			s.idx.put(string(key), append([]byte(nil), val...))
 		case opDelete:
-			delete(s.mem, string(key))
+			s.idx.delete(string(key))
 		}
 	})
-	s.reindexLocked()
 	w := s.Watermark()
 	if log != nil {
 		w = log.Tail()

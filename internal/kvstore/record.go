@@ -42,9 +42,9 @@ func writeRecord(w io.Writer, op byte, key, val []byte) {
 
 // writeImage frames items (in ascending key order) as a checkpoint at
 // log position pos onto w: a put record per item, then the trailer.
-func writeImage(w io.Writer, items []scanItem, pos uint64) {
+func writeImage(w io.Writer, items []Entry, pos uint64) {
 	for _, it := range items {
-		writeRecord(w, opPut, []byte(it.key), it.val)
+		writeRecord(w, opPut, []byte(it.Key), it.Val)
 	}
 	var val [16]byte
 	binary.LittleEndian.PutUint64(val[0:8], uint64(len(items)))
@@ -52,36 +52,34 @@ func writeImage(w io.Writer, items []scanItem, pos uint64) {
 	writeRecord(w, opTrailer, nil, val[:])
 }
 
-// readImageFile decodes a checkpoint file: its put records and the
-// trailer that closes it. It fails unless every byte decodes, the trailer
-// is the last record and it counts the puts before it. A file with no
-// trailer at all is accepted only when legacy is set: the snapshot of a
-// pre-journal data dir, which wrote none.
-func readImageFile(path string, legacy bool) (mem map[string][]byte, w uint64, err error) {
+// readImageFile decodes a checkpoint file: its put records, in file
+// order, and the trailer that closes it. It fails unless every byte
+// decodes, the keys are strictly ascending, the trailer is the last
+// record and it counts the puts before it. A file with no trailer at all
+// is accepted only when legacy is set: the snapshot of a pre-journal
+// data dir, which wrote none.
+func readImageFile(path string, legacy bool) (items []Entry, w uint64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	mem = make(map[string][]byte)
-	var count uint64
 	closed, bad := false, false
 	res := replayRecords(data, func(op byte, key, val []byte) {
 		switch {
 		case closed || bad:
 			bad = true // nothing follows the trailer
-		case op == opPut:
-			mem[string(key)] = append([]byte(nil), val...)
-			count++
-		case op == opTrailer && len(key) == 0 && len(val) == 16 && binary.LittleEndian.Uint64(val) == count:
+		case op == opPut && (len(items) == 0 || string(key) > items[len(items)-1].Key):
+			items = append(items, Entry{Key: string(key), Val: append([]byte(nil), val...)})
+		case op == opTrailer && len(key) == 0 && len(val) == 16 && binary.LittleEndian.Uint64(val) == uint64(len(items)):
 			w, closed = binary.LittleEndian.Uint64(val[8:]), true
 		default:
 			bad = true
 		}
 	})
 	if bad || res.offset != len(data) || (!closed && !legacy) {
-		return nil, 0, errors.New("torn or corrupt")
+		return nil, 0, errors.New("torn, corrupt or out of key order")
 	}
-	return mem, w, nil
+	return items, w, nil
 }
 
 type replayResult struct {

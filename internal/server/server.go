@@ -504,9 +504,9 @@ func (s *Server) getReplicationEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// getReplicationSnapshot serves the full bootstrap image. The sequence
-// watermark is captured before the state scan, so a follower tailing
-// from it can only re-apply batches, never miss one.
+// getReplicationSnapshot serves the full bootstrap image and the
+// sequence watermark it is exactly at, so a follower tailing from it
+// neither misses a batch nor holds a write the journal lacks.
 func (s *Server) getReplicationSnapshot(w http.ResponseWriter, r *http.Request) {
 	p := s.node()
 	seq, entries, err := p.ReplicationSnapshot()

@@ -143,19 +143,26 @@ func (s *Store) WaitChanges(done <-chan struct{}, after uint64) bool {
 	return s.jn.WaitFrom(done, after)
 }
 
-// SnapshotForReplication captures the sequence watermark and the full
-// kv image a follower bootstraps from. The watermark is read *before*
-// the scan: writes racing the scan may already be visible in the image,
-// and the follower will simply re-apply their batches — re-applying a
-// kv image is idempotent and delta consumers refetch state anyway. The
-// reverse order could lose events forever.
+// SnapshotForReplication captures the full kv image a follower
+// bootstraps from together with the change-sequence watermark it
+// covers: the image is exactly the journal folded up to seq, holding no
+// write past it. It holds the scope lock exclusively, as Close does, so
+// no mutation is in flight, and captures the image the way a checkpoint
+// does, at the journal position (see position); the capture copies
+// references, so writers wait milliseconds. entries is nil when the
+// image is at no journal position: a replica batch is being applied, or
+// a journal failure stopped the store.
 func (s *Store) SnapshotForReplication() (seq uint64, entries map[string][]byte) {
-	seq = s.ChangeSeq()
-	entries = make(map[string][]byte)
-	s.kv.Scan("", func(k string, v []byte) bool {
-		entries[k] = v
-		return true
-	})
+	s.scope.Lock()
+	items, seq, ok, _ := s.kv.Image(s.position)
+	s.scope.Unlock()
+	if !ok {
+		return 0, nil
+	}
+	entries = make(map[string][]byte, len(items))
+	for _, e := range items {
+		entries[e.Key] = append([]byte(nil), e.Val...)
+	}
 	return seq, entries
 }
 

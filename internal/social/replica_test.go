@@ -1,10 +1,13 @@
 package social
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"hive/internal/journal"
 )
@@ -174,6 +177,85 @@ func TestSnapshotBootstrapThenTail(t *testing.T) {
 	}
 }
 
+// A replication snapshot taken while writers run is exactly the journal
+// folded up to the watermark it names: a follower that bootstraps from
+// it and tails past the watermark holds no write the leader's journal
+// never got, and misses none it did.
+func TestReplicationSnapshotIsAtItsWatermark(t *testing.T) {
+	st := openDir(t, t.TempDir())
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := st.PutUser(User{ID: fmt.Sprintf("w%d-%05d", w, i), Name: "W"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	type snapshot struct {
+		seq     uint64
+		entries map[string][]byte
+	}
+	var snaps []snapshot
+	for len(snaps) < 20 {
+		time.Sleep(time.Millisecond)
+		seq, entries := st.SnapshotForReplication()
+		if entries == nil {
+			t.Fatal("a healthy store served no snapshot")
+		}
+		snaps = append(snaps, snapshot{seq, entries})
+	}
+	close(stop)
+	writers.Wait()
+
+	batches, err := st.ChangesSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sn := range snaps {
+		folded, at := map[string][]byte{}, uint64(0)
+		for _, rb := range batches {
+			if rb.Last > sn.seq {
+				break
+			}
+			for k, v := range rb.Puts {
+				folded[k] = v
+			}
+			for _, k := range rb.Dels {
+				delete(folded, k)
+			}
+			at = rb.Last
+		}
+		if at != sn.seq {
+			t.Fatalf("snapshot %d names seq %d, but no journal record ends there", i, sn.seq)
+		}
+		ahead, missing := 0, 0
+		for k, v := range sn.entries {
+			if w, ok := folded[k]; !ok || !bytes.Equal(v, w) {
+				ahead++
+			}
+		}
+		for k := range folded {
+			if _, ok := sn.entries[k]; !ok {
+				missing++
+			}
+		}
+		if ahead+missing > 0 {
+			t.Errorf("snapshot %d at seq %d: %d keys not as the journal has them at that seq, %d missing", i, sn.seq, ahead, missing)
+		}
+	}
+}
+
 // Importing a snapshot behind the local journal tail replaces the
 // journal's history too: a node that re-synced from a shorter image and
 // then leads must journal its next write (not fail it as out of order
@@ -237,6 +319,7 @@ func TestChangesSinceCompactedSignalsBootstrap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	st.ckWG.Wait() // a background checkpoint would move the horizon under the reads below
 	oldest, tail, _ := st.JournalStats()
 	if oldest <= 1 || tail != st.ChangeSeq() {
 		t.Fatalf("journal stats = (%d, %d)", oldest, tail)

@@ -245,21 +245,33 @@ func (s *Store) checkpointIfDue() {
 	}()
 }
 
+// position reports the journal tail, and whether the kv image is
+// exactly the journaled state: it is not while a batch is in flight —
+// kv writes captured or events buffered but not journaled, a replica
+// batch journaled but not applied, or the batch whose append stopped
+// the store. It runs as the kv store's capture callback, so no kv write
+// is in progress.
+func (s *Store) position() (uint64, bool) {
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	tail := s.changeSeq
+	if s.jn != nil {
+		tail = s.jn.Tail()
+	}
+	return tail, s.jnErr == nil && len(s.evBuf) == 0 && len(s.capPuts) == 0 &&
+		len(s.capDels) == 0 && s.changeSeq == tail
+}
+
 // checkpoint writes the kv image as the checkpoint at the journal tail,
-// then lets retention drop what it covers. The image must be exactly the
-// journaled state, so the checkpoint is declined while a batch is in
-// flight — kv writes captured or events buffered but not journaled, or a
-// replica batch journaled but not applied — and the next append retries.
+// then lets retention drop what it covers. It is declined while the
+// image is not exactly the journaled state (see position), and the next
+// append retries.
 func (s *Store) checkpoint() {
 	s.step("checkpoint.staging")
 	idle := false
-	err := s.kv.Checkpoint(func() (uint64, bool) {
-		s.evMu.Lock()
-		defer s.evMu.Unlock()
-		tail := s.jn.Tail()
-		idle = s.jnErr == nil && len(s.evBuf) == 0 && len(s.capPuts) == 0 &&
-			len(s.capDels) == 0 && s.changeSeq == tail
-		return tail, idle
+	err := s.kv.Checkpoint(func() (w uint64, ok bool) {
+		w, idle = s.position()
+		return w, idle
 	})
 	if err == nil && idle {
 		s.step("checkpoint.renamed")

@@ -476,5 +476,8 @@ func (p *Platform) ReplicationSnapshot() (seq uint64, entries map[string][]byte,
 		return 0, nil, err
 	}
 	seq, entries = p.store.SnapshotForReplication()
+	if entries == nil {
+		return 0, nil, fmt.Errorf("hive: no image at a journal position to serve (journal error: %v)", p.store.JournalError())
+	}
 	return seq, entries, nil
 }
