@@ -43,11 +43,11 @@ vuln:
 # chain against the uncached one (the per-PR run only replays their seed corpora; -fuzz takes one
 # target per invocation).
 race-nightly:
-	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestSegmentedParity|TestSegmentedDenseMatchesMapOracle|TestShardedFeedLazyMatchesEager' -count=5 . ./internal/core/ ./internal/textindex/
+	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestSegmentedParity|TestSegmentedDenseMatchesMapOracle|TestShardedFeedLazyMatchesEager|TestWriteVisibleOnReturn' -count=5 . ./internal/core/ ./internal/textindex/
 	$(GO) test -race -run 'TestLeaderFollowerConvergence' -count=5 ./internal/server/
 	$(GO) test -race -run 'TestClusterFailoverConvergence|TestDeposedLeaderFencing' -count=2 ./internal/server/
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/
-	$(GO) test -race -run 'TestReplicationSnapshotIsAtItsWatermark' -count=5 ./internal/social/
+	$(GO) test -race -run 'TestReplicationSnapshotIsAtItsWatermark|TestMutationReturnsAfterItsEventsAreDelivered' -count=5 ./internal/social/
 	$(GO) test -race -run Smoke -count=5 ./cmd/hived
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalRecover' -fuzztime 10s ./internal/journal/

@@ -105,7 +105,8 @@ type CreatedResponse struct {
 type SnapshotHealth struct {
 	// Generation counts snapshot swaps (deltas and compactions).
 	Generation uint64 `json:"generation"`
-	// Stale reports unapplied change events (or no snapshot yet).
+	// Stale reports that there is no snapshot yet, or that a batch too
+	// large to fold was skipped and no compaction has covered it since.
 	Stale    bool   `json:"stale"`
 	Snapshot bool   `json:"snapshot"`
 	BuiltAt  string `json:"built_at,omitempty"`
@@ -130,7 +131,9 @@ type DeltaHealth struct {
 	// the frozen base.
 	OverlayDocs int `json:"overlay_docs"`
 	Tombstones  int `json:"tombstones"`
-	// PendingEvents counts queued, not-yet-applied change events.
+	// PendingEvents counts change events queued for the fold in
+	// progress: 0 except mid-fold, since every write folds its events
+	// before it returns.
 	PendingEvents int `json:"pending_events"`
 	// GraphPending counts applied events whose evidence-graph effects
 	// await the next compaction.

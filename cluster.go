@@ -174,9 +174,9 @@ func (p *Platform) applyElection(st election.State) {
 // tailing, adopt the term, fold the local journal tail into the serving
 // snapshot, then open the write path. The store already holds every
 // batch the old leader shipped us (ApplyReplica journals before it
-// acknowledges), so "replay the journal tail" means draining the queued
-// change events — or a full build when no snapshot serves yet — not
-// re-reading the journal.
+// acknowledges) and folded each batch as it applied, so "replay the
+// journal tail" means a full build only when no snapshot serves yet or a
+// batch was skipped — not re-reading the journal.
 func (p *Platform) promote(epoch uint64) {
 	if epoch < p.store.Epoch() {
 		return // stale promotion from a lost election round

@@ -7,14 +7,15 @@
 //
 // A Platform is one shard: the durable social store, its change journal
 // and the MiNC knowledge engine kept current over it. Mutations (users,
-// papers, check-ins, questions, workpads, ...) apply immediately and
-// become visible to the knowledge services within the same call: the
-// store emits typed change events and the platform folds them into the
-// serving snapshot as an incremental delta (milliseconds, proportional
-// to the write — not the corpus). Full rebuilds are demoted to
-// *compaction*: they fold the accumulated overlay into a fresh base
-// snapshot and refresh the evidence graphs, on the AutoRefresh cadence
-// or an explicit Refresh.
+// papers, check-ins, questions, workpads, ...) are visible to the
+// knowledge services as soon as the write returns: the store emits typed
+// change events and the platform folds them into the serving snapshot
+// as an incremental delta (milliseconds, proportional to the write — not
+// the corpus) before the mutation returns, under concurrent writers and
+// during a compaction alike. Full rebuilds are demoted to *compaction*:
+// they fold the accumulated overlay into a fresh base snapshot and
+// refresh the evidence graphs, on the AutoRefresh cadence or an explicit
+// Refresh, replaying at their swap the writes folded while they built.
 //
 // The services themselves — Table 1 of the paper — are declared once, on
 // Sharded: N >= 1 Platforms behind an owner-hash router (shards.go). A
@@ -128,9 +129,9 @@ const (
 	// effects (connections, co-attendance, Q&A edges, coauthorship)
 	// await the next full build.
 	maxGraphPending = 512
-	// maxPendingEvents bounds the unapplied-event queue; past it the
-	// platform stops queueing and falls back to one full rebuild (the
-	// bulk-load path, where a compaction beats thousands of deltas).
+	// maxPendingEvents bounds the events one write folds; a batch past it
+	// is skipped and closed by a full rebuild instead (the bulk-load
+	// path, where a compaction beats thousands of deltas).
 	maxPendingEvents = 4096
 	// maxDeltaBatch bounds how many events one ApplyDelta call folds in.
 	maxDeltaBatch = 512
@@ -175,12 +176,11 @@ type Options struct {
 // the shard's real position; route through the deployment's Sharded.
 //
 // The promoted services answer from the published snapshot and never
-// wait on maintenance: a write folds its own delta before it returns,
-// but a write that found another fold in flight, or a batch that
-// overflowed the event queue (more than 4096 events), is served one
-// background run later — the overflowing write starts that compaction
-// itself. Call Engine (or Refresh) first when the next read must see
-// everything written so far.
+// wait on maintenance: every write folds its delta before it returns.
+// The one exception is a batch of more than 4096 events (a bulk load):
+// it is skipped, leaving the snapshot stale, and served once the
+// compaction the write starts itself swaps in. Call Engine (or Refresh)
+// first when the next read must see such a load.
 //
 // The knowledge engine is an immutable snapshot published through an
 // atomic pointer: readers load the current snapshot without locking.
@@ -188,7 +188,8 @@ type Options struct {
 // serving snapshot as an incremental delta (structurally sharing
 // everything the events did not touch) and swaps the pointer. Full
 // rebuilds — compactions — run in the background on the AutoRefresh
-// cadence and swap the same pointer. Queries therefore never observe a
+// cadence and swap the same pointer once they have replayed the deltas
+// folded while they built. Queries therefore never observe a
 // half-built engine, and reads keep being served from the old snapshot
 // for the entire rebuild.
 type Platform struct {
@@ -210,16 +211,18 @@ type Platform struct {
 	gen     atomic.Uint64               // snapshot generation, bumped on every swap
 	lastErr atomic.Pointer[refreshErr]  // outcome of the most recent maintenance run
 
-	// Unapplied change events. pendingCount mirrors len(pending) for
-	// lock-free staleness checks; overflow records that the queue was
-	// abandoned in favor of a full rebuild, and repairing that the
-	// rebuild is running: the queue takes events again, but the
-	// snapshot stays stale until the rebuild swaps in.
-	pendMu       sync.Mutex
-	pending      []social.ChangeEvent
-	overflow     bool
-	repairing    bool
-	pendingCount atomic.Int64
+	// The fold (onChange). pending queues delivered batches until the
+	// next holder of foldMu folds them. foldMu serializes folds and a
+	// compaction's start and swap; while a compaction builds, building
+	// is set and sinceBuild keeps every event folded meanwhile for the
+	// swap to replay. gapSeq is the highest change sequence a skipped
+	// batch carried (0: none); the next compaction's swap clears it.
+	pendMu     sync.Mutex
+	pending    []social.ChangeEvent
+	foldMu     sync.Mutex
+	building   bool
+	sinceBuild []social.ChangeEvent
+	gapSeq     atomic.Uint64
 
 	deltasApplied atomic.Uint64 // delta swaps since Open
 	compactions   atomic.Uint64 // full-build swaps since Open
@@ -268,12 +271,10 @@ type Platform struct {
 	deferStreak   int           // consecutive deferrals; transition goroutine only
 }
 
-// refreshFlight coalesces concurrent maintenance into one run. full
-// distinguishes a compaction (full rebuild) from a delta drain.
+// refreshFlight coalesces concurrent compactions into one run.
 type refreshFlight struct {
 	done chan struct{}
 	err  error
-	full bool
 }
 
 // refreshErr boxes a maintenance outcome for atomic storage (nil err on
@@ -343,68 +344,95 @@ func (p *Platform) Close() error {
 // Store exposes the raw social store for advanced callers.
 func (p *Platform) Store() *social.Store { return p.store }
 
-// onChange receives one coalesced change batch from the store: queue
-// it, then — when a snapshot is serving and the delta path is healthy —
-// fold it in synchronously so the write is visible to the knowledge
-// services when the mutation returns. If maintenance is already in
-// flight the events stay queued; the running flight drains them on its
-// way out. A batch that overflows the queue starts the compaction that
-// repairs it: no later write or read does.
+// onChange receives one coalesced change batch from the store and folds
+// it into the serving snapshot before the mutation returns. The batch
+// joins the queue; whoever holds foldMu next folds everything queued, so
+// writers that raced each other share one fold and each finds its own
+// events folded when it gets the lock. A batch larger than
+// maxPendingEvents (the bulk-load path) is not folded: it is recorded as
+// a gap, and the write starts the compaction that closes it.
 func (p *Platform) onChange(evs []social.ChangeEvent) {
-	if len(evs) == 0 {
+	if len(evs) > maxPendingEvents {
+		p.foldMu.Lock()
+		p.skip(evs)
+		p.foldMu.Unlock()
+		p.closeGap()
 		return
 	}
 	p.pendMu.Lock()
-	if p.overflow {
-		p.pendMu.Unlock()
-		return // queue abandoned; the next compaction reads the store
-	}
-	if len(p.pending)+len(evs) > maxPendingEvents {
-		p.pending = nil
-		p.overflow = true
-		p.pendingCount.Store(0)
-		p.pendMu.Unlock()
-		if p.current.Load() != nil { // else the first read builds
-			p.RefreshAsync()
-		}
-		return
-	}
 	p.pending = append(p.pending, evs...)
-	p.pendingCount.Store(int64(len(p.pending)))
 	p.pendMu.Unlock()
 
-	if p.current.Load() == nil || p.overflowed() {
-		return
+	p.foldMu.Lock()
+	p.pendMu.Lock()
+	queued := p.pending
+	p.pending = nil
+	p.pendMu.Unlock()
+	if p.building {
+		p.sinceBuild = append(p.sinceBuild, queued...)
 	}
-	// Synchronous single-flight delta apply; if another maintenance run
-	// owns the flight, it (or its hand-off kick) picks the events up.
-	if f, started, err := p.beginFlight(false); err == nil && started {
-		_ = p.runFlight(f)
+	whole := true
+	if cur := p.current.Load(); cur != nil { // else the first build reads the store
+		var next *core.Engine
+		if next, whole = p.fold(cur, queued); next != cur {
+			p.current.Store(next)
+			p.gen.Add(1)
+			p.deltasApplied.Add(1)
+			mDeltasApplied.Inc()
+			p.lastDeltaNs.Store(int64(next.DeltaStats().LastDeltaDur))
+			p.lastErr.Store(&refreshErr{})
+		}
+	}
+	p.foldMu.Unlock()
+	if !whole {
+		p.closeGap()
 	}
 }
 
-// takePending removes and returns up to n queued events.
-func (p *Platform) takePending(n int) []social.ChangeEvent {
-	p.pendMu.Lock()
-	defer p.pendMu.Unlock()
-	if len(p.pending) == 0 {
-		return nil
+// fold applies evs to eng in ApplyDelta batches of at most
+// maxDeltaBatch events and returns the result. A batch that fails is
+// skipped (a gap), and whole reports it. Called with foldMu held.
+func (p *Platform) fold(eng *core.Engine, evs []social.ChangeEvent) (_ *core.Engine, whole bool) {
+	b := &core.Builder{Store: p.store, Workers: p.workers}
+	whole = true
+	for len(evs) > 0 {
+		n := min(len(evs), maxDeltaBatch)
+		batch := evs[:n:n]
+		evs = evs[n:]
+		start := time.Now()
+		next, err := b.ApplyDelta(eng, batch)
+		if err != nil {
+			p.lastErr.Store(&refreshErr{err: err})
+			p.skip(batch)
+			whole = false
+			continue
+		}
+		eng = next
+		mDeltaApplySeconds.ObserveSince(start)
 	}
-	if n > len(p.pending) {
-		n = len(p.pending)
-	}
-	batch := p.pending[:n:n]
-	p.pending = append([]social.ChangeEvent(nil), p.pending[n:]...)
-	p.pendingCount.Store(int64(len(p.pending)))
-	return batch
+	return eng, whole
 }
 
-// overflowed reports whether the queue was abandoned and the
-// compaction that repairs it has not swapped in yet.
-func (p *Platform) overflowed() bool {
-	p.pendMu.Lock()
-	defer p.pendMu.Unlock()
-	return p.overflow || p.repairing
+// skip records evs as a gap: the serving snapshot goes without them
+// until a compaction whose build began after them swaps in. A build
+// running now may have read the store before them, so its replay log
+// ends and it builds again instead of swapping. Called with foldMu held.
+func (p *Platform) skip(evs []social.ChangeEvent) {
+	gap := p.gapSeq.Load()
+	for _, ev := range evs {
+		gap = max(gap, ev.Seq)
+	}
+	p.gapSeq.Store(gap)
+	p.building, p.sinceBuild = false, nil
+}
+
+// closeGap starts the compaction that closes a gap the caller just
+// recorded, or joins the one in flight. Before the first snapshot there
+// is nothing to close: the first read builds.
+func (p *Platform) closeGap() {
+	if p.current.Load() != nil {
+		p.RefreshAsync()
+	}
 }
 
 // Refresh runs a full rebuild — a compaction — in the calling goroutine
@@ -412,65 +440,47 @@ func (p *Platform) overflowed() bool {
 // base segment and every derived structure (evidence graphs,
 // communities, concept map, knowledge base) refreshes. Readers are
 // never blocked: they keep resolving the previous snapshot until the
-// swap. Concurrent Refresh calls coalesce into a single rebuild.
+// swap. Concurrent Refresh calls coalesce into a single rebuild, which
+// builds again if a batch was skipped while it built: a Refresh that
+// returns nil leaves no gap behind.
 func (p *Platform) Refresh() error {
-	for {
-		f, started, err := p.beginFlight(true)
-		if err != nil {
-			return err
-		}
-		if started {
-			return p.runFlight(f)
-		}
-		<-f.done
-		if f.full {
-			return f.err
-		}
-		// Joined a delta drain; the caller asked for a compaction, so
-		// loop until one runs.
+	f, started, err := p.beginFlight()
+	if err != nil {
+		return err
 	}
+	if started {
+		return p.runFlight(f)
+	}
+	<-f.done
+	return f.err
 }
 
-// RefreshAsync kicks a background compaction unless maintenance is
-// already in flight. It returns immediately; the new snapshot becomes
-// visible atomically when the rebuild completes. The flight is
-// registered before returning, so a subsequent Close waits for it.
+// RefreshAsync kicks a background compaction unless one is already in
+// flight. It returns immediately; the new snapshot becomes visible
+// atomically when the rebuild completes. The flight is registered
+// before returning, so a subsequent Close waits for it.
 func (p *Platform) RefreshAsync() {
-	f, started, err := p.beginFlight(true)
+	f, started, err := p.beginFlight()
 	if err == nil && started {
 		go func() { _ = p.runFlight(f) }()
 	}
 }
 
-// ApplyDeltas synchronously drains the queued change events into the
-// serving snapshot through the delta path (falling back to a full
-// rebuild when there is no snapshot yet or the queue overflowed). It
-// returns once every event queued before the call is reflected in the
-// snapshot.
+// ApplyDeltas makes the serving snapshot reflect every write that has
+// returned. Writes fold their own events, so this compacts only when
+// the snapshot is stale: there is none yet, or a batch was skipped.
 func (p *Platform) ApplyDeltas() error {
-	for {
-		if p.current.Load() != nil && !p.overflowed() && p.pendingCount.Load() == 0 {
-			return nil
-		}
-		f, started, err := p.beginFlight(false)
-		if err != nil {
-			return err
-		}
-		if started {
-			return p.runFlight(f)
-		}
-		<-f.done
-		if f.err != nil {
-			return f.err
-		}
+	if !p.Stale() {
+		return nil
 	}
+	return p.Refresh()
 }
 
-// beginFlight joins the in-flight maintenance or registers a new one.
+// beginFlight joins the compaction in flight or registers a new one.
 // started reports ownership: the caller must run it via runFlight;
 // otherwise it may wait on f.done and read f.err. After Close it
 // returns ErrClosed and no flight.
-func (p *Platform) beginFlight(full bool) (f *refreshFlight, started bool, err error) {
+func (p *Platform) beginFlight() (f *refreshFlight, started bool, err error) {
 	p.flightMu.Lock()
 	defer p.flightMu.Unlock()
 	if p.closed {
@@ -479,138 +489,79 @@ func (p *Platform) beginFlight(full bool) (f *refreshFlight, started bool, err e
 	if p.flight != nil {
 		return p.flight, false, nil
 	}
-	f = &refreshFlight{done: make(chan struct{}), full: full}
+	f = &refreshFlight{done: make(chan struct{})}
 	p.flight = f
 	return f, true, nil
 }
 
-// runFlight executes the owned maintenance run and releases its
-// waiters. If events queued up, or the queue overflowed, while the run
-// was finishing, a follow-up flight is kicked in the background so
-// nothing stays stranded.
+// runFlight executes the owned compaction and releases its waiters.
 func (p *Platform) runFlight(f *refreshFlight) error {
-	if f.full {
-		f.err = p.compact()
-	} else {
-		f.err = p.drainDeltas()
-	}
+	f.err = p.compact()
 	p.flightMu.Lock()
 	p.flight = nil
 	p.flightMu.Unlock()
 	close(f.done)
-	if f.err == nil && p.current.Load() != nil && (p.pendingCount.Load() > 0 || p.overflowed()) {
-		if nf, started, err := p.beginFlight(false); err == nil && started {
-			go func() { _ = p.runFlight(nf) }()
-		}
-	}
 	return f.err
 }
 
-// compact performs one full build + swap and consumes every change
-// event emitted before the build started reading the store. Events
-// racing the build stay queued and ride the next delta — and the
-// engine's activity watermark makes replaying an already-covered event
-// harmless.
+// compact builds a fresh snapshot from the store beside the serving
+// one, then swaps it in under foldMu after replaying the events writes
+// folded while it built, so the swap takes back none of them; however
+// many there are, writes alone never make it build again. A gap
+// recorded during the build ends that replay log (see skip): the build
+// is dropped and another reads the store, which now holds the skipped
+// batch. A swap therefore closes every gap, and Refresh returns once
+// none is left.
 func (p *Platform) compact() error {
-	p.pendMu.Lock()
-	hadOverflow := p.overflow
-	p.overflow = false
-	p.repairing = hadOverflow
-	p.pendMu.Unlock()
-	watermark := p.store.ChangeSeq()
-
-	compactStart := time.Now()
-	eng, err := (&core.Builder{Store: p.store, Workers: p.workers}).Build()
-	p.lastErr.Store(&refreshErr{err: err})
-	if err != nil {
-		// The discarded-queue mark must survive a failed build, or the
-		// platform would report current while the overflowed events'
-		// data is missing from the snapshot.
-		if hadOverflow {
-			p.pendMu.Lock()
-			p.overflow = true
-			p.repairing = false
-			p.pendMu.Unlock()
-		}
-		return err
-	}
-	p.current.Store(eng)
-	p.pendMu.Lock()
-	p.repairing = false
-	kept := p.pending[:0]
-	for _, ev := range p.pending {
-		if ev.Seq > watermark {
-			kept = append(kept, ev)
-		}
-	}
-	p.pending = kept
-	p.pendingCount.Store(int64(len(p.pending)))
-	p.pendMu.Unlock()
-
-	p.gen.Add(1)
-	p.compactions.Add(1)
-	mCompactions.Inc()
-	mCompactionSeconds.ObserveSince(compactStart)
-	for _, s := range eng.BuildStages() {
-		mBuildStageSeconds.With(s.Name).ObserveDuration(s.Dur)
-	}
-	return nil
-}
-
-// drainDeltas folds the queued events into the serving snapshot in
-// bounded batches, one atomic swap per batch. Unavailable delta paths
-// (no snapshot, overflow) compact instead. A failing delta apply
-// abandons the queue and compacts in the same flight — the events'
-// effects are persisted in the store, so the full rebuild recovers them.
-func (p *Platform) drainDeltas() error {
-	cur := p.current.Load()
-	if cur == nil || p.overflowed() {
-		return p.compact()
-	}
-	b := &core.Builder{Store: p.store, Workers: p.workers}
 	for {
-		batch := p.takePending(maxDeltaBatch)
-		if len(batch) == 0 {
-			return nil
-		}
-		applyStart := time.Now()
-		eng, err := b.ApplyDelta(cur, batch)
-		if err != nil {
-			p.pendMu.Lock()
-			p.pending = nil
-			p.overflow = true
-			p.pendingCount.Store(0)
-			p.pendMu.Unlock()
-			return p.compact()
-		}
-		p.current.Store(eng)
-		p.gen.Add(1)
-		p.deltasApplied.Add(1)
-		mDeltasApplied.Inc()
-		mDeltaApplySeconds.ObserveSince(applyStart)
-		p.lastDeltaNs.Store(int64(eng.DeltaStats().LastDeltaDur))
-		p.lastErr.Store(&refreshErr{})
-		cur = eng
-	}
-}
+		p.foldMu.Lock()
+		p.building, p.sinceBuild = true, nil
+		p.foldMu.Unlock()
 
-// Engine returns a fresh engine snapshot, draining pending change
-// events first if data changed since the last swap — the explicit
-// drain-then-read call; normally a no-op, since writes apply their own
-// deltas synchronously. The service methods do not drain: they answer
-// from the published snapshot (serving), as Snapshot does.
-func (p *Platform) Engine() (*core.Engine, error) {
-	if p.Stale() || p.current.Load() == nil {
-		if err := p.ApplyDeltas(); err != nil {
-			return nil, err
-		}
-		// That call may have joined a run that started before this
-		// caller's latest write. One more pass restores read-your-writes.
-		if p.Stale() {
-			if err := p.ApplyDeltas(); err != nil {
-				return nil, err
+		start := time.Now()
+		eng, err := (&core.Builder{Store: p.store, Workers: p.workers}).Build()
+		p.foldMu.Lock()
+		whole, replay := p.building, p.sinceBuild
+		p.building, p.sinceBuild = false, nil
+		if err == nil && whole {
+			if eng, whole = p.fold(eng, replay); whole {
+				p.current.Store(eng)
+				p.gapSeq.Store(0)
+				p.gen.Add(1)
 			}
 		}
+		p.foldMu.Unlock()
+		if err != nil {
+			p.lastErr.Store(&refreshErr{err: err})
+			return err
+		}
+		if whole {
+			p.lastErr.Store(&refreshErr{})
+			p.compactions.Add(1)
+			mCompactions.Inc()
+			mCompactionSeconds.ObserveSince(start)
+			for _, s := range eng.BuildStages() {
+				mBuildStageSeconds.With(s.Name).ObserveDuration(s.Dur)
+			}
+			return nil
+		}
+		p.flightMu.Lock()
+		closed := p.closed
+		p.flightMu.Unlock()
+		if closed {
+			return ErrClosed
+		}
+	}
+}
+
+// Engine returns the serving snapshot once it reflects every write that
+// has returned, compacting first if it is stale (ApplyDeltas) —
+// normally a no-op, since writes fold their own deltas. The service
+// methods do not wait: they answer from the published snapshot
+// (serving), as Snapshot does.
+func (p *Platform) Engine() (*core.Engine, error) {
+	if err := p.ApplyDeltas(); err != nil {
+		return nil, err
 	}
 	return p.current.Load(), nil
 }
@@ -620,22 +571,23 @@ func (p *Platform) Engine() (*core.Engine, error) {
 // and may be stale (check Stale); it is always fully built.
 func (p *Platform) Snapshot() *core.Engine { return p.current.Load() }
 
-// Stale reports whether change events exist that the serving snapshot
-// does not reflect. A snapshot with an applied delta overlay is
-// *current*, not stale — only unapplied events (or a missing snapshot,
-// or an overflowed event queue awaiting compaction) make it stale.
+// Stale reports whether the serving snapshot misses a write that has
+// returned: there is no snapshot yet, or a batch was skipped (a gap)
+// and the compaction that closes it has not swapped in. A snapshot with
+// an applied delta overlay is *current*, not stale.
 func (p *Platform) Stale() bool {
-	return p.current.Load() == nil || p.pendingCount.Load() > 0 || p.overflowed()
+	return p.current.Load() == nil || p.gapSeq.Load() != 0
 }
 
-// CompactionDue reports whether the serving snapshot drifted past the
-// compaction policy: the overlay grew too large, too much of the base
-// is tombstoned, too many graph-affecting events await integration, or
-// the event queue overflowed. Serving continues either way; AutoRefresh
-// (or an admin refresh) runs the compaction, except after an overflow,
-// whose write has already started it.
+// CompactionDue reports whether the serving snapshot needs a
+// compaction: a gap awaits one, or the snapshot drifted past the
+// compaction policy — the overlay grew too large, too much of the base
+// is tombstoned, or too many graph-affecting events await integration.
+// Serving continues either way; AutoRefresh (or an admin refresh) runs
+// the compaction, except after a gap, whose write has already started
+// it.
 func (p *Platform) CompactionDue() bool {
-	if p.overflowed() {
+	if p.gapSeq.Load() != 0 {
 		return true
 	}
 	// No snapshot: nothing to compact; Stale covers the first build.
@@ -659,9 +611,9 @@ func (p *Platform) Generation() uint64 { return p.gen.Load() }
 func (p *Platform) DeltasApplied() uint64 { return p.deltasApplied.Load() }
 
 // AutoRefresh starts a background loop that every interval runs a
-// compaction if one is due (CompactionDue) and otherwise drains events
-// left unapplied (tick), keeping overlay size and evidence-graph drift
-// bounded without any rebuild cost on the read or write paths. It
+// compaction if one is due or the snapshot is stale (tick), keeping
+// overlay size and evidence-graph drift bounded without any rebuild
+// cost on the read or write paths. It
 // replaces a previously started loop; a non-positive interval just
 // stops the current loop (auto-refresh disabled). Stop it with
 // StopAutoRefresh (Close does too).
@@ -706,17 +658,13 @@ func (p *Platform) AutoRefresh(interval time.Duration) {
 	}()
 }
 
-// tick is one AutoRefresh beat. Only the compaction policy buys a full
-// build; plain staleness — a beat landing while a write's fold is in
-// flight — drains through the delta path, which itself falls back to a
-// build when there is no snapshot yet or the queue overflowed. Errors
-// are kept for State (last_refresh_error).
+// tick is one AutoRefresh beat: it compacts when the policy asks for
+// it or the snapshot is stale (no snapshot yet, or a gap). Writes fold
+// their own deltas, so there is nothing else to drain. Errors are kept
+// for State (last_refresh_error).
 func (p *Platform) tick() {
-	switch {
-	case p.CompactionDue():
+	if p.CompactionDue() || p.Stale() {
 		_ = p.Refresh()
-	case p.Stale():
-		_ = p.ApplyDeltas()
 	}
 }
 

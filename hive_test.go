@@ -363,10 +363,10 @@ func TestPlatformWrapperSurface(t *testing.T) {
 	}
 }
 
-// TestAutoRefreshTickDrainsWithoutCompacting: a beat that finds events
-// pending with no compaction threshold crossed — it landed while a
-// write's fold was in flight — drains them through the delta path and
-// does not buy a full build.
+// TestAutoRefreshTickDrainsWithoutCompacting: a write folds its own
+// events before it returns, so a beat that follows it with no
+// compaction threshold crossed finds nothing to do — it buys no full
+// build, and the write is searchable all along.
 func TestAutoRefreshTickDrainsWithoutCompacting(t *testing.T) {
 	p := openTest(t)
 	if err := p.RegisterUser(User{ID: "u", Name: "U"}); err != nil {
@@ -375,21 +375,14 @@ func TestAutoRefreshTickDrainsWithoutCompacting(t *testing.T) {
 	if err := p.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	// Hold the maintenance flight so the write below queues its events
-	// instead of folding them, then let go without draining.
-	f, started, err := p.beginFlight(false)
-	if err != nil || !started {
-		t.Fatalf("beginFlight: started=%v err=%v", started, err)
-	}
 	if err := p.PublishPaper(Paper{ID: "p", Title: "Pending delta", Authors: []string{"u"}}); err != nil {
 		t.Fatal(err)
 	}
-	p.flightMu.Lock()
-	p.flight = nil
-	p.flightMu.Unlock()
-	close(f.done)
-	if !p.Stale() || p.CompactionDue() {
-		t.Fatalf("setup: Stale=%v CompactionDue=%v, want stale and no compaction due", p.Stale(), p.CompactionDue())
+	if p.Stale() || p.CompactionDue() {
+		t.Fatalf("after the write: Stale=%v CompactionDue=%v, want neither", p.Stale(), p.CompactionDue())
+	}
+	if rs, err := p.Search("pending delta", 1); err != nil || len(rs) != 1 {
+		t.Fatalf("write not searchable when it returned: %v, %v", rs, err)
 	}
 
 	compactions := p.State().Compactions
@@ -398,10 +391,10 @@ func TestAutoRefreshTickDrainsWithoutCompacting(t *testing.T) {
 		t.Fatal("tick left the snapshot stale")
 	}
 	if got := p.State().Compactions; got != compactions {
-		t.Fatalf("tick ran %d compaction(s) for plain staleness", got-compactions)
+		t.Fatalf("tick ran %d compaction(s) after a folded write", got-compactions)
 	}
 	if rs, err := p.Search("pending delta", 1); err != nil || len(rs) != 1 {
-		t.Fatalf("drained write not searchable: %v, %v", rs, err)
+		t.Fatalf("write not searchable after the tick: %v, %v", rs, err)
 	}
 }
 

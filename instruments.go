@@ -13,7 +13,7 @@ import (
 // process-wide view an operator scrapes.
 var (
 	mDeltaApplySeconds = metrics.Default.Histogram(metrics.DeltaApplySeconds,
-		"Latency of folding one drained delta batch into the serving snapshot.", nil)
+		"Latency of folding one delta batch into a snapshot (a write's fold or a compaction's replay).", nil)
 	mCompactionSeconds = metrics.Default.Histogram(metrics.CompactionSeconds,
 		"Latency of one full snapshot rebuild (compaction).", nil)
 	mBuildStageSeconds = metrics.Default.HistogramVec(metrics.BuildStageSeconds,

@@ -316,7 +316,7 @@ func TestStoreModel(t *testing.T) {
 						img[k], m[k] = []byte(v), v
 					}
 					pos++
-					err = s.ImportSnapshot(img, pos, nil)
+					err = s.ImportSnapshot(image(img), pos, nil)
 					disk = maps.Clone(m)
 				case op < 96:
 					pos++
@@ -396,7 +396,7 @@ func TestRangeReadsStayInRange(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		img[fmt.Sprintf("m/%d", i)] = []byte("x")
 	}
-	if err := s.ImportSnapshot(img, 0, nil); err != nil {
+	if err := s.ImportSnapshot(image(img), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	examined := func(read func()) int64 {
@@ -470,7 +470,7 @@ func BenchmarkScanPrefix(b *testing.B) {
 			for i := 0; i < 10; i++ {
 				img[fmt.Sprintf("follow/u1/u%d", i)] = nil
 			}
-			if err := s.ImportSnapshot(img, 0, nil); err != nil {
+			if err := s.ImportSnapshot(image(img), 0, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -496,7 +496,7 @@ func benchImage(b *testing.B, n int) (*Store, []string) {
 		img[k] = []byte(`{"id":"c","author":"u001","target":"p001","text":"a comment body"}`)
 		keys = append(keys, k)
 	}
-	if err := s.ImportSnapshot(img, 0, nil); err != nil {
+	if err := s.ImportSnapshot(image(img), 0, nil); err != nil {
 		b.Fatal(err)
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -402,13 +401,15 @@ func (s *Store) apply(b *Batch, hook bool) error {
 	return nil
 }
 
-// ImportSnapshot replaces the store's entire contents with entries, as
+// ImportSnapshot replaces the store's entire contents with items, as
 // the checkpoint at log position w — the replication-bootstrap path: a
 // follower loads the leader's full key-value image before tailing its
-// journal. The write hook is not invoked (imports are replicas by
-// definition). reset, when not nil, runs under the store lock after the
-// image is staged and before it is installed: the owner restarts its log
-// right after w there.
+// journal. items must be in strictly ascending key order, as Image
+// returns them (a key out of order or repeated is refused before any
+// step), and the store keeps their values. The write hook is not
+// invoked (imports are replicas by definition). reset, when not nil,
+// runs under the store lock after the image is staged and before it is
+// installed: the owner restarts its log right after w there.
 //
 // On a durable store the steps are ordered so that a crash at any one of
 // them reopens to the old state or to the imported one, never a mix: the
@@ -416,7 +417,12 @@ func (s *Store) apply(b *Batch, hook bool) error {
 // that file is whole; then reset runs; then the staged file is renamed
 // over the checkpoint. Open discards a torn staged import and finishes a
 // whole one, restarting the log itself if reset had not finished.
-func (s *Store) ImportSnapshot(entries map[string][]byte, w uint64, reset func() error) error {
+func (s *Store) ImportSnapshot(items []Entry, w uint64, reset func() error) error {
+	for i := 1; i < len(items); i++ {
+		if items[i].Key <= items[i-1].Key {
+			return fmt.Errorf("kvstore: import: key %q is out of key order or duplicated", items[i].Key)
+		}
+	}
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
 	s.mu.Lock()
@@ -424,11 +430,6 @@ func (s *Store) ImportSnapshot(entries map[string][]byte, w uint64, reset func()
 	if s.closed {
 		return ErrClosed
 	}
-	items := make([]Entry, 0, len(entries))
-	for k, v := range entries {
-		items = append(items, Entry{Key: k, Val: append([]byte(nil), v...)})
-	}
-	slices.SortFunc(items, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
 	if s.dir != "" {
 		if err := writeImageFile(s.importPath(), items, w); err != nil {
 			return fmt.Errorf("kvstore: stage import: %w", err)

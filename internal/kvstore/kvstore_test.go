@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -502,7 +503,7 @@ func TestImportSnapshotCrashSteps(t *testing.T) {
 	before := copyDir(t, dir)
 	img := map[string][]byte{"new": []byte("2")}
 	var afterStage string
-	err := s.ImportSnapshot(img, 9, func() error {
+	err := s.ImportSnapshot(image(img), 9, func() error {
 		afterStage = copyDir(t, dir)
 		return nil
 	})
@@ -565,4 +566,43 @@ func copyDir(t *testing.T, dir string) string {
 		}
 	}
 	return out
+}
+
+// image returns m as ImportSnapshot takes it: entries in key order.
+func image(m map[string][]byte) []Entry {
+	items := make([]Entry, 0, len(m))
+	for k, v := range m {
+		items = append(items, Entry{Key: k, Val: v})
+	}
+	slices.SortFunc(items, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
+	return items
+}
+
+// An import is a key-ordered image: a key out of order or repeated is
+// refused, as a checkpoint with one is, and the store is left as it was.
+func TestImportSnapshotRejectsUnorderedKeys(t *testing.T) {
+	for name, items := range map[string][]Entry{
+		"out of order": {{Key: "b", Val: []byte("1")}, {Key: "a", Val: []byte("2")}},
+		"duplicated":   {{Key: "a", Val: []byte("1")}, {Key: "a", Val: []byte("2")}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			_ = s.Put("old", []byte("1"))
+			_ = s.Checkpoint(at(5))
+			reset := false
+			err = s.ImportSnapshot(items, 9, func() error { reset = true; return nil })
+			if err == nil || reset {
+				t.Fatalf("ImportSnapshot = %v (reset ran: %v), want a refusal before any step", err, reset)
+			}
+			assertHolds(t, s, map[string]string{"old": "1"})
+			if s.Watermark() != 5 {
+				t.Fatalf("Watermark after a refused import = %d, want 5", s.Watermark())
+			}
+		})
+	}
 }

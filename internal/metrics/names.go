@@ -15,8 +15,8 @@ const (
 
 	// Delta pipeline and snapshot maintenance (hive.Platform).
 
-	// DeltaApplySeconds times one drained delta batch folding into the
-	// serving snapshot.
+	// DeltaApplySeconds times one delta batch folding into a snapshot:
+	// the serving one, or a compaction's new base at its swap.
 	DeltaApplySeconds = "hive_delta_apply_seconds"
 	// CompactionSeconds times one full snapshot rebuild (compaction).
 	CompactionSeconds = "hive_compaction_seconds"

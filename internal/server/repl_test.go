@@ -490,8 +490,8 @@ func TestFollowerResyncsPastOlderTermHistory(t *testing.T) {
 			}
 		}
 		out := api.ReplicationSnapshot{Seq: seq, Epoch: term}
-		for k, v := range entries {
-			out.Entries = append(out.Entries, api.KVEntry{Key: k, Value: v})
+		for _, e := range entries {
+			out.Entries = append(out.Entries, api.KVEntry{Key: e.Key, Value: e.Val})
 		}
 		_ = json.NewEncoder(w).Encode(out)
 	})

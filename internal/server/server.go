@@ -514,9 +514,9 @@ func (s *Server) getReplicationSnapshot(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, r, err)
 		return
 	}
-	out := api.ReplicationSnapshot{Seq: seq, Epoch: p.Epoch(), Entries: make([]api.KVEntry, 0, len(entries))}
-	for k, v := range entries {
-		out.Entries = append(out.Entries, api.KVEntry{Key: k, Value: v})
+	out := api.ReplicationSnapshot{Seq: seq, Epoch: p.Epoch(), Entries: make([]api.KVEntry, len(entries))}
+	for i, e := range entries {
+		out.Entries[i] = api.KVEntry{Key: e.Key, Value: e.Val}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -552,7 +552,7 @@ func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request) {
 // index, and this node's replication lag.
 func (s *Server) collectStateGauges() {
 	reg := metrics.Default
-	pending := reg.GaugeVec(metrics.PendingEvents, "Change events queued but not yet folded into the serving snapshot.", "shard")
+	pending := reg.GaugeVec(metrics.PendingEvents, "Change events queued for the fold in progress (0 except mid-fold).", "shard")
 	overlay := reg.GaugeVec(metrics.OverlayDocs, "Documents in the delta overlay (compaction pressure).", "shard")
 	corpus := reg.GaugeVec(metrics.ShardDocs, "Frozen-corpus documents indexed.", "shard")
 	commit := reg.GaugeVec(metrics.CommitIndex, "Quorum-durable commit watermark.", "shard")

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBatchedFiresHooksOnce is the contract behind POST /api/v1/batch:
@@ -216,5 +217,48 @@ func TestBatchedCoalescesTypedEvents(t *testing.T) {
 	if len(deliveries) != 1 || len(deliveries[0]) != n {
 		t.Fatalf("deliveries = %d batches (first has %d events), want 1 batch of %d",
 			len(deliveries), len(deliveries[0]), n)
+	}
+}
+
+// TestMutationReturnsAfterItsEventsAreDelivered: concurrent mutations
+// share the event buffer, so one mutation's events may be flushed and
+// delivered by another's scope. Whichever goroutine delivers them, they
+// must have reached the subscribers by the time the mutation that
+// emitted them returns — the platform's read-your-writes rests on it.
+func TestMutationReturnsAfterItsEventsAreDelivered(t *testing.T) {
+	st, err := Open("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var seen sync.Map
+	st.OnChange(func(evs []ChangeEvent) {
+		time.Sleep(50 * time.Microsecond) // a subscriber that takes a while, as a fold does
+		for _, ev := range evs {
+			seen.Store(ev.ID, true)
+		}
+	})
+	const writers, each = 8, 500
+	var missed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id := fmt.Sprintf("u%d-%d", w, i)
+				if err := st.PutUser(User{ID: id, Name: "U"}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, ok := seen.Load(id); !ok {
+					missed.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := missed.Load(); n > 0 {
+		t.Fatalf("%d of %d mutations returned before their events reached the subscriber", n, writers*each)
 	}
 }

@@ -384,8 +384,8 @@ func crashModel(t *testing.T, seed int64) {
 			}
 			seq, entries := leader.SnapshotForReplication()
 			preImport, imported = kvImage(st), map[string]string{}
-			for k, v := range entries {
-				imported[k] = string(v)
+			for _, e := range entries {
+				imported[e.Key] = string(e.Val)
 			}
 			if err := st.ImportReplicaSnapshot(seq, entries); err != nil {
 				t.Fatal(err)

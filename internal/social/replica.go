@@ -149,25 +149,23 @@ func (s *Store) WaitChanges(done <-chan struct{}, after uint64) bool {
 // write past it. It holds the scope lock exclusively, as Close does, so
 // no mutation is in flight, and captures the image the way a checkpoint
 // does, at the journal position (see position); the capture copies
-// references, so writers wait milliseconds. entries is nil when the
-// image is at no journal position: a replica batch is being applied, or
-// a journal failure stopped the store.
-func (s *Store) SnapshotForReplication() (seq uint64, entries map[string][]byte) {
+// references, so writers wait milliseconds. entries is in key order and
+// shares the stored values, which the caller must not modify. It is nil
+// when the image is at no journal position: a replica batch is being
+// applied, or a journal failure stopped the store.
+func (s *Store) SnapshotForReplication() (seq uint64, entries []kvstore.Entry) {
 	s.scope.Lock()
-	items, seq, ok, _ := s.kv.Image(s.position)
+	entries, seq, ok, _ := s.kv.Image(s.position)
 	s.scope.Unlock()
 	if !ok {
 		return 0, nil
-	}
-	entries = make(map[string][]byte, len(items))
-	for _, e := range items {
-		entries[e.Key] = append([]byte(nil), e.Val...)
 	}
 	return seq, entries
 }
 
 // ImportReplicaSnapshot atomically replaces the store's contents with a
-// leader snapshot and moves the change sequence to its watermark — in
+// leader snapshot (entries in strictly ascending key order, whose values
+// the store keeps) and moves the change sequence to its watermark — in
 // either direction: an import replaces the world, so the watermark is
 // authoritative even when it is lower than the current sequence (the
 // re-sync-from-a-regressed-leader path). On a durable store the image
@@ -180,7 +178,7 @@ func (s *Store) SnapshotForReplication() (seq uint64, entries map[string][]byte)
 // kvstore.ImportSnapshot).
 //
 //lint:allow hookcheck snapshot import replaces the whole image quietly; the follower rebuilds its engine from scratch afterwards
-func (s *Store) ImportReplicaSnapshot(seq uint64, entries map[string][]byte) error {
+func (s *Store) ImportReplicaSnapshot(seq uint64, entries []kvstore.Entry) error {
 	if err := s.writable(); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hive/internal/journal"
+	"hive/internal/kvstore"
 )
 
 func openDir(t *testing.T, dir string) *Store {
@@ -204,7 +205,7 @@ func TestReplicationSnapshotIsAtItsWatermark(t *testing.T) {
 	}
 	type snapshot struct {
 		seq     uint64
-		entries map[string][]byte
+		entries []kvstore.Entry
 	}
 	var snaps []snapshot
 	for len(snaps) < 20 {
@@ -240,13 +241,15 @@ func TestReplicationSnapshotIsAtItsWatermark(t *testing.T) {
 			t.Fatalf("snapshot %d names seq %d, but no journal record ends there", i, sn.seq)
 		}
 		ahead, missing := 0, 0
-		for k, v := range sn.entries {
-			if w, ok := folded[k]; !ok || !bytes.Equal(v, w) {
+		held := map[string]bool{}
+		for _, e := range sn.entries {
+			held[e.Key] = true
+			if w, ok := folded[e.Key]; !ok || !bytes.Equal(e.Val, w) {
 				ahead++
 			}
 		}
 		for k := range folded {
-			if _, ok := sn.entries[k]; !ok {
+			if !held[k] {
 				missing++
 			}
 		}

@@ -80,6 +80,12 @@ type Store struct {
 	evMu      sync.Mutex
 	changeSeq uint64
 	evBuf     []ChangeEvent
+	// lastDone is closed once every batch flushed so far is delivered
+	// (nil before the first flush). Concurrent mutations share evBuf, so
+	// one mutation's flush may carry another's events: a mutation
+	// returns only once every batch flushed up to its own is delivered
+	// (deliverFlushed).
+	lastDone chan struct{}
 	// epoch is the leadership term stamped into every journaled batch —
 	// the election layer's fencing token. It only ever rises (SetEpoch)
 	// and is recovered from the last journal record on reopen. Zero
@@ -128,9 +134,12 @@ type Store struct {
 // successful mutation — including writes that bypass the Platform
 // wrappers and hit the store directly — the subscriber receives the
 // batch of ChangeEvents the mutation emitted; a Batched pass delivers
-// exactly one coalesced batch for all its writes. Subscribers must be
-// fast and must not mutate the store (reads are fine: the events carry
-// IDs, not entity bodies, so consumers refetch what they need).
+// exactly one coalesced batch for all its writes. A mutation returns
+// only once its events were delivered, also when a concurrent
+// mutation's batch carried them. Subscribers must be fast and must not
+// mutate the store — such a mutation would wait on the very delivery
+// that made it (reads are fine: the events carry IDs, not entity
+// bodies, so consumers refetch what they need).
 func (s *Store) OnChange(fn func([]ChangeEvent)) {
 	s.hookMu.Lock()
 	s.subs = append(s.subs, fn)
@@ -181,14 +190,30 @@ func (s *Store) emit(kind ChangeKind, entity EntityType, id string, refs ...stri
 	s.evMu.Unlock()
 }
 
-// flushEvents journals the buffered batch, if any, and returns its
-// events for delivery, or the journal failure that stops the store.
-func (s *Store) flushEvents() ([]ChangeEvent, error) {
+// flushEvents journals the buffered batch, if any, and returns it for
+// delivery (see deliverFlushed), or the journal failure that stops the
+// store.
+func (s *Store) flushEvents() (flushed, error) {
 	s.evMu.Lock()
 	defer s.evMu.Unlock()
-	buf := s.evBuf
+	f := flushed{evs: s.evBuf, prev: s.lastDone}
 	s.evBuf = nil
-	return buf, s.journalLocked(buf)
+	if err := s.journalLocked(f.evs); err != nil {
+		return flushed{prev: f.prev}, err
+	}
+	if len(f.evs) > 0 {
+		f.done = make(chan struct{})
+		s.lastDone = f.done
+	}
+	return f, nil
+}
+
+// flushed is one flush handed to delivery: its events (none when
+// another mutation's flush carried them), the completion of every
+// earlier flush, and its own.
+type flushed struct {
+	evs        []ChangeEvent
+	prev, done chan struct{}
 }
 
 // journalLocked durably appends the batch about to be delivered — its
@@ -305,6 +330,20 @@ func (s *Store) deliver(evs []ChangeEvent) {
 	}
 }
 
+// deliverFlushed delivers f's events, then waits until every earlier
+// flush is delivered: the mutation's events may have been carried by an
+// earlier flush still being delivered on another goroutine, and it must
+// not return before they are. It then marks f delivered.
+func (s *Store) deliverFlushed(f flushed) {
+	s.deliver(f.evs)
+	if f.prev != nil {
+		<-f.prev
+	}
+	if f.done != nil {
+		close(f.done)
+	}
+}
+
 // writable returns the journal failure that stopped the store, if any.
 func (s *Store) writable() error {
 	s.evMu.Lock()
@@ -324,16 +363,16 @@ func (s *Store) scoped(fn func() error) error {
 	if s.nested() {
 		return fn()
 	}
-	evs, err := s.journaled(false, fn)
-	s.deliver(evs)
+	f, err := s.journaled(false, fn)
+	s.deliverFlushed(f)
 	return err
 }
 
 // journaled runs fn on a writable store under the scope lock — shared
 // for one mutation, exclusive for a Batched scope — and journals what it
-// wrote before the lock is released. It returns the journaled events for
-// delivery, which happens after the lock is released.
-func (s *Store) journaled(exclusive bool, fn func() error) ([]ChangeEvent, error) {
+// wrote before the lock is released. It returns the flush for delivery,
+// which happens after the lock is released.
+func (s *Store) journaled(exclusive bool, fn func() error) (flushed, error) {
 	if exclusive {
 		s.scope.Lock()
 		defer s.scope.Unlock()
@@ -343,14 +382,14 @@ func (s *Store) journaled(exclusive bool, fn func() error) ([]ChangeEvent, error
 	}
 	defer s.checkpointIfDue()
 	if err := s.writable(); err != nil {
-		return nil, err
+		return flushed{}, err
 	}
 	err := fn()
-	evs, ferr := s.flushEvents()
+	f, ferr := s.flushEvents()
 	if ferr != nil {
-		return nil, ferr
+		return f, ferr
 	}
-	return evs, err
+	return f, err
 }
 
 // nested reports whether the caller runs inside the open Batched scope.
@@ -375,14 +414,14 @@ func (s *Store) Batched(fn func() error) error {
 	if s.nested() {
 		return fn()
 	}
-	evs, err := s.journaled(true, func() error {
+	f, err := s.journaled(true, func() error {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 		s.owner.Store(threadID())
 		defer s.owner.Store(0)
 		return fn()
 	})
-	s.deliver(evs)
+	s.deliverFlushed(f)
 	return err
 }
 

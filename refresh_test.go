@@ -28,10 +28,9 @@ func refreshPlatform(t *testing.T, users int) *hive.Platform {
 
 // overflowQueue leaves the serving snapshot stale at its current
 // generation — the one way a write does not fold its own delta: a
-// single batch larger than the pending-event queue (4096) makes the
-// platform abandon the queue in favour of a compaction, which the batch
-// starts in the background. It rewrites one user, so the corpus the
-// compaction builds stays small.
+// single batch of more than 4096 events is skipped (a gap) in favour of
+// a compaction, which the batch starts in the background. It rewrites
+// one user, so the corpus the compaction builds stays small.
 func overflowQueue(t *testing.T, p *hive.Platform) {
 	t.Helper()
 	st := p.Store()
@@ -47,7 +46,7 @@ func overflowQueue(t *testing.T, p *hive.Platform) {
 		t.Fatal(err)
 	}
 	if !p.Stale() {
-		t.Fatal("an overflowed event queue did not mark the snapshot stale")
+		t.Fatal("a skipped batch did not mark the snapshot stale")
 	}
 }
 
@@ -161,8 +160,8 @@ func TestSnapshotLifecycle(t *testing.T) {
 }
 
 // TestSnapshotLifecycleOverflow pins the fallback behind the delta
-// path: a batch that overflows the event queue marks the snapshot stale
-// until a full rebuild swaps in, and Engine() waits for that rebuild.
+// path: a batch too large to fold marks the snapshot stale until a full
+// rebuild swaps in, and Engine() waits for that rebuild.
 func TestSnapshotLifecycleOverflow(t *testing.T) {
 	p := refreshPlatform(t, 12)
 	if err := p.Refresh(); err != nil {
@@ -185,10 +184,11 @@ func TestSnapshotLifecycleOverflow(t *testing.T) {
 
 // TestOverflowThenLibraryReadConverges: a standalone Platform — no
 // server to kick a refresh, no AutoRefresh loop — bulk-loads more
-// events than the queue holds and then only reads. The service methods
-// answer from the published snapshot, so the first read may predate the
-// load, but it must start the compaction that repairs the overflow:
-// the load becomes visible without any explicit maintenance call.
+// events than one fold takes (4096) and then only reads. The service
+// methods answer from the published snapshot, so the first read may
+// predate the load, but the write that skipped it has started the
+// compaction that closes the gap: the load becomes visible without any
+// explicit maintenance call.
 func TestOverflowThenLibraryReadConverges(t *testing.T) {
 	p := refreshPlatform(t, 8)
 	if err := p.Refresh(); err != nil {
@@ -209,7 +209,7 @@ func TestOverflowThenLibraryReadConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !p.Stale() || !p.CompactionDue() {
-		t.Fatalf("setup: Stale=%v CompactionDue=%v, want an overflowed queue", p.Stale(), p.CompactionDue())
+		t.Fatalf("setup: Stale=%v CompactionDue=%v, want a skipped batch", p.Stale(), p.CompactionDue())
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -230,11 +230,11 @@ func TestOverflowThenLibraryReadConverges(t *testing.T) {
 	}
 }
 
-// TestPendingOverflowFallsBackToCompaction floods the event queue while
-// no snapshot exists: the queue overflows, staleness persists, and the
-// next refresh recovers everything with one full build.
+// TestPendingOverflowFallsBackToCompaction floods the store with a
+// batch too large to fold while no snapshot exists: staleness persists,
+// and the next refresh recovers everything with one full build.
 func TestPendingOverflowFallsBackToCompaction(t *testing.T) {
-	p := refreshPlatform(t, 8) // loader queues thousands of events pre-build
+	p := refreshPlatform(t, 8) // the loader emits thousands of events pre-build
 	if !p.Stale() {
 		t.Fatal("want stale before the first build")
 	}
@@ -247,7 +247,7 @@ func TestPendingOverflowFallsBackToCompaction(t *testing.T) {
 	// Everything the flood wrote is served.
 	eng := p.Snapshot()
 	if eng == nil || len(p.Users()) < 8 {
-		t.Fatalf("snapshot incomplete after overflow compaction")
+		t.Fatalf("snapshot incomplete after the compaction")
 	}
 }
 
@@ -382,8 +382,8 @@ func TestAutoRefresh(t *testing.T) {
 		t.Fatalf("auto-refresh rebuilt a clean snapshot: gen %d -> %d", gen, g)
 	}
 
-	// An overflowed queue stays stale until the auto loop compacts,
-	// which is exactly what this test observes.
+	// A skipped batch stays stale until a compaction swaps in, which
+	// is exactly what this test observes.
 	overflowQueue(t, p)
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Generation() == gen {
@@ -395,4 +395,194 @@ func TestAutoRefresh(t *testing.T) {
 	if p.Stale() {
 		t.Fatal("still stale after auto-refresh")
 	}
+}
+
+// TestWriteVisibleOnReturn pins the freshness promise: a write is
+// served by the knowledge services when it returns — while a
+// compaction builds beside it and under concurrent writers — a bulk
+// load that skips the fold is served by the compaction it starts, with
+// no further call, and a compaction finishes under steady writes.
+func TestWriteVisibleOnReturn(t *testing.T) {
+	// publish writes one paper with a unique title and reports whether
+	// a search for that title finds it as soon as the write returns.
+	publish := func(t *testing.T, p *hive.Platform, author, id string) bool {
+		t.Helper()
+		title := "Vizzle " + id
+		if err := p.PublishPaper(hive.Paper{ID: id, Title: title, Authors: []string{author}}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Search(title, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res) == 1 && res[0].DocID == hive.DocPaper+id
+	}
+	// word spells i in letters, so every title carries its own term.
+	word := func(i int) string {
+		w := []byte("q")
+		for ; i > 0; i /= 26 {
+			w = append(w, byte('a'+i%26))
+		}
+		return string(w)
+	}
+
+	t.Run("during_compaction", func(t *testing.T) {
+		p := refreshPlatform(t, 512)
+		if err := p.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		author := p.Users()[0]
+		compactions := p.State().Compactions
+		p.RefreshAsync()
+		var missed []string
+		for i := 0; i < 5; i++ {
+			id := "mid" + word(i+1)
+			if !publish(t, p, author, id) {
+				missed = append(missed, id)
+			}
+		}
+		if p.State().Compactions != compactions {
+			t.Fatal("setup: the compaction swapped before the writes returned; they did not overlap it")
+		}
+		if len(missed) > 0 {
+			t.Errorf("%d of 5 writes issued mid-compaction were not served on return: %v", len(missed), missed)
+		}
+		// The compaction's swap keeps every write the old snapshot served.
+		if err := p.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			id := "mid" + word(i+1)
+			if res, err := p.Search("Vizzle "+id, 1); err != nil || len(res) != 1 || res[0].DocID != hive.DocPaper+id {
+				t.Errorf("after the swap, %s is not served: %v, %v", id, res, err)
+			}
+		}
+	})
+
+	t.Run("concurrent_writers", func(t *testing.T) {
+		p := refreshPlatform(t, 16)
+		if err := p.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		const writers, each = 4, 150
+		users := p.Users()
+		var missed [writers]int
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					if !publish(t, p, users[w], fmt.Sprintf("w%d%s", w, word(i+1))) {
+						missed[w]++
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		total := 0
+		for _, m := range missed {
+			total += m
+		}
+		if total > 0 {
+			t.Errorf("%d of %d concurrent writes were not served on return (per writer %v)", total, writers*each, missed)
+		}
+	})
+
+	t.Run("bulk_load_mid_compaction", func(t *testing.T) {
+		p := refreshPlatform(t, 128)
+		if err := p.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		author := p.Users()[0]
+		p.RefreshAsync()
+		err := p.Batched(func() error {
+			for i := 0; i < 4200; i++ {
+				if err := p.PublishPaper(hive.Paper{
+					ID: fmt.Sprintf("bulk-%d", i), Title: "Zymurgy of skipped batches", Authors: []string{author},
+				}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			res, err := p.Search("zymurgy", 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) == 5 && !p.Stale() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the bulk load was never served (%d results, stale=%v)", len(res), p.Stale())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+
+	// A compaction finishes while writes keep arriving: more than 4096
+	// events fold beside its build, its swap replays them all, and
+	// Refresh returns with every write served instead of building again
+	// until the writes stop.
+	t.Run("steady_writes_during_compaction", func(t *testing.T) {
+		p := refreshPlatform(t, 512)
+		if err := p.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		author := p.Users()[0]
+		st := p.Store()
+		done := make(chan error, 1)
+		go func() { done <- p.Refresh() }()
+
+		// Each pass is one Batched write of 1000 cheap events (one user
+		// rewritten) and a paper with its own title.
+		const perPass, maxEvents = 1000, 200_000
+		var titles []string
+		events := 0
+		for refreshed := false; !refreshed; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				refreshed = true
+				continue
+			default:
+			}
+			if events > maxEvents {
+				t.Fatalf("the compaction did not return while writes continued (%d events written)", events)
+			}
+			title := fmt.Sprintf("Steady %s", word(len(titles)+1))
+			err := st.Batched(func() error {
+				for i := 0; i < perPass; i++ {
+					if err := st.PutUser(hive.User{ID: "steady", Name: "Steady", Bio: fmt.Sprint(i)}); err != nil {
+						return err
+					}
+				}
+				return st.PutPaper(hive.Paper{ID: "steady" + word(len(titles)+1), Title: title, Authors: []string{author}})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			titles = append(titles, title)
+			events += perPass + 1
+		}
+		if events <= 4096+perPass+1 {
+			t.Fatalf("setup: only %d events were written while the compaction ran; want more than 4096", events)
+		}
+		t.Logf("%d events written while the compaction ran", events)
+		if p.Stale() {
+			t.Fatal("stale after the compaction returned")
+		}
+		for _, title := range titles {
+			if res, err := p.Search(title, 1); err != nil || len(res) != 1 {
+				t.Errorf("%q is not served after the compaction: %v, %v", title, res, err)
+			}
+		}
+	})
 }

@@ -37,6 +37,7 @@ import (
 
 	"hive/api"
 	"hive/client"
+	"hive/internal/kvstore"
 	"hive/internal/social"
 )
 
@@ -161,9 +162,9 @@ func (p *Platform) bootstrapFollower(f *follower) error {
 		f.fenced.Add(1)
 		return fmt.Errorf("refusing snapshot from %s at stale epoch %d (ours is %d): %w", f.url, snap.Epoch, cur, social.ErrStaleEpoch)
 	}
-	entries := make(map[string][]byte, len(snap.Entries))
-	for _, e := range snap.Entries {
-		entries[e.Key] = e.Value
+	entries := make([]kvstore.Entry, len(snap.Entries))
+	for i, e := range snap.Entries {
+		entries[i] = kvstore.Entry{Key: e.Key, Val: e.Value}
 	}
 	if err := p.store.ImportReplicaSnapshot(snap.Seq, entries); err != nil {
 		return fmt.Errorf("import snapshot: %w", err)
@@ -236,19 +237,14 @@ func (p *Platform) followLoop(f *follower) {
 		pollStart := time.Now()
 		ev, err := f.c.ReplicationEvents(f.ctx, from, followBatchMax, followPollWait, p.store.Epoch(), ack)
 		mReplicationPollSeconds.ObserveSince(pollStart)
+		// resync names why the tail cannot continue and the follower must
+		// re-bootstrap from the leader's snapshot ("" while it can).
+		var resync string
 		switch {
-		case err == nil:
 		case api.IsCode(err, api.CodeCompacted):
 			// Fell behind the leader's retention horizon: tailing can
-			// never catch up, re-sync from the full snapshot.
-			if berr := p.resyncFollower(f); berr != nil {
-				f.lastErr.Store(&replErr{fmt.Errorf("re-bootstrap after compaction: %w", berr)})
-				failures++
-				continue
-			}
-			f.lastErr.Store(&replErr{})
-			failures = 0
-			continue
+			// never catch up.
+			resync = "after compaction"
 		case api.IsCode(err, api.CodeStaleEpoch):
 			// The polled node's term is behind ours: it is a deposed
 			// leader (or a lagging peer). Nothing it serves is safe to
@@ -258,83 +254,66 @@ func (p *Platform) followLoop(f *follower) {
 			f.lastErr.Store(&replErr{fmt.Errorf("fenced: %s is behind our epoch %d (deposed leader?): %w", f.url, p.store.Epoch(), err)})
 			failures++
 			continue
-		default:
+		case err != nil:
 			if f.ctx.Err() != nil {
 				return
 			}
 			f.lastErr.Store(&replErr{fmt.Errorf("poll leader: %w", err)})
 			failures++
 			continue
-		}
-
-		if ev.Epoch > p.store.Epoch() {
+		case ev.Epoch > p.store.Epoch():
 			// The leader moved to a newer term than we adopted. Per the
 			// compatibility rule (accept N, re-bootstrap on N+1) the
-			// tail is not trustworthy across terms: re-sync from the
-			// snapshot, which adopts the new term.
-			if berr := p.resyncFollower(f); berr != nil {
-				f.lastErr.Store(&replErr{fmt.Errorf("re-bootstrap onto epoch %d: %w", ev.Epoch, berr)})
-				failures++
-				continue
-			}
-			f.lastErr.Store(&replErr{})
-			failures = 0
-			continue
-		}
-
-		// A leader whose journal tail is *behind* our applied sequence
-		// is not the leader we replicated from (repurposed data dir,
-		// restored backup, misconfigured peer set): tailing would silently
-		// serve unrelated state while reporting zero lag. Re-sync from
-		// its snapshot instead.
-		if ev.Tail < from {
+			// tail is not trustworthy across terms; the snapshot adopts
+			// the new term.
+			resync = fmt.Sprintf("onto epoch %d", ev.Epoch)
+		case ev.Tail < from:
+			// A leader whose journal tail is *behind* our applied sequence
+			// is not the leader we replicated from (repurposed data dir,
+			// restored backup, misconfigured peer set): tailing would
+			// silently serve unrelated state while reporting zero lag.
 			f.leaderTail.Store(ev.Tail)
-			if berr := p.resyncFollower(f); berr != nil {
-				f.lastErr.Store(&replErr{fmt.Errorf("re-bootstrap after leader regression (tail %d < applied %d): %w", ev.Tail, from, berr)})
-				failures++
-				continue
-			}
-			f.lastErr.Store(&replErr{})
-			failures = 0
-			continue
-		}
-		f.leaderTail.Store(ev.Tail)
-		hole, fencedBatch := false, false
-		for _, rb := range ev.Batches {
-			applied := f.applied.Load()
-			if rb.Last <= applied {
-				continue // overlap from a record spanning the resume point
-			}
-			if rb.First > applied+1 {
-				// A hole in the feed (journal gap): events between were
-				// lost; only a snapshot restores the missing data.
-				hole = true
-				break
-			}
-			if aerr := p.store.ApplyReplica(rb); aerr != nil {
-				f.lastErr.Store(&replErr{fmt.Errorf("apply batch [%d,%d]: %w", rb.First, rb.Last, aerr)})
-				if errors.Is(aerr, social.ErrStaleEpoch) && ev.Epoch < p.store.Epoch() {
-					// Deposed-leader writes (we adopted a newer term
-					// while the poll was out): drop them, and do NOT
-					// re-sync — this node's snapshot is just as stale.
-					f.fenced.Add(1)
-					fencedBatch = true
+			resync = fmt.Sprintf("after leader regression (tail %d < applied %d)", ev.Tail, from)
+		default:
+			f.leaderTail.Store(ev.Tail)
+			fencedBatch := false
+			for _, rb := range ev.Batches {
+				applied := f.applied.Load()
+				if rb.Last <= applied {
+					continue // overlap from a record spanning the resume point
+				}
+				if rb.First > applied+1 {
+					// A hole in the feed (journal gap): events between were
+					// lost; only a snapshot restores the missing data.
+					resync = "after feed hole"
 					break
 				}
-				// An older-term batch in a feed at our own term is the
-				// current leader's history, which its snapshot carries.
-				hole = true // re-sync rather than skip acknowledged data
-				break
+				if aerr := p.store.ApplyReplica(rb); aerr != nil {
+					f.lastErr.Store(&replErr{fmt.Errorf("apply batch [%d,%d]: %w", rb.First, rb.Last, aerr)})
+					if errors.Is(aerr, social.ErrStaleEpoch) && ev.Epoch < p.store.Epoch() {
+						// Deposed-leader writes (we adopted a newer term
+						// while the poll was out): drop them, and do NOT
+						// re-sync — this node's snapshot is just as stale.
+						f.fenced.Add(1)
+						fencedBatch = true
+						break
+					}
+					// An older-term batch in a feed at our own term is the
+					// current leader's history, which its snapshot carries:
+					// re-sync rather than skip acknowledged data.
+					resync = "after feed hole"
+					break
+				}
+				f.applied.Store(rb.Last)
 			}
-			f.applied.Store(rb.Last)
+			if fencedBatch {
+				failures++
+				continue
+			}
 		}
-		if fencedBatch {
-			failures++
-			continue
-		}
-		if hole {
+		if resync != "" {
 			if berr := p.resyncFollower(f); berr != nil {
-				f.lastErr.Store(&replErr{fmt.Errorf("re-bootstrap after feed hole: %w", berr)})
+				f.lastErr.Store(&replErr{fmt.Errorf("re-bootstrap %s: %w", resync, berr)})
 				failures++
 				continue
 			}
@@ -358,17 +337,16 @@ func (p *Platform) followLoop(f *follower) {
 
 // resyncFollower re-bootstraps from the snapshot and rebuilds the
 // serving snapshot (imported state has no event trail to delta from).
+// A compaction already building read the store before the import, so
+// its replay log ends: it builds again rather than swap, and the
+// Refresh that joins it returns the imported state.
 func (p *Platform) resyncFollower(f *follower) error {
 	if err := p.bootstrapFollower(f); err != nil {
 		return err
 	}
-	// Drop any queued events from before the import: the full rebuild
-	// below covers everything the imported image contains.
-	p.pendMu.Lock()
-	p.pending = nil
-	p.overflow = false
-	p.pendingCount.Store(0)
-	p.pendMu.Unlock()
+	p.foldMu.Lock()
+	p.building, p.sinceBuild = false, nil
+	p.foldMu.Unlock()
 	return p.Refresh()
 }
 
@@ -468,7 +446,7 @@ func (p *Platform) ReplicationFeed(ctx context.Context, from uint64, max int, wa
 // holds less than the peer it yielded to, so a bootstrap from either
 // would replace a more caught-up node's state — acknowledged writes
 // included — with a shorter history.
-func (p *Platform) ReplicationSnapshot() (seq uint64, entries map[string][]byte, err error) {
+func (p *Platform) ReplicationSnapshot() (seq uint64, entries []kvstore.Entry, err error) {
 	if !p.store.Journaled() {
 		return 0, nil, ErrNoJournal
 	}

@@ -226,7 +226,7 @@ func (sh *Sharded) forAll(fn func(p *Platform) error) error {
 // Refresh compacts every shard — in parallel, the point of the split.
 func (sh *Sharded) Refresh() error { return sh.forAll(func(p *Platform) error { return p.Refresh() }) }
 
-// ApplyDeltas drains every shard's pending change events.
+// ApplyDeltas compacts every shard whose snapshot is stale.
 func (sh *Sharded) ApplyDeltas() error {
 	return sh.forAll(func(p *Platform) error { return p.ApplyDeltas() })
 }
@@ -263,7 +263,7 @@ func (sh *Sharded) Generation() uint64 {
 	return g
 }
 
-// Stale reports whether any shard has unapplied change events.
+// Stale reports whether any shard's snapshot is stale.
 func (sh *Sharded) Stale() bool {
 	for _, p := range sh.shards {
 		if p.Stale() {
@@ -707,10 +707,10 @@ func (sh *Sharded) EventsByTag(tag string) []Event {
 
 // serving resolves the engine a read answers from: the published
 // snapshot, never waiting on maintenance in flight and never starting
-// any. A stale snapshot is served as it is — writes fold their own
-// deltas, an overflowing write starts its own compaction and
-// AutoRefresh compacts by policy — and only a shard with no snapshot
-// yet builds one. Every Sharded read resolves its engines this way.
+// any. Writes fold their own deltas before they return, a write too
+// large to fold starts its own compaction and AutoRefresh compacts by
+// policy, so a stale snapshot is served as it is; only a shard with no
+// snapshot yet builds one. Every Sharded read resolves its engines this way.
 func (p *Platform) serving() (*core.Engine, error) {
 	if eng := p.current.Load(); eng != nil {
 		return eng, nil

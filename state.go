@@ -20,14 +20,16 @@ func (p *Platform) State() api.ShardStatus {
 	st := api.ShardStatus{ID: p.shardID}
 
 	eng := p.current.Load()
-	overflowed := p.overflowed()
-	st.PendingEvents = int(p.pendingCount.Load())
+	gap := p.gapSeq.Load() != 0
+	p.pendMu.Lock()
+	st.PendingEvents = len(p.pending)
+	p.pendMu.Unlock()
 	st.Generation = p.gen.Load()
-	st.Stale = eng == nil || st.PendingEvents > 0 || overflowed
+	st.Stale = eng == nil || gap
 	st.DeltasApplied = p.deltasApplied.Load()
 	st.Compactions = p.compactions.Load()
 	st.LastDeltaUS = time.Duration(p.lastDeltaNs.Load()).Microseconds()
-	st.CompactionDue = overflowed
+	st.CompactionDue = gap
 	if eng != nil {
 		ds := eng.DeltaStats()
 		st.Snapshot = true
@@ -36,7 +38,7 @@ func (p *Platform) State() api.ShardStatus {
 		st.AgeMS = time.Since(eng.BuiltAt()).Milliseconds()
 		st.FrozenDocs = eng.Frozen().Len()
 		st.OverlayDocs, st.Tombstones, st.GraphPending = ds.OverlayDocs, ds.Tombstones, ds.GraphPending
-		st.CompactionDue = overflowed || overPolicy(ds)
+		st.CompactionDue = gap || overPolicy(ds)
 	}
 	if box := p.lastErr.Load(); box != nil && box.err != nil {
 		st.LastRefreshError = box.err.Error()
