@@ -43,7 +43,7 @@ vuln:
 # chain against the uncached one (the per-PR run only replays their seed corpora; -fuzz takes one
 # target per invocation).
 race-nightly:
-	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestSegmentedParity|TestSegmentedDenseMatchesMapOracle|TestShardedFeedLazyMatchesEager|TestWriteVisibleOnReturn' -count=5 . ./internal/core/ ./internal/textindex/
+	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestApplyDeltaFoldsActivityOutOfSeqOrder|TestConcurrentActivityFoldsMatchBuild|TestSegmentedParity|TestSegmentedDenseMatchesMapOracle|TestShardedFeedLazyMatchesEager|TestWriteVisibleOnReturn' -count=5 . ./internal/core/ ./internal/textindex/
 	$(GO) test -race -run 'TestLeaderFollowerConvergence' -count=5 ./internal/server/
 	$(GO) test -race -run 'TestClusterFailoverConvergence|TestDeposedLeaderFencing' -count=2 ./internal/server/
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/

@@ -124,16 +124,15 @@ type SnapshotHealth struct {
 
 // DeltaHealth reports the incremental-maintenance state of the serving
 // snapshot: how large the overlay segment has grown since the last full
-// build (the compaction), how many change events await application, and
-// the latency of the delta path.
+// build (the compaction), how many applied events await the next
+// compaction, and the latency of the delta path.
 type DeltaHealth struct {
 	// OverlayDocs and Tombstones size the overlay segment layered over
 	// the frozen base.
 	OverlayDocs int `json:"overlay_docs"`
 	Tombstones  int `json:"tombstones"`
-	// PendingEvents counts change events queued for the fold in
-	// progress: 0 except mid-fold, since every write folds its events
-	// before it returns.
+	// PendingEvents is always 0 — every write folds its batch before it
+	// returns; kept for clients that read it.
 	PendingEvents int `json:"pending_events"`
 	// GraphPending counts applied events whose evidence-graph effects
 	// await the next compaction.
@@ -244,7 +243,8 @@ type FollowerAckStatus struct {
 // snapshot, its delta pipeline and its replication position. It is the
 // one per-shard record — a row of healthz and /cluster shards[], the
 // source of the /metrics state gauges, and what hive.Platform.State
-// returns.
+// returns. Its pending_events is always 0 — every write folds its batch
+// before it returns; kept for clients that read it.
 type ShardStatus struct {
 	ID int `json:"id"`
 	SnapshotHealth

@@ -129,12 +129,11 @@ const (
 	// effects (connections, co-attendance, Q&A edges, coauthorship)
 	// await the next full build.
 	maxGraphPending = 512
-	// maxPendingEvents bounds the events one write folds; a batch past it
-	// is skipped and closed by a full rebuild instead (the bulk-load
-	// path, where a compaction beats thousands of deltas).
-	maxPendingEvents = 4096
-	// maxDeltaBatch bounds how many events one ApplyDelta call folds in.
-	maxDeltaBatch = 512
+	// maxFoldEvents bounds the events of one delivered batch that a
+	// write folds; a batch past it is skipped and closed by a full
+	// rebuild instead (the bulk-load path, where a compaction beats
+	// folding thousands of events).
+	maxFoldEvents = 4096
 )
 
 // Options configures Open.
@@ -211,14 +210,12 @@ type Platform struct {
 	gen     atomic.Uint64               // snapshot generation, bumped on every swap
 	lastErr atomic.Pointer[refreshErr]  // outcome of the most recent maintenance run
 
-	// The fold (onChange). pending queues delivered batches until the
-	// next holder of foldMu folds them. foldMu serializes folds and a
-	// compaction's start and swap; while a compaction builds, building
-	// is set and sinceBuild keeps every event folded meanwhile for the
-	// swap to replay. gapSeq is the highest change sequence a skipped
-	// batch carried (0: none); the next compaction's swap clears it.
-	pendMu     sync.Mutex
-	pending    []social.ChangeEvent
+	// The fold (onChange): one ApplyDelta per delivered batch. foldMu
+	// serializes folds and a compaction's start and swap; while a
+	// compaction builds, building is set and sinceBuild keeps every
+	// event folded meanwhile for the swap to replay. gapSeq is the
+	// highest change sequence a skipped batch carried (0: none); the
+	// next compaction's swap clears it.
 	foldMu     sync.Mutex
 	building   bool
 	sinceBuild []social.ChangeEvent
@@ -294,8 +291,8 @@ func Open(opts Options) (*Platform, error) {
 	p.router = &router{shards: []*Platform{p}}
 	// Every store write feeds the change log — including writes that
 	// bypass the service methods and hit Store() directly. The
-	// subscription queues the events and folds them into the serving
-	// snapshot before the write returns.
+	// subscription folds each batch into the serving snapshot before
+	// the write returns.
 	// On a follower the same path fires when replicated batches are
 	// folded in, so deltas flow identically on both roles.
 	st.OnChange(p.onChange)
@@ -345,36 +342,28 @@ func (p *Platform) Close() error {
 func (p *Platform) Store() *social.Store { return p.store }
 
 // onChange receives one coalesced change batch from the store and folds
-// it into the serving snapshot before the mutation returns. The batch
-// joins the queue; whoever holds foldMu next folds everything queued, so
-// writers that raced each other share one fold and each finds its own
-// events folded when it gets the lock. A batch larger than
-// maxPendingEvents (the bulk-load path) is not folded: it is recorded as
-// a gap, and the write starts the compaction that closes it.
+// it into the serving snapshot before the mutation returns, under
+// foldMu, so concurrent deliveries fold one after another. While a
+// compaction builds, the batch is also kept for its swap to replay. A
+// batch larger than maxFoldEvents (the bulk-load path) is not folded:
+// it is recorded as a gap, and the write starts the compaction that
+// closes it.
 func (p *Platform) onChange(evs []social.ChangeEvent) {
-	if len(evs) > maxPendingEvents {
+	if len(evs) > maxFoldEvents {
 		p.foldMu.Lock()
 		p.skip(evs)
 		p.foldMu.Unlock()
 		p.closeGap()
 		return
 	}
-	p.pendMu.Lock()
-	p.pending = append(p.pending, evs...)
-	p.pendMu.Unlock()
-
 	p.foldMu.Lock()
-	p.pendMu.Lock()
-	queued := p.pending
-	p.pending = nil
-	p.pendMu.Unlock()
 	if p.building {
-		p.sinceBuild = append(p.sinceBuild, queued...)
+		p.sinceBuild = append(p.sinceBuild, evs...)
 	}
 	whole := true
 	if cur := p.current.Load(); cur != nil { // else the first build reads the store
 		var next *core.Engine
-		if next, whole = p.fold(cur, queued); next != cur {
+		if next, whole = p.fold(cur, evs); next != cur {
 			p.current.Store(next)
 			p.gen.Add(1)
 			p.deltasApplied.Add(1)
@@ -389,28 +378,24 @@ func (p *Platform) onChange(evs []social.ChangeEvent) {
 	}
 }
 
-// fold applies evs to eng in ApplyDelta batches of at most
-// maxDeltaBatch events and returns the result. A batch that fails is
-// skipped (a gap), and whole reports it. Called with foldMu held.
+// fold applies evs to eng in one ApplyDelta call and returns the
+// result. With no events it returns eng itself, so a swap with nothing
+// to replay adds no delta to its fresh base. A failing call leaves eng
+// as it was and records the whole batch as a gap, and whole reports it.
+// Called with foldMu held.
 func (p *Platform) fold(eng *core.Engine, evs []social.ChangeEvent) (_ *core.Engine, whole bool) {
-	b := &core.Builder{Store: p.store, Workers: p.workers}
-	whole = true
-	for len(evs) > 0 {
-		n := min(len(evs), maxDeltaBatch)
-		batch := evs[:n:n]
-		evs = evs[n:]
-		start := time.Now()
-		next, err := b.ApplyDelta(eng, batch)
-		if err != nil {
-			p.lastErr.Store(&refreshErr{err: err})
-			p.skip(batch)
-			whole = false
-			continue
-		}
-		eng = next
-		mDeltaApplySeconds.ObserveSince(start)
+	if len(evs) == 0 {
+		return eng, true
 	}
-	return eng, whole
+	start := time.Now()
+	next, err := (&core.Builder{Store: p.store, Workers: p.workers}).ApplyDelta(eng, evs)
+	if err != nil {
+		p.lastErr.Store(&refreshErr{err: err})
+		p.skip(evs)
+		return eng, false
+	}
+	mDeltaApplySeconds.ObserveSince(start)
+	return next, true
 }
 
 // skip records evs as a gap: the serving snapshot goes without them

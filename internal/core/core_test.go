@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,11 +11,12 @@ import (
 	"hive/internal/workload"
 )
 
+// testClock ticks one second per reading; concurrent writers may share it.
 func testClock() social.Clock {
-	t := time.Unix(1363000000, 0)
+	var secs atomic.Int64
+	secs.Store(1363000000)
 	return func() time.Time {
-		t = t.Add(time.Second)
-		return t
+		return time.Unix(secs.Add(1), 0)
 	}
 }
 

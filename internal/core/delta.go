@@ -24,7 +24,8 @@ import (
 //     users whose profile or workpad the events touched;
 //   - uploaded-content vectors of authors/owners of touched documents;
 //   - interaction vectors and object popularity for appended activity
-//     events past the snapshot's stream watermark (exactly once);
+//     events past the build's stream watermark, in whatever order the
+//     batches arrive;
 //   - the PageRank memo: entries of affected users are invalidated, all
 //     others carry over.
 //
@@ -105,7 +106,7 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		case social.EntityActivity:
 			seq, perr := strconv.ParseUint(ev.ID, 16, 64)
 			if perr != nil || seq <= prev.evtSeq {
-				continue // already folded into the base tables
+				continue // the build's scan counted it
 			}
 			if sev, err := st.EventBySeq(seq); err == nil {
 				activity = append(activity, sev)
@@ -172,14 +173,12 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		ne.content.over[u] = ne.computeUserContentVector(u)
 	}
 
-	// Interaction repairs: fold appended activity events in exactly
-	// once. A row is copied before this batch first writes it, whether
-	// it came from the base or from prev's overlay: both stay prev's.
+	// Interaction repairs: fold the batch's activity events past the
+	// build's watermark. A row is copied before this batch first writes
+	// it, whether it came from the base or from prev's overlay: both stay
+	// prev's.
 	copied := map[string]bool{}
 	for _, sev := range activity {
-		if sev.Seq > ne.evtSeq {
-			ne.evtSeq = sev.Seq
-		}
 		doc := ne.docIDForObject(sev.Object)
 		if doc == "" {
 			continue

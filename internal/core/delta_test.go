@@ -284,6 +284,83 @@ func TestApplyDeltaLeavesPrevRowsAlone(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaFoldsActivityOutOfSeqOrder: two writers take activity
+// sequences in one order and can deliver their batches in the other.
+// A delta that folds the higher sequence first must still fold the
+// lower one when its batch arrives.
+func TestApplyDeltaFoldsActivityOutOfSeqOrder(t *testing.T) {
+	st, eng := zachWorld(t)
+	drain := collectEvents(st)
+	drain()
+	b := &Builder{Store: st}
+	log := func(actor, object string) []social.ChangeEvent {
+		t.Helper()
+		if _, err := st.LogEvent(actor, "browse", object, nil); err != nil {
+			t.Fatal(err)
+		}
+		return drain()
+	}
+	lower, higher := log("ann", "p-advisor"), log("zach", "p-zach")
+	next := eng
+	for _, evs := range [][]social.ChangeEvent{higher, lower} {
+		var err error
+		if next, err = b.ApplyDelta(next, evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertInteractionParity(t, "higher sequence folded first", next, fresh)
+}
+
+// TestConcurrentActivityFoldsMatchBuild: concurrent writers log
+// activity while a subscriber folds each delivered batch the way the
+// platform does, one ApplyDelta per batch under one lock. The folded
+// tables must equal a fresh build's, whatever order the batches came in.
+func TestConcurrentActivityFoldsMatchBuild(t *testing.T) {
+	st, eng := zachWorld(t)
+	b := &Builder{Store: st}
+	var mu sync.Mutex
+	cur := eng
+	st.OnChange(func(evs []social.ChangeEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		next, err := b.ApplyDelta(cur, evs)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		cur = next
+	})
+
+	const writers, each = 4, 300
+	actors := []string{"zach", "advisor", "ann", "aaron"}
+	objects := []string{"p-zach", "p-advisor", "p-ann10", "p-carl"}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := st.LogEvent(actors[w], "browse", objects[(w+i)%len(objects)], nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	fresh, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	assertInteractionParity(t, fmt.Sprintf("%d writers x %d events", writers, each), cur, fresh)
+}
+
 // TestDeltaInterleavingParity is the randomized interleaving property
 // test (run under -race): a shuffled stream of mutations applies batch
 // by batch through ApplyDelta while concurrent readers hammer the

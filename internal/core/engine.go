@@ -89,8 +89,9 @@ type Engine struct {
 	inter   table[textindex.Vector]
 	pop     table[int]
 
-	// evtSeq is the highest activity-stream sequence folded into the
-	// interaction tables — the exactly-once guard for delta repairs.
+	// evtSeq is the highest activity-stream sequence the build's scan
+	// folded into the interaction tables. Deltas keep it: they fold an
+	// activity event above it and skip one at or below it as counted.
 	evtSeq uint64
 	// graphPending counts applied events whose evidence-graph effects
 	// (connections, co-attendance, Q&A, coauthorship) await the next

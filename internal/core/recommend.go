@@ -305,9 +305,10 @@ var verbWeight = map[string]float64{
 // buildInteractionTables precomputes the collaborative-filtering inputs
 // into the snapshot (Builder phase 2) in a single pass over the
 // activity stream: per-user interaction vectors, raw object popularity,
-// and the stream watermark (evtSeq) delta repairs resume from — the
-// watermark is the highest sequence this scan actually folded in, so an
-// event racing the build is applied exactly once, by the next delta.
+// and the stream watermark (evtSeq): the highest sequence this scan
+// folded in. Deltas fold the events above it in whatever order they
+// arrive; one written after the scan read a higher sequence is missed
+// until the next build.
 func (e *Engine) buildInteractionTables() {
 	vecs := map[string]textindex.Vector{}
 	pop := map[string]int{}

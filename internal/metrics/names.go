@@ -67,9 +67,6 @@ const (
 	// Scrape-time state gauges (collected from platform accessors by
 	// the /metrics handler; per-shard where labeled).
 
-	// PendingEvents is the per-shard count of change events not yet
-	// folded into the serving snapshot.
-	PendingEvents = "hive_pending_events"
 	// OverlayDocs is the per-shard delta-overlay document count
 	// (compaction pressure).
 	OverlayDocs = "hive_overlay_docs"

@@ -191,7 +191,7 @@ func metricsEndpoint(t *testing.T, shards int) {
 	}
 	want := []string{"# TYPE hive_http_request_seconds histogram", "hive_replication_lag_events"}
 	for s := 0; s < shards; s++ {
-		for _, g := range []string{"hive_shard_docs", "hive_pending_events", "hive_overlay_docs", "hive_commit_index"} {
+		for _, g := range []string{"hive_shard_docs", "hive_overlay_docs", "hive_commit_index"} {
 			want = append(want, fmt.Sprintf(`%s{shard="%d"} `, g, s))
 		}
 	}

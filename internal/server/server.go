@@ -548,11 +548,10 @@ func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // collectStateGauges copies the shard states into the registry's
-// gauges: pending events, overlay size, frozen corpus size, commit
-// index, and this node's replication lag.
+// gauges: overlay size, frozen corpus size, commit index, and this
+// node's replication lag.
 func (s *Server) collectStateGauges() {
 	reg := metrics.Default
-	pending := reg.GaugeVec(metrics.PendingEvents, "Change events queued for the fold in progress (0 except mid-fold).", "shard")
 	overlay := reg.GaugeVec(metrics.OverlayDocs, "Documents in the delta overlay (compaction pressure).", "shard")
 	corpus := reg.GaugeVec(metrics.ShardDocs, "Frozen-corpus documents indexed.", "shard")
 	commit := reg.GaugeVec(metrics.CommitIndex, "Quorum-durable commit watermark.", "shard")
@@ -561,7 +560,6 @@ func (s *Server) collectStateGauges() {
 	rows := s.states()
 	for _, st := range rows {
 		id := strconv.Itoa(st.ID)
-		pending.With(id).Set(float64(st.PendingEvents))
 		commit.With(id).Set(float64(st.CommitIndex))
 		overlay.With(id).Set(float64(st.OverlayDocs))
 		corpus.With(id).Set(float64(st.FrozenDocs))

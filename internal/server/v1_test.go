@@ -303,11 +303,10 @@ func waitCompacted(t *testing.T, p *hive.Platform, before uint64) {
 	}
 }
 
-// TestOverflowCompactsWithoutReads: a batch that overflows the
-// pending-event queue (4096) is the one write that does not fold its own
-// delta, and it starts the compaction that repairs it. With no read, no
-// AutoRefresh and no admin call the generation advances and the
-// snapshot turns current.
+// TestOverflowCompactsWithoutReads: a batch of more than 4096 events
+// is the one write that does not fold its own delta, and it starts the
+// compaction that repairs it. With no read, no AutoRefresh and no admin
+// call the generation advances and the snapshot turns current.
 func TestOverflowCompactsWithoutReads(t *testing.T) {
 	ts, p := newTestServer(t)
 	seedViaAPI(t, ts)
@@ -334,10 +333,10 @@ func TestOverflowCompactsWithoutReads(t *testing.T) {
 	}
 }
 
-// TestOverflowCompactsOnlyOwnerShard: one owner's batch overflows the
-// pending-event queue of the owning shard alone. With no read at all,
-// that shard compacts; the others, current all along, are not stalled
-// by builds that would change nothing.
+// TestOverflowCompactsOnlyOwnerShard: one owner's batch of more than
+// 4096 events is skipped by the owning shard's fold alone. With no read
+// at all, that shard compacts; the others, current all along, are not
+// stalled by builds that would change nothing.
 func TestOverflowCompactsOnlyOwnerShard(t *testing.T) {
 	ts, sh := newShardedServer(t, 4)
 	expectStatus(t, post(t, ts, "/api/v1/users", api.User{ID: "ann", Name: "Ann"}), http.StatusCreated)

@@ -26,12 +26,12 @@ func refreshPlatform(t *testing.T, users int) *hive.Platform {
 	return p
 }
 
-// overflowQueue leaves the serving snapshot stale at its current
+// overflowFold leaves the serving snapshot stale at its current
 // generation — the one way a write does not fold its own delta: a
 // single batch of more than 4096 events is skipped (a gap) in favour of
 // a compaction, which the batch starts in the background. It rewrites
 // one user, so the corpus the compaction builds stays small.
-func overflowQueue(t *testing.T, p *hive.Platform) {
+func overflowFold(t *testing.T, p *hive.Platform) {
 	t.Helper()
 	st := p.Store()
 	err := st.Batched(func() error {
@@ -169,7 +169,7 @@ func TestSnapshotLifecycleOverflow(t *testing.T) {
 	}
 	first := p.Snapshot()
 	compactions := p.State().Compactions
-	overflowQueue(t, p)
+	overflowFold(t, p)
 	eng, err := p.Engine() // read-your-writes: waits for the rebuild
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestAutoRefresh(t *testing.T) {
 
 	// A skipped batch stays stale until a compaction swaps in, which
 	// is exactly what this test observes.
-	overflowQueue(t, p)
+	overflowFold(t, p)
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Generation() == gen {
 		if time.Now().After(deadline) {

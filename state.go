@@ -21,9 +21,6 @@ func (p *Platform) State() api.ShardStatus {
 
 	eng := p.current.Load()
 	gap := p.gapSeq.Load() != 0
-	p.pendMu.Lock()
-	st.PendingEvents = len(p.pending)
-	p.pendMu.Unlock()
 	st.Generation = p.gen.Load()
 	st.Stale = eng == nil || gap
 	st.DeltasApplied = p.deltasApplied.Load()
