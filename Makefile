@@ -38,8 +38,9 @@ vuln:
 # smoke scenarios at a higher -count, catching rare schedules the per-PR
 # run might miss; then ten seconds of fuzzing each decoder of bytes from
 # disk or the wire — the kv checkpoint records, the journal's segment
-# recovery, the journal payloads a store replays at open and the two
-# cursor forms — and of the memoised text analysis
+# recovery, the journal payloads a store replays at open, the
+# replication batches a follower applies and the two cursor forms — and
+# of the memoised text analysis
 # chain against the uncached one (the per-PR run only replays their seed corpora; -fuzz takes one
 # target per invocation).
 race-nightly:
@@ -52,6 +53,7 @@ race-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalRecover' -fuzztime 10s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenJournalPayload' -fuzztime 10s ./internal/social/
+	$(GO) test -run '^$$' -fuzz 'FuzzApplyReplica' -fuzztime 10s ./internal/social/
 	$(GO) test -run '^$$' -fuzz 'FuzzTerms' -fuzztime 10s ./internal/textindex/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCursor' -fuzztime 10s ./api/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeShardCursor' -fuzztime 10s ./api/
@@ -64,7 +66,7 @@ vet:
 	$(GO) vet ./...
 
 # The project's own invariant suite (cmd/hivelint: snapshotcheck,
-# epochcheck, hookcheck, apierrcheck — see CONTRIBUTING.md) plus go
+# epochcheck, hookcheck, apierrcheck, metriccheck — see CONTRIBUTING.md) plus go
 # vet, plus staticcheck when the runner has it (CI installs a pinned
 # version; locally this degrades to a warning, same as vuln).
 lint:

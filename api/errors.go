@@ -59,13 +59,6 @@ const (
 	// the node's term under "epoch" and the asserted term under
 	// "requested_epoch" (HTTP 409).
 	CodeStaleEpoch = "stale_epoch"
-	// CodeWrongShard: a write declared an owner shard (X-Hive-Shard)
-	// that does not match the shard the owning user hashes to on this
-	// deployment — the client's shard map is stale. Details carry the
-	// correct shard under "expected_shard", the deployment's shard count
-	// under "shard_count" and the routing owner under "owner" (HTTP
-	// 409). Clients refresh the shard map from GET /cluster and retry.
-	CodeWrongShard = "wrong_shard"
 	// CodeInternal: unclassified server failure (HTTP 500).
 	CodeInternal = "internal"
 )

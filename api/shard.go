@@ -7,26 +7,19 @@ import (
 	"strings"
 )
 
-// ShardHeader is the request header a shard-aware client stamps on
-// writes: the shard ID it computed for the owning user. The server
-// verifies it against its own shard map and answers CodeWrongShard on a
-// mismatch, so a client with a stale shard count finds out immediately
-// instead of silently writing to the wrong partition. Requests without
-// the header are routed server-side and never rejected.
-const ShardHeader = "X-Hive-Shard"
-
 // TraceHeader carries the end-to-end request trace ID. The client SDK
-// mints one per logical call and replays it across failover retries
-// and shard redirects; the server adopts an inbound value (minting one
-// otherwise), echoes it on the response, threads it through the access
-// log and error envelopes, and records it in the debug/traces ring —
-// so one ID follows a request across every node it touched.
+// mints one per logical call and replays it across failover retries;
+// the server adopts an inbound value (minting one otherwise), echoes it
+// on the response, threads it through the access log and error
+// envelopes, and records it in the debug/traces ring — so one ID
+// follows a request across every node it touched.
 const TraceHeader = "X-Hive-Trace-Id"
 
 // ShardOf maps an owning user/community ID to a shard. The hash is part
-// of the v1 wire contract: server, client SDK and operators tooling all
-// compute placement with this exact function, so it never changes for a
-// given (owner, count) pair. FNV-1a, 64-bit.
+// of the v1 wire contract: the server places every write with this
+// exact function and data dirs pin its placement, so it never changes
+// for a given (owner, count) pair; operator tooling may use it to tell
+// which shard row an owner's data moves. FNV-1a, 64-bit.
 func ShardOf(owner string, count int) int {
 	if count <= 1 {
 		return 0
@@ -44,9 +37,8 @@ func ShardOf(owner string, count int) int {
 }
 
 // PaperOwner returns a paper's routing owner: its first author, or the
-// paper ID when no authors are declared. Client and server derive the
-// owner with this one rule, so a declared X-Hive-Shard and the server's
-// verification can never disagree given the same shard map.
+// paper ID when no authors are declared. The server places a paper on
+// ShardOf(PaperOwner(p), count).
 func PaperOwner(p Paper) string {
 	if len(p.Authors) > 0 {
 		return p.Authors[0]

@@ -327,8 +327,7 @@ type ClusterStatus struct {
 	// Peers reports one probe per configured peer; empty outside
 	// cluster mode.
 	Peers []PeerStatus `json:"peers"`
-	// The shard map: clients derive routing (ShardOf over ShardCount)
-	// from this response.
+	// The shard map, as in healthz.
 	ShardMap
 }
 

@@ -36,7 +36,8 @@ import (
 )
 
 // Client talks to one Hive server (or, with WithCluster, to whichever
-// member of a replica set currently leads).
+// member of a replica set currently leads). It keeps no shard map: a
+// sharded server places every write on its owner's shard itself.
 type Client struct {
 	mu   sync.RWMutex
 	base string // current target; moves on failover when cluster is set
@@ -46,20 +47,14 @@ type Client struct {
 
 	etags *etagCache // nil unless WithETagCache
 
-	// shards caches the deployment's shard count (its shard map — the
-	// hash is fixed, so the count is the whole map). 0 until learned
-	// from a cluster/healthz response; while 0 or 1 writes carry no
-	// shard declaration and the server routes them itself.
-	shards atomic.Int64
-
 	requests  atomic.Int64
 	cacheHits atomic.Int64
 	redirects atomic.Int64
 
 	// lastTrace holds the trace ID stamped on the most recent logical
-	// call — one ID per call, replayed verbatim across failover retries
-	// and shard redirects, so smoke tests and callers can correlate a
-	// call with the server-side access log and debug/traces ring.
+	// call — one ID per call, replayed verbatim across failover retries,
+	// so smoke tests and callers can correlate a call with the
+	// server-side access log and debug/traces ring.
 	lastTrace atomic.Value // string
 }
 
@@ -110,7 +105,9 @@ func (c *Client) Stats() (requests, cacheHits int64) {
 }
 
 // Redirects counts leader changes the client followed — not_leader
-// hints adopted plus leaders re-resolved via healthz.
+// hints adopted plus leaders re-resolved via healthz. Writes are placed
+// on their owner's shard by the server, so a sharded deployment adds
+// none.
 func (c *Client) Redirects() int64 { return c.redirects.Load() }
 
 // LastTraceID returns the X-Hive-Trace-Id the client minted for its
@@ -203,24 +200,10 @@ const (
 // WithCluster the request is retried across leader changes; the body is
 // marshaled once up front so every attempt replays identical bytes.
 func (c *Client) do(ctx context.Context, method, path string, q url.Values, in, out any, conditional bool) error {
-	return c.doHdr(ctx, method, path, q, nil, in, out, conditional)
-}
-
-// doHdr is do with extra request headers (the shard declaration on
-// owner-routed writes).
-func (c *Client) doHdr(ctx context.Context, method, path string, q url.Values, hdr http.Header, in, out any, conditional bool) error {
 	// One trace ID per logical call, minted here so every failover
-	// retry and redirect below replays the same ID (doOnce builds each
-	// attempt's request from this header set).
-	if hdr.Get(api.TraceHeader) == "" {
-		h := make(http.Header, len(hdr)+1)
-		for k, vs := range hdr {
-			h[k] = vs
-		}
-		h.Set(api.TraceHeader, metrics.NewTraceID())
-		hdr = h
-	}
-	c.lastTrace.Store(hdr.Get(api.TraceHeader))
+	// retry and redirect below replays the same ID.
+	trace := metrics.NewTraceID()
+	c.lastTrace.Store(trace)
 	var raw []byte
 	if in != nil {
 		var err error
@@ -229,14 +212,14 @@ func (c *Client) doHdr(ctx context.Context, method, path string, q url.Values, h
 		}
 	}
 	if c.cluster == nil {
-		return c.doOnce(ctx, method, c.Base(), path, q, hdr, raw, in != nil, out, conditional)
+		return c.doOnce(ctx, method, c.Base(), path, q, trace, raw, in != nil, out, conditional)
 	}
 
 	backoff := failoverBackoffMin
 	var lastErr error
 	for attempt := 0; attempt < failoverAttempts; attempt++ {
 		base := c.Base()
-		err := c.doOnce(ctx, method, base, path, q, hdr, raw, in != nil, out, conditional)
+		err := c.doOnce(ctx, method, base, path, q, trace, raw, in != nil, out, conditional)
 		if err == nil {
 			return nil
 		}
@@ -313,9 +296,8 @@ func retriableRead(ae *api.Error) bool {
 // resolveLeader asks the replica set who leads: GET /healthz against
 // the current target first, then each configured peer, reading the
 // node's replication block (leader_url, role). Adopts and reports the
-// first answer naming a leader, and the shard count it carries. A node
-// that is itself the leader but hasn't published a URL (standalone)
-// counts as the answer. Healthz, not /cluster: the cluster endpoint
+// first answer naming a leader. A node that is itself the leader but
+// hasn't published a URL (standalone) counts as the answer. Healthz, not /cluster: the cluster endpoint
 // also probes every peer of the answering node, and one slow peer there
 // would cost each re-resolution its whole probe budget.
 func (c *Client) resolveLeader(ctx context.Context, current string) bool {
@@ -328,10 +310,9 @@ func (c *Client) resolveLeader(ctx context.Context, current string) bool {
 	}
 	for _, u := range candidates {
 		var h api.Health
-		if err := c.doOnce(ctx, http.MethodGet, u, "/api/v1/healthz", nil, nil, nil, false, &h, false); err != nil {
+		if err := c.doOnce(ctx, http.MethodGet, u, "/api/v1/healthz", nil, "", nil, false, &h, false); err != nil {
 			continue
 		}
-		c.adoptShardCount(h.ShardCount)
 		leader := h.Replication.LeaderURL
 		if leader == "" && h.Replication.Role == api.RoleLeader {
 			leader = u // a leader that doesn't advertise a URL: reach it where we did
@@ -345,8 +326,9 @@ func (c *Client) resolveLeader(ctx context.Context, current string) bool {
 	return false
 }
 
-// doOnce issues one request against an explicit base URL.
-func (c *Client) doOnce(ctx context.Context, method, base, path string, q url.Values, hdr http.Header, raw []byte, hasBody bool, out any, conditional bool) error {
+// doOnce issues one request against an explicit base URL; a non-empty
+// trace is sent as its X-Hive-Trace-Id.
+func (c *Client) doOnce(ctx context.Context, method, base, path string, q url.Values, trace string, raw []byte, hasBody bool, out any, conditional bool) error {
 	u := base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -362,10 +344,8 @@ func (c *Client) doOnce(ctx context.Context, method, base, path string, q url.Va
 	if hasBody {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
+	if trace != "" {
+		req.Header.Set(api.TraceHeader, trace)
 	}
 	var cached etagEntry
 	useCache := conditional && c.etags != nil && method == http.MethodGet
@@ -413,54 +393,6 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	return c.do(ctx, http.MethodPost, path, nil, in, out, false)
 }
 
-// --- Shard routing -------------------------------------------------------------
-
-// adoptShardCount records a shard count learned from a cluster,
-// healthz or wrong_shard response.
-func (c *Client) adoptShardCount(n int) {
-	if n > 0 {
-		c.shards.Store(int64(n))
-	}
-}
-
-// ShardCount returns the client's cached view of the deployment's
-// shard map (0 = not yet learned / unsharded). The map is learned from
-// any ClusterStatus or Healthz call — do one of those first to enable
-// client-side routing.
-func (c *Client) ShardCount() int { return int(c.shards.Load()) }
-
-// shardHeader builds the X-Hive-Shard declaration for an owner-routed
-// write, or nil while the shard map is unknown (the server then routes
-// the write itself, which is always correct).
-func (c *Client) shardHeader(owner string) http.Header {
-	n := int(c.shards.Load())
-	if n <= 1 || owner == "" {
-		return nil
-	}
-	h := http.Header{}
-	h.Set(api.ShardHeader, fmt.Sprint(api.ShardOf(owner, n)))
-	return h
-}
-
-// postOwned posts an owner-hashed write with its shard declaration. A
-// wrong_shard rejection means the cached shard map is stale: the client
-// adopts the count the server reported (or re-fetches the cluster
-// status) and retries once with corrected placement.
-func (c *Client) postOwned(ctx context.Context, path, owner string, in any) error {
-	err := c.doHdr(ctx, http.MethodPost, path, nil, c.shardHeader(owner), in, nil, false)
-	var ae *api.Error
-	if err == nil || !errors.As(err, &ae) || ae.Code != api.CodeWrongShard {
-		return err
-	}
-	if n, ok := ae.Details["shard_count"].(float64); ok {
-		c.adoptShardCount(int(n))
-	} else if _, rerr := c.ClusterStatus(ctx); rerr != nil {
-		return err
-	}
-	c.redirects.Add(1)
-	return c.doHdr(ctx, http.MethodPost, path, nil, c.shardHeader(owner), in, nil, false)
-}
-
 func (c *Client) get(ctx context.Context, path string, q url.Values, out any) error {
 	return c.do(ctx, http.MethodGet, path, q, nil, out, false)
 }
@@ -488,15 +420,11 @@ func pageQuery(q url.Values, cursor string, limit int) url.Values {
 
 // --- Health & admin -----------------------------------------------------------
 
-// Healthz reports server liveness and snapshot freshness. On a sharded
-// deployment the response carries the shard map, which the client
-// adopts for write routing.
+// Healthz reports server liveness, snapshot freshness and, on a
+// sharded deployment, one row per shard.
 func (c *Client) Healthz(ctx context.Context) (api.Health, error) {
 	var h api.Health
 	err := c.get(ctx, "/api/v1/healthz", nil, &h)
-	if err == nil {
-		c.adoptShardCount(h.ShardCount)
-	}
 	return h, err
 }
 
@@ -530,7 +458,7 @@ func (c *Client) CreateSession(ctx context.Context, s api.Session) error {
 // CreatePaper publishes a paper (owner-routed: the first author's
 // shard).
 func (c *Client) CreatePaper(ctx context.Context, p api.Paper) error {
-	return c.postOwned(ctx, "/api/v1/papers", api.PaperOwner(p), p)
+	return c.post(ctx, "/api/v1/papers", p, nil)
 }
 
 // CreatePresentation uploads slide content for a paper.
@@ -541,19 +469,19 @@ func (c *Client) CreatePresentation(ctx context.Context, pr api.Presentation) er
 // Connect establishes a mutual connection between two researchers
 // (owner-routed: a's shard).
 func (c *Client) Connect(ctx context.Context, a, b string) error {
-	return c.postOwned(ctx, "/api/v1/connections", a, api.ConnectRequest{A: a, B: b})
+	return c.post(ctx, "/api/v1/connections", api.ConnectRequest{A: a, B: b}, nil)
 }
 
 // Follow subscribes follower to followee's activity (owner-routed: the
 // follower's shard).
 func (c *Client) Follow(ctx context.Context, follower, followee string) error {
-	return c.postOwned(ctx, "/api/v1/follows", follower, api.FollowRequest{Follower: follower, Followee: followee})
+	return c.post(ctx, "/api/v1/follows", api.FollowRequest{Follower: follower, Followee: followee}, nil)
 }
 
 // CheckIn records session attendance (owner-routed: the attendee's
 // shard).
 func (c *Client) CheckIn(ctx context.Context, sessionID, userID string) error {
-	return c.postOwned(ctx, "/api/v1/checkins", userID, api.CheckinRequest{SessionID: sessionID, UserID: userID})
+	return c.post(ctx, "/api/v1/checkins", api.CheckinRequest{SessionID: sessionID, UserID: userID}, nil)
 }
 
 // Ask posts a question about an entity.
@@ -573,7 +501,7 @@ func (c *Client) Comment(ctx context.Context, cm api.Comment) error {
 
 // CreateWorkpad creates or replaces a workpad (owner-routed).
 func (c *Client) CreateWorkpad(ctx context.Context, w api.Workpad) error {
-	return c.postOwned(ctx, "/api/v1/workpads", w.Owner, w)
+	return c.post(ctx, "/api/v1/workpads", w, nil)
 }
 
 // AddWorkpadItem drags a resource onto a workpad.
@@ -583,8 +511,8 @@ func (c *Client) AddWorkpadItem(ctx context.Context, workpadID string, item api.
 
 // ActivateWorkpad selects the user's active context (owner-routed).
 func (c *Client) ActivateWorkpad(ctx context.Context, owner, workpadID string) error {
-	return c.postOwned(ctx, "/api/v1/workpads/"+url.PathEscape(workpadID)+"/activate",
-		owner, api.ActivateWorkpadRequest{Owner: owner})
+	return c.post(ctx, "/api/v1/workpads/"+url.PathEscape(workpadID)+"/activate",
+		api.ActivateWorkpadRequest{Owner: owner}, nil)
 }
 
 // Batch applies a mixed array of entities in one store pass (one
@@ -820,9 +748,6 @@ func (c *Client) ReplicationSnapshot(ctx context.Context) (api.ReplicationSnapsh
 func (c *Client) ClusterStatus(ctx context.Context) (api.ClusterStatus, error) {
 	var out api.ClusterStatus
 	err := c.get(ctx, "/api/v1/cluster", nil, &out)
-	if err == nil {
-		c.adoptShardCount(out.ShardCount)
-	}
 	return out, err
 }
 

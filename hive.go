@@ -237,8 +237,8 @@ type Platform struct {
 	// leaderP is the current leader hint handed to rejected writers;
 	// followP is the active tail loop, nil while leading or between
 	// leaders. In cluster mode the elector drives all three through
-	// applyElection (cluster.go); in static modes they are fixed at
-	// Open. See replication.go.
+	// applyElection (cluster.go); a standalone platform leads from Open
+	// on and never changes them. See replication.go.
 	role    atomic.Int32
 	leaderP atomic.Pointer[string]
 	followP atomic.Pointer[follower]

@@ -116,7 +116,7 @@ func TestMetricsExemptFromRateLimit(t *testing.T) {
 // TestMetricsEndpoint drives real requests through a full server and
 // asserts the exposition covers them: per-route counters and latency
 // histograms plus the scrape-time state gauges of every shard, in the
-// Prometheus text format, and a wrong_shard 409 that carries the trace
+// Prometheus text format, and a bad_request 400 that carries the trace
 // ID and counts as 4xx — at one shard and at four, where the
 // scatter-gather histogram and the trace's fan-out stages join in. The
 // registry is process-wide and other tests (and reruns under -count)
@@ -201,13 +201,12 @@ func metricsEndpoint(t *testing.T, shards int) {
 		}
 	}
 
-	// A mis-declared shard: the 409 envelope echoes the caller's trace ID
+	// A malformed body: the 400 envelope echoes the caller's trace ID
 	// and counts into the route's 4xx class.
 	const tid, paper4xx = "feedfacecafebeef", `hive_http_requests_total{route="/api/v1/papers",method="POST",class="4xx"}`
 	req, _ := http.NewRequest("POST", ts.URL+"/api/v1/papers",
-		strings.NewReader(`{"id":"p-wrong","title":"Misrouted","authors":["alice"]}`))
+		strings.NewReader(`{"id":"p-broken","title":`))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(api.ShardHeader, "99")
 	req.Header.Set(api.TraceHeader, tid)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -216,12 +215,12 @@ func metricsEndpoint(t *testing.T, shards int) {
 	defer resp.Body.Close()
 	var env api.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == nil ||
-		env.Error.Code != api.CodeWrongShard || env.TraceID != tid {
-		t.Fatalf("mis-declared shard: status %d, envelope %+v (%v), want wrong_shard carrying trace_id %s", resp.StatusCode, env, err, tid)
+		resp.StatusCode != http.StatusBadRequest || env.Error.Code != api.CodeBadRequest || env.TraceID != tid {
+		t.Fatalf("malformed body: status %d, envelope %+v (%v), want 400 bad_request carrying trace_id %s", resp.StatusCode, env, err, tid)
 	}
 	after := scrape()
 	if got := sample(after, paper4xx) - sample(body, paper4xx); got != 1 {
-		t.Errorf("%s advanced by %g over one wrong_shard, want 1", paper4xx, got)
+		t.Errorf("%s advanced by %g over one bad_request, want 1", paper4xx, got)
 	}
 	if shards == 1 {
 		return

@@ -69,6 +69,11 @@ type Server struct {
 
 	// traces is the bounded ring behind GET /api/v1/debug/traces.
 	traces *metrics.Recorder
+
+	// boot is 8 random bytes per server (hex), so an ETag issued by one
+	// process (a restarted hived, another replica behind the same URL)
+	// never validates on another whose generation happens to be equal.
+	boot string
 }
 
 // New builds a server around a standalone platform with default Config.
@@ -84,7 +89,7 @@ func NewWith(p *hive.Platform, cfg Config) *Server { return newServer(hive.OneSh
 func NewSharded(sh *hive.Sharded, cfg Config) *Server { return newServer(sh, cfg) }
 
 func newServer(sh *hive.Sharded, cfg Config) *Server {
-	s := &Server{sh: sh, mux: http.NewServeMux(), traces: metrics.NewRecorder(metrics.DefaultTraceCapacity)}
+	s := &Server{sh: sh, mux: http.NewServeMux(), traces: metrics.NewRecorder(metrics.DefaultTraceCapacity), boot: metrics.NewTraceID()}
 	s.routes()
 
 	// Inside the envelope, enforce the budget and then the load limits.
@@ -186,9 +191,9 @@ func (s *Server) routes() {
 	// --- /api/v1: mutations ------------------------------------------------
 	// The typed route and the batch dispatch (applyEntity) call the same
 	// router method, so semantics cannot drift between the two.
-	// Owner-hashed kinds verify a declared X-Hive-Shard header; kinds
-	// whose placement the client cannot compute (broadcast reference
-	// entities, probe-routed children) use the plain adapter.
+	// Owner-hashed kinds record their owner's shard in the request
+	// trace; broadcast reference entities and probe-routed children use
+	// the plain adapter.
 	m.HandleFunc("POST /api/v1/users", create(sh.RegisterUser))
 	m.HandleFunc("POST /api/v1/conferences", create(sh.CreateConference))
 	m.HandleFunc("POST /api/v1/sessions", create(sh.CreateSession))
@@ -297,18 +302,14 @@ func create[T any](fn func(T) error) http.HandlerFunc {
 }
 
 // createOwned adapts an owner-hashed mutation: like create, but the
-// declared X-Hive-Shard header (if any) is verified against the owner's
-// true shard before the write applies.
+// owner's shard is recorded in the request trace first.
 func createOwned[T any](s *Server, ownerOf func(T) string, fn func(T) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var v T
 		if !decodeBody(w, r, &v, maxEntityBody) {
 			return
 		}
-		if err := s.checkShard(r, ownerOf(v)); err != nil {
-			writeErr(w, r, err)
-			return
-		}
+		s.traceShard(r, ownerOf(v))
 		if err := fn(v); err != nil {
 			writeErr(w, r, err)
 			return
@@ -317,40 +318,11 @@ func createOwned[T any](s *Server, ownerOf func(T) string, fn func(T) error) htt
 	}
 }
 
-// checkShard verifies a write's declared owner shard against this
-// deployment's shard map. A request without the header is routed
-// server-side and never rejected; a mismatch answers CodeWrongShard
-// with the correct placement so the client can refresh its map and
-// retry.
-func (s *Server) checkShard(r *http.Request, owner string) error {
-	if owner == "" {
-		return nil
-	}
-	want := s.sh.ShardOf(owner)
-	// The resolved shard is part of the request's trace identity — the
-	// access log and debug/traces report where the write actually went,
-	// header or no header.
-	metrics.TraceFrom(r.Context()).SetShard(want)
-	h := r.Header.Get(api.ShardHeader)
-	if h == "" {
-		return nil
-	}
-	declared, err := strconv.Atoi(h)
-	if err != nil {
-		return fmt.Errorf("%w: bad %s header: %v", social.ErrInvalid, api.ShardHeader, err)
-	}
-	if declared == want {
-		return nil
-	}
-	return &api.Error{
-		Code:    api.CodeWrongShard,
-		Message: fmt.Sprintf("owner %q lives on shard %d of %d, not shard %d: refresh the shard map", owner, want, s.sh.ShardCount(), declared),
-		Details: map[string]any{
-			"expected_shard": want,
-			"shard_count":    s.sh.ShardCount(),
-			"owner":          owner,
-		},
-		HTTPStatus: http.StatusConflict,
+// traceShard records the shard an owner's write goes to in the request
+// trace, so the access log and debug/traces report where it went.
+func (s *Server) traceShard(r *http.Request, owner string) {
+	if owner != "" {
+		metrics.TraceFrom(r.Context()).SetShard(s.sh.ShardOf(owner))
 	}
 }
 
@@ -393,8 +365,8 @@ func pageThen[T any](fetch fetcher[T], finish func(r *http.Request, items []T) e
 	}
 }
 
-// etag adds conditional-GET support keyed on the snapshot generation.
-// Knowledge responses are a pure function of (snapshot, URL), so a
+// etag adds conditional-GET support keyed on the server's boot ID and
+// the snapshot generation. Knowledge responses are a pure function of (snapshot, URL), so a
 // matching If-None-Match for the still-serving generation is answered
 // 304 before any engine work. The generation is read *before* the
 // handler resolves the snapshot: if a swap races in between, the
@@ -403,7 +375,7 @@ func pageThen[T any](fetch fetcher[T], finish func(r *http.Request, items []T) e
 // writeJSON drops the tag from an error response.
 func (s *Server) etag(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tag := fmt.Sprintf(`"hive-g%d"`, s.sh.Generation())
+		tag := fmt.Sprintf(`"hive-%s-g%d"`, s.boot, s.sh.Generation())
 		w.Header().Set("ETag", tag)
 		if match := r.Header.Get("If-None-Match"); match != "" && etagMatch(match, tag) {
 			w.WriteHeader(http.StatusNotModified)
@@ -778,10 +750,7 @@ func (s *Server) postWorkpadActivate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req, maxEntityBody) {
 		return
 	}
-	if err := s.checkShard(r, req.Owner); err != nil {
-		writeErr(w, r, err)
-		return
-	}
+	s.traceShard(r, req.Owner)
 	if err := s.sh.ActivateWorkpad(req.Owner, r.PathValue("id")); err != nil {
 		writeErr(w, r, err)
 		return
@@ -975,16 +944,7 @@ func classify(err error) (*api.Error, int) {
 	var nle *hive.NotLeaderError
 	var see *hive.StaleEpochError
 	var que *hive.QuorumUnavailableError
-	var ae *api.Error
 	switch {
-	case errors.As(err, &ae):
-		// Pre-shaped wire errors (e.g. wrong_shard) pass through with
-		// their declared status.
-		status := ae.HTTPStatus
-		if status == 0 {
-			status = http.StatusInternalServerError
-		}
-		return ae, status
 	case errors.As(err, &que):
 		return &api.Error{
 			Code:    api.CodeQuorumUnavailable,

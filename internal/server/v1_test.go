@@ -192,6 +192,43 @@ func TestConditionalGETEdgeCases(t *testing.T) {
 	}
 }
 
+// TestConditionalGETIsPerServer: an ETag one server issued never
+// validates on another — a restarted hived, or another replica behind
+// the same URL — even when both serve the same snapshot generation of
+// different data.
+func TestConditionalGETIsPerServer(t *testing.T) {
+	var tags [2]string
+	var servers [2]*httptest.Server
+	for i, id := range []string{"ann", "bob"} {
+		ts, p := newTestServer(t)
+		if err := p.RegisterUser(hive.User{ID: id, Name: id, Interests: []string{"graphs"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/api/v1/search?q=graphs&limit=5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		servers[i], tags[i] = ts, resp.Header.Get("ETag")
+		if tags[i] == "" {
+			t.Fatal("no ETag on knowledge endpoint")
+		}
+	}
+	req, _ := http.NewRequest("GET", servers[1].URL+"/api/v1/search?q=graphs&limit=5", nil)
+	req.Header.Set("If-None-Match", tags[0])
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second server answered %d to the first server's tag %s (its own: %s), want 200", resp.StatusCode, tags[0], tags[1])
+	}
+}
+
 // TestPaginationCursorRoundTrip walks /api/v1/users page by page and
 // must reassemble exactly the full sorted listing.
 func TestPaginationCursorRoundTrip(t *testing.T) {
@@ -607,10 +644,6 @@ func TestV1ContractOverShardCounts(t *testing.T) {
 				ts, sh := newShardedServer(t, n)
 				feedWalksWholeFeed(t, ts, sh)
 			})
-			t.Run("wrong_shard envelope", func(t *testing.T) {
-				ts, _ := newShardedServer(t, n)
-				wrongShardEnvelope(t, ts, n)
-			})
 		})
 	}
 }
@@ -755,51 +788,63 @@ func feedWalksWholeFeed(t *testing.T, ts *httptest.Server, sh *hive.Sharded) {
 	}
 }
 
-// wrongShardEnvelope: a declared X-Hive-Shard is verified against the
-// shard map — at one shard too — and an absent one never rejects.
-func wrongShardEnvelope(t *testing.T, ts *httptest.Server, shards int) {
-	expectStatus(t, post(t, ts, "/api/v1/users", api.User{ID: "ann", Name: "Ann"}), http.StatusCreated)
-	publish := func(id, shardHeader string) *http.Response {
-		raw, err := json.Marshal(api.Paper{ID: id, Title: "Routed " + id, Authors: []string{"ann"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, _ := http.NewRequest("POST", ts.URL+"/api/v1/papers", bytes.NewReader(raw))
-		req.Header.Set("Content-Type", "application/json")
-		if shardHeader != "" {
-			req.Header.Set(api.ShardHeader, shardHeader)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	want := api.ShardOf("ann", shards)
+// TestShardHeaderIsIgnored: the server places every write on its
+// owner's shard itself, so an X-Hive-Shard header, mis-declared or
+// unparsable, is ignored like any unknown header. The write's trace
+// carries the shard it went to, and an SDK write lands first try.
+func TestShardHeaderIsIgnored(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			ts, sh := newShardedServer(t, n)
+			// held reports the shards holding paper id.
+			held := func(id string) []int {
+				var on []int
+				for i, p := range sh.Shards() {
+					if _, err := p.Store().Paper(id); err == nil {
+						on = append(on, i)
+					}
+				}
+				return on
+			}
+			for _, author := range []string{"ann", "bob", "cyd", "dee"} {
+				expectStatus(t, post(t, ts, "/api/v1/users", api.User{ID: author, Name: author}), http.StatusCreated)
+				want := api.ShardOf(author, n)
+				for _, hdr := range []string{"99", "zero"} {
+					id, tid := "p-"+author+"-"+hdr, "ignored-"+author+"-"+hdr
+					raw, err := json.Marshal(api.Paper{ID: id, Title: "Placed " + id, Authors: []string{author}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					req, _ := http.NewRequest("POST", ts.URL+"/api/v1/papers", bytes.NewReader(raw))
+					req.Header.Set("Content-Type", "application/json")
+					req.Header.Set("X-Hive-Shard", hdr)
+					req.Header.Set(api.TraceHeader, tid)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					expectStatus(t, resp, http.StatusCreated)
+					if on := held(id); len(on) != 1 || on[0] != want {
+						t.Fatalf("%s (X-Hive-Shard: %s) held by shards %v, want [%d]", id, hdr, on, want)
+					}
+					if tr := recordedTrace(t, ts.URL, tid); tr.Shard != want {
+						t.Fatalf("%s trace shard = %d, want %d", id, tr.Shard, want)
+					}
+				}
+			}
 
-	status, e := decodeEnvelope(t, publish("p-wrong", "99"))
-	if status != http.StatusConflict || e.Code != api.CodeWrongShard {
-		t.Fatalf("mis-declared shard = (%d, %q), want (409, %q)", status, e.Code, api.CodeWrongShard)
-	}
-	if e.Details["expected_shard"] != float64(want) || e.Details["shard_count"] != float64(shards) || e.Details["owner"] != "ann" {
-		t.Fatalf("wrong_shard details = %v, want shard %d of %d for ann", e.Details, want, shards)
-	}
-	status, e = decodeEnvelope(t, publish("p-bad", "zero"))
-	if status != http.StatusBadRequest || e.Code != api.CodeInvalidArgument {
-		t.Fatalf("unparsable shard header = (%d, %q), want (400, %q)", status, e.Code, api.CodeInvalidArgument)
-	}
-	expectStatus(t, publish("p-right", fmt.Sprint(want)), http.StatusCreated)
-	expectStatus(t, publish("p-routed", ""), http.StatusCreated)
-
-	// The SDK learns the shard map from the cluster endpoint and declares
-	// the owner's shard itself: its write lands first try.
-	ctx := context.Background()
-	c := client.New(ts.URL)
-	if _, err := c.ClusterStatus(ctx); err != nil || c.ShardCount() != shards {
-		t.Fatalf("SDK shard map = %d (err %v), want %d", c.ShardCount(), err, shards)
-	}
-	if err := c.CreatePaper(ctx, api.Paper{ID: "p-sdk", Title: "Routed", Authors: []string{"ann"}}); err != nil || c.Redirects() != 0 {
-		t.Fatalf("SDK routed write = %v after %d redirects, want first-try success", err, c.Redirects())
+			c := client.New(ts.URL)
+			if err := c.CreatePaper(context.Background(), api.Paper{ID: "p-sdk", Title: "Placed", Authors: []string{"ann"}}); err != nil || c.Redirects() != 0 {
+				t.Fatalf("SDK write = %v after %d redirects, want first-try success", err, c.Redirects())
+			}
+			want := api.ShardOf("ann", n)
+			if on := held("p-sdk"); len(on) != 1 || on[0] != want {
+				t.Fatalf("SDK paper held by shards %v, want [%d]", on, want)
+			}
+			if tr := recordedTrace(t, ts.URL, c.LastTraceID()); tr.Shard != want {
+				t.Fatalf("SDK write trace shard = %d, want %d", tr.Shard, want)
+			}
+		})
 	}
 }
 

@@ -668,6 +668,59 @@ func FuzzOpenJournalPayload(f *testing.F) {
 	})
 }
 
+// FuzzApplyReplica decodes arbitrary bytes as a replication batch — what
+// a follower reads off the leader's feed — and applies it to a fresh
+// journaled store. ApplyReplica must never panic. It either fails and
+// leaves the change sequence where it was, or succeeds at the batch's
+// Last, and then the reopened dir holds every put the batch did not
+// also delete.
+func FuzzApplyReplica(f *testing.F) {
+	f.Add([]byte(`{"first":1,"last":1,"events":[{"seq":1,"kind":"put","entity":"user","id":"a"}],"puts":{"user/a":"e30="}}`))
+	f.Add([]byte(`{"first":1,"last":1,"events":null,"dels":["user/a",""]}`))
+	f.Add([]byte(`{"first":1,"last":2}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"first":1,"last":1,"puts":{"k":"not base64"}}`))
+	f.Add([]byte{})
+	f.Add([]byte(`{"first":3,"last":5,"epoch":2,"puts":{"user/b":"e30=","":"eA=="},"dels":["user/c"]}`))
+	f.Add([]byte(`{"first":1,"last":18446744073709551615,"puts":{"k":"eA=="}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rb ReplicationBatch
+		if json.Unmarshal(data, &rb) != nil {
+			return
+		}
+		dir := t.TempDir()
+		st, err := Open(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := st.ChangeSeq()
+		if err := st.ApplyReplica(rb); err != nil {
+			if got := st.ChangeSeq(); got != before {
+				t.Fatalf("failed apply of %q (%v) moved the change sequence %d -> %d", data, err, before, got)
+			}
+			st.Close()
+			return
+		}
+		if got := st.ChangeSeq(); got != rb.Last {
+			t.Fatalf("applied %q: change sequence %d, want the batch's last %d", data, got, rb.Last)
+		}
+		st.Close()
+		re, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("reopen after applying %q: %v", data, err)
+		}
+		defer re.Close()
+		for k, v := range rb.Puts {
+			if slices.Contains(rb.Dels, k) {
+				continue
+			}
+			if got, err := re.kv.Get(k); err != nil || string(got) != string(v) {
+				t.Fatalf("applied %q: put %q reopens as %q, %v; want %q", data, k, got, err, v)
+			}
+		}
+	})
+}
+
 // A checkpoint is skipped while a write is captured but not journaled —
 // the image would hold a write no record carries — and taken at a later
 // append once nothing is in flight.

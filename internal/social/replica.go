@@ -243,7 +243,9 @@ func (s *Store) ImportReplicaSnapshot(seq uint64, entries []kvstore.Entry) error
 // (reconnect replays); a batch that spans it — one that straddles a
 // bootstrap's watermark — is journaled and applied from the sequence
 // after it, with its whole kv image (re-applying an image is
-// idempotent).
+// idempotent). A batch that starts past the sequence after the current
+// one is refused: the events between are missing, and only a snapshot
+// restores them (a journal with that hole would not reopen).
 //
 // Epoch fencing happens first: a batch carrying an epoch behind the
 // store's fails with ErrStaleEpoch (deposed-leader writes are dropped,
@@ -270,6 +272,11 @@ func (s *Store) ApplyReplica(rb ReplicationBatch) error {
 	if rb.Last <= s.changeSeq {
 		s.evMu.Unlock()
 		return nil // already applied
+	}
+	if rb.First > s.changeSeq+1 {
+		cur := s.changeSeq
+		s.evMu.Unlock()
+		return fmt.Errorf("social: replica batch [%d,%d] leaves a hole after sequence %d", rb.First, rb.Last, cur)
 	}
 	if rb.First <= s.changeSeq {
 		// Only the events past the current sequence are new; the kv

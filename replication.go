@@ -76,21 +76,13 @@ const (
 
 // follower holds the tail-loop state of a following platform. Each
 // leader change builds a fresh follower; observability reads go through
-// Platform.followP.
+// Platform.followP. Cancelling ctx stops the loop, which closes done.
 type follower struct {
 	url    string
 	c      *client.Client
 	cancel context.CancelFunc
 	ctx    context.Context
-	stop   chan struct{}
 	done   chan struct{}
-
-	// booted flips once the initial bootstrap succeeded; until then
-	// the loop retries bootstrap instead of tailing. The bootstrap
-	// always re-syncs from the leader's snapshot even when local state
-	// exists: a node rejoining after a leader change may hold journal
-	// batches from a fenced term.
-	booted bool
 
 	applied    atomic.Uint64 // last leader sequence folded into the local store
 	leaderTail atomic.Uint64 // leader journal tail at the most recent poll
@@ -116,16 +108,14 @@ func (p *Platform) newFollower(url string) *follower {
 		c:      client.New(url, opts...),
 		cancel: cancel,
 		ctx:    ctx,
-		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 }
 
 // startFollowerAsync enters (or re-enters) follower mode without
 // blocking: the tail loop owns the bootstrap, retrying with backoff
-// until it succeeds or the follower is stopped. Cluster transitions
-// need the non-blocking form because the new leader may itself still
-// be promoting.
+// until it succeeds or the follower is stopped, because the new leader
+// may itself still be promoting.
 func (p *Platform) startFollowerAsync(url string) {
 	f := p.newFollower(url)
 	p.followP.Store(f)
@@ -139,12 +129,7 @@ func (p *Platform) stopFollowing() {
 	if f == nil {
 		return
 	}
-	select {
-	case <-f.stop:
-	default:
-		close(f.stop)
-		f.cancel()
-	}
+	f.cancel()
 	<-f.done
 	p.followP.CompareAndSwap(f, nil)
 }
@@ -175,56 +160,24 @@ func (p *Platform) bootstrapFollower(f *follower) error {
 	return nil
 }
 
-// followLoop tails the leader's journal until stopped, reconnecting
-// with exponential backoff and re-bootstrapping from the snapshot when
-// the leader compacted past our position, regressed, or moved to a
-// newer term (or a journal hole is detected). Stale-term feeds are
-// fenced, never re-synced from.
+// followLoop bootstraps from the leader's snapshot, then tails its
+// journal until stopped, reconnecting with exponential backoff and
+// re-bootstrapping when the leader compacted past our position,
+// regressed, or moved to a newer term (or a journal hole is detected).
+// Stale-term feeds are fenced, never re-synced from.
 func (p *Platform) followLoop(f *follower) {
 	defer close(f.done)
-	failures := 0
-	wait := func() bool {
-		if failures == 0 {
-			return true
-		}
-		select {
-		case <-time.After(backoffDelay(failures)):
-			return true
-		case <-f.stop:
-			return false
-		}
-	}
-
-	for !f.booted {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		if !wait() {
+	booted, failures := false, 0
+	for {
+		if f.ctx.Err() != nil {
 			return
 		}
-		if err := p.resyncFollower(f); err != nil {
-			if f.ctx.Err() != nil {
+		if failures > 0 {
+			select {
+			case <-time.After(backoffDelay(failures)):
+			case <-f.ctx.Done():
 				return
 			}
-			f.lastErr.Store(&replErr{fmt.Errorf("bootstrap from %s: %w", f.url, err)})
-			failures++
-			continue
-		}
-		f.booted = true
-		f.lastErr.Store(&replErr{})
-		failures = 0
-	}
-
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		if !wait() {
-			return
 		}
 
 		// The poll doubles as the ack channel: the piggybacked report says
@@ -233,18 +186,27 @@ func (p *Platform) followLoop(f *follower) {
 		// and which commit index it has persisted (so the leader releases
 		// the long-poll early when the watermark moved).
 		from := f.applied.Load()
-		ack := &client.ReplAck{Self: p.selfURL, Applied: from, Commit: p.store.CommitIndex()}
-		pollStart := time.Now()
-		ev, err := f.c.ReplicationEvents(f.ctx, from, followBatchMax, followPollWait, p.store.Epoch(), ack)
-		mReplicationPollSeconds.ObserveSince(pollStart)
+		var ev api.ReplicationEvents
+		var err error
+		if booted {
+			ack := &client.ReplAck{Self: p.selfURL, Applied: from, Commit: p.store.CommitIndex()}
+			pollStart := time.Now()
+			ev, err = f.c.ReplicationEvents(f.ctx, from, followBatchMax, followPollWait, p.store.Epoch(), ack)
+			mReplicationPollSeconds.ObserveSince(pollStart)
+		}
 		// resync names why the tail cannot continue and the follower must
-		// re-bootstrap from the leader's snapshot ("" while it can).
+		// (re-)bootstrap from the leader's snapshot ("" while it can).
 		var resync string
 		switch {
+		case !booted:
+			// The first bootstrap re-syncs even when local state exists:
+			// a node rejoining after a leader change may hold journal
+			// batches from a fenced term.
+			resync = "bootstrap from " + f.url
 		case api.IsCode(err, api.CodeCompacted):
 			// Fell behind the leader's retention horizon: tailing can
 			// never catch up.
-			resync = "after compaction"
+			resync = "re-bootstrap after compaction"
 		case api.IsCode(err, api.CodeStaleEpoch):
 			// The polled node's term is behind ours: it is a deposed
 			// leader (or a lagging peer). Nothing it serves is safe to
@@ -266,14 +228,14 @@ func (p *Platform) followLoop(f *follower) {
 			// compatibility rule (accept N, re-bootstrap on N+1) the
 			// tail is not trustworthy across terms; the snapshot adopts
 			// the new term.
-			resync = fmt.Sprintf("onto epoch %d", ev.Epoch)
+			resync = fmt.Sprintf("re-bootstrap onto epoch %d", ev.Epoch)
 		case ev.Tail < from:
 			// A leader whose journal tail is *behind* our applied sequence
 			// is not the leader we replicated from (repurposed data dir,
 			// restored backup, misconfigured peer set): tailing would
 			// silently serve unrelated state while reporting zero lag.
 			f.leaderTail.Store(ev.Tail)
-			resync = fmt.Sprintf("after leader regression (tail %d < applied %d)", ev.Tail, from)
+			resync = fmt.Sprintf("re-bootstrap after leader regression (tail %d < applied %d)", ev.Tail, from)
 		default:
 			f.leaderTail.Store(ev.Tail)
 			fencedBatch := false
@@ -285,7 +247,7 @@ func (p *Platform) followLoop(f *follower) {
 				if rb.First > applied+1 {
 					// A hole in the feed (journal gap): events between were
 					// lost; only a snapshot restores the missing data.
-					resync = "after feed hole"
+					resync = "re-bootstrap after feed hole"
 					break
 				}
 				if aerr := p.store.ApplyReplica(rb); aerr != nil {
@@ -301,7 +263,7 @@ func (p *Platform) followLoop(f *follower) {
 					// An older-term batch in a feed at our own term is the
 					// current leader's history, which its snapshot carries:
 					// re-sync rather than skip acknowledged data.
-					resync = "after feed hole"
+					resync = "re-bootstrap after feed hole"
 					break
 				}
 				f.applied.Store(rb.Last)
@@ -313,10 +275,14 @@ func (p *Platform) followLoop(f *follower) {
 		}
 		if resync != "" {
 			if berr := p.resyncFollower(f); berr != nil {
-				f.lastErr.Store(&replErr{fmt.Errorf("re-bootstrap %s: %w", resync, berr)})
+				if f.ctx.Err() != nil {
+					return
+				}
+				f.lastErr.Store(&replErr{fmt.Errorf("%s: %w", resync, berr)})
 				failures++
 				continue
 			}
+			booted = true
 		}
 		if c := ev.Commit; c > 0 {
 			// Adopt the leader-published commit index, capped at our own

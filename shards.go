@@ -12,11 +12,12 @@ package hive
 // event streams with a per-shard sequence-vector cursor, and set reads
 // (attendees, questions, tags) union disjoint per-shard slices.
 //
-// Placement is by owner hash (api.ShardOf — part of the wire contract,
-// shared with the client SDK): papers live on their first author's
-// shard, workpads and check-ins on their owner's, and entities that
-// hang off another entity (presentations, questions, comments,
-// answers, workpad items) follow it, found by probing.
+// Placement is by owner hash (api.ShardOf — part of the wire contract;
+// data dirs pin it), and it is decided here for every write: papers
+// live on their first author's shard, workpads and check-ins on their
+// owner's, and entities that hang off another entity (presentations,
+// questions, comments, answers, workpad items) follow it, found by
+// probing.
 // Reference entities every shard validates against — users, conferences,
 // sessions — are broadcast to all shards; they are tiny, rarely written
 // and never text-indexed, so the duplication costs little and keeps
