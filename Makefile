@@ -3,7 +3,7 @@
 
 GO      ?= go
 
-.PHONY: build test race bench bench-smoke fmt vet lint vuln race-nightly ci smoke hiveload-smoke
+.PHONY: build test race bench bench-smoke fmt vet lint vuln race-nightly ci smoke hiveload-smoke examples
 
 build:
 	$(GO) build ./...
@@ -92,5 +92,17 @@ hiveload-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 	bash benchmark/run.sh --workload all --quick
 
+# Every program under examples/, built into a temp dir and run: each
+# must exit 0. `go build ./...` only compiles them, and an example that
+# fails at run time teaches the wrong thing.
+examples:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for dir in examples/*/; do \
+		name=$$(basename "$$dir"); \
+		$(GO) build -o "$$tmp/$$name" "./$$dir" && "$$tmp/$$name" >/dev/null \
+			|| { echo "FAIL examples/$$name"; exit 1; }; \
+		echo "ok   examples/$$name"; \
+	done
+
 # lint subsumes vet (hivelint runs `go vet` over the same patterns).
-ci: build lint fmt race bench-smoke hiveload-smoke
+ci: build lint fmt race bench-smoke hiveload-smoke examples

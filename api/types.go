@@ -9,6 +9,7 @@ import (
 	"hive/internal/rdf"
 	"hive/internal/social"
 	"hive/internal/summarize"
+	"hive/internal/tensor"
 	"hive/internal/textindex"
 )
 
@@ -64,6 +65,10 @@ type (
 	ResourceEvidence = core.ResourceEvidence
 	// KnowledgePath items answer GET /knowledge/paths.
 	KnowledgePath = rdf.RankedPath
+	// ActivityChange items fill GET /activity/changes: one epoch of the
+	// activity stream, its sketch distance from the epoch before and
+	// whether that distance flags a structural change.
+	ActivityChange = tensor.StreamResult
 )
 
 // ConnectRequest is the body of POST /connections: a mutual connection
@@ -83,6 +88,12 @@ type FollowRequest struct {
 type CheckinRequest struct {
 	SessionID string `json:"session_id"`
 	UserID    string `json:"user_id"`
+}
+
+// BrowseRequest is the body of POST /browses: a user viewed an object.
+type BrowseRequest struct {
+	UserID string `json:"user_id"`
+	Object string `json:"object"`
 }
 
 // ActivateWorkpadRequest is the body of POST /workpads/{id}/activate.
@@ -394,10 +405,11 @@ const (
 	KindAnswer       = "answer"
 	KindComment      = "comment"
 	KindWorkpad      = "workpad"
+	KindBrowse       = "browse"
 )
 
 // BatchEntity is one element of a batch: a kind tag plus the entity's
-// usual request body. Connection/follow/checkin kinds carry the
+// usual request body. Connection/follow/checkin/browse kinds carry the
 // corresponding request DTOs.
 type BatchEntity struct {
 	Kind string          `json:"kind"`

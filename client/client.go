@@ -499,6 +499,13 @@ func (c *Client) Comment(ctx context.Context, cm api.Comment) error {
 	return c.post(ctx, "/api/v1/comments", cm, nil)
 }
 
+// LogBrowse records that a user viewed an object (owner-routed: the
+// user's shard). Browses feed activity similarity and change
+// monitoring.
+func (c *Client) LogBrowse(ctx context.Context, userID, object string) error {
+	return c.post(ctx, "/api/v1/browses", api.BrowseRequest{UserID: userID, Object: object}, nil)
+}
+
 // CreateWorkpad creates or replaces a workpad (owner-routed).
 func (c *Client) CreateWorkpad(ctx context.Context, w api.Workpad) error {
 	return c.post(ctx, "/api/v1/workpads", w, nil)
@@ -681,6 +688,19 @@ func (c *Client) KnowledgePaths(ctx context.Context, a, b string, k int) ([]api.
 	}
 	err := c.getKnowledge(ctx, "/api/v1/knowledge/paths", q, &out)
 	return out, err
+}
+
+// ActivityChanges runs change detection over the activity stream cut
+// into epochs of epochEvents events (0 takes the server's default) and
+// returns one entry per epoch, oldest first.
+func (c *Client) ActivityChanges(ctx context.Context, epochEvents int, cursor string, limit int) (api.Page[api.ActivityChange], error) {
+	var pg api.Page[api.ActivityChange]
+	q := pageQuery(nil, cursor, limit)
+	if epochEvents > 0 {
+		q.Set("epoch_events", fmt.Sprint(epochEvents))
+	}
+	err := c.getKnowledge(ctx, "/api/v1/activity/changes", q, &pg)
+	return pg, err
 }
 
 // --- Replication --------------------------------------------------------------

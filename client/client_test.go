@@ -152,6 +152,13 @@ func TestSDKFullSurface(t *testing.T) {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("KnowledgePaths = %+v, %v", paths, err)
 	}
+	if err := c.LogBrowse(ctx, "zach", "p1"); err != nil {
+		t.Fatalf("LogBrowse: %v", err)
+	}
+	changes, err := c.ActivityChanges(ctx, 3, "", 0)
+	if err != nil || len(changes.Items) == 0 {
+		t.Fatalf("ActivityChanges = %+v, %v", changes, err)
+	}
 	if err := c.Refresh(ctx, true); err != nil {
 		t.Fatalf("Refresh: %v", err)
 	}

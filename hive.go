@@ -3,7 +3,9 @@
 // cross-conference social platform for researchers with integrated
 // knowledge services — context-aware search and previews, evidence-based
 // peer discovery and explanation, collaborative recommendation, community
-// discovery, and activity change monitoring.
+// discovery, and activity change monitoring. Every listed service is
+// served by the /api/v1 REST API (internal/server, API.md); the library
+// offers no service the API lacks.
 //
 // A Platform is one shard: the durable social store, its change journal
 // and the MiNC knowledge engine kept current over it. Mutations (users,
@@ -69,8 +71,6 @@ type (
 	Workpad = social.Workpad
 	// WorkpadItem is one resource on a workpad.
 	WorkpadItem = social.WorkpadItem
-	// Collection is an exported, shareable workpad.
-	Collection = social.Collection
 	// Event is one activity-stream entry.
 	Event = social.Event
 	// ChangeEvent is one typed entry of the store's change log.
@@ -90,8 +90,6 @@ type (
 	SearchResult = core.SearchResult
 	// Snippet is a context-extracted document fragment.
 	Snippet = textindex.Snippet
-	// Keyphrase is an extracted key concept.
-	Keyphrase = textindex.Keyphrase
 	// Summary is a size-constrained update digest.
 	Summary = summarize.Summary
 	// ChangeResult reports activity change detection for one epoch.
@@ -107,7 +105,6 @@ const (
 	ItemPresentation = social.ItemPresentation
 	ItemSession      = social.ItemSession
 	ItemQuestion     = social.ItemQuestion
-	ItemCollection   = social.ItemCollection
 )
 
 // Document namespaces used in search results and previews.

@@ -216,35 +216,6 @@ func TestWorkpadDrivesContext(t *testing.T) {
 	}
 }
 
-func TestCollectionShareFlow(t *testing.T) {
-	p := openTest(t)
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(p.RegisterUser(User{ID: "a", Name: "A"}))
-	must(p.RegisterUser(User{ID: "b", Name: "B"}))
-	must(p.CreateWorkpad(Workpad{ID: "w", Owner: "a", Name: "shared",
-		Items: []WorkpadItem{{Kind: ItemUser, Ref: "b"}}}))
-	col, err := p.ExportCollection("w", "col")
-	must(err)
-	if col.Owner != "a" {
-		t.Fatalf("collection = %+v", col)
-	}
-	w2, err := p.ImportCollection("col", "b", "w-b")
-	must(err)
-	if w2.Owner != "b" || len(w2.Items) != 1 {
-		t.Fatalf("imported = %+v", w2)
-	}
-	act, err := p.ActiveWorkpad("b")
-	must(err)
-	if act.ID != "w-b" {
-		t.Fatalf("active = %+v", act)
-	}
-}
-
 func TestErrorsSurfaceFromStore(t *testing.T) {
 	p := openTest(t)
 	if err := p.CheckIn("missing", "nobody"); !errors.Is(err, social.ErrNotFound) {
@@ -292,8 +263,6 @@ func TestPlatformWrapperSurface(t *testing.T) {
 	must(p.PublishPaper(Paper{ID: "p1", Title: "Graphs at scale",
 		Abstract: "Processing large graphs on clusters with partitioning.",
 		Authors:  []string{"ann"}, ConferenceID: "c", SessionID: "s"}))
-	// Slides reuse the paper's abstract text (the usual case), so the
-	// overlap detector has shared shingles to find.
 	must(p.UploadPresentation(Presentation{ID: "pr1", PaperID: "p1", Owner: "ann",
 		Text: "Processing large graphs on clusters with partitioning. Communication dominates runtime."}))
 	must(p.CheckIn("s", "zach"))
@@ -302,31 +271,14 @@ func TestPlatformWrapperSurface(t *testing.T) {
 	must(p.PostComment(Comment{ID: "cm1", Author: "zach", Target: "s", Text: "Nice session"}))
 	must(p.LogBrowse("zach", "p1"))
 	must(p.Follow("zach", "ann"))
-	must(p.Unfollow("zach", "ann"))
-	must(p.Follow("zach", "ann"))
 
 	if got := p.Attendees("s"); len(got) != 1 || got[0] != "zach" {
 		t.Fatalf("Attendees = %v", got)
-	}
-	if got := p.QuestionsAbout("p1"); len(got) != 1 {
-		t.Fatalf("QuestionsAbout = %v", got)
-	}
-	if got := p.AnswersTo("q1"); len(got) != 1 {
-		t.Fatalf("AnswersTo = %v", got)
 	}
 	if !p.Connected("zach", "ann") {
 		if err := p.Connect("zach", "ann"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if kps, err := p.Annotate(DocPaper+"p1", 3); err != nil || len(kps) == 0 {
-		t.Fatalf("Annotate = %v, %v", kps, err)
-	}
-	if comm, err := p.CommunityOf("zach"); err != nil || len(comm) == 0 {
-		t.Fatalf("CommunityOf = %v, %v", comm, err)
-	}
-	if res, cont, err := p.DetectOverlap(DocPresentation+"pr1", DocPaper+"p1"); err != nil || res <= 0 || cont <= 0 {
-		t.Fatalf("DetectOverlap = %v %v %v", res, cont, err)
 	}
 	if hits, err := p.SearchHistory("zach", "checkin", true, 5); err != nil || len(hits) == 0 {
 		t.Fatalf("SearchHistory = %v, %v", hits, err)

@@ -252,16 +252,6 @@ func (e *Engine) Preview(userID, docID string, k int) ([]textindex.Snippet, erro
 	return textindex.ExtractSnippets(text, ctx, k), nil
 }
 
-// Annotate extracts the top-k key concepts of a document for automated
-// annotation (§2.3(b)).
-func (e *Engine) Annotate(docID string, k int) ([]textindex.Keyphrase, error) {
-	text, err := e.seg.Text(docID)
-	if err != nil {
-		return nil, err
-	}
-	return textindex.ExtractKeyphrases(text, k), nil
-}
-
 // UpdateDigest produces the size-constrained summary of the user's feed
 // (the "scheduled update reports" of §2.3, summarized with AlphaSum).
 // Columns: actor, verb, target kind; the target-kind column generalizes
@@ -340,22 +330,6 @@ func clip(rs []textindex.Result, k int) []textindex.Result {
 		return rs[:k]
 	}
 	return rs
-}
-
-// DetectOverlap reports content-reuse between two indexed documents via
-// shingle resemblance and containment ([9]).
-func (e *Engine) DetectOverlap(docA, docB string) (resemblance, containAinB float64, err error) {
-	ta, err := e.seg.Text(docA)
-	if err != nil {
-		return 0, 0, err
-	}
-	tb, err := e.seg.Text(docB)
-	if err != nil {
-		return 0, 0, err
-	}
-	sa := textindex.Shingles(ta, 3)
-	sb := textindex.Shingles(tb, 3)
-	return textindex.Resemblance(sa, sb), textindex.Containment(sa, sb), nil
 }
 
 // WorkpadOf returns the user's active workpad items (empty when none).

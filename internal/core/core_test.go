@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hive/internal/social"
+	"hive/internal/tensor"
 	"hive/internal/workload"
 )
 
@@ -290,7 +291,7 @@ func TestSearchAndSearchWithContext(t *testing.T) {
 	}
 }
 
-func TestPreviewAndAnnotate(t *testing.T) {
+func TestPreview(t *testing.T) {
 	_, eng := zachWorld(t)
 	snips, err := eng.Preview("zach", DocPresentation+"pres-zach", 2)
 	if err != nil {
@@ -299,38 +300,8 @@ func TestPreviewAndAnnotate(t *testing.T) {
 	if len(snips) == 0 {
 		t.Fatal("no snippets")
 	}
-	kps, err := eng.Annotate(DocPaper+"p-zach", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kps) == 0 {
-		t.Fatal("no annotations")
-	}
 	if _, err := eng.Preview("zach", "paper/missing", 2); err == nil {
 		t.Fatal("missing doc accepted")
-	}
-}
-
-func TestDetectOverlap(t *testing.T) {
-	_, eng := zachWorld(t)
-	// Zach's slides reuse his paper's content.
-	res, cont, err := eng.DetectOverlap(DocPresentation+"pres-zach", DocPaper+"p-zach")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res <= 0 {
-		t.Fatalf("resemblance = %v, want > 0", res)
-	}
-	if cont <= 0 {
-		t.Fatalf("containment = %v", cont)
-	}
-	// Unrelated pair.
-	res2, _, err := eng.DetectOverlap(DocPaper+"p-ann10", DocPaper+"p-advisor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2 >= res {
-		t.Fatalf("unrelated pair (%v) should overlap less than slide/paper (%v)", res2, res)
 	}
 }
 
@@ -467,12 +438,6 @@ func TestCommunitiesCoverAllUsers(t *testing.T) {
 	if len(seen) != 5 {
 		t.Fatalf("communities cover %d users, want 5", len(seen))
 	}
-	if got := eng.CommunityOf("zach"); len(got) == 0 {
-		t.Fatal("CommunityOf(zach) empty")
-	}
-	if got := eng.CommunityOf("ghost"); got != nil {
-		t.Fatalf("CommunityOf(ghost) = %v", got)
-	}
 }
 
 func TestUpdateDigest(t *testing.T) {
@@ -495,23 +460,27 @@ func TestUpdateDigest(t *testing.T) {
 }
 
 func TestActivityTensorStreamAndMonitor(t *testing.T) {
-	_, eng := zachWorld(t)
-	stream, sk, err := eng.ActivityTensorStream(3)
+	st, eng := zachWorld(t)
+	events := st.EventsSince(0, 0)
+	stream, sk, err := ActivityTensorStream(events, st.Users(), eng.TargetKind, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stream) == 0 {
-		t.Fatal("empty tensor stream")
+	if want := (len(events) + 2) / 3; len(stream) != want {
+		t.Fatalf("%d events in epochs of 3 made %d epochs, want %d", len(events), len(stream), want)
 	}
 	if sk == nil {
 		t.Fatal("nil sketcher")
 	}
-	res, err := eng.MonitorActivity(3)
+	res, err := tensor.MonitorSketched(sk, stream, &tensor.Detector{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != len(stream) {
 		t.Fatalf("results = %d, epochs = %d", len(res), len(stream))
+	}
+	if stream, sk, err := ActivityTensorStream(events, nil, eng.TargetKind, 3); stream != nil || sk != nil || err != nil {
+		t.Fatalf("no users: %v, %v, %v; want no epochs", stream, sk, err)
 	}
 }
 

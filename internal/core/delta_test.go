@@ -183,15 +183,6 @@ func TestOverlayOnlyDocumentReads(t *testing.T) {
 			sn, err := e.Preview("zach", doc, 2)
 			return len(sn) > 0, err
 		}},
-		{"Annotate", func(e *Engine) (bool, error) {
-			kp, err := e.Annotate(doc, 3)
-			return len(kp) > 0, err
-		}},
-		{"DetectOverlap", func(e *Engine) (bool, error) {
-			// The late slides reuse two sentences of pres-zach.
-			res, contain, err := e.DetectOverlap(doc, DocPresentation+"pres-zach")
-			return res > 0 && contain > 0, err
-		}},
 		{"SearchWithContext", func(e *Engine) (bool, error) {
 			hits := e.SearchWithContext("zach", "zeppelin moorings", 5)
 			return len(hits) == 1 && hits[0].DocID == doc && hits[0].Score > 0, nil

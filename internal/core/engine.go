@@ -378,19 +378,6 @@ func (e *Engine) Communities() [][]string {
 	return out
 }
 
-// CommunityOf returns the community containing the user (nil when the
-// user is unknown).
-func (e *Engine) CommunityOf(userID string) []string {
-	for _, c := range e.Communities() {
-		for _, u := range c {
-			if u == userID {
-				return c
-			}
-		}
-	}
-	return nil
-}
-
 // entityText renders any entity into text for context building.
 func (e *Engine) entityText(kind social.ItemKind, ref string) string {
 	switch kind {
@@ -419,14 +406,6 @@ func (e *Engine) entityText(kind social.ItemKind, ref string) string {
 	case social.ItemQuestion:
 		if q, err := e.store.Question(ref); err == nil {
 			return q.Text
-		}
-	case social.ItemCollection:
-		if c, err := e.store.Collection(ref); err == nil {
-			var parts []string
-			for _, it := range c.Items {
-				parts = append(parts, e.entityText(it.Kind, it.Ref))
-			}
-			return strings.Join(parts, ". ")
 		}
 	}
 	return ""

@@ -431,34 +431,36 @@ func (e *Engine) RecommendByPopularity(userID string, k int) []CFRecommendation 
 
 // --- Activity change monitoring (SCENT over the platform) ----------------------
 
-// ActivityTensorStream slices the activity stream into epochs of
-// epochEvents events each and encodes every epoch as a (actor, verb,
-// target-kind) count tensor — the multi-relational stream SCENT monitors
-// (§2.4).
-func (e *Engine) ActivityTensorStream(epochEvents int) ([]*tensor.Sparse, *tensor.Sketcher, error) {
+// The verb and target-kind axes of the activity tensor.
+var (
+	activityVerbs = []string{"checkin", "question", "answer", "comment", "connect", "follow", "browse", "upload"}
+	activityKinds = []string{"paper", "presentation", "question", "session", "conference", "user", "other"}
+)
+
+// ActivityTensorStream encodes an activity stream as the
+// multi-relational tensor stream SCENT monitors (§2.4): the events,
+// oldest first, are sliced into epochs of epochEvents events each
+// (100 when not positive), and every epoch is an (actor, verb,
+// target-kind) count tensor over the users index. An event whose actor
+// is not in users or whose verb is not monitored is skipped; kindOf
+// classifies each target. It also returns the sketcher the epochs'
+// descriptors are taken with. No users, no epochs.
+func ActivityTensorStream(events []social.Event, users []string, kindOf func(string) string, epochEvents int) ([]*tensor.Sparse, *tensor.Sketcher, error) {
+	if len(users) == 0 {
+		return nil, nil, nil
+	}
 	if epochEvents <= 0 {
 		epochEvents = 100
 	}
-	events := e.store.EventsSince(0, 0)
-	users := e.store.Users()
-	userIdx := map[string]int{}
-	for i, u := range users {
-		userIdx[u] = i
+	index := func(xs []string) map[string]int {
+		m := make(map[string]int, len(xs))
+		for i, x := range xs {
+			m[x] = i
+		}
+		return m
 	}
-	verbs := []string{"checkin", "question", "answer", "comment", "connect", "follow", "browse", "upload"}
-	verbIdx := map[string]int{}
-	for i, v := range verbs {
-		verbIdx[v] = i
-	}
-	kinds := []string{"paper", "presentation", "question", "session", "conference", "user", "other"}
-	kindIdx := map[string]int{}
-	for i, k := range kinds {
-		kindIdx[k] = i
-	}
-	shape := []int{len(users), len(verbs), len(kinds)}
-	if len(users) == 0 {
-		return nil, nil, fmt.Errorf("core: no users for tensor stream")
-	}
+	userIdx, verbIdx, kindIdx := index(users), index(activityVerbs), index(activityKinds)
+	shape := []int{len(users), len(activityVerbs), len(activityKinds)}
 	var stream []*tensor.Sparse
 	cur := tensor.MustSparse(shape...)
 	n := 0
@@ -471,8 +473,7 @@ func (e *Engine) ActivityTensorStream(epochEvents int) ([]*tensor.Sparse, *tenso
 		if !ok {
 			continue
 		}
-		ki := kindIdx[e.targetKind(ev.Object)]
-		_ = cur.Add(1, ui, vi, ki)
+		_ = cur.Add(1, ui, vi, kindIdx[kindOf(ev.Object)])
 		n++
 		if n == epochEvents {
 			stream = append(stream, cur)
@@ -488,14 +489,4 @@ func (e *Engine) ActivityTensorStream(epochEvents int) ([]*tensor.Sparse, *tenso
 		return nil, nil, err
 	}
 	return stream, sk, nil
-}
-
-// MonitorActivity runs SCENT change detection over the platform's own
-// activity stream and returns the flagged epochs.
-func (e *Engine) MonitorActivity(epochEvents int) ([]tensor.StreamResult, error) {
-	stream, sk, err := e.ActivityTensorStream(epochEvents)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.MonitorSketched(sk, stream, &tensor.Detector{})
 }

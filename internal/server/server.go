@@ -2,9 +2,10 @@
 // API — the web-facing surface of Figure 1. The paper's deployment used
 // JomSocial/Joomla; this server is the stdlib net/http substitute
 // offering the same service set (profiles, connections, follows,
-// content, check-ins, Q&A, workpads, feeds) plus the knowledge services
-// (relationship explanation, recommendations, context-aware search,
-// previews, digests).
+// content, check-ins, Q&A, browsing, workpads, feeds) plus the
+// knowledge services (relationship explanation, recommendations,
+// context-aware search, previews, digests, communities, activity change
+// monitoring).
 //
 // The contract lives in the hive/api package: /api/v1 routes speak
 // typed DTOs, list endpoints return cursor-paginated api.Page envelopes,
@@ -36,8 +37,9 @@ import (
 // Clamp ceilings for non-pagination integer parameters: how many
 // results a single request may ask the engine to compute.
 const (
-	maxK      = api.MaxPageSize
-	maxBudget = 100
+	maxK           = api.MaxPageSize
+	maxBudget      = 100
+	maxEpochEvents = 10000
 )
 
 // Config tunes the operational limits and the access log. The zero
@@ -205,6 +207,7 @@ func (s *Server) routes() {
 	m.HandleFunc("POST /api/v1/questions", create(sh.Ask))
 	m.HandleFunc("POST /api/v1/answers", create(sh.AnswerQuestion))
 	m.HandleFunc("POST /api/v1/comments", create(sh.PostComment))
+	m.HandleFunc("POST /api/v1/browses", createOwned(s, func(r api.BrowseRequest) string { return r.UserID }, s.applyBrowse))
 	m.HandleFunc("POST /api/v1/workpads", createOwned(s, func(wp api.Workpad) string { return wp.Owner }, sh.CreateWorkpad))
 	m.HandleFunc("POST /api/v1/workpads/{id}/items", s.postWorkpadItem)
 	m.HandleFunc("POST /api/v1/workpads/{id}/activate", s.postWorkpadActivate)
@@ -255,6 +258,7 @@ func (s *Server) routes() {
 	m.HandleFunc("GET /api/v1/users/{id}/history", s.etag(page(s.fetchHistory)))
 	m.HandleFunc("GET /api/v1/users/{id}/resource-relationship", s.etag(s.getResourceRelationship))
 	m.HandleFunc("GET /api/v1/knowledge/paths", s.etag(s.getKnowledgePaths))
+	m.HandleFunc("GET /api/v1/activity/changes", s.etag(page(s.fetchActivityChanges)))
 }
 
 // --- Generic handler adapters ------------------------------------------------
@@ -679,6 +683,10 @@ func (s *Server) applyCheckin(r api.CheckinRequest) error {
 	return s.sh.CheckIn(r.SessionID, r.UserID)
 }
 
+func (s *Server) applyBrowse(r api.BrowseRequest) error {
+	return s.sh.LogBrowse(r.UserID, r.Object)
+}
+
 // applyBatchItem decodes one batch element's data and runs the applier.
 func applyBatchItem[T any](ent api.BatchEntity, fn func(T) error) error {
 	var v T
@@ -716,6 +724,8 @@ func (s *Server) applyEntity(ent api.BatchEntity) error {
 		return applyBatchItem(ent, s.sh.PostComment)
 	case api.KindWorkpad:
 		return applyBatchItem(ent, s.sh.CreateWorkpad)
+	case api.KindBrowse:
+		return applyBatchItem(ent, s.applyBrowse)
 	default:
 		return fmt.Errorf("%w: unknown batch kind %q", social.ErrInvalid, ent.Kind)
 	}
@@ -835,6 +845,11 @@ func (s *Server) fetchSearch(r *http.Request, n int) ([]api.SearchResult, error)
 
 func (s *Server) fetchCommunities(_ *http.Request, _ int) ([][]string, error) {
 	return s.sh.Communities()
+}
+
+// Activity changes answer over every shard's activity stream.
+func (s *Server) fetchActivityChanges(r *http.Request, _ int) ([]api.ActivityChange, error) {
+	return s.sh.MonitorActivity(intParam(r, "epoch_events", 100, 1, maxEpochEvents))
 }
 
 func (s *Server) fetchHistory(r *http.Request, n int) ([]api.HistoryEntry, error) {

@@ -50,7 +50,6 @@ const (
 	EntityComment       EntityType = "comment"
 	EntityWorkpad       EntityType = "workpad"
 	EntityActiveWorkpad EntityType = "active-workpad"
-	EntityCollection    EntityType = "collection"
 	// EntityActivity marks an appended activity-stream Event; ID is the
 	// event's sequence key (seqKey) and Refs is [actor, object].
 	EntityActivity EntityType = "activity"

@@ -10,7 +10,7 @@ import (
 )
 
 // Interaction layer: connections, follows, check-ins, Q&A, comments,
-// workpads, collections and the activity stream. Every interaction both
+// workpads and the activity stream. Every interaction both
 // mutates state and appends an Event, which is what the knowledge layers
 // (and the Twitter-equivalent hashtag fan-out) consume.
 
@@ -168,10 +168,7 @@ func (s *Store) AskQuestion(q Question) error {
 		if err := s.putJSON(pQuestion+q.ID, q); err != nil {
 			return err
 		}
-		b := kvstore.NewBatch().
-			Put(pQTarget+q.Target+"/"+q.ID, nil).
-			Put(pQAuthor+q.Author+"/"+q.ID, nil)
-		if err := s.kv.Apply(b); err != nil {
+		if err := s.kv.Put(pQAuthor+q.Author+"/"+q.ID, nil); err != nil {
 			return err
 		}
 		_, err := s.logEvent(q.Author, "question", q.Target, s.tagsForTarget(q.Target))
@@ -184,11 +181,6 @@ func (s *Store) Question(id string) (Question, error) {
 	var q Question
 	err := s.getJSON(pQuestion+id, &q)
 	return q, err
-}
-
-// QuestionsAbout returns question IDs targeting an entity.
-func (s *Store) QuestionsAbout(target string) []string {
-	return s.stripPrefix(pQTarget + target + "/")
 }
 
 // QuestionsBy returns question IDs authored by a user.
@@ -285,7 +277,7 @@ func (s *Store) tagsForTarget(target string) []string {
 	return nil
 }
 
-// --- Workpads & collections ----------------------------------------------------
+// --- Workpads -----------------------------------------------------------------
 
 // PutWorkpad creates or updates a workpad.
 func (s *Store) PutWorkpad(w Workpad) error {
@@ -336,24 +328,6 @@ func (s *Store) AddToWorkpad(workpadID string, item WorkpadItem) error {
 	})
 }
 
-// RemoveFromWorkpad removes an item from a workpad.
-func (s *Store) RemoveFromWorkpad(workpadID string, item WorkpadItem) error {
-	w, err := s.Workpad(workpadID)
-	if err != nil {
-		return err
-	}
-	for i, it := range w.Items {
-		if it == item {
-			w.Items = append(w.Items[:i], w.Items[i+1:]...)
-			return s.scoped(func() error {
-				defer s.emit(ChangePut, EntityWorkpad, w.ID, w.Owner)
-				return s.putJSON(pWorkpad+w.ID, w)
-			})
-		}
-	}
-	return nil
-}
-
 // SetActiveWorkpad selects the workpad that defines the user's current
 // context. The workpad must belong to the user.
 func (s *Store) SetActiveWorkpad(owner, workpadID string) error {
@@ -381,64 +355,6 @@ func (s *Store) ActiveWorkpad(owner string) (Workpad, error) {
 	}
 	return s.Workpad(string(raw))
 }
-
-// ExportCollection publishes a workpad as a shareable collection.
-func (s *Store) ExportCollection(workpadID, collectionID string) (Collection, error) {
-	w, err := s.Workpad(workpadID)
-	if err != nil {
-		return Collection{}, err
-	}
-	c := Collection{
-		ID:    collectionID,
-		Owner: w.Owner,
-		Name:  w.Name,
-		Items: append([]WorkpadItem(nil), w.Items...),
-	}
-	err = s.scoped(func() error {
-		defer s.emit(ChangePut, EntityCollection, c.ID, c.Owner)
-		return s.putJSON(pCollection+c.ID, c)
-	})
-	if err != nil {
-		return Collection{}, err
-	}
-	return c, nil
-}
-
-// Collection fetches a collection by ID.
-func (s *Store) Collection(id string) (Collection, error) {
-	var c Collection
-	err := s.getJSON(pCollection+id, &c)
-	return c, err
-}
-
-// ImportCollection copies a collection into a new workpad owned by the
-// importing user ("import a collection as active work pad", §2).
-func (s *Store) ImportCollection(collectionID, owner, workpadID string) (Workpad, error) {
-	c, err := s.Collection(collectionID)
-	if err != nil {
-		return Workpad{}, err
-	}
-	w := Workpad{
-		ID:    workpadID,
-		Owner: owner,
-		Name:  c.Name,
-		Items: append([]WorkpadItem(nil), c.Items...),
-	}
-	// One logical mutation, one coalesced batch: without the scoped
-	// wrapper subscribers would see the imported workpad exist before
-	// it becomes active, and pay two incremental engine repairs.
-	if err := s.scoped(func() error {
-		if err := s.putWorkpad(w); err != nil {
-			return err
-		}
-		return s.setActiveWorkpad(owner, workpadID)
-	}); err != nil {
-		return Workpad{}, err
-	}
-	return w, nil
-}
-
-// --- Activity stream -------------------------------------------------------------
 
 // LogEvent appends an event to the activity stream and its actor/tag
 // indexes, returning the assigned sequence number. The change log

@@ -61,9 +61,6 @@ func (s *Store) HasQuestion(id string) bool { return s.kv.Has(pQuestion + id) }
 // HasWorkpad reports whether a workpad exists.
 func (s *Store) HasWorkpad(id string) bool { return s.kv.Has(pWorkpad + id) }
 
-// HasCollection reports whether a collection exists.
-func (s *Store) HasCollection(id string) bool { return s.kv.Has(pCollection + id) }
-
 // EventsByActorsBefore returns up to limit events authored by the given
 // actors with Seq < before, newest first. before == 0 means unbounded
 // (start from the newest event). It decodes the keys EventKeysBefore

@@ -234,9 +234,6 @@ func TestQuestionAnswerFlow(t *testing.T) {
 	if err != nil || got.At == 0 {
 		t.Fatalf("Question = %+v, %v", got, err)
 	}
-	if l := s.QuestionsAbout("p-zach"); len(l) != 1 {
-		t.Fatalf("QuestionsAbout = %v", l)
-	}
 	if l := s.QuestionsBy("aaron"); len(l) != 1 {
 		t.Fatalf("QuestionsBy = %v", l)
 	}
@@ -301,13 +298,6 @@ func TestWorkpadLifecycle(t *testing.T) {
 	if err != nil || act.ID != "w1" {
 		t.Fatalf("ActiveWorkpad = %+v, %v", act, err)
 	}
-	if err := s.RemoveFromWorkpad("w1", item); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.Workpad("w1")
-	if len(got.Items) != 0 {
-		t.Fatalf("Items after remove = %v", got.Items)
-	}
 	// Ownership enforced.
 	if err := s.SetActiveWorkpad("ann", "w1"); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("foreign activate err = %v", err)
@@ -320,66 +310,35 @@ func TestWorkpadLifecycle(t *testing.T) {
 	}
 }
 
-func TestCollectionExportImport(t *testing.T) {
+// TestAskQuestionCoalesced: asking is one logical mutation (the
+// question, then its activity event), so subscribers must see a single
+// coalesced batch carrying both — never the question without the event
+// that announces it.
+func TestAskQuestionCoalesced(t *testing.T) {
 	s := newStore(t)
 	seedConference(t, s)
-	w := Workpad{ID: "w1", Owner: "zach", Name: "to investigate later",
-		Items: []WorkpadItem{{Kind: ItemPaper, Ref: "p-ann"}}}
-	if err := s.PutWorkpad(w); err != nil {
-		t.Fatal(err)
-	}
-	col, err := s.ExportCollection("w1", "col1")
-	if err != nil || col.Owner != "zach" || len(col.Items) != 1 {
-		t.Fatalf("ExportCollection = %+v, %v", col, err)
-	}
-	imported, err := s.ImportCollection("col1", "ann", "w-ann")
-	if err != nil || imported.Owner != "ann" || len(imported.Items) != 1 {
-		t.Fatalf("ImportCollection = %+v, %v", imported, err)
-	}
-	// Import activates the new workpad.
-	act, err := s.ActiveWorkpad("ann")
-	if err != nil || act.ID != "w-ann" {
-		t.Fatalf("active after import = %+v, %v", act, err)
-	}
-}
-
-// TestImportCollectionCoalesced: importing a collection is one logical
-// mutation (create the workpad, then activate it), so subscribers must
-// see a single coalesced batch carrying both events — never an
-// intermediate state where the workpad exists but is not yet active.
-func TestImportCollectionCoalesced(t *testing.T) {
-	s := newStore(t)
-	seedConference(t, s)
-	w := Workpad{ID: "w1", Owner: "zach",
-		Items: []WorkpadItem{{Kind: ItemPaper, Ref: "p-ann"}}}
-	if err := s.PutWorkpad(w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ExportCollection("w1", "col1"); err != nil {
-		t.Fatal(err)
-	}
 
 	var batches [][]ChangeEvent
 	s.OnChange(func(evs []ChangeEvent) {
 		batches = append(batches, append([]ChangeEvent(nil), evs...))
 	})
-	if _, err := s.ImportCollection("col1", "ann", "w-ann"); err != nil {
+	if err := s.AskQuestion(Question{ID: "q1", Author: "aaron", Target: "p-zach", Text: "Why?"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(batches) != 1 {
-		t.Fatalf("import delivered %d change batches, want 1 coalesced batch", len(batches))
+		t.Fatalf("asking delivered %d change batches, want 1 coalesced batch", len(batches))
 	}
-	var sawPad, sawActive bool
+	var sawQuestion, sawActivity bool
 	for _, ev := range batches[0] {
-		switch {
-		case ev.EntityType == EntityWorkpad && ev.ID == "w-ann":
-			sawPad = true
-		case ev.EntityType == EntityActiveWorkpad && ev.ID == "ann":
-			sawActive = true
+		switch ev.EntityType {
+		case EntityQuestion:
+			sawQuestion = ev.ID == "q1"
+		case EntityActivity:
+			sawActivity = true
 		}
 	}
-	if !sawPad || !sawActive {
-		t.Fatalf("coalesced batch %+v is missing the workpad or active-workpad event", batches[0])
+	if !sawQuestion || !sawActivity {
+		t.Fatalf("coalesced batch %+v is missing the question or its activity event", batches[0])
 	}
 }
 
@@ -562,9 +521,6 @@ func TestGettersReturnNotFound(t *testing.T) {
 	if _, err := s.Comment("x"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Comment err = %v", err)
 	}
-	if _, err := s.Collection("x"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Collection err = %v", err)
-	}
 	if _, err := s.Workpad("x"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Workpad err = %v", err)
 	}
@@ -576,22 +532,8 @@ func TestWorkpadOperationErrors(t *testing.T) {
 	if err := s.AddToWorkpad("missing", WorkpadItem{Kind: ItemUser, Ref: "x"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("AddToWorkpad err = %v", err)
 	}
-	if err := s.RemoveFromWorkpad("missing", WorkpadItem{}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("RemoveFromWorkpad err = %v", err)
-	}
 	if err := s.PutWorkpad(Workpad{ID: "w", Owner: "ghost"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ghost owner err = %v", err)
-	}
-	if _, err := s.ImportCollection("missing", "zach", "w"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ImportCollection err = %v", err)
-	}
-	if _, err := s.ExportCollection("missing", "c"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ExportCollection err = %v", err)
-	}
-	// Removing an item that is not on the pad is a no-op.
-	_ = s.PutWorkpad(Workpad{ID: "w2", Owner: "zach"})
-	if err := s.RemoveFromWorkpad("w2", WorkpadItem{Kind: ItemUser, Ref: "nope"}); err != nil {
-		t.Fatalf("no-op remove err = %v", err)
 	}
 }
 

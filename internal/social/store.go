@@ -27,38 +27,36 @@ var (
 // Key prefixes. Secondary-index keys hold empty values; the primary key
 // holds the JSON entity.
 const (
-	pUser       = "user/"
-	pConf       = "conf/"
-	pSession    = "session/"
-	pSessConf   = "sessconf/" // conference -> session
-	pPaper      = "paper/"
-	pPaperConf  = "paperconf/" // conference -> paper
-	pPaperSess  = "papersess/" // session -> paper
-	pPaperAuth  = "paperauth/" // author -> paper
-	pPres       = "pres/"
-	pPresPaper  = "prespaper/" // paper -> presentation
-	pPresOwner  = "presowner/" // owner -> presentation
-	pConn       = "conn/"      // sorted pair
-	pConnIdx    = "connidx/"   // user -> other
-	pFollow     = "follow/"    // follower -> followee
-	pFollower   = "followr/"   // followee -> follower
-	pCheckin    = "checkin/"   // session -> user
-	pCheckinU   = "checkinu/"  // user -> session
-	pQuestion   = "question/"
-	pQTarget    = "qtarget/" // target -> question
-	pQAuthor    = "qauthor/" // author -> question
-	pAnswer     = "answer/"
-	pAQuestion  = "aq/" // question -> answer
-	pComment    = "comment/"
-	pCTarget    = "ctarget/" // target -> comment
-	pWorkpad    = "workpad/"
-	pWPOwner    = "wpowner/"  // owner -> workpad
-	pWPActive   = "wpactive/" // owner -> active workpad id
-	pCollection = "collection/"
-	pEvent      = "event/"
-	pEvActor    = "evactor/"
-	pEvTag      = "evtag/"
-	kSeq        = "meta/seq"
+	pUser      = "user/"
+	pConf      = "conf/"
+	pSession   = "session/"
+	pSessConf  = "sessconf/" // conference -> session
+	pPaper     = "paper/"
+	pPaperConf = "paperconf/" // conference -> paper
+	pPaperSess = "papersess/" // session -> paper
+	pPaperAuth = "paperauth/" // author -> paper
+	pPres      = "pres/"
+	pPresPaper = "prespaper/" // paper -> presentation
+	pPresOwner = "presowner/" // owner -> presentation
+	pConn      = "conn/"      // sorted pair
+	pConnIdx   = "connidx/"   // user -> other
+	pFollow    = "follow/"    // follower -> followee
+	pFollower  = "followr/"   // followee -> follower
+	pCheckin   = "checkin/"   // session -> user
+	pCheckinU  = "checkinu/"  // user -> session
+	pQuestion  = "question/"
+	pQAuthor   = "qauthor/" // author -> question
+	pAnswer    = "answer/"
+	pAQuestion = "aq/" // question -> answer
+	pComment   = "comment/"
+	pCTarget   = "ctarget/" // target -> comment
+	pWorkpad   = "workpad/"
+	pWPOwner   = "wpowner/"  // owner -> workpad
+	pWPActive  = "wpactive/" // owner -> active workpad id
+	pEvent     = "event/"
+	pEvActor   = "evactor/"
+	pEvTag     = "evtag/"
+	kSeq       = "meta/seq"
 )
 
 // Store is the persistent social graph and content store. All methods are

@@ -106,7 +106,6 @@ const (
 	ItemPresentation ItemKind = "presentation"
 	ItemSession      ItemKind = "session"
 	ItemQuestion     ItemKind = "question"
-	ItemCollection   ItemKind = "collection"
 )
 
 // WorkpadItem is one dragged-in resource.
@@ -124,17 +123,9 @@ type Workpad struct {
 	Items []WorkpadItem `json:"items,omitempty"`
 }
 
-// Collection is an exported workpad made accessible to other users.
-type Collection struct {
-	ID    string        `json:"id"`
-	Owner string        `json:"owner"`
-	Name  string        `json:"name"`
-	Items []WorkpadItem `json:"items,omitempty"`
-}
-
 // Event is one activity-stream entry. Verbs follow the scenario of §1.1:
 // "checkin", "question", "answer", "comment", "upload", "connect",
-// "follow".
+// "follow", plus "browse".
 type Event struct {
 	Seq    uint64   `json:"seq"`
 	At     int64    `json:"at"`

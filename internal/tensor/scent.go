@@ -179,9 +179,9 @@ func meanStd(xs []float64) (mean, sd float64) {
 
 // StreamResult reports detection output for one epoch.
 type StreamResult struct {
-	Epoch    int
-	Change   bool
-	Distance float64
+	Epoch    int     `json:"epoch"`
+	Change   bool    `json:"change"`
+	Distance float64 `json:"distance"`
 }
 
 // MonitorSketched runs the SCENT detector over epochs using descriptors.

@@ -420,64 +420,6 @@ func TestExtractSnippetsNoContext(t *testing.T) {
 	}
 }
 
-func TestShinglesAndResemblance(t *testing.T) {
-	a := Shingles("the quick brown fox jumps over the lazy dog", 3)
-	b := Shingles("the quick brown fox jumps over the lazy dog", 3)
-	if r := Resemblance(a, b); r < 0.999 {
-		t.Fatalf("identical docs resemblance = %v", r)
-	}
-	c := Shingles("completely different content about databases", 3)
-	if r := Resemblance(a, c); r != 0 {
-		t.Fatalf("disjoint docs resemblance = %v", r)
-	}
-}
-
-func TestResemblancePartialOverlap(t *testing.T) {
-	a := Shingles("graph processing systems partition large graphs across machines today", 2)
-	b := Shingles("graph processing systems partition large graphs across machines yesterday evening", 2)
-	r := Resemblance(a, b)
-	if r <= 0.3 || r >= 1 {
-		t.Fatalf("partial overlap resemblance = %v, want in (0.3, 1)", r)
-	}
-}
-
-func TestContainmentAsymmetry(t *testing.T) {
-	slide := "tensor streams compressed sensing"
-	paper := "tensor streams compressed sensing with randomized ensembles for change detection in evolving multi relational social networks"
-	a := Shingles(slide, 2)
-	b := Shingles(paper, 2)
-	if Containment(a, b) <= Containment(b, a) {
-		t.Fatalf("containment should be asymmetric: a-in-b=%v b-in-a=%v",
-			Containment(a, b), Containment(b, a))
-	}
-	if Containment(a, b) < 0.9 {
-		t.Fatalf("slide should be nearly contained in paper: %v", Containment(a, b))
-	}
-}
-
-func TestShinglesShortDoc(t *testing.T) {
-	s := Shingles("tensor", 5)
-	if len(s) != 1 {
-		t.Fatalf("short doc shingles = %d, want 1", len(s))
-	}
-	if len(Shingles("", 3)) != 0 {
-		t.Fatal("empty doc should have no shingles")
-	}
-}
-
-func TestPropResemblanceBoundsAndSymmetry(t *testing.T) {
-	f := func(a, b string) bool {
-		sa := Shingles(a, 2)
-		sb := Shingles(b, 2)
-		r1 := Resemblance(sa, sb)
-		r2 := Resemblance(sb, sa)
-		return r1 == r2 && r1 >= 0 && r1 <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIndexConcurrentAccess(t *testing.T) {
 	ix := NewIndex()
 	done := make(chan struct{})

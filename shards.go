@@ -9,8 +9,9 @@ package hive
 // fans out under merged global corpus statistics and k-way merges the
 // per-shard top-k (bit-identical to an unsharded build — see
 // internal/textindex/stats.go), feeds merge per-shard newest-first
-// event streams with a per-shard sequence-vector cursor, and set reads
-// (attendees, questions, tags) union disjoint per-shard slices.
+// event streams with a per-shard sequence-vector cursor, set reads
+// (attendees, tags) union disjoint per-shard slices, and activity
+// change monitoring merges every shard's activity stream.
 //
 // Placement is by owner hash (api.ShardOf — part of the wire contract;
 // data dirs pin it), and it is decided here for every write: papers
@@ -49,6 +50,7 @@ import (
 	"hive/internal/core"
 	"hive/internal/metrics"
 	"hive/internal/social"
+	"hive/internal/tensor"
 	"hive/internal/textindex"
 	"hive/internal/topk"
 )
@@ -388,11 +390,6 @@ func (sh *Sharded) Follow(follower, followee string) error {
 	return sh.home(follower).mutate(func(st *social.Store) error { return st.Follow(follower, followee) })
 }
 
-// Unfollow removes the edge from the follower's shard.
-func (sh *Sharded) Unfollow(follower, followee string) error {
-	return sh.home(follower).mutate(func(st *social.Store) error { return st.Unfollow(follower, followee) })
-}
-
 // CheckIn records session attendance and broadcasts it (with the
 // session hashtag when present), routed to the attendee's shard
 // (sessions are broadcast, so validation is local).
@@ -451,61 +448,17 @@ func (sh *Sharded) ActivateWorkpad(owner, workpadID string) error {
 	return sh.home(owner).mutate(func(st *social.Store) error { return st.SetActiveWorkpad(owner, workpadID) })
 }
 
-// ExportCollection publishes a workpad as a shareable collection on the
-// workpad's shard; the collection inherits the workpad owner's
-// partition.
-func (sh *Sharded) ExportCollection(workpadID, collectionID string) (col Collection, err error) {
-	i := sh.shardWhere(func(st *social.Store) bool { return st.HasWorkpad(workpadID) })
-	if i < 0 {
-		i = 0
-	}
-	err = sh.shards[i].mutate(func(st *social.Store) error {
-		col, err = st.ExportCollection(workpadID, collectionID)
-		return err
-	})
-	return col, err
-}
-
-// ImportCollection copies a collection (from whichever shard holds it)
-// into a new active workpad on the importing owner's shard.
-func (sh *Sharded) ImportCollection(collectionID, owner, workpadID string) (w Workpad, err error) {
-	src := sh.shardWhere(func(st *social.Store) bool { return st.HasCollection(collectionID) })
-	dst := sh.ShardOf(owner)
-	if src < 0 || src == dst {
-		err = sh.shards[dst].mutate(func(st *social.Store) error {
-			w, err = st.ImportCollection(collectionID, owner, workpadID)
-			return err
-		})
-		return w, err
-	}
-	c, err := sh.shards[src].store.Collection(collectionID)
-	if err != nil {
-		return Workpad{}, err
-	}
-	w = Workpad{
-		ID:    workpadID,
-		Owner: owner,
-		Name:  c.Name,
-		Items: append([]WorkpadItem(nil), c.Items...),
-	}
-	err = sh.shards[dst].mutate(func(st *social.Store) error {
-		return st.Batched(func() error {
-			if err := st.PutWorkpad(w); err != nil {
-				return err
-			}
-			return st.SetActiveWorkpad(owner, workpadID)
-		})
-	})
-	if err != nil {
-		return Workpad{}, err
-	}
-	return w, nil
-}
-
-// LogBrowse records a browsing event (used for activity similarity and
-// collaborative filtering) on the user's shard.
+// LogBrowse records that a registered user viewed an object — an
+// input of activity similarity, collaborative filtering and change
+// monitoring — on the user's shard.
 func (sh *Sharded) LogBrowse(userID, object string) error {
+	if object == "" {
+		return fmt.Errorf("%w: browse needs an object", social.ErrInvalid)
+	}
 	return sh.home(userID).mutate(func(st *social.Store) error {
+		if !st.HasUser(userID) {
+			return fmt.Errorf("%w: user %q", social.ErrNotFound, userID)
+		}
 		_, err := st.LogEvent(userID, "browse", object, nil)
 		return err
 	})
@@ -521,46 +474,19 @@ func (sh *Sharded) Users() []string { return sh.shards[0].store.Users() }
 
 // Attendees unions the per-shard attendee sets (check-ins are routed by
 // attendee, so the slices are disjoint; the union is sorted like the
-// unsharded scan).
+// unsharded scan, and deduplicated to stay a set).
 func (sh *Sharded) Attendees(sessionID string) []string {
-	return sh.unionSorted(func(st *social.Store) []string { return st.Attendees(sessionID) })
-}
-
-// QuestionsAbout unions the per-shard question IDs targeting an entity.
-func (sh *Sharded) QuestionsAbout(target string) []string {
-	return sh.unionSorted(func(st *social.Store) []string { return st.QuestionsAbout(target) })
-}
-
-// AnswersTo unions the per-shard answer IDs (answers live with their
-// question, so one shard holds them all; the union is still exact).
-func (sh *Sharded) AnswersTo(questionID string) []string {
-	return sh.unionSorted(func(st *social.Store) []string { return st.AnswersTo(questionID) })
+	var out []string
+	for _, p := range sh.shards {
+		out = append(out, p.store.Attendees(sessionID)...)
+	}
+	sort.Strings(out)
+	return slices.Compact(out)
 }
 
 // ActiveWorkpad reads the owner's shard.
 func (sh *Sharded) ActiveWorkpad(owner string) (Workpad, error) {
 	return sh.home(owner).store.ActiveWorkpad(owner)
-}
-
-func (sh *Sharded) unionSorted(fetch func(st *social.Store) []string) []string {
-	var out []string
-	for _, p := range sh.shards {
-		out = append(out, fetch(p.store)...)
-	}
-	sort.Strings(out)
-	// Shards partition ownership so duplicates shouldn't occur; dedup
-	// anyway to keep the union a set.
-	return dedupSorted(out)
-}
-
-func dedupSorted(xs []string) []string {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // --- Feeds (scatter-gather with sequence-vector cursors) ----------------------
@@ -697,9 +623,16 @@ func (sh *Sharded) feedScatter(ctx context.Context, userID string, bounds []uint
 // EventsByTag merges the hashtag fan-out across shards, oldest first
 // like the unsharded scan.
 func (sh *Sharded) EventsByTag(tag string) []Event {
+	return sh.oldestFirst(func(st *social.Store) []Event { return st.EventsByTag(tag) })
+}
+
+// oldestFirst merges one oldest-first event list per shard by
+// timestamp, ties to the lower shard, each shard's list kept in its
+// own order.
+func (sh *Sharded) oldestFirst(fetch func(st *social.Store) []Event) []Event {
 	lists := make([][]Event, len(sh.shards))
 	for i, p := range sh.shards {
-		lists[i] = p.store.EventsByTag(tag)
+		lists[i] = fetch(p.store)
 	}
 	return topk.MergeTopK(lists, 0, func(a, b Event) bool { return a.At < b.At })
 }
@@ -884,15 +817,6 @@ func (sh *Sharded) Preview(userID, docID string, k int) ([]Snippet, error) {
 	return textindex.ExtractSnippets(text, home.ContextVector(userID), k), nil
 }
 
-// Annotate extracts key concepts from the shard holding the document.
-func (sh *Sharded) Annotate(docID string, k int) ([]Keyphrase, error) {
-	_, text, err := sh.docShard(docID)
-	if err != nil {
-		return nil, err
-	}
-	return textindex.ExtractKeyphrases(text, k), nil
-}
-
 // UpdateDigest summarizes the user's cross-shard feed. Event targets
 // are classified by probing every shard (an event about a paper on
 // another shard must still classify as "paper").
@@ -932,6 +856,30 @@ func (sh *Sharded) targetKind(entity string) string {
 	return "other"
 }
 
+// MonitorActivity runs SCENT change detection (§2.4) over the whole
+// activity stream: every shard's events merged oldest first (the
+// unsharded stream whenever timestamps are distinct — each event lives
+// on one shard, a mirrored connection logs none), sliced into epochs of
+// epochEvents events over the broadcast user index. Targets are
+// classified against every shard like the digest's, once per object.
+func (sh *Sharded) MonitorActivity(epochEvents int) ([]ChangeResult, error) {
+	events := sh.oldestFirst(func(st *social.Store) []Event { return st.EventsSince(0, 0) })
+	kinds := map[string]string{}
+	kindOf := func(obj string) string {
+		k, ok := kinds[obj]
+		if !ok {
+			k = sh.targetKind(obj)
+			kinds[obj] = k
+		}
+		return k
+	}
+	stream, sk, err := core.ActivityTensorStream(events, sh.Users(), kindOf, epochEvents)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.MonitorSketched(sk, stream, &tensor.Detector{})
+}
+
 // Communities concatenates per-shard community discoveries, largest
 // first. Shards discover over their own evidence graphs — cross-shard
 // ties are a documented approximation gap.
@@ -946,15 +894,6 @@ func (sh *Sharded) Communities() ([][]string, error) {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return len(out[i]) > len(out[j]) })
 	return out, nil
-}
-
-// CommunityOf answers from the user's home shard.
-func (sh *Sharded) CommunityOf(userID string) ([]string, error) {
-	eng, err := sh.EngineFor(userID)
-	if err != nil {
-		return nil, err
-	}
-	return eng.CommunityOf(userID), nil
 }
 
 // The remaining engine services answer from the relevant user's home
@@ -1045,22 +984,4 @@ func (sh *Sharded) KnowledgePaths(a, b string, k int) ([]KnowledgePath, error) {
 		return nil, err
 	}
 	return eng.KnowledgePaths(a, b, k), nil
-}
-
-// MonitorActivity runs change detection over shard 0's activity stream.
-func (sh *Sharded) MonitorActivity(epochEvents int) ([]ChangeResult, error) {
-	eng, err := sh.shards[0].serving()
-	if err != nil {
-		return nil, err
-	}
-	return eng.MonitorActivity(epochEvents)
-}
-
-// DetectOverlap compares two documents when one shard holds both.
-func (sh *Sharded) DetectOverlap(docA, docB string) (resemblance, containment float64, err error) {
-	engA, _, err := sh.docShard(docA)
-	if err != nil {
-		return 0, 0, err
-	}
-	return engA.DetectOverlap(docA, docB)
 }

@@ -17,6 +17,7 @@ import (
 	"hive/api"
 	"hive/internal/core"
 	"hive/internal/social"
+	"hive/internal/tensor"
 	"hive/internal/topk"
 )
 
@@ -30,7 +31,6 @@ type mutation interface {
 	UploadPresentation(Presentation) error
 	Connect(a, b string) error
 	Follow(follower, followee string) error
-	Unfollow(follower, followee string) error
 	CheckIn(sessionID, userID string) error
 	Ask(Question) error
 	AnswerQuestion(Answer) error
@@ -39,8 +39,6 @@ type mutation interface {
 	AddToWorkpad(string, WorkpadItem) error
 	ActivateWorkpad(owner, workpadID string) error
 	LogBrowse(userID, object string) error
-	ExportCollection(workpadID, collectionID string) (Collection, error)
-	ImportCollection(collectionID, owner, workpadID string) (Workpad, error)
 }
 
 // direct is the parity reference: one social store written and read
@@ -54,7 +52,6 @@ func (d direct) CreateSession(s Session) error         { return d.st.PutSession(
 func (d direct) PublishPaper(pa Paper) error           { return d.st.PutPaper(pa) }
 func (d direct) Connect(a, b string) error             { return d.st.Connect(a, b) }
 func (d direct) Follow(a, b string) error              { return d.st.Follow(a, b) }
-func (d direct) Unfollow(a, b string) error            { return d.st.Unfollow(a, b) }
 func (d direct) CheckIn(sessionID, user string) error  { return d.st.CheckIn(sessionID, user) }
 func (d direct) Ask(q Question) error                  { return d.st.AskQuestion(q) }
 func (d direct) AnswerQuestion(a Answer) error         { return d.st.PostAnswer(a) }
@@ -74,12 +71,6 @@ func (d direct) UploadPresentation(pr Presentation) error {
 func (d direct) LogBrowse(user, object string) error {
 	_, err := d.st.LogEvent(user, "browse", object, nil)
 	return err
-}
-func (d direct) ExportCollection(w, c string) (Collection, error) {
-	return d.st.ExportCollection(w, c)
-}
-func (d direct) ImportCollection(c, owner, w string) (Workpad, error) {
-	return d.st.ImportCollection(c, owner, w)
 }
 
 var parityVocab = []string{
@@ -228,18 +219,6 @@ func parityScript(seed int64) []func(m mutation) error {
 		u, o := pick(users), "paper/"+pick(papers)
 		add(func(m mutation) error { return m.LogBrowse(u, o) })
 	}
-	// Follow edges taken back (some never existed: the no-op must agree
-	// too), and workpads shared as collections — imported by whoever,
-	// so the importer's shard is usually not the collection's.
-	for i := 0; i < 6; i++ {
-		a, b := pick(users), pick(users)
-		add(func(m mutation) error { return m.Unfollow(a, b) })
-	}
-	for i := 0; i < 3; i++ {
-		w, c, owner := fmt.Sprintf("w%d", i), fmt.Sprintf("col%d", i), pick(users)
-		add(func(m mutation) error { _, err := m.ExportCollection(w, c); return err })
-		add(func(m mutation) error { _, err := m.ImportCollection(c, owner, "imp-"+c); return err })
-	}
 	return script
 }
 
@@ -339,17 +318,16 @@ func TestShardedParity(t *testing.T) {
 						t.Fatalf("EventsByTag(%s) diverged:\nunsharded %+v\nsharded   %+v", tag, want, got)
 					}
 				}
-				for i := 0; i < 14; i++ {
-					pa := fmt.Sprintf("p%d", i)
-					if want, got := ref.QuestionsAbout(pa), sh.QuestionsAbout(pa); !reflect.DeepEqual(want, got) {
-						t.Fatalf("QuestionsAbout(%s): unsharded %v sharded %v", pa, want, got)
-					}
+				// Activity monitoring reads every shard's stream: with a
+				// ticking clock no two events share a timestamp, so the
+				// merge is the one-store stream, epoch for epoch.
+				wantChanges, err := monitorDirect(ref, refEng, 10)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < 9; i++ {
-					q := fmt.Sprintf("q%d", i)
-					if want, got := ref.AnswersTo(q), sh.AnswersTo(q); !reflect.DeepEqual(want, got) {
-						t.Fatalf("AnswersTo(%s): unsharded %v sharded %v", q, want, got)
-					}
+				gotChanges, err := sh.MonitorActivity(10)
+				if err != nil || !reflect.DeepEqual(wantChanges, gotChanges) {
+					t.Fatalf("MonitorActivity diverged (err %v):\nunsharded %+v\nsharded   %+v", err, wantChanges, gotChanges)
 				}
 				for a := 0; a < 12; a++ {
 					for b := 0; b < 12; b++ {
@@ -468,23 +446,19 @@ func serviceParity(t *testing.T, p *Platform, seed int64) {
 		if err2 != nil || !reflect.DeepEqual(wantCtx, gotCtx) {
 			t.Fatalf("SearchWithContext(%s,%q) diverged (err %v):\nengine   %+v\nPlatform %+v", u, q, err2, wantCtx, gotCtx)
 		}
-
-		// The services the server does not route.
-		wantKeys, err1 := ref.Annotate(doc, 3)
-		gotKeys, err2 := p.Annotate(doc, 3)
-		same("Annotate("+doc+")", wantKeys, gotKeys, err1, err2)
-		gotComm, err2 := p.CommunityOf(u)
-		same("CommunityOf("+u+")", ref.CommunityOf(u), gotComm, nil, err2)
-		slides := fmt.Sprintf("%spr%d", DocPresentation, i%7)
-		wantRes, wantCont, err1 := ref.DetectOverlap(slides, doc)
-		gotRes, gotCont, err2 := p.DetectOverlap(slides, doc)
-		same("DetectOverlap("+slides+","+doc+")", [2]float64{wantRes, wantCont}, [2]float64{gotRes, gotCont}, err1, err2)
 	}
 	gotComms, err2 := p.Communities()
 	same("Communities", ref.Communities(), gotComms, nil, err2)
-	wantChanges, err1 := ref.MonitorActivity(10)
-	gotChanges, err2 := p.MonitorActivity(10)
-	same("MonitorActivity", wantChanges, gotChanges, err1, err2)
+}
+
+// monitorDirect is MonitorActivity's reference: SCENT over one store's
+// own activity stream, targets classified by an engine built over it.
+func monitorDirect(st *social.Store, eng *core.Engine, epochEvents int) ([]ChangeResult, error) {
+	stream, sk, err := core.ActivityTensorStream(st.EventsSince(0, 0), st.Users(), eng.TargetKind, epochEvents)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.MonitorSketched(sk, stream, &tensor.Detector{})
 }
 
 // TestShardManifestPinsCount: the shard count is fixed for the life of
