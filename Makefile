@@ -32,6 +32,8 @@ vuln:
 	else echo "govulncheck not installed; skipping (CI runs it)"; fi
 
 # Nightly-strength race pass: the delta interleaving property tests, the
+# frozen graph and knowledge base against their oracles (the adjacency
+# lists and the map-index store they replaced), the
 # leader/follower convergence test, the election failover/fencing tests,
 # the fault-injected quorum no-lost-writes test, the replication
 # snapshot taken under concurrent writers and the real-process
@@ -45,6 +47,7 @@ vuln:
 # target per invocation).
 race-nightly:
 	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestApplyDeltaFoldsActivityOutOfSeqOrder|TestConcurrentActivityFoldsMatchBuild|TestSegmentedParity|TestSegmentedDenseMatchesMapOracle|TestShardedFeedLazyMatchesEager|TestWriteVisibleOnReturn' -count=5 . ./internal/core/ ./internal/textindex/
+	$(GO) test -race -run 'TestFrozenMatchesAdjacencyOracle|TestKBMatchesMapIndexOracle' -count=5 ./internal/graph/ ./internal/rdf/
 	$(GO) test -race -run 'TestLeaderFollowerConvergence' -count=5 ./internal/server/
 	$(GO) test -race -run 'TestClusterFailoverConvergence|TestDeposedLeaderFencing' -count=2 ./internal/server/
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/

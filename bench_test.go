@@ -235,7 +235,7 @@ func BenchmarkE6_SCENT(b *testing.B) {
 // BenchmarkE8_RankedPaths compares best-first ranked path search against
 // exhaustive enumeration on a weighted RDF graph.
 func BenchmarkE8_RankedPaths(b *testing.B) {
-	st := rdf.NewStore()
+	b0 := rdf.NewBuilder()
 	rng := rand.New(rand.NewSource(13))
 	const n = 60
 	for i := 0; i < 8*n; i++ {
@@ -244,8 +244,9 @@ func BenchmarkE8_RankedPaths(b *testing.B) {
 		if s == o {
 			continue
 		}
-		_ = st.Add(rdf.Triple{Subject: s, Predicate: "rel", Object: o, Weight: 0.1 + 0.9*rng.Float64()})
+		_ = b0.Add(rdf.Triple{Subject: s, Predicate: "rel", Object: o, Weight: 0.1 + 0.9*rng.Float64()})
 	}
+	st := b0.Freeze()
 	b.Run("ranked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			st.RankedPaths("n0", fmt.Sprintf("n%d", n-1), 5, rdf.PathOptions{MaxLength: 4})

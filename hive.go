@@ -34,6 +34,7 @@ package hive
 import (
 	"errors"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -521,6 +522,7 @@ func (p *Platform) compact() error {
 			p.lastErr.Store(&refreshErr{})
 			p.compactions.Add(1)
 			mCompactions.Inc()
+			mSnapshotGraphBytes.With(strconv.Itoa(p.shardID)).Set(float64(eng.GraphBytes()))
 			mCompactionSeconds.ObserveSince(start)
 			for _, s := range eng.BuildStages() {
 				mBuildStageSeconds.With(s.Name).ObserveDuration(s.Dur)

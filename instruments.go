@@ -22,6 +22,8 @@ var (
 		"Delta batches folded into serving snapshots since process start.")
 	mCompactions = metrics.Default.Counter(metrics.CompactionsTotal,
 		"Snapshot compactions since process start.")
+	mSnapshotGraphBytes = metrics.Default.GaugeVec(metrics.SnapshotGraphBytes,
+		"Bytes of the serving snapshot's frozen graph layouts: context network, evidence layers, citations, concept map and knowledge base.", "shard")
 	mSearchSeconds = metrics.Default.Histogram(metrics.SearchSeconds,
 		"Latency of platform-level search calls (frozen read path).", nil)
 	mQuorumAckWaitSeconds = metrics.Default.Histogram(metrics.QuorumAckWaitSeconds,

@@ -289,7 +289,7 @@ func Integrate(layers []*Layer, opts Options) (*Integrated, error) {
 		})
 	}
 
-	out := graph.New()
+	out := graph.NewBuilder()
 	// Materialize nodes.
 	for _, l := range layers {
 		l.G.Nodes(func(n graph.Node) bool {
@@ -313,26 +313,31 @@ func Integrate(layers []*Layer, opts Options) (*Integrated, error) {
 		if maxW == 0 {
 			continue
 		}
+		// Resolve each layer node and each arc label once, not per arc.
+		ids := make([]graph.NodeID, l.G.NumNodes())
 		l.G.Nodes(func(n graph.Node) bool {
-			fromKey := canonical[l.Name+"/"+n.Key]
-			from := out.Lookup(fromKey)
-			for _, e := range l.G.Out(n.ID) {
-				toNode, err := l.G.Node(e.To)
-				if err != nil {
-					continue
-				}
-				to := out.Lookup(canonical[l.Name+"/"+toNode.Key])
+			ids[n.ID] = out.Lookup(canonical[l.Name+"/"+n.Key])
+			return true
+		})
+		names := map[graph.LabelID]string{}
+		for i, from := range ids {
+			for _, e := range l.G.Out(graph.NodeID(i)) {
+				to := ids[e.Node]
 				if from == to {
 					continue
 				}
+				name, ok := names[e.Label]
+				if !ok {
+					name = "layer/" + l.Name + "/" + l.G.Label(e.Label)
+					names[e.Label] = name
+				}
 				w := (e.Weight / maxW) * l.trust()
-				_ = out.AddEdge(from, to, "layer/"+l.Name+"/"+e.Label, w)
+				_ = out.AddEdge(from, to, name, w)
 				p := pair{from, to}
 				prev := combined[p]
 				combined[p] = 1 - (1-prev)*(1-w)
 			}
-			return true
-		})
+		}
 	}
 	// Insert in (from, to) order: out-edge lists, and every sum over them
 	// downstream, must not depend on map iteration order.
@@ -349,7 +354,7 @@ func Integrate(layers []*Layer, opts Options) (*Integrated, error) {
 	for _, p := range pairs {
 		_ = out.AddEdge(p.from, p.to, EdgeIntegrated, combined[p])
 	}
-	return &Integrated{G: out, Canonical: canonical}, nil
+	return &Integrated{G: out.Freeze(), Canonical: canonical}, nil
 }
 
 // Resolve maps a layer-local key to its canonical key in the integrated
@@ -388,7 +393,7 @@ func (in *Integrated) Agree(layers []*Layer, aName, bName string) Agreement {
 		l.G.Nodes(func(n graph.Node) bool {
 			from := in.Resolve(l.Name, n.Key)
 			for _, e := range l.G.Out(n.ID) {
-				toNode, err := l.G.Node(e.To)
+				toNode, err := l.G.Node(e.Node)
 				if err != nil {
 					continue
 				}

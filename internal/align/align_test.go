@@ -14,13 +14,13 @@ import (
 )
 
 func layerFromEdges(name string, trust float64, edges [][2]string) *Layer {
-	g := graph.New()
+	g := graph.NewBuilder()
 	for _, e := range edges {
 		a := g.EnsureNode(e[0], "concept")
 		b := g.EnsureNode(e[1], "concept")
 		_ = g.AddUndirected(a, b, "related", 1)
 	}
-	return &Layer{Name: name, Trust: trust, G: g}
+	return &Layer{Name: name, Trust: trust, G: g.Freeze()}
 }
 
 func TestLexicalSimilarity(t *testing.T) {
@@ -93,7 +93,7 @@ func TestAlignStructuralBoost(t *testing.T) {
 		{"sigmod conf", "databases"},
 		{"sigmod conf", "indexing"},
 	})
-	bg := graph.New()
+	bg := graph.NewBuilder()
 	right := bg.EnsureNode("sigmod venue", "concept")
 	wrong := bg.EnsureNode("sigmod event", "concept")
 	db := bg.EnsureNode("databases", "concept")
@@ -102,7 +102,7 @@ func TestAlignStructuralBoost(t *testing.T) {
 	_ = bg.AddUndirected(right, db, "related", 1)
 	_ = bg.AddUndirected(right, ix, "related", 1)
 	_ = bg.AddUndirected(wrong, other, "related", 1)
-	b := &Layer{Name: "b", G: bg}
+	b := &Layer{Name: "b", G: bg.Freeze()}
 
 	maps := Align(a, b, Options{MinLexical: 0.3, MinScore: 0.25})
 	for _, m := range maps {
@@ -199,7 +199,7 @@ func randomLayer(rng *rand.Rand, name string, nodes, edges int) *Layer {
 	vocab := []string{"graph", "graphs", "processing", "process", "stream",
 		"streams", "tensor", "query", "queries", "social", "network", "index"}
 	seps := []string{" ", "-", ", ", " / "}
-	g := graph.New()
+	g := graph.NewBuilder()
 	for _, k := range []string{"--", "..", "Graph Processing", "processing-graph"} {
 		g.EnsureNode(k, "concept")
 	}
@@ -225,7 +225,7 @@ func randomLayer(rng *rand.Rand, name string, nodes, edges int) *Layer {
 			_ = g.AddUndirected(x, y, "related", 0.1+rng.Float64())
 		}
 	}
-	return &Layer{Name: name, G: g}
+	return &Layer{Name: name, G: g.Freeze()}
 }
 
 // TestAlignMatchesAllPairs requires the postings join to return exactly
@@ -284,7 +284,7 @@ func TestIntegrateDeterministic(t *testing.T) {
 				t.Fatalf("node %q: %d out-edges, then %d", n.Key, len(want), len(got))
 			}
 			for i := range want {
-				if got[i].To != want[i].To || got[i].Label != want[i].Label ||
+				if got[i].Node != want[i].Node || again.G.Label(got[i].Label) != first.G.Label(want[i].Label) ||
 					math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
 					t.Fatalf("node %q edge %d: %+v, then %+v", n.Key, i, want[i], got[i])
 				}

@@ -26,7 +26,7 @@ const (
 // paper (so frequent co-authors bind strongly — the "frequent co-author"
 // evidence of §1.1).
 func CoauthorNetwork(papers []social.Paper) *graph.Graph {
-	g := graph.New()
+	g := graph.NewBuilder()
 	for _, p := range papers {
 		for _, a := range p.Authors {
 			g.EnsureNode(a, LabelAuthor)
@@ -40,14 +40,14 @@ func CoauthorNetwork(papers []social.Paper) *graph.Graph {
 			}
 		}
 	}
-	return g
+	return g.Freeze()
 }
 
 // CitationGraph builds the directed paper citation graph. Nodes are
 // papers (cited papers outside the corpus are materialized too); edges
 // point from citing to cited paper.
 func CitationGraph(papers []social.Paper) *graph.Graph {
-	g := graph.New()
+	g := graph.NewBuilder()
 	for _, p := range papers {
 		g.EnsureNode(p.ID, LabelPaper)
 	}
@@ -58,7 +58,7 @@ func CitationGraph(papers []social.Paper) *graph.Graph {
 			_ = g.AddEdge(from, to, EdgeCites, 1)
 		}
 	}
-	return g
+	return g.Freeze()
 }
 
 // Coupling returns the bibliographic coupling strength of two papers in a
@@ -78,15 +78,16 @@ func CoCitation(g *graph.Graph, a, b string) int {
 	if na == graph.Invalid || nb == graph.Invalid {
 		return 0
 	}
+	cites := g.LabelID(EdgeCites)
 	citersA := map[graph.NodeID]bool{}
 	for _, e := range g.In(na) {
-		if e.Label == EdgeCites {
-			citersA[e.From] = true
+		if e.Label == cites {
+			citersA[e.Node] = true
 		}
 	}
 	n := 0
 	for _, e := range g.In(nb) {
-		if e.Label == EdgeCites && citersA[e.From] {
+		if e.Label == cites && citersA[e.Node] {
 			n++
 		}
 	}

@@ -38,7 +38,7 @@ func Detect(g *graph.Graph, seed int64) []Community {
 	var m2 float64            // sum of all degrees
 	for i := 0; i < n; i++ {
 		for _, e := range g.Out(graph.NodeID(i)) {
-			j := int(e.To)
+			j := int(e.Node)
 			if j == i {
 				continue
 			}
@@ -127,7 +127,7 @@ func Modularity(g *graph.Graph, comms []Community) float64 {
 		for _, e := range g.Out(n.ID) {
 			total += e.Weight
 			strength[n.ID] += e.Weight
-			strength[e.To] += e.Weight
+			strength[e.Node] += e.Weight
 		}
 		return true
 	})
@@ -138,7 +138,7 @@ func Modularity(g *graph.Graph, comms []Community) float64 {
 	var q float64
 	g.Nodes(func(n graph.Node) bool {
 		for _, e := range g.Out(n.ID) {
-			if commOf[n.ID] == commOf[e.To] {
+			if commOf[n.ID] == commOf[e.Node] {
 				q += e.Weight / total
 			}
 		}
@@ -205,7 +205,7 @@ func communityAdjacency(g *graph.Graph, comms []Community) []map[int]bool {
 	}
 	g.Nodes(func(n graph.Node) bool {
 		for _, e := range g.Out(n.ID) {
-			a, b := commOf[n.ID], commOf[e.To]
+			a, b := commOf[n.ID], commOf[e.Node]
 			if a != b {
 				adj[a][b] = true
 				adj[b][a] = true

@@ -11,7 +11,7 @@ import (
 // twoCliques builds two dense cliques of size k joined by one weak edge.
 func twoCliques(t *testing.T, k int) *graph.Graph {
 	t.Helper()
-	g := graph.New()
+	g := graph.NewBuilder()
 	for i := 0; i < 2*k; i++ {
 		if _, err := g.AddNode(fmt.Sprintf("n%d", i), "user"); err != nil {
 			t.Fatal(err)
@@ -26,7 +26,7 @@ func twoCliques(t *testing.T, k int) *graph.Graph {
 		}
 	}
 	_ = g.AddUndirected(graph.NodeID(0), graph.NodeID(k), "e", 0.1)
-	return g
+	return g.Freeze()
 }
 
 func TestDetectSeparatesCliques(t *testing.T) {
@@ -50,12 +50,12 @@ func TestDetectSeparatesCliques(t *testing.T) {
 }
 
 func TestDetectEmptyAndSingleton(t *testing.T) {
-	g := graph.New()
-	if got := Detect(g, 1); got != nil {
+	if got := Detect(graph.NewBuilder().Freeze(), 1); got != nil {
 		t.Fatalf("empty graph = %v", got)
 	}
+	g := graph.NewBuilder()
 	_, _ = g.AddNode("solo", "user")
-	comms := Detect(g, 1)
+	comms := Detect(g.Freeze(), 1)
 	if len(comms) != 1 || len(comms[0]) != 1 {
 		t.Fatalf("singleton = %v", comms)
 	}
@@ -100,7 +100,7 @@ func TestModularityGoodVsBadPartition(t *testing.T) {
 }
 
 func TestModularityEmptyGraph(t *testing.T) {
-	g := graph.New()
+	g := graph.NewBuilder().Freeze()
 	if q := Modularity(g, nil); q != 0 {
 		t.Fatalf("empty modularity = %v", q)
 	}
@@ -123,7 +123,7 @@ func TestGreedyModularityNeverWorseThanLP(t *testing.T) {
 // intra-links and sparse inter-links.
 func randomCommunityGraph(seed int64, k, size int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	g := graph.NewBuilder()
 	n := k * size
 	for i := 0; i < n; i++ {
 		g.EnsureNode(fmt.Sprintf("n%d", i), "user")
@@ -140,7 +140,7 @@ func randomCommunityGraph(seed int64, k, size int) *graph.Graph {
 			}
 		}
 	}
-	return g
+	return g.Freeze()
 }
 
 func TestDetectRecoverPlantedPartition(t *testing.T) {
@@ -199,10 +199,11 @@ func TestTrackDissolvedCommunity(t *testing.T) {
 		return n.Key
 	}
 	// Next snapshot shares no members at all.
-	gNext := graph.New()
+	b := graph.NewBuilder()
 	for i := 0; i < 4; i++ {
-		gNext.EnsureNode(fmt.Sprintf("new%d", i), "user")
+		b.EnsureNode(fmt.Sprintf("new%d", i), "user")
 	}
+	gNext := b.Freeze()
 	next := Detect(gNext, 1)
 	keyNext := func(id graph.NodeID) string {
 		n, _ := gNext.Node(id)

@@ -23,12 +23,11 @@ type Concept struct {
 	Significance float64
 }
 
-// Map is a weighted concept graph. Edge weights encode co-occurrence
-// strength between concepts; node significance comes from extraction.
+// Map is a frozen weighted concept graph. Edge weights encode
+// co-occurrence strength between concepts; node weights hold each
+// concept's significance from extraction.
 type Map struct {
-	g        *graph.Graph
-	byTerm   map[string]graph.NodeID
-	concepts []Concept
+	g *graph.Graph
 }
 
 // LabelConcept is the node label used in the underlying graph.
@@ -38,8 +37,23 @@ const LabelConcept = "concept"
 const EdgeRelated = "related"
 
 // New returns an empty concept map.
-func New() *Map {
-	return &Map{g: graph.New(), byTerm: make(map[string]graph.NodeID)}
+func New() *Map { return NewBuilder().Freeze() }
+
+// Builder assembles a concept map; Freeze lays it out for reading.
+type Builder struct {
+	g   *graph.Builder
+	sig []float64 // significance by node ID
+}
+
+// NewBuilder returns an empty concept-map builder.
+func NewBuilder() *Builder { return &Builder{g: graph.NewBuilder()} }
+
+// Freeze returns the built map. The builder must not be used afterwards.
+func (b *Builder) Freeze() *Map {
+	for id, s := range b.sig {
+		_ = b.g.SetNodeWeight(graph.NodeID(id), s)
+	}
+	return &Map{g: b.g.Freeze()}
 }
 
 // BootstrapOptions tunes Bootstrap.
@@ -92,7 +106,7 @@ func Bootstrap(docs []string, opts BootstrapOptions) (*Map, error) {
 		all = all[:opts.MaxConcepts]
 	}
 
-	m := New()
+	m := NewBuilder()
 	keep := map[string]bool{}
 	for _, c := range all {
 		m.AddConcept(c.t, c.s)
@@ -121,54 +135,51 @@ func Bootstrap(docs []string, opts BootstrapOptions) (*Map, error) {
 			}
 		}
 	}
-	return m, nil
+	return m.Freeze(), nil
 }
 
 // AddConcept inserts a concept (or raises an existing concept's
 // significance to the given value if larger).
-func (m *Map) AddConcept(term string, significance float64) {
-	if id, ok := m.byTerm[term]; ok {
-		if n, err := m.g.Node(id); err == nil && significance > n.Weight {
-			_ = m.g.SetNodeWeight(id, significance)
-			for i := range m.concepts {
-				if m.concepts[i].Term == term {
-					m.concepts[i].Significance = significance
-				}
-			}
-		}
+func (b *Builder) AddConcept(term string, significance float64) {
+	if id := b.g.Lookup(term); id != graph.Invalid {
+		b.sig[id] = max(b.sig[id], significance)
 		return
 	}
-	id := m.g.EnsureNode(term, LabelConcept)
-	_ = m.g.SetNodeWeight(id, significance)
-	m.byTerm[term] = id
-	m.concepts = append(m.concepts, Concept{Term: term, Significance: significance})
+	b.g.EnsureNode(term, LabelConcept)
+	b.sig = append(b.sig, significance)
+}
+
+// concept returns the term's node, adding it with zero significance
+// when unknown.
+func (b *Builder) concept(term string) graph.NodeID {
+	if b.g.Lookup(term) == graph.Invalid {
+		b.AddConcept(term, 0)
+	}
+	return b.g.Lookup(term)
 }
 
 // Relate adds (or strengthens) an undirected relation between two
 // concepts; unknown concepts are created with zero significance.
-func (m *Map) Relate(a, b string, weight float64) {
-	if a == b {
+func (b *Builder) Relate(x, y string, weight float64) {
+	if x == y {
 		return
 	}
-	ia, ok := m.byTerm[a]
-	if !ok {
-		m.AddConcept(a, 0)
-		ia = m.byTerm[a]
-	}
-	ib, ok := m.byTerm[b]
-	if !ok {
-		m.AddConcept(b, 0)
-		ib = m.byTerm[b]
-	}
-	_ = m.g.AddUndirected(ia, ib, EdgeRelated, weight)
+	_ = b.g.AddUndirected(b.concept(x), b.concept(y), EdgeRelated, weight)
 }
 
+// Bytes reports the size of the map's frozen graph (graph.Graph.Bytes).
+func (m *Map) Bytes() int { return m.g.Bytes() }
+
 // Len reports the number of concepts.
-func (m *Map) Len() int { return len(m.concepts) }
+func (m *Map) Len() int { return m.g.NumNodes() }
 
 // Concepts returns all concepts sorted by descending significance.
 func (m *Map) Concepts() []Concept {
-	out := append([]Concept(nil), m.concepts...)
+	out := make([]Concept, 0, m.Len())
+	m.g.Nodes(func(n graph.Node) bool {
+		out = append(out, Concept{Term: n.Key, Significance: n.Weight})
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Significance != out[j].Significance {
 			return out[i].Significance > out[j].Significance
@@ -179,18 +190,11 @@ func (m *Map) Concepts() []Concept {
 }
 
 // Has reports whether a concept exists.
-func (m *Map) Has(term string) bool {
-	_, ok := m.byTerm[term]
-	return ok
-}
+func (m *Map) Has(term string) bool { return m.g.Lookup(term) != graph.Invalid }
 
 // Significance returns a concept's significance (0 when absent).
 func (m *Map) Significance(term string) float64 {
-	id, ok := m.byTerm[term]
-	if !ok {
-		return 0
-	}
-	n, err := m.g.Node(id)
+	n, err := m.g.Node(m.g.Lookup(term))
 	if err != nil {
 		return 0
 	}
@@ -199,15 +203,7 @@ func (m *Map) Significance(term string) float64 {
 
 // RelationWeight returns the relation strength between two concepts.
 func (m *Map) RelationWeight(a, b string) float64 {
-	ia, ok := m.byTerm[a]
-	if !ok {
-		return 0
-	}
-	ib, ok := m.byTerm[b]
-	if !ok {
-		return 0
-	}
-	if e, ok := m.g.EdgeBetween(ia, ib, EdgeRelated); ok {
+	if e, ok := m.g.EdgeBetween(m.g.Lookup(a), m.g.Lookup(b), EdgeRelated); ok {
 		return e.Weight
 	}
 	return 0
@@ -216,13 +212,9 @@ func (m *Map) RelationWeight(a, b string) float64 {
 // Neighbors returns the related concepts of a term, sorted by relation
 // weight.
 func (m *Map) Neighbors(term string) []Concept {
-	id, ok := m.byTerm[term]
-	if !ok {
-		return nil
-	}
 	var out []Concept
-	for _, e := range m.g.Out(id) {
-		n, err := m.g.Node(e.To)
+	for _, e := range m.g.Out(m.g.Lookup(term)) {
+		n, err := m.g.Node(e.Node)
 		if err != nil {
 			continue
 		}
@@ -246,21 +238,23 @@ func (m *Map) Neighbors(term string) []Concept {
 func (m *Map) Activate(seeds []string) map[string]float64 {
 	restart := map[graph.NodeID]float64{}
 	for _, s := range seeds {
-		if id, ok := m.byTerm[s]; ok {
+		if id := m.g.Lookup(s); id != graph.Invalid {
 			restart[id] = 1
 		}
 	}
-	out := make(map[string]float64, len(m.concepts))
+	out := make(map[string]float64, m.Len())
 	if len(restart) == 0 {
-		for _, c := range m.concepts {
-			out[c.Term] = c.Significance
-		}
+		m.g.Nodes(func(n graph.Node) bool {
+			out[n.Key] = n.Weight
+			return true
+		})
 		return out
 	}
 	pr := m.g.PersonalizedPageRank(restart, graph.PageRankOptions{Damping: 0.7})
-	for term, id := range m.byTerm {
-		out[term] = pr[id]
-	}
+	m.g.Nodes(func(n graph.Node) bool {
+		out[n.Key] = pr[n.ID]
+		return true
+	})
 	return out
 }
 

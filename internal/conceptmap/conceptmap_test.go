@@ -59,10 +59,11 @@ func TestBootstrapCreatesRelations(t *testing.T) {
 }
 
 func TestAddConceptRaisesSignificance(t *testing.T) {
-	m := New()
-	m.AddConcept("graphs", 0.2)
-	m.AddConcept("graphs", 0.5)
-	m.AddConcept("graphs", 0.1) // lower must not overwrite
+	b := NewBuilder()
+	b.AddConcept("graphs", 0.2)
+	b.AddConcept("graphs", 0.5)
+	b.AddConcept("graphs", 0.1) // lower must not overwrite
+	m := b.Freeze()
 	if s := m.Significance("graphs"); s != 0.5 {
 		t.Fatalf("Significance = %v", s)
 	}
@@ -72,25 +73,27 @@ func TestAddConceptRaisesSignificance(t *testing.T) {
 }
 
 func TestRelateAccumulates(t *testing.T) {
-	m := New()
-	m.Relate("a", "b", 1)
-	m.Relate("a", "b", 2)
+	b := NewBuilder()
+	b.Relate("a", "b", 1)
+	b.Relate("a", "b", 2)
+	b.Relate("a", "a", 1) // self-relation ignored
+	m := b.Freeze()
 	if w := m.RelationWeight("a", "b"); w != 3 {
 		t.Fatalf("RelationWeight = %v", w)
 	}
 	if w := m.RelationWeight("b", "a"); w != 3 {
 		t.Fatalf("relation not symmetric: %v", w)
 	}
-	m.Relate("a", "a", 1) // self-relation ignored
 	if w := m.RelationWeight("a", "a"); w != 0 {
 		t.Fatalf("self relation = %v", w)
 	}
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	m := New()
-	m.Relate("center", "weak", 1)
-	m.Relate("center", "strong", 5)
+	b := NewBuilder()
+	b.Relate("center", "weak", 1)
+	b.Relate("center", "strong", 5)
+	m := b.Freeze()
 	ns := m.Neighbors("center")
 	if len(ns) != 2 || ns[0].Term != "strong" {
 		t.Fatalf("Neighbors = %v", ns)
@@ -101,11 +104,12 @@ func TestNeighborsSorted(t *testing.T) {
 }
 
 func TestActivateConcentratesNearSeeds(t *testing.T) {
-	m := New()
+	b := NewBuilder()
 	// Chain: a - b - c - d; seed at a.
-	m.Relate("a", "b", 1)
-	m.Relate("b", "c", 1)
-	m.Relate("c", "d", 1)
+	b.Relate("a", "b", 1)
+	b.Relate("b", "c", 1)
+	b.Relate("c", "d", 1)
+	m := b.Freeze()
 	act := m.Activate([]string{"a"})
 	if act["a"] <= act["c"] {
 		t.Fatalf("seed should dominate: a=%v c=%v", act["a"], act["c"])
@@ -116,8 +120,9 @@ func TestActivateConcentratesNearSeeds(t *testing.T) {
 }
 
 func TestActivateUnknownSeedsFallBack(t *testing.T) {
-	m := New()
-	m.AddConcept("x", 0.7)
+	b := NewBuilder()
+	b.AddConcept("x", 0.7)
+	m := b.Freeze()
 	act := m.Activate([]string{"unknown"})
 	if act["x"] != 0.7 {
 		t.Fatalf("fallback should return significances: %v", act)
@@ -125,10 +130,11 @@ func TestActivateUnknownSeedsFallBack(t *testing.T) {
 }
 
 func TestActivateMultipleSeeds(t *testing.T) {
-	m := New()
-	m.Relate("a", "mid", 1)
-	m.Relate("b", "mid", 1)
-	m.Relate("mid", "far", 0.1)
+	b := NewBuilder()
+	b.Relate("a", "mid", 1)
+	b.Relate("b", "mid", 1)
+	b.Relate("mid", "far", 0.1)
+	m := b.Freeze()
 	act := m.Activate([]string{"a", "b"})
 	if act["mid"] <= act["far"] {
 		t.Fatalf("mid should beat far: %v", act)
@@ -146,8 +152,9 @@ func TestContextVectorStemsAndFilters(t *testing.T) {
 }
 
 func TestStringSummary(t *testing.T) {
-	m := New()
-	m.Relate("a", "b", 1)
+	b := NewBuilder()
+	b.Relate("a", "b", 1)
+	m := b.Freeze()
 	if s := m.String(); !strings.Contains(s, "2 concepts") || !strings.Contains(s, "1 relations") {
 		t.Fatalf("String = %q", s)
 	}

@@ -11,7 +11,6 @@ import (
 	"hive/internal/biblio"
 	"hive/internal/community"
 	"hive/internal/graph"
-	"hive/internal/rdf"
 	"hive/internal/social"
 )
 
@@ -89,7 +88,7 @@ var tableTasks = []buildTask{
 func (b *Builder) Build() (*Engine, error) {
 	start := time.Now()
 	st := b.Store
-	e := &Engine{store: st, kb: rdf.NewStore(), buildWorkers: b.workers()}
+	e := &Engine{store: st, buildWorkers: b.workers()}
 
 	// Shared inputs, gathered once up front: several stages iterate the
 	// paper corpus and the user set.
@@ -246,7 +245,7 @@ func runTask(t buildTask, e *Engine) (d time.Duration, err error) {
 
 // deriveConnectionsLayer builds the explicit-connection/follow layer.
 func (e *Engine) deriveConnectionsLayer() *graph.Graph {
-	conn := graph.New()
+	conn := graph.NewBuilder()
 	for _, u := range e.users {
 		conn.EnsureNode(u, "user")
 	}
@@ -258,7 +257,7 @@ func (e *Engine) deriveConnectionsLayer() *graph.Graph {
 			_ = conn.AddEdge(conn.Lookup(u), conn.EnsureNode(o, "user"), "follows", 0.5)
 		}
 	}
-	return conn
+	return conn.Freeze()
 }
 
 // deriveCoauthorLayer builds the co-authorship layer: every user, then
@@ -266,7 +265,7 @@ func (e *Engine) deriveConnectionsLayer() *graph.Graph {
 // co-authors of a paper whose weight counts their shared papers (so
 // frequent co-authors bind strongly — the §1.1 evidence).
 func (e *Engine) deriveCoauthorLayer() *graph.Graph {
-	coauth := graph.New()
+	coauth := graph.NewBuilder()
 	for _, u := range e.users {
 		coauth.EnsureNode(u, "user")
 	}
@@ -281,12 +280,12 @@ func (e *Engine) deriveCoauthorLayer() *graph.Graph {
 			}
 		}
 	}
-	return coauth
+	return coauth.Freeze()
 }
 
 // deriveAttendanceLayer links users who checked into the same session.
 func (e *Engine) deriveAttendanceLayer() *graph.Graph {
-	attend := graph.New()
+	attend := graph.NewBuilder()
 	for _, u := range e.users {
 		attend.EnsureNode(u, "user")
 	}
@@ -302,12 +301,12 @@ func (e *Engine) deriveAttendanceLayer() *graph.Graph {
 			}
 		}
 	}
-	return attend
+	return attend.Freeze()
 }
 
 // deriveQALayer links question askers with answerers and entity owners.
 func (e *Engine) deriveQALayer() *graph.Graph {
-	qa := graph.New()
+	qa := graph.NewBuilder()
 	for _, u := range e.users {
 		qa.EnsureNode(u, "user")
 	}
@@ -334,7 +333,7 @@ func (e *Engine) deriveQALayer() *graph.Graph {
 			}
 		}
 	}
-	return qa
+	return qa.Freeze()
 }
 
 // integrateLayers aligns and merges the four evidence layers into the

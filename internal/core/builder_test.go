@@ -163,14 +163,14 @@ func TestBuildWorkerCounts(t *testing.T) {
 // that first holds a node for every user.
 func projectCoauthorNetwork(users []string, papers []social.Paper) *graph.Graph {
 	net := biblio.CoauthorNetwork(papers)
-	coauth := graph.New()
+	coauth := graph.NewBuilder()
 	for _, u := range users {
 		coauth.EnsureNode(u, "user")
 	}
 	net.Nodes(func(n graph.Node) bool {
 		from := coauth.EnsureNode(n.Key, "user")
 		for _, ed := range net.Out(n.ID) {
-			to, err := net.Node(ed.To)
+			to, err := net.Node(ed.Node)
 			if err != nil {
 				continue
 			}
@@ -178,7 +178,7 @@ func projectCoauthorNetwork(users []string, papers []social.Paper) *graph.Graph 
 		}
 		return true
 	})
-	return coauth
+	return coauth.Freeze()
 }
 
 // TestCoauthorLayerMatchesProjection: the layer the build derives
@@ -218,7 +218,7 @@ func TestCoauthorLayerMatchesProjection(t *testing.T) {
 				}
 				for i, we := range wOut {
 					ge := gOut[i]
-					if ge.From != we.From || ge.To != we.To || ge.Label != we.Label ||
+					if ge.Node != we.Node || got.Label(ge.Label) != want.Label(we.Label) ||
 						math.Float64bits(ge.Weight) != math.Float64bits(we.Weight) {
 						t.Fatalf("node %s out-edge %d: layer %+v, projection %+v", wn.Key, i, ge, we)
 					}

@@ -132,8 +132,12 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		kb:          prev.kb,
 		communities: prev.communities,
 		// Phase-2 tables share their base; each overlay starts as a copy
-		// of the previous one (bounded by the compaction threshold, never
-		// by the corpus) and absorbs this batch's repairs below.
+		// of the previous one and absorbs this batch's repairs below.
+		// The copy holds every row repaired since the last full build,
+		// not just this batch's, so it grows with the writes since the
+		// last compaction and can reach the whole corpus: a set-up that
+		// writes for every user before its first compaction copies every
+		// user's rows on each later write.
 		ctx:          prev.ctx.derive(len(ctxUsers)),
 		content:      prev.content.derive(len(contentUsers)),
 		inter:        prev.inter.derive(len(activity)),

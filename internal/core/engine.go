@@ -74,7 +74,7 @@ type Engine struct {
 	integrated *align.Integrated
 	peerGraph  *graph.Graph // alias of integrated.G
 
-	kb *rdf.Store // weighted RDF export of all layers (R2DB)
+	kb *rdf.KB // weighted RDF export of all layers (R2DB)
 
 	communities []community.Community
 
@@ -261,7 +261,19 @@ func (e *Engine) searchUserContext(userID string, k int) []textindex.Result {
 func (e *Engine) ConceptMap() *conceptmap.Map { return e.concepts }
 
 // KnowledgeBase exposes the weighted RDF export (R2DB layer).
-func (e *Engine) KnowledgeBase() *rdf.Store { return e.kb }
+func (e *Engine) KnowledgeBase() *rdf.KB { return e.kb }
+
+// GraphBytes reports the size of the snapshot's frozen graph layouts:
+// the integrated context network, the four evidence layers, the
+// citation graph, the concept map and the knowledge base, each by its
+// Bytes. A delta snapshot shares its base's graphs.
+func (e *Engine) GraphBytes() int {
+	n := e.kb.Bytes() + e.concepts.Bytes()
+	for _, g := range []*graph.Graph{e.peerGraph, e.connLayer, e.coauthLayer, e.attendLayer, e.qaLayer, e.citationNet} {
+		n += g.Bytes()
+	}
+	return n
+}
 
 // PeerGraph exposes the integrated peer network.
 func (e *Engine) PeerGraph() *graph.Graph { return e.peerGraph }
@@ -335,30 +347,38 @@ func (e *Engine) ownersOf(entity string) []string {
 }
 
 // exportKnowledgeBase mirrors the layers into the weighted RDF store so
-// R2DB-style ranked path queries can explain any relationship.
+// R2DB-style ranked path queries can explain any relationship. A mutual
+// connection is one fact, stored once with its endpoints in ascending
+// order: undirected path search traverses it both ways.
 func (e *Engine) exportKnowledgeBase() {
+	kb := rdf.NewBuilder()
 	for _, p := range e.papers {
 		for _, a := range p.Authors {
-			_ = e.kb.Add(rdf.Triple{Subject: "user:" + a, Predicate: "authored", Object: "paper:" + p.ID, Weight: 1})
+			_ = kb.Add(rdf.Triple{Subject: "user:" + a, Predicate: "authored", Object: "paper:" + p.ID, Weight: 1})
 		}
 		for _, c := range p.Citations {
-			_ = e.kb.Add(rdf.Triple{Subject: "paper:" + p.ID, Predicate: "cites", Object: "paper:" + c, Weight: 0.9})
+			_ = kb.Add(rdf.Triple{Subject: "paper:" + p.ID, Predicate: "cites", Object: "paper:" + c, Weight: 0.9})
 		}
 		if p.SessionID != "" {
-			_ = e.kb.Add(rdf.Triple{Subject: "paper:" + p.ID, Predicate: "presentedIn", Object: "session:" + p.SessionID, Weight: 1})
+			_ = kb.Add(rdf.Triple{Subject: "paper:" + p.ID, Predicate: "presentedIn", Object: "session:" + p.SessionID, Weight: 1})
 		}
 	}
 	for _, u := range e.users {
 		for _, o := range e.store.ConnectionsOf(u) {
-			_ = e.kb.Add(rdf.Triple{Subject: "user:" + u, Predicate: "connected", Object: "user:" + o, Weight: 1})
+			a, b := u, o
+			if b < a {
+				a, b = b, a
+			}
+			_ = kb.Add(rdf.Triple{Subject: "user:" + a, Predicate: "connected", Object: "user:" + b, Weight: 1})
 		}
 		for _, o := range e.store.Following(u) {
-			_ = e.kb.Add(rdf.Triple{Subject: "user:" + u, Predicate: "follows", Object: "user:" + o, Weight: 0.7})
+			_ = kb.Add(rdf.Triple{Subject: "user:" + u, Predicate: "follows", Object: "user:" + o, Weight: 0.7})
 		}
 		for _, s := range e.store.SessionsAttendedBy(u) {
-			_ = e.kb.Add(rdf.Triple{Subject: "user:" + u, Predicate: "attends", Object: "session:" + s, Weight: 0.8})
+			_ = kb.Add(rdf.Triple{Subject: "user:" + u, Predicate: "attends", Object: "session:" + s, Weight: 0.8})
 		}
 	}
+	e.kb = kb.Freeze()
 }
 
 // Communities returns the discovered peer communities as lists of user

@@ -165,20 +165,22 @@ func TestRecommendPeersMemoized(t *testing.T) {
 // yields the same ranks as workspace-free calls, including after being
 // re-bound to a different graph.
 func TestPPRWorkspaceReuseMatchesFreshRuns(t *testing.T) {
-	g1 := graph.New()
+	b1 := graph.NewBuilder()
 	for _, k := range []string{"a", "b", "c", "d"} {
-		g1.EnsureNode(k, "user")
+		b1.EnsureNode(k, "user")
 	}
-	_ = g1.AddEdge(0, 1, "e", 1)
-	_ = g1.AddEdge(1, 2, "e", 2)
-	_ = g1.AddEdge(2, 0, "e", 1)
-	_ = g1.AddEdge(2, 3, "e", 0.5)
+	_ = b1.AddEdge(0, 1, "e", 1)
+	_ = b1.AddEdge(1, 2, "e", 2)
+	_ = b1.AddEdge(2, 0, "e", 1)
+	_ = b1.AddEdge(2, 3, "e", 0.5)
+	g1 := b1.Freeze()
 
-	g2 := graph.New()
+	b2 := graph.NewBuilder()
 	for _, k := range []string{"x", "y"} {
-		g2.EnsureNode(k, "user")
+		b2.EnsureNode(k, "user")
 	}
-	_ = g2.AddEdge(0, 1, "e", 1)
+	_ = b2.AddEdge(0, 1, "e", 1)
+	g2 := b2.Freeze()
 
 	ws := &graph.PPRWorkspace{}
 	for trial := 0; trial < 3; trial++ {

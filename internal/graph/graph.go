@@ -8,15 +8,16 @@
 // graph can hold heterogeneous entities ("user", "paper", "concept", ...)
 // and relationships ("coauthor", "cites", "follows", ...).
 //
-// All mutating methods are safe for a single writer; concurrent readers
-// must be coordinated by the caller (the higher layers wrap a Graph in a
-// sync.RWMutex, which keeps this package allocation-lean).
+// A graph is assembled by a Builder and frozen once into a Graph: one
+// offsets array per direction over contiguous 16-byte arc records, with
+// arc labels interned, so a snapshot graph costs no string and no slice
+// per arc. A Graph is immutable and safe for concurrent readers.
 package graph
 
 import (
 	"errors"
-	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // NodeID identifies a node within a Graph. IDs are assigned densely from 0
@@ -25,6 +26,12 @@ type NodeID int32
 
 // Invalid is returned by lookup helpers when no node matches.
 const Invalid NodeID = -1
+
+// LabelID identifies an interned arc label within one graph.
+type LabelID int32
+
+// NoLabel is returned by LabelID for a label no arc of the graph carries.
+const NoLabel LabelID = -1
 
 // ErrNodeNotFound is returned when an operation references a node that is
 // not present in the graph.
@@ -45,57 +52,33 @@ type Node struct {
 	Weight float64
 }
 
-// Edge is a directed, weighted, labeled arc.
+// Edge is one stored arc as Out and In return it: the node at its far
+// end (the target of an out-arc, the source of an in-arc), its interned
+// label (see Graph.Label) and its weight.
 type Edge struct {
-	From   NodeID
-	To     NodeID
-	Label  string
+	Node   NodeID
+	Label  LabelID
 	Weight float64
 }
 
-// Graph is a directed, weighted, labeled multigraph.
+// Graph is a frozen directed, weighted, labeled multigraph. Node i's
+// out-arcs are out[outOff[i]:outOff[i+1]] in the order their (to, label)
+// pair was first added, and likewise for in-arcs by source.
 type Graph struct {
 	nodes  []Node
-	out    [][]Edge
-	in     [][]Edge
 	byKey  map[string]NodeID
-	nEdges int
-}
-
-// New returns an empty graph.
-func New() *Graph {
-	return &Graph{byKey: make(map[string]NodeID)}
+	labels []string
+	outOff []int32
+	out    []Edge
+	inOff  []int32
+	in     []Edge
 }
 
 // NumNodes reports the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges reports the number of directed edges.
-func (g *Graph) NumEdges() int { return g.nEdges }
-
-// AddNode inserts a node with the given external key and label and returns
-// its dense ID. It fails with ErrDuplicateKey if the key is taken.
-func (g *Graph) AddNode(key, label string) (NodeID, error) {
-	if _, ok := g.byKey[key]; ok {
-		return Invalid, fmt.Errorf("%w: %q", ErrDuplicateKey, key)
-	}
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, Node{ID: id, Key: key, Label: label})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.byKey[key] = id
-	return id, nil
-}
-
-// EnsureNode returns the node bound to key, creating it with the given
-// label if absent. The label of an existing node is not changed.
-func (g *Graph) EnsureNode(key, label string) NodeID {
-	if id, ok := g.byKey[key]; ok {
-		return id
-	}
-	id, _ := g.AddNode(key, label)
-	return id
-}
+func (g *Graph) NumEdges() int { return len(g.out) }
 
 // Lookup returns the ID bound to an external key, or Invalid.
 func (g *Graph) Lookup(key string) NodeID {
@@ -108,18 +91,9 @@ func (g *Graph) Lookup(key string) NodeID {
 // Node returns a copy of the node with the given ID.
 func (g *Graph) Node(id NodeID) (Node, error) {
 	if !g.valid(id) {
-		return Node{}, fmt.Errorf("%w: id %d", ErrNodeNotFound, id)
+		return Node{}, nodeNotFound(id)
 	}
 	return g.nodes[id], nil
-}
-
-// SetNodeWeight updates the intrinsic weight of a node.
-func (g *Graph) SetNodeWeight(id NodeID, w float64) error {
-	if !g.valid(id) {
-		return fmt.Errorf("%w: id %d", ErrNodeNotFound, id)
-	}
-	g.nodes[id].Weight = w
-	return nil
 }
 
 // Nodes calls fn for every node; iteration stops if fn returns false.
@@ -143,72 +117,54 @@ func (g *Graph) NodesByLabel(label string) []NodeID {
 	return ids
 }
 
-// AddEdge inserts a directed edge. Parallel edges with distinct labels are
-// allowed; adding an edge with the same endpoints and label accumulates
-// its weight onto the existing edge (the natural semantics for evidence
-// layers, where repeated observations reinforce a relationship).
-func (g *Graph) AddEdge(from, to NodeID, label string, weight float64) error {
-	if !g.valid(from) {
-		return fmt.Errorf("%w: from %d", ErrNodeNotFound, from)
+// Label returns the text of an interned arc label.
+func (g *Graph) Label(l LabelID) string {
+	if l < 0 || int(l) >= len(g.labels) {
+		return ""
 	}
-	if !g.valid(to) {
-		return fmt.Errorf("%w: to %d", ErrNodeNotFound, to)
-	}
-	for i := range g.out[from] {
-		e := &g.out[from][i]
-		if e.To == to && e.Label == label {
-			e.Weight += weight
-			for j := range g.in[to] {
-				f := &g.in[to][j]
-				if f.From == from && f.Label == label {
-					f.Weight += weight
-					break
-				}
-			}
-			return nil
+	return g.labels[l]
+}
+
+// LabelID returns the ID of an arc label, or NoLabel when no arc carries
+// it.
+func (g *Graph) LabelID(label string) LabelID {
+	for i, s := range g.labels {
+		if s == label {
+			return LabelID(i)
 		}
 	}
-	e := Edge{From: from, To: to, Label: label, Weight: weight}
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
-	g.nEdges++
-	return nil
+	return NoLabel
 }
 
-// AddUndirected inserts the edge in both directions.
-func (g *Graph) AddUndirected(a, b NodeID, label string, weight float64) error {
-	if err := g.AddEdge(a, b, label, weight); err != nil {
-		return err
-	}
-	return g.AddEdge(b, a, label, weight)
-}
-
-// Out returns the outgoing edges of a node. The returned slice is owned by
+// Out returns the outgoing arcs of a node. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Graph) Out(id NodeID) []Edge {
 	if !g.valid(id) {
 		return nil
 	}
-	return g.out[id]
+	return g.out[g.outOff[id]:g.outOff[id+1]]
 }
 
-// In returns the incoming edges of a node. The returned slice is owned by
-// the graph and must not be modified.
+// In returns the incoming arcs of a node; each arc's Node is its source.
+// The returned slice is owned by the graph and must not be modified.
 func (g *Graph) In(id NodeID) []Edge {
 	if !g.valid(id) {
 		return nil
 	}
-	return g.in[id]
+	return g.in[g.inOff[id]:g.inOff[id+1]]
 }
 
-// EdgeBetween returns the first edge from -> to with the given label, if
+// EdgeBetween returns the first arc from -> to with the given label, if
 // any. An empty label matches any label.
 func (g *Graph) EdgeBetween(from, to NodeID, label string) (Edge, bool) {
-	if !g.valid(from) {
-		return Edge{}, false
+	want := NoLabel
+	if label != "" {
+		if want = g.LabelID(label); want == NoLabel {
+			return Edge{}, false
+		}
 	}
-	for _, e := range g.out[from] {
-		if e.To == to && (label == "" || e.Label == label) {
+	for _, e := range g.Out(from) {
+		if e.Node == to && (want == NoLabel || e.Label == want) {
 			return e, true
 		}
 	}
@@ -216,57 +172,30 @@ func (g *Graph) EdgeBetween(from, to NodeID, label string) (Edge, bool) {
 }
 
 // OutDegree reports the out-degree of a node.
-func (g *Graph) OutDegree(id NodeID) int {
-	if !g.valid(id) {
-		return 0
-	}
-	return len(g.out[id])
-}
+func (g *Graph) OutDegree(id NodeID) int { return len(g.Out(id)) }
 
 // InDegree reports the in-degree of a node.
-func (g *Graph) InDegree(id NodeID) int {
-	if !g.valid(id) {
-		return 0
-	}
-	return len(g.in[id])
-}
+func (g *Graph) InDegree(id NodeID) int { return len(g.In(id)) }
 
 // Neighbors returns the distinct out-neighbors of a node, sorted by ID.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
-	if !g.valid(id) {
+	out := g.Out(id)
+	if len(out) == 0 {
 		return nil
 	}
-	seen := make(map[NodeID]struct{}, len(g.out[id]))
-	var ns []NodeID
-	for _, e := range g.out[id] {
-		if _, ok := seen[e.To]; !ok {
-			seen[e.To] = struct{}{}
-			ns = append(ns, e.To)
-		}
+	ns := make([]NodeID, len(out))
+	for i, e := range out {
+		ns[i] = e.Node
 	}
 	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	return ns
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		nodes:  append([]Node(nil), g.nodes...),
-		out:    make([][]Edge, len(g.out)),
-		in:     make([][]Edge, len(g.in)),
-		byKey:  make(map[string]NodeID, len(g.byKey)),
-		nEdges: g.nEdges,
+	k := 1
+	for _, n := range ns[1:] {
+		if n != ns[k-1] {
+			ns[k] = n
+			k++
+		}
 	}
-	for i := range g.out {
-		c.out[i] = append([]Edge(nil), g.out[i]...)
-	}
-	for i := range g.in {
-		c.in[i] = append([]Edge(nil), g.in[i]...)
-	}
-	for k, v := range g.byKey {
-		c.byKey[k] = v
-	}
-	return c
+	return ns[:k]
 }
 
 // TotalOutWeight returns the sum of outgoing edge weights of a node.
@@ -276,6 +205,20 @@ func (g *Graph) TotalOutWeight(id NodeID) float64 {
 		s += e.Weight
 	}
 	return s
+}
+
+// Bytes reports the size of the graph's arrays: node records, the two
+// offset arrays, the two arc arrays and the label table. Node keys and
+// the key map are not counted; the keys are shared with the snapshot's
+// other tables.
+func (g *Graph) Bytes() int {
+	n := len(g.nodes)*int(unsafe.Sizeof(Node{})) +
+		(len(g.outOff)+len(g.inOff))*4 +
+		(len(g.out)+len(g.in))*int(unsafe.Sizeof(Edge{}))
+	for _, l := range g.labels {
+		n += int(unsafe.Sizeof(l)) + len(l)
+	}
+	return n
 }
 
 func (g *Graph) valid(id NodeID) bool {

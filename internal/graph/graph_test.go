@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func mustNode(t *testing.T, g *Graph, key, label string) NodeID {
+func mustNode(t *testing.T, g *Builder, key, label string) NodeID {
 	t.Helper()
 	id, err := g.AddNode(key, label)
 	if err != nil {
@@ -17,7 +17,7 @@ func mustNode(t *testing.T, g *Graph, key, label string) NodeID {
 }
 
 func TestAddNodeAssignsDenseIDs(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	for i, key := range []string{"a", "b", "c"} {
 		id := mustNode(t, g, key, "user")
 		if int(id) != i {
@@ -30,7 +30,7 @@ func TestAddNodeAssignsDenseIDs(t *testing.T) {
 }
 
 func TestAddNodeDuplicateKey(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	mustNode(t, g, "a", "user")
 	if _, err := g.AddNode("a", "user"); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate AddNode err = %v, want ErrDuplicateKey", err)
@@ -38,7 +38,7 @@ func TestAddNodeDuplicateKey(t *testing.T) {
 }
 
 func TestEnsureNodeIdempotent(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := g.EnsureNode("x", "paper")
 	b := g.EnsureNode("x", "paper")
 	if a != b {
@@ -50,7 +50,7 @@ func TestEnsureNodeIdempotent(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	id := mustNode(t, g, "k", "user")
 	if got := g.Lookup("k"); got != id {
 		t.Fatalf("Lookup = %d, want %d", got, id)
@@ -61,22 +61,23 @@ func TestLookup(t *testing.T) {
 }
 
 func TestNodeErrors(t *testing.T) {
-	g := New()
-	if _, err := g.Node(0); !errors.Is(err, ErrNodeNotFound) {
-		t.Fatalf("Node(0) on empty graph err = %v", err)
-	}
+	g := NewBuilder()
 	if err := g.SetNodeWeight(5, 1); !errors.Is(err, ErrNodeNotFound) {
 		t.Fatalf("SetNodeWeight err = %v", err)
+	}
+	if _, err := g.Freeze().Node(0); !errors.Is(err, ErrNodeNotFound) {
+		t.Fatalf("Node(0) on empty graph err = %v", err)
 	}
 }
 
 func TestSetNodeWeight(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	id := mustNode(t, g, "a", "concept")
 	if err := g.SetNodeWeight(id, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	n, err := g.Node(id)
+	f := g.Freeze()
+	n, err := f.Node(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestSetNodeWeight(t *testing.T) {
 }
 
 func TestAddEdgeAccumulatesSameLabel(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "user")
 	b := mustNode(t, g, "b", "user")
 	if err := g.AddEdge(a, b, "follows", 1); err != nil {
@@ -95,22 +96,23 @@ func TestAddEdgeAccumulatesSameLabel(t *testing.T) {
 	if err := g.AddEdge(a, b, "follows", 2); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d, want 1 (weights accumulate)", g.NumEdges())
+	f := g.Freeze()
+	if f.NumEdges() != 1 {
+		t.Fatalf("NumEdges = %d, want 1 (weights accumulate)", f.NumEdges())
 	}
-	e, ok := g.EdgeBetween(a, b, "follows")
+	e, ok := f.EdgeBetween(a, b, "follows")
 	if !ok || e.Weight != 3 {
 		t.Fatalf("EdgeBetween = %+v ok=%v, want weight 3", e, ok)
 	}
 	// In-edge mirror must stay consistent.
-	in := g.In(b)
+	in := f.In(b)
 	if len(in) != 1 || in[0].Weight != 3 {
 		t.Fatalf("In(b) = %+v, want single weight-3 edge", in)
 	}
 }
 
 func TestAddEdgeParallelLabels(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "user")
 	b := mustNode(t, g, "b", "user")
 	for _, lbl := range []string{"coauthor", "cites", "follows"} {
@@ -118,16 +120,17 @@ func TestAddEdgeParallelLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d, want 3 distinct labels", g.NumEdges())
+	f := g.Freeze()
+	if f.NumEdges() != 3 {
+		t.Fatalf("NumEdges = %d, want 3 distinct labels", f.NumEdges())
 	}
-	if len(g.Neighbors(a)) != 1 {
-		t.Fatalf("Neighbors = %v, want single distinct neighbor", g.Neighbors(a))
+	if len(f.Neighbors(a)) != 1 {
+		t.Fatalf("Neighbors = %v, want single distinct neighbor", f.Neighbors(a))
 	}
 }
 
 func TestAddEdgeUnknownNode(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "user")
 	if err := g.AddEdge(a, 99, "x", 1); !errors.Is(err, ErrNodeNotFound) {
 		t.Fatalf("err = %v, want ErrNodeNotFound", err)
@@ -138,38 +141,41 @@ func TestAddEdgeUnknownNode(t *testing.T) {
 }
 
 func TestAddUndirected(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "user")
 	b := mustNode(t, g, "b", "user")
 	if err := g.AddUndirected(a, b, "coauthor", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.EdgeBetween(a, b, "coauthor"); !ok {
+	f := g.Freeze()
+	if _, ok := f.EdgeBetween(a, b, "coauthor"); !ok {
 		t.Fatal("missing a->b")
 	}
-	if _, ok := g.EdgeBetween(b, a, "coauthor"); !ok {
+	if _, ok := f.EdgeBetween(b, a, "coauthor"); !ok {
 		t.Fatal("missing b->a")
 	}
 }
 
 func TestNodesByLabel(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	mustNode(t, g, "u1", "user")
 	mustNode(t, g, "p1", "paper")
 	mustNode(t, g, "u2", "user")
-	users := g.NodesByLabel("user")
+	f := g.Freeze()
+	users := f.NodesByLabel("user")
 	if len(users) != 2 || users[0] != 0 || users[1] != 2 {
 		t.Fatalf("NodesByLabel(user) = %v", users)
 	}
 }
 
 func TestNodesIterationStops(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	for _, k := range []string{"a", "b", "c"} {
 		mustNode(t, g, k, "x")
 	}
 	count := 0
-	g.Nodes(func(Node) bool {
+	f := g.Freeze()
+	f.Nodes(func(Node) bool {
 		count++
 		return count < 2
 	})
@@ -178,26 +184,11 @@ func TestNodesIterationStops(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := New()
-	a := mustNode(t, g, "a", "user")
-	b := mustNode(t, g, "b", "user")
-	if err := g.AddEdge(a, b, "follows", 1); err != nil {
-		t.Fatal(err)
-	}
-	c := g.Clone()
-	if err := c.AddEdge(b, a, "follows", 1); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 || c.NumEdges() != 2 {
-		t.Fatalf("clone not independent: g=%d c=%d", g.NumEdges(), c.NumEdges())
-	}
-}
-
 func TestBFSDepths(t *testing.T) {
 	g := line(t, 5) // 0-1-2-3-4 directed chain
 	depths := map[NodeID]int{}
-	g.BFS(0, func(id NodeID, d int) bool {
+	f := g.Freeze()
+	f.BFS(0, func(id NodeID, d int) bool {
 		depths[id] = d
 		return true
 	})
@@ -210,7 +201,8 @@ func TestBFSDepths(t *testing.T) {
 
 func TestBFSRespectsCutoff(t *testing.T) {
 	g := line(t, 5)
-	within := g.WithinHops(0, 2)
+	f := g.Freeze()
+	within := f.WithinHops(0, 2)
 	if len(within) != 2 {
 		t.Fatalf("WithinHops = %v, want nodes 1,2", within)
 	}
@@ -220,7 +212,7 @@ func TestBFSRespectsCutoff(t *testing.T) {
 }
 
 func TestDFSVisitsAllReachable(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	ids := make([]NodeID, 4)
 	for i := range ids {
 		ids[i] = mustNode(t, g, string(rune('a'+i)), "x")
@@ -230,7 +222,8 @@ func TestDFSVisitsAllReachable(t *testing.T) {
 	_ = g.AddEdge(ids[0], ids[2], "e", 1)
 	_ = g.AddEdge(ids[2], ids[3], "e", 1)
 	var seen []NodeID
-	g.DFS(ids[0], func(id NodeID) bool {
+	f := g.Freeze()
+	f.DFS(ids[0], func(id NodeID) bool {
 		seen = append(seen, id)
 		return true
 	})
@@ -243,7 +236,7 @@ func TestDFSVisitsAllReachable(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	// Component 1: a-b-c, Component 2: d-e, Component 3: f alone.
 	keys := []string{"a", "b", "c", "d", "e", "f"}
 	ids := map[string]NodeID{}
@@ -253,7 +246,8 @@ func TestComponents(t *testing.T) {
 	_ = g.AddEdge(ids["a"], ids["b"], "e", 1)
 	_ = g.AddEdge(ids["c"], ids["b"], "e", 1) // direction must not matter
 	_ = g.AddEdge(ids["d"], ids["e"], "e", 1)
-	comps := g.Components()
+	f := g.Freeze()
+	comps := f.Components()
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3: %v", len(comps), comps)
 	}
@@ -263,7 +257,7 @@ func TestComponents(t *testing.T) {
 }
 
 func TestShortestPathPrefersCheapRoute(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "x")
 	b := mustNode(t, g, "b", "x")
 	c := mustNode(t, g, "c", "x")
@@ -271,7 +265,8 @@ func TestShortestPathPrefersCheapRoute(t *testing.T) {
 	_ = g.AddEdge(a, c, "e", 0.1)
 	_ = g.AddEdge(a, b, "e", 9)
 	_ = g.AddEdge(b, c, "e", 9)
-	p, err := g.ShortestPath(a, c, InverseWeightCost)
+	f := g.Freeze()
+	p, err := f.ShortestPath(a, c, InverseWeightCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,18 +276,20 @@ func TestShortestPathPrefersCheapRoute(t *testing.T) {
 }
 
 func TestShortestPathNoPath(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "x")
 	b := mustNode(t, g, "b", "x")
-	if _, err := g.ShortestPath(a, b, UnitCost); !errors.Is(err, ErrNoPath) {
+	f := g.Freeze()
+	if _, err := f.ShortestPath(a, b, UnitCost); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("err = %v, want ErrNoPath", err)
 	}
 }
 
 func TestShortestPathSelf(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "x")
-	p, err := g.ShortestPath(a, a, UnitCost)
+	f := g.Freeze()
+	p, err := f.ShortestPath(a, a, UnitCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +299,7 @@ func TestShortestPathSelf(t *testing.T) {
 }
 
 func TestKShortestPaths(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "x")
 	b := mustNode(t, g, "b", "x")
 	c := mustNode(t, g, "c", "x")
@@ -313,7 +310,8 @@ func TestKShortestPaths(t *testing.T) {
 	_ = g.AddEdgeCost(b, d, 1)
 	_ = g.AddEdgeCost(a, c, 1)
 	_ = g.AddEdgeCost(c, d, 1.5)
-	paths, err := g.KShortestPaths(a, d, 3, func(e Edge) float64 { return e.Weight })
+	f := g.Freeze()
+	paths, err := f.KShortestPaths(a, d, 3, func(e Edge) float64 { return e.Weight })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,13 +337,14 @@ func TestKShortestPaths(t *testing.T) {
 }
 
 // AddEdgeCost is a test helper: weight doubles as cost.
-func (g *Graph) AddEdgeCost(from, to NodeID, w float64) error {
+func (g *Builder) AddEdgeCost(from, to NodeID, w float64) error {
 	return g.AddEdge(from, to, "e", w)
 }
 
 func TestKShortestFewerThanK(t *testing.T) {
 	g := line(t, 3)
-	paths, err := g.KShortestPaths(0, 2, 5, UnitCost)
+	f := g.Freeze()
+	paths, err := f.KShortestPaths(0, 2, 5, UnitCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +354,7 @@ func TestKShortestFewerThanK(t *testing.T) {
 }
 
 func TestPageRankUniformOnSymmetricGraph(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	n := 4
 	ids := make([]NodeID, n)
 	for i := 0; i < n; i++ {
@@ -364,7 +363,8 @@ func TestPageRankUniformOnSymmetricGraph(t *testing.T) {
 	for i := 0; i < n; i++ {
 		_ = g.AddEdge(ids[i], ids[(i+1)%n], "e", 1)
 	}
-	pr := g.PageRank(PageRankOptions{})
+	f := g.Freeze()
+	pr := f.PageRank(PageRankOptions{})
 	for i := 1; i < n; i++ {
 		if diff := pr[i] - pr[0]; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("ring PageRank not uniform: %v", pr)
@@ -380,14 +380,15 @@ func TestPageRankUniformOnSymmetricGraph(t *testing.T) {
 }
 
 func TestPageRankFavorsSink(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	hub := mustNode(t, g, "hub", "x")
 	for i := 0; i < 5; i++ {
 		u := mustNode(t, g, string(rune('a'+i)), "x")
 		_ = g.AddEdge(u, hub, "e", 1)
 		_ = g.AddEdge(hub, u, "e", 0.1)
 	}
-	pr := g.PageRank(PageRankOptions{})
+	f := g.Freeze()
+	pr := f.PageRank(PageRankOptions{})
 	for i := 1; i < len(pr); i++ {
 		if pr[hub] <= pr[i] {
 			t.Fatalf("hub rank %v not above spoke %v", pr[hub], pr[i])
@@ -401,7 +402,8 @@ func TestPersonalizedPageRankConcentratesNearRestart(t *testing.T) {
 	for i := 0; i+1 < 10; i++ {
 		_ = g.AddEdge(NodeID(i+1), NodeID(i), "e", 1)
 	}
-	pr := g.PersonalizedPageRank(map[NodeID]float64{0: 1}, PageRankOptions{})
+	f := g.Freeze()
+	pr := f.PersonalizedPageRank(map[NodeID]float64{0: 1}, PageRankOptions{})
 	if pr[0] <= pr[5] {
 		t.Fatalf("restart node should dominate: pr[0]=%v pr[5]=%v", pr[0], pr[5])
 	}
@@ -412,7 +414,8 @@ func TestPersonalizedPageRankConcentratesNearRestart(t *testing.T) {
 
 func TestPersonalizedPageRankEmptyRestartFallsBack(t *testing.T) {
 	g := line(t, 3)
-	pr := g.PersonalizedPageRank(nil, PageRankOptions{})
+	f := g.Freeze()
+	pr := f.PersonalizedPageRank(nil, PageRankOptions{})
 	if len(pr) != 3 {
 		t.Fatalf("len = %d", len(pr))
 	}
@@ -440,7 +443,7 @@ func TestTopKLargerThanInput(t *testing.T) {
 }
 
 func TestJaccardAndCommonNeighbors(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "x")
 	b := mustNode(t, g, "b", "x")
 	shared := mustNode(t, g, "s", "x")
@@ -450,19 +453,20 @@ func TestJaccardAndCommonNeighbors(t *testing.T) {
 	_ = g.AddEdge(a, onlyA, "e", 1)
 	_ = g.AddEdge(b, shared, "e", 1)
 	_ = g.AddEdge(b, onlyB, "e", 1)
-	if cn := g.CommonNeighbors(a, b); cn != 1 {
+	f := g.Freeze()
+	if cn := f.CommonNeighbors(a, b); cn != 1 {
 		t.Fatalf("CommonNeighbors = %d, want 1", cn)
 	}
-	if j := g.Jaccard(a, b); j < 0.33 || j > 0.34 {
+	if j := f.Jaccard(a, b); j < 0.33 || j > 0.34 {
 		t.Fatalf("Jaccard = %v, want 1/3", j)
 	}
-	if j := g.Jaccard(onlyA, onlyB); j != 0 {
+	if j := f.Jaccard(onlyA, onlyB); j != 0 {
 		t.Fatalf("Jaccard of leaves = %v, want 0", j)
 	}
 }
 
 func TestAdamicAdarPrefersRareNeighbors(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "x")
 	b := mustNode(t, g, "b", "x")
 	c := mustNode(t, g, "c", "x")
@@ -480,14 +484,15 @@ func TestAdamicAdarPrefersRareNeighbors(t *testing.T) {
 	_ = g.AddEdge(b, rare, "e", 1)
 	_ = g.AddEdge(c, popular, "e", 1)
 	_ = g.AddEdge(d, popular, "e", 1)
-	if g.AdamicAdar(a, b) <= g.AdamicAdar(c, d) {
+	f := g.Freeze()
+	if f.AdamicAdar(a, b) <= f.AdamicAdar(c, d) {
 		t.Fatalf("rare shared neighbor should score higher: %v vs %v",
-			g.AdamicAdar(a, b), g.AdamicAdar(c, d))
+			f.AdamicAdar(a, b), f.AdamicAdar(c, d))
 	}
 }
 
 func TestCosineNeighborhood(t *testing.T) {
-	g := New()
+	g := NewBuilder()
 	a := mustNode(t, g, "a", "x")
 	b := mustNode(t, g, "b", "x")
 	x := mustNode(t, g, "x1", "x")
@@ -497,18 +502,19 @@ func TestCosineNeighborhood(t *testing.T) {
 	_ = g.AddEdge(b, x, "e", 4)
 	_ = g.AddEdge(b, y, "e", 2)
 	// Parallel vectors: cosine must be 1.
-	if cs := g.CosineNeighborhood(a, b); cs < 0.999 {
+	f := g.Freeze()
+	if cs := f.CosineNeighborhood(a, b); cs < 0.999 {
 		t.Fatalf("cosine = %v, want ~1", cs)
 	}
-	if cs := g.CosineNeighborhood(x, y); cs != 0 {
+	if cs := f.CosineNeighborhood(x, y); cs != 0 {
 		t.Fatalf("cosine of empty neighborhoods = %v, want 0", cs)
 	}
 }
 
 // line builds a directed chain 0 -> 1 -> ... -> n-1.
-func line(t *testing.T, n int) *Graph {
+func line(t *testing.T, n int) *Builder {
 	t.Helper()
-	g := New()
+	g := NewBuilder()
 	for i := 0; i < n; i++ {
 		mustNode(t, g, string(rune('A'+i)), "x")
 	}
@@ -525,7 +531,7 @@ func line(t *testing.T, n int) *Graph {
 // randomGraph builds a pseudo-random graph from a seed.
 func randomGraph(seed int64, n, m int) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New()
+	g := NewBuilder()
 	for i := 0; i < n; i++ {
 		g.EnsureNode(string(rune('a'+i%26))+string(rune('0'+i/26%10))+string(rune('0'+i/260)), "x")
 	}
@@ -534,7 +540,7 @@ func randomGraph(seed int64, n, m int) *Graph {
 		b := NodeID(rng.Intn(n))
 		_ = g.AddEdge(a, b, "e", rng.Float64()+0.01)
 	}
-	return g
+	return g.Freeze()
 }
 
 func TestPropComponentsPartitionNodes(t *testing.T) {

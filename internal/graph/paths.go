@@ -64,11 +64,11 @@ func (g *Graph) dijkstra(from, to NodeID, cost CostFunc, bannedNodes map[NodeID]
 		if cur.id == to {
 			break
 		}
-		for _, e := range g.out[cur.id] {
-			if bannedNodes[e.To] {
+		for _, e := range g.Out(cur.id) {
+			if bannedNodes[e.Node] {
 				continue
 			}
-			if m, ok := bannedEdges[cur.id]; ok && m[e.To] {
+			if m, ok := bannedEdges[cur.id]; ok && m[e.Node] {
 				continue
 			}
 			c := cost(e)
@@ -76,10 +76,10 @@ func (g *Graph) dijkstra(from, to NodeID, cost CostFunc, bannedNodes map[NodeID]
 				c = 0
 			}
 			nd := cur.cost + c
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = cur.id
-				heap.Push(pq, pathItem{id: e.To, cost: nd})
+			if nd < dist[e.Node] {
+				dist[e.Node] = nd
+				prev[e.Node] = cur.id
+				heap.Push(pq, pathItem{id: e.Node, cost: nd})
 			}
 		}
 	}
@@ -166,8 +166,8 @@ func (g *Graph) pathCost(nodes []NodeID, cost CostFunc) float64 {
 	var total float64
 	for i := 0; i+1 < len(nodes); i++ {
 		best := math.Inf(1)
-		for _, e := range g.out[nodes[i]] {
-			if e.To == nodes[i+1] {
+		for _, e := range g.Out(nodes[i]) {
+			if e.Node == nodes[i+1] {
 				if c := cost(e); c < best {
 					best = c
 				}

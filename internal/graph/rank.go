@@ -60,7 +60,7 @@ func (ws *PPRWorkspace) bind(g *Graph) {
 	ws.next = resize(ws.next, n)
 	for i := 0; i < n; i++ {
 		ws.outWeight[i] = 0
-		for _, e := range g.out[i] {
+		for _, e := range g.Out(NodeID(i)) {
 			ws.outWeight[i] += e.Weight
 		}
 	}
@@ -165,8 +165,8 @@ func (g *Graph) powerIterate(ws *PPRWorkspace, opts PageRankOptions) []float64 {
 				continue
 			}
 			share := opts.Damping * rank[i] / ws.outWeight[i]
-			for _, e := range g.out[i] {
-				next[e.To] += share * e.Weight
+			for _, e := range g.out[g.outOff[i]:g.outOff[i+1]] {
+				next[e.Node] += share * e.Weight
 			}
 		}
 		// Dangling mass and teleportation both return to the restart

@@ -75,7 +75,7 @@ func (g *Graph) CosineNeighborhood(a, b NodeID) float64 {
 func (g *Graph) neighborWeights(id NodeID) map[NodeID]float64 {
 	m := make(map[NodeID]float64)
 	for _, e := range g.Out(id) {
-		m[e.To] += e.Weight
+		m[e.Node] += e.Weight
 	}
 	return m
 }

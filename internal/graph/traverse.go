@@ -20,10 +20,10 @@ func (g *Graph) BFS(start NodeID, visit func(id NodeID, depth int) bool) {
 		if !visit(cur.id, cur.depth) {
 			continue
 		}
-		for _, e := range g.out[cur.id] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, item{e.To, cur.depth + 1})
+		for _, e := range g.Out(cur.id) {
+			if !seen[e.Node] {
+				seen[e.Node] = true
+				queue = append(queue, item{e.Node, cur.depth + 1})
 			}
 		}
 	}
@@ -47,10 +47,10 @@ func (g *Graph) DFS(start NodeID, visit func(id NodeID) bool) {
 		if !visit(id) {
 			continue
 		}
-		out := g.out[id]
+		out := g.Out(id)
 		for i := len(out) - 1; i >= 0; i-- {
-			if !seen[out[i].To] {
-				stack = append(stack, out[i].To)
+			if !seen[out[i].Node] {
+				stack = append(stack, out[i].Node)
 			}
 		}
 	}
@@ -93,16 +93,16 @@ func (g *Graph) Components() [][]NodeID {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, id)
-			for _, e := range g.out[id] {
-				if comp[e.To] < 0 {
-					comp[e.To] = c
-					stack = append(stack, e.To)
+			for _, e := range g.Out(id) {
+				if comp[e.Node] < 0 {
+					comp[e.Node] = c
+					stack = append(stack, e.Node)
 				}
 			}
-			for _, e := range g.in[id] {
-				if comp[e.From] < 0 {
-					comp[e.From] = c
-					stack = append(stack, e.From)
+			for _, e := range g.In(id) {
+				if comp[e.Node] < 0 {
+					comp[e.Node] = c
+					stack = append(stack, e.Node)
 				}
 			}
 		}

@@ -27,6 +27,10 @@ const (
 	DeltasAppliedTotal = "hive_deltas_applied_total"
 	// CompactionsTotal counts snapshot compactions since start.
 	CompactionsTotal = "hive_compactions_total"
+	// SnapshotGraphBytes is the per-shard size of the serving snapshot's
+	// frozen graph layouts (core.Engine.GraphBytes), set at each
+	// compaction's swap.
+	SnapshotGraphBytes = "hive_snapshot_graph_bytes"
 	// SearchSeconds times platform-level search calls (the frozen read
 	// path; BenchmarkInstrumentedSearch guards its overhead).
 	SearchSeconds = "hive_search_seconds"

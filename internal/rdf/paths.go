@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 )
 
@@ -60,10 +61,23 @@ type PathOptions struct {
 	Predicates []string
 }
 
+// frontierItem is one partial path on the search frontier: its last
+// node, score and length, and its last step in the search's step arena.
 type frontierItem struct {
-	node  string
+	node  int32
 	score float64
-	steps []PathStep
+	depth int
+	last  int32
+}
+
+// step is one traversed arc of a partial path, from node from to
+// arc.node. Steps are shared: each points at the step before it (-1 for
+// the first).
+type step struct {
+	parent  int32
+	from    int32
+	arc     arc
+	forward bool
 }
 
 type frontierHeap []frontierItem
@@ -82,86 +96,64 @@ func (h *frontierHeap) Pop() interface{} {
 
 // RankedPaths returns up to k highest-score loopless paths from src to
 // dst. Results are sorted by descending score.
-func (st *Store) RankedPaths(src, dst string, k int, opts PathOptions) []RankedPath {
+func (kb *KB) RankedPaths(src, dst string, k int, opts PathOptions) []RankedPath {
 	if k <= 0 || src == dst {
+		return nil
+	}
+	from, to := kb.lookup(src), kb.lookup(dst)
+	if from < 0 || to < 0 {
 		return nil
 	}
 	maxLen := opts.MaxLength
 	if maxLen <= 0 {
 		maxLen = 4
 	}
-	allowed := map[string]bool{}
-	for _, p := range opts.Predicates {
-		allowed[p] = true
+	var allowed []bool
+	if len(opts.Predicates) > 0 {
+		allowed = make([]bool, len(kb.preds))
+		for _, p := range opts.Predicates {
+			if i, ok := slices.BinarySearch(kb.preds, p); ok {
+				allowed[i] = true
+			}
+		}
 	}
 
-	// Per-query adjacency cache: Match sorts its output on every call,
-	// and best-first search re-expands nodes up to k times, so caching
-	// the (filtered) neighbor lists once per node dominates performance
-	// on dense graphs.
-	fwdCache := map[string][]Triple{}
-	revCache := map[string][]Triple{}
-	fwd := func(node string) []Triple {
-		ts, ok := fwdCache[node]
-		if !ok {
-			ts = st.Match(Pattern{Subject: node})
-			fwdCache[node] = ts
-		}
-		return ts
-	}
-	rev := func(node string) []Triple {
-		ts, ok := revCache[node]
-		if !ok {
-			ts = st.Match(Pattern{Object: node})
-			revCache[node] = ts
-		}
-		return ts
-	}
-
-	var results []RankedPath
-	pq := &frontierHeap{{node: src, score: 1}}
+	var (
+		results []RankedPath
+		steps   []step
+		onPath  []int32
+	)
+	pq := &frontierHeap{{node: from, score: 1, last: -1}}
 	// Best-first search over paths. visits caps re-expansion per node to
 	// keep the frontier polynomial while still finding k diverse paths.
-	visits := map[string]int{}
+	visits := make([]int32, len(kb.termEnd))
 	for pq.Len() > 0 && len(results) < k {
 		cur := heap.Pop(pq).(frontierItem)
-		if cur.node == dst {
-			results = append(results, RankedPath{Steps: cur.steps, Score: cur.score})
+		if cur.node == to {
+			results = append(results, kb.rankedPath(steps, cur))
 			continue
 		}
-		if len(cur.steps) >= maxLen {
-			continue
-		}
-		if visits[cur.node] >= k {
+		if cur.depth >= maxLen || visits[cur.node] >= int32(k) {
 			continue
 		}
 		visits[cur.node]++
-		onPath := map[string]bool{src: true}
-		for _, s := range cur.steps {
-			if s.Forward {
-				onPath[s.Triple.Object] = true
-			} else {
-				onPath[s.Triple.Subject] = true
-			}
+		onPath = append(onPath[:0], from)
+		for i := cur.last; i >= 0; i = steps[i].parent {
+			onPath = append(onPath, steps[i].arc.node)
 		}
-		expand := func(t Triple, forward bool, next string) {
-			if onPath[next] {
+		expand := func(a arc, forward bool) {
+			if slices.Contains(onPath, a.node) || allowed != nil && !allowed[a.pred] {
 				return
 			}
-			if len(allowed) > 0 && !allowed[t.Predicate] {
-				return
-			}
-			steps := make([]PathStep, len(cur.steps)+1)
-			copy(steps, cur.steps)
-			steps[len(cur.steps)] = PathStep{Triple: t, Forward: forward}
-			heap.Push(pq, frontierItem{node: next, score: cur.score * t.Weight, steps: steps})
+			steps = append(steps, step{parent: cur.last, from: cur.node, arc: a, forward: forward})
+			heap.Push(pq, frontierItem{node: a.node, score: cur.score * a.weight, depth: cur.depth + 1, last: int32(len(steps) - 1)})
 		}
-		for _, t := range fwd(cur.node) {
-			expand(t, true, t.Object)
+		for _, a := range kb.outOf(cur.node) {
+			expand(a, true)
 		}
 		if opts.Undirected {
-			for _, t := range rev(cur.node) {
-				expand(t, false, t.Subject)
+			for _, a := range kb.inOf(cur.node) {
+				expand(a, false)
 			}
 		}
 	}
@@ -169,20 +161,45 @@ func (st *Store) RankedPaths(src, dst string, k int, opts PathOptions) []RankedP
 	return results
 }
 
+// rankedPath materializes the frontier item's path.
+func (kb *KB) rankedPath(steps []step, it frontierItem) RankedPath {
+	path := make([]PathStep, it.depth)
+	for i, at := it.depth-1, it.last; i >= 0; i, at = i-1, steps[at].parent {
+		s := steps[at]
+		path[i] = PathStep{Triple: kb.triple(s.from, s.arc, s.forward), Forward: s.forward}
+	}
+	return RankedPath{Steps: path, Score: it.score}
+}
+
 // AllPathsNaive enumerates every loopless path from src to dst up to
 // maxLen triples via exhaustive DFS and returns the k best. It exists as
 // the baseline for experiment E8 (ranked search vs enumeration); it is
 // exponential in maxLen by construction.
-func (st *Store) AllPathsNaive(src, dst string, k, maxLen int, undirected bool) []RankedPath {
+func (kb *KB) AllPathsNaive(src, dst string, k, maxLen int, undirected bool) []RankedPath {
 	if maxLen <= 0 {
 		maxLen = 4
 	}
+	from, to := kb.lookup(src), kb.lookup(dst)
+	if from < 0 || to < 0 {
+		return nil
+	}
 	var results []RankedPath
 	var steps []PathStep
-	onPath := map[string]bool{src: true}
-	var dfs func(node string, score float64)
-	dfs = func(node string, score float64) {
-		if node == dst {
+	onPath := make([]bool, len(kb.termEnd))
+	onPath[from] = true
+	var dfs func(node int32, score float64)
+	visit := func(node int32, a arc, forward bool, score float64) {
+		if onPath[a.node] {
+			return
+		}
+		onPath[a.node] = true
+		steps = append(steps, PathStep{Triple: kb.triple(node, a, forward), Forward: forward})
+		dfs(a.node, score*a.weight)
+		steps = steps[:len(steps)-1]
+		onPath[a.node] = false
+	}
+	dfs = func(node int32, score float64) {
+		if node == to {
 			results = append(results, RankedPath{
 				Steps: append([]PathStep(nil), steps...),
 				Score: score,
@@ -192,30 +209,16 @@ func (st *Store) AllPathsNaive(src, dst string, k, maxLen int, undirected bool) 
 		if len(steps) >= maxLen {
 			return
 		}
-		for _, t := range st.Match(Pattern{Subject: node}) {
-			if onPath[t.Object] {
-				continue
-			}
-			onPath[t.Object] = true
-			steps = append(steps, PathStep{Triple: t, Forward: true})
-			dfs(t.Object, score*t.Weight)
-			steps = steps[:len(steps)-1]
-			delete(onPath, t.Object)
+		for _, a := range kb.outOf(node) {
+			visit(node, a, true, score)
 		}
 		if undirected {
-			for _, t := range st.Match(Pattern{Object: node}) {
-				if onPath[t.Subject] {
-					continue
-				}
-				onPath[t.Subject] = true
-				steps = append(steps, PathStep{Triple: t, Forward: false})
-				dfs(t.Subject, score*t.Weight)
-				steps = steps[:len(steps)-1]
-				delete(onPath, t.Subject)
+			for _, a := range kb.inOf(node) {
+				visit(node, a, false, score)
 			}
 		}
 	}
-	dfs(src, 1)
+	dfs(from, 1)
 	sort.Slice(results, func(i, j int) bool { return results[i].Score > results[j].Score })
 	if k > 0 && len(results) > k {
 		results = results[:k]

@@ -1,15 +1,18 @@
 package rdf
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func add(t *testing.T, st *Store, s, p, o string, w float64) {
+// adder is what the tests feed triples to: a Builder, or the oracle.
+type adder interface{ Add(Triple) error }
+
+func add(t *testing.T, st adder, s, p, o string, w float64) {
 	t.Helper()
 	if err := st.Add(Triple{s, p, o, w}); err != nil {
 		t.Fatalf("Add(%s %s %s %v): %v", s, p, o, w, err)
@@ -17,8 +20,9 @@ func add(t *testing.T, st *Store, s, p, o string, w float64) {
 }
 
 func TestAddAndWeight(t *testing.T) {
-	st := NewStore()
-	add(t, st, "alice", "coauthor", "bob", 0.8)
+	b := NewBuilder()
+	add(t, b, "alice", "coauthor", "bob", 0.8)
+	st := b.Freeze()
 	w, ok := st.Weight("alice", "coauthor", "bob")
 	if !ok || w != 0.8 {
 		t.Fatalf("Weight = %v, %v", w, ok)
@@ -29,13 +33,14 @@ func TestAddAndWeight(t *testing.T) {
 }
 
 func TestAddKeepsMaxWeight(t *testing.T) {
-	st := NewStore()
-	add(t, st, "a", "p", "b", 0.5)
-	add(t, st, "a", "p", "b", 0.3)
-	if w, _ := st.Weight("a", "p", "b"); w != 0.5 {
+	b := NewBuilder()
+	add(t, b, "a", "p", "b", 0.5)
+	add(t, b, "a", "p", "b", 0.3)
+	if w, _ := b.Freeze().Weight("a", "p", "b"); w != 0.5 {
 		t.Fatalf("weight lowered to %v", w)
 	}
-	add(t, st, "a", "p", "b", 0.9)
+	add(t, b, "a", "p", "b", 0.9)
+	st := b.Freeze()
 	if w, _ := st.Weight("a", "p", "b"); w != 0.9 {
 		t.Fatalf("weight not raised: %v", w)
 	}
@@ -45,7 +50,7 @@ func TestAddKeepsMaxWeight(t *testing.T) {
 }
 
 func TestAddValidation(t *testing.T) {
-	st := NewStore()
+	st := NewBuilder()
 	if err := st.Add(Triple{"", "p", "o", 1}); !errors.Is(err, ErrBadTriple) {
 		t.Fatalf("empty subject err = %v", err)
 	}
@@ -59,33 +64,27 @@ func TestAddValidation(t *testing.T) {
 	if err := st.Add(Triple{"s", "p", "o", 5}); err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := st.Weight("s", "p", "o"); w != 1 {
+	if w, _ := st.Freeze().Weight("s", "p", "o"); w != 1 {
 		t.Fatalf("weight not clamped: %v", w)
 	}
 }
 
-func TestRemove(t *testing.T) {
-	st := NewStore()
-	add(t, st, "a", "p", "b", 1)
-	st.Remove("a", "p", "b")
-	if st.Len() != 0 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-	if got := st.Match(Pattern{Subject: "a"}); len(got) != 0 {
-		t.Fatalf("index leak: %v", got)
-	}
-	st.Remove("a", "p", "b") // no-op
+var family = []Triple{
+	{"alice", "coauthor", "bob", 0.9},
+	{"alice", "cites", "paper1", 1},
+	{"bob", "cites", "paper1", 1},
+	{"bob", "coauthor", "carol", 0.6},
+	{"carol", "attends", "edbt13", 1},
+	{"alice", "attends", "edbt13", 0.8},
 }
 
+// buildFamily loads the family triples into the map-index oracle.
 func buildFamily(t *testing.T) *Store {
 	t.Helper()
 	st := NewStore()
-	add(t, st, "alice", "coauthor", "bob", 0.9)
-	add(t, st, "alice", "cites", "paper1", 1)
-	add(t, st, "bob", "cites", "paper1", 1)
-	add(t, st, "bob", "coauthor", "carol", 0.6)
-	add(t, st, "carol", "attends", "edbt13", 1)
-	add(t, st, "alice", "attends", "edbt13", 0.8)
+	for _, tr := range family {
+		add(t, st, tr.Subject, tr.Predicate, tr.Object, tr.Weight)
+	}
 	return st
 }
 
@@ -131,126 +130,10 @@ func TestMatchSortedByWeight(t *testing.T) {
 	}
 }
 
-func TestSubjects(t *testing.T) {
-	st := buildFamily(t)
-	subs := st.Subjects("attends")
-	if len(subs) != 2 || subs[0] != "alice" || subs[1] != "carol" {
-		t.Fatalf("Subjects = %v", subs)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	st := buildFamily(t)
-	add(t, st, "weird\tsubject", "has\nnewline", "back\\slash", 0.5)
-	var buf bytes.Buffer
-	if _, err := st.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st2 := NewStore()
-	if _, err := st2.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if st2.Len() != st.Len() {
-		t.Fatalf("round-trip Len = %d, want %d", st2.Len(), st.Len())
-	}
-	w, ok := st2.Weight("weird\tsubject", "has\nnewline", "back\\slash")
-	if !ok || w != 0.5 {
-		t.Fatalf("escaped triple lost: %v %v", w, ok)
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	st := NewStore()
-	if _, err := st.ReadFrom(bytes.NewBufferString("not a triple\n")); !errors.Is(err, ErrBadTriple) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := st.ReadFrom(bytes.NewBufferString("a\tb\tc\tnotanumber\n")); !errors.Is(err, ErrBadTriple) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReadFromSkipsBlankLines(t *testing.T) {
-	st := NewStore()
-	if _, err := st.ReadFrom(bytes.NewBufferString("\n\na\tb\tc\t0.5\n\n")); err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-}
-
-func TestQuerySingleLookup(t *testing.T) {
-	st := buildFamily(t)
-	sols := st.Query([]QueryPattern{{Subject: "?x", Predicate: "coauthor", Object: "?y"}})
-	if len(sols) != 2 {
-		t.Fatalf("got %d solutions: %v", len(sols), sols)
-	}
-	// Highest-weight edge first.
-	if sols[0].Bindings["?x"] != "alice" || sols[0].Bindings["?y"] != "bob" {
-		t.Fatalf("top solution = %v", sols[0])
-	}
-	if sols[0].Score != 0.9 {
-		t.Fatalf("score = %v", sols[0].Score)
-	}
-}
-
-func TestQueryJoin(t *testing.T) {
-	st := buildFamily(t)
-	// Who co-authored with someone attending edbt13?
-	sols := st.Query([]QueryPattern{
-		{Subject: "?a", Predicate: "coauthor", Object: "?b"},
-		{Subject: "?b", Predicate: "attends", Object: "edbt13"},
-	})
-	if len(sols) != 1 {
-		t.Fatalf("got %v", sols)
-	}
-	if sols[0].Bindings["?a"] != "bob" || sols[0].Bindings["?b"] != "carol" {
-		t.Fatalf("join binding = %v", sols[0].Bindings)
-	}
-	if diff := sols[0].Score - 0.6; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("score = %v, want 0.6", sols[0].Score)
-	}
-}
-
-func TestQuerySharedVariableConsistency(t *testing.T) {
-	st := buildFamily(t)
-	// ?x cites paper1 AND ?x attends edbt13 => only alice.
-	sols := st.Query([]QueryPattern{
-		{Subject: "?x", Predicate: "cites", Object: "paper1"},
-		{Subject: "?x", Predicate: "attends", Object: "edbt13"},
-	})
-	if len(sols) != 1 || sols[0].Bindings["?x"] != "alice" {
-		t.Fatalf("sols = %v", sols)
-	}
-}
-
-func TestQueryNoMatch(t *testing.T) {
-	st := buildFamily(t)
-	sols := st.Query([]QueryPattern{{Subject: "?x", Predicate: "nonexistent", Object: "?y"}})
-	if sols != nil {
-		t.Fatalf("sols = %v", sols)
-	}
-	if got := st.Query(nil); got != nil {
-		t.Fatalf("empty pattern list = %v", got)
-	}
-}
-
-func TestQueryTopK(t *testing.T) {
-	st := buildFamily(t)
-	sols := st.QueryTopK([]QueryPattern{{Subject: "?x", Predicate: "?p", Object: "?y"}}, 3)
-	if len(sols) != 3 {
-		t.Fatalf("len = %d", len(sols))
-	}
-	for i := 1; i < len(sols); i++ {
-		if sols[i].Score > sols[i-1].Score {
-			t.Fatalf("not sorted: %v", sols)
-		}
-	}
-}
-
 func TestRankedPathsDirect(t *testing.T) {
-	st := NewStore()
-	add(t, st, "a", "p", "b", 0.5)
+	b := NewBuilder()
+	add(t, b, "a", "p", "b", 0.5)
+	st := b.Freeze()
 	paths := st.RankedPaths("a", "b", 3, PathOptions{})
 	if len(paths) != 1 {
 		t.Fatalf("paths = %v", paths)
@@ -265,10 +148,11 @@ func TestRankedPathsDirect(t *testing.T) {
 }
 
 func TestRankedPathsPrefersStrongIndirect(t *testing.T) {
-	st := NewStore()
-	add(t, st, "a", "weak", "d", 0.2)
-	add(t, st, "a", "strong", "b", 0.9)
-	add(t, st, "b", "strong", "d", 0.9)
+	b := NewBuilder()
+	add(t, b, "a", "weak", "d", 0.2)
+	add(t, b, "a", "strong", "b", 0.9)
+	add(t, b, "b", "strong", "d", 0.9)
+	st := b.Freeze()
 	paths := st.RankedPaths("a", "d", 2, PathOptions{})
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths", len(paths))
@@ -282,8 +166,9 @@ func TestRankedPathsPrefersStrongIndirect(t *testing.T) {
 }
 
 func TestRankedPathsUndirected(t *testing.T) {
-	st := NewStore()
-	add(t, st, "b", "coauthor", "a", 0.9) // only reachable a->b via reverse
+	b := NewBuilder()
+	add(t, b, "b", "coauthor", "a", 0.9) // only reachable a->b via reverse
+	st := b.Freeze()
 	if paths := st.RankedPaths("a", "b", 1, PathOptions{}); len(paths) != 0 {
 		t.Fatalf("directed search should fail: %v", paths)
 	}
@@ -298,10 +183,11 @@ func TestRankedPathsUndirected(t *testing.T) {
 }
 
 func TestRankedPathsMaxLength(t *testing.T) {
-	st := NewStore()
-	add(t, st, "a", "p", "b", 1)
-	add(t, st, "b", "p", "c", 1)
-	add(t, st, "c", "p", "d", 1)
+	b := NewBuilder()
+	add(t, b, "a", "p", "b", 1)
+	add(t, b, "b", "p", "c", 1)
+	add(t, b, "c", "p", "d", 1)
+	st := b.Freeze()
 	if paths := st.RankedPaths("a", "d", 1, PathOptions{MaxLength: 2}); len(paths) != 0 {
 		t.Fatalf("length bound violated: %v", paths)
 	}
@@ -311,10 +197,11 @@ func TestRankedPathsMaxLength(t *testing.T) {
 }
 
 func TestRankedPathsPredicateFilter(t *testing.T) {
-	st := NewStore()
-	add(t, st, "a", "spam", "b", 1)
-	add(t, st, "a", "coauthor", "c", 0.5)
-	add(t, st, "c", "coauthor", "b", 0.5)
+	b := NewBuilder()
+	add(t, b, "a", "spam", "b", 1)
+	add(t, b, "a", "coauthor", "c", 0.5)
+	add(t, b, "c", "coauthor", "b", 0.5)
+	st := b.Freeze()
 	paths := st.RankedPaths("a", "b", 5, PathOptions{Predicates: []string{"coauthor"}})
 	if len(paths) != 1 || len(paths[0].Steps) != 2 {
 		t.Fatalf("predicate filter failed: %+v", paths)
@@ -322,10 +209,11 @@ func TestRankedPathsPredicateFilter(t *testing.T) {
 }
 
 func TestRankedPathsLoopless(t *testing.T) {
-	st := NewStore()
-	add(t, st, "a", "p", "b", 0.9)
-	add(t, st, "b", "p", "a", 0.9)
-	add(t, st, "b", "p", "c", 0.5)
+	b := NewBuilder()
+	add(t, b, "a", "p", "b", 0.9)
+	add(t, b, "b", "p", "a", 0.9)
+	add(t, b, "b", "p", "c", 0.5)
+	st := b.Freeze()
 	paths := st.RankedPaths("a", "c", 10, PathOptions{MaxLength: 6})
 	for _, p := range paths {
 		seen := map[string]bool{}
@@ -339,7 +227,11 @@ func TestRankedPathsLoopless(t *testing.T) {
 }
 
 func TestRankedPathsSelfAndZero(t *testing.T) {
-	st := buildFamily(t)
+	b := NewBuilder()
+	for _, tr := range family {
+		add(t, b, tr.Subject, tr.Predicate, tr.Object, tr.Weight)
+	}
+	st := b.Freeze()
 	if p := st.RankedPaths("alice", "alice", 3, PathOptions{}); p != nil {
 		t.Fatalf("self paths = %v", p)
 	}
@@ -350,7 +242,7 @@ func TestRankedPathsSelfAndZero(t *testing.T) {
 
 func TestRankedPathsAgreesWithNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	st := NewStore()
+	b := NewBuilder()
 	const n = 12
 	for i := 0; i < 40; i++ {
 		s := fmt.Sprintf("n%d", rng.Intn(n))
@@ -358,8 +250,9 @@ func TestRankedPathsAgreesWithNaive(t *testing.T) {
 		if s == o {
 			continue
 		}
-		_ = st.Add(Triple{s, "p", o, 0.1 + 0.9*rng.Float64()})
+		_ = b.Add(Triple{s, "p", o, 0.1 + 0.9*rng.Float64()})
 	}
+	st := b.Freeze()
 	got := st.RankedPaths("n0", "n5", 1, PathOptions{MaxLength: 4})
 	want := st.AllPathsNaive("n0", "n5", 1, 4, false)
 	if len(got) != len(want) {
@@ -421,15 +314,16 @@ func TestPropMatchConsistentAcrossIndexes(t *testing.T) {
 func TestPropRankedPathsSortedAndBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		st := NewStore()
+		b := NewBuilder()
 		for i := 0; i < 30; i++ {
 			s := fmt.Sprintf("n%d", rng.Intn(8))
 			o := fmt.Sprintf("n%d", rng.Intn(8))
 			if s == o {
 				continue
 			}
-			_ = st.Add(Triple{s, "p", o, rng.Float64()*0.9 + 0.1})
+			_ = b.Add(Triple{s, "p", o, rng.Float64()*0.9 + 0.1})
 		}
+		st := b.Freeze()
 		paths := st.RankedPaths("n0", "n7", 5, PathOptions{MaxLength: 4})
 		if len(paths) > 5 {
 			return false
@@ -452,18 +346,30 @@ func TestPropRankedPathsSortedAndBounded(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadWrite reads a frozen KB from several goroutines
+// while its builder keeps adding: the KB shares no state with the
+// builder, so it neither races nor changes.
 func TestConcurrentReadWrite(t *testing.T) {
-	st := NewStore()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 300; i++ {
-			_ = st.Add(Triple{fmt.Sprintf("s%d", i%10), "p", "o", 0.5})
-		}
-	}()
-	for i := 0; i < 300; i++ {
-		st.Match(Pattern{Predicate: "p"})
-		st.Len()
+	b := NewBuilder()
+	for i := 0; i < 10; i++ {
+		_ = b.Add(Triple{fmt.Sprintf("s%d", i), "p", "o", 0.5})
 	}
-	<-done
+	st := b.Freeze()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if n, paths := st.Len(), st.RankedPaths("s1", "s2", 3, PathOptions{Undirected: true}); n != 10 || len(paths) != 1 {
+					t.Errorf("Len = %d, %d paths; want 10 and 1", n, len(paths))
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		_ = b.Add(Triple{fmt.Sprintf("s%d", i%10), "p", "x", 0.5})
+	}
+	wg.Wait()
 }

@@ -83,6 +83,29 @@ func TestRefreshObservesBuildStages(t *testing.T) {
 	}
 }
 
+// TestSnapshotGraphBytesGauge checks that a compaction's swap sets the
+// shard's hive_snapshot_graph_bytes gauge to the serving snapshot's
+// graph layout size, and that a write's delta, which shares the
+// graphs, leaves it standing.
+func TestSnapshotGraphBytesGauge(t *testing.T) {
+	gauge := metrics.Default.GaugeVec(metrics.SnapshotGraphBytes, "", "shard").With("0")
+	p := refreshPlatform(t, 12)
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	eng := p.Snapshot()
+	want := eng.GraphBytes()
+	if want == 0 || gauge.Value() != float64(want) {
+		t.Fatalf("gauge = %v after a compaction, snapshot layouts hold %d B", gauge.Value(), want)
+	}
+	if err := p.Store().PutUser(hive.User{ID: "newbie", Name: "New"}); err != nil {
+		t.Fatal(err)
+	}
+	if eng2 := p.Snapshot(); eng2 == eng || eng2.GraphBytes() != want || gauge.Value() != float64(want) {
+		t.Fatalf("after a delta: gauge %v, snapshot layouts %d B, want %d", gauge.Value(), eng2.GraphBytes(), want)
+	}
+}
+
 // TestSnapshotLifecycle covers the delta-world snapshot lifecycle: a
 // write through the raw store is folded into the serving snapshot
 // synchronously (one delta swap), so the platform is *current* right
