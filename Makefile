@@ -33,7 +33,10 @@ vuln:
 
 # Nightly-strength race pass: the delta interleaving property tests, the
 # frozen graph and knowledge base against their oracles (the adjacency
-# lists and the map-index store they replaced), the
+# lists and the map-index store they replaced), the flat text vectors
+# against the map-vector oracle (TestFlatVectorMatchesMapOracle), ranked
+# knowledge paths under shuffled triple insertion orders
+# (TestRankedPathsIgnoreInsertionOrder), the
 # leader/follower convergence test, the election failover/fencing tests,
 # the fault-injected quorum no-lost-writes test, the replication
 # snapshot taken under concurrent writers and the real-process
@@ -46,8 +49,8 @@ vuln:
 # chain against the uncached one (the per-PR run only replays their seed corpora; -fuzz takes one
 # target per invocation).
 race-nightly:
-	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestApplyDeltaFoldsActivityOutOfSeqOrder|TestConcurrentActivityFoldsMatchBuild|TestSegmentedParity|TestSegmentedDenseMatchesMapOracle|TestShardedFeedLazyMatchesEager|TestWriteVisibleOnReturn' -count=5 . ./internal/core/ ./internal/textindex/
-	$(GO) test -race -run 'TestFrozenMatchesAdjacencyOracle|TestKBMatchesMapIndexOracle' -count=5 ./internal/graph/ ./internal/rdf/
+	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestApplyDeltaFoldsActivityOutOfSeqOrder|TestConcurrentActivityFoldsMatchBuild|TestSegmentedParity|TestSegmentedDenseMatchesMapOracle|TestShardedFeedLazyMatchesEager|TestWriteVisibleOnReturn|TestFlatVectorMatchesMapOracle' -count=5 . ./internal/core/ ./internal/textindex/
+	$(GO) test -race -run 'TestFrozenMatchesAdjacencyOracle|TestKBMatchesMapIndexOracle|TestRankedPathsIgnoreInsertionOrder' -count=5 ./internal/graph/ ./internal/rdf/
 	$(GO) test -race -run 'TestLeaderFollowerConvergence' -count=5 ./internal/server/
 	$(GO) test -race -run 'TestClusterFailoverConvergence|TestDeposedLeaderFencing' -count=2 ./internal/server/
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/

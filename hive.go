@@ -522,7 +522,9 @@ func (p *Platform) compact() error {
 			p.lastErr.Store(&refreshErr{})
 			p.compactions.Add(1)
 			mCompactions.Inc()
-			mSnapshotGraphBytes.With(strconv.Itoa(p.shardID)).Set(float64(eng.GraphBytes()))
+			shard := strconv.Itoa(p.shardID)
+			mSnapshotGraphBytes.With(shard).Set(float64(eng.GraphBytes()))
+			mSnapshotVectorBytes.With(shard).Set(float64(eng.VectorBytes()))
 			mCompactionSeconds.ObserveSince(start)
 			for _, s := range eng.BuildStages() {
 				mBuildStageSeconds.With(s.Name).ObserveDuration(s.Dur)

@@ -24,6 +24,8 @@ var (
 		"Snapshot compactions since process start.")
 	mSnapshotGraphBytes = metrics.Default.GaugeVec(metrics.SnapshotGraphBytes,
 		"Bytes of the serving snapshot's frozen graph layouts: context network, evidence layers, citations, concept map and knowledge base.", "shard")
+	mSnapshotVectorBytes = metrics.Default.GaugeVec(metrics.SnapshotVectorBytes,
+		"Bytes of the serving snapshot's text vectors: context rows, session runs and their term dictionary.", "shard")
 	mSearchSeconds = metrics.Default.Histogram(metrics.SearchSeconds,
 		"Latency of platform-level search calls (frozen read path).", nil)
 	mQuorumAckWaitSeconds = metrics.Default.Histogram(metrics.QuorumAckWaitSeconds,

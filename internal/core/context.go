@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"hive/internal/social"
 	"hive/internal/summarize"
 	"hive/internal/textindex"
@@ -17,25 +19,25 @@ import (
 // workpad fall back to interests alone.
 //
 // Vectors for all known users are precomputed into the snapshot by the
-// Builder, so this is a map lookup on the serving path; the returned
-// vector is shared and must be treated as read-only. Like every other
-// knowledge structure it reflects the store as of the snapshot build
-// (the paper's offline refresh model) — workpad changes enter on the
-// next rebuild.
+// Builder as flat runs (ContextQuery); this builds a fresh map from the
+// user's run. Like every other knowledge structure it reflects the store
+// as of the snapshot (the paper's offline refresh model). No serving path
+// calls it: the context services score against ContextQuery's run.
 func (e *Engine) ContextVector(userID string) textindex.Vector {
 	if row, ok := e.ctx.get(userID); ok {
-		return row.vec
+		return row.query.Vector()
 	}
 	return e.computeContextVector(userID)
 }
 
-// buildContextVectors precomputes every user's context vector into the
-// snapshot and compiles it against the frozen index so context search
-// needs no per-request query preparation (Builder phase 2; needs the
-// concept map and the frozen index). Each distinct workpad item is
-// analysed once however many users pin it; then each user's vector is
-// assembled from those analyses plus a concept-map activation. Each
-// loop shards across the builder's workers.
+// buildContextVectors precomputes every user's context vector and every
+// session's term-frequency vector into the snapshot, as flat runs over
+// one term dictionary resolved against the frozen index, so context
+// services need no per-request query preparation, kv read or tokenising
+// (Builder phase 2; needs the concept map and the frozen index). Each
+// distinct workpad item is analysed once however many users pin it; then
+// each user's vector is assembled from those analyses plus a concept-map
+// activation. Each loop shards across the builder's workers.
 func (e *Engine) buildContextVectors() {
 	users := make([]*social.User, len(e.users))
 	pads := make([][]social.WorkpadItem, len(e.users))
@@ -72,30 +74,58 @@ func (e *Engine) buildContextVectors() {
 		analyses[j] = e.analyzeItem(items[j].kind, items[j].ref)
 	})
 
-	rows := make([]userContext, len(e.users))
+	// Context vectors first, then session vectors, into one list: the
+	// dictionary is their terms and the base's vocabulary, and their runs
+	// lie end to end.
+	var sessIDs []string
+	for _, conf := range e.store.Conferences() {
+		sessIDs = append(sessIDs, e.store.SessionsOf(conf)...)
+	}
+	vecs := make([]textindex.Vector, len(e.users)+len(sessIDs))
 	e.forUsersParallel(func(i int, _ string) {
 		pad := make([]itemAnalysis, len(padIdx[i]))
 		for k, j := range padIdx[i] {
 			pad[k] = analyses[j]
 		}
-		rows[i] = e.newUserContext(e.contextVector(users[i], pad), pads[i])
+		vecs[i] = e.contextVector(users[i], pad)
 	})
+	e.forEachParallel(len(sessIDs), func(j int) {
+		vecs[len(e.users)+j] = e.sessionVector(sessIDs[j])
+	})
+	var terms []string
+	for _, v := range vecs {
+		for t := range v {
+			terms = append(terms, t)
+		}
+	}
+	e.vecDict = textindex.NewDict(terms, e.seg.Base())
+	runs := e.vecDict.CompileAll(vecs)
+
 	e.ctx.base = make(map[string]userContext, len(e.users))
 	for i, u := range e.users {
-		e.ctx.base[u] = rows[i]
+		e.ctx.base[u] = newUserContext(&runs[i], pads[i])
+	}
+	e.sessions.base = make(map[string]*textindex.CompiledVector, len(sessIDs))
+	for j, sid := range sessIDs {
+		e.sessions.base[sid] = &runs[len(e.users)+j]
 	}
 }
 
-// newUserContext makes one user's context row from their context vector
-// and active workpad items. The vector is compiled against the base
-// segment (its term list serves the overlay view too). The users pinned
-// on the workpad are snapshotted because the peer-recommendation restart
-// bias must come from snapshot state: the per-snapshot PageRank memo is
-// then a pure function of the user.
-func (e *Engine) newUserContext(v textindex.Vector, pad []social.WorkpadItem) userContext {
-	row := userContext{vec: v}
-	if len(v) > 0 {
-		row.query = e.seg.Base().Compile(v)
+// sessionVector is the term-frequency vector of a session's text: its
+// title, track and the titles of its papers.
+func (e *Engine) sessionVector(sessionID string) textindex.Vector {
+	return textindex.TermFrequency(e.entityText(social.ItemSession, sessionID))
+}
+
+// newUserContext makes one user's context row from their context run
+// and active workpad items. The users pinned on the workpad are
+// snapshotted because the peer-recommendation restart bias must come
+// from snapshot state: the per-snapshot PageRank memo is then a pure
+// function of the user.
+func newUserContext(query *textindex.CompiledVector, pad []social.WorkpadItem) userContext {
+	var row userContext
+	if query.Len() > 0 {
+		row.query = query
 	}
 	for _, item := range pad {
 		if item.Kind == social.ItemUser {
@@ -159,15 +189,24 @@ func (e *Engine) contextVector(u *social.User, pad []itemAnalysis) textindex.Vec
 	return v
 }
 
+// conceptVector stems an activation field into a unit term vector.
+// Concepts that stem alike add up, and the norm sums, in sorted order,
+// so one store's context vectors come out bit for bit the same on every
+// build.
 func conceptVector(activation map[string]float64) textindex.Vector {
+	concepts := make([]string, 0, len(activation))
+	for term := range activation {
+		concepts = append(concepts, term)
+	}
+	sort.Strings(concepts)
 	v := make(textindex.Vector, len(activation))
-	for term, w := range activation {
-		if w > 0 {
+	for _, term := range concepts {
+		if w := activation[term]; w > 0 {
 			v[textindex.Stem(term)] += w
 		}
 	}
 	// Normalize so activation cannot swamp the direct workpad terms.
-	if n := v.Norm(); n > 0 {
+	if n := textindex.VectorRun(v).Norm(); n > 0 {
 		for t := range v {
 			v[t] /= n
 		}
@@ -248,8 +287,7 @@ func (e *Engine) Preview(userID, docID string, k int) ([]textindex.Snippet, erro
 	if err != nil {
 		return nil, err
 	}
-	ctx := e.ContextVector(userID)
-	return textindex.ExtractSnippets(text, ctx, k), nil
+	return textindex.ExtractSnippets(text, e.ContextQuery(userID), k), nil
 }
 
 // UpdateDigest produces the size-constrained summary of the user's feed

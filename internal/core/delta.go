@@ -20,9 +20,11 @@ import (
 //   - the text read view: new/updated papers, presentations and
 //     questions enter the overlay segment (shadowing their base
 //     versions), so Search/vectors serve them immediately;
-//   - context rows (vector, compiled query, workpad peer pins) of the
-//     users whose profile or workpad the events touched;
-//   - uploaded-content vectors of authors/owners of touched documents;
+//   - context rows (context run, workpad peer pins) of the users whose
+//     profile or workpad the events touched;
+//   - session runs of new sessions and of sessions a paper was
+//     published into;
+//   - uploaded-content runs of authors/owners of touched documents;
 //   - interaction vectors and object popularity for appended activity
 //     events past the build's stream watermark, in whatever order the
 //     batches arrive;
@@ -59,6 +61,7 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 	docs := map[string]string{}   // docID -> re-rendered text
 	drops := []string(nil)        // docIDs to tombstone
 	ctxUsers := map[string]bool{} // users whose context vector must recompute
+	sessions := map[string]bool{} // sessions whose text changed
 	contentUsers := map[string]bool{}
 	var activity []social.Event // appended stream events past the watermark
 	graphPending := 0
@@ -70,6 +73,9 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 				docs[DocPaper+p.ID] = p.Title + ". " + p.Abstract
 				for _, a := range p.Authors {
 					contentUsers[a] = true
+				}
+				if p.SessionID != "" {
+					sessions[p.SessionID] = true // its text lists the paper's title
 				}
 			} else if ev.Kind == social.ChangeDelete {
 				drops = append(drops, DocPaper+ev.ID)
@@ -94,6 +100,8 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 			// for compaction.
 			ctxUsers[ev.ID] = true
 			graphPending++
+		case social.EntitySession:
+			sessions[ev.ID] = true
 		case social.EntityWorkpad:
 			if len(ev.Refs) > 0 {
 				ctxUsers[ev.Refs[0]] = true
@@ -139,6 +147,8 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		// writes for every user before its first compaction copies every
 		// user's rows on each later write.
 		ctx:          prev.ctx.derive(len(ctxUsers)),
+		sessions:     prev.sessions.derive(len(sessions)),
+		vecDict:      prev.vecDict,
 		content:      prev.content.derive(len(contentUsers)),
 		inter:        prev.inter.derive(len(activity)),
 		pop:          prev.pop.derive(len(activity)),
@@ -167,14 +177,20 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		if wp, err := st.ActiveWorkpad(u); err == nil {
 			pad = wp.Items
 		}
-		ne.ctx.over[u] = ne.newUserContext(ne.computeContextVector(u), pad)
+		ne.ctx.over[u] = newUserContext(ne.vecDict.Compile(ne.computeContextVector(u)), pad)
+	}
+
+	// Session repairs: a new session, or one a paper was published into,
+	// gets its run re-rendered from the current store.
+	for sid := range sessions {
+		ne.sessions.over[sid] = ne.vecDict.Compile(ne.sessionVector(sid))
 	}
 
 	// Content repairs: authors/owners of touched documents, computed
 	// through the new overlay view so the vectors carry merged-corpus
 	// statistics.
 	for u := range contentUsers {
-		ne.content.over[u] = ne.computeUserContentVector(u)
+		ne.content.over[u] = ne.vecDict.Compile(ne.computeUserContentVector(u))
 	}
 
 	// Interaction repairs: fold the batch's activity events past the

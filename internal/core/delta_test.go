@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -587,4 +590,123 @@ func TestDeltaNeverObservesTornBatch(t *testing.T) {
 	}
 	close(stop)
 	readers.Wait()
+}
+
+// sessionWorld is a conference whose users declare interests and keep
+// no workpad, so their contexts do not depend on the concept map: a
+// delta and a fresh build of one store give them equal contexts.
+func sessionWorld(t *testing.T) (*social.Store, *Engine) {
+	t.Helper()
+	st, err := social.Open("", testClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	for _, u := range []social.User{
+		{ID: "u1", Name: "Uma", Interests: []string{"tensor decomposition", "graph mining"}},
+		{ID: "u2", Name: "Ugo", Interests: []string{"graph mining"}},
+		{ID: "u3", Name: "Ulla", Interests: []string{"tensor streams"}},
+		{ID: "u4", Name: "Uri", Interests: []string{"query optimization"}},
+		{ID: "u5", Name: "Uwe", Interests: []string{"tensor graph streams"}},
+		{ID: "u6", Name: "Una", Interests: []string{"query processing"}},
+	} {
+		if err := st.PutUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(st.PutConference(social.Conference{ID: "c1", Name: "Conf", Series: "conf", Year: 2013}))
+	must(st.PutSession(social.Session{ID: "s1", ConferenceID: "c1", Title: "Graph mining", Track: "graphs"}))
+	must(st.PutSession(social.Session{ID: "s2", ConferenceID: "c1", Title: "Query processing", Track: "databases"}))
+	must(st.PutSession(social.Session{ID: "s3", ConferenceID: "c1", Title: "Systems", Track: "systems"}))
+	must(st.PutPaper(social.Paper{ID: "p1", Title: "Graph mining at scale", Authors: []string{"u2", "u1"}, ConferenceID: "c1", SessionID: "s1"}))
+	must(st.PutPaper(social.Paper{ID: "p2", Title: "Query optimization revisited", Authors: []string{"u4", "u6"}, ConferenceID: "c1", SessionID: "s2"}))
+	must(st.Connect("u1", "u2"))
+	must(st.Connect("u2", "u3"))
+	must(st.Connect("u3", "u5"))
+	must(st.Connect("u4", "u5"))
+	must(st.Follow("u1", "u5"))
+	must(st.Follow("u6", "u3"))
+	must(st.CheckIn("s1", "u2"))
+	must(st.CheckIn("s2", "u6"))
+	eng, err := (&Builder{Store: st}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, eng
+}
+
+// TestApplyDeltaRepairsSessionRuns: after a paper is published into a
+// session, the folded snapshot's session suggestions and explained peer
+// pages equal a fresh build's — the same sessions, peers, order,
+// likely sessions and evidence kinds; scores bit-equal and evidence
+// strengths to 1e-9 — and so does a new session's. Content similarity
+// is the one strength left out: a delta repairs the content vectors of
+// the new paper's authors only, so the other users' vectors keep the
+// IDF of their last build.
+func TestApplyDeltaRepairsSessionRuns(t *testing.T) {
+	st, eng := sessionWorld(t)
+	drain := collectEvents(st)
+	if err := st.PutPaper(social.Paper{ID: "p9", Title: "Tensor decomposition of graph streams",
+		Authors: []string{"u4"}, ConferenceID: "c1", SessionID: "s3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutSession(social.Session{ID: "s4", ConferenceID: "c1", Title: "Tensor streams", Track: "tensor"}); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := (&Builder{Store: st}).ApplyDelta(eng, drain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := (&Builder{Store: st}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := st.Users()
+	moved := 0
+	for _, u := range users {
+		before, _ := eng.SuggestSessions(u, "c1", 4)
+		got, err := delta.SuggestSessions(u, "c1", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := fresh.SuggestSessions(u, "c1", 4)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("SuggestSessions(%s): folded %+v, fresh %+v", u, got, want)
+		}
+		if !reflect.DeepEqual(before, want) {
+			moved++
+		}
+
+		gotRecs, err := delta.RecommendPeers(u, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRecs, _ := fresh.RecommendPeers(u, 4)
+		if len(gotRecs) != len(wantRecs) {
+			t.Fatalf("RecommendPeers(%s): folded %d peers, fresh %d", u, len(gotRecs), len(wantRecs))
+		}
+		for i, w := range wantRecs {
+			g := gotRecs[i]
+			if g.UserID != w.UserID || g.Score != w.Score || !reflect.DeepEqual(g.LikelySessions, w.LikelySessions) || len(g.Evidences) != len(w.Evidences) {
+				t.Fatalf("RecommendPeers(%s) rank %d: folded %+v, fresh %+v", u, i, g, w)
+			}
+			for j, we := range w.Evidences {
+				if ge := g.Evidences[j]; ge.Kind != we.Kind || ge.Kind != EvContent && math.Abs(ge.Strength-we.Strength) > 1e-9 {
+					t.Fatalf("RecommendPeers(%s) rank %d evidence %d: folded %+v, fresh %+v", u, i, j, ge, we)
+				}
+			}
+			if slices.Contains(w.LikelySessions, "s3") || slices.Contains(w.LikelySessions, "s4") {
+				moved++
+			}
+		}
+	}
+	if moved < 3 {
+		t.Fatalf("the new paper and session moved only %d answers: the test exercises too little", moved)
+	}
 }

@@ -80,14 +80,23 @@ type Engine struct {
 
 	// Snapshot-resident read-path tables, precomputed by the Builder so
 	// serving never re-derives them (the paper's offline refresh): each
-	// user's workpad context, each user's uploaded-content TF-IDF vector,
-	// each user's interaction vector and each object's popularity count
-	// from the activity stream. ApplyDelta repairs rows in the overlays.
-	// The values are shared and must be treated as read-only by callers.
-	ctx     table[userContext]
-	content table[textindex.Vector]
-	inter   table[textindex.Vector]
-	pop     table[int]
+	// user's workpad context, each session's text, each user's
+	// uploaded-content TF-IDF vector, each user's interaction vector and
+	// each object's popularity count from the activity stream. ApplyDelta
+	// repairs rows in the overlays. The values are shared and must be
+	// treated as read-only by callers.
+	ctx      table[userContext]
+	sessions table[*textindex.CompiledVector] // session ID -> term-frequency run of its text
+	content  table[*textindex.CompiledVector] // user ID -> TF-IDF run of their uploads
+	inter    table[textindex.Vector]
+	pop      table[int]
+
+	// vecDict is the snapshot's term dictionary: the base segment's
+	// vocabulary and every context and session term. The context rows,
+	// session runs and content rows of the build are flat runs over it,
+	// each table's laid end to end. Deltas share it; a repaired row
+	// holding a term it lacks carries a dictionary of its own.
+	vecDict *textindex.Dict
 
 	// evtSeq is the highest activity-stream sequence the build's scan
 	// folded into the interaction tables. Deltas keep it: they fold an
@@ -162,8 +171,7 @@ func (t table[V]) derive(extra int) table[V] {
 
 // userContext is one user's row of the context table.
 type userContext struct {
-	vec   textindex.Vector
-	query *textindex.CompiledVector // vec compiled against seg's base; nil when vec is empty
+	query *textindex.CompiledVector // the context vector as a run over vecDict; nil when empty
 	pins  []string                  // users pinned on the active workpad
 }
 
@@ -233,16 +241,16 @@ func (e *Engine) Frozen() *textindex.Frozen { return e.seg.Base() }
 // Segment exposes the serving base+overlay read view.
 func (e *Engine) Segment() *textindex.Segmented { return e.seg }
 
-// ContextQuery returns the user's context vector in compiled form, nil
-// when the context is empty. Known users get the build-time compiled
-// query, so the serving path extracts and sorts no terms; users the
-// snapshot does not know are compiled on the fly.
+// ContextQuery returns the user's context vector as a flat run, nil
+// when the context is empty. Known users get their snapshot row, so the
+// serving path extracts and sorts no terms; users the snapshot does not
+// know are compiled on the fly. Every context service scores against it.
 func (e *Engine) ContextQuery(userID string) *textindex.CompiledVector {
 	if row, ok := e.ctx.get(userID); ok {
 		return row.query
 	}
 	if v := e.computeContextVector(userID); len(v) > 0 {
-		return e.seg.Base().Compile(v)
+		return e.vecDict.Compile(v)
 	}
 	return nil
 }
@@ -272,6 +280,27 @@ func (e *Engine) GraphBytes() int {
 	for _, g := range []*graph.Graph{e.peerGraph, e.connLayer, e.coauthLayer, e.attendLayer, e.qaLayer, e.citationNet} {
 		n += g.Bytes()
 	}
+	return n
+}
+
+// VectorBytes reports the size of the snapshot's text vectors: the
+// context rows, the session runs and the content rows, each by its
+// Bytes, and the term dictionary they share (a repaired row's own
+// dictionary is counted with it).
+func (e *Engine) VectorBytes() int {
+	n := e.vecDict.Bytes()
+	add := func(cq *textindex.CompiledVector) {
+		if cq == nil {
+			return
+		}
+		n += cq.Bytes()
+		if cq.Dict() != e.vecDict {
+			n += cq.Dict().Bytes()
+		}
+	}
+	e.ctx.each(func(_ string, row userContext) { add(row.query) })
+	e.sessions.each(func(_ string, cq *textindex.CompiledVector) { add(cq) })
+	e.content.each(func(_ string, cq *textindex.CompiledVector) { add(cq) })
 	return n
 }
 

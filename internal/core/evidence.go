@@ -281,34 +281,34 @@ func (e *Engine) qaInteractions(a, b string) int {
 }
 
 // contentSimilarity compares the users' uploaded content (presentations
-// plus authored papers) by TF-IDF cosine.
+// plus authored papers) by TF-IDF cosine, summed in term order.
 func (e *Engine) contentSimilarity(a, b string) float64 {
-	va := e.userContentVector(a)
-	vb := e.userContentVector(b)
-	return va.Cosine(vb)
+	return e.userContentVector(a).Cosine(e.userContentVector(b))
 }
 
-// userContentVector returns the snapshot's precomputed content vector
-// for a user (computed on the spot only for users outside the snapshot).
-func (e *Engine) userContentVector(u string) textindex.Vector {
+// userContentVector returns the snapshot's precomputed content run for
+// a user (computed on the spot only for users outside the snapshot).
+func (e *Engine) userContentVector(u string) *textindex.CompiledVector {
 	if v, ok := e.content.get(u); ok {
 		return v
 	}
-	return e.computeUserContentVector(u)
+	return e.vecDict.Compile(e.computeUserContentVector(u))
 }
 
 // buildUserContentVectors precomputes every user's uploaded-content
-// TF-IDF vector into the snapshot (Builder phase 2; reads the frozen
-// index's forward vectors), sharding the per-user loop across the
-// builder's workers.
+// TF-IDF vector into the snapshot as a run over the term dictionary
+// (Builder phase 2; reads the frozen index's forward vectors, after the
+// context stage made the dictionary), sharding the per-user loop across
+// the builder's workers.
 func (e *Engine) buildUserContentVectors() {
 	vecs := make([]textindex.Vector, len(e.users))
 	e.forUsersParallel(func(i int, u string) {
 		vecs[i] = e.computeUserContentVector(u)
 	})
-	e.content.base = make(map[string]textindex.Vector, len(e.users))
+	runs := e.vecDict.CompileAll(vecs)
+	e.content.base = make(map[string]*textindex.CompiledVector, len(e.users))
 	for i, u := range e.users {
-		e.content.base[u] = vecs[i]
+		e.content.base[u] = &runs[i]
 	}
 }
 

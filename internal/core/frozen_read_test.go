@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"sync"
@@ -54,8 +56,8 @@ func TestPrecomputedTablesMatchRecomputation(t *testing.T) {
 		}
 		wantC := eng.computeUserContentVector(u)
 		gotC := eng.userContentVector(u)
-		if len(wantC) != len(gotC) {
-			t.Fatalf("content vector for %s: %d vs %d terms", u, len(gotC), len(wantC))
+		if len(wantC) != gotC.Len() {
+			t.Fatalf("content vector for %s: %d vs %d terms", u, gotC.Len(), len(wantC))
 		}
 	}
 	wantPop := map[string]int{}
@@ -262,4 +264,44 @@ func TestContextVectorSharedReadOnly(t *testing.T) {
 		t.Fatalf("inconsistent shared vectors: %d vs %d", len(a), len(b))
 	}
 	var _ textindex.Vector = a
+}
+
+// TestContextAnswersReproducible builds one store twice and asks both
+// snapshots every context service for every user: context search,
+// previews, history search, session suggestions and explained peer
+// pages must be byte-equal as JSON. Every score summed over a context,
+// a session or a content vector runs in term order.
+func TestContextAnswersReproducible(t *testing.T) {
+	st := seed13Store(t, 64)
+	var answers [2][]byte
+	for i := range answers {
+		eng, err := (&Builder{Store: st, Workers: 2}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []any
+		docs := eng.seg.DocIDs()
+		for j, u := range eng.users {
+			all = append(all, eng.SearchWithContext(u, "graph stream processing", 10))
+			p, err := eng.Preview(u, docs[j%len(docs)], 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, _ := eng.SearchHistory(u, "tensor graph", true, 10)
+			recs, _ := eng.RecommendPeers(u, 5)
+			all = append(all, p, h, recs)
+			for _, c := range st.Conferences() {
+				s, _ := eng.SuggestSessions(u, c, 5)
+				all = append(all, s)
+			}
+		}
+		b, err := json.Marshal(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[i] = b
+	}
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Fatal("two builds of one store answer the context services differently")
+	}
 }

@@ -34,10 +34,12 @@ func (e *Engine) SearchHistory(userID, query string, useContext bool, limit int)
 	if !e.store.HasUser(userID) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
 	}
-	qv := textindex.TermFrequency(query)
-	var ctx textindex.Vector
+	// Both cosines are run products, summed in term order, so equal
+	// histories rank the same on every call and every build.
+	qv := textindex.TextRun(query)
+	var ctx *textindex.CompiledVector
 	if useContext {
-		ctx = e.ContextVector(userID)
+		ctx = e.ContextQuery(userID)
 	}
 	h := topk.New[HistoryEntry](limit, func(a, b HistoryEntry) bool {
 		if a.Score != b.Score {
@@ -46,6 +48,13 @@ func (e *Engine) SearchHistory(userID, query string, useContext bool, limit int)
 		return a.Event.Seq < b.Event.Seq
 	})
 	for _, ev := range e.store.EventsByActor(userID) {
+		var text *textindex.CompiledVector // the object's text, rendered once
+		objectText := func() *textindex.CompiledVector {
+			if text == nil {
+				text = textindex.TextRun(e.entityText(e.itemKindOf(ev.Object), ev.Object))
+			}
+			return text
+		}
 		score := 0.0
 		if query == "" {
 			score = 1
@@ -53,16 +62,14 @@ func (e *Engine) SearchHistory(userID, query string, useContext bool, limit int)
 			if ev.Verb == query || ev.Object == query {
 				score = 1
 			} else if ev.Object != "" {
-				text := e.entityText(e.itemKindOf(ev.Object), ev.Object)
-				score = textindex.TermFrequency(text).Cosine(qv)
+				score = objectText().Cosine(qv)
 			}
 		}
 		if score <= 0 {
 			continue
 		}
 		if useContext && ev.Object != "" {
-			text := e.entityText(e.itemKindOf(ev.Object), ev.Object)
-			score += textindex.TermFrequency(text).Cosine(ctx)
+			score += objectText().Cosine(ctx)
 		}
 		h.Push(HistoryEntry{Event: ev, Score: score})
 	}
@@ -146,9 +153,8 @@ func (e *Engine) ExplainResource(userID, entity string) ([]ResourceEvidence, err
 		add(EvBrowsed, 0.3+0.2*float64(n), fmt.Sprintf("%d prior interaction(s)", n))
 	}
 	// Topical similarity to the user's current context.
-	ctx := e.ContextVector(userID)
-	text := e.entityText(e.itemKindOf(entity), entity)
-	if sim := textindex.TermFrequency(text).Cosine(ctx); sim > 0.05 {
+	text := textindex.TextRun(e.entityText(e.itemKindOf(entity), entity))
+	if sim := text.Cosine(e.ContextQuery(userID)); sim > 0.05 {
 		add(EvTopical, sim, fmt.Sprintf("matches active context (%.2f)", sim))
 	}
 	sort.Slice(evs, func(i, j int) bool {

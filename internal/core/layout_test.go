@@ -9,6 +9,7 @@ import (
 
 	"hive/internal/graph"
 	"hive/internal/social"
+	"hive/internal/textindex"
 	"hive/internal/workload"
 )
 
@@ -51,6 +52,10 @@ func liveHeap() uint64 {
 // the node table is per node), at most 64 B per knowledge-base triple
 // with its dictionary, and GraphBytes, which the
 // hive_snapshot_graph_bytes gauge reports, is the sum of the layouts.
+// The text vectors — context rows, session runs and content rows —
+// hold at most 16 B
+// per stored (term, weight) pair, run headers and the shared dictionary
+// included, all of it in VectorBytes (hive_snapshot_vector_bytes).
 func TestSnapshotLayoutBudgets(t *testing.T) {
 	eng := seed13Engine(t, 128)
 	graphs := map[string]*graph.Graph{
@@ -71,18 +76,42 @@ func TestSnapshotLayoutBudgets(t *testing.T) {
 	if got := eng.GraphBytes(); got != sum {
 		t.Errorf("GraphBytes = %d, layouts sum to %d", got, sum)
 	}
+
+	pairs, vecBytes := 0, eng.vecDict.Bytes()
+	count := func(cq *textindex.CompiledVector) {
+		if cq.Dict() != eng.vecDict {
+			t.Errorf("a build-time run has a dictionary of its own")
+		}
+		pairs += cq.Len()
+		vecBytes += cq.Bytes()
+	}
+	eng.ctx.each(func(_ string, row userContext) {
+		if row.query != nil {
+			count(row.query)
+		}
+	})
+	eng.sessions.each(func(_ string, cq *textindex.CompiledVector) { count(cq) })
+	eng.content.each(func(_ string, cq *textindex.CompiledVector) { count(cq) })
+	if pairs == 0 || vecBytes > 16*pairs {
+		t.Errorf("text vectors: %d B for %d (term, weight) pairs, budget 16 B per pair", vecBytes, pairs)
+	}
+	if got := eng.VectorBytes(); got != vecBytes {
+		t.Errorf("VectorBytes = %d, runs and dictionary sum to %d", got, vecBytes)
+	}
+	t.Logf("text vectors: %d B for %d pairs (%.1f B per pair), dictionary %d terms", vecBytes, pairs, float64(vecBytes)/float64(pairs), eng.vecDict.Len())
 }
 
 // TestEngineLiveHeapBudget bounds the heap one snapshot keeps live on
 // the seed-13 dataset (a single-worker build, measured after two
 // collections): the flat graph layouts brought it from 4.06 to 1.97 MiB
 // at 128 users and from 28.9 to 11.5 MiB at 512 (EXPERIMENTS.md, "Dense
-// snapshot graphs").
+// snapshot graphs"), and the flat context vectors to 1.32 and 8.78 MiB
+// (EXPERIMENTS.md, "Flat context vectors").
 func TestEngineLiveHeapBudget(t *testing.T) {
 	for _, c := range []struct {
 		users  int
 		budget uint64
-	}{{128, 3 << 20}, {512, 14 << 20}} {
+	}{{128, 3 << 19}, {512, 19 << 19}} { // 1.5 and 9.5 MiB
 		st := seed13Store(t, c.users)
 		before := liveHeap()
 		eng, err := (&Builder{Store: st, Workers: 1}).Build()

@@ -135,14 +135,17 @@ func (e *Engine) personalizedRankFor(userID string, me graph.NodeID) []float64 {
 
 // likelySessions predicts the sessions a user will attend: sessions
 // already checked into, then sessions whose content matches the user's
-// context.
+// context, scored run against run from the snapshot's session table.
 func (e *Engine) likelySessions(userID string, k int) []string {
 	out := e.store.SessionsAttendedBy(userID)
 	if len(out) >= k {
 		return out[:k]
 	}
+	ctx := e.ContextQuery(userID)
+	if ctx == nil {
+		return out
+	}
 	seen := toSet(out)
-	ctx := e.ContextVector(userID)
 	type ss struct {
 		id    string
 		score float64
@@ -153,18 +156,14 @@ func (e *Engine) likelySessions(userID string, k int) []string {
 		}
 		return a.id < b.id
 	})
-	for _, conf := range e.store.Conferences() {
-		for _, sid := range e.store.SessionsOf(conf) {
-			if seen[sid] {
-				continue
-			}
-			text := e.entityText("session", sid)
-			sim := textindex.TermFrequency(text).Cosine(ctx)
-			if sim > 0 {
-				h.Push(ss{sid, sim})
-			}
+	e.sessions.each(func(sid string, run *textindex.CompiledVector) {
+		if seen[sid] {
+			return
 		}
-	}
+		if sim := run.Cosine(ctx); sim > 0 {
+			h.Push(ss{sid, sim})
+		}
+	})
 	for _, s := range h.Sorted() {
 		out = append(out, s.id)
 	}
@@ -183,7 +182,8 @@ type SessionSuggestion struct {
 
 // SuggestSessions ranks the sessions of a conference for a user by
 // combining the social signal (followed/connected attendees) with
-// content similarity to the active context.
+// content similarity to the active context: the session's run from the
+// snapshot against the user's context run.
 func (e *Engine) SuggestSessions(userID, confID string, k int) ([]SessionSuggestion, error) {
 	if !e.store.HasUser(userID) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
@@ -192,7 +192,7 @@ func (e *Engine) SuggestSessions(userID, confID string, k int) ([]SessionSuggest
 	for _, c := range e.store.ConnectionsOf(userID) {
 		circle[c] = true
 	}
-	ctx := e.ContextVector(userID)
+	ctx := e.ContextQuery(userID)
 	attended := toSet(e.store.SessionsAttendedBy(userID))
 
 	h := topk.New[SessionSuggestion](k, func(a, b SessionSuggestion) bool {
@@ -211,9 +211,8 @@ func (e *Engine) SuggestSessions(userID, confID string, k int) ([]SessionSuggest
 				followed = append(followed, a)
 			}
 		}
-		text := e.entityText("session", sid)
-		sim := textindex.TermFrequency(text).Cosine(ctx)
-		score := 0.5*float64(len(followed)) + sim
+		run, _ := e.sessions.get(sid)
+		score := 0.5*float64(len(followed)) + run.Cosine(ctx)
 		if score > 0 {
 			h.Push(SessionSuggestion{SessionID: sid, Score: score, FollowedAttendees: followed})
 		}

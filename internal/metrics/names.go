@@ -31,6 +31,11 @@ const (
 	// frozen graph layouts (core.Engine.GraphBytes), set at each
 	// compaction's swap.
 	SnapshotGraphBytes = "hive_snapshot_graph_bytes"
+	// SnapshotVectorBytes is the per-shard size of the serving snapshot's
+	// text vectors — context rows, session runs and their term
+	// dictionary (core.Engine.VectorBytes) — set at each compaction's
+	// swap.
+	SnapshotVectorBytes = "hive_snapshot_vector_bytes"
 	// SearchSeconds times platform-level search calls (the frozen read
 	// path; BenchmarkInstrumentedSearch guards its overhead).
 	SearchSeconds = "hive_search_seconds"

@@ -137,8 +137,40 @@ type oracleItem struct {
 
 type oracleHeap []oracleItem
 
-func (h oracleHeap) Len() int            { return len(h) }
-func (h oracleHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
+func (h oracleHeap) Len() int { return len(h) }
+
+// Less is the KB frontier's order over strings: higher score, fewer
+// steps, then from the last step back the node it reaches, its
+// predicate, forward first. Term and predicate IDs order like their
+// strings, so this is the order the KB's IDs give.
+func (h oracleHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	if len(a.steps) != len(b.steps) {
+		return len(a.steps) < len(b.steps)
+	}
+	reached := func(s PathStep) string {
+		if s.Forward {
+			return s.Triple.Object
+		}
+		return s.Triple.Subject
+	}
+	for n := len(a.steps) - 1; n >= 0; n-- {
+		x, y := a.steps[n], b.steps[n]
+		switch {
+		case reached(x) != reached(y):
+			return reached(x) < reached(y)
+		case x.Triple.Predicate != y.Triple.Predicate:
+			return x.Triple.Predicate < y.Triple.Predicate
+		case x.Forward != y.Forward:
+			return x.Forward
+		}
+	}
+	return false
+}
+
 func (h oracleHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *oracleHeap) Push(x interface{}) { *h = append(*h, x.(oracleItem)) }
 func (h *oracleHeap) Pop() interface{} {
@@ -199,7 +231,7 @@ func (st *Store) RankedPaths(src, dst string, k int, opts PathOptions) []RankedP
 			}
 		}
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Score > results[j].Score })
+	sort.SliceStable(results, func(i, j int) bool { return results[i].Score > results[j].Score })
 	return results
 }
 
@@ -207,7 +239,7 @@ func (st *Store) RankedPaths(src, dst string, k int, opts PathOptions) []RankedP
 // to the map-index store's on seeded triple sets: the same paths, steps,
 // directions and bit-equal scores, directed and undirected, with and
 // without a predicate filter. Weights repeat and collide, so ties in the
-// frontier are broken the way the oracle breaks them.
+// frontier are broken by the oracle's path order.
 func TestKBMatchesMapIndexOracle(t *testing.T) {
 	weights := []float64{1, 0.9, 0.8, 0.7, 0.5}
 	preds := []string{"authored", "cites", "connected", "follows"}
@@ -252,5 +284,53 @@ func TestKBMatchesMapIndexOracle(t *testing.T) {
 	}
 	if found < 500 {
 		t.Fatalf("only %d paths over all seeds: the triple sets exercise too little", found)
+	}
+}
+
+// TestRankedPathsIgnoreInsertionOrder: one triple set, added in five
+// seeded shuffled orders, answers every seeded query with the same
+// paths in the same order. Weights come from two values, so most
+// answers hold equal-score paths and k cuts through ties.
+func TestRankedPathsIgnoreInsertionOrder(t *testing.T) {
+	preds := []string{"authored", "cites", "connected", "follows"}
+	ties := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(10)
+		var triples []Triple
+		for i := 2*n + rng.Intn(4*n); i > 0; i-- {
+			triples = append(triples, Triple{
+				fmt.Sprintf("n%d", rng.Intn(n)), preds[rng.Intn(len(preds))],
+				fmt.Sprintf("n%d", rng.Intn(n)), []float64{1, 0.9}[rng.Intn(2)],
+			})
+		}
+		var kbs []*KB
+		for order := 0; order < 5; order++ {
+			rng.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
+			b := NewBuilder()
+			for _, tr := range triples {
+				_ = b.Add(tr)
+			}
+			kbs = append(kbs, b.Freeze())
+		}
+		for q := 0; q < 8; q++ {
+			src, dst := fmt.Sprintf("n%d", rng.Intn(n)), fmt.Sprintf("n%d", rng.Intn(n))
+			opts := PathOptions{MaxLength: 2 + rng.Intn(3), Undirected: rng.Intn(3) != 0}
+			k := 1 + rng.Intn(4)
+			want := kbs[0].RankedPaths(src, dst, k, opts)
+			for i := 1; i < len(want); i++ {
+				if want[i].Score == want[i-1].Score {
+					ties++
+				}
+			}
+			for order, kb := range kbs[1:] {
+				if got := kb.RankedPaths(src, dst, k, opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d order %d: RankedPaths(%s, %s, %d, %+v)\n got %v\nwant %v", seed, order+1, src, dst, k, opts, got, want)
+				}
+			}
+		}
+	}
+	if ties < 50 {
+		t.Fatalf("only %d tied answer pairs: the triple sets exercise too few ties", ties)
 	}
 }

@@ -80,22 +80,60 @@ type step struct {
 	forward bool
 }
 
-type frontierHeap []frontierItem
+// frontierHeap orders partial paths best first: higher score, then
+// fewer steps, then by their steps' term and predicate IDs (pathLess). The
+// order is total over distinct paths and depends on the KB alone, so
+// which of several equal-score paths fill the k answers does not depend
+// on the order the triples were added in.
+type frontierHeap struct {
+	items []frontierItem
+	steps *[]step // the search's step arena
+}
 
-func (h frontierHeap) Len() int            { return len(h) }
-func (h frontierHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h frontierHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *frontierHeap) Push(x interface{}) { *h = append(*h, x.(frontierItem)) }
+func (h *frontierHeap) Len() int { return len(h.items) }
+func (h *frontierHeap) Less(i, j int) bool {
+	a, b := h.items[i], h.items[j]
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	if a.depth != b.depth {
+		return a.depth < b.depth
+	}
+	return pathLess(*h.steps, a.last, b.last)
+}
+func (h *frontierHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *frontierHeap) Push(x interface{}) { h.items = append(h.items, x.(frontierItem)) }
 func (h *frontierHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+	n := len(h.items)
+	it := h.items[n-1]
+	h.items = h.items[:n-1]
 	return it
 }
 
+// pathLess compares two equally long partial paths, from their last
+// steps back: by the node each step reaches, its predicate, then
+// direction (forward first). Paths sharing a step share everything
+// before it, so reaching a common step means the paths are equal.
+func pathLess(steps []step, x, y int32) bool {
+	for x != y {
+		a, b := steps[x], steps[y]
+		switch {
+		case a.arc.node != b.arc.node:
+			return a.arc.node < b.arc.node
+		case a.arc.pred != b.arc.pred:
+			return a.arc.pred < b.arc.pred
+		case a.forward != b.forward:
+			return a.forward
+		}
+		x, y = a.parent, b.parent
+	}
+	return false
+}
+
 // RankedPaths returns up to k highest-score loopless paths from src to
-// dst. Results are sorted by descending score.
+// dst. Results are sorted by descending score; equal scores by fewer
+// steps, then by the paths' term IDs (frontierHeap), so the answer is a
+// function of the stored triples alone.
 func (kb *KB) RankedPaths(src, dst string, k int, opts PathOptions) []RankedPath {
 	if k <= 0 || src == dst {
 		return nil
@@ -123,7 +161,7 @@ func (kb *KB) RankedPaths(src, dst string, k int, opts PathOptions) []RankedPath
 		steps   []step
 		onPath  []int32
 	)
-	pq := &frontierHeap{{node: from, score: 1, last: -1}}
+	pq := &frontierHeap{items: []frontierItem{{node: from, score: 1, last: -1}}, steps: &steps}
 	// Best-first search over paths. visits caps re-expansion per node to
 	// keep the frontier polynomial while still finding k diverse paths.
 	visits := make([]int32, len(kb.termEnd))
@@ -157,7 +195,8 @@ func (kb *KB) RankedPaths(src, dst string, k int, opts PathOptions) []RankedPath
 			}
 		}
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Score > results[j].Score })
+	// Scores never grow along a path, so the pops came out in frontier
+	// order: results need no sort.
 	return results
 }
 

@@ -2,7 +2,7 @@ package server
 
 import (
 	"compress/gzip"
-	"encoding/json"
+	"context"
 	"io"
 	"log"
 	"net/http"
@@ -31,15 +31,18 @@ func Chain(h http.Handler, mws ...Middleware) http.Handler {
 // envelope is the one layer every request passes through, outermost.
 // It gives the request its one ID — the X-Hive-Trace-Id, adopted from
 // the caller when well-formed, minted otherwise — and echoes it; it
-// hands the handler the one responseWriter; it answers a handler panic
-// with a 500 envelope while nothing of the response has been sent; and
-// when the request ends it records the per-route request counter, the
-// latency histogram, the finished trace and, with access set, one
-// access-log line. None of this can be switched off: the access log is
-// the only optional part.
+// puts the request's time budget on the request's context; it hands the
+// handler the one responseWriter; it answers a handler panic with a 500
+// envelope, and a response the budget ran out on with a 503, while
+// nothing of the response has been sent; and when the request ends it
+// records the per-route request counter, the latency histogram, the
+// finished trace and, with access set, one access-log line. None of this
+// can be switched off: the budget and the access log are the optional
+// parts.
 type envelope struct {
 	next    http.Handler
 	routeOf func(*http.Request) string // bounded-cardinality route label
+	budget  time.Duration              // per-request time budget; 0: none
 	traces  *metrics.Recorder
 	access  *log.Logger // nil: no access log
 	errLog  *log.Logger // handler panics
@@ -75,8 +78,15 @@ func (e *envelope) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.Set(api.TraceHeader, id)
 	h.Add("Vary", "Accept-Encoding")
 	tr := metrics.NewTrace(id, r.Method)
-	r = r.WithContext(metrics.ContextWithTrace(r.Context(), tr))
+	ctx := metrics.ContextWithTrace(r.Context(), tr)
 	rw := &responseWriter{ResponseWriter: w, gzipOK: acceptsGzip(r.Header.Get("Accept-Encoding"))}
+	if e.budget > 0 && !timeoutExempt(r.URL.Path) {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.budget)
+		defer cancel()
+		rw.deadline, _ = ctx.Deadline()
+	}
+	r = r.WithContext(ctx)
 	defer e.done(rw, r, tr)
 	defer func() {
 		if v := recover(); v != nil {
@@ -84,6 +94,10 @@ func (e *envelope) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	e.next.ServeHTTP(rw, r)
+	if rw.expired || !rw.sent && rw.late() {
+		rw.reset()
+		writeError(rw, r, http.StatusServiceUnavailable, api.CodeTimeout, "request exceeded the server's time budget")
+	}
 	rw.finish()
 }
 
@@ -99,7 +113,7 @@ func (e *envelope) recovered(rw *responseWriter, r *http.Request, v any) {
 	if rw.sent {
 		panic(http.ErrAbortHandler)
 	}
-	rw.status, rw.buf = 0, nil
+	rw.reset()
 	writeError(rw, r, http.StatusInternalServerError, api.CodeInternal, "internal error")
 	rw.finish()
 }
@@ -162,21 +176,6 @@ func statusClass(status int) string {
 		return "4xx"
 	default:
 		return "5xx"
-	}
-}
-
-// Timeout bounds a request's handling time; on expiry the client gets a
-// 503 timeout envelope carrying the request's ID, and the handler's late
-// writes are discarded (http.TimeoutHandler semantics).
-func Timeout(d time.Duration) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			body, _ := json.Marshal(api.ErrorResponse{
-				Error:   &api.Error{Code: api.CodeTimeout, Message: "request exceeded the server's time budget"},
-				TraceID: traceID(r),
-			})
-			http.TimeoutHandler(next, d, string(body)).ServeHTTP(w, r)
-		})
 	}
 }
 
@@ -269,32 +268,68 @@ var gzPool = sync.Pool{
 // Until the response is sent, a handler panic can still be answered
 // with a clean 500 (envelope.recovered). It records the status and the
 // bytes that reached the wire.
+//
+// It also enforces the request's time budget, on the handler's own
+// goroutine: a response still held back when the deadline has passed is
+// not sent. The check runs where the response would be committed — at
+// the 1 KiB threshold, at a bodyless status and when the handler returns
+// — and from then on the handler's writes fail with
+// http.ErrHandlerTimeout and the envelope answers 503 timeout. A
+// response committed before the deadline completes.
 type responseWriter struct {
 	http.ResponseWriter
-	gzipOK bool         // the client accepts gzip
-	status int          // the first status set; 0 until WriteHeader or Write
-	buf    []byte       // held-back body, under gzipMinBytes
-	sent   bool         // status and headers have gone to the client
-	gz     *gzip.Writer // the body's gzip stream, once committed to gzip
-	wire   int          // body bytes written to the connection
+	gzipOK   bool         // the client accepts gzip
+	deadline time.Time    // the request's budget ends; zero: no budget
+	expired  bool         // the deadline passed before the commit
+	status   int          // the first status set; 0 until WriteHeader or Write
+	buf      []byte       // held-back body, under gzipMinBytes
+	sent     bool         // status and headers have gone to the client
+	gz       *gzip.Writer // the body's gzip stream, once committed to gzip
+	wire     int          // body bytes written to the connection
+}
+
+// late reports whether the request's deadline has passed.
+func (rw *responseWriter) late() bool {
+	return !rw.deadline.IsZero() && !time.Now().Before(rw.deadline)
+}
+
+// reset drops a held-back response, its status and every header the
+// handler set, so the envelope can answer in its place.
+func (rw *responseWriter) reset() {
+	h := rw.Header()
+	for k := range h {
+		if k != api.TraceHeader && k != "Vary" {
+			delete(h, k)
+		}
+	}
+	rw.status, rw.buf, rw.expired, rw.deadline = 0, nil, false, time.Time{}
 }
 
 func (rw *responseWriter) WriteHeader(code int) {
-	if rw.status != 0 { // the first status wins, as on a plain ResponseWriter
+	if rw.status != 0 || rw.expired { // the first status wins, as on a plain ResponseWriter
 		return
 	}
 	rw.status = code
 	if code == http.StatusNoContent || code == http.StatusNotModified {
-		rw.send()
+		if rw.expired = rw.late(); !rw.expired {
+			rw.send()
+		}
 	}
 }
 
 func (rw *responseWriter) Write(b []byte) (int, error) {
+	if rw.expired {
+		return 0, http.ErrHandlerTimeout
+	}
 	if !rw.sent {
 		rw.WriteHeader(http.StatusOK) // implicit, unless a status is held
 		if len(rw.buf)+len(b) < gzipMinBytes {
 			rw.buf = append(rw.buf, b...)
 			return len(b), nil
+		}
+		if rw.expired = rw.late(); rw.expired {
+			rw.buf = nil
+			return 0, http.ErrHandlerTimeout
 		}
 		if rw.gzipOK {
 			h := rw.Header()

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +19,13 @@ import (
 
 // wrap serves h inside the request envelope, with its panic log
 // silenced.
-func wrap(h http.Handler) http.Handler {
+func wrap(h http.Handler) http.Handler { return wrapBudget(h, 0) }
+
+// wrapBudget is wrap with a per-request time budget (0: none).
+func wrapBudget(h http.Handler, budget time.Duration) *envelope {
 	e := newEnvelope(h, func(*http.Request) string { return "" }, metrics.NewRecorder(1), nil)
 	e.errLog = log.New(io.Discard, "", 0)
+	e.budget = budget
 	return e
 }
 
@@ -53,12 +58,12 @@ func TestRecoverMiddleware(t *testing.T) {
 // TestTimeoutMiddleware: a request over its budget gets the 503 timeout
 // envelope, which carries the request's ID like every other envelope.
 func TestTimeoutMiddleware(t *testing.T) {
-	h := wrap(Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := wrapBudget(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(5 * time.Second):
 		case <-r.Context().Done():
 		}
-	}), Timeout(20*time.Millisecond)))
+	}), 20*time.Millisecond)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/slow", nil))
 	if rec.Code != http.StatusServiceUnavailable {
@@ -70,6 +75,63 @@ func TestTimeoutMiddleware(t *testing.T) {
 	}
 	if id := rec.Header().Get(api.TraceHeader); id == "" || env.TraceID != id {
 		t.Fatalf("timeout envelope trace_id %q, response ID %q", env.TraceID, id)
+	}
+}
+
+// TestTimeoutAfterLateWrites: a handler that ignores its context and
+// writes only after the deadline — a small body held back whole, or one
+// that crosses the 1 KiB commit — gets the 503 timeout envelope with the
+// request's trace_id, and none of its own body or headers.
+func TestTimeoutAfterLateWrites(t *testing.T) {
+	for _, n := range []int{100, 3000} {
+		h := wrapBudget(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			<-r.Context().Done()
+			w.Header().Set("ETag", `"late"`)
+			_, _ = io.WriteString(w, strings.Repeat("x", n))
+		}), 10*time.Millisecond)
+		req := httptest.NewRequest("GET", "/late", nil)
+		req.Header.Set("Accept-Encoding", "gzip")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("ETag") != "" || rec.Header().Get("Content-Encoding") != "" {
+			t.Fatalf("%d B late: status %d, headers %v", n, rec.Code, rec.Header())
+		}
+		var env api.ErrorResponse
+		if err := json.NewDecoder(rec.Body).Decode(&env); err != nil || env.Error == nil || env.Error.Code != api.CodeTimeout {
+			t.Fatalf("%d B late: envelope %+v (%v), want code %q", n, env, err, api.CodeTimeout)
+		}
+		if id := rec.Header().Get(api.TraceHeader); id == "" || env.TraceID != id {
+			t.Fatalf("%d B late: trace_id %q, response ID %q", n, env.TraceID, id)
+		}
+	}
+}
+
+// goroutineID parses the calling goroutine's ID from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// TestTimeoutRunsOnRequestGoroutine: a budgeted request's handler runs
+// on the goroutine that serves the request, with no goroutine of the
+// budget's own beside it.
+func TestTimeoutRunsOnRequestGoroutine(t *testing.T) {
+	var handler string
+	var during int
+	h := wrapBudget(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler, during = goroutineID(), runtime.NumGoroutine()
+		_, _ = io.WriteString(w, "ok")
+	}), time.Minute)
+	before := runtime.NumGoroutine()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	if self := goroutineID(); handler != self || during != before {
+		t.Fatalf("handler ran on goroutine %s beside %d goroutines; request on %s beside %d", handler, during, self, before)
 	}
 }
 
@@ -174,7 +236,7 @@ func TestGzipMiddleware(t *testing.T) {
 // TestGzipThreshold: a body of at least gzipMinBytes goes out gzip'd, a
 // smaller one identity with its Content-Length, however the handler
 // splits its writes; bodyless statuses pass through, a refusing client
-// gets identity at any size, and Timeout's buffering changes nothing.
+// gets identity at any size, and a time budget changes nothing.
 // Every response varies on Accept-Encoding and round-trips byte-exact.
 func TestGzipThreshold(t *testing.T) {
 	body := func(n int) string { return strings.Repeat("abcdefghijklmnopqrstuvwxyz0123456789\n", n/37+1)[:n] }
@@ -209,9 +271,9 @@ func TestGzipThreshold(t *testing.T) {
 		{"304", gz(http.StatusNotModified), "gzip", http.StatusNotModified, "", false, ""},
 		// A refusing client gets identity; past the threshold it streams.
 		{"refused q=0", gz(0, body(4000)), "gzip;q=0", http.StatusOK, body(4000), false, ""},
-		// The server's order: Timeout buffers inside the envelope.
-		{"under Timeout small", wrap(Chain(writes(0, body(100)), Timeout(time.Second))), "gzip", http.StatusOK, body(100), false, "100"},
-		{"under Timeout large", wrap(Chain(writes(0, body(1500), body(1500)), Timeout(time.Second))), "gzip", http.StatusOK, body(1500) + body(1500), true, ""},
+		// Under a budget the envelope holds, the response is the same.
+		{"under Timeout small", wrapBudget(writes(0, body(100)), time.Second), "gzip", http.StatusOK, body(100), false, "100"},
+		{"under Timeout large", wrapBudget(writes(0, body(1500), body(1500)), time.Second), "gzip", http.StatusOK, body(1500) + body(1500), true, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := httptest.NewRequest("GET", "/", nil)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hive/api"
 	"hive/client"
@@ -89,12 +90,13 @@ func (c countBytes) Write(b []byte) (int, error) {
 // BenchmarkServeSearch is the per-request cost of read_search's two
 // search classes without booting hiveload: the real client SDK (Go's
 // gzip-accepting transport) against the full middleware chain behind
-// httptest, over a seeded in-memory platform. It reports ns/op and
-// allocs/op for client and server together, plus the response body
-// bytes on the wire.
+// httptest, over a seeded in-memory platform, under hived's default
+// Config (a 30 s request budget), so it measures what hived runs. It
+// reports ns/op and allocs/op for client and server together, plus the
+// response body bytes on the wire.
 func BenchmarkServeSearch(b *testing.B) {
 	p := loadedPlatform(b, 32)
-	srv := New(p)
+	srv := NewWith(p, Config{Timeout: 30 * time.Second})
 	var wire atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		srv.ServeHTTP(countBytes{w, &wire}, r)

@@ -94,7 +94,7 @@ func newServer(sh *hive.Sharded, cfg Config) *Server {
 	s := &Server{sh: sh, mux: http.NewServeMux(), traces: metrics.NewRecorder(metrics.DefaultTraceCapacity), boot: metrics.NewTraceID()}
 	s.routes()
 
-	// Inside the envelope, enforce the budget and then the load limits.
+	// The envelope holds the time budget; inside it, the load limits.
 	// Replication traffic is exempt from the load limits: the events
 	// feed parks by design (each connected follower would permanently
 	// burn one in-flight slot), and a rate-limited or shed poll
@@ -102,16 +102,15 @@ func newServer(sh *hive.Sharded, cfg Config) *Server {
 	// metrics scrape is exempt for the same reason inverted: shedding
 	// the scrape blinds the operator exactly when the server is busiest.
 	var limits []Middleware
-	if cfg.Timeout > 0 {
-		limits = append(limits, exceptPaths(Timeout(cfg.Timeout), timeoutExempt))
-	}
 	if cfg.MaxInFlight > 0 {
 		limits = append(limits, exceptPaths(MaxInFlight(cfg.MaxInFlight), capExempt))
 	}
 	if cfg.QPS > 0 {
 		limits = append(limits, exceptPaths(RateLimit(cfg.QPS, int(cfg.QPS)), capExempt))
 	}
-	s.h = newEnvelope(Chain(s.mux, limits...), s.routePattern, s.traces, cfg.AccessLog)
+	env := newEnvelope(Chain(s.mux, limits...), s.routePattern, s.traces, cfg.AccessLog)
+	env.budget = cfg.Timeout
+	s.h = env
 	return s
 }
 

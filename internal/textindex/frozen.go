@@ -3,9 +3,7 @@ package textindex
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"hive/internal/topk"
@@ -43,8 +41,9 @@ type Frozen struct {
 	postTF  []int32   // postings: term frequencies, parallel to postDoc
 	postW   []float64 // postings: precomputed tf×idf weights, parallel
 
+	vocab   *Dict     // every indexed term, ascending; its IDs name terms in fwdTerm
 	fwdOff  []int32   // dense ID -> offset into fwdTerm/fwdW (len = docs+1)
-	fwdTerm []string  // forward index: terms, sorted within each doc
+	fwdTerm []int32   // forward index: term IDs in vocab, ascending within each doc
 	fwdW    []float64 // forward index: precomputed TF-IDF weights
 	fwdTF   []int32   // forward index: raw term frequencies (the overlay
 	// read path recomputes weights under merged corpus statistics, which
@@ -147,6 +146,11 @@ func (ix *Index) Freeze() *Frozen {
 		totalPostings += len(ps)
 	}
 	sort.Strings(termList)
+	f.vocab = newDict(termList, nil)
+	termID := make(map[string]int32, len(termList))
+	for i, t := range termList {
+		termID[t] = int32(i)
+	}
 	f.postDoc = make([]int32, 0, totalPostings)
 	f.postTF = make([]int32, 0, totalPostings)
 	f.postW = make([]float64, 0, totalPostings)
@@ -172,11 +176,12 @@ func (ix *Index) Freeze() *Frozen {
 
 	// Forward index and norms, in the live index's sorted per-doc term
 	// order so the weight and norm accumulation matches bit for bit.
+	// Terms are named by their vocab IDs, which order like the terms.
 	nFwd := 0
 	for _, dts := range ix.docTerms {
 		nFwd += len(dts)
 	}
-	f.fwdTerm = make([]string, 0, nFwd)
+	f.fwdTerm = make([]int32, 0, nFwd)
 	f.fwdW = make([]float64, 0, nFwd)
 	f.fwdTF = make([]int32, 0, nFwd)
 	for d, id := range f.ids {
@@ -184,7 +189,7 @@ func (ix *Index) Freeze() *Frozen {
 		var s float64
 		for _, dt := range ix.docTerms[id] {
 			w := float64(dt.tf) * ix.idfLocked(dt.term)
-			f.fwdTerm = append(f.fwdTerm, dt.term)
+			f.fwdTerm = append(f.fwdTerm, termID[dt.term])
 			f.fwdW = append(f.fwdW, w)
 			f.fwdTF = append(f.fwdTF, int32(dt.tf))
 			s += w * w
@@ -194,6 +199,9 @@ func (ix *Index) Freeze() *Frozen {
 	f.fwdOff[nDocs] = int32(len(f.fwdTerm))
 	return f
 }
+
+// fwdTermAt returns the term of forward entry j.
+func (f *Frozen) fwdTermAt(j int32) string { return f.vocab.term(f.fwdTerm[j]) }
 
 // Len reports the number of frozen documents.
 func (f *Frozen) Len() int { return len(f.ids) }
@@ -221,7 +229,7 @@ func (f *Frozen) TFIDFVector(docID string) (Vector, error) {
 	lo, hi := f.fwdOff[d], f.fwdOff[d+1]
 	v := make(Vector, hi-lo)
 	for j := lo; j < hi; j++ {
-		v[f.fwdTerm[j]] = f.fwdW[j]
+		v[f.fwdTermAt(j)] = f.fwdW[j]
 	}
 	return v, nil
 }
@@ -277,78 +285,30 @@ func (f *Frozen) SearchVector(query Vector, k int) []Result {
 	return f.searchCompiled(f.Compile(query), k)
 }
 
-// CompiledVector is a query vector pre-resolved against a Frozen index:
-// terms extracted, sorted and looked up once, query norm precomputed.
-// Searching a compiled vector skips the per-call term sort and hash
-// lookups — the engine compiles every user's context vector at build
-// time so context search is pure postings arithmetic.
-//
-// Besides the base-resolved postings runs, a compiled vector retains
-// the full sorted (term, weight) list. That half is independent of any
-// particular index, which is what lets a Segmented view (the frozen
-// base plus a mutable overlay) serve the same compiled query with
-// merged corpus statistics: the runs are a fast path for the pristine
-// base, the pairs are the portable query.
-type CompiledVector struct {
-	empty bool
-	qn    float64 // Euclidean norm of the full query
-	terms []compiledQTerm
-	pairs []termWeight // all query terms, sorted — index-independent
-}
+// Compile lays a query vector out as a run over a dictionary of its own
+// terms, resolved against f: terms sorted and looked up once, norm
+// precomputed, so searching it skips the per-call term sort and hash
+// lookups. The postings references are only valid for this Frozen; the
+// run itself serves any Segmented view.
+func (f *Frozen) Compile(query Vector) *CompiledVector { return newRun(query, f) }
 
-// compiledQTerm is one query term resolved to its postings run.
-type compiledQTerm struct {
-	off int32
-	n   int32
-	qw  float64
-}
-
-// termWeight is one (term, weight) component of a query vector.
-type termWeight struct {
-	t string
-	w float64
-}
-
-// Compile resolves a query vector against the index. The postings-run
-// fast path is only valid for this Frozen instance; the retained term
-// list also serves Segmented views layered over it.
-func (f *Frozen) Compile(query Vector) *CompiledVector {
-	cq := &CompiledVector{empty: len(query) == 0}
-	pairs := make([]termWeight, 0, len(query))
-	for t, w := range query {
-		pairs = append(pairs, termWeight{t, w})
-	}
-	// Sorted term order keeps the qn and dot accumulations bit-identical
-	// to the live index's sorted-order sums.
-	slices.SortFunc(pairs, func(a, b termWeight) int { return strings.Compare(a.t, b.t) })
-	var qnSq float64
-	for _, p := range pairs {
-		qnSq += p.w * p.w
-		if ti, ok := f.terms[p.t]; ok {
-			cq.terms = append(cq.terms, compiledQTerm{off: ti.off, n: ti.n, qw: p.w})
-		}
-	}
-	cq.qn = math.Sqrt(qnSq)
-	cq.pairs = pairs
-	return cq
-}
-
-// SearchCompiled ranks documents against a query compiled by Compile,
-// identically to SearchVector on the original vector.
+// SearchCompiled ranks documents against a compiled query (Compile or
+// Dict.Compile), identically to SearchVector on the original vector:
+// the query's terms accumulate in term order.
 func (f *Frozen) SearchCompiled(cq *CompiledVector, k int) []Result {
 	return f.searchCompiled(cq, k)
 }
 
 func (f *Frozen) searchCompiled(cq *CompiledVector, k int) []Result {
-	if cq.empty || cq.qn == 0 || len(f.ids) == 0 {
+	if cq.norm == 0 || len(f.ids) == 0 {
 		return nil
 	}
 	sc := f.getScratch(len(f.ids))
 	defer f.putScratch(sc)
 	dots, seen := sc.scores, sc.seen
-	for _, qt := range cq.terms {
-		qw := qt.qw
-		for j := qt.off; j < qt.off+qt.n; j++ {
+	for i, id := range cq.ids {
+		qw, run := cq.ws[i], cq.dict.postings(f, id)
+		for j := run.off; j < run.off+run.n; j++ {
 			d := f.postDoc[j]
 			if !seen[d] {
 				seen[d] = true
@@ -363,7 +323,7 @@ func (f *Frozen) searchCompiled(cq *CompiledVector, k int) []Result {
 		if dn == 0 {
 			continue
 		}
-		h.Push(denseCand{d: d, s: dots[d] / (cq.qn * dn)})
+		h.Push(denseCand{d: d, s: dots[d] / (cq.norm * dn)})
 	}
 	return f.denseResults(h)
 }

@@ -204,7 +204,7 @@ func (s *Segmented) removeLive(id string) {
 	}
 	s.dead[d] = struct{}{}
 	for j := s.base.fwdOff[d]; j < s.base.fwdOff[d+1]; j++ {
-		s.deadDF[s.base.fwdTerm[j]]++
+		s.deadDF[s.base.fwdTermAt(j)]++
 	}
 	s.nDocs--
 	s.totalLen -= int(s.base.docLen[d])
@@ -320,7 +320,8 @@ func (s *Segmented) TFIDFVector(docID string) (Vector, error) {
 	lo, hi := s.base.fwdOff[d], s.base.fwdOff[d+1]
 	v := make(Vector, hi-lo)
 	for j := lo; j < hi; j++ {
-		v[s.base.fwdTerm[j]] = float64(s.base.fwdTF[j]) * s.idfOf(s.base.fwdTerm[j])
+		t := s.base.fwdTermAt(j)
+		v[t] = float64(s.base.fwdTF[j]) * s.idfOf(t)
 	}
 	return v, nil
 }
@@ -356,7 +357,7 @@ func (s *Segmented) overNorm(od *overlayDoc) float64 {
 func (s *Segmented) baseNorm(d int32) float64 {
 	var sum float64
 	for j := s.base.fwdOff[d]; j < s.base.fwdOff[d+1]; j++ {
-		w := float64(s.base.fwdTF[j]) * s.idfOf(s.base.fwdTerm[j])
+		w := float64(s.base.fwdTF[j]) * s.idfOf(s.base.fwdTermAt(j))
 		sum += w * w
 	}
 	return math.Sqrt(sum)
@@ -368,25 +369,26 @@ func (s *Segmented) baseNorm(d int32) float64 {
 // recomputed. 0 for unknown or dead documents and for empty queries.
 //
 // The document's sorted forward entries are walked against the query's
-// sorted pairs, so every sum runs in term order and one view asked twice
-// answers bit for bit the same. Only the query's index-independent half
-// (pairs, norm) is read: a query compiled against any base, another
-// shard's included, scores here. On a pristine view the base's
+// run in term order, so every sum runs in term order and one view asked
+// twice answers bit for bit the same. A run resolved against this
+// view's base merges with a base document on term IDs; any other run
+// resolves its IDs to terms through its own dictionary, so a query
+// compiled against any base, another shard's included, scores here. On a pristine view the base's
 // precomputed weights and norm serve; otherwise weights are recomputed
 // under merged statistics, as TFIDFVector and DocNorm do.
 func (s *Segmented) DocCosine(docID string, cq *CompiledVector) float64 {
-	if cq.empty || cq.qn == 0 {
+	if cq.Norm() == 0 {
 		return 0
 	}
 	var dot, dn float64
+	q := cq.cursor()
 	if od := s.overlay(docID); od != nil {
 		var sq float64
-		q := cq.pairs
 		for _, dt := range od.terms {
 			w := float64(dt.tf) * s.idfOf(dt.term)
 			sq += w * w
-			if q = skipTo(q, dt.term); len(q) > 0 && q[0].t == dt.term {
-				dot += w * q[0].w
+			if qw, ok := q.weight(dt.term); ok {
+				dot += w * qw
 			}
 		}
 		dn = math.Sqrt(sq)
@@ -395,20 +397,28 @@ func (s *Segmented) DocCosine(docID string, cq *CompiledVector) float64 {
 		if !ok {
 			return 0
 		}
-		pristine := s.pristine()
+		b, pristine := s.base, s.pristine()
+		// A run resolved against this base merges on term IDs; any
+		// other on the terms themselves.
+		byID, qi := cq.dict.base == b, cq.baseCursor()
 		var sq float64
-		q := cq.pairs
-		for j := s.base.fwdOff[d]; j < s.base.fwdOff[d+1]; j++ {
-			t, w := s.base.fwdTerm[j], s.base.fwdW[j]
+		for j := b.fwdOff[d]; j < b.fwdOff[d+1]; j++ {
+			w := b.fwdW[j]
 			if !pristine {
-				w = float64(s.base.fwdTF[j]) * s.idfOf(t)
+				w = float64(b.fwdTF[j]) * s.idfOf(b.fwdTermAt(j))
 				sq += w * w
 			}
-			if q = skipTo(q, t); len(q) > 0 && q[0].t == t {
-				dot += w * q[0].w
+			var qw float64
+			if byID {
+				qw, ok = qi.weight(b.fwdTerm[j])
+			} else {
+				qw, ok = q.weight(b.fwdTermAt(j))
+			}
+			if ok {
+				dot += w * qw
 			}
 		}
-		dn = s.base.docNorm[d]
+		dn = b.docNorm[d]
 		if !pristine {
 			dn = math.Sqrt(sq)
 		}
@@ -416,15 +426,7 @@ func (s *Segmented) DocCosine(docID string, cq *CompiledVector) float64 {
 	if dn == 0 {
 		return 0
 	}
-	return dot / (dn * cq.qn)
-}
-
-// skipTo drops the leading query pairs whose term sorts before t.
-func skipTo(q []termWeight, t string) []termWeight {
-	for len(q) > 0 && q[0].t < t {
-		q = q[1:]
-	}
-	return q
+	return dot / (dn * cq.norm)
 }
 
 // Search ranks live documents against the query with BM25, identically
@@ -447,49 +449,38 @@ func (s *Segmented) SearchVector(query Vector, k int) []Result {
 	if len(query) == 0 {
 		return nil
 	}
-	pairs := make([]termWeight, 0, len(query))
-	for t, w := range query {
-		pairs = append(pairs, termWeight{t, w})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].t < pairs[j].t })
-	return s.searchPairs(pairs, k)
+	return s.searchRun(VectorRun(query), k)
 }
 
-// SearchCompiled ranks live documents against a compiled query. The
-// compiled form must have been produced by the base segment's Compile;
-// on a pristine view this takes the base's precomputed fast path, and
-// otherwise the retained index-independent term list is re-resolved
-// against the merged corpus.
+// SearchCompiled ranks live documents against a compiled query. On a
+// pristine view this takes the base's postings fast path; otherwise the
+// run's terms are re-resolved against the merged corpus.
 func (s *Segmented) SearchCompiled(cq *CompiledVector, k int) []Result {
 	if s.pristine() {
 		return s.base.SearchCompiled(cq, k)
 	}
-	if cq.empty {
-		return nil
-	}
-	return s.searchPairs(cq.pairs, k)
+	return s.searchRun(cq, k)
 }
 
-// searchPairs is the merged-statistics cosine ranking over a sorted
-// (term, weight) query. Accumulation order mirrors Index.SearchVector:
-// query-norm and dot products in sorted term order, per-posting weights
-// grouped as qw × (tf × idf).
-func (s *Segmented) searchPairs(pairs []termWeight, k int) []Result {
+// searchRun is the merged-statistics cosine ranking over a run.
+// Accumulation order mirrors Index.SearchVector: query-norm and dot
+// products in sorted term order, per-posting weights grouped as
+// qw × (tf × idf).
+func (s *Segmented) searchRun(cq *CompiledVector, k int) []Result {
+	if cq.Norm() == 0 {
+		return nil
+	}
 	sc := s.getScratch()
 	defer s.base.putScratch(sc)
-	var qnSq float64
-	for _, p := range pairs {
-		qnSq += p.w * p.w
-		df := s.df(p.t)
+	for i, w := range cq.ws {
+		t := cq.term(i)
+		df := s.df(t)
 		if df == 0 {
 			continue
 		}
-		s.accumulate(sc, p.t, termScorer{idf: idfFor(df, s.nDocs), qw: p.w, cosine: true})
+		s.accumulate(sc, t, termScorer{idf: idfFor(df, s.nDocs), qw: w, cosine: true})
 	}
-	if qnSq == 0 {
-		return nil
-	}
-	qn := math.Sqrt(qnSq)
+	qn := cq.norm
 	nb := int32(len(s.base.ids))
 	return s.top(sc, k, func(d int32, dot float64) (float64, bool) {
 		var dn float64

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -299,8 +300,24 @@ func mapSearchTerms(s *Segmented, terms []string, k int, g CorpusStats) []Result
 	return topResults(scores, k)
 }
 
-// mapSearchPairs is the map-accumulator cosine loop searchPairs
-// replaced, kept as its oracle.
+// termWeight is one (term, weight) component of a query vector.
+type termWeight struct {
+	t string
+	w float64
+}
+
+// sortedPairs lists a vector's components in term order.
+func sortedPairs(v Vector) []termWeight {
+	pairs := make([]termWeight, 0, len(v))
+	for t, w := range v {
+		pairs = append(pairs, termWeight{t, w})
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].t < pairs[j].t })
+	return pairs
+}
+
+// mapSearchPairs is the map-accumulator cosine loop of the merged
+// view's vector search, kept as its oracle.
 func mapSearchPairs(s *Segmented, pairs []termWeight, k int) []Result {
 	dots := make(map[string]float64)
 	var qnSq float64
@@ -402,7 +419,7 @@ func TestSegmentedDenseMatchesMapOracle(t *testing.T) {
 				qv := randomQueryVector(rng)
 				cq := seg.Base().Compile(qv)
 				for _, k := range []int{1, 5, 0} {
-					want := mapSearchPairs(seg, cq.pairs, k)
+					want := mapSearchPairs(seg, sortedPairs(qv), k)
 					if got := seg.SearchVector(qv, k); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: SearchVector(#%d, %d)\ndense: %v\nmap:   %v", label, qi, k, got, want)
 					}

@@ -11,23 +11,23 @@ type Snippet struct {
 
 // ExtractSnippets implements context-aware relevant snippet extraction in
 // the spirit of [14] (Li, Candan, Qi, AAAI 2008): the document is split
-// into sentences, each sentence is scored by cosine similarity against the
-// context vector with a small positional prior (earlier sentences win
+// into sentences, each sentence's term-frequency run is scored by cosine
+// similarity against the context run (summed in term order, so the
+// scores are reproducible) with a small positional prior (earlier sentences win
 // ties, as abstracts lead), and the top k non-overlapping sentences are
 // returned in document order.
 //
-// The context vector usually comes from the user's active workpad, giving
+// The context run usually comes from the user's active workpad, giving
 // "generate summary previews and highlights ... based on context"
 // (Table 1).
-func ExtractSnippets(doc string, context Vector, k int) []Snippet {
+func ExtractSnippets(doc string, context *CompiledVector, k int) []Snippet {
 	sents := SplitSentences(doc)
 	if len(sents) == 0 {
 		return nil
 	}
 	scored := make([]Snippet, len(sents))
 	for i, s := range sents {
-		v := TermFrequency(s)
-		score := v.Cosine(context)
+		score := TextRun(s).Cosine(context)
 		// Positional prior: tiny boost decaying with position so that,
 		// among equally relevant sentences, leading ones surface first.
 		score += 0.01 / float64(1+i)

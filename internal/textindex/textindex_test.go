@@ -389,7 +389,7 @@ func TestExtractSnippets(t *testing.T) {
 	Lunch was served at noon.
 	Experiments show tensor methods outperform matrix baselines.`
 	ctx := TermFrequency("tensor decomposition scalability")
-	snips := ExtractSnippets(doc, ctx, 2)
+	snips := ExtractSnippets(doc, VectorRun(ctx), 2)
 	if len(snips) != 2 {
 		t.Fatalf("got %d snippets", len(snips))
 	}
@@ -405,7 +405,7 @@ func TestExtractSnippets(t *testing.T) {
 }
 
 func TestExtractSnippetsEmptyDoc(t *testing.T) {
-	if s := ExtractSnippets("", Vector{"x": 1}, 3); s != nil {
+	if s := ExtractSnippets("", VectorRun(Vector{"x": 1}), 3); s != nil {
 		t.Fatalf("got %v", s)
 	}
 }
@@ -414,7 +414,7 @@ func TestExtractSnippetsNoContext(t *testing.T) {
 	// With an empty context the positional prior should pick leading
 	// sentences.
 	doc := "Alpha beta. Gamma delta. Epsilon zeta."
-	s := ExtractSnippets(doc, Vector{}, 1)
+	s := ExtractSnippets(doc, VectorRun(Vector{}), 1)
 	if len(s) != 1 || !strings.HasPrefix(s[0].Text, "Alpha") {
 		t.Fatalf("got %+v", s)
 	}

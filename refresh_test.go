@@ -106,6 +106,29 @@ func TestSnapshotGraphBytesGauge(t *testing.T) {
 	}
 }
 
+// TestSnapshotVectorBytesGauge checks that a compaction's swap sets the
+// shard's hive_snapshot_vector_bytes gauge to the serving snapshot's
+// text vector size, and that a write's delta, which adds a context row,
+// leaves the gauge at the compaction's value.
+func TestSnapshotVectorBytesGauge(t *testing.T) {
+	gauge := metrics.Default.GaugeVec(metrics.SnapshotVectorBytes, "", "shard").With("0")
+	p := refreshPlatform(t, 12)
+	if err := p.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	eng := p.Snapshot()
+	want := eng.VectorBytes()
+	if want == 0 || gauge.Value() != float64(want) {
+		t.Fatalf("gauge = %v after a compaction, snapshot vectors hold %d B", gauge.Value(), want)
+	}
+	if err := p.Store().PutUser(hive.User{ID: "newbie", Name: "New", Interests: []string{"graphs"}}); err != nil {
+		t.Fatal(err)
+	}
+	if eng2 := p.Snapshot(); eng2 == eng || eng2.VectorBytes() <= want || gauge.Value() != float64(want) {
+		t.Fatalf("after a delta: gauge %v, snapshot vectors %d B, compaction's %d", gauge.Value(), eng2.VectorBytes(), want)
+	}
+}
+
 // TestSnapshotLifecycle covers the delta-world snapshot lifecycle: a
 // write through the raw store is folded into the serving snapshot
 // synchronously (one delta swap), so the platform is *current* right

@@ -814,7 +814,7 @@ func (sh *Sharded) Preview(userID, docID string, k int) ([]Snippet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return textindex.ExtractSnippets(text, home.ContextVector(userID), k), nil
+	return textindex.ExtractSnippets(text, home.ContextQuery(userID), k), nil
 }
 
 // UpdateDigest summarizes the user's cross-shard feed. Event targets
