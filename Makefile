@@ -44,10 +44,12 @@ vuln:
 # run might miss; then ten seconds of fuzzing each decoder of bytes from
 # disk or the wire — the kv checkpoint records, the journal's segment
 # recovery, the journal payloads a store replays at open, the
-# replication batches a follower applies and the two cursor forms — and
-# of the memoised text analysis
-# chain against the uncached one (the per-PR run only replays their seed corpora; -fuzz takes one
-# target per invocation).
+# replication batches a follower applies and the two cursor forms — of
+# the memoised text analysis chain against the uncached one, and of the
+# response gzip encoder against compress/gzip (FuzzGzipRoundTrip; its
+# seeds reach 70 KB, and minimising an input that size would take the
+# whole 10 s, hence -fuzzminimizetime) (the per-PR run only replays
+# their seed corpora; -fuzz takes one target per invocation).
 race-nightly:
 	$(GO) test -race -run 'TestDeltaInterleavingParity|TestDeltaNeverObservesTornBatch|TestApplyDeltaFoldsActivityOutOfSeqOrder|TestConcurrentActivityFoldsMatchBuild|TestSegmentedParity|TestSegmentedDenseMatchesMapOracle|TestShardedFeedLazyMatchesEager|TestWriteVisibleOnReturn|TestFlatVectorMatchesMapOracle' -count=5 . ./internal/core/ ./internal/textindex/
 	$(GO) test -race -run 'TestFrozenMatchesAdjacencyOracle|TestKBMatchesMapIndexOracle|TestRankedPathsIgnoreInsertionOrder' -count=5 ./internal/graph/ ./internal/rdf/
@@ -63,6 +65,7 @@ race-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzTerms' -fuzztime 10s ./internal/textindex/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCursor' -fuzztime 10s ./api/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeShardCursor' -fuzztime 10s ./api/
+	$(GO) test -run '^$$' -fuzz 'FuzzGzipRoundTrip' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -158,9 +158,15 @@ type itemAnalysis struct {
 	seeds []string
 }
 
+// analyzeItem ranks keyphrase seeds only when the snapshot has a concept
+// map for them to activate; contextVector drops them otherwise.
 func (e *Engine) analyzeItem(kind social.ItemKind, ref string) itemAnalysis {
 	text := e.entityText(kind, ref)
-	return itemAnalysis{tf: textindex.TermFrequency(text), seeds: topSurfaceTerms(text, 3)}
+	a := itemAnalysis{tf: textindex.TermFrequency(text)}
+	if e.concepts.Len() > 0 {
+		a.seeds = topSurfaceTerms(text, 3)
+	}
+	return a
 }
 
 // contextVector assembles a user's context vector from their interests

@@ -86,4 +86,16 @@ const (
 	// ReplicationLagEvents is a follower's journal distance behind its
 	// leader (0 on leaders).
 	ReplicationLagEvents = "hive_replication_lag_events"
+
+	// Go runtime state (runtime/metrics, read by the /metrics handler).
+
+	// GoHeapLiveBytes is the heap the last GC found live
+	// (/gc/heap/live:bytes).
+	GoHeapLiveBytes = "hive_go_heap_live_bytes"
+	// GoGoroutines is the number of live goroutines
+	// (/sched/goroutines:goroutines).
+	GoGoroutines = "hive_go_goroutines"
+	// GoGCCyclesTotal counts completed GC cycles
+	// (/gc/cycles/total:gc-cycles).
+	GoGCCyclesTotal = "hive_go_gc_cycles_total"
 )

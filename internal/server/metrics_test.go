@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"hive"
 	"hive/api"
 	"hive/client"
+	"hive/internal/metrics"
 )
 
 // TestCapExemptPaths pins which paths bypass the in-flight and QPS
@@ -109,6 +111,36 @@ func TestMetricsExemptFromRateLimit(t *testing.T) {
 	for _, path := range []string{"/metrics", "/api/v1/replication/events", "/api/v1/replication/snapshot"} {
 		if got := get(path); got != http.StatusOK {
 			t.Errorf("%s sheds under a drained bucket: status %d", path, got)
+		}
+	}
+}
+
+// TestRuntimeGauges: every scrape carries the Go runtime's live heap,
+// goroutine count and completed GC cycles, each present and non-zero
+// once a GC has run.
+func TestRuntimeGauges(t *testing.T) {
+	ts, _ := newShardedServer(t, 1)
+	runtime.GC()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{metrics.GoHeapLiveBytes, metrics.GoGoroutines, metrics.GoGCCyclesTotal} {
+		var v float64
+		for _, line := range strings.Split(string(raw), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				if v, err = strconv.ParseFloat(rest, 64); err != nil {
+					t.Fatalf("unparsable sample %q", line)
+				}
+			}
+		}
+		if v <= 0 {
+			t.Errorf("%s = %v, want a positive sample", name, v)
 		}
 	}
 }

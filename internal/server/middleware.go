@@ -1,9 +1,7 @@
 package server
 
 import (
-	"compress/gzip"
 	"context"
-	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -239,25 +237,15 @@ func (tb *tokenBucket) allow(now time.Time) bool {
 }
 
 // gzipMinBytes is the smallest body sent gzip'd. Below it the gzip frame
-// and the per-response deflate reset cost more than they save: a search
-// page is ≈ 650 B plain, and a profile grows from 89 B to 107 B when
-// gzip'd.
+// and the encoder's reset cost more than they save: a search page is
+// ≈ 650 B plain, and a profile grows from 89 B to 107 B when gzip'd.
+// From 1 KiB on — feed pages, peer recs, batch results, replication
+// pages — a pooled gzipEncoder (gzip.go) compresses the body.
 const gzipMinBytes = 1024
 
-// gzPool recycles gzip writers across responses. A fresh gzip.Writer
-// allocates its whole deflate state (~hundreds of KB); paying that per
-// response made the allocator, not the handler, the throughput ceiling
-// under concurrent writes — pooling keeps compression off the write
-// path's critical section. The writers run at BestSpeed: at the default
-// level every Reset clears the deflate hash tables, which cost more CPU
-// per response than the few bytes the higher level saves on a feed page
-// (EXPERIMENTS.md E19).
-var gzPool = sync.Pool{
-	New: func() any {
-		gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // a valid level never errs
-		return gz
-	},
-}
+// gzPool recycles encoders across responses; each holds under 40 KB of
+// window, table and output buffer.
+var gzPool = sync.Pool{New: func() any { return new(gzipEncoder) }}
 
 // responseWriter is the one wrapper around a response. It holds back
 // the status and the first bytes until the body reaches gzipMinBytes or
@@ -284,7 +272,7 @@ type responseWriter struct {
 	status   int          // the first status set; 0 until WriteHeader or Write
 	buf      []byte       // held-back body, under gzipMinBytes
 	sent     bool         // status and headers have gone to the client
-	gz       *gzip.Writer // the body's gzip stream, once committed to gzip
+	gz       *gzipEncoder // the body's gzip stream, once committed to gzip
 	wire     int          // body bytes written to the connection
 }
 
@@ -335,7 +323,7 @@ func (rw *responseWriter) Write(b []byte) (int, error) {
 			h := rw.Header()
 			h.Del("Content-Length")
 			h.Set("Content-Encoding", "gzip")
-			rw.gz = gzPool.Get().(*gzip.Writer)
+			rw.gz = gzPool.Get().(*gzipEncoder)
 			rw.gz.Reset(wireWriter{rw})
 		}
 		rw.send()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hive"
 	"hive/api"
 	"hive/client"
 	"hive/internal/workload"
@@ -87,6 +88,18 @@ func (c countBytes) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// countingServer serves p under hived's default Config (a 30 s request
+// budget) behind httptest, counting the body bytes on the wire.
+func countingServer(b *testing.B, p *hive.Platform) (*httptest.Server, *atomic.Int64) {
+	srv := NewWith(p, Config{Timeout: 30 * time.Second})
+	wire := new(atomic.Int64)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(countBytes{w, wire}, r)
+	}))
+	b.Cleanup(ts.Close)
+	return ts, wire
+}
+
 // BenchmarkServeSearch is the per-request cost of read_search's two
 // search classes without booting hiveload: the real client SDK (Go's
 // gzip-accepting transport) against the full middleware chain behind
@@ -96,12 +109,7 @@ func (c countBytes) Write(b []byte) (int, error) {
 // response body bytes on the wire.
 func BenchmarkServeSearch(b *testing.B) {
 	p := loadedPlatform(b, 32)
-	srv := NewWith(p, Config{Timeout: 30 * time.Second})
-	var wire atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		srv.ServeHTTP(countBytes{w, &wire}, r)
-	}))
-	defer ts.Close()
+	ts, wire := countingServer(b, p)
 	var queries []string
 	for _, topic := range workload.Topics {
 		queries = append(queries, topic.Terms[0]+" "+topic.Terms[1], topic.Terms[2])
@@ -125,4 +133,35 @@ func BenchmarkServeSearch(b *testing.B) {
 			b.ReportMetric(float64(wire.Load())/float64(b.N), "wire_B/op")
 		})
 	}
+}
+
+// BenchmarkServeFeed is the per-request cost of a 20-event feed page,
+// the one response class of the benchmark's workloads large enough
+// (≈ 2 KB) to go out gzip'd: the real client SDK, which inflates it,
+// against the full envelope, over a seeded in-memory platform. It
+// reports ns/op and allocs/op for client and server together, plus the
+// compressed bytes on the wire.
+func BenchmarkServeFeed(b *testing.B) {
+	p := loadedPlatform(b, 32)
+	ts, wire := countingServer(b, p)
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	var users []string
+	for _, u := range p.Users() {
+		if pg, err := c.Feed(ctx, u, "", 20); err == nil && len(pg.Items) == 20 {
+			users = append(users, u)
+		}
+	}
+	if len(users) == 0 {
+		b.Fatal("no user has a 20-event feed page")
+	}
+	b.ReportAllocs()
+	wire.Store(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Feed(ctx, users[i%len(users)], "", 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(wire.Load())/float64(b.N), "wire_B/op")
 }

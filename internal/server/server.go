@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
@@ -515,9 +516,11 @@ func (s *Server) getCluster(w http.ResponseWriter, r *http.Request) {
 // format. Event-driven instruments (counters, latency histograms) are
 // already current; state gauges are collected from the platform
 // accessors at scrape time, so one scrape sees one consistent snapshot
-// of sizes/watermarks without the hot paths maintaining gauges.
+// of sizes/watermarks without the hot paths maintaining gauges; the Go
+// runtime's series are read at the same moment.
 func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request) {
 	s.collectStateGauges()
+	collectRuntimeGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = metrics.Default.WriteText(w)
 }
@@ -540,6 +543,21 @@ func (s *Server) collectStateGauges() {
 		corpus.With(id).Set(float64(st.FrozenDocs))
 	}
 	lag.Set(float64(rows[0].LagEvents))
+}
+
+// collectRuntimeGauges copies the Go runtime's live heap, goroutine
+// count and GC cycle count into the registry.
+func collectRuntimeGauges() {
+	samples := []rtmetrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	rtmetrics.Read(samples)
+	reg := metrics.Default
+	reg.Gauge(metrics.GoHeapLiveBytes, "Heap bytes the last GC found live.").Set(float64(samples[0].Value.Uint64()))
+	reg.Gauge(metrics.GoGoroutines, "Live goroutines.").Set(float64(samples[1].Value.Uint64()))
+	reg.Counter(metrics.GoGCCyclesTotal, "Completed GC cycles.").Store(samples[2].Value.Uint64())
 }
 
 // getTraces serves the slowest recent request traces (?n=, default 20)
