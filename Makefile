@@ -57,8 +57,10 @@ race-nightly:
 	$(GO) test -race -run 'TestClusterFailoverConvergence|TestDeposedLeaderFencing' -count=2 ./internal/server/
 	$(GO) test -race -run 'TestQuorumNoLostWrites' -count=2 ./internal/server/
 	$(GO) test -race -run 'TestReplicationSnapshotIsAtItsWatermark|TestMutationReturnsAfterItsEventsAreDelivered' -count=5 ./internal/social/
+	$(GO) test -race -run 'TestIndexModel|TestStoreModel' -count=5 ./internal/kvstore/
 	$(GO) test -race -run Smoke -count=5 ./cmd/hived
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/kvstore/
+	$(GO) test -run '^$$' -fuzz 'FuzzIndexOps' -fuzztime 10s -fuzzminimizetime 1s ./internal/kvstore/
 	$(GO) test -run '^$$' -fuzz 'FuzzJournalRecover' -fuzztime 10s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz 'FuzzOpenJournalPayload' -fuzztime 10s ./internal/social/
 	$(GO) test -run '^$$' -fuzz 'FuzzApplyReplica' -fuzztime 10s ./internal/social/

@@ -19,7 +19,9 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -347,6 +349,9 @@ func (c *Client) doOnce(ctx context.Context, method, base, path string, q url.Va
 	if trace != "" {
 		req.Header.Set(api.TraceHeader, trace)
 	}
+	// Asked for explicitly, gzip is left to readBody to inflate through a
+	// pooled reader; net/http would allocate a fresh one per response.
+	req.Header.Set("Accept-Encoding", "gzip")
 	var cached etagEntry
 	useCache := conditional && c.etags != nil && method == http.MethodGet
 	if useCache {
@@ -362,7 +367,7 @@ func (c *Client) doOnce(ctx context.Context, method, base, path string, q url.Va
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	got, err := io.ReadAll(resp.Body)
+	got, err := readBody(resp)
 	if err != nil {
 		return fmt.Errorf("client: read response: %w", err)
 	}
@@ -387,6 +392,30 @@ func (c *Client) doOnce(ctx context.Context, method, base, path string, q url.Va
 		return fmt.Errorf("client: decode %s %s: %w", method, path, err)
 	}
 	return nil
+}
+
+// inflater is a gzip reader with the buffer it reads through, reused
+// across responses.
+type inflater struct {
+	br *bufio.Reader
+	zr gzip.Reader
+}
+
+var inflaters = sync.Pool{New: func() any { return &inflater{br: bufio.NewReader(nil)} }}
+
+// readBody reads a response body, inflating it when it is gzip'd.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.Header.Get("Content-Encoding") != "gzip" {
+		return io.ReadAll(resp.Body)
+	}
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	in.br.Reset(resp.Body)
+	defer in.br.Reset(nil)
+	if err := in.zr.Reset(in.br); err != nil {
+		return nil, err
+	}
+	return io.ReadAll(&in.zr)
 }
 
 func (c *Client) post(ctx context.Context, path string, in, out any) error {

@@ -1,12 +1,16 @@
 package client_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -377,5 +381,47 @@ func TestSDKResolvesLeaderPastSilentPeer(t *testing.T) {
 	if len(cs.Peers) != 2 || !cs.Peers[0].Alive || cs.Peers[0].Role != api.RoleLeader ||
 		cs.Peers[1].Alive || cs.Peers[1].Error == "" || cs.Peers[1].ProbeMS < 500 {
 		t.Fatalf("cluster peers = %+v, want the leader alive and the silent peer dead after the probe budget", cs.Peers)
+	}
+}
+
+// TestSDKInflatesGzip: the SDK asks for gzip itself and inflates it
+// through its pooled readers, so gzip'd and identity bodies both decode,
+// repeatedly, through the default transport and through one given
+// WithHTTPClient; a gzip body cut short is an error, not a short answer.
+func TestSDKInflatesGzip(t *testing.T) {
+	var zipped bytes.Buffer
+	zw := gzip.NewWriter(&zipped)
+	zw.Write([]byte(`{"id":"zach","name":"Zach","affiliation":"ASU"}`))
+	zw.Close()
+	var truncate atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.Header.Get("Accept-Encoding") != "gzip" || r.URL.Path != "/api/v1/users/zach" {
+			w.Write([]byte(`{"id":"ann","name":"Ann"}`))
+			return
+		}
+		w.Header().Set("Content-Encoding", "gzip")
+		if truncate.Load() {
+			w.Write(zipped.Bytes()[:zipped.Len()-6])
+			return
+		}
+		w.Write(zipped.Bytes())
+	}))
+	defer ts.Close()
+	ctx := context.Background()
+	for _, c := range []*client.Client{client.New(ts.URL), client.New(ts.URL, client.WithHTTPClient(&http.Client{Timeout: 5 * time.Second}))} {
+		for i := 0; i < 3; i++ {
+			if u, err := c.GetUser(ctx, "zach"); err != nil || u.Name != "Zach" || u.Affiliation != "ASU" {
+				t.Fatalf("gzip'd body: %+v, %v", u, err)
+			}
+			if u, err := c.GetUser(ctx, "ann"); err != nil || u.Name != "Ann" {
+				t.Fatalf("identity body: %+v, %v", u, err)
+			}
+		}
+		truncate.Store(true)
+		if u, err := c.GetUser(ctx, "zach"); err == nil {
+			t.Fatalf("a truncated gzip body decoded to %+v", u)
+		}
+		truncate.Store(false)
 	}
 }

@@ -139,13 +139,14 @@ func (b *Builder) ApplyDelta(prev *Engine, events []social.ChangeEvent) (eng *En
 		peerGraph:   prev.peerGraph,
 		kb:          prev.kb,
 		communities: prev.communities,
-		// Phase-2 tables share their base; each overlay starts as a copy
-		// of the previous one and absorbs this batch's repairs below.
-		// The copy holds every row repaired since the last full build,
-		// not just this batch's, so it grows with the writes since the
-		// last compaction and can reach the whole corpus: a set-up that
-		// writes for every user before its first compaction copies every
-		// user's rows on each later write.
+		// Phase-2 tables share their base. An overlay this batch repairs
+		// starts as a copy of the previous one and absorbs the repairs
+		// below; one it does not repair is shared as it is, since only
+		// those repairs write to it. The copy holds every row repaired
+		// since the last full build, not just this batch's, so it grows
+		// with the writes since the last compaction: a set-up that writes
+		// for every user before its first compaction copies every user's
+		// rows on each later write that repairs that table.
 		ctx:          prev.ctx.derive(len(ctxUsers)),
 		sessions:     prev.sessions.derive(len(sessions)),
 		vecDict:      prev.vecDict,

@@ -641,6 +641,44 @@ func sessionWorld(t *testing.T) (*social.Store, *Engine) {
 	return st, eng
 }
 
+// TestDeltaSharesOverlaysItDoesNotRepair: a batch that repairs no
+// context, session or content row shares those overlays with the
+// snapshot it folds into, the same maps, instead of copying them; one
+// that repairs a context row copies the context overlay and leaves its
+// parent's as it was.
+func TestDeltaSharesOverlaysItDoesNotRepair(t *testing.T) {
+	st, eng := sessionWorld(t)
+	drain := collectEvents(st)
+	same := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	if err := st.PutUser(social.User{ID: "u7", Name: "Ugne", Interests: []string{"graph streams"}}); err != nil {
+		t.Fatal(err)
+	}
+	repaired, err := (&Builder{Store: st}).ApplyDelta(eng, drain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := repaired.ctx.over["u7"]; !ok || same(repaired.ctx.over, eng.ctx.over) {
+		t.Fatalf("a new user's batch did not repair a copied context overlay")
+	}
+	if _, ok := eng.ctx.over["u7"]; ok {
+		t.Fatalf("the repair wrote into the parent's context overlay")
+	}
+	if err := st.Follow("u1", "u7"); err != nil {
+		t.Fatal(err)
+	}
+	followed, err := (&Builder{Store: st}).ApplyDelta(repaired, drain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if followed.deltaCount != repaired.deltaCount+1 {
+		t.Fatalf("the follow batch folded %d deltas", followed.deltaCount-repaired.deltaCount)
+	}
+	if !same(followed.ctx.over, repaired.ctx.over) || !same(followed.sessions.over, repaired.sessions.over) ||
+		!same(followed.content.over, repaired.content.over) {
+		t.Fatalf("a follow, which repairs no context, session or content row, copied their overlays")
+	}
+}
+
 // TestApplyDeltaRepairsSessionRuns: after a paper is published into a
 // session, the folded snapshot's session suggestions and explained peer
 // pages equal a fresh build's — the same sessions, peers, order,

@@ -160,8 +160,12 @@ func (t table[V]) each(fn func(k string, v V)) {
 }
 
 // derive returns the table a delta starts from: the same base and a
-// copy of the overlay with room for extra repairs.
+// copy of the overlay with room for extra repairs. A delta that repairs
+// no row writes no row, so with extra 0 it shares the table itself.
 func (t table[V]) derive(extra int) table[V] {
+	if extra == 0 {
+		return t
+	}
 	over := make(map[string]V, len(t.over)+extra)
 	for k, v := range t.over {
 		over[k] = v

@@ -15,7 +15,7 @@ import (
 
 // checkIndex verifies the structural invariants of the tree — every key
 // inside its separators, all leaves at one depth, node sizes in bound,
-// a value beside every leaf key, the leaf chain linked both ways in tree
+// every leaf whole (see check), the leaf chain linked both ways in tree
 // order, the count of live keys — and returns the keys in chain order.
 func checkIndex(t *testing.T, ix *keyIndex) []string {
 	t.Helper()
@@ -23,10 +23,17 @@ func checkIndex(t *testing.T, ix *keyIndex) []string {
 	leafDepth := -1
 	var walk func(n *node, lo, hi string, hasLo, hasHi bool, depth int)
 	walk = func(n *node, lo, hi string, hasLo, hasHi bool, depth int) {
-		if !slices.IsSorted(n.keys) {
-			t.Fatalf("node keys out of order: %q", n.keys)
+		keys := n.keys
+		if n.kids == nil {
+			if err := n.check(); err != nil {
+				t.Fatal(err)
+			}
+			keys = n.leafKeys()
 		}
-		for _, k := range n.keys {
+		if !slices.IsSorted(keys) {
+			t.Fatalf("node keys out of order: %q", keys)
+		}
+		for _, k := range keys {
 			if (hasLo && k < lo) || (hasHi && k >= hi) {
 				t.Fatalf("key %q outside its separators [%q, %q)", k, lo, hi)
 			}
@@ -35,9 +42,6 @@ func checkIndex(t *testing.T, ix *keyIndex) []string {
 			t.Fatalf("node holds %d entries, max %d", n.size(), maxNode)
 		}
 		if n.kids == nil {
-			if len(n.vals) != len(n.keys) {
-				t.Fatalf("leaf holds %d keys and %d values", len(n.keys), len(n.vals))
-			}
 			if leafDepth == -1 {
 				leafDepth = depth
 			}
@@ -74,12 +78,52 @@ func checkIndex(t *testing.T, ix *keyIndex) []string {
 		if leaf.prev != prev || leaf.next != next {
 			t.Fatalf("leaf %d of %d: chain does not follow tree order", i, len(leaves))
 		}
-		keys = append(keys, leaf.keys...)
+		keys = append(keys, leaf.leafKeys()...)
 	}
 	if len(keys) != ix.len {
 		t.Fatalf("index counts %d keys, holds %d", ix.len, len(keys))
 	}
 	return keys
+}
+
+func (n *node) leafKeys() []string {
+	keys := make([]string, len(n.ents))
+	for i := range keys {
+		keys[i] = n.key(i)
+	}
+	return keys
+}
+
+// check verifies the invariants of leaf n: at most maxNode entries,
+// keys strictly ascending and each found by search at its position,
+// records disjoint inside the arena and covering all of it but the dead
+// bytes, and no more dead bytes than live ones (a leaf with more is
+// rewritten).
+func (n *node) check() error {
+	if len(n.ents) > maxNode {
+		return fmt.Errorf("leaf holds %d entries, max %d", len(n.ents), maxNode)
+	}
+	live := 0
+	spans := slices.DeleteFunc(slices.Clone(n.ents), func(e ent) bool { return e.klen+e.vlen == 0 })
+	slices.SortFunc(spans, func(a, b ent) int { return int(a.off) - int(b.off) })
+	for i, e := range spans {
+		if end := int(e.off + e.klen + e.vlen); end > len(n.data) || (i > 0 && e.off < spans[i-1].off+spans[i-1].klen+spans[i-1].vlen) {
+			return fmt.Errorf("leaf record %+v overlaps another or leaves the %d-byte arena", e, len(n.data))
+		}
+		live += int(e.klen + e.vlen)
+	}
+	if live+n.dead != len(n.data) || n.dead > live {
+		return fmt.Errorf("leaf arena of %d bytes: %d live, %d counted dead", len(n.data), live, n.dead)
+	}
+	for i := range n.ents {
+		if i > 0 && n.key(i-1) >= n.key(i) {
+			return fmt.Errorf("leaf keys %q and %q out of order", n.key(i-1), n.key(i))
+		}
+		if j, found := n.search(n.key(i)); j != i || !found {
+			return fmt.Errorf("leaf search for %q (entry %d) answers %d, %v", n.key(i), i, j, found)
+		}
+	}
+	return nil
 }
 
 // The index against a sorted-map oracle through growth to several
@@ -535,4 +579,156 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fuzzHeads are the stems of the keys FuzzIndexOps draws: event keys
+// with long shared prefixes that differ late, stems that are prefixes of
+// one another (so an insert can shorten a leaf's prefix), the empty key
+// and 0x00 and 0xff bytes.
+var fuzzHeads = []string{"", "evactor/u001/00000000000000", "evactor/u001/00000000000001",
+	"evactor/u002/00000000000000", "evactor/", "follow/u001/", "\x00", "\xff\xff"}
+
+// FuzzIndexOps checks the whole index after every op, so a program is
+// cut at fuzzMaxOps ops and runs stop inserting at fuzzMaxKeys keys:
+// inputs stay fast enough for the fuzzer not to take them for hangs.
+const fuzzMaxOps, fuzzMaxKeys = 400, 1000
+
+// fuzzKey is a stem followed by up to three bytes of a small alphabet.
+func fuzzKey(a, b byte) string {
+	const tail = "\x000189a/\xff"
+	k := fuzzHeads[a%8]
+	for n, x := int(a/8)%4, int(b); n > 0; n, x = n-1, x/8 {
+		k += tail[x%8 : x%8+1]
+	}
+	return k
+}
+
+// FuzzIndexOps runs an op program decoded from the input, three bytes an
+// op, against the index and a sorted-map oracle: put, put of a run of
+// sequential event keys, overwrite, delete, get, ascend from a bound,
+// descend before one, and image capture. After every op the tree and
+// its leaves must pass checkIndex and hold the oracle's keys, every read
+// must answer as the oracle does, and every value an earlier image
+// captured must still read as it did: arena bytes are never written
+// twice.
+func FuzzIndexOps(f *testing.F) {
+	prog := func(ops ...[3]byte) []byte {
+		var b []byte
+		for _, op := range ops {
+			b = append(b, op[:]...)
+		}
+		return b
+	}
+	// Sequential event keys of three actors, reads across them, then a
+	// key that shortens a leaf's prefix, the empty key and 0xff keys.
+	f.Add(prog([3]byte{7, 0, 91}, [3]byte{7, 1, 91}, [3]byte{7, 0, 91}, [3]byte{3, 1, 0}, [3]byte{4, 4, 20},
+		[3]byte{5, 12, 9}, [3]byte{6, 0, 0}, [3]byte{0, 4, 0}, [3]byte{0, 0, 0}, [3]byte{0, 7, 0}, [3]byte{0, 31, 255},
+		[3]byte{1, 0, 17}, [3]byte{2, 0, 3}, [3]byte{6, 0, 0}, [3]byte{5, 0, 255}))
+	// A split at exactly maxNode+1: 65 keys into an empty index.
+	f.Add(prog([3]byte{7, 0, maxNode}, [3]byte{6, 0, 0}, [3]byte{5, 0, 255}, [3]byte{4, 0, 70}))
+	// Growth to 285 keys over several leaves, then deletes of present
+	// keys down to five, in one leaf.
+	merges := [][3]byte{{7, 0, 94}, {7, 1, 94}, {7, 2, 94}, {6, 0, 0}}
+	for i := 0; i < 280; i++ {
+		merges = append(merges, [3]byte{2, byte(2 * i), byte(i * 7)})
+	}
+	f.Add(prog(append(merges, [3]byte{6, 0, 0}, [3]byte{4, 0, 1})...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix := buildIndex(nil)
+		model := map[string]string{}
+		type captured struct {
+			key  string
+			val  []byte
+			want string
+		}
+		var images []captured
+		seq := 0
+		for step := 0; step+3 <= min(len(data), 3*fuzzMaxOps); step += 3 {
+			op, a, b := data[step]%8, data[step+1], data[step+2]
+			keys := slices.Sorted(maps.Keys(model))
+			val := fmt.Sprintf("v%d", step) + strings.Repeat("x", int(b%40))
+			if b%5 == 0 {
+				val = "" // as a secondary-index key's
+			}
+			switch op {
+			case 0:
+				k := fuzzKey(a, b)
+				ix.put(k, []byte(val))
+				model[k] = val
+			case 1, 2:
+				k := fuzzKey(a, b)
+				if len(keys) > 0 && (op == 1 || a%2 == 0) {
+					k = keys[(int(a)<<8|int(b))%len(keys)]
+				}
+				if op == 1 {
+					ix.put(k, []byte(val))
+					model[k] = val
+				} else if had := ix.delete(k); had != (model[k] != "" || slices.Contains(keys, k)) {
+					t.Fatalf("op %d: delete(%q) = %v", step/3, k, had)
+				} else {
+					delete(model, k)
+				}
+			case 3:
+				k := fuzzKey(a, b)
+				v, ok := ix.get(k)
+				if want, has := model[k]; ok != has || string(v) != want {
+					t.Fatalf("op %d: get(%q) = %q, %v; want %q, %v", step/3, k, v, ok, want, has)
+				}
+			case 4:
+				from, limit := fuzzKey(a, b), 1+int(b%24)
+				var got []string
+				ix.ascend(from, func(k string, v []byte) bool {
+					if string(v) != model[k] {
+						t.Fatalf("op %d: ascend from %q: %q holds %q, want %q", step/3, from, k, v, model[k])
+					}
+					got = append(got, k)
+					return len(got) < limit
+				})
+				i, _ := slices.BinarySearch(keys, from)
+				if want := keys[i:min(i+limit, len(keys))]; !slices.Equal(got, want) {
+					t.Fatalf("op %d: ascend from %q = %q, want %q", step/3, from, got, want)
+				}
+			case 5:
+				before, limit, unbounded := fuzzKey(a, b), 1+int(a%24), b == 255
+				var got []string
+				ix.descend(before, unbounded, func(k string) bool {
+					got = append(got, k)
+					return len(got) < limit
+				})
+				i := len(keys)
+				if !unbounded {
+					i, _ = slices.BinarySearch(keys, before)
+				}
+				want := slices.Clone(keys[max(0, i-limit):i])
+				slices.Reverse(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("op %d: descend before %q (unbounded %v) = %q, want %q", step/3, before, unbounded, got, want)
+				}
+			case 6:
+				ix.ascend("", func(k string, v []byte) bool {
+					images = append(images, captured{k, v, model[k]})
+					return true
+				})
+			case 7:
+				for n := 1 + int(b%96); n > 0 && len(model) < fuzzMaxKeys; n-- {
+					k, v := fmt.Sprintf("evactor/u%03d/%016x", a%4, seq), val
+					if v != "" {
+						v += fmt.Sprint(seq) // distinct, so a byte written twice shows
+					}
+					seq++
+					ix.put(k, []byte(v))
+					model[k] = v
+				}
+			}
+			if got, want := checkIndex(t, &ix), slices.Sorted(maps.Keys(model)); !slices.Equal(got, want) {
+				t.Fatalf("op %d (%d): index holds %q, model %q", step/3, op, got, want)
+			}
+			for _, c := range images {
+				if string(c.val) != c.want {
+					t.Fatalf("op %d: the value %q captured for %q now reads %q", step/3, c.want, c.key, c.val)
+				}
+			}
+		}
+	})
 }

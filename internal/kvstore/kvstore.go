@@ -5,7 +5,8 @@
 // with CRC-framed checkpoints on disk.
 //
 // In memory the store is one structure under one lock: a B+tree with
-// chained leaves that hold every live key with its value, in key order
+// chained leaves that hold every live key with its value, in key order,
+// each leaf packed into one byte arena under its keys' shared prefix
 // (see keyIndex). It stands in for the paper's SQL table and for the
 // ordered secondary indexes on it. With n live keys, Get, Has, Put and
 // Delete cost O(log n); Scan, Keys, AscendKeys and DescendKeys seek to
@@ -15,7 +16,7 @@
 // whose records are in key order, ImportSnapshot from the imported
 // image once sorted, and a checkpoint captures the image by walking the
 // leaves: a stored value is never written again, so the capture copies
-// references and holds the read lock for milliseconds.
+// value references, builds key strings and holds the read lock briefly.
 //
 // Durability model: the store is a memory image plus checkpoints, and it
 // keeps no log of its own. The log is its owner's — the social store's
@@ -172,7 +173,10 @@ func (s *Store) Put(key string, val []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.idx.put(key, append([]byte(nil), val...))
+	if len(key)+len(val) > maxEntry {
+		return fmt.Errorf("kvstore: %q: key and value exceed %d bytes", key, maxEntry)
+	}
+	s.idx.put(key, val)
 	if s.writeHook != nil {
 		s.writeHook(key, val, false)
 	}
@@ -215,6 +219,14 @@ func (s *Store) Delete(key string) error {
 		s.writeHook(key, nil, true)
 	}
 	return nil
+}
+
+// Bytes reports the memory the image holds — leaf arenas, entry records,
+// separators and node structs — walking every node under the read lock.
+func (s *Store) Bytes() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.idx.root.bytes()
 }
 
 // Len reports the number of live keys.
@@ -387,7 +399,12 @@ func (s *Store) apply(b *Batch, hook bool) error {
 		return ErrClosed
 	}
 	for k, v := range b.puts {
-		s.idx.put(k, append([]byte(nil), v...))
+		if len(k)+len(v) > maxEntry {
+			return fmt.Errorf("kvstore: %q: key and value exceed %d bytes", k, maxEntry)
+		}
+	}
+	for k, v := range b.puts {
+		s.idx.put(k, v)
 		if hook && s.writeHook != nil {
 			s.writeHook(k, v, false)
 		}
@@ -406,7 +423,7 @@ func (s *Store) apply(b *Batch, hook bool) error {
 // follower loads the leader's full key-value image before tailing its
 // journal. items must be in strictly ascending key order, as Image
 // returns them (a key out of order or repeated is refused before any
-// step), and the store keeps their values. The write hook is not
+// step), and the store copies their values. The write hook is not
 // invoked (imports are replicas by definition). reset, when not nil,
 // runs under the store lock after the image is staged and before it is
 // installed: the owner restarts its log right after w there.
@@ -418,9 +435,12 @@ func (s *Store) apply(b *Batch, hook bool) error {
 // over the checkpoint. Open discards a torn staged import and finishes a
 // whole one, restarting the log itself if reset had not finished.
 func (s *Store) ImportSnapshot(items []Entry, w uint64, reset func() error) error {
-	for i := 1; i < len(items); i++ {
-		if items[i].Key <= items[i-1].Key {
-			return fmt.Errorf("kvstore: import: key %q is out of key order or duplicated", items[i].Key)
+	for i, it := range items {
+		if i > 0 && it.Key <= items[i-1].Key {
+			return fmt.Errorf("kvstore: import: key %q is out of key order or duplicated", it.Key)
+		}
+		if len(it.Key)+len(it.Val) > maxEntry {
+			return fmt.Errorf("kvstore: import: %q: key and value exceed %d bytes", it.Key, maxEntry)
 		}
 	}
 	s.ckMu.Lock()
@@ -455,7 +475,7 @@ func (s *Store) ImportSnapshot(items []Entry, w uint64, reset func() error) erro
 // progress and none starts until the image is captured; it reports ok
 // false when the image is not exactly the state at a log position, and
 // Image then takes nothing. Stored values are never written again, so
-// the capture is a walk of the leaves that copies references only: the
+// the capture copies value references and builds key strings: the
 // caller must not modify the values it returns.
 func (s *Store) Image(at func() (w uint64, ok bool)) (items []Entry, w uint64, ok bool, err error) {
 	s.mu.RLock()

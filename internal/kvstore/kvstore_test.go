@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -604,5 +605,71 @@ func TestImportSnapshotRejectsUnorderedKeys(t *testing.T) {
 				t.Fatalf("Watermark after a refused import = %d, want 5", s.Watermark())
 			}
 		})
+	}
+}
+
+// TestCheckpointFormatUnchanged: the checkpoint a store writes after a
+// run of puts, overwrites and deletes is byte-equal to
+// testdata/checkpoint.golden, which the store wrote for the same writes
+// when its leaves still held a string and a slice per key, and both
+// reopen to the store's image: packing the leaves changed nothing on
+// disk.
+func TestCheckpointFormatUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formatWrites(t, s)
+	want, _, _, err := s.Image(at(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = reopen(t, s, dir, 7)
+	got, err := os.ReadFile(s.snapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("checkpoint of %d bytes differs from the %d-byte golden one", len(got), len(golden))
+	}
+	items, w, err := readImageFile(filepath.Join("testdata", "checkpoint.golden"), false)
+	if err != nil || w != 7 {
+		t.Fatalf("golden checkpoint reads at %d: %v", w, err)
+	}
+	reopened, _, _, err := s.Image(at(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq := func(a, b Entry) bool { return a.Key == b.Key && bytes.Equal(a.Val, b.Val) }
+	if !slices.EqualFunc(items, want, eq) || !slices.EqualFunc(reopened, want, eq) {
+		t.Fatalf("golden checkpoint holds %d entries, reopened store %d, written image %d", len(items), len(reopened), len(want))
+	}
+}
+
+// formatWrites drives s through puts, overwrites and deletes of keys
+// with long shared prefixes, a fifth of them with empty values, enough
+// to split, rewrite and merge leaves.
+func formatWrites(t *testing.T, s *Store) {
+	rng := rand.New(rand.NewSource(42))
+	stems := []string{"evactor/u001/00000000", "evactor/u002/00000000", "follow/u001/u", "paper/p", ""}
+	for i := 0; i < 1500; i++ {
+		k := fmt.Sprintf("%s%04d", stems[rng.Intn(len(stems))], rng.Intn(150))
+		var err error
+		switch rng.Intn(5) {
+		case 0:
+			err = s.Delete(k)
+		case 1:
+			err = s.Put(k, nil)
+		default:
+			err = s.Put(k, []byte(fmt.Sprintf(`{"id":%q,"n":%d}`, k, i)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -21,7 +21,7 @@ func (s *Store) migrate(data []byte, log Log) error {
 	replayRecords(data, func(op byte, key, val []byte) {
 		switch op {
 		case opPut:
-			s.idx.put(string(key), append([]byte(nil), val...))
+			s.idx.put(string(key), val)
 		case opDelete:
 			s.idx.delete(string(key))
 		}

@@ -86,6 +86,9 @@ const (
 	// ReplicationLagEvents is a follower's journal distance behind its
 	// leader (0 on leaders).
 	ReplicationLagEvents = "hive_replication_lag_events"
+	// StoreImageBytes is the per-shard size of the kv store's in-memory
+	// image (kvstore.Store.Bytes).
+	StoreImageBytes = "hive_store_image_bytes"
 
 	// Go runtime state (runtime/metrics, read by the /metrics handler).
 

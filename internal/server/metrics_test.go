@@ -145,6 +145,49 @@ func TestRuntimeGauges(t *testing.T) {
 	}
 }
 
+// TestStoreImageGauge: every scrape carries each shard's kv image size,
+// and the size of the shard a write lands on grows with it.
+func TestStoreImageGauge(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		ts, sh := newShardedServer(t, n)
+		image := func() []float64 {
+			t.Helper()
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]float64, n)
+			for i := range out {
+				series := fmt.Sprintf("%s{shard=%q} ", metrics.StoreImageBytes, strconv.Itoa(i))
+				for _, line := range strings.Split(string(raw), "\n") {
+					if rest, ok := strings.CutPrefix(line, series); ok {
+						if out[i], err = strconv.ParseFloat(rest, 64); err != nil {
+							t.Fatalf("unparsable sample %q", line)
+						}
+					}
+				}
+				if out[i] <= 0 {
+					t.Fatalf("shards=%d: no positive %s sample for shard %d", n, metrics.StoreImageBytes, i)
+				}
+			}
+			return out
+		}
+		before := image()
+		if err := sh.RegisterUser(hive.User{ID: "alice", Name: "Alice", Interests: []string{"graph mining"}}); err != nil {
+			t.Fatal(err)
+		}
+		home := api.ShardOf("alice", n)
+		if after := image(); after[home] <= before[home] {
+			t.Errorf("shards=%d: shard %d image %v B after a write, %v B before", n, home, after[home], before[home])
+		}
+	}
+}
+
 // TestMetricsEndpoint drives real requests through a full server and
 // asserts the exposition covers them: per-route counters and latency
 // histograms plus the scrape-time state gauges of every shard, in the

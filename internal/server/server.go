@@ -526,21 +526,23 @@ func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // collectStateGauges copies the shard states into the registry's
-// gauges: overlay size, frozen corpus size, commit index, and this
-// node's replication lag.
+// gauges: overlay size, frozen corpus size, commit index, kv image
+// size, and this node's replication lag.
 func (s *Server) collectStateGauges() {
 	reg := metrics.Default
 	overlay := reg.GaugeVec(metrics.OverlayDocs, "Documents in the delta overlay (compaction pressure).", "shard")
 	corpus := reg.GaugeVec(metrics.ShardDocs, "Frozen-corpus documents indexed.", "shard")
 	commit := reg.GaugeVec(metrics.CommitIndex, "Quorum-durable commit watermark.", "shard")
+	image := reg.GaugeVec(metrics.StoreImageBytes, "Bytes of the kv store's in-memory image.", "shard")
 	lag := reg.Gauge(metrics.ReplicationLagEvents, "Journal events this node trails its leader by (0 on leaders).")
 
 	rows := s.states()
-	for _, st := range rows {
+	for i, st := range rows {
 		id := strconv.Itoa(st.ID)
 		commit.With(id).Set(float64(st.CommitIndex))
 		overlay.With(id).Set(float64(st.OverlayDocs))
 		corpus.With(id).Set(float64(st.FrozenDocs))
+		image.With(id).Set(float64(s.sh.Shard(i).Store().ImageBytes()))
 	}
 	lag.Set(float64(rows[0].LagEvents))
 }

@@ -548,6 +548,10 @@ func recoverImage(kv *kvstore.Store, jn *journal.Journal) error {
 	return jn.SetCovered(w)
 }
 
+// ImageBytes reports the memory the kv store's image holds (see
+// kvstore.Store.Bytes).
+func (s *Store) ImageBytes() int { return s.kv.Bytes() }
+
 // Close waits for a running checkpoint, then releases the underlying
 // storage and the change journal.
 func (s *Store) Close() error {
